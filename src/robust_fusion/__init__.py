@@ -66,7 +66,6 @@ from .fusion import (
     SaddleReport,
     exact_error,
     fuse,
-    grid_search_thresholds,
     k_sweep,
     monte_carlo,
     optimize_thresholds,

@@ -9,7 +9,6 @@ Subcommands::
 
 Data goes to the CSV (or stdout when --out is omitted); diagnostics go to
 stderr. Exit codes: 0 success, 2 domain/validation error, 3 IO error.
-ROBUST_FUSION_THREADS caps the worker count used for saddle probing.
 """
 
 from __future__ import annotations

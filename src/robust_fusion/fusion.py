@@ -3,19 +3,21 @@ verification, threshold design and sensor-count sweeps.
 
 The fusion rule adds the per-sensor LLR weights of the received levels and
 compares against a log threshold (default log(prior0 / (1 - prior0))); ties
-decide the null hypothesis, which makes every evaluation deterministic.
-Error probabilities are exact: the distribution of the LLR sum is an exact
-K-fold convolution of finite atom mass functions, cross-checked against
-full enumeration when the joint level space is small enough.
+decide the null hypothesis, which makes every evaluation deterministic. A
+sum counts as a tie when it is within ``TIE_TOL`` above the threshold, so
+float rounding in the order of summation cannot move an outcome across it;
+every path (``fuse``, convolution, enumeration, threshold search, Monte
+Carlo) applies this one rule. Error probabilities are exact: the
+distribution of the LLR sum (:class:`LlrSumLaw`) is an exact K-fold
+convolution of finite atom mass functions, cross-checked against full
+enumeration when the joint level space is small enough.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,14 +36,10 @@ from .sensor import (
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 _AGREEMENT_TOL = 1e-10
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ROBUST_FUSION_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+# LLR sums within TIE_TOL above the log threshold are ties and decide H0.
+# It sits well above float summation noise (~1e-13) and below the 1e-9
+# atom merge width, so one tie band never holds two atoms of a convolved law.
+TIE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,69 +96,69 @@ class ErrorReport:
     ci_halfwidth: float | None = None
 
 
-def _decision_from_llrs(llrs: Sequence[float], log_threshold: float) -> int:
-    has_pos = any(v == math.inf for v in llrs)
-    has_neg = any(v == -math.inf for v in llrs)
-    if has_pos and has_neg:
-        return 0  # jointly impossible event; convention only
-    if has_pos:
-        return 1
-    if has_neg:
-        return 0
-    total = 0.0
-    for v in llrs:
-        total += v
-    return 1 if total > log_threshold else 0
+def _decide_one(sums, has_pos, has_neg, tau):
+    """The fusion rule on arrays of outcomes.
+
+    A -inf level forces 0 (also against a +inf level: that event is
+    jointly impossible), a +inf level forces 1, and otherwise the finite
+    LLR sum decides 1 only above the tie band at ``tau``.
+    """
+    return ~has_neg & (has_pos | (sums > tau + TIE_TOL))
 
 
 def fuse(net: NetworkModel, u: Sequence[int]) -> int:
     """Fusion decision for one vector of sensor levels.
 
-    Decides 1 iff the LLR sum strictly exceeds the log threshold; ties
-    decide 0. An infinite-LLR level (impossible under one hypothesis)
-    forces the decision.
+    Decides 1 iff the LLR sum exceeds the log threshold by more than
+    ``TIE_TOL``; ties decide 0. An infinite-LLR level (impossible under
+    one hypothesis) forces the decision.
     """
     if len(u) != net.num_sensors:
         raise ValueError(f"expected {net.num_sensors} levels, got {len(u)}")
-    llrs = [ch.llr_of(int(level)) for ch, level in zip(net.channels, u)]
-    return _decision_from_llrs(llrs, net.log_threshold)
-
-
-def _law_parts(ch: SensorChannel, law: DiscretePmf):
-    """Split a level law into (finite-LLR sub-pmf, +inf mass, -inf mass)."""
-    if law.levels != ch.levels:
-        raise ValueError(
-            f"law levels {law.levels} do not match channel levels {ch.levels}"
+    llrs = np.array([ch.llr_of(int(level)) for ch, level in zip(net.channels, u)])
+    return int(
+        _decide_one(
+            llrs[np.isfinite(llrs)].sum(),
+            np.any(llrs == math.inf),
+            np.any(llrs == -math.inf),
+            net.log_threshold,
         )
-    finite = np.isfinite(ch.llr)
-    plus = float(np.sum(law.probs[ch.llr == math.inf]))
-    minus = float(np.sum(law.probs[ch.llr == -math.inf]))
-    return AtomPmf(ch.llr[finite], law.probs[finite]), plus, minus
-
-
-def llr_sum_distribution(
-    channels: Sequence[SensorChannel], laws: Sequence[DiscretePmf]
-) -> AtomPmf:
-    """Exact distribution of the finite part of the LLR sum under ``laws``."""
-    return convolve_many(
-        [_law_parts(ch, law)[0] for ch, law in zip(channels, laws)]
     )
 
 
-def _prob_decide_one_convolution(
-    channels: Sequence[SensorChannel],
-    laws: Sequence[DiscretePmf],
-    log_threshold: float,
-) -> float:
-    parts = [_law_parts(ch, law) for ch, law in zip(channels, laws)]
-    prob_no_minus = 1.0
-    prob_all_finite = 1.0
-    for finite, plus, minus in parts:
-        prob_no_minus *= 1.0 - minus
-        prob_all_finite *= finite.total_mass
-    forced = prob_no_minus - prob_all_finite
-    conv = convolve_many([finite for finite, _, _ in parts])
-    return forced + conv.mass_above(log_threshold)
+@dataclass(frozen=True, eq=False)
+class LlrSumLaw:
+    """Law of the fused LLR sum: its finite part plus the forced-1 mass.
+
+    ``finite`` carries the outcomes where every level has a finite LLR;
+    ``forced_one`` is the probability that some level has LLR +inf and
+    none has -inf, which decides 1 at every threshold.
+    """
+
+    finite: AtomPmf
+    forced_one: float
+
+    def prob_decide_one(self, tau: float) -> float:
+        return self.forced_one + self.finite.mass_above(tau + TIE_TOL)
+
+
+def llr_sum_law(
+    channels: Sequence[SensorChannel], laws: Sequence[DiscretePmf]
+) -> LlrSumLaw:
+    """Exact law of the LLR sum when each sensor's level follows ``laws``."""
+    finites = []
+    no_minus = 1.0
+    all_finite = 1.0
+    for ch, law in zip(channels, laws):
+        if law.levels != ch.levels:
+            raise ValueError(
+                f"law levels {law.levels} do not match channel levels {ch.levels}"
+            )
+        finite = np.isfinite(ch.llr)
+        finites.append(AtomPmf(ch.llr[finite], law.probs[finite]))
+        no_minus *= 1.0 - float(np.sum(law.probs[ch.llr == -math.inf]))
+        all_finite *= finites[-1].total_mass
+    return LlrSumLaw(convolve_many(finites), no_minus - all_finite)
 
 
 def _prob_decide_one_enumeration(
@@ -168,18 +166,16 @@ def _prob_decide_one_enumeration(
     laws: Sequence[DiscretePmf],
     log_threshold: float,
 ) -> float:
-    total = 0.0
-    index_ranges = [range(len(ch.levels)) for ch in channels]
-    for combo in itertools.product(*index_ranges):
-        prob = 1.0
-        for law, idx in zip(laws, combo):
-            prob *= law.probs[idx]
-        if prob == 0.0:
-            continue
-        llrs = [float(ch.llr[idx]) for ch, idx in zip(channels, combo)]
-        if _decision_from_llrs(llrs, log_threshold):
-            total += prob
-    return total
+    sums = np.zeros(1)
+    probs = np.ones(1)
+    has_pos = np.zeros(1, dtype=bool)
+    has_neg = np.zeros(1, dtype=bool)
+    for ch, law in zip(channels, laws):
+        sums = np.add.outer(sums, np.where(np.isfinite(ch.llr), ch.llr, 0.0)).ravel()
+        probs = np.multiply.outer(probs, law.probs).ravel()
+        has_pos = np.logical_or.outer(has_pos, ch.llr == math.inf).ravel()
+        has_neg = np.logical_or.outer(has_neg, ch.llr == -math.inf).ravel()
+    return float(np.sum(probs[_decide_one(sums, has_pos, has_neg, log_threshold)]))
 
 
 def exact_error(
@@ -211,7 +207,7 @@ def exact_error(
 
     def decide_one(laws, how: str) -> float:
         if how == "convolution":
-            return _prob_decide_one_convolution(net.channels, laws, net.log_threshold)
+            return llr_sum_law(net.channels, laws).prob_decide_one(net.log_threshold)
         return _prob_decide_one_enumeration(net.channels, laws, net.log_threshold)
 
     if method == "enumeration" and joint_size > enumeration_limit:
@@ -266,7 +262,6 @@ def saddle_verify(
     tol: float = 1e-9,
     max_combos: int = 10**4,
     seed: int = 0,
-    workers: int | None = None,
 ) -> SaddleReport:
     """Check that the LFD laws are worst cases for the fixed rules.
 
@@ -275,21 +270,14 @@ def saddle_verify(
     exceed P_F under the LFDs beyond ``tol``, and likewise for P_M. The
     stochastic dominance of the K-fold LLR sums (which implies the point
     inequalities for every threshold at once) is checked en route.
-
-    Combinations are evaluated by a pure map, so they may run on a thread
-    pool; ``workers`` defaults to the ROBUST_FUSION_THREADS cap.
     """
     if len(member_laws0) != net.num_sensors or len(member_laws1) != net.num_sensors:
         raise ValueError("need one member-law list per sensor and hypothesis")
-    workers = _worker_count() if workers is None else max(1, workers)
-    p_f_lfd = _prob_decide_one_convolution(
-        net.channels, [ch.pmf0 for ch in net.channels], net.log_threshold
-    )
-    p_m_lfd = 1.0 - _prob_decide_one_convolution(
-        net.channels, [ch.pmf1 for ch in net.channels], net.log_threshold
-    )
-    sum_lfd0 = llr_sum_distribution(net.channels, [ch.pmf0 for ch in net.channels])
-    sum_lfd1 = llr_sum_distribution(net.channels, [ch.pmf1 for ch in net.channels])
+    tau = net.log_threshold
+    lfd0 = llr_sum_law(net.channels, [ch.pmf0 for ch in net.channels])
+    lfd1 = llr_sum_law(net.channels, [ch.pmf1 for ch in net.channels])
+    p_f_lfd = lfd0.prob_decide_one(tau)
+    p_m_lfd = 1.0 - lfd1.prob_decide_one(tau)
 
     worst_gap = math.inf
     worst_side = "false-alarm"
@@ -298,37 +286,30 @@ def saddle_verify(
     n_checked = 0
     subset_seed = None
 
-    for side, member_lists, p_lfd, sum_lfd in (
-        ("false-alarm", member_laws0, p_f_lfd, sum_lfd0),
-        ("miss", member_laws1, p_m_lfd, sum_lfd1),
+    for side, member_lists, p_lfd, lfd in (
+        ("false-alarm", member_laws0, p_f_lfd, lfd0),
+        ("miss", member_laws1, p_m_lfd, lfd1),
     ):
         combos, n_side, used_seed = _combo_iterator(
             [len(lst) for lst in member_lists], max_combos, seed
         )
         subset_seed = used_seed if used_seed is not None else subset_seed
         n_checked += n_side
-
-        def check_combo(combo):
-            laws = [member_lists[i][j] for i, j in enumerate(combo)]
-            p1 = _prob_decide_one_convolution(net.channels, laws, net.log_threshold)
-            p_member = p1 if side == "false-alarm" else 1.0 - p1
-            sum_member = llr_sum_distribution(net.channels, laws)
+        for combo in combos:
+            law = llr_sum_law(
+                net.channels, [member_lists[i][j] for i, j in enumerate(combo)]
+            )
+            p1 = law.prob_decide_one(tau)
             if side == "false-alarm":
-                ok, _ = atoms_stochastically_larger(sum_lfd, sum_member, tol)
+                gap = p_lfd - p1
+                ok, _ = atoms_stochastically_larger(lfd.finite, law.finite, tol)
             else:
-                ok, _ = atoms_stochastically_larger(sum_member, sum_lfd, tol)
-            return tuple(combo), p_lfd - p_member, ok
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(check_combo, combos, chunksize=16))
-        else:
-            results = [check_combo(c) for c in combos]
-        for combo, gap, ok in results:
+                gap = p_lfd - (1.0 - p1)
+                ok, _ = atoms_stochastically_larger(law.finite, lfd.finite, tol)
             if gap < worst_gap:
                 worst_gap = gap
                 worst_side = side
-                worst_combo = combo
+                worst_combo = tuple(combo)
             dominance_ok = dominance_ok and ok
     holds = worst_gap >= -tol and dominance_ok
     return SaddleReport(
@@ -359,12 +340,13 @@ def best_fusion_threshold(
     smallest atom) is exhaustive. ``conv0``/``conv1`` are the finite parts
     of the LLR-sum laws; ``forced_one*`` carry the threshold-independent
     probability of a forced decide-1 (an infinite-LLR level observed).
-    Returns (log_threshold, p_error).
+    Each candidate is scored as :meth:`LlrSumLaw.prob_decide_one` would
+    score it. Returns (log_threshold, p_error).
     """
     atoms = np.union1d(conv0.atoms, conv1.atoms)
     candidates = np.concatenate([[atoms[0] - 1.0], atoms])
-    idx0 = np.searchsorted(conv0.atoms, candidates, side="right")
-    idx1 = np.searchsorted(conv1.atoms, candidates, side="right")
+    idx0 = np.searchsorted(conv0.atoms, candidates + TIE_TOL, side="right")
+    idx1 = np.searchsorted(conv1.atoms, candidates + TIE_TOL, side="right")
     tail0 = np.concatenate([np.cumsum(conv0.masses[::-1])[::-1], [0.0]])
     tail1 = np.concatenate([np.cumsum(conv1.masses[::-1])[::-1], [0.0]])
     p_f = forced_one0 + tail0[idx0]
@@ -403,7 +385,10 @@ def _golden_section(fn, lo: float, hi: float, iters: int = 60) -> tuple[float, f
 
 
 class _ThresholdObjective:
-    """P_E of a threshold configuration, with per-sensor channel caching."""
+    """P_E of a threshold configuration, minimized over the fusion threshold.
+
+    Every evaluation builds the K channels and both LLR-sum laws afresh.
+    """
 
     def __init__(self, pairs: Sequence[LfdPair], prior0: float):
         self.pairs = list(pairs)
@@ -420,26 +405,16 @@ class _ThresholdObjective:
 
     def evaluate(self, all_log_thresholds: Sequence[Sequence[float]]) -> tuple[float, float]:
         """Returns (p_error, best log fusion threshold); inf when invalid."""
-        convs0, convs1 = [], []
-        no_minus = [1.0, 1.0]
-        all_finite = [1.0, 1.0]
+        channels = []
         for i, coords in enumerate(all_log_thresholds):
             ch = self.channel(i, coords)
             if ch is None:
                 return math.inf, 0.0
-            for which, law in enumerate((ch.pmf0, ch.pmf1)):
-                finite, plus, minus = _law_parts(ch, law)
-                (convs0 if which == 0 else convs1).append(finite)
-                no_minus[which] *= 1.0 - minus
-                all_finite[which] *= finite.total_mass
-        conv0 = convolve_many(convs0)
-        conv1 = convolve_many(convs1)
+            channels.append(ch)
+        law0 = llr_sum_law(channels, [ch.pmf0 for ch in channels])
+        law1 = llr_sum_law(channels, [ch.pmf1 for ch in channels])
         tau, p_e = best_fusion_threshold(
-            conv0,
-            conv1,
-            self.prior0,
-            forced_one0=no_minus[0] - all_finite[0],
-            forced_one1=no_minus[1] - all_finite[1],
+            law0.finite, law1.finite, self.prior0, law0.forced_one, law1.forced_one
         )
         return p_e, tau
 
@@ -541,44 +516,6 @@ def optimize_thresholds(
     )
 
 
-def grid_search_thresholds(
-    pairs: Sequence[LfdPair],
-    num_levels: Sequence[int],
-    prior0: float,
-    points: int = 101,
-) -> tuple[tuple[tuple[float, ...], ...], float, float]:
-    """Exhaustive grid-search oracle for :func:`optimize_thresholds`.
-
-    Scans ``points`` values per coordinate (log-LR space) over all sorted
-    combinations; returns (log thresholds per sensor, log fusion
-    threshold, p_error). Intended for validation at desk scale.
-    """
-    objective = _ThresholdObjective(pairs, prior0)
-    axes = []
-    for pair, d in zip(pairs, num_levels):
-        lo, hi = float(pair.log_lr(pair.support[0])), float(pair.log_lr(pair.support[1]))
-        axes.extend([np.linspace(lo, hi, points)] * d)
-    counts = list(num_levels)
-    best = (math.inf, 0.0, None)
-    for combo in itertools.product(*axes):
-        conf = []
-        pos = 0
-        ok = True
-        for c in counts:
-            coords = list(combo[pos : pos + c])
-            if any(b <= a for a, b in zip(coords, coords[1:])):
-                ok = False
-                break
-            conf.append(coords)
-            pos += c
-        if not ok:
-            continue
-        pe, tau = objective.evaluate(conf)
-        if pe < best[0]:
-            best = (pe, tau, tuple(tuple(c) for c in conf))
-    return best[2], best[1], best[0]
-
-
 def k_sweep(
     template: SensorChannel,
     ks: Sequence[int],
@@ -634,10 +571,7 @@ def monte_carlo(
             has_pos |= vals == math.inf
             has_neg |= vals == -math.inf
             sums += np.where(np.isfinite(vals), vals, 0.0)
-        decide1 = np.where(
-            has_pos & has_neg, False, has_pos | (~has_neg & (sums > net.log_threshold))
-        )
-        return float(np.mean(decide1))
+        return float(np.mean(_decide_one(sums, has_pos, has_neg, net.log_threshold)))
 
     p_f = decide_rate(laws0, rng0)
     p_m = 1.0 - decide_rate(laws1, rng1)

@@ -139,7 +139,10 @@ def level_boundaries(pair: LfdPair, q: Quantizer) -> list[float]:
     """Observation-axis boundary for each threshold of a monotone pair.
 
     boundary[d] = inf{y : LR(y) >= t_d}; values are clamped to the pair's
-    support (the mass outside is below 1e-15 of the total).
+    support (the mass outside is below 1e-15 of the total). The comparison
+    allows ``_LLR_SLACK`` of log-LR rounding, so a threshold that only
+    exp/log rounding separates from a flat (clipped) LR stretch puts that
+    stretch in the level above, as the left-closed intervals require.
     """
     lo, hi = pair.support
     boundaries = []
@@ -147,7 +150,7 @@ def level_boundaries(pair: LfdPair, q: Quantizer) -> list[float]:
         if t <= 0.0:
             boundaries.append(-math.inf)
             continue
-        log_t = math.log(t)
+        log_t = math.log(t) - _LLR_SLACK
         if float(pair.log_lr(lo)) >= log_t:
             boundaries.append(lo)
         elif float(pair.log_lr(hi)) < log_t:

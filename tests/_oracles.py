@@ -63,6 +63,35 @@ def enumerate_error_probs(level_sets, llrs, laws0, laws1, log_threshold, prior0)
     return p_f, p_m, prior0 * p_f + (1.0 - prior0) * p_m
 
 
+def grid_search_thresholds(pairs, num_levels, prior0, points=101):
+    """Exhaustive grid-search oracle for ``fusion.optimize_thresholds``.
+
+    Scans ``points`` values per coordinate (log-LR space) over all sorted
+    combinations; returns (log thresholds per sensor, log fusion
+    threshold, p_error). Intended for validation at desk scale.
+    """
+    from robust_fusion.fusion import _ThresholdObjective
+
+    objective = _ThresholdObjective(pairs, prior0)
+    axes = []
+    for pair, d in zip(pairs, num_levels):
+        lo, hi = float(pair.log_lr(pair.support[0])), float(pair.log_lr(pair.support[1]))
+        axes.extend([np.linspace(lo, hi, points)] * d)
+    best = (math.inf, 0.0, None)
+    for combo in itertools.product(*axes):
+        conf = []
+        pos = 0
+        for c in num_levels:
+            conf.append(list(combo[pos : pos + c]))
+            pos += c
+        if any(b <= a for coords in conf for a, b in zip(coords, coords[1:])):
+            continue
+        pe, tau = objective.evaluate(conf)
+        if pe < best[0]:
+            best = (pe, tau, tuple(tuple(c) for c in conf))
+    return best[2], best[1], best[0]
+
+
 def ordered_pmf_pair(rng: np.random.Generator, max_levels: int = 6):
     """(x_probs, y_probs, levels) with X stochastically larger than Y.
 

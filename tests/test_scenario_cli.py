@@ -133,6 +133,18 @@ class TestCliEvaluate:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
+    def test_band_pair_three_default_thresholds_exit_0(self, tmp_path):
+        """Tie sums a few ulps either side of the threshold decide 0 on
+        both the convolution and the enumeration path, so they agree."""
+        doc = json.loads((SCENARIOS / "band_pair.json").read_text())
+        for sensor in doc["sensors"]:
+            sensor["quantizer"] = {"num_thresholds": 3}
+        path = tmp_path / "band3.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "eval.csv"
+        assert main(["evaluate", "--scenario", str(path), "--out", str(out)]) == 0
+        assert read_csv(out)[1][2] == "exact-convolution"
+
     def test_io_failure_exit_3(self, tmp_path, capsys):
         path = make_majority_scenario(tmp_path)
         code = main([

@@ -127,6 +127,24 @@ class TestChannelFromQuantizer:
         assert llr_monotone_check(ch)
         assert abs(float(np.sum(ch.pmf0.probs)) - 1.0) < 1e-12
 
+    def test_threshold_at_upper_clip_level_takes_whole_stretch(self):
+        """A threshold at exp(log c_hi) puts the clipped top stretch in level 1.
+
+        For this pair log(exp(log c_hi)) rounds one ulp above the clip
+        level, so the boundary search must allow for that rounding.
+        """
+        pair = huber_clipped_lfd(
+            EpsContaminationClass(GaussianSpec(0.0, 1.0), 0.08),
+            EpsContaminationClass(GaussianSpec(1.0, 1.0), 0.08),
+        )
+        log_c_hi = float(pair.log_lr(pair.support[1]))
+        ch = channel_from_quantizer(Quantizer((math.exp(log_c_hi),)), pair)
+        y_hi = pair.meta["breakpoints"][-1]
+        assert abs(ch.pmf0.probs[0] - pair.q0_cdf(y_hi)) < 1e-12
+        assert abs(ch.pmf1.probs[0] - pair.q1_cdf(y_hi)) < 1e-12
+        assert abs(ch.pmf0.probs[1] - (1.0 - pair.q0_cdf(y_hi))) < 1e-12
+        assert abs(ch.pmf1.probs[1] - (1.0 - pair.q1_cdf(y_hi))) < 1e-12
+
     def test_zero_mass_levels_dropped_with_warning(self):
         """Thresholds beyond the support leave empty levels behind."""
         q = Quantizer((math.exp(-40.0), math.exp(-39.0), 1.0))
