@@ -2,13 +2,16 @@
 
 All solvers here are plain bisection: robust, derivative-free and exactly
 reproducible. They are used for one-shot parameter solves (tilt exponents,
-clip constants) and for inverting monotone log-likelihood-ratio curves, so
-robustness matters more than iteration count.
+clip constants) and for locating where a log-likelihood ratio without a
+closed-form inverse crosses a level, so robustness matters more than
+iteration count.
 """
 
 from __future__ import annotations
 
 from typing import Callable
+
+import numpy as np
 
 
 def solve_increasing(
@@ -57,26 +60,27 @@ def solve_decreasing(
     return solve_increasing(lambda y: -f(y), lo, hi, -target, tol=tol, max_iter=max_iter)
 
 
-def leftmost_true(
-    pred: Callable[[float], bool],
-    lo: float,
-    hi: float,
-    *,
-    tol: float = 1e-13,
-    max_iter: int = 200,
-) -> float:
-    """Smallest y in [lo, hi] with pred(y) true, for pred monotone false->true.
+def crossings(
+    f: Callable[[float], float], xs: np.ndarray, fx: np.ndarray, level: float, strict: bool = False
+) -> list[float]:
+    """Where f, tabulated as ``fx`` on the increasing grid ``xs``, crosses ``level``.
 
-    The caller must guarantee pred(hi) is true and pred(lo) is false;
-    endpoint cases are expected to be short-circuited before calling.
+    A point is above when f >= level (f > level when ``strict``). Each grid
+    cell whose ends disagree is bisected down to adjacent floats; the first
+    float on the right end's side is returned. Crossings narrower than one
+    cell can be missed.
     """
-    a, b = lo, hi
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a), abs(b)):
-            break
-        m = 0.5 * (a + b)
-        if pred(m):
-            b = m
-        else:
-            a = m
-    return b
+    above = fx > level if strict else fx >= level
+    points = []
+    for i in np.flatnonzero(above[1:] != above[:-1]):
+        a, b = float(xs[i]), float(xs[i + 1])
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            if not a < m < b:
+                break
+            if (f(m) > level if strict else f(m) >= level) == above[i]:
+                a = m
+            else:
+                b = m
+        points.append(b)
+    return points

@@ -17,7 +17,9 @@ Three classes of distributional uncertainty are supported:
 
 Every construction returns an :class:`LfdPair` with evaluable log-densities,
 an evaluable log-likelihood-ratio, exact cdfs, and the construction
-parameters in ``meta``.
+parameters in ``meta``. Band and contamination pairs carry their affine or
+clipped-affine log-likelihood ratio as a :class:`ClippedAffineLlr`, which
+inverts in closed form; other log-LRs are inverted at grid crossings.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._roots import leftmost_true, solve_decreasing, solve_increasing
+from ._roots import crossings, solve_decreasing, solve_increasing
 from .distributions import GaussianSpec, GridFunction, trapezoid
 
 NORMALIZATION_TOL = 1e-8
@@ -107,6 +109,40 @@ class CdfMember:
         return self.cdf_fn(x)
 
 
+@dataclass(frozen=True)
+class ClippedAffineLlr:
+    """Log-LR offset + clip(slope * (y - mid), lo, hi) with slope > 0.
+
+    Evaluates scalars or arrays; :meth:`boundary` inverts it in closed form.
+    """
+
+    slope: float
+    mid: float
+    offset: float = 0.0
+    lo: float = -math.inf
+    hi: float = math.inf
+
+    def __call__(self, y):
+        return self.offset + np.clip(
+            self.slope * (np.asarray(y, dtype=float) - self.mid), self.lo, self.hi
+        )
+
+    def boundary(self, s: float, strict: bool = False) -> float:
+        """inf{y : log_lr(y) >= s} (> s when ``strict``).
+
+        -inf when every y qualifies, +inf when none does. The clip levels
+        are the float sums ``offset + lo``/``offset + hi`` that evaluation
+        returns, so an s read off the log-LR classifies its flat stretch.
+        """
+        bottom = self.offset + self.lo
+        top = self.offset + self.hi
+        if s < bottom or (s == bottom and not strict):
+            return -math.inf
+        if s > top or (s == top and strict):
+            return math.inf
+        return self.mid + (s - self.offset) / self.slope
+
+
 @dataclass(frozen=True, eq=False)
 class LfdPair:
     """A matched pair of least favorable distributions.
@@ -166,12 +202,9 @@ def gaussian_band_lfd(c0: GaussianBandClass, c1: GaussianBandClass) -> LfdPair:
     sigma = c0.sigma
     q0 = GaussianSpec(c0.mu_hi, sigma)
     q1 = GaussianSpec(c1.mu_lo, sigma)
-    slope = (q1.mean - q0.mean) / (sigma * sigma)
-    mid = 0.5 * (q0.mean + q1.mean)
-
-    def log_lr(y, _slope=slope, _mid=mid):
-        return _slope * (np.asarray(y, dtype=float) - _mid)
-
+    log_lr = ClippedAffineLlr(
+        slope=(q1.mean - q0.mean) / (sigma * sigma), mid=0.5 * (q0.mean + q1.mean)
+    )
     lo = min(q0.mean, q1.mean) - 8.0 * sigma
     hi = max(q0.mean, q1.mean) + 8.0 * sigma
     return LfdPair(
@@ -320,12 +353,9 @@ def huber_clipped_lfd(
         )
     eps0, eps1 = c0.eps, c1.eps
     sigma = p0.sigma
-    slope = (p1.mean - p0.mean) / (sigma * sigma)
-    mid = 0.5 * (p0.mean + p1.mean)
-
-    def nominal_llr(y):
-        return slope * (np.asarray(y, dtype=float) - mid)
-
+    nominal_llr = ClippedAffineLlr(
+        slope=(p1.mean - p0.mean) / (sigma * sigma), mid=0.5 * (p0.mean + p1.mean)
+    )
     lo = p0.mean - 13.0 * sigma
     hi = p1.mean + 13.0 * sigma
 
@@ -372,8 +402,7 @@ def huber_clipped_lfd(
             y > _y_lo, p1.logpdf(y), p0.logpdf(y) + log_c_lo
         )
 
-    def log_lr(y):
-        return log_b + np.clip(nominal_llr(y), log_c_lo, log_c_hi)
+    log_lr = ClippedAffineLlr(nominal_llr.slope, nominal_llr.mid, log_b, log_c_lo, log_c_hi)
 
     def q0_cdf(x: float) -> float:
         val = p0.cdf(min(x, y_hi))
@@ -413,28 +442,40 @@ def huber_clipped_lfd(
     )
 
 
+def _log_lr_boundary(pair: LfdPair, s: float, strict: bool = False) -> float:
+    """inf{y : log_lr(y) >= s} (> s when ``strict``); -inf/+inf for all/no y.
+
+    Closed form for a :class:`ClippedAffineLlr`; any other log-LR must
+    cross s at most once, upward, on the pair's grid (ValueError otherwise).
+    """
+    if isinstance(pair.log_lr, ClippedAffineLlr):
+        return pair.log_lr.boundary(s, strict)
+    xs = pair.grid()
+    fx = np.asarray(pair.log_lr(xs), dtype=float)
+    cuts = crossings(pair.log_lr, xs, fx, s, strict)
+    starts_above = bool(fx[0] > s if strict else fx[0] >= s)
+    if len(cuts) > 1 or (cuts and starts_above):
+        raise ValueError(f"log_lr crosses the level {s!r} other than once upward")
+    return cuts[0] if cuts else (-math.inf if starts_above else math.inf)
+
+
+def _cdf_at(cdf: Callable[[float], float], y: float) -> float:
+    """cdf(y), exactly 0 and 1 at y = -inf and y = +inf."""
+    return 1.0 if y == math.inf else 0.0 if y == -math.inf else cdf(y)
+
+
 def upper_level_boundary(pair: LfdPair, t: float) -> float:
     """Supremum of {y : log_lr(y) <= t} for a nondecreasing log_lr.
 
-    Returns -inf when log_lr exceeds t everywhere on the support and +inf
-    when it never does; flat (clipped) stretches equal to t are included.
+    Returns -inf when log_lr exceeds t everywhere and +inf when it never
+    does; flat (clipped) stretches equal to t are included.
     """
-    lo, hi = pair.support
-    if float(pair.log_lr(hi)) <= t:
-        return math.inf
-    if float(pair.log_lr(lo)) > t:
-        return -math.inf
-    return leftmost_true(lambda y: float(pair.log_lr(y)) > t, lo, hi)
+    return _log_lr_boundary(pair, t, strict=True)
 
 
 def robust_lr_cdf(pair: LfdPair, member, t: float) -> float:
     """P_member[log_lr(Y) <= t] for a member exposing ``cdf``."""
-    boundary = upper_level_boundary(pair, t)
-    if boundary == math.inf:
-        return 1.0
-    if boundary == -math.inf:
-        return 0.0
-    return member.cdf(boundary)
+    return _cdf_at(member.cdf, upper_level_boundary(pair, t))
 
 
 @dataclass(frozen=True)
@@ -471,30 +512,23 @@ def joint_boundedness_check(
     Violations beyond ``tol`` flip ``holds`` and the worst one is reported
     as a witness.
     """
-    xs = pair.grid(512)
-    if np.any(np.diff(pair.log_lr(xs)) < -1e-12):
-        raise ValueError("joint_boundedness_check requires a nondecreasing log_lr")
+    if not isinstance(pair.log_lr, ClippedAffineLlr):
+        xs = pair.grid(512)
+        if np.any(np.diff(pair.log_lr(xs)) < -1e-12):
+            raise ValueError("joint_boundedness_check requires a nondecreasing log_lr")
     worst = 0.0
     witness = None
     t_values = [float(t) for t in t_grid]
     boundaries = [upper_level_boundary(pair, t) for t in t_values]
-
-    def cdf_at(boundary: float, cdf_fn) -> float:
-        if boundary == math.inf:
-            return 1.0
-        if boundary == -math.inf:
-            return 0.0
-        return cdf_fn(boundary)
-
     for side, members, lfd_cdf, sign in (
         ("h0", class0_members, pair.q0_cdf, +1.0),
         ("h1", class1_members, pair.q1_cdf, -1.0),
     ):
-        lfd_vals = [cdf_at(b, lfd_cdf) for b in boundaries]
+        lfd_vals = [_cdf_at(lfd_cdf, b) for b in boundaries]
         for idx, member in enumerate(members):
             for t, b, lfd_val in zip(t_values, boundaries, lfd_vals):
                 # h0 requires member >= LFD, h1 requires member <= LFD.
-                gap = sign * (lfd_val - cdf_at(b, member.cdf))
+                gap = sign * (lfd_val - _cdf_at(member.cdf, b))
                 if gap > worst:
                     worst = gap
                     witness = BoundednessWitness(side, idx, member, t, gap)

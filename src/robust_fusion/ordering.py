@@ -121,9 +121,12 @@ def atoms_stochastically_larger(
 ) -> tuple[bool, float]:
     """Exact X >= Y check for atom mass functions; returns (holds, worst gap)."""
     support = np.union1d(x.atoms, y.atoms)
-    worst = -math.inf
-    for v in support:
-        worst = max(worst, x.cdf(float(v)) - y.cdf(float(v)))
+
+    def cdf_on_support(p: AtomPmf) -> np.ndarray:
+        cum = np.concatenate(([0.0], np.cumsum(p.masses)))
+        return cum[np.searchsorted(p.atoms, support, side="right")]
+
+    worst = float(np.max(cdf_on_support(x) - cdf_on_support(y), initial=-math.inf))
     return worst <= tol, worst
 
 

@@ -3,11 +3,10 @@ per-level LLR weights, label repair, and randomized-binary admissibility.
 
 A sensor maps its observation through the robust likelihood ratio and
 quantizes that value with strictly increasing thresholds into levels
-0..D. When the pair's log-likelihood ratio is monotone, the per-level LLR
-weights are conditional expectations of the LR over the threshold
-intervals, hence automatically nondecreasing in the level; this module
-computes them exactly (half-line inversion plus closed-form cdfs) and
-enforces that property as a postcondition.
+0..D. The per-level LLR weights are conditional expectations of the LR
+over the threshold intervals, hence automatically nondecreasing in the
+level; this module computes them exactly (observation-axis cuts plus
+closed-form cdfs) and enforces that property as a postcondition.
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._roots import leftmost_true, solve_increasing
+from ._roots import crossings, solve_increasing
 from .distributions import DiscretePmf, pmf_from_weights, trapezoid
-from .lfd import ContaminatedGaussian, LfdPair
+from .lfd import ClippedAffineLlr, ContaminatedGaussian, LfdPair, _cdf_at, _log_lr_boundary
 
 _LLR_SLACK = 1e-12
 
@@ -136,38 +135,47 @@ def channel_from_pmfs(pmf0: DiscretePmf, pmf1: DiscretePmf) -> SensorChannel:
 
 
 def level_boundaries(pair: LfdPair, q: Quantizer) -> list[float]:
-    """Observation-axis boundary for each threshold of a monotone pair.
+    """Observation-axis boundary for each threshold of a nondecreasing log-LR.
 
-    boundary[d] = inf{y : LR(y) >= t_d}; values are clamped to the pair's
-    support (the mass outside is below 1e-15 of the total). The comparison
-    allows ``_LLR_SLACK`` of log-LR rounding, so a threshold that only
-    exp/log rounding separates from a flat (clipped) LR stretch puts that
-    stretch in the level above, as the left-closed intervals require.
+    boundary[d] = inf{y : LR(y) >= t_d}, or -inf for t_d <= 0; values are
+    clamped to the pair's support (the mass outside is below 1e-15 of the
+    total). A :class:`ClippedAffineLlr` is inverted in closed form allowing
+    ``_LLR_SLACK`` of log-LR rounding, so a threshold that only exp/log
+    rounding separates from a flat (clipped) LR stretch puts that stretch
+    in the level above, as the left-closed intervals require. Any other
+    log-LR must cross each threshold at most once, upward, on the pair's
+    grid (ValueError otherwise).
     """
     lo, hi = pair.support
-    boundaries = []
-    for t in q.thresholds:
-        if t <= 0.0:
-            boundaries.append(-math.inf)
-            continue
-        log_t = math.log(t) - _LLR_SLACK
-        if float(pair.log_lr(lo)) >= log_t:
-            boundaries.append(lo)
-        elif float(pair.log_lr(hi)) < log_t:
-            boundaries.append(hi)
-        else:
-            boundaries.append(
-                leftmost_true(lambda y: float(pair.log_lr(y)) >= log_t, lo, hi)
-            )
-    return boundaries
+    slack = _LLR_SLACK if isinstance(pair.log_lr, ClippedAffineLlr) else 0.0
+    return [
+        min(max(_log_lr_boundary(pair, math.log(t) - slack), lo), hi) if t > 0.0 else -math.inf
+        for t in q.thresholds
+    ]
 
 
-def _interval_masses(cdf, boundaries: Sequence[float]) -> np.ndarray:
-    cuts = [0.0]
-    for b in boundaries:
-        cuts.append(0.0 if b == -math.inf else cdf(b))
-    cuts.append(1.0)
-    return np.diff(np.asarray(cuts))
+def _level_masses(
+    pair: LfdPair, q: Quantizer, cdfs: Sequence[Callable], grid: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """Per-level mass of each cdf: exact cdf differences between axis cuts.
+
+    A clipped-affine log-LR has one closed-form cut per threshold. Any
+    other log-LR is cut at every threshold crossing on ``grid`` (default:
+    the pair's grid), and each segment goes to the level of its midpoint;
+    crossings narrower than a grid cell can be missed.
+    """
+    if isinstance(pair.log_lr, ClippedAffineLlr):
+        cuts, levels = level_boundaries(pair, q), np.arange(q.num_levels)
+    else:
+        xs = pair.grid() if grid is None else np.asarray(grid, dtype=float)
+        fx = np.asarray(pair.log_lr(xs), dtype=float)
+        log_t = np.array([math.log(t) if t > 0.0 else -math.inf for t in q.thresholds])
+        cuts = sorted(c for s in log_t for c in crossings(pair.log_lr, xs, fx, s))
+        edges = np.array([xs[0], *cuts, xs[-1]])
+        mid_llr = np.asarray(pair.log_lr(0.5 * (edges[:-1] + edges[1:])), dtype=float)
+        levels = np.searchsorted(log_t, mid_llr, side="right")
+    weights = [np.diff([0.0, *(_cdf_at(cdf, c) for c in cuts), 1.0]) for cdf in cdfs]
+    return [np.bincount(levels, w, q.num_levels) for w in weights]
 
 
 def channel_from_quantizer(
@@ -175,12 +183,11 @@ def channel_from_quantizer(
 ) -> SensorChannel:
     """Push the LFD pair through a quantizer on the robust-LR axis.
 
-    For a monotone log-LR (all built-in constructions) the interval
-    probabilities are exact: thresholds are inverted to observation-axis
-    boundaries and evaluated with the pair's closed-form cdfs. A
-    non-monotone log-LR is handled by locating every threshold crossing
-    on the grid (sign-change bisection) and summing exact cdf differences
-    per segment; crossings narrower than the grid step can be missed.
+    Level probabilities are exact cdf differences between observation-axis
+    cuts: one closed-form cut per threshold for a clipped-affine log-LR
+    (band and contamination pairs), and every threshold crossing located
+    on ``grid`` (default: the pair's grid) for any other log-LR, monotone
+    or not; crossings narrower than the grid step can be missed.
 
     Levels with zero mass under both LFDs are dropped with a warning;
     levels with zero mass under exactly one keep a +/-inf LLR sentinel.
@@ -188,63 +195,11 @@ def channel_from_quantizer(
     is the LR's conditional mean over [t_{d-1}, t_d), whatever the
     preimage shape); a violation raises.
     """
-    xs = pair.grid() if grid is None else np.asarray(grid, dtype=float)
-    lr_vals = np.asarray(pair.log_lr(xs), dtype=float)
-    monotone = bool(np.all(lr_vals[1:] >= lr_vals[:-1] - _LLR_SLACK))
-    levels = list(range(q.num_levels))
-    if monotone:
-        bounds = level_boundaries(pair, q)
-        mass0 = _interval_masses(pair.q0_cdf, bounds)
-        mass1 = _interval_masses(pair.q1_cdf, bounds)
-    else:
-        mass0, mass1 = _piecewise_masses(pair, q, xs, lr_vals)
-    channel = _build_channel(levels, mass0, mass1)
+    mass0, mass1 = _level_masses(pair, q, (pair.q0_cdf, pair.q1_cdf), grid)
+    channel = _build_channel(list(range(q.num_levels)), mass0, mass1)
     if not llr_monotone_check(channel):
         raise RuntimeError("per-level LLR is not nondecreasing; quantizer is invalid")
     return channel
-
-
-def _piecewise_masses(
-    pair: LfdPair, q: Quantizer, xs: np.ndarray, lr_vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Level masses for a non-monotone log-LR via crossing detection.
-
-    Cuts the support at every point where the log-LR crosses a threshold
-    (bisected to machine precision inside each bracketing grid cell); each
-    resulting segment maps into a single level, so its mass is an exact
-    cdf difference.
-    """
-    cuts = [float(xs[0])]
-    for t in q.thresholds:
-        if t <= 0.0:
-            continue
-        log_t = math.log(t)
-        diff = lr_vals - log_t
-        for i in np.flatnonzero(np.diff(np.signbit(diff)) != 0):
-            a, b = float(xs[i]), float(xs[i + 1])
-            below = diff[i] < 0.0
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                if (float(pair.log_lr(m)) - log_t < 0.0) == below:
-                    a = m
-                else:
-                    b = m
-            cuts.append(0.5 * (a + b))
-    cuts = sorted(set(cuts + [float(xs[-1])]))
-    mass0 = np.zeros(q.num_levels)
-    mass1 = np.zeros(q.num_levels)
-    for a, b in zip(cuts, cuts[1:]):
-        level = quantize(q, math.exp(float(pair.log_lr(0.5 * (a + b)))))
-        mass0[level] += pair.q0_cdf(b) - pair.q0_cdf(a)
-        mass1[level] += pair.q1_cdf(b) - pair.q1_cdf(a)
-    # off-support tails (below 1e-15 of mass) follow their end segments
-    first = quantize(q, math.exp(float(pair.log_lr(cuts[0]))))
-    last = quantize(q, math.exp(float(pair.log_lr(cuts[-1]))))
-    mass0[first] += pair.q0_cdf(cuts[0])
-    mass1[first] += pair.q1_cdf(cuts[0])
-    mass0[last] += 1.0 - pair.q0_cdf(cuts[-1])
-    mass1[last] += 1.0 - pair.q1_cdf(cuts[-1])
-    return mass0, mass1
 
 
 def member_channel(
@@ -252,17 +207,17 @@ def member_channel(
 ) -> DiscretePmf:
     """Output law of a class member pushed through the same sensor rule.
 
-    ``member`` exposes ``cdf``; point-contaminated members get their atom
-    assigned exactly via :func:`quantize`. When ``levels`` restricts to a
-    channel's kept level set, mass on dropped levels must be negligible.
+    ``member`` exposes ``cdf`` and is cut where :func:`channel_from_quantizer`
+    cuts the LFDs (on the pair's grid); point-contaminated members get
+    their atom assigned exactly via :func:`quantize`. When ``levels``
+    restricts to a channel's kept level set, mass on dropped levels must be
+    negligible.
     """
-    bounds = level_boundaries(pair, q)
-    if isinstance(member, ContaminatedGaussian):
-        mass = (1.0 - member.eps) * _interval_masses(member.nominal.cdf, bounds)
-        atom_level = quantize(q, math.exp(float(pair.log_lr(member.atom))))
-        mass[atom_level] += member.eps
-    else:
-        mass = _interval_masses(member.cdf, bounds)
+    contaminated = isinstance(member, ContaminatedGaussian)
+    (mass,) = _level_masses(pair, q, (member.nominal.cdf if contaminated else member.cdf,))
+    if contaminated:
+        mass = (1.0 - member.eps) * mass
+        mass[quantize(q, math.exp(float(pair.log_lr(member.atom))))] += member.eps
     mass = np.maximum(mass, 0.0)
     all_levels = tuple(range(q.num_levels))
     if levels is not None and levels != all_levels:

@@ -92,6 +92,14 @@ def grid_search_thresholds(pairs, num_levels, prior0, points=101):
     return best[2], best[1], best[0]
 
 
+def atoms_stochastically_larger_loop(x, y, tol: float = 1e-12):
+    """Reference X >= Y check for ``AtomPmf``s: one cdf pair per support point."""
+    worst = -math.inf
+    for v in np.union1d(x.atoms, y.atoms):
+        worst = max(worst, x.cdf(float(v)) - y.cdf(float(v)))
+    return worst <= tol, worst
+
+
 def ordered_pmf_pair(rng: np.random.Generator, max_levels: int = 6):
     """(x_probs, y_probs, levels) with X stochastically larger than Y.
 

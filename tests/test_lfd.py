@@ -20,6 +20,7 @@ from robust_fusion.lfd import (
     kl_dabak_lfd,
     kl_divergence,
     robust_lr_cdf,
+    upper_level_boundary,
 )
 
 from _oracles import density_integral
@@ -206,6 +207,31 @@ class TestHuberClippedLfd:
                 lambda y: math.exp(float(pair.q0_logpdf(y))), -13.0, x, points=[y_lo]
             )
             assert abs(direct - integral) < 1e-10
+
+
+class TestUpperLevelBoundary:
+    def test_clip_levels_read_off_asymmetric_huber_pairs(self):
+        """At the pair's own clip levels the flat stretches land correctly.
+
+        With eps0 != eps1 the log-LR carries an offset; a level read off the
+        log-LR at the support ends must select the whole top stretch (no y
+        has a larger log-LR) and the start of the bottom one.
+        """
+        rng = np.random.default_rng(2000)
+        for _ in range(2000):
+            sigma = rng.uniform(0.4, 2.0)
+            mu1 = sigma * rng.uniform(0.8, 3.0)
+            eps0, eps1 = rng.uniform(0.01, 0.1, size=2)
+            assert eps0 != eps1
+            pair = huber_clipped_lfd(
+                EpsContaminationClass(GaussianSpec(0.0, sigma), float(eps0)),
+                EpsContaminationClass(GaussianSpec(mu1, sigma), float(eps1)),
+            )
+            lo, hi = pair.support
+            assert lo < pair.meta["y_lo"] and pair.meta["y_hi"] < hi
+            assert upper_level_boundary(pair, float(pair.log_lr(hi))) == math.inf
+            bottom = upper_level_boundary(pair, float(pair.log_lr(lo)))
+            assert abs(bottom - pair.meta["y_lo"]) < 1e-9
 
 
 class TestJointBoundedness:

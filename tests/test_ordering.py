@@ -8,6 +8,7 @@ import pytest
 from robust_fusion.distributions import AtomPmf, DiscretePmf, GaussianSpec, sample
 from robust_fusion.ordering import (
     CdfView,
+    atoms_stochastically_larger,
     convolve,
     convolve_many,
     dominates,
@@ -15,7 +16,12 @@ from robust_fusion.ordering import (
     sum_dominance_check,
 )
 
-from _oracles import binomial_majority_error, ordered_pmf_pair, random_nondecreasing_map
+from _oracles import (
+    atoms_stochastically_larger_loop,
+    binomial_majority_error,
+    ordered_pmf_pair,
+    random_nondecreasing_map,
+)
 
 
 class TestDominates:
@@ -147,6 +153,33 @@ class TestConvolve:
         out = convolve(a, AtomPmf(np.array([0.0]), np.array([1.0])))
         assert out.atoms.shape[0] == 1
         assert abs(out.total_mass - 1.0) < 1e-15
+
+
+class TestAtomsStochasticallyLarger:
+    def test_matches_loop_oracle(self):
+        """Cumulative-mass check agrees with the per-point loop on 400 laws."""
+        rng = np.random.default_rng(4041)
+        verdicts = set()
+        for trial in range(400):
+            if trial % 2:
+                xp, yp, levels = ordered_pmf_pair(rng)
+                x = AtomPmf(np.asarray(levels, dtype=float), xp)
+                y = AtomPmf(np.asarray(levels, dtype=float), yp)
+            else:
+                # shared integer atoms plus jittered ones, sub-unit mass
+                x, y = (
+                    AtomPmf(
+                        rng.integers(-4, 5, size=n) + (rng.random(n) < 0.3) * rng.normal(size=n),
+                        rng.dirichlet(np.ones(n)) * rng.uniform(0.5, 1.0),
+                    )
+                    for n in rng.integers(1, 30, size=2)
+                )
+            holds, worst = atoms_stochastically_larger(x, y)
+            ref_holds, ref_worst = atoms_stochastically_larger_loop(x, y)
+            assert holds == ref_holds
+            assert abs(worst - ref_worst) <= 1e-12
+            verdicts.add(holds)
+        assert verdicts == {True, False}
 
 
 class TestSumDominance:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from robust_fusion import fusion
 from robust_fusion.cli import main
 from robust_fusion.scenario import Scenario, build_sensors, load_scenario, save_scenario
 
@@ -91,6 +92,18 @@ class TestScenarioRoundTrip:
             scenario = load_scenario(SCENARIOS / f"{name}.json")
             built = build_sensors(scenario)
             assert len(built) == len(scenario.sensors)
+
+    def test_mirror_symmetric_kl_ball_has_equal_error_types(self):
+        """kl_ball.json is symmetric under y -> 1 - y, so P_F = P_M.
+
+        The KL log-LR is strictly increasing, so its cut needs no allowance
+        for flat stretches; any such slack shows up as P_F != P_M.
+        """
+        scenario = load_scenario(SCENARIOS / "kl_ball.json")
+        channels = tuple(b.channel for b in build_sensors(scenario))
+        net = fusion.NetworkModel(channels, scenario.prior0, scenario.log_threshold)
+        report = fusion.exact_error(net)
+        assert abs(report.p_false_alarm - report.p_miss) < 1e-14
 
 
 class TestCliEvaluate:

@@ -7,6 +7,7 @@ import pytest
 
 from robust_fusion.distributions import DiscretePmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import (
+    CdfMember,
     EpsContaminationClass,
     GaussianBandClass,
     gaussian_band_lfd,
@@ -157,38 +158,61 @@ class TestChannelFromQuantizer:
 
         The oracle finds the threshold crossings independently (dense scan
         plus brentq) and integrates each piece with adaptive quadrature.
+        The second pair (sigma 1.01) has its vertex far outside the
+        support: monotone there but not affine, so it is cut at grid
+        crossings too.
         """
         from scipy.integrate import quad
         from scipy.optimize import brentq
 
-        pair = kl_dabak_lfd(
+        curved = kl_dabak_lfd(
             GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.6), 0.03, 0.03
         )
+        nearly_affine = kl_dabak_lfd(
+            GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.01), 0.03, 0.03
+        )
         q = Quantizer((0.5, 1.0, 2.0))
-        xs = pair.grid()
-        assert not bool(np.all(np.diff(np.asarray(pair.log_lr(xs))) >= 0))
+        assert not bool(np.all(np.diff(np.asarray(curved.log_lr(curved.grid()))) >= 0))
+        assert bool(np.all(np.diff(np.asarray(nearly_affine.log_lr(nearly_affine.grid()))) > 0))
+        with pytest.warns(RuntimeWarning, match="zero mass"):
+            curved_ch = channel_from_quantizer(q, curved)
+        cases = ((curved, curved_ch), (nearly_affine, channel_from_quantizer(q, nearly_affine)))
+        for pair, ch in cases:
+            assert llr_monotone_check(ch)
+            lo, hi = -14.0, 15.0
+            ys = np.linspace(lo, hi, 20001)
+            cuts = [lo, hi]
+            for t in q.thresholds:
+                g = lambda y, lt=math.log(t): float(pair.log_lr(y)) - lt
+                vals = np.array([g(y) for y in ys])
+                for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
+                    cuts.append(brentq(g, ys[i], ys[i + 1], xtol=1e-14))
+            cuts = sorted(set(cuts))
+            for logpdf, pmf in ((pair.q0_logpdf, ch.pmf0), (pair.q1_logpdf, ch.pmf1)):
+                oracle = np.zeros(q.num_levels)
+                for a, b in zip(cuts, cuts[1:]):
+                    level = quantize(q, math.exp(float(pair.log_lr(0.5 * (a + b)))))
+                    oracle[level] += quad(
+                        lambda y: math.exp(float(logpdf(y))), a, b, limit=200
+                    )[0]
+                for level, prob in zip(ch.levels, pmf.probs):
+                    assert abs(prob - oracle[level]) < 1e-10
+
+    def test_lfd_as_member_reproduces_non_monotone_channel(self):
+        """member_channel cuts a non-monotone log-LR where the channel does."""
+        pair = kl_dabak_lfd(GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.6), 0.03, 0.03)
+        q = Quantizer((0.5, 1.0, 2.0))
         with pytest.warns(RuntimeWarning, match="zero mass"):
             ch = channel_from_quantizer(q, pair)
-        assert llr_monotone_check(ch)
+        for cdf, pmf in ((pair.q0_cdf, ch.pmf0), (pair.q1_cdf, ch.pmf1)):
+            member = member_channel(CdfMember(cdf), pair, q, levels=ch.levels)
+            assert np.max(np.abs(member.probs - pmf.probs)) < 1e-12
 
-        lo, hi = -14.0, 15.0
-        ys = np.linspace(lo, hi, 20001)
-        cuts = [lo, hi]
-        for t in q.thresholds:
-            g = lambda y, lt=math.log(t): float(pair.log_lr(y)) - lt
-            vals = np.array([g(y) for y in ys])
-            for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-                cuts.append(brentq(g, ys[i], ys[i + 1], xtol=1e-14))
-        cuts = sorted(set(cuts))
-        for logpdf, pmf in ((pair.q0_logpdf, ch.pmf0), (pair.q1_logpdf, ch.pmf1)):
-            oracle = np.zeros(q.num_levels)
-            for a, b in zip(cuts, cuts[1:]):
-                level = quantize(q, math.exp(float(pair.log_lr(0.5 * (a + b)))))
-                oracle[level] += quad(
-                    lambda y: math.exp(float(logpdf(y))), a, b, limit=200
-                )[0]
-            for level, prob in zip(ch.levels, pmf.probs):
-                assert abs(prob - oracle[level]) < 1e-10
+    def test_level_boundaries_reject_double_crossing(self):
+        """Without a closed-form inverse, each threshold must cross once."""
+        pair = kl_dabak_lfd(GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.6), 0.03, 0.03)
+        with pytest.raises(ValueError, match="other than once upward"):
+            level_boundaries(pair, Quantizer((2.0,)))
 
 
 class TestLlrMonotoneCheck:
