@@ -4,11 +4,13 @@ Subcommands::
 
     robust-fusion lfd      --scenario s.json [--out x.csv]
     robust-fusion evaluate --scenario s.json [--out x.csv] [--mc-samples N] [--seed S]
-    robust-fusion saddle   --scenario s.json [--out x.csv] [--members N] [--seed S]
+    robust-fusion saddle   --scenario s.json [--out x.csv] [--members N]
     robust-fusion sweep    --scenario s.json --k-list 1,3,5 [--out x.csv]
 
 Data goes to the CSV (or stdout when --out is omitted); diagnostics go to
-stderr. Exit codes: 0 success, 2 domain/validation error, 3 IO error.
+stderr. ``--seed`` overrides the scenario's seed for the Monte Carlo row of
+``evaluate``, the only randomized output. Exit codes: 0 success, 2
+domain/validation error, 3 IO error.
 """
 
 from __future__ import annotations
@@ -171,8 +173,7 @@ def _cmd_saddle(args) -> int:
 
     laws0 = [member_laws(b, spec, 0, n) for b, spec in zip(built, scenario.sensors)]
     laws1 = [member_laws(b, spec, 1, n) for b, spec in zip(built, scenario.sensors)]
-    seed = args.seed if args.seed is not None else scenario.seed
-    saddle = fusion.saddle_verify(net, laws0, laws1, seed=seed)
+    saddle = fusion.saddle_verify(net, laws0, laws1)
     rows.append(
         (
             scenario.scenario_id,
@@ -226,7 +227,6 @@ def _parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override scenario seed")
 
     p_lfd = sub.add_parser("lfd", help="construct LFDs and report parameters")
     common(p_lfd)
@@ -234,6 +234,9 @@ def _parser() -> argparse.ArgumentParser:
     common(p_eval)
     p_eval.add_argument(
         "--mc-samples", type=int, default=0, help="add a Monte Carlo row with n samples"
+    )
+    p_eval.add_argument(
+        "--seed", type=int, default=None, help="Monte Carlo seed (default: the scenario's)"
     )
     p_saddle = sub.add_parser("saddle", help="boundedness and saddle verification")
     common(p_saddle)

@@ -75,19 +75,10 @@ class GaussianSpec:
         """P[Y > x]; computed in the accurate tail of erfc."""
         return 0.5 * math.erfc((x - self.mean) / (self.sigma * _SQRT2))
 
-    def cdf_array(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return np.array([self.cdf(float(v)) for v in np.ravel(xs)]).reshape(xs.shape)
-
 
 def gaussian_cdf(g: GaussianSpec, x: float) -> float:
     """Cumulative distribution function of ``g`` at ``x``."""
     return g.cdf(x)
-
-
-def gaussian_sf(g: GaussianSpec, x: float) -> float:
-    """Survival function of ``g`` at ``x``."""
-    return g.sf(x)
 
 
 def sample(g: GaussianSpec, rng: np.random.Generator | int, n: int) -> np.ndarray:
@@ -128,10 +119,6 @@ class DiscretePmf:
             return float(self.probs[self.levels.index(level)])
         except ValueError:
             raise ValueError(f"level {level} not in pmf support {self.levels}") from None
-
-    def cdf_values(self) -> np.ndarray:
-        """Cumulative probabilities aligned with ``levels``."""
-        return np.cumsum(self.probs)
 
     def cdf(self, x: float) -> float:
         """Right-continuous step cdf P[L <= x]."""
@@ -208,9 +195,6 @@ class AtomPmf:
         """Mass strictly above ``x``."""
         idx = int(np.searchsorted(self.atoms, x, side="right"))
         return float(np.sum(self.masses[idx:]))
-
-    def cdf_values(self) -> np.ndarray:
-        return np.cumsum(self.masses)
 
 
 @dataclass(frozen=True, eq=False)

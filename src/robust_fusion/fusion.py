@@ -15,7 +15,6 @@ enumeration when the joint level space is small enough.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -230,7 +229,12 @@ def exact_error(
 
 @dataclass(frozen=True)
 class SaddleReport:
-    """Outcome of probing the saddle inequalities over member-law grids."""
+    """Outcome of certifying the saddle inequalities over member-law grids.
+
+    ``dominance_ok`` is the per-sensor certificate of :func:`saddle_verify`,
+    ``n_checked`` the member combinations it covers (both sides' whole
+    grids) and ``worst_combo`` one member index per sensor.
+    """
 
     holds: bool
     worst_side: str
@@ -240,19 +244,7 @@ class SaddleReport:
     p_miss_lfd: float
     dominance_ok: bool
     n_checked: int
-    subset_seed: int | None = None
     tol: float = 1e-9
-
-
-def _combo_iterator(counts: Sequence[int], max_combos: int, seed: int):
-    total = 1
-    for c in counts:
-        total *= c
-    if total <= max_combos:
-        return itertools.product(*[range(c) for c in counts]), total, None
-    rng = np.random.default_rng(seed)
-    combos = [tuple(int(rng.integers(0, c)) for c in counts) for _ in range(max_combos)]
-    return iter(combos), max_combos, seed
 
 
 def saddle_verify(
@@ -260,60 +252,70 @@ def saddle_verify(
     member_laws0: Sequence[Sequence[DiscretePmf]],
     member_laws1: Sequence[Sequence[DiscretePmf]],
     tol: float = 1e-9,
-    max_combos: int = 10**4,
-    seed: int = 0,
 ) -> SaddleReport:
-    """Check that the LFD laws are worst cases for the fixed rules.
+    """Certify that the LFD laws are worst cases for the fixed rules.
 
-    For every member combination (or a seeded random subset when the
-    product grid exceeds ``max_combos``), P_F under the members must not
-    exceed P_F under the LFDs beyond ``tol``, and likewise for P_M. The
-    stochastic dominance of the K-fold LLR sums (which implies the point
-    inequalities for every threshold at once) is checked en route.
+    The certificate is per sensor: in the order of the sensor's LLR
+    values, every H0 member law must lie stochastically below ``pmf0`` and
+    every H1 member law above ``pmf1`` (within ``tol``). That covers every
+    member combination at every fusion threshold: :func:`_decide_one` is
+    nondecreasing in each sensor's LLR, ±inf included, and the sensors are
+    independent, so swapping the LFDs for members one sensor at a time
+    never raises P_F (under H0) or P_M (under H1).
+
+    ``worst_gap`` (P_LFD − P_member at the network's threshold, negative
+    on a violation) comes from one pass per side: sensor by sensor, each
+    member is tried with the earlier sensors at their chosen members and
+    the later ones at the LFD, and the first member with the smallest gap
+    is kept. When each sensor's members are totally ordered (2-level
+    sensors, band and contamination classes) this is the grid's minimum;
+    otherwise it is the gap of a real combination, not always the least.
     """
     if len(member_laws0) != net.num_sensors or len(member_laws1) != net.num_sensors:
         raise ValueError("need one member-law list per sensor and hypothesis")
+    if not all(member_laws0) or not all(member_laws1):
+        raise ValueError("every sensor needs at least one member law per hypothesis")
     tau = net.log_threshold
-    lfd0 = llr_sum_law(net.channels, [ch.pmf0 for ch in net.channels])
-    lfd1 = llr_sum_law(net.channels, [ch.pmf1 for ch in net.channels])
-    p_f_lfd = lfd0.prob_decide_one(tau)
-    p_m_lfd = 1.0 - lfd1.prob_decide_one(tau)
+    lfd_laws0 = [ch.pmf0 for ch in net.channels]
+    lfd_laws1 = [ch.pmf1 for ch in net.channels]
+    p_f_lfd = llr_sum_law(net.channels, lfd_laws0).prob_decide_one(tau)
+    p_m_lfd = 1.0 - llr_sum_law(net.channels, lfd_laws1).prob_decide_one(tau)
+    ranks = [np.unique(ch.llr, return_inverse=True)[1] for ch in net.channels]
 
     worst_gap = math.inf
     worst_side = "false-alarm"
     worst_combo: tuple[int, ...] = ()
     dominance_ok = True
     n_checked = 0
-    subset_seed = None
-
-    for side, member_lists, p_lfd, lfd in (
-        ("false-alarm", member_laws0, p_f_lfd, lfd0),
-        ("miss", member_laws1, p_m_lfd, lfd1),
+    for side, member_lists, lfd_laws, sign in (
+        ("false-alarm", member_laws0, lfd_laws0, 1),
+        ("miss", member_laws1, lfd_laws1, -1),
     ):
-        combos, n_side, used_seed = _combo_iterator(
-            [len(lst) for lst in member_lists], max_combos, seed
-        )
-        subset_seed = used_seed if used_seed is not None else subset_seed
-        n_checked += n_side
-        for combo in combos:
-            law = llr_sum_law(
-                net.channels, [member_lists[i][j] for i, j in enumerate(combo)]
-            )
-            p1 = law.prob_decide_one(tau)
-            if side == "false-alarm":
-                gap = p_lfd - p1
-                ok, _ = atoms_stochastically_larger(lfd.finite, law.finite, tol)
-            else:
-                gap = p_lfd - (1.0 - p1)
-                ok, _ = atoms_stochastically_larger(law.finite, lfd.finite, tol)
-            if gap < worst_gap:
-                worst_gap = gap
-                worst_side = side
-                worst_combo = tuple(combo)
-            dominance_ok = dominance_ok and ok
-    holds = worst_gap >= -tol and dominance_ok
+        n_checked += math.prod(len(members) for members in member_lists)
+
+        def gap(laws) -> float:
+            p1 = llr_sum_law(net.channels, laws).prob_decide_one(tau)
+            return p_f_lfd - p1 if sign > 0 else p_m_lfd - (1.0 - p1)
+
+        laws = list(lfd_laws)
+        combo = []
+        for i, members in enumerate(member_lists):
+            gaps = [gap(laws[:i] + [m] + laws[i + 1 :]) for m in members]
+            combo.append(int(np.argmin(gaps)))
+            laws[i] = members[combo[-1]]
+        if gaps[combo[-1]] < worst_gap:
+            worst_gap, worst_side, worst_combo = gaps[combo[-1]], side, tuple(combo)
+
+        # the LFD must dominate each member on the signed LLR ranks
+        for rank, lfd_law, members in zip(ranks, lfd_laws, member_lists):
+            lfd_atoms = AtomPmf(sign * rank, lfd_law.probs)
+            for member in members:
+                ok, _ = atoms_stochastically_larger(
+                    lfd_atoms, AtomPmf(sign * rank, member.probs), tol
+                )
+                dominance_ok = dominance_ok and ok
     return SaddleReport(
-        holds=holds,
+        holds=worst_gap >= -tol and dominance_ok,
         worst_side=worst_side,
         worst_combo=worst_combo,
         worst_gap=worst_gap,
@@ -321,7 +323,6 @@ def saddle_verify(
         p_miss_lfd=p_m_lfd,
         dominance_ok=dominance_ok,
         n_checked=n_checked,
-        subset_seed=subset_seed,
         tol=tol,
     )
 

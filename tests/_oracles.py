@@ -126,3 +126,57 @@ def random_nondecreasing_map(rng: np.random.Generator, levels):
     values = rng.uniform(-3.0, 3.0) + np.cumsum(increments)
     table = {level: float(v) for level, v in zip(levels, values)}
     return lambda level: table[level]
+
+
+def saddle_grid_reference(net, member_laws0, member_laws1, tol: float = 1e-9):
+    """Full-grid reference for ``fusion.saddle_verify``, by enumeration.
+
+    Enumerates the joint level space once and every member combination of
+    both sides. A combination passes when its probability of deciding 1
+    is on the right side of the LFD's at every fusion threshold (within
+    ``tol``): at most the LFD's under H0, at least under H1. The forced
+    decisions of ±inf levels count, and sums within ``TIE_TOL`` above the
+    threshold decide 0, as in the library's rule. Returns
+    (holds, dominance_ok, gaps), where ``gaps[(side, combo)]`` is
+    P_LFD - P_member at the network's own threshold (negative on a
+    violation) and combos run in ``itertools.product`` order.
+    """
+    from robust_fusion.fusion import TIE_TOL
+
+    sums, has_pos, has_neg = np.zeros(1), np.zeros(1, bool), np.zeros(1, bool)
+    for ch in net.channels:
+        sums = np.add.outer(sums, np.where(np.isfinite(ch.llr), ch.llr, 0.0)).ravel()
+        has_pos = np.logical_or.outer(has_pos, ch.llr == math.inf).ravel()
+        has_neg = np.logical_or.outer(has_neg, ch.llr == -math.inf).ravel()
+    finite = ~has_pos & ~has_neg
+    # decide-1 indicator at every threshold where it can change, then at tau
+    cuts = np.r_[-np.inf, np.unique(sums[finite])]
+    decide = ~has_neg & (has_pos | (sums[None, :] > cuts[:, None]))
+    decide_tau = ~has_neg & (has_pos | (sums > net.log_threshold + TIE_TOL))
+
+    def joint(laws_per_sensor):
+        """Joint level probabilities, one row per combination."""
+        probs = np.ones((1, 1))
+        for laws in laws_per_sensor:
+            p = np.array([law.probs for law in laws])
+            probs = (probs[:, None, :, None] * p[None, :, None, :]).reshape(
+                probs.shape[0] * p.shape[0], -1
+            )
+        return probs
+
+    gaps = {}
+    dominance_ok = True
+    for side, member_lists, lfd_laws in (
+        ("false-alarm", member_laws0, [[ch.pmf0] for ch in net.channels]),
+        ("miss", member_laws1, [[ch.pmf1] for ch in net.channels]),
+    ):
+        members, lfd = joint(member_lists), joint(lfd_laws)
+        excess = members @ decide.T - lfd @ decide.T
+        gap = lfd @ decide_tau - members @ decide_tau
+        if side == "miss":
+            excess, gap = -excess, -gap
+        dominance_ok = dominance_ok and float(np.max(excess)) <= tol
+        combos = itertools.product(*[range(len(lst)) for lst in member_lists])
+        gaps.update(((side, combo), float(g)) for combo, g in zip(combos, gap))
+    holds = min(gaps.values()) >= -tol and dominance_ok
+    return holds, dominance_ok, gaps

@@ -1,15 +1,18 @@
 """Fusion center: decisions, exact errors, saddle, optimizer, sweeps."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from robust_fusion.distributions import GaussianSpec, pmf_from_weights
+from robust_fusion.distributions import AtomPmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import CdfMember, GaussianBandClass, gaussian_band_lfd
 from robust_fusion.fusion import (
     TIE_TOL,
     NetworkModel,
+    _prob_decide_one_enumeration,
     best_fusion_threshold,
     exact_error,
     fuse,
@@ -19,12 +22,15 @@ from robust_fusion.fusion import (
     optimize_thresholds,
     saddle_verify,
 )
+from robust_fusion.ordering import atoms_stochastically_larger
+from robust_fusion.scenario import build_channel, class_members
 from robust_fusion.sensor import (
     Quantizer,
     attach_repair,
     channel_from_pmfs,
     channel_from_quantizer,
     default_quantizer,
+    llr_monotone_check,
     member_channel,
     permutation_repair,
 )
@@ -33,6 +39,7 @@ from _oracles import (
     binomial_majority_error,
     enumerate_error_probs,
     grid_search_thresholds,
+    saddle_grid_reference,
 )
 
 SYM02 = channel_from_pmfs(
@@ -207,6 +214,41 @@ class TestExactError:
             ch = channel_from_quantizer(q, pair)
             exact_error(NetworkModel((ch,) * int(rng.integers(2, 7)), 0.5))
 
+    def test_merged_law_agrees_with_enumeration_at_every_sum(self):
+        """Atom merging never moves mass across the tie band: thresholds at
+        every raw LLR sum of the enumeration, 5e-13 either side of each,
+        and at 0 give the same decide-1 probability on both paths."""
+        rng = np.random.default_rng(20261019)
+        for _ in range(60):
+            net = _random_tie_network(rng)
+            laws = [ch.pmf0 if rng.random() < 0.5 else ch.pmf1 for ch in net.channels]
+            sums, probs = np.zeros(1), np.ones(1)
+            has_pos, has_neg = np.zeros(1, dtype=bool), np.zeros(1, dtype=bool)
+            for ch, law in zip(net.channels, laws):
+                sums = np.add.outer(sums, np.where(np.isfinite(ch.llr), ch.llr, 0.0)).ravel()
+                probs = np.multiply.outer(probs, law.probs).ravel()
+                has_pos = np.logical_or.outer(has_pos, ch.llr == math.inf).ravel()
+                has_neg = np.logical_or.outer(has_neg, ch.llr == -math.inf).ravel()
+            finite = ~has_pos & ~has_neg
+            raw = np.unique(sums[finite])
+            taus = np.concatenate([raw, raw - 5e-13, raw + 5e-13, [0.0]])
+
+            def above(atoms, masses):
+                """Mass strictly above each tau + TIE_TOL."""
+                order = np.argsort(atoms, kind="stable")
+                tail = np.r_[np.cumsum(masses[order][::-1])[::-1], 0.0]
+                return tail[np.searchsorted(atoms[order], taus + TIE_TOL, side="right")]
+
+            enumerated = np.sum(probs[has_pos & ~has_neg]) + above(sums[finite], probs[finite])
+            law = llr_sum_law(net.channels, laws)
+            convolved = law.forced_one + above(law.finite.atoms, law.finite.masses)
+            assert np.max(np.abs(convolved - enumerated)) <= 1e-12
+            for tau in rng.choice(taus, size=5):
+                assert abs(
+                    law.prob_decide_one(tau)
+                    - _prob_decide_one_enumeration(net.channels, laws, tau)
+                ) <= 1e-12
+
 
 class TestSaddleVerify:
     def _member_laws(self, pair, q, n):
@@ -248,17 +290,207 @@ class TestSaddleVerify:
         assert not report.holds
         assert report.worst_gap < -1e-3
 
-    def test_random_subset_recorded(self):
+    def test_k5_band_certifies_whole_grid(self):
         q = Quantizer((1.0,))
         ch = channel_from_quantizer(q, BAND_PAIR)
         net = NetworkModel((ch,) * 5, 0.5)
         laws0, laws1 = self._member_laws(BAND_PAIR, q, 11)
-        report = saddle_verify(
-            net, [laws0] * 5, [laws1] * 5, max_combos=500, seed=99
-        )
+        report = saddle_verify(net, [laws0] * 5, [laws1] * 5)
+        assert report.n_checked == 2 * 11**5
         assert report.holds
-        assert report.subset_seed == 99
-        assert report.n_checked == 1000
+        assert report.worst_gap == 0.0
+        assert report.worst_combo == (10,) * 5
+
+    def test_empty_member_list_rejected(self):
+        q = Quantizer((1.0,))
+        ch = channel_from_quantizer(q, BAND_PAIR)
+        net = NetworkModel((ch, ch), 0.5)
+        laws0, laws1 = self._member_laws(BAND_PAIR, q, 3)
+        with pytest.raises(ValueError, match="at least one member"):
+            saddle_verify(net, [laws0, []], [laws1, laws1])
+        with pytest.raises(ValueError, match="at least one member"):
+            saddle_verify(net, [laws0, laws0], [laws1, []])
+
+    def test_matches_full_grid_reference(self):
+        """Per-sensor certificate and one-pass worst member against the
+        full member grid, on random networks of every sensor kind whose
+        member lists hold the LFD law. The one-pass search is exact when
+        each sensor's members are totally ordered (not so for KL probes
+        with more than two levels); otherwise its combo is a true witness."""
+        rng = np.random.default_rng(20261018)
+        exact = 0
+        for _ in range(100):
+            net, laws0, laws1 = _random_saddle_network(rng)
+            report = saddle_verify(net, laws0, laws1)
+            holds, dominance_ok, gaps = saddle_grid_reference(net, laws0, laws1)
+            assert report.holds == holds
+            assert report.dominance_ok == dominance_ok
+            assert report.n_checked == len(gaps)
+            at_combo = gaps[report.worst_side, report.worst_combo]
+            assert abs(report.worst_gap - at_combo) <= 1e-12
+            if all(
+                _totally_ordered(ch, m0) and _totally_ordered(ch, m1)
+                for ch, m0, m1 in zip(net.channels, laws0, laws1)
+            ):
+                exact += 1
+                assert abs(at_combo - min(gaps.values())) <= 1e-12
+        assert exact >= 50
+
+    def test_certificate_implies_grid_dominance(self):
+        """With arbitrary members the certificate may refuse a grid that
+        holds (it speaks for the whole classes), but never passes one
+        that fails."""
+        rng = np.random.default_rng(20261020)
+        for _ in range(40):
+            net, laws0, laws1 = _random_saddle_network(rng, comparable=False)
+            report = saddle_verify(net, laws0, laws1)
+            holds, dominance_ok, gaps = saddle_grid_reference(net, laws0, laws1)
+            assert dominance_ok or not report.dominance_ok
+            assert holds or not report.holds
+            at_combo = gaps[report.worst_side, report.worst_combo]
+            assert abs(report.worst_gap - at_combo) <= 1e-12
+
+
+def _totally_ordered(ch, laws) -> bool:
+    """Whether the member laws form a chain in LLR order."""
+    rank = np.unique(ch.llr, return_inverse=True)[1]
+    atoms = [AtomPmf(rank, law.probs) for law in laws]
+    return all(
+        atoms_stochastically_larger(a, b)[0] or atoms_stochastically_larger(b, a)[0]
+        for a, b in itertools.combinations(atoms, 2)
+    )
+
+
+def _shift_mass(rng, probs, upward: bool):
+    """Move random mass fractions up (or down) the levels: a law
+    stochastically above (below) ``probs``."""
+    out = probs.copy()
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = sorted(rng.choice(len(out), size=2, replace=False))
+        src, dst = (i, j) if upward else (j, i)
+        moved = out[src] * rng.uniform(0.0, 1.0)
+        out[src] -= moved
+        out[dst] += moved
+    return out
+
+
+def _explicit_saddle_sensor(rng, levels: int, n: int, comparable: bool):
+    """Explicit channel with two equal-LLR levels, ±inf LLRs or a repaired
+    labelling at random; a finite-LLR level always keeps mass under both
+    hypotheses. Members are the LFD law shifted step by step, mostly
+    toward the safe side and sometimes the other way, so they are totally
+    ordered; unless ``comparable``, some are arbitrary laws instead."""
+    pmf0 = rng.dirichlet([2.0] * levels)
+    pmf1 = pmf0 * np.exp(np.cumsum(rng.uniform(0.3, 1.2, levels)))
+    if levels > 2 and rng.random() < 0.3:
+        j = int(rng.integers(1, levels))  # levels j - 1 and j share one LLR
+        pmf0[j], pmf1[j] = pmf0[j - 1], pmf1[j - 1]
+    if levels > 2 and rng.random() < 0.3:
+        pmf0[-1] = 0.0  # LLR +inf
+    if levels > 2 and rng.random() < 0.3:
+        pmf1[0] = 0.0  # LLR -inf
+    pmf0, pmf1 = pmf0 / pmf0.sum(), pmf1 / pmf1.sum()
+
+    def members(lfd, safe_upward):
+        out, safe, unsafe = [], lfd, lfd
+        while len(out) < n:
+            if not comparable and rng.random() < 0.3:
+                out.append(rng.dirichlet([1.0] * levels))
+            elif rng.random() < 0.9:
+                safe = _shift_mass(rng, safe, safe_upward)
+                out.append(safe)
+            else:
+                unsafe = _shift_mass(rng, unsafe, not safe_upward)
+                out.append(unsafe)
+        return out
+
+    m0, m1 = members(pmf0, False), members(pmf1, True)
+    perm = rng.permutation(levels) if rng.random() < 0.3 else np.arange(levels)
+    lv = list(range(levels))
+    ch = channel_from_pmfs(pmf_from_weights(lv, pmf0[perm]), pmf_from_weights(lv, pmf1[perm]))
+    if not llr_monotone_check(ch):
+        ch = attach_repair(ch)
+    return ch, [pmf_from_weights(lv, m[perm]) for m in m0], [
+        pmf_from_weights(lv, m[perm]) for m in m1
+    ]
+
+
+def _random_spec(rng, kind: str, levels: int) -> dict:
+    """Scenario spec of a band, contamination or KL sensor with a default
+    quantizer of ``levels`` levels."""
+    sigma = float(rng.uniform(0.7, 1.4))
+    gap = float(rng.uniform(0.6, 2.0)) * sigma
+    if kind == "gaussian-band":
+        widths = rng.uniform(0.2, 1.0, size=2)
+        spec = {
+            "kind": kind,
+            "band0": {"mu_lo": -0.5 * gap - float(widths[0]), "mu_hi": -0.5 * gap},
+            "band1": {"mu_lo": 0.5 * gap, "mu_hi": 0.5 * gap + float(widths[1])},
+            "sigma": sigma,
+        }
+    else:
+        radius = (0.01, 0.08) if kind == "eps-contamination" else (0.005, 0.04)
+        spec = {
+            "kind": kind,
+            "nominal0": {"mean": -0.5 * gap, "sigma": sigma},
+            "nominal1": {"mean": 0.5 * gap, "sigma": sigma},
+            "eps0": float(rng.uniform(*radius)),
+            "eps1": float(rng.uniform(*radius)),
+        }
+    spec["quantizer"] = {"num_thresholds": levels - 1}
+    return spec
+
+
+def _random_tie_network(rng) -> NetworkModel:
+    """K 2-7 band, contamination or explicit sensors with 2-4 levels, all
+    one channel (LLR sums tie up to float noise) or each its own."""
+
+    def channel():
+        levels = int(rng.integers(2, 5))
+        if rng.random() < 0.3:
+            ch, _, _ = _explicit_saddle_sensor(rng, levels, 1, True)
+            return ch
+        kind = ("gaussian-band", "eps-contamination")[int(rng.integers(2))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return build_channel(_random_spec(rng, kind, levels), 0)[0]
+
+    k = int(rng.integers(2, 8))
+    if rng.random() < 0.5:
+        return NetworkModel((channel(),) * k, 0.5)
+    return NetworkModel(tuple(channel() for _ in range(k)), float(rng.uniform(0.3, 0.7)))
+
+
+def _random_saddle_network(rng, comparable: bool = True):
+    """(net, laws0, laws1): K 1-3 sensors of any kind, 2-4 levels, 3-11
+    members per sensor and hypothesis. With ``comparable`` every member
+    list also holds the sensor's LFD law, at a random position."""
+    kinds = ("gaussian-band", "kl-ball", "eps-contamination", "explicit-pmf")
+    channels, laws0, laws1 = [], [], []
+    for index in range(int(rng.integers(1, 4))):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        levels = int(rng.integers(2, 5))
+        n = int(rng.integers(3, 12))
+        if kind == "explicit-pmf":
+            ch, m0, m1 = _explicit_saddle_sensor(rng, levels, n, comparable)
+        else:
+            spec = _random_spec(rng, kind, levels)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                ch, pair, q = build_channel(spec, index)
+                m0, m1 = [], []
+                for side, laws in enumerate((m0, m1)):
+                    members = class_members(spec, pair, side, n, index)
+                    # KL probes are an n x (n - 2) family; keep at most n
+                    keep = rng.choice(len(members), size=min(n, len(members)), replace=False)
+                    laws += [member_channel(members[j], pair, q, ch.levels) for j in np.sort(keep)]
+        if comparable:
+            m0.insert(int(rng.integers(len(m0) + 1)), ch.pmf0)
+            m1.insert(int(rng.integers(len(m1) + 1)), ch.pmf1)
+        channels.append(ch)
+        laws0.append(m0)
+        laws1.append(m1)
+    return NetworkModel(tuple(channels), float(rng.uniform(0.3, 0.7))), laws0, laws1
 
 
 class TestBestFusionThreshold:
