@@ -175,12 +175,27 @@ class AtomPmf:
         order = np.argsort(atoms, kind="stable")
         atoms = atoms[order]
         masses = masses[order]
-        uniq, inverse = np.unique(atoms, return_inverse=True)
-        if uniq.shape[0] != atoms.shape[0]:
-            masses = np.bincount(inverse, weights=masses, minlength=uniq.shape[0])
-            atoms = uniq
+        # sorted, so each run of equal atoms starts where a neighbour differs
+        first = np.concatenate(([True], atoms[1:] != atoms[:-1]))
+        if not np.all(first):
+            masses = np.bincount(np.cumsum(first) - 1, weights=masses)
+            atoms = atoms[first]
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "masses", masses)
+
+    @classmethod
+    def _from_sorted(cls, atoms: np.ndarray, masses: np.ndarray) -> "AtomPmf":
+        """Wrap a law that is already in constructor output form, unchecked.
+
+        For internal producers only: ``atoms`` must be a strictly
+        increasing 1-D float array of finite values and ``masses`` a
+        nonnegative float array of the same length. On such input the
+        validating constructor's sort and duplicate merge change nothing.
+        """
+        pmf = object.__new__(cls)
+        object.__setattr__(pmf, "atoms", atoms)
+        object.__setattr__(pmf, "masses", masses)
+        return pmf
 
     @property
     def total_mass(self) -> float:

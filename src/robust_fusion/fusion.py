@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .distributions import AtomPmf, DiscretePmf
-from .lfd import LfdPair
-from .ordering import atoms_stochastically_larger, convolve_many
+from .lfd import WITNESS_TOL, LfdPair
+from .ordering import atoms_stochastically_larger, convolve, convolve_many
 from .sensor import (
     Quantizer,
     SensorChannel,
@@ -74,7 +74,9 @@ class NetworkModel:
                     "permutation (see sensor.permutation_repair)"
                 )
             order = np.argsort([ch.repair[l] for l in ch.levels])
-            if np.any(np.diff(ch.llr[order]) < 0.0):
+            repaired = ch.llr[order]
+            # neighbour comparison, not np.diff: two equal infinite LLRs are sorted
+            if np.any(repaired[1:] < repaired[:-1]):
                 raise ValueError(f"channel {i} repair permutation does not sort its LLR")
 
     @property
@@ -141,23 +143,41 @@ class LlrSumLaw:
         return self.forced_one + self.finite.mass_above(tau + TIE_TOL)
 
 
+class _SensorPart(NamedTuple):
+    """One sensor's share of an :class:`LlrSumLaw` under one level law."""
+
+    finite: AtomPmf  # the finite-LLR levels as atoms
+    no_minus: float  # probability of a level that is not -inf
+    finite_mass: float  # probability of a finite-LLR level
+
+
+def _sensor_part(ch: SensorChannel, law: DiscretePmf) -> _SensorPart:
+    if law.levels != ch.levels:
+        raise ValueError(
+            f"law levels {law.levels} do not match channel levels {ch.levels}"
+        )
+    finite = np.isfinite(ch.llr)
+    atoms = AtomPmf(ch.llr[finite], law.probs[finite])
+    no_minus = 1.0 - float(np.sum(law.probs[ch.llr == -math.inf]))
+    return _SensorPart(atoms, no_minus, atoms.total_mass)
+
+
+def _law_of_parts(parts: Sequence[_SensorPart], finite_sum: AtomPmf) -> LlrSumLaw:
+    """The law whose finite part is ``finite_sum``, the fold of the parts' atoms."""
+    no_minus = 1.0
+    all_finite = 1.0
+    for part in parts:
+        no_minus *= part.no_minus
+        all_finite *= part.finite_mass
+    return LlrSumLaw(finite_sum, no_minus - all_finite)
+
+
 def llr_sum_law(
     channels: Sequence[SensorChannel], laws: Sequence[DiscretePmf]
 ) -> LlrSumLaw:
     """Exact law of the LLR sum when each sensor's level follows ``laws``."""
-    finites = []
-    no_minus = 1.0
-    all_finite = 1.0
-    for ch, law in zip(channels, laws):
-        if law.levels != ch.levels:
-            raise ValueError(
-                f"law levels {law.levels} do not match channel levels {ch.levels}"
-            )
-        finite = np.isfinite(ch.llr)
-        finites.append(AtomPmf(ch.llr[finite], law.probs[finite]))
-        no_minus *= 1.0 - float(np.sum(law.probs[ch.llr == -math.inf]))
-        all_finite *= finites[-1].total_mass
-    return LlrSumLaw(convolve_many(finites), no_minus - all_finite)
+    parts = [_sensor_part(ch, law) for ch, law in zip(channels, laws)]
+    return _law_of_parts(parts, convolve_many([part.finite for part in parts]))
 
 
 def _prob_decide_one_enumeration(
@@ -303,7 +323,9 @@ def saddle_verify(
             gaps = [gap(laws[:i] + [m] + laws[i + 1 :]) for m in members]
             combo.append(int(np.argmin(gaps)))
             laws[i] = members[combo[-1]]
-        if gaps[combo[-1]] < worst_gap:
+        # the miss side must be worse by more than rounding to replace the
+        # false-alarm side, so mirror-image witnesses resolve to false-alarm
+        if gaps[combo[-1]] < worst_gap - WITNESS_TOL:
             worst_gap, worst_side, worst_combo = gaps[combo[-1]], side, tuple(combo)
 
         # the LFD must dominate each member on the signed LLR ranks
@@ -385,15 +407,32 @@ def _golden_section(fn, lo: float, hi: float, iters: int = 60) -> tuple[float, f
     return (c, fc) if fc <= fd else (d, fd)
 
 
+class _Slot(NamedTuple):
+    """One sensor of the design objective, as last built."""
+
+    log_thresholds: tuple[float, ...]
+    parts: tuple[_SensorPart, _SensorPart]  # under H0 and under H1
+
+
 class _ThresholdObjective:
     """P_E of a threshold configuration, minimized over the fusion threshold.
 
-    Every evaluation builds the K channels and both LLR-sum laws afresh.
+    Evaluation is incremental. One slot per sensor keeps the log thresholds
+    it was last built from and that sensor's LLR-sum parts under each
+    hypothesis, so an evaluation rebuilds (and re-validates) only the
+    sensors whose thresholds changed. Per hypothesis the left-fold prefixes
+    s_0, s_0*s_1, ... of the finite parts are kept too: rebuilding sensor i
+    drops the prefixes from i on, and the fold resumes from the last one
+    kept. The fold runs in :func:`llr_sum_law`'s order, so every value is
+    bit-identical to building all K channels and both laws afresh. The
+    caches belong to the instance; ``optimize_thresholds`` makes one per call.
     """
 
     def __init__(self, pairs: Sequence[LfdPair], prior0: float):
         self.pairs = list(pairs)
         self.prior0 = prior0
+        self._slots: list[_Slot | None] = [None] * len(self.pairs)
+        self._prefixes: tuple[list[AtomPmf], list[AtomPmf]] = ([], [])
 
     def channel(self, i: int, log_thresholds: Sequence[float]) -> SensorChannel | None:
         try:
@@ -404,16 +443,33 @@ class _ThresholdObjective:
             warnings.simplefilter("ignore", RuntimeWarning)
             return channel_from_quantizer(q, self.pairs[i])
 
+    def _update(self, i: int, log_thresholds: tuple[float, ...]) -> bool:
+        """Bring sensor i's slot to ``log_thresholds``; False when invalid."""
+        slot = self._slots[i]
+        if slot is not None and slot.log_thresholds == log_thresholds:
+            return True
+        ch = self.channel(i, log_thresholds)
+        if ch is None:
+            return False
+        parts = (_sensor_part(ch, ch.pmf0), _sensor_part(ch, ch.pmf1))
+        self._slots[i] = _Slot(log_thresholds, parts)
+        for prefixes in self._prefixes:
+            del prefixes[i:]
+        return True
+
+    def _law(self, h: int) -> LlrSumLaw:
+        parts = [slot.parts[h] for slot in self._slots]
+        prefixes = self._prefixes[h]
+        for part in parts[len(prefixes) :]:
+            prefixes.append(convolve(prefixes[-1], part.finite) if prefixes else part.finite)
+        return _law_of_parts(parts, prefixes[-1])
+
     def evaluate(self, all_log_thresholds: Sequence[Sequence[float]]) -> tuple[float, float]:
         """Returns (p_error, best log fusion threshold); inf when invalid."""
-        channels = []
         for i, coords in enumerate(all_log_thresholds):
-            ch = self.channel(i, coords)
-            if ch is None:
+            if not self._update(i, tuple(coords)):
                 return math.inf, 0.0
-            channels.append(ch)
-        law0 = llr_sum_law(channels, [ch.pmf0 for ch in channels])
-        law1 = llr_sum_law(channels, [ch.pmf1 for ch in channels])
+        law0, law1 = self._law(0), self._law(1)
         tau, p_e = best_fusion_threshold(
             law0.finite, law1.finite, self.prior0, law0.forced_one, law1.forced_one
         )

@@ -35,6 +35,10 @@ from .distributions import GaussianSpec, GridFunction, trapezoid
 
 NORMALIZATION_TOL = 1e-8
 BOUNDEDNESS_TOL = 1e-9
+# A later worst-case witness replaces the incumbent only when it is worse by
+# more than this, so mirror-image witnesses of a symmetric class resolve to
+# the first one whatever the rounding.
+WITNESS_TOL = 1e-12
 AFFINITY_TOL = 1e-8
 _KL_SOLVE_TOL = 1e-9
 
@@ -510,7 +514,8 @@ def joint_boundedness_check(
     only need a ``cdf`` method; probabilities are exact for monotone
     log-likelihood ratios (half-line inversion plus closed-form cdfs).
     Violations beyond ``tol`` flip ``holds`` and the worst one is reported
-    as a witness.
+    as a witness; of candidates within ``WITNESS_TOL`` of each other the
+    first found wins (h0 before h1, then member and threshold order).
     """
     if not isinstance(pair.log_lr, ClippedAffineLlr):
         xs = pair.grid(512)
@@ -529,7 +534,7 @@ def joint_boundedness_check(
             for t, b, lfd_val in zip(t_values, boundaries, lfd_vals):
                 # h0 requires member >= LFD, h1 requires member <= LFD.
                 gap = sign * (lfd_val - _cdf_at(member.cdf, b))
-                if gap > worst:
+                if gap > (worst if witness is None else worst + WITNESS_TOL):
                     worst = gap
                     witness = BoundednessWitness(side, idx, member, t, gap)
     holds = worst <= tol

@@ -183,15 +183,16 @@ def _merge_close_atoms(pmf: AtomPmf, bin_width: float) -> AtomPmf:
     atoms, masses = pmf.atoms, pmf.masses
     if atoms.shape[0] < 2:
         return pmf
-    starts = np.flatnonzero(np.r_[True, np.diff(atoms) >= bin_width])
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(atoms) >= bin_width)))
     if starts.shape[0] == atoms.shape[0]:
         return pmf
-    sizes = np.diff(np.r_[starts, atoms.shape[0]])
+    sizes = np.diff(np.append(starts, atoms.shape[0]))
     merged_mass = np.add.reduceat(masses, starts)
     # unweighted group mean: position is independent of the mass vector
     merged_pos = np.add.reduceat(atoms, starts) / sizes
     merged_pos[sizes == 1] = atoms[starts[sizes == 1]]  # keep singletons exact
-    return AtomPmf(merged_pos, merged_mass)
+    # groups are >= bin_width apart, so their means are strictly increasing
+    return AtomPmf._from_sorted(merged_pos, merged_mass)
 
 
 def convolve_many(

@@ -92,6 +92,49 @@ def grid_search_thresholds(pairs, num_levels, prior0, points=101):
     return best[2], best[1], best[0]
 
 
+def full_rebuild_objective(pairs, prior0, all_log_thresholds):
+    """Reference for ``fusion._ThresholdObjective.evaluate``: no caches.
+
+    Builds every sensor's channel and both K-fold LLR-sum laws from
+    scratch for each configuration. Returns (p_error, log fusion
+    threshold), or (inf, 0.0) when some sensor's thresholds are not
+    strictly increasing.
+    """
+    import warnings
+
+    from robust_fusion.fusion import best_fusion_threshold, llr_sum_law
+    from robust_fusion.sensor import Quantizer, channel_from_quantizer
+
+    channels = []
+    for pair, coords in zip(pairs, all_log_thresholds):
+        try:
+            q = Quantizer(tuple(math.exp(t) for t in coords))
+        except ValueError:
+            return math.inf, 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            channels.append(channel_from_quantizer(q, pair))
+    law0 = llr_sum_law(channels, [ch.pmf0 for ch in channels])
+    law1 = llr_sum_law(channels, [ch.pmf1 for ch in channels])
+    tau, p_e = best_fusion_threshold(
+        law0.finite, law1.finite, prior0, law0.forced_one, law1.forced_one
+    )
+    return p_e, tau
+
+
+def atom_pmf_unique_reference(atoms, masses):
+    """(atoms, masses) of ``AtomPmf`` normal form via ``np.unique``: a
+    stable sort, then exact duplicates summed by ``bincount``."""
+    atoms = np.asarray(atoms, dtype=float)
+    masses = np.asarray(masses, dtype=float)
+    order = np.argsort(atoms, kind="stable")
+    atoms, masses = atoms[order], masses[order]
+    uniq, inverse = np.unique(atoms, return_inverse=True)
+    if uniq.shape[0] != atoms.shape[0]:
+        return uniq, np.bincount(inverse, weights=masses, minlength=uniq.shape[0])
+    return atoms, masses
+
+
 def atoms_stochastically_larger_loop(x, y, tol: float = 1e-12):
     """Reference X >= Y check for ``AtomPmf``s: one cdf pair per support point."""
     worst = -math.inf

@@ -16,7 +16,7 @@ from robust_fusion.distributions import (
     sample,
 )
 
-from _oracles import normal_cdf_quadrature
+from _oracles import atom_pmf_unique_reference, normal_cdf_quadrature
 
 # Frozen from the quadrature oracle (re-derived in test_cdf_against_quadrature).
 PHI_1 = 0.8413447460685429
@@ -128,6 +128,19 @@ class TestAtomPmf:
         pmf = AtomPmf(np.array([1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
         assert np.array_equal(pmf.atoms, [0.0, 1.0])
         assert np.allclose(pmf.masses, [0.5, 0.5])
+
+    def test_duplicate_merge_matches_unique_reference(self):
+        """Neighbour-run duplicate detection gives the np.unique form bit
+        for bit: same atoms, masses summed in the same bincount order."""
+        rng = np.random.default_rng(20261024)
+        for _ in range(300):
+            values = rng.normal(size=int(rng.integers(1, 12)))
+            atoms = rng.choice(values, size=int(rng.integers(1, 60)))
+            masses = rng.random(atoms.size) * (rng.random(atoms.size) < 0.9)
+            pmf = AtomPmf(atoms, masses)
+            ref_atoms, ref_masses = atom_pmf_unique_reference(atoms, masses)
+            assert np.array_equal(pmf.atoms, ref_atoms)
+            assert np.array_equal(pmf.masses, ref_masses)
 
     def test_mass_above_is_strict(self):
         pmf = AtomPmf(np.array([0.0, 1.0]), np.array([0.4, 0.6]))

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from robust_fusion import fusion
 from robust_fusion.distributions import AtomPmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import CdfMember, GaussianBandClass, gaussian_band_lfd
 from robust_fusion.fusion import (
@@ -23,7 +24,7 @@ from robust_fusion.fusion import (
     saddle_verify,
 )
 from robust_fusion.ordering import atoms_stochastically_larger
-from robust_fusion.scenario import build_channel, class_members
+from robust_fusion.scenario import build_channel, build_lfd_pair, class_members
 from robust_fusion.sensor import (
     Quantizer,
     attach_repair,
@@ -38,6 +39,7 @@ from robust_fusion.sensor import (
 from _oracles import (
     binomial_majority_error,
     enumerate_error_probs,
+    full_rebuild_objective,
     grid_search_thresholds,
     saddle_grid_reference,
 )
@@ -179,6 +181,25 @@ class TestExactError:
         )
         with pytest.raises(ValueError, match="repair"):
             NetworkModel((swapped,), 0.5)
+
+    def test_repair_check_with_tied_infinite_llrs_is_warning_free(self):
+        """Two -inf and one +inf level out of LLR order: the repaired order
+        holds equal infinite neighbours, which the check must compare
+        without computing inf - inf."""
+        ch = attach_repair(
+            channel_from_pmfs(
+                pmf_from_weights(range(4), [0.3, 0.2, 0.0, 0.5]),
+                pmf_from_weights(range(4), [0.0, 0.0, 0.6, 0.4]),
+            )
+        )
+        assert not llr_monotone_check(ch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            net = NetworkModel((ch, SYM02), 0.5)
+            report = exact_error(net)  # enumeration cross-check runs inside
+        # H0: level 2 never occurs, levels 0-1 force 0, and level 3
+        # (LLR log 0.8) decides 1 only with SYM02's level 1 (log 4).
+        assert abs(report.p_false_alarm - 0.5 * 0.2) < 1e-14
 
     def test_infinite_llr_sentinels(self):
         """Levels impossible under one hypothesis force the decision."""
@@ -586,6 +607,104 @@ class TestOptimizeThresholds:
         )
         with pytest.raises(ValueError):
             optimize_thresholds([pair], [5], 0.5)
+
+
+def _random_design(rng):
+    """(pairs, prior0, conf, brackets): K 1-4 band, contamination or KL
+    sensors with 2-4 levels, and sorted random log thresholds inside each
+    sensor's log-LR range (its bracket, as in ``optimize_thresholds``)."""
+    kinds = ("gaussian-band", "eps-contamination", "kl-ball")
+    pairs, conf, brackets = [], [], []
+    for index in range(int(rng.integers(1, 5))):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        levels = int(rng.integers(2, 5))
+        pair = build_lfd_pair(_random_spec(rng, kind, levels), index)
+        lo, hi = (float(pair.log_lr(y)) for y in pair.support)
+        pairs.append(pair)
+        conf.append(sorted(float(v) for v in rng.uniform(lo, hi, size=levels - 1)))
+        brackets.append((lo, hi))
+    return pairs, float(rng.uniform(0.3, 0.7)), conf, brackets
+
+
+def _outcome(fn, *args):
+    """fn(*args), or ("raised", message) for a channel build that fails
+    its LLR-monotonicity check (KL tails at extreme thresholds do)."""
+    try:
+        return fn(*args)
+    except RuntimeError as exc:
+        return "raised", str(exc)
+
+
+class TestThresholdObjective:
+    def test_matches_full_rebuild_reference(self):
+        """The incremental objective equals a from-scratch rebuild bit for
+        bit along probe sequences that move one coordinate at a time, jump
+        between sensors, repeat a configuration or break a sensor's
+        threshold order (which must give inf)."""
+        rng = np.random.default_rng(20261021)
+        kinds, invalid, probes = set(), 0, 0
+        for _ in range(24):
+            pairs, prior0, conf, brackets = _random_design(rng)
+            kinds.update(pair.kind for pair in pairs)
+            objective = fusion._ThresholdObjective(pairs, prior0)
+            i = 0
+            for _ in range(30):
+                trial = [list(c) for c in conf]
+                if rng.random() < 0.6:
+                    i = int(rng.integers(len(pairs)))  # jump to another sensor
+                d = int(rng.integers(len(trial[i])))
+                u = rng.random()
+                if u < 0.15 and d > 0:
+                    trial[i][d] = trial[i][d - 1] - float(rng.uniform(0.0, 0.5))
+                elif u > 0.1:
+                    lo = trial[i][d - 1] if d > 0 else brackets[i][0]
+                    hi = trial[i][d + 1] if d + 1 < len(trial[i]) else brackets[i][1]
+                    trial[i][d] = float(rng.uniform(lo, hi))
+                got = _outcome(objective.evaluate, trial)
+                assert got == _outcome(full_rebuild_objective, pairs, prior0, trial)
+                probes += 1
+                if got[0] == math.inf:
+                    invalid += 1
+                elif got[0] != "raised" and rng.random() < 0.3:
+                    conf = trial
+        assert kinds == {"gaussian-band", "huber", "kl-dabak"}
+        assert invalid >= 20 and probes - invalid >= 500
+
+    def test_one_channel_build_per_golden_section_probe(self, monkeypatch):
+        """A line search on one coordinate rebuilds only that sensor."""
+        rng = np.random.default_rng(20261022)
+        kinds = ("gaussian-band", "eps-contamination", "gaussian-band")
+        pairs = [build_lfd_pair(_random_spec(rng, kind, 3), i) for i, kind in enumerate(kinds)]
+        brackets = [tuple(float(pair.log_lr(y)) for y in pair.support) for pair in pairs]
+        conf = [[-0.5, 0.5] for _ in pairs]
+        objective = fusion._ThresholdObjective(pairs, 0.5)
+        builds = 0
+        original = fusion.channel_from_quantizer
+
+        def counting(*args, **kwargs):
+            nonlocal builds
+            builds += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fusion, "channel_from_quantizer", counting)
+        for i, d in ((1, 1), (0, 0), (2, 1), (0, 1)):
+            objective.evaluate(conf)  # where an accepted step leaves it
+            builds = probes = 0
+
+            def coord_fn(x: float) -> float:
+                nonlocal probes
+                probes += 1
+                trial = [list(c) for c in conf]
+                trial[i][d] = x
+                return objective.evaluate(trial)[0]
+
+            if d == 0:
+                lo, hi = brackets[i][0], conf[i][1] - 1e-6
+            else:
+                lo, hi = conf[i][0] + 1e-6, brackets[i][1]
+            fusion._golden_section(coord_fn, lo, hi)
+            assert probes > 10
+            assert builds == probes
 
 
 class TestKSweep:

@@ -7,7 +7,9 @@ import pytest
 
 from robust_fusion.distributions import AtomPmf, DiscretePmf, GaussianSpec, sample
 from robust_fusion.ordering import (
+    ATOM_BIN_WIDTH,
     CdfView,
+    _merge_close_atoms,
     atoms_stochastically_larger,
     convolve,
     convolve_many,
@@ -153,6 +155,25 @@ class TestConvolve:
         out = convolve(a, AtomPmf(np.array([0.0]), np.array([1.0])))
         assert out.atoms.shape[0] == 1
         assert abs(out.total_mass - 1.0) < 1e-15
+
+    def test_merged_law_trusted_form_equals_validated_form(self):
+        """The merge returns its law through the unchecked constructor;
+        running the validating one on that output changes no bit."""
+        rng = np.random.default_rng(20261023)
+        merged = 0
+        for _ in range(300):
+            base = np.sort(rng.normal(0.0, 3.0, size=int(rng.integers(2, 40))))
+            atoms = np.repeat(base, rng.integers(1, 4, size=base.size))
+            jitter = rng.uniform(-5e-10, 5e-10, size=atoms.size)
+            atoms = atoms + np.where(rng.random(atoms.size) < 0.7, jitter, 0.0)
+            raw = AtomPmf(atoms, rng.random(atoms.size))
+            out = _merge_close_atoms(raw, ATOM_BIN_WIDTH)
+            checked = AtomPmf(out.atoms, out.masses)
+            assert np.array_equal(out.atoms, checked.atoms)
+            assert np.array_equal(out.masses, checked.masses)
+            assert np.all(out.atoms[1:] > out.atoms[:-1])
+            merged += out.atoms.size < raw.atoms.size
+        assert merged >= 250
 
 
 class TestAtomsStochasticallyLarger:

@@ -235,6 +235,39 @@ class TestCliSaddle:
         assert summary.startswith("VIOLATED")
         assert "gap=" in summary
 
+    def test_mirror_image_witnesses_pick_the_first_side(self, tmp_path, capsys):
+        """kl_ball.json and shifted copies are symmetric under a reflection
+        that swaps the hypotheses, so the h0 and h1 boundedness witnesses
+        (and the false-alarm and miss saddle gaps) tie up to rounding.
+        Each copy and its flip by y -> 1 - y must name the first side."""
+        doc = json.loads((SCENARIOS / "kl_ball.json").read_text())
+
+        def flipped(sensor):
+            # y -> 1 - y maps the H1 nominal onto H0's place and back
+            out = dict(sensor, eps0=sensor["eps1"], eps1=sensor["eps0"])
+            for a, b in (("nominal0", "nominal1"), ("nominal1", "nominal0")):
+                out[a] = dict(sensor[b], mean=1.0 - sensor[b]["mean"])
+            out["quantizer"] = {
+                "thresholds": [1.0 / t for t in reversed(sensor["quantizer"]["thresholds"])]
+            }
+            return out
+
+        gaps = []
+        for shift in (0.0, 0.3, -0.7, 1.9):
+            sensor = dict(doc["sensors"][0])
+            for key in ("nominal0", "nominal1"):
+                sensor[key] = dict(sensor[key], mean=sensor[key]["mean"] + shift)
+            for variant in (sensor, flipped(sensor)):
+                path = tmp_path / "mirror.json"
+                path.write_text(json.dumps(dict(doc, sensors=[variant])))
+                out = tmp_path / "mirror.csv"
+                assert main(["saddle", "--scenario", str(path), "--out", str(out)]) == 0
+                assert " side=h0 " in capsys.readouterr().out
+                rows = {row[1]: row for row in read_csv(out)[1:]}
+                assert rows["saddle"][2] == "false-alarm"
+                gaps.append(float(rows["boundedness"][5]))
+        assert max(gaps) - min(gaps) < 1e-12
+
     def test_single_member_zero_gap(self, tmp_path, capsys):
         path = make_band_scenario(tmp_path)
         out = tmp_path / "s1.csv"
