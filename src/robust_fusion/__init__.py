@@ -48,6 +48,7 @@ from .sensor import (
     Quantizer,
     RandomizedBinaryRule,
     SensorChannel,
+    SensorRule,
     attach_repair,
     block_sensor_llr,
     channel_from_pmfs,

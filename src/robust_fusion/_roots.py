@@ -21,13 +21,12 @@ def solve_increasing(
     target: float,
     *,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Solve f(y) = target for nondecreasing f by bisection.
 
     Requires f(lo) <= target <= f(hi); raises ValueError when the bracket
     does not contain the target. Returns the bracket midpoint once the
-    bracket width falls below ``tol`` (absolute) or ``max_iter`` is hit.
+    bracket width falls below ``tol`` (absolute) or after 200 halvings.
     """
     f_lo = f(lo)
     f_hi = f(hi)
@@ -36,7 +35,7 @@ def solve_increasing(
             f"target {target!r} not bracketed by f({lo!r})={f_lo!r}, f({hi!r})={f_hi!r}"
         )
     a, b = lo, hi
-    for _ in range(max_iter):
+    for _ in range(200):
         if b - a <= tol:
             break
         m = 0.5 * (a + b)
@@ -54,10 +53,9 @@ def solve_decreasing(
     target: float,
     *,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Solve f(y) = target for nonincreasing f by bisection."""
-    return solve_increasing(lambda y: -f(y), lo, hi, -target, tol=tol, max_iter=max_iter)
+    return solve_increasing(lambda y: -f(y), lo, hi, -target, tol=tol)
 
 
 def crossings(

@@ -125,12 +125,9 @@ class DiscretePmf:
         idx = np.searchsorted(np.asarray(self.levels, dtype=float), x, side="right")
         return float(np.sum(self.probs[:idx]))
 
-    def as_atoms(self, values: Sequence[float] | None = None) -> "AtomPmf":
-        """View as a real-atom mass function; ``values`` relabels the atoms."""
-        atoms = np.asarray(self.levels if values is None else values, dtype=float)
-        if atoms.shape[0] != len(self.levels):
-            raise ValueError("values must align with levels")
-        return AtomPmf(atoms, self.probs)
+    def as_atoms(self) -> "AtomPmf":
+        """View as a real-atom mass function on the levels."""
+        return AtomPmf(np.asarray(self.levels, dtype=float), self.probs)
 
     def sample(self, rng: np.random.Generator | int, n: int) -> np.ndarray:
         return as_rng(rng).choice(np.asarray(self.levels), size=n, p=self.probs)

@@ -387,13 +387,13 @@ class DesignResult:
     converged: bool
 
 
-def _golden_section(fn, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
+def _golden_section(fn, lo: float, hi: float) -> tuple[float, float]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(60):
         if b - a < 1e-10:
             break
         if fc <= fd:
@@ -480,9 +480,6 @@ def optimize_thresholds(
     pairs: Sequence[LfdPair],
     num_levels: Sequence[int],
     prior0: float,
-    max_sweeps: int = 40,
-    seed: int = 0,
-    ftol: float = 1e-12,
 ) -> DesignResult:
     """Design sensor thresholds and the fusion threshold to minimize P_E.
 
@@ -491,15 +488,16 @@ def optimize_thresholds(
     restarted from three initial configurations: equal-mixture quantiles,
     LR = 1 centered, and seeded random. The objective is not convex, so
     the result is grid-validated local optimality, not a global claim.
-    Non-convergence within ``max_sweeps`` returns best-found with a
-    warning and ``converged=False``.
+    A start stops once a sweep improves P_E by less than 1e-12;
+    non-convergence within 40 sweeps returns best-found with a warning and
+    ``converged=False``.
     """
     if len(pairs) > 10 or any(d > 4 for d in num_levels):
         raise ValueError("designed for K <= 10 sensors with at most 4 thresholds each")
     if len(pairs) != len(num_levels):
         raise ValueError("need one threshold count per sensor")
     objective = _ThresholdObjective(pairs, prior0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     brackets = []
     for pair in pairs:
         lo, hi = pair.support
@@ -531,7 +529,7 @@ def optimize_thresholds(
         conf = [list(c) for c in conf]
         pe, tau = objective.evaluate(conf)
         converged = False
-        for _ in range(max_sweeps):
+        for _ in range(40):
             improved = 0.0
             for i in range(len(pairs)):
                 for d in range(len(conf[i])):
@@ -550,7 +548,7 @@ def optimize_thresholds(
                         improved += pe - f_best
                         conf[i][d] = x_best
                         pe, tau = objective.evaluate(conf)
-            if improved < ftol:
+            if improved < 1e-12:
                 converged = True
                 break
         if pe < best_pe:

@@ -555,8 +555,6 @@ def dabak_affinity_check(
     pair: LfdPair,
     p0: GaussianSpec,
     p1: GaussianSpec,
-    grid: np.ndarray | None = None,
-    tol: float = AFFINITY_TOL,
 ) -> AffinityReport:
     """Least-squares fit of the pair's log-LR against the nominal log-LR.
 
@@ -564,13 +562,13 @@ def dabak_affinity_check(
     affine function of the nominal log-LR with slope 1 - u - v. Clipped
     constructions break affinity and report a large residual.
     """
-    ys = pair.grid() if grid is None else np.asarray(grid, dtype=float)
+    ys = pair.grid()
     nominal = np.asarray(p1.logpdf(ys) - p0.logpdf(ys), dtype=float)
     robust = np.asarray(pair.log_lr(ys), dtype=float)
     slope, intercept = np.polyfit(nominal, robust, 1)
     residual = float(np.max(np.abs(robust - (slope * nominal + intercept))))
     return AffinityReport(
-        affine=residual < tol,
+        affine=residual < AFFINITY_TOL,
         slope=float(slope),
         intercept=float(intercept),
         residual=residual,

@@ -151,14 +151,10 @@ def monotone_map_preserves(
     return holds
 
 
-def convolve(
-    a: AtomPmf | DiscretePmf,
-    b: AtomPmf | DiscretePmf,
-    bin_width: float = ATOM_BIN_WIDTH,
-) -> AtomPmf:
+def convolve(a: AtomPmf | DiscretePmf, b: AtomPmf | DiscretePmf) -> AtomPmf:
     """Exact distribution of the independent sum of two atom mass functions.
 
-    Atoms closer than ``bin_width`` are merged (exact duplicates keep their
+    Atoms closer than ``ATOM_BIN_WIDTH`` are merged (exact duplicates keep their
     exact value), which keeps K-fold convolutions from exploding into
     clouds of epsilon-separated atoms. Total mass is preserved to machine
     precision.
@@ -169,14 +165,12 @@ def convolve(
     consistent because of this (a mass-dependent merge position would let
     a threshold slip between the H0 and H1 copies of the same sum atom).
     """
-    if bin_width <= 0.0:
-        raise ValueError("bin_width must be > 0")
     a = a.as_atoms() if isinstance(a, DiscretePmf) else a
     b = b.as_atoms() if isinstance(b, DiscretePmf) else b
     sums = np.add.outer(a.atoms, b.atoms).ravel()
     masses = np.multiply.outer(a.masses, b.masses).ravel()
     out = AtomPmf(sums, masses)  # sorts and merges exact duplicates
-    return _merge_close_atoms(out, bin_width)
+    return _merge_close_atoms(out, ATOM_BIN_WIDTH)
 
 
 def _merge_close_atoms(pmf: AtomPmf, bin_width: float) -> AtomPmf:
@@ -195,20 +189,17 @@ def _merge_close_atoms(pmf: AtomPmf, bin_width: float) -> AtomPmf:
     return AtomPmf._from_sorted(merged_pos, merged_mass)
 
 
-def convolve_many(
-    pmfs: Sequence[AtomPmf | DiscretePmf], bin_width: float = ATOM_BIN_WIDTH
-) -> AtomPmf:
+def convolve_many(pmfs: Sequence[AtomPmf | DiscretePmf]) -> AtomPmf:
     """Left-fold convolution of a sequence of atom mass functions."""
     if not pmfs:
         raise ValueError("need at least one pmf")
     coerced = [p.as_atoms() if isinstance(p, DiscretePmf) else p for p in pmfs]
-    return reduce(lambda x, y: convolve(x, y, bin_width), coerced)
+    return reduce(convolve, coerced)
 
 
 def sum_dominance_check(
     x_pmfs: Sequence[AtomPmf | DiscretePmf],
     y_pmfs: Sequence[AtomPmf | DiscretePmf],
-    bin_width: float = ATOM_BIN_WIDTH,
 ) -> bool:
     """Whether sum(X_i) >= sum(Y_i) given componentwise X_i >= Y_i.
 
@@ -219,7 +210,5 @@ def sum_dominance_check(
         raise ValueError(
             f"length mismatch: {len(x_pmfs)} vs {len(y_pmfs)} summands"
         )
-    holds, _ = atoms_stochastically_larger(
-        convolve_many(x_pmfs, bin_width), convolve_many(y_pmfs, bin_width)
-    )
+    holds, _ = atoms_stochastically_larger(convolve_many(x_pmfs), convolve_many(y_pmfs))
     return holds

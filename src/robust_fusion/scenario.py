@@ -59,6 +59,7 @@ from .lfd import (
 from .sensor import (
     Quantizer,
     SensorChannel,
+    SensorRule,
     channel_from_pmfs,
     channel_from_quantizer,
     default_quantizer,
@@ -259,8 +260,6 @@ def member_laws(
     """Channel laws induced by class members through the fixed sensor rule."""
     if built.kind == "explicit-pmf":
         return [built.channel.pmf0 if side == 0 else built.channel.pmf1]
+    rule = SensorRule(built.pair, built.quantizer)
     members = class_members(spec, built.pair, side, n, built.index)
-    return [
-        member_channel(m, built.pair, built.quantizer, levels=built.channel.levels)
-        for m in members
-    ]
+    return [member_channel(m, rule, levels=built.channel.levels) for m in members]

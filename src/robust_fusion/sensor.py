@@ -5,15 +5,17 @@ A sensor maps its observation through the robust likelihood ratio and
 quantizes that value with strictly increasing thresholds into levels
 0..D. The per-level LLR weights are conditional expectations of the LR
 over the threshold intervals, hence automatically nondecreasing in the
-level; this module computes them exactly (observation-axis cuts plus
-closed-form cdfs) and enforces that property as a postcondition.
+level; this module computes them exactly and enforces that property as a
+postcondition. A :class:`SensorRule` cuts the observation axis once per
+(pair, quantizer); the LFD channel, every class member's law and every
+point atom are read off those cuts, so all pass through one fixed rule.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -137,45 +139,70 @@ def channel_from_pmfs(pmf0: DiscretePmf, pmf1: DiscretePmf) -> SensorChannel:
 def level_boundaries(pair: LfdPair, q: Quantizer) -> list[float]:
     """Observation-axis boundary for each threshold of a nondecreasing log-LR.
 
-    boundary[d] = inf{y : LR(y) >= t_d}, or -inf for t_d <= 0; values are
-    clamped to the pair's support (the mass outside is below 1e-15 of the
-    total). A :class:`ClippedAffineLlr` is inverted in closed form allowing
-    ``_LLR_SLACK`` of log-LR rounding, so a threshold that only exp/log
-    rounding separates from a flat (clipped) LR stretch puts that stretch
-    in the level above, as the left-closed intervals require. Any other
-    log-LR must cross each threshold at most once, upward, on the pair's
-    grid (ValueError otherwise).
+    boundary[d] = inf{y : LR(y) >= t_d}, or -inf for t_d <= 0; finite
+    values and -inf are clamped to the pair's support (the mass outside is
+    below 1e-15 of the total), while +inf (no y reaches t_d) stays, so the
+    levels above get no mass. A :class:`ClippedAffineLlr` is inverted in
+    closed form allowing ``_LLR_SLACK`` of log-LR rounding, so a threshold
+    that only exp/log rounding separates from a flat (clipped) LR stretch
+    puts that stretch in the level above, as the left-closed intervals
+    require. Any other log-LR must cross each threshold at most once,
+    upward, on the pair's grid (ValueError otherwise).
     """
     lo, hi = pair.support
     slack = _LLR_SLACK if isinstance(pair.log_lr, ClippedAffineLlr) else 0.0
-    return [
-        min(max(_log_lr_boundary(pair, math.log(t) - slack), lo), hi) if t > 0.0 else -math.inf
-        for t in q.thresholds
-    ]
+
+    def cut(t: float) -> float:
+        if t <= 0.0:
+            return -math.inf
+        b = _log_lr_boundary(pair, math.log(t) - slack)
+        return b if b == math.inf else min(max(b, lo), hi)
+
+    return [cut(t) for t in q.thresholds]
 
 
-def _level_masses(
-    pair: LfdPair, q: Quantizer, cdfs: Sequence[Callable], grid: np.ndarray | None = None
-) -> list[np.ndarray]:
-    """Per-level mass of each cdf: exact cdf differences between axis cuts.
+@dataclass(frozen=True, eq=False)
+class SensorRule:
+    """One sensor's quantizer written on the observation axis.
 
-    A clipped-affine log-LR has one closed-form cut per threshold. Any
+    ``cuts`` split the axis into segments and ``segment_levels[i]`` is the
+    output level of the segment between ``cuts[i-1]`` (inclusive) and
+    ``cuts[i]``. A clipped-affine log-LR has one closed-form cut per
+    threshold (:func:`level_boundaries`), segment d being level d. Any
     other log-LR is cut at every threshold crossing on ``grid`` (default:
     the pair's grid), and each segment goes to the level of its midpoint;
     crossings narrower than a grid cell can be missed.
     """
-    if isinstance(pair.log_lr, ClippedAffineLlr):
-        cuts, levels = level_boundaries(pair, q), np.arange(q.num_levels)
-    else:
-        xs = pair.grid() if grid is None else np.asarray(grid, dtype=float)
-        fx = np.asarray(pair.log_lr(xs), dtype=float)
-        log_t = np.array([math.log(t) if t > 0.0 else -math.inf for t in q.thresholds])
-        cuts = sorted(c for s in log_t for c in crossings(pair.log_lr, xs, fx, s))
-        edges = np.array([xs[0], *cuts, xs[-1]])
-        mid_llr = np.asarray(pair.log_lr(0.5 * (edges[:-1] + edges[1:])), dtype=float)
-        levels = np.searchsorted(log_t, mid_llr, side="right")
-    weights = [np.diff([0.0, *(_cdf_at(cdf, c) for c in cuts), 1.0]) for cdf in cdfs]
-    return [np.bincount(levels, w, q.num_levels) for w in weights]
+
+    pair: LfdPair
+    quantizer: Quantizer
+    grid: np.ndarray | None = None
+    cuts: tuple[float, ...] = field(init=False)
+    segment_levels: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        pair, q = self.pair, self.quantizer
+        if isinstance(pair.log_lr, ClippedAffineLlr):
+            cuts, levels = level_boundaries(pair, q), np.arange(q.num_levels)
+        else:
+            xs = pair.grid() if self.grid is None else np.asarray(self.grid, dtype=float)
+            fx = np.asarray(pair.log_lr(xs), dtype=float)
+            log_t = np.array([math.log(t) if t > 0.0 else -math.inf for t in q.thresholds])
+            cuts = sorted(c for s in log_t for c in crossings(pair.log_lr, xs, fx, s))
+            edges = np.array([xs[0], *cuts, xs[-1]])
+            mid_llr = np.asarray(pair.log_lr(0.5 * (edges[:-1] + edges[1:])), dtype=float)
+            levels = np.searchsorted(log_t, mid_llr, side="right")
+        object.__setattr__(self, "cuts", tuple(cuts))
+        object.__setattr__(self, "segment_levels", levels)
+
+    def masses(self, cdf: Callable[[float], float]) -> np.ndarray:
+        """Per-level mass of a law: exact cdf differences between the cuts."""
+        weights = np.diff([0.0, *(_cdf_at(cdf, c) for c in self.cuts), 1.0])
+        return np.bincount(self.segment_levels, weights, self.quantizer.num_levels)
+
+    def level_of(self, y: float) -> int:
+        """Output level of the observation y."""
+        return int(self.segment_levels[np.searchsorted(self.cuts, y, side="right")])
 
 
 def channel_from_quantizer(
@@ -183,11 +210,8 @@ def channel_from_quantizer(
 ) -> SensorChannel:
     """Push the LFD pair through a quantizer on the robust-LR axis.
 
-    Level probabilities are exact cdf differences between observation-axis
-    cuts: one closed-form cut per threshold for a clipped-affine log-LR
-    (band and contamination pairs), and every threshold crossing located
-    on ``grid`` (default: the pair's grid) for any other log-LR, monotone
-    or not; crossings narrower than the grid step can be missed.
+    Level probabilities are the LFDs' masses under ``SensorRule(pair, q,
+    grid)``, exact cdf differences between observation-axis cuts.
 
     Levels with zero mass under both LFDs are dropped with a warning;
     levels with zero mass under exactly one keep a +/-inf LLR sentinel.
@@ -195,40 +219,36 @@ def channel_from_quantizer(
     is the LR's conditional mean over [t_{d-1}, t_d), whatever the
     preimage shape); a violation raises.
     """
-    mass0, mass1 = _level_masses(pair, q, (pair.q0_cdf, pair.q1_cdf), grid)
-    channel = _build_channel(list(range(q.num_levels)), mass0, mass1)
+    rule = SensorRule(pair, q, grid)
+    channel = _build_channel(
+        list(range(q.num_levels)), rule.masses(pair.q0_cdf), rule.masses(pair.q1_cdf)
+    )
     if not llr_monotone_check(channel):
         raise RuntimeError("per-level LLR is not nondecreasing; quantizer is invalid")
     return channel
 
 
 def member_channel(
-    member, pair: LfdPair, q: Quantizer, levels: tuple[int, ...] | None = None
+    member, rule: SensorRule, levels: tuple[int, ...] | None = None
 ) -> DiscretePmf:
-    """Output law of a class member pushed through the same sensor rule.
+    """Output law of a class member pushed through the sensor rule.
 
-    ``member`` exposes ``cdf`` and is cut where :func:`channel_from_quantizer`
-    cuts the LFDs (on the pair's grid); point-contaminated members get
-    their atom assigned exactly via :func:`quantize`. When ``levels``
-    restricts to a channel's kept level set, mass on dropped levels must be
-    negligible.
+    ``member`` exposes ``cdf`` and is cut where the rule cuts the LFDs;
+    a point-contaminated member's atom goes to the level of the segment
+    that holds it. When ``levels`` restricts to a channel's kept level
+    set, mass on dropped levels must be negligible.
     """
     contaminated = isinstance(member, ContaminatedGaussian)
-    (mass,) = _level_masses(pair, q, (member.nominal.cdf if contaminated else member.cdf,))
+    mass = rule.masses(member.nominal.cdf if contaminated else member.cdf)
     if contaminated:
         mass = (1.0 - member.eps) * mass
-        mass[quantize(q, math.exp(float(pair.log_lr(member.atom))))] += member.eps
+        mass[rule.level_of(member.atom)] += member.eps
     mass = np.maximum(mass, 0.0)
-    all_levels = tuple(range(q.num_levels))
-    if levels is not None and levels != all_levels:
-        keep = [all_levels.index(l) for l in levels]
-        lost = mass.sum() - mass[keep].sum()
-        if lost > 1e-12:
-            raise ValueError(
-                f"member places mass {lost:.3e} on levels dropped from the channel"
-            )
-        return pmf_from_weights(levels, mass[keep])
-    return pmf_from_weights(all_levels, mass)
+    levels = tuple(range(len(mass))) if levels is None else tuple(levels)
+    lost = mass.sum() - mass[list(levels)].sum()
+    if lost > 1e-12:
+        raise ValueError(f"member places mass {lost:.3e} on levels dropped from the channel")
+    return pmf_from_weights(levels, mass[list(levels)])
 
 
 def default_quantizer(pair: LfdPair, num_thresholds: int) -> Quantizer:
@@ -301,9 +321,7 @@ class RandomizedBinaryRule:
     pmf1: DiscretePmf
 
     @classmethod
-    def from_accept_prob(
-        cls, accept_prob, pair: LfdPair, grid: np.ndarray | None = None
-    ) -> "RandomizedBinaryRule":
+    def from_accept_prob(cls, accept_prob, pair: LfdPair) -> "RandomizedBinaryRule":
         """Induce the Bernoulli laws of a randomized rule under an LFD pair.
 
         P[U = 1 | H_j] is the integral of accept_prob against the j-th
@@ -311,7 +329,7 @@ class RandomizedBinaryRule:
         for discontinuous rules. The acceptance probability must stay
         within [0, 1] everywhere probed.
         """
-        xs = pair.grid() if grid is None else np.asarray(grid, dtype=float)
+        xs = pair.grid()
         probs = np.asarray([float(accept_prob(float(y))) for y in xs])
         if np.any(probs < 0.0) or np.any(probs > 1.0):
             raise ValueError("accept_prob must map into [0, 1]")

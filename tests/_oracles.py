@@ -223,3 +223,49 @@ def saddle_grid_reference(net, member_laws0, member_laws1, tol: float = 1e-9):
         gaps.update(((side, combo), float(g)) for combo, g in zip(combos, gap))
     holds = min(gaps.values()) >= -tol and dominance_ok
     return holds, dominance_ok, gaps
+
+
+def member_channel_reference(member, pair, q, levels=None):
+    """Reference for ``sensor.member_channel``: the per-member route.
+
+    Re-derives the observation-axis cuts from (pair, q) for every member,
+    clamps every boundary (+inf included) to the support, and places a
+    point-contaminated member's atom by quantizing its likelihood ratio
+    rather than by the segment that holds it. Agrees with the library
+    bit for bit unless a threshold lies within ``_LLR_SLACK`` above a clip
+    level or above the whole log-LR range.
+    """
+    from robust_fusion._roots import crossings
+    from robust_fusion.distributions import pmf_from_weights
+    from robust_fusion.lfd import ClippedAffineLlr, ContaminatedGaussian, _cdf_at, _log_lr_boundary
+    from robust_fusion.sensor import _LLR_SLACK, quantize
+
+    contaminated = isinstance(member, ContaminatedGaussian)
+    cdf = member.nominal.cdf if contaminated else member.cdf
+    if isinstance(pair.log_lr, ClippedAffineLlr):
+        lo, hi = pair.support
+        cuts = [
+            min(max(_log_lr_boundary(pair, math.log(t) - _LLR_SLACK), lo), hi)
+            if t > 0.0 else -math.inf
+            for t in q.thresholds
+        ]
+        segment_levels = np.arange(q.num_levels)
+    else:
+        xs = pair.grid()
+        fx = np.asarray(pair.log_lr(xs), dtype=float)
+        log_t = np.array([math.log(t) if t > 0.0 else -math.inf for t in q.thresholds])
+        cuts = sorted(c for s in log_t for c in crossings(pair.log_lr, xs, fx, s))
+        edges = np.array([xs[0], *cuts, xs[-1]])
+        mid_llr = np.asarray(pair.log_lr(0.5 * (edges[:-1] + edges[1:])), dtype=float)
+        segment_levels = np.searchsorted(log_t, mid_llr, side="right")
+    weights = np.diff([0.0, *(_cdf_at(cdf, c) for c in cuts), 1.0])
+    mass = np.bincount(segment_levels, weights, q.num_levels)
+    if contaminated:
+        mass = (1.0 - member.eps) * mass
+        mass[quantize(q, math.exp(float(pair.log_lr(member.atom))))] += member.eps
+    mass = np.maximum(mass, 0.0)
+    all_levels = tuple(range(q.num_levels))
+    if levels is not None and levels != all_levels:
+        keep = [all_levels.index(l) for l in levels]
+        return pmf_from_weights(levels, mass[keep])
+    return pmf_from_weights(all_levels, mass)

@@ -27,6 +27,7 @@ from robust_fusion.ordering import atoms_stochastically_larger
 from robust_fusion.scenario import build_channel, build_lfd_pair, class_members
 from robust_fusion.sensor import (
     Quantizer,
+    SensorRule,
     attach_repair,
     channel_from_pmfs,
     channel_from_quantizer,
@@ -146,12 +147,12 @@ class TestExactError:
         lfd0 = llr_sum_law(net.channels, [ch.pmf0, ch.pmf0]).finite
         lfd1 = llr_sum_law(net.channels, [ch.pmf1, ch.pmf1]).finite
         for mu in np.linspace(-1.0, 0.0, 5):
-            law = member_channel(GaussianSpec(float(mu), 1.0), BAND_PAIR, q)
+            law = member_channel(GaussianSpec(float(mu), 1.0), SensorRule(BAND_PAIR, q))
             member = llr_sum_law(net.channels, [law, law]).finite
             for t in np.union1d(lfd0.atoms, member.atoms):
                 assert lfd0.mass_above(t) >= member.mass_above(t) - 1e-12
         for mu in np.linspace(1.0, 2.0, 5):
-            law = member_channel(GaussianSpec(float(mu), 1.0), BAND_PAIR, q)
+            law = member_channel(GaussianSpec(float(mu), 1.0), SensorRule(BAND_PAIR, q))
             member = llr_sum_law(net.channels, [law, law]).finite
             for t in np.union1d(lfd1.atoms, member.atoms):
                 assert lfd1.cdf(t) >= member.cdf(t) - 1e-12
@@ -273,8 +274,8 @@ class TestExactError:
 
 class TestSaddleVerify:
     def _member_laws(self, pair, q, n):
-        laws0 = [member_channel(m, pair, q) for m in BAND0.members(n)]
-        laws1 = [member_channel(m, pair, q) for m in BAND1.members(n)]
+        laws0 = [member_channel(m, SensorRule(pair, q)) for m in BAND0.members(n)]
+        laws1 = [member_channel(m, SensorRule(pair, q)) for m in BAND1.members(n)]
         return laws0, laws1
 
     def test_band_lfds_are_saddle_point(self):
@@ -291,8 +292,8 @@ class TestSaddleVerify:
         q = Quantizer((1.0,))
         ch = channel_from_quantizer(q, BAND_PAIR)
         net = NetworkModel((ch, ch), 0.5)
-        law0 = [member_channel(CdfMember(BAND_PAIR.q0_cdf), BAND_PAIR, q)]
-        law1 = [member_channel(CdfMember(BAND_PAIR.q1_cdf), BAND_PAIR, q)]
+        law0 = [member_channel(CdfMember(BAND_PAIR.q0_cdf), SensorRule(BAND_PAIR, q))]
+        law1 = [member_channel(CdfMember(BAND_PAIR.q1_cdf), SensorRule(BAND_PAIR, q))]
         report = saddle_verify(net, [law0, law0], [law1, law1])
         assert report.holds
         assert report.worst_gap == 0.0
@@ -305,8 +306,8 @@ class TestSaddleVerify:
         q = Quantizer((1.0,))
         ch = channel_from_quantizer(q, wrong_pair)
         net = NetworkModel((ch, ch), 0.5)
-        laws0 = [member_channel(m, wrong_pair, q) for m in BAND0.members(11)]
-        laws1 = [member_channel(m, wrong_pair, q) for m in BAND1.members(11)]
+        laws0 = [member_channel(m, SensorRule(wrong_pair, q)) for m in BAND0.members(11)]
+        laws1 = [member_channel(m, SensorRule(wrong_pair, q)) for m in BAND1.members(11)]
         report = saddle_verify(net, [laws0, laws0], [laws1, laws1])
         assert not report.holds
         assert report.worst_gap < -1e-3
@@ -504,7 +505,7 @@ def _random_saddle_network(rng, comparable: bool = True):
                     members = class_members(spec, pair, side, n, index)
                     # KL probes are an n x (n - 2) family; keep at most n
                     keep = rng.choice(len(members), size=min(n, len(members)), replace=False)
-                    laws += [member_channel(members[j], pair, q, ch.levels) for j in np.sort(keep)]
+                    laws += [member_channel(members[j], SensorRule(pair, q), ch.levels) for j in np.sort(keep)]
         if comparable:
             m0.insert(int(rng.integers(len(m0) + 1)), ch.pmf0)
             m1.insert(int(rng.integers(len(m1) + 1)), ch.pmf1)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from robust_fusion import fusion
 from robust_fusion.cli import main
 from robust_fusion.scenario import Scenario, build_sensors, load_scenario, save_scenario
+
+from _golden import GOLDEN, cases as golden_cases, run as run_golden
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -157,6 +160,31 @@ class TestCliEvaluate:
         out = tmp_path / "eval.csv"
         assert main(["evaluate", "--scenario", str(path), "--out", str(out)]) == 0
         assert read_csv(out)[1][2] == "exact-convolution"
+
+    def test_threshold_above_contamination_clip_level_exit_0(self, tmp_path, capsys):
+        """An LR threshold above the upper clip level leaves an empty level,
+        which is dropped; evaluate and saddle both run."""
+        doc = {
+            "scenario_id": "contamination-high-threshold",
+            "prior0": 0.5,
+            "log_threshold": None,
+            "grid_points": 2001,
+            "seed": 1,
+            "sensors": [{
+                "kind": "eps-contamination",
+                "nominal0": {"mean": -0.5, "sigma": 1.0},
+                "nominal1": {"mean": 0.5, "sigma": 1.0},
+                "eps0": 0.05, "eps1": 0.05,
+                "quantizer": {"thresholds": [1.0, 20.0]},
+            }],
+        }
+        path = tmp_path / "high.json"
+        path.write_text(json.dumps(doc))
+        with pytest.warns(RuntimeWarning, match="dropping levels"):
+            assert main(["evaluate", "--scenario", str(path), "--out", str(tmp_path / "e.csv")]) == 0
+            assert main(["saddle", "--scenario", str(path), "--out", str(tmp_path / "s.csv")]) == 0
+        assert read_csv(tmp_path / "e.csv")[1][2] == "exact-convolution"
+        assert capsys.readouterr().out.strip() == "HOLDS"
 
     def test_io_failure_exit_3(self, tmp_path, capsys):
         path = make_majority_scenario(tmp_path)
@@ -335,3 +363,35 @@ class TestCompositeNetworks:
             "--out", str(tmp_path / "cs.csv"), "--members", "7",
         ]) == 0
         assert capsys.readouterr().out.strip() == "HOLDS"
+
+
+_NUMBER = re.compile(r"(-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
+
+
+def assert_matches_golden(actual: str, expected: str) -> None:
+    """Equal text with every number token in place; integers must match
+    exactly and floats (a '.' or exponent) within 1e-12."""
+    got, want = _NUMBER.split(actual), _NUMBER.split(expected)
+    assert len(got) == len(want), (actual, expected)
+    for i, (a, e) in enumerate(zip(got, want)):
+        if i % 2 == 1 and any(c in e for c in ".eE"):
+            assert abs(float(a) - float(e)) <= 1e-12, (a, e)
+        else:
+            assert a == e, (actual, expected)
+
+
+class TestCliGolden:
+    """lfd, evaluate and saddle on the shipped scenarios against the
+    outputs recorded in tests/golden/ (rewritten by make_golden.py)."""
+
+    CASES = dict(golden_cases())
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_golden(self, name):
+        argv = self.CASES[name]
+        expected = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+        assert expected["argv"] == argv
+        actual = run_golden(argv)
+        assert actual["exit"] == expected["exit"]
+        assert_matches_golden(actual["csv"], expected["csv"])
+        assert_matches_golden(actual["stdout"], expected["stdout"])

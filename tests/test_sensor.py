@@ -1,13 +1,16 @@
 """Sensor rules: quantization, channel laws, repair, admissibility."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from robust_fusion import sensor
 from robust_fusion.distributions import DiscretePmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import (
     CdfMember,
+    ContaminatedGaussian,
     EpsContaminationClass,
     GaussianBandClass,
     gaussian_band_lfd,
@@ -15,10 +18,12 @@ from robust_fusion.lfd import (
     kl_dabak_lfd,
 )
 from robust_fusion.ordering import CdfView, dominates
+from robust_fusion.scenario import BuiltSensor, build_channel, build_lfd_pair, class_members, member_laws
 from robust_fusion.sensor import (
     Quantizer,
     RandomizedBinaryRule,
     SensorChannel,
+    SensorRule,
     attach_repair,
     block_sensor_llr,
     channel_from_pmfs,
@@ -32,7 +37,8 @@ from robust_fusion.sensor import (
     randomized_binary_admissible,
 )
 
-from _oracles import density_integral, normal_cdf_quadrature
+from _oracles import density_integral, member_channel_reference, normal_cdf_quadrature
+from test_fusion import _random_spec
 
 EXAMPLE_PAIR = gaussian_band_lfd(
     GaussianBandClass(0.0, 0.0, 1.0), GaussianBandClass(1.0, 1.0, 1.0)
@@ -107,15 +113,15 @@ class TestChannelFromQuantizer:
         band1 = GaussianBandClass(1.0, 2.0, 1.0)
         pair = gaussian_band_lfd(band0, band1)
         q = Quantizer((0.5, 1.0, 2.0))
-        lfd0 = member_channel(GaussianSpec(0.0, 1.0), pair, q)
-        lfd1 = member_channel(GaussianSpec(1.0, 1.0), pair, q)
+        lfd0 = member_channel(GaussianSpec(0.0, 1.0), SensorRule(pair, q))
+        lfd1 = member_channel(GaussianSpec(1.0, 1.0), SensorRule(pair, q))
         grid = np.arange(-1.0, 5.0, 0.5)
         for mu in np.linspace(-1.0, 0.0, 7):
-            member = member_channel(GaussianSpec(float(mu), 1.0), pair, q)
+            member = member_channel(GaussianSpec(float(mu), 1.0), SensorRule(pair, q))
             report = dominates(CdfView.from_pmf(lfd0), CdfView.from_pmf(member), grid)
             assert report.dominates
         for mu in np.linspace(1.0, 2.0, 7):
-            member = member_channel(GaussianSpec(float(mu), 1.0), pair, q)
+            member = member_channel(GaussianSpec(float(mu), 1.0), SensorRule(pair, q))
             report = dominates(CdfView.from_pmf(member), CdfView.from_pmf(lfd1), grid)
             assert report.dominates
 
@@ -205,7 +211,7 @@ class TestChannelFromQuantizer:
         with pytest.warns(RuntimeWarning, match="zero mass"):
             ch = channel_from_quantizer(q, pair)
         for cdf, pmf in ((pair.q0_cdf, ch.pmf0), (pair.q1_cdf, ch.pmf1)):
-            member = member_channel(CdfMember(cdf), pair, q, levels=ch.levels)
+            member = member_channel(CdfMember(cdf), SensorRule(pair, q), levels=ch.levels)
             assert np.max(np.abs(member.probs - pmf.probs)) < 1e-12
 
     def test_level_boundaries_reject_double_crossing(self):
@@ -213,6 +219,111 @@ class TestChannelFromQuantizer:
         pair = kl_dabak_lfd(GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.6), 0.03, 0.03)
         with pytest.raises(ValueError, match="other than once upward"):
             level_boundaries(pair, Quantizer((2.0,)))
+
+
+def _random_member_spec(rng, kind: str, levels: int) -> dict:
+    """A random band, contamination or KL spec with ``levels`` levels: its
+    default quantizer, or thresholds read off the log-LR at random points."""
+    spec = _random_spec(rng, kind, levels)
+    if rng.random() < 0.5:
+        pair = build_lfd_pair(spec, 0)
+        lo, hi = pair.support
+        ys = np.sort(rng.uniform(lo + 0.35 * (hi - lo), hi - 0.35 * (hi - lo), size=levels - 1))
+        thresholds = [math.exp(float(pair.log_lr(y))) for y in ys]
+        if all(b > a for a, b in zip(thresholds, thresholds[1:])):
+            spec["quantizer"] = {"thresholds": thresholds}
+    return spec
+
+
+class TestSensorRule:
+    CONTAMINATION = huber_clipped_lfd(
+        EpsContaminationClass(GaussianSpec(-0.5, 1.0), 0.05),
+        EpsContaminationClass(GaussianSpec(0.5, 1.0), 0.05),
+    )
+
+    def test_threshold_above_upper_clip_level_leaves_an_empty_level(self):
+        """No observation reaches an LR threshold above the upper clip
+        level, so its boundary stays +inf and the level above is empty and
+        dropped, instead of taking the cancelling tail beyond the support."""
+        pair = self.CONTAMINATION
+        q = Quantizer((1.0, 20.0))
+        assert math.log(20.0) > pair.log_lr.offset + pair.log_lr.hi
+        bounds = level_boundaries(pair, q)
+        assert pair.support[0] < bounds[0] < pair.support[1]
+        assert bounds[1] == math.inf
+        with pytest.warns(RuntimeWarning, match=r"dropping levels \[2\]"):
+            ch = channel_from_quantizer(q, pair)
+        assert ch.levels == (0, 1)
+        assert llr_monotone_check(ch)
+        member = ContaminatedGaussian(GaussianSpec(-0.5, 1.0), 0.05, pair.support[1])
+        law = member_channel(member, SensorRule(pair, q), levels=ch.levels)
+        assert law.levels == (0, 1)
+
+    def test_atom_on_flat_top_stretch_follows_the_cuts(self):
+        """A threshold within _LLR_SLACK above the upper clip level gives the
+        flat top stretch to level 2; a point atom on that stretch goes
+        there too (quantizing its LR value put it in level 1)."""
+        pair = self.CONTAMINATION
+        top = pair.log_lr.offset + pair.log_lr.hi
+        q = Quantizer((0.5, math.exp(top + 2e-13)))
+        rule = SensorRule(pair, q)
+        atom = pair.support[1] - 0.5
+        assert float(pair.log_lr(atom)) == top
+        assert rule.level_of(atom) == 2
+        nominal = GaussianSpec(-0.5, 1.0)
+        law = member_channel(ContaminatedGaussian(nominal, 0.05, atom), rule)
+        stretch = 0.95 * rule.masses(nominal.cdf)
+        assert np.array_equal(law.probs, stretch + np.array([0.0, 0.0, 0.05]))
+
+    def test_member_laws_match_per_member_reference(self):
+        """One rule per sensor gives the per-member route's laws bit for bit."""
+        rng = np.random.default_rng(20261018)
+        kinds = ("gaussian-band", "kl-ball", "eps-contamination")
+        for index in range(300):
+            kind = kinds[index % 3]
+            spec = _random_member_spec(rng, kind, int(rng.integers(2, 5)))
+            n = (3, 7, 11)[int(rng.integers(3))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                ch, pair, q = build_channel(spec, 0)
+            built = BuiltSensor(0, kind, ch, pair, q)
+            for side in (0, 1):
+                laws = member_laws(built, spec, side, n)
+                members = class_members(spec, pair, side, n, 0)
+                assert len(laws) == len(members)
+                for law, member in zip(laws, members):
+                    ref = member_channel_reference(member, pair, q, ch.levels)
+                    assert law.levels == ref.levels
+                    assert np.array_equal(law.probs, ref.probs), (spec, side, n, member)
+
+    @pytest.mark.parametrize(
+        ("kind", "counted"),
+        [
+            ("gaussian-band", "level_boundaries"),
+            ("eps-contamination", "level_boundaries"),
+            ("kl-ball", "crossings"),
+        ],
+    )
+    def test_member_laws_cut_the_axis_once_per_call(self, monkeypatch, kind, counted):
+        spec = _random_member_spec(np.random.default_rng(7), kind, 4)
+        spec["quantizer"] = {"num_thresholds": 3}
+        ch, pair, q = build_channel(spec, 0)
+        built = BuiltSensor(0, kind, ch, pair, q)
+        calls = []
+        original = getattr(sensor, counted)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sensor, counted, counting)
+        per_rule = 1 if counted == "level_boundaries" else len(q.thresholds)
+        for n in (3, 7, 11):
+            for side in (0, 1):
+                calls.clear()
+                laws = member_laws(built, spec, side, n)
+                assert len(laws) >= n - 1
+                assert len(calls) == per_rule
 
 
 class TestLlrMonotoneCheck:
