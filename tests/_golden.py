@@ -22,13 +22,22 @@ from robust_fusion.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-COMMANDS = {"lfd": [], "evaluate": [], "saddle": ["--members", "11"]}
+# command -> (extra arguments, scenario stems it runs on; None for all)
+COMMANDS = {
+    "lfd": ([], None),
+    "evaluate": ([], None),
+    "saddle": (["--members", "11"], None),
+    # sweep takes a single-sensor template
+    "sweep": (["--k-list", "1,2,3,5,8,13,40,101"], ("binary_symmetric", "kl_ball")),
+}
 
 
 def cases():
     """(golden file name, argv) for every shipped scenario and command."""
     for scenario in sorted((ROOT / "scenarios").glob("*.json")):
-        for command, extra in COMMANDS.items():
+        for command, (extra, stems) in COMMANDS.items():
+            if stems is not None and scenario.stem not in stems:
+                continue
             argv = [command, "--scenario", str(scenario.relative_to(ROOT)), *extra]
             yield f"{scenario.stem}.{command}.json", argv
 
