@@ -7,10 +7,12 @@ decide the null hypothesis, which makes every evaluation deterministic. A
 sum counts as a tie when it is within ``TIE_TOL`` above the threshold, so
 float rounding in the order of summation cannot move an outcome across it;
 every path (``fuse``, convolution, enumeration, threshold search, Monte
-Carlo) applies this one rule. Error probabilities are exact: the
-distribution of the LLR sum (:class:`LlrSumLaw`) is an exact K-fold
-convolution of finite atom mass functions, cross-checked against full
-enumeration when the joint level space is small enough.
+Carlo) applies this one rule. Error probabilities are exact: the law of
+the LLR sum (:class:`LlrSumLaw`) is held as two independent halves, each
+the exact convolution of half the sensors' finite atom mass functions, and
+one tail mass of their sum is read by a meet-in-the-middle search, so no
+atom law larger than (D+1)^ceil(K/2) is built. Results are cross-checked
+against full enumeration when the joint level space is small enough.
 """
 
 from __future__ import annotations
@@ -129,18 +131,38 @@ def fuse(net: NetworkModel, u: Sequence[int]) -> int:
 
 @dataclass(frozen=True, eq=False)
 class LlrSumLaw:
-    """Law of the fused LLR sum: its finite part plus the forced-1 mass.
+    """Law of the fused LLR sum: two independent halves plus the forced-1 mass.
 
-    ``finite`` carries the outcomes where every level has a finite LLR;
-    ``forced_one`` is the probability that some level has LLR +inf and
-    none has -inf, which decides 1 at every threshold.
+    Over the outcomes where every level has a finite LLR, the sum is
+    ``left + right``, each half the fold of some of the sensors' finite
+    parts. ``forced_one`` is the probability that some level has LLR +inf
+    and none has -inf, which decides 1 at every threshold.
     """
 
-    finite: AtomPmf
+    left: AtomPmf
+    right: AtomPmf
     forced_one: float
 
+    @property
+    def finite(self) -> AtomPmf:
+        """The finite part as one atom law, convolved on each access."""
+        return convolve(self.left, self.right)
+
     def prob_decide_one(self, tau: float) -> float:
-        return self.forced_one + self.finite.mass_above(tau + TIE_TOL)
+        """P[decide 1] at log threshold ``tau``, without building the sum.
+
+        A left atom a decides 1 with every right atom above
+        tau + TIE_TOL - a, so one ``searchsorted`` over the right half's
+        atoms reads each left atom's share off the right half's tail sums.
+        """
+        right = self.right
+        tail = np.concatenate([np.cumsum(right.masses[::-1])[::-1], [0.0]])
+        idx = np.searchsorted(right.atoms, (tau + TIE_TOL) - self.left.atoms, side="right")
+        return self.forced_one + float(np.dot(self.left.masses, tail[idx]))
+
+
+# the sum over no sensors: the left half of a one-sensor law
+_POINT_ZERO = AtomPmf(np.zeros(1), np.ones(1))
 
 
 class _SensorPart(NamedTuple):
@@ -162,22 +184,29 @@ def _sensor_part(ch: SensorChannel, law: DiscretePmf) -> _SensorPart:
     return _SensorPart(atoms, no_minus, atoms.total_mass)
 
 
-def _law_of_parts(parts: Sequence[_SensorPart], finite_sum: AtomPmf) -> LlrSumLaw:
-    """The law whose finite part is ``finite_sum``, the fold of the parts' atoms."""
+def _forced_one(parts: Sequence[_SensorPart]) -> float:
+    """P[some level has LLR +inf and none has -inf] over independent sensors."""
     no_minus = 1.0
     all_finite = 1.0
     for part in parts:
         no_minus *= part.no_minus
         all_finite *= part.finite_mass
-    return LlrSumLaw(finite_sum, no_minus - all_finite)
+    return no_minus - all_finite
 
 
 def llr_sum_law(
     channels: Sequence[SensorChannel], laws: Sequence[DiscretePmf]
 ) -> LlrSumLaw:
-    """Exact law of the LLR sum when each sensor's level follows ``laws``."""
+    """Exact law of the LLR sum when each sensor's level follows ``laws``.
+
+    The sensors split at K // 2 and each half is folded in sensor order,
+    so no atom law has more than (D+1)^ceil(K/2) atoms.
+    """
     parts = [_sensor_part(ch, law) for ch, law in zip(channels, laws)]
-    return _law_of_parts(parts, convolve_many([part.finite for part in parts]))
+    half = len(parts) // 2
+    left = convolve_many([part.finite for part in parts[:half]]) if half else _POINT_ZERO
+    right = convolve_many([part.finite for part in parts[half:]])
+    return LlrSumLaw(left, right, _forced_one(parts))
 
 
 def _prob_decide_one_enumeration(
@@ -208,10 +237,12 @@ def exact_error(
     """Exact P_F, P_M, P_E of the network under the given level laws.
 
     Laws default to the channels' own (least favorable) pmfs; pass member
-    laws to probe the saddle. ``method`` picks the primary path
-    ("convolution" or "enumeration"); with ``cross_check`` the other path
-    is also run when the joint level space has at most
-    ``enumeration_limit`` points, and a disagreement beyond 1e-10 raises.
+    laws to probe the saddle. ``method`` picks the primary path:
+    "convolution" reads the tail of the two half-convolutions of
+    :func:`llr_sum_law` by meet-in-the-middle, "enumeration" visits every
+    joint level. With ``cross_check`` the other path is also run when the
+    joint level space has at most ``enumeration_limit`` points, and a
+    disagreement beyond 1e-10 raises.
     """
     if method not in ("convolution", "enumeration"):
         raise ValueError(f"unknown method {method!r}")
@@ -423,9 +454,10 @@ class _ThresholdObjective:
     sensors whose thresholds changed. Per hypothesis the left-fold prefixes
     s_0, s_0*s_1, ... of the finite parts are kept too: rebuilding sensor i
     drops the prefixes from i on, and the fold resumes from the last one
-    kept. The fold runs in :func:`llr_sum_law`'s order, so every value is
-    bit-identical to building all K channels and both laws afresh. The
-    caches belong to the instance; ``optimize_thresholds`` makes one per call.
+    kept. The fusion-threshold scan needs every atom of the sum, so it
+    reads the full prefix; every value is bit-identical to building all K
+    channels and folding both laws afresh in sensor order. The caches
+    belong to the instance; ``optimize_thresholds`` makes one per call.
     """
 
     def __init__(self, pairs: Sequence[LfdPair], prior0: float):
@@ -457,22 +489,21 @@ class _ThresholdObjective:
             del prefixes[i:]
         return True
 
-    def _law(self, h: int) -> LlrSumLaw:
+    def _fold(self, h: int) -> tuple[AtomPmf, float]:
+        """(finite part of the sum, forced-1 mass) under hypothesis h."""
         parts = [slot.parts[h] for slot in self._slots]
         prefixes = self._prefixes[h]
         for part in parts[len(prefixes) :]:
             prefixes.append(convolve(prefixes[-1], part.finite) if prefixes else part.finite)
-        return _law_of_parts(parts, prefixes[-1])
+        return prefixes[-1], _forced_one(parts)
 
     def evaluate(self, all_log_thresholds: Sequence[Sequence[float]]) -> tuple[float, float]:
         """Returns (p_error, best log fusion threshold); inf when invalid."""
         for i, coords in enumerate(all_log_thresholds):
             if not self._update(i, tuple(coords)):
                 return math.inf, 0.0
-        law0, law1 = self._law(0), self._law(1)
-        tau, p_e = best_fusion_threshold(
-            law0.finite, law1.finite, self.prior0, law0.forced_one, law1.forced_one
-        )
+        (finite0, forced0), (finite1, forced1) = self._fold(0), self._fold(1)
+        tau, p_e = best_fusion_threshold(finite0, finite1, self.prior0, forced0, forced1)
         return p_e, tau
 
 
@@ -582,16 +613,36 @@ def k_sweep(
     The template must be informative (pmf0 != pmf1); the resulting decay
     of P_E with K is what the sweep exists to expose. Cross-checking is
     left to callers (the convolution path is exact on its own).
+
+    Per hypothesis one fold (entry j: the j-fold sum of the template's
+    finite part) grows only as far as the largest K needs, and K reads its
+    halves off entries K // 2 and K - K // 2. Those are the halves of
+    :func:`llr_sum_law`, so each report equals
+    ``exact_error(net, cross_check=False)``. Counts run in ascending
+    order, so entries below the current K // 2 are dropped.
     """
     if np.max(np.abs(template.pmf0.probs - template.pmf1.probs)) <= 1e-12:
         raise ValueError("uninformative sensor template: pmf0 equals pmf1")
-    results = []
-    for k in ks:
-        if k < 1:
-            raise ValueError("sensor counts must be >= 1")
-        net = NetworkModel((template,) * int(k), prior0, log_threshold)
-        results.append((int(k), exact_error(net, cross_check=False)))
-    return results
+    ks = [int(k) for k in ks]
+    if any(k < 1 for k in ks):
+        raise ValueError("sensor counts must be >= 1")
+    nets = {k: NetworkModel((template,) * k, prior0, log_threshold) for k in sorted(set(ks))}
+    parts = [_sensor_part(template, law) for law in (template.pmf0, template.pmf1)]
+    folds = [[_POINT_ZERO, part.finite] for part in parts]
+    reports = {}
+    for k, net in nets.items():
+        half = k // 2
+        p_one = []
+        for part, fold in zip(parts, folds):
+            while len(fold) <= k - half:
+                fold.append(convolve(fold[-1], part.finite))
+            law = LlrSumLaw(fold[half], fold[k - half], _forced_one([part] * k))
+            p_one.append(law.prob_decide_one(net.log_threshold))
+            fold[:half] = [None] * half
+        p_f, p_m = p_one[0], 1.0 - p_one[1]
+        p_e = net.prior0 * p_f + (1.0 - net.prior0) * p_m
+        reports[k] = ErrorReport(p_f, p_m, p_e, method="exact-convolution")
+    return [(k, reports[k]) for k in ks]
 
 
 def monte_carlo(

@@ -63,6 +63,37 @@ def enumerate_error_probs(level_sets, llrs, laws0, laws1, log_threshold, prior0)
     return p_f, p_m, prior0 * p_f + (1.0 - prior0) * p_m
 
 
+def joint_llr_sums(channels, laws):
+    """(sums, probs, has_pos, has_neg) over every joint level, by numpy
+    enumeration: raw finite-LLR sums in sensor order (no atom merging),
+    joint probabilities and whether some level has LLR +inf or -inf."""
+    sums, probs = np.zeros(1), np.ones(1)
+    has_pos, has_neg = np.zeros(1, bool), np.zeros(1, bool)
+    for ch, law in zip(channels, laws):
+        sums = np.add.outer(sums, np.where(np.isfinite(ch.llr), ch.llr, 0.0)).ravel()
+        probs = np.multiply.outer(probs, law.probs).ravel()
+        has_pos = np.logical_or.outer(has_pos, ch.llr == math.inf).ravel()
+        has_neg = np.logical_or.outer(has_neg, ch.llr == -math.inf).ravel()
+    return sums, probs, has_pos, has_neg
+
+
+def decide_one_enumeration(channels, laws, taus):
+    """P[decide 1] at each log threshold in ``taus``, by numpy enumeration.
+
+    A -inf level forces 0, a +inf level forces 1, and otherwise the raw
+    sum decides 1 only above ``tau + TIE_TOL``; each threshold's tail is
+    read off the sorted sums.
+    """
+    from robust_fusion.fusion import TIE_TOL
+
+    sums, probs, has_pos, has_neg = joint_llr_sums(channels, laws)
+    finite = ~has_pos & ~has_neg
+    order = np.argsort(sums[finite], kind="stable")
+    tail = np.r_[np.cumsum(probs[finite][order][::-1])[::-1], 0.0]
+    idx = np.searchsorted(sums[finite][order], np.asarray(taus) + TIE_TOL, side="right")
+    return np.sum(probs[has_pos & ~has_neg]) + tail[idx]
+
+
 def grid_search_thresholds(pairs, num_levels, prior0, points=101):
     """Exhaustive grid-search oracle for ``fusion.optimize_thresholds``.
 
@@ -95,14 +126,16 @@ def grid_search_thresholds(pairs, num_levels, prior0, points=101):
 def full_rebuild_objective(pairs, prior0, all_log_thresholds):
     """Reference for ``fusion._ThresholdObjective.evaluate``: no caches.
 
-    Builds every sensor's channel and both K-fold LLR-sum laws from
+    Builds every sensor's channel and folds both K-fold LLR-sum laws from
     scratch for each configuration. Returns (p_error, log fusion
     threshold), or (inf, 0.0) when some sensor's thresholds are not
     strictly increasing.
     """
     import warnings
 
+    from robust_fusion.distributions import AtomPmf
     from robust_fusion.fusion import best_fusion_threshold, llr_sum_law
+    from robust_fusion.ordering import convolve_many
     from robust_fusion.sensor import Quantizer, channel_from_quantizer
 
     channels = []
@@ -114,11 +147,15 @@ def full_rebuild_objective(pairs, prior0, all_log_thresholds):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             channels.append(channel_from_quantizer(q, pair))
-    law0 = llr_sum_law(channels, [ch.pmf0 for ch in channels])
-    law1 = llr_sum_law(channels, [ch.pmf1 for ch in channels])
-    tau, p_e = best_fusion_threshold(
-        law0.finite, law1.finite, prior0, law0.forced_one, law1.forced_one
-    )
+    finite, forced_one = [], []
+    for laws in ([ch.pmf0 for ch in channels], [ch.pmf1 for ch in channels]):
+        # every atom of the sum, folded left to right in sensor order
+        finite.append(convolve_many([
+            AtomPmf(ch.llr[np.isfinite(ch.llr)], law.probs[np.isfinite(ch.llr)])
+            for ch, law in zip(channels, laws)
+        ]))
+        forced_one.append(llr_sum_law(channels, laws).forced_one)
+    tau, p_e = best_fusion_threshold(finite[0], finite[1], prior0, *forced_one)
     return p_e, tau
 
 

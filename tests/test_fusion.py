@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from robust_fusion import fusion
+from robust_fusion import fusion, ordering
 from robust_fusion.distributions import AtomPmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import CdfMember, GaussianBandClass, gaussian_band_lfd
 from robust_fusion.fusion import (
@@ -39,9 +39,11 @@ from robust_fusion.sensor import (
 
 from _oracles import (
     binomial_majority_error,
+    decide_one_enumeration,
     enumerate_error_probs,
     full_rebuild_objective,
     grid_search_thresholds,
+    joint_llr_sums,
     saddle_grid_reference,
 )
 
@@ -271,6 +273,122 @@ class TestExactError:
                     - _prob_decide_one_enumeration(net.channels, laws, tau)
                 ) <= 1e-12
 
+    def test_split_law_matches_enumeration_at_ties(self):
+        """The meet-in-the-middle tail of the split law equals enumeration
+        and the full convolution at every raw LLR sum, 5e-13 either side of
+        each, and at 0, on 1-10 sensors, all one channel or each its own."""
+        rng = np.random.default_rng(20261023)
+        taus_checked = 0
+        for k in [1] * 4 + [None] * 60 + [8, 9, 10] * 3:
+            net = _random_tie_network(rng, k)
+            laws = [ch.pmf0 if rng.random() < 0.5 else ch.pmf1 for ch in net.channels]
+            sums, _, has_pos, has_neg = joint_llr_sums(net.channels, laws)
+            raw = np.unique(sums[~has_pos & ~has_neg])
+            taus = np.concatenate([raw, raw - 5e-13, raw + 5e-13, [0.0]])
+            law = llr_sum_law(net.channels, laws)
+            split = np.array([law.prob_decide_one(tau) for tau in taus])
+            enumerated = decide_one_enumeration(net.channels, laws, taus)
+            assert np.max(np.abs(split - enumerated)) <= 1e-12
+            finite = law.finite
+            convolved = [law.forced_one + finite.mass_above(tau + TIE_TOL) for tau in taus]
+            assert np.max(np.abs(split - convolved)) <= 1e-12
+            for tau in rng.choice(taus, size=3):
+                assert abs(
+                    law.prob_decide_one(tau)
+                    - _prob_decide_one_enumeration(net.channels, laws, tau)
+                ) <= 1e-12
+            taus_checked += len(taus)
+        assert taus_checked >= 10**4
+
+    def test_sum_on_tie_band_edge_decides_null(self):
+        """A sum that equals tau + TIE_TOL in float is a tie and decides 0:
+        the split law must not count a right atom equal to its search key.
+        Two sensors, so each half holds one sensor's raw LLRs. Only edges
+        where every pair's a + b > edge agrees with b > edge - a in float
+        are well-posed; the others are skipped."""
+        rng = np.random.default_rng(20261024)
+        edges = 0
+        for _ in range(30):
+            net = _random_tie_network(rng, 2)
+            laws = [ch.pmf0 if rng.random() < 0.5 else ch.pmf1 for ch in net.channels]
+            law = llr_sum_law(net.channels, laws)
+            a_all, b_all = np.meshgrid(law.left.atoms, law.right.atoms, indexing="ij")
+            for a, b in zip(a_all.ravel(), b_all.ravel()):
+                edge = a + b
+                if edge - a != b or np.any((a_all + b_all > edge) != (b_all > edge - a_all)):
+                    continue
+                tau = edge - TIE_TOL
+                for _ in range(4):  # step tau until tau + TIE_TOL rounds to the sum
+                    if tau + TIE_TOL == edge:
+                        break
+                    tau = np.nextafter(tau, edge if tau + TIE_TOL < edge else -math.inf)
+                if tau + TIE_TOL != edge:
+                    continue
+                edges += 1
+                assert abs(
+                    law.prob_decide_one(tau)
+                    - _prob_decide_one_enumeration(net.channels, laws, tau)
+                ) <= 1e-12
+        assert edges >= 100
+
+
+def _record_convolutions(monkeypatch) -> list[int]:
+    """Output sizes of every convolution the library runs from now on."""
+    sizes = []
+    original = ordering.convolve
+
+    def recording(a, b):
+        out = original(a, b)
+        sizes.append(len(out.atoms))
+        return out
+
+    monkeypatch.setattr(ordering, "convolve", recording)
+    monkeypatch.setattr(fusion, "convolve", recording)
+    return sizes
+
+
+def _explicit_network(rng, k: int) -> NetworkModel:
+    """K explicit 4-level sensors, each its own channel with four distinct
+    finite LLRs, so the K sensors have 4^K distinct sums."""
+    channels = []
+    for _ in range(k):
+        pmf0 = rng.dirichlet([2.0] * 4)
+        pmf1 = pmf0 * np.exp(np.cumsum(rng.uniform(0.3, 1.2, 4)))
+        pmf1 /= pmf1.sum()
+        lv = list(range(4))
+        channels.append(channel_from_pmfs(pmf_from_weights(lv, pmf0), pmf_from_weights(lv, pmf1)))
+    return NetworkModel(tuple(channels), float(rng.uniform(0.3, 0.7)))
+
+
+class TestSplitLawSize:
+    def test_k16_builds_no_law_above_half_size(self, monkeypatch):
+        """K=16 heterogeneous 4-level sensors: 4^16 distinct sums, but no
+        atom law with more than 4^8 atoms is built."""
+        net = _explicit_network(np.random.default_rng(20261025), 16)
+        sizes = _record_convolutions(monkeypatch)
+        report = exact_error(net)
+        assert report.method == "exact-convolution"
+        assert 0.0 < report.p_error < 0.5
+        assert 4**7 < max(sizes) <= 4**8  # the halves have 4^8 sums each
+
+    def test_k10_matches_numpy_enumeration(self):
+        """K=10 heterogeneous 4-level sensors against all 4^10 joint levels,
+        at the network threshold and at 50 thresholds across the sums."""
+        rng = np.random.default_rng(20261026)
+        net = _explicit_network(rng, 10)
+        report = exact_error(net, cross_check=False)
+        for laws, p_one in (
+            ([ch.pmf0 for ch in net.channels], report.p_false_alarm),
+            ([ch.pmf1 for ch in net.channels], 1.0 - report.p_miss),
+        ):
+            sums = joint_llr_sums(net.channels, laws)[0]
+            taus = np.r_[net.log_threshold, rng.uniform(sums.min() - 1.0, sums.max(), 50)]
+            enumerated = decide_one_enumeration(net.channels, laws, taus)
+            assert abs(p_one - enumerated[0]) <= 1e-12
+            law = llr_sum_law(net.channels, laws)
+            split = [law.prob_decide_one(tau) for tau in taus]
+            assert np.max(np.abs(split - enumerated)) <= 1e-12
+
 
 class TestSaddleVerify:
     def _member_laws(self, pair, q, n):
@@ -463,9 +581,10 @@ def _random_spec(rng, kind: str, levels: int) -> dict:
     return spec
 
 
-def _random_tie_network(rng) -> NetworkModel:
-    """K 2-7 band, contamination or explicit sensors with 2-4 levels, all
-    one channel (LLR sums tie up to float noise) or each its own."""
+def _random_tie_network(rng, k: int | None = None) -> NetworkModel:
+    """K (2-7 unless given) band, contamination or explicit sensors with
+    2-4 levels, all one channel (LLR sums tie up to float noise) or each
+    its own."""
 
     def channel():
         levels = int(rng.integers(2, 5))
@@ -477,7 +596,7 @@ def _random_tie_network(rng) -> NetworkModel:
             warnings.simplefilter("ignore", RuntimeWarning)
             return build_channel(_random_spec(rng, kind, levels), 0)[0]
 
-    k = int(rng.integers(2, 8))
+    k = int(rng.integers(2, 8)) if k is None else k
     if rng.random() < 0.5:
         return NetworkModel((channel(),) * k, 0.5)
     return NetworkModel(tuple(channel() for _ in range(k)), float(rng.uniform(0.3, 0.7)))
@@ -724,6 +843,38 @@ class TestKSweep:
         results = k_sweep(SYM02, [1, 3, 5, 7, 9, 11, 13, 15], 0.5)
         errors = [r.p_error for _, r in results]
         assert all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
+
+    def test_matches_per_k_exact_error(self):
+        """Unsorted counts with a repeat equal one exact_error per K, for a
+        4-level band template and a template with ±inf LLR levels."""
+        band = channel_from_quantizer(default_quantizer(BAND_PAIR, 3), BAND_PAIR)
+        sentinel = channel_from_pmfs(
+            pmf_from_weights([0, 1, 2, 3], [0.3, 0.4, 0.3, 0.0]),
+            pmf_from_weights([0, 1, 2, 3], [0.0, 0.3, 0.4, 0.3]),
+        )
+        ks = [7, 1, 40, 3, 40, 2]
+        for template, prior0, log_threshold in ((band, 0.4, None), (sentinel, 0.5, 0.1)):
+            results = k_sweep(template, ks, prior0, log_threshold)
+            assert [k for k, _ in results] == ks
+            for k, report in results:
+                net = NetworkModel((template,) * k, prior0, log_threshold)
+                expected = exact_error(net, cross_check=False)
+                assert report.method == expected.method
+                for name in ("p_false_alarm", "p_miss", "p_error"):
+                    assert abs(getattr(report, name) - getattr(expected, name)) <= 1e-12
+
+    def test_folds_once_for_all_counts(self, monkeypatch):
+        """K = 1..200 costs one fold per hypothesis up to K = 100."""
+        sizes = _record_convolutions(monkeypatch)
+        results = k_sweep(SYM02, range(1, 201), 0.5)
+        assert len(results) == 200
+        assert len(sizes) <= 2 * 100
+
+    def test_counts_validated_before_folding(self, monkeypatch):
+        sizes = _record_convolutions(monkeypatch)
+        with pytest.raises(ValueError, match=">= 1"):
+            k_sweep(SYM02, [3, 40, 0], 0.5)
+        assert sizes == []
 
     def test_uninformative_template_rejected(self):
         flat = channel_from_pmfs(
