@@ -49,14 +49,12 @@ from .sensor import (
     RandomizedBinaryRule,
     SensorChannel,
     SensorRule,
-    attach_repair,
     block_sensor_llr,
     channel_from_pmfs,
     channel_from_quantizer,
     default_quantizer,
     llr_monotone_check,
     member_channel,
-    permutation_repair,
     quantize,
     randomized_binary_admissible,
 )

@@ -27,13 +27,7 @@ import numpy as np
 from .distributions import AtomPmf, DiscretePmf
 from .lfd import WITNESS_TOL, LfdPair
 from .ordering import atoms_stochastically_larger, convolve, convolve_many
-from .sensor import (
-    Quantizer,
-    SensorChannel,
-    channel_from_quantizer,
-    default_quantizer,
-    llr_monotone_check,
-)
+from .sensor import Quantizer, SensorChannel, channel_from_quantizer, default_quantizer
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 _AGREEMENT_TOL = 1e-10
@@ -47,9 +41,8 @@ TIE_TOL = 1e-10
 class NetworkModel:
     """K sensors plus the fusion threshold; enough to evaluate exactly.
 
-    Each channel must either be LLR-monotone in its own labels or carry a
-    repair permutation recorded by ``sensor.attach_repair`` (the fusion
-    statistics themselves are label-invariant).
+    Any valid channel is accepted: fusion reads only the channels' LLR
+    values, so their output labels need not follow LLR order.
     """
 
     channels: tuple[SensorChannel, ...]
@@ -67,19 +60,6 @@ class NetworkModel:
             object.__setattr__(
                 self, "log_threshold", math.log(self.prior0 / (1.0 - self.prior0))
             )
-        for i, ch in enumerate(channels):
-            if llr_monotone_check(ch):
-                continue
-            if ch.repair is None:
-                raise ValueError(
-                    f"channel {i} is not LLR-monotone and carries no repair "
-                    "permutation (see sensor.permutation_repair)"
-                )
-            order = np.argsort([ch.repair[l] for l in ch.levels])
-            repaired = ch.llr[order]
-            # neighbour comparison, not np.diff: two equal infinite LLRs are sorted
-            if np.any(repaired[1:] < repaired[:-1]):
-                raise ValueError(f"channel {i} repair permutation does not sort its LLR")
 
     @property
     def num_sensors(self) -> int:
@@ -617,8 +597,8 @@ def k_sweep(
     Per hypothesis one fold (entry j: the j-fold sum of the template's
     finite part) grows only as far as the largest K needs, and K reads its
     halves off entries K // 2 and K - K // 2. Those are the halves of
-    :func:`llr_sum_law`, so each report equals
-    ``exact_error(net, cross_check=False)``. Counts run in ascending
+    :func:`llr_sum_law`, so each report equals ``exact_error`` of the
+    K-sensor network with ``cross_check=False``. Counts run in ascending
     order, so entries below the current K // 2 are dropped.
     """
     if np.max(np.abs(template.pmf0.probs - template.pmf1.probs)) <= 1e-12:
@@ -626,11 +606,11 @@ def k_sweep(
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
         raise ValueError("sensor counts must be >= 1")
-    nets = {k: NetworkModel((template,) * k, prior0, log_threshold) for k in sorted(set(ks))}
+    net = NetworkModel((template,), prior0, log_threshold)
     parts = [_sensor_part(template, law) for law in (template.pmf0, template.pmf1)]
     folds = [[_POINT_ZERO, part.finite] for part in parts]
     reports = {}
-    for k, net in nets.items():
+    for k in sorted(set(ks)):
         half = k // 2
         p_one = []
         for part, fold in zip(parts, folds):

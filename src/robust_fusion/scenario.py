@@ -6,7 +6,7 @@ Schema (one top-level object)::
       "scenario_id": "example-band",
       "prior0": 0.5,
       "log_threshold": null,        # optional override of log(prior0/prior1)
-      "grid_points": 2001,          # probe-grid resolution
+      "grid_points": 2001,          # quadrature points of `lfd`'s residuals
       "seed": 20260809,
       "sensors": [
         {"kind": "gaussian-band",
@@ -29,7 +29,9 @@ Schema (one top-level object)::
       ]
     }
 
-Sensor kinds may be mixed freely (composite networks). Floats are written
+``grid_points`` is read only by ``cli lfd``, as the quadrature size of the
+LFD normalization residuals; no sensor cut, channel or saddle check uses
+it. Sensor kinds may be mixed freely (composite networks). Floats are written
 in Python's shortest round-trip form (at most 17 significant digits), so
 parse -> serialize -> parse is the identity.
 """

@@ -1,5 +1,5 @@
 """Sensor decision rules: robust-LR front end, multilevel quantization,
-per-level LLR weights, label repair, and randomized-binary admissibility.
+per-level LLR weights, and randomized-binary admissibility.
 
 A sensor maps its observation through the robust likelihood ratio and
 quantizes that value with strictly increasing thresholds into levels
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,18 +62,17 @@ def quantize(q: Quantizer, x: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SensorChannel:
-    """Per-hypothesis output laws of one sensor plus its LLR weights.
+    """Per-hypothesis output laws of one sensor and its derived LLR weights.
 
-    ``repair`` optionally carries a fusion-center permutation (level ->
-    ascending-LLR position) for channels whose own labeling is not
-    LLR-monotone; fusion statistics are label-invariant, the permutation is
-    bookkeeping that exhibits the equivalent monotone relabeling.
+    ``llr`` is always log pmf1 - log pmf0, level by level (+/-inf where one
+    law has no mass). The labels need not follow LLR order: every fusion
+    path reads only LLR values, so a channel evaluates exactly like its
+    LLR-sorted relabeling.
     """
 
     pmf0: DiscretePmf
     pmf1: DiscretePmf
-    llr: np.ndarray = None
-    repair: dict[int, int] | None = None
+    llr: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.pmf0.levels != self.pmf1.levels:
@@ -84,17 +83,7 @@ class SensorChannel:
                 "levels with zero mass under both hypotheses must be dropped"
             )
         with np.errstate(divide="ignore"):
-            computed = np.log(self.pmf1.probs) - np.log(self.pmf0.probs)
-        if self.llr is None:
-            object.__setattr__(self, "llr", computed)
-        else:
-            llr = np.asarray(self.llr, dtype=float)
-            finite = np.isfinite(computed) & np.isfinite(llr)
-            if np.any(np.abs(llr[finite] - computed[finite]) > 1e-12) or np.any(
-                llr[~finite] != computed[~finite]
-            ):
-                raise ValueError("llr inconsistent with log(pmf1/pmf0)")
-            object.__setattr__(self, "llr", llr)
+            object.__setattr__(self, "llr", np.log(self.pmf1.probs) - np.log(self.pmf0.probs))
 
     @property
     def levels(self) -> tuple[int, ...]:
@@ -130,7 +119,7 @@ def _build_channel(
 
 
 def channel_from_pmfs(pmf0: DiscretePmf, pmf1: DiscretePmf) -> SensorChannel:
-    """Channel from explicitly given per-hypothesis output laws."""
+    """Channel from explicitly given per-hypothesis output laws, in any label order."""
     if pmf0.levels != pmf1.levels:
         raise ValueError("pmf0 and pmf1 must share the same level set")
     return _build_channel(pmf0.levels, pmf0.probs, pmf1.probs)
@@ -278,30 +267,6 @@ def default_quantizer(pair: LfdPair, num_thresholds: int) -> Quantizer:
 def llr_monotone_check(ch: SensorChannel) -> bool:
     """True when the per-level LLR weights are nondecreasing."""
     return bool(np.all(ch.llr[1:] >= ch.llr[:-1]))
-
-
-def permutation_repair(ch: SensorChannel) -> tuple[dict[int, int], SensorChannel]:
-    """Relabel a channel's levels into ascending-LLR order.
-
-    Returns the permutation rho (original level -> ascending-LLR position,
-    stable for ties) and the repaired channel, which passes
-    :func:`llr_monotone_check`. Fusion error probabilities are invariant
-    under the relabeling.
-    """
-    order = np.argsort(ch.llr, kind="stable")
-    rho = {ch.levels[int(idx)]: pos for pos, idx in enumerate(order)}
-    n = len(ch.levels)
-    repaired = SensorChannel(
-        pmf0=DiscretePmf(tuple(range(n)), ch.pmf0.probs[order]),
-        pmf1=DiscretePmf(tuple(range(n)), ch.pmf1.probs[order]),
-    )
-    return rho, repaired
-
-
-def attach_repair(ch: SensorChannel) -> SensorChannel:
-    """Keep the channel's own labels but record the repair permutation."""
-    rho, _ = permutation_repair(ch)
-    return replace(ch, llr=ch.llr, repair=rho)
 
 
 @dataclass(frozen=True, eq=False)

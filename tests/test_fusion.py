@@ -28,13 +28,11 @@ from robust_fusion.scenario import build_channel, build_lfd_pair, class_members
 from robust_fusion.sensor import (
     Quantizer,
     SensorRule,
-    attach_repair,
     channel_from_pmfs,
     channel_from_quantizer,
     default_quantizer,
     llr_monotone_check,
     member_channel,
-    permutation_repair,
 )
 
 from _oracles import (
@@ -169,31 +167,74 @@ class TestExactError:
             pmf_from_weights(range(len(perm)), ch.pmf0.probs[perm]),
             pmf_from_weights(range(len(perm)), ch.pmf1.probs[perm]),
         )
-        attached = attach_repair(permuted)
         base = exact_error(NetworkModel((ch, SYM02), 0.5))
-        mixed = exact_error(NetworkModel((attached, SYM02), 0.5))
+        mixed = exact_error(NetworkModel((permuted, SYM02), 0.5))
         assert abs(base.p_false_alarm - mixed.p_false_alarm) < 1e-14
         assert abs(base.p_miss - mixed.p_miss) < 1e-14
-        rho, repaired = permutation_repair(permuted)
-        again = exact_error(NetworkModel((repaired, SYM02), 0.5))
-        assert abs(base.p_error - again.p_error) < 1e-14
 
-    def test_unrepaired_nonmonotone_channel_rejected(self):
-        swapped = channel_from_pmfs(
-            pmf_from_weights([0, 1], [0.2, 0.8]), pmf_from_weights([0, 1], [0.8, 0.2])
+    def test_label_order_is_free(self):
+        """A network whose channels are relabeled by random permutations
+        evaluates like the original: exact errors (with the enumeration
+        cross-check), the saddle certificate on members permuted the same
+        way, K sweeps of each channel and fused decisions on mapped level
+        vectors. Channels are seeded quantizer and explicit ones, with
+        ±inf and tied LLRs."""
+        rng = np.random.default_rng(20261030)
+        # levels in decreasing-LLR order, with a tie and both infinities
+        reversed_ties = channel_from_pmfs(
+            pmf_from_weights(range(5), [0.0, 0.1, 0.2, 0.2, 0.5]),
+            pmf_from_weights(range(5), [0.3, 0.2, 0.2, 0.2, 0.0]),
         )
-        with pytest.raises(ValueError, match="repair"):
-            NetworkModel((swapped,), 0.5)
+        net = NetworkModel((reversed_ties, SYM02), 0.4)
+        cases = [(net, [[ch.pmf0] for ch in net.channels], [[ch.pmf1] for ch in net.channels])]
+        cases += [_random_saddle_network(rng, bool(rng.integers(2))) for _ in range(30)]
+
+        def relabel(law, perm):
+            return pmf_from_weights(range(len(perm)), law.probs[perm])
+
+        for net, laws0, laws1 in cases:
+            perms = [rng.permutation(len(ch.levels)) for ch in net.channels]
+            channels = tuple(
+                channel_from_pmfs(relabel(ch.pmf0, perm), relabel(ch.pmf1, perm))
+                for ch, perm in zip(net.channels, perms)
+            )
+            moved = NetworkModel(channels, net.prior0, net.log_threshold)
+            want, got = exact_error(net), exact_error(moved)
+            for name in ("p_false_alarm", "p_miss", "p_error"):
+                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-14
+
+            want = saddle_verify(net, laws0, laws1)
+            got = saddle_verify(
+                moved,
+                [[relabel(m, perm) for m in ms] for ms, perm in zip(laws0, perms)],
+                [[relabel(m, perm) for m in ms] for ms, perm in zip(laws1, perms)],
+            )
+            assert (got.holds, got.dominance_ok, got.n_checked) == (
+                want.holds, want.dominance_ok, want.n_checked
+            )
+            for name in ("worst_gap", "p_false_alarm_lfd", "p_miss_lfd"):
+                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-14
+
+            for ch, twin in zip(net.channels, moved.channels):
+                if np.max(np.abs(ch.pmf0.probs - ch.pmf1.probs)) <= 1e-12:
+                    continue
+                sweeps = (k_sweep(c, [1, 2, 5, 9], net.prior0) for c in (ch, twin))
+                for (_, want), (_, got) in zip(*sweeps):
+                    assert abs(got.p_error - want.p_error) <= 1e-14
+
+            for _ in range(20):
+                idx = [int(rng.integers(len(ch.levels))) for ch in net.channels]
+                u = [ch.levels[i] for ch, i in zip(net.channels, idx)]
+                # original index i sits at new label argsort(perm)[i]
+                mapped = [int(np.argsort(perm)[i]) for perm, i in zip(perms, idx)]
+                assert fuse(moved, mapped) == fuse(net, u)
 
     def test_repair_check_with_tied_infinite_llrs_is_warning_free(self):
-        """Two -inf and one +inf level out of LLR order: the repaired order
-        holds equal infinite neighbours, which the check must compare
-        without computing inf - inf."""
-        ch = attach_repair(
-            channel_from_pmfs(
-                pmf_from_weights(range(4), [0.3, 0.2, 0.0, 0.5]),
-                pmf_from_weights(range(4), [0.0, 0.0, 0.6, 0.4]),
-            )
+        """Two -inf and one +inf level out of LLR order: building and
+        evaluating the network never computes inf - inf."""
+        ch = channel_from_pmfs(
+            pmf_from_weights(range(4), [0.3, 0.2, 0.0, 0.5]),
+            pmf_from_weights(range(4), [0.0, 0.0, 0.6, 0.4]),
         )
         assert not llr_monotone_check(ch)
         with warnings.catch_warnings():
@@ -515,8 +556,8 @@ def _shift_mass(rng, probs, upward: bool):
 
 
 def _explicit_saddle_sensor(rng, levels: int, n: int, comparable: bool):
-    """Explicit channel with two equal-LLR levels, ±inf LLRs or a repaired
-    labelling at random; a finite-LLR level always keeps mass under both
+    """Explicit channel with two equal-LLR levels, ±inf LLRs or levels out
+    of LLR order at random; a finite-LLR level always keeps mass under both
     hypotheses. Members are the LFD law shifted step by step, mostly
     toward the safe side and sometimes the other way, so they are totally
     ordered; unless ``comparable``, some are arbitrary laws instead."""
@@ -548,8 +589,6 @@ def _explicit_saddle_sensor(rng, levels: int, n: int, comparable: bool):
     perm = rng.permutation(levels) if rng.random() < 0.3 else np.arange(levels)
     lv = list(range(levels))
     ch = channel_from_pmfs(pmf_from_weights(lv, pmf0[perm]), pmf_from_weights(lv, pmf1[perm]))
-    if not llr_monotone_check(ch):
-        ch = attach_repair(ch)
     return ch, [pmf_from_weights(lv, m[perm]) for m in m0], [
         pmf_from_weights(lv, m[perm]) for m in m1
     ]
@@ -662,11 +701,9 @@ class TestBestFusionThreshold:
     def test_scan_matches_brute_force(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
-            ch = attach_repair(
-                channel_from_pmfs(
-                    pmf_from_weights([0, 1, 2], rng.uniform(0.05, 1.0, 3)),
-                    pmf_from_weights([0, 1, 2], rng.uniform(0.05, 1.0, 3)),
-                )
+            ch = channel_from_pmfs(
+                pmf_from_weights([0, 1, 2], rng.uniform(0.05, 1.0, 3)),
+                pmf_from_weights([0, 1, 2], rng.uniform(0.05, 1.0, 3)),
             )
             prior0 = float(rng.uniform(0.2, 0.8))
             conv0 = llr_sum_law((ch, ch), [ch.pmf0, ch.pmf0]).finite

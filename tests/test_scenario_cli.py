@@ -186,6 +186,40 @@ class TestCliEvaluate:
         assert read_csv(tmp_path / "e.csv")[1][2] == "exact-convolution"
         assert capsys.readouterr().out.strip() == "HOLDS"
 
+    def test_label_reversed_explicit_sensor_exit_0(self, tmp_path, capsys):
+        """An explicit sensor whose levels run in decreasing-LLR order is
+        accepted: evaluate and saddle (next to a band sensor) and sweep
+        (alone) exit 0 and match the ascending-order twin within 1e-14."""
+        band = json.loads(make_band_scenario(tmp_path).read_text())["sensors"][0]
+        pmf = [0.1, 0.25, 0.65]
+
+        def outputs(descending: bool):
+            explicit = {
+                "kind": "explicit-pmf", "levels": [0, 1, 2],
+                "pmf0": pmf[::-1] if descending else pmf,
+                "pmf1": pmf if descending else pmf[::-1],
+            }
+            got = []
+            for command, sensors, extra in (
+                ("evaluate", [explicit, band], []),
+                ("saddle", [explicit, band], ["--members", "3"]),
+                ("sweep", [explicit], ["--k-list", "1,2,5"]),
+            ):
+                doc = dict(scenario_id="reversed", prior0=0.45, seed=1, sensors=sensors)
+                path = tmp_path / f"{command}.json"
+                path.write_text(json.dumps(doc))
+                out = tmp_path / f"{command}.csv"
+                assert main([command, "--scenario", str(path), "--out", str(out), *extra]) == 0
+                got.append((out.read_text(), capsys.readouterr().out))
+            return got
+
+        for (csv_desc, out_desc), (csv_asc, out_asc) in zip(outputs(True), outputs(False)):
+            assert out_desc == out_asc
+            got, want = _NUMBER.split(csv_desc), _NUMBER.split(csv_asc)
+            assert len(got) == len(want)
+            for i, (a, e) in enumerate(zip(got, want)):
+                assert abs(float(a) - float(e)) <= 1e-14 if i % 2 else a == e
+
     def test_io_failure_exit_3(self, tmp_path, capsys):
         path = make_majority_scenario(tmp_path)
         code = main([
@@ -381,8 +415,8 @@ def assert_matches_golden(actual: str, expected: str) -> None:
 
 
 class TestCliGolden:
-    """lfd, evaluate and saddle on the shipped scenarios against the
-    outputs recorded in tests/golden/ (rewritten by make_golden.py)."""
+    """lfd, evaluate, saddle and sweep on the shipped scenarios against
+    the outputs recorded in tests/golden/ (rewritten by tests/_golden.py)."""
 
     CASES = dict(golden_cases())
 
@@ -395,3 +429,7 @@ class TestCliGolden:
         assert actual["exit"] == expected["exit"]
         assert_matches_golden(actual["csv"], expected["csv"])
         assert_matches_golden(actual["stdout"], expected["stdout"])
+
+    def test_golden_directory_holds_exactly_the_cases(self):
+        """No golden file outlives its scenario or command, and none is missing."""
+        assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(self.CASES)

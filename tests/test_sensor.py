@@ -1,4 +1,4 @@
-"""Sensor rules: quantization, channel laws, repair, admissibility."""
+"""Sensor rules: quantization, channel laws, LLR order, admissibility."""
 
 import math
 import warnings
@@ -24,7 +24,6 @@ from robust_fusion.sensor import (
     RandomizedBinaryRule,
     SensorChannel,
     SensorRule,
-    attach_repair,
     block_sensor_llr,
     channel_from_pmfs,
     channel_from_quantizer,
@@ -32,7 +31,6 @@ from robust_fusion.sensor import (
     level_boundaries,
     llr_monotone_check,
     member_channel,
-    permutation_repair,
     quantize,
     randomized_binary_admissible,
 )
@@ -342,30 +340,6 @@ class TestLlrMonotoneCheck:
             pmf_from_weights([0], [1.0]), pmf_from_weights([0], [1.0])
         )
         assert llr_monotone_check(ch)
-
-
-class TestPermutationRepair:
-    def test_swapped_binary_labels(self):
-        ch = channel_from_pmfs(
-            pmf_from_weights([0, 1], [0.2, 0.8]), pmf_from_weights([0, 1], [0.8, 0.2])
-        )
-        rho, repaired = permutation_repair(ch)
-        assert rho == {0: 1, 1: 0}
-        assert llr_monotone_check(repaired)
-
-    def test_identity_on_monotone_channel(self):
-        ch = channel_from_quantizer(Quantizer((0.5, 2.0)), EXAMPLE_PAIR)
-        rho, repaired = permutation_repair(ch)
-        assert rho == {0: 0, 1: 1, 2: 2}
-        assert np.array_equal(repaired.llr, ch.llr)
-
-    def test_attach_repair_keeps_labels(self):
-        ch = channel_from_pmfs(
-            pmf_from_weights([0, 1], [0.2, 0.8]), pmf_from_weights([0, 1], [0.8, 0.2])
-        )
-        attached = attach_repair(ch)
-        assert attached.levels == ch.levels
-        assert attached.repair == {0: 1, 1: 0}
 
 
 class TestRandomizedBinaryAdmissible:
