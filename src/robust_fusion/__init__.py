@@ -25,12 +25,10 @@ from .lfd import (
     GaussianBandClass,
     KlBallClass,
     LfdPair,
-    contamination_members,
     dabak_affinity_check,
     gaussian_band_lfd,
     huber_clipped_lfd,
     joint_boundedness_check,
-    kl_ball_members,
     kl_dabak_lfd,
     kl_divergence,
     robust_lr_cdf,
@@ -52,6 +50,7 @@ from .sensor import (
     block_sensor_llr,
     channel_from_pmfs,
     channel_from_quantizer,
+    channel_from_rule,
     default_quantizer,
     llr_monotone_check,
     member_channel,

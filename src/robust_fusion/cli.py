@@ -25,13 +25,7 @@ import numpy as np
 
 from . import fusion
 from .lfd import joint_boundedness_check
-from .scenario import (
-    Scenario,
-    build_sensors,
-    class_members,
-    load_scenario,
-    member_laws,
-)
+from .scenario import Scenario, build_sensors, load_scenario
 from .sensor import randomized_binary_admissible
 
 EXIT_OK = 0
@@ -89,7 +83,7 @@ def _cmd_lfd(args) -> int:
     scenario = load_scenario(args.scenario)
     built = build_sensors(scenario)
     rows = []
-    for b, spec in zip(built, scenario.sensors):
+    for b in built:
         if b.pair is None:
             extra = ""
             if b.channel.levels == (0, 1):
@@ -140,18 +134,13 @@ def _cmd_saddle(args) -> int:
     overall_holds = True
     witness_text = ""
 
-    for b, spec in zip(built, scenario.sensors):
+    for b in built:
         if b.pair is None:
             continue
-        t_lo = float(b.pair.log_lr(b.pair.support[0]))
-        t_hi = float(b.pair.log_lr(b.pair.support[1]))
-        t_grid = np.linspace(t_lo, t_hi, 101)
-        report = joint_boundedness_check(
-            b.pair,
-            class_members(spec, b.pair, 0, n, b.index),
-            class_members(spec, b.pair, 1, n, b.index),
-            t_grid,
-        )
+        # the log-LR's range on the grid, also where it is not monotone
+        llr = b.pair.log_lr(b.pair.grid())
+        t_grid = np.linspace(float(np.min(llr)), float(np.max(llr)), 101)
+        report = joint_boundedness_check(b.pair, b.members(0, n), b.members(1, n), t_grid)
         rows.append(
             (
                 scenario.scenario_id,
@@ -171,8 +160,8 @@ def _cmd_saddle(args) -> int:
                     f"t={_fmt(w.t)} gap={_fmt(w.gap)}"
                 )
 
-    laws0 = [member_laws(b, spec, 0, n) for b, spec in zip(built, scenario.sensors)]
-    laws1 = [member_laws(b, spec, 1, n) for b, spec in zip(built, scenario.sensors)]
+    laws0 = [b.member_laws(0, n) for b in built]
+    laws1 = [b.member_laws(1, n) for b in built]
     saddle = fusion.saddle_verify(net, laws0, laws1)
     rows.append(
         (

@@ -77,6 +77,41 @@ class KlBallClass:
         if self.radius < 0.0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
 
+    def members(self, n: int, toward: GaussianSpec) -> list[GaussianSpec]:
+        """Gaussian probe members of the ball: max(3, n - 2) scales x n means.
+
+        The probes are exponential tilts of the nominal in both natural
+        parameters: mean shifts (along the direction of ``toward``, the
+        opposite nominal) and variance scalings, gridded so every member
+        lies inside the ball. Mean shifts alone cannot violate joint
+        boundedness for equal-variance nominals (their cdfs are totally
+        ordered), so the variance direction is what makes this family an
+        effective falsifier.
+        """
+        nominal = self.nominal
+        if self.radius == 0.0:
+            return [nominal]
+        eps, sigma = self.radius, nominal.sigma
+
+        # Variance-scale range: tau^2 - 1 - 2 ln tau = 2 eps at the boundary.
+        def scale_gap(tau: float) -> float:
+            return tau * tau - 1.0 - 2.0 * math.log(tau)
+
+        tau_hi = solve_increasing(scale_gap, 1.0, 8.0, 2.0 * eps, tol=1e-13)
+        tau_lo = solve_decreasing(scale_gap, 1e-3, 1.0, 2.0 * eps, tol=1e-13)
+        members: list[GaussianSpec] = []
+        direction = 1.0 if toward.mean >= nominal.mean else -1.0
+        for tau in np.linspace(tau_lo, tau_hi, max(3, n - 2)):
+            budget = 2.0 * eps - scale_gap(float(tau))
+            if budget < 0.0:
+                continue
+            radius = sigma * math.sqrt(budget)
+            for frac in np.linspace(-1.0, 1.0, n):
+                members.append(
+                    GaussianSpec(nominal.mean + direction * float(frac) * radius, float(tau) * sigma)
+                )
+        return members
+
 
 @dataclass(frozen=True)
 class EpsContaminationClass:
@@ -88,6 +123,10 @@ class EpsContaminationClass:
     def __post_init__(self) -> None:
         if not 0.0 <= self.eps < 1.0:
             raise ValueError(f"eps must be in [0, 1), got {self.eps}")
+
+    def members(self, atoms: Sequence[float]) -> list:
+        """Probes: the nominal, then one point-mass contamination per atom."""
+        return [self.nominal, *(ContaminatedGaussian(self.nominal, self.eps, float(z)) for z in atoms)]
 
 
 @dataclass(frozen=True)
@@ -468,18 +507,43 @@ def _cdf_at(cdf: Callable[[float], float], y: float) -> float:
     return 1.0 if y == math.inf else 0.0 if y == -math.inf else cdf(y)
 
 
-def upper_level_boundary(pair: LfdPair, t: float) -> float:
-    """Supremum of {y : log_lr(y) <= t} for a nondecreasing log_lr.
+def _lower_level_sets(pair: LfdPair, t_values: Sequence[float]) -> list[list[tuple[float, float]]]:
+    """{y : log_lr(y) <= t} for each t, as increasing disjoint intervals (a, b).
 
-    Returns -inf when log_lr exceeds t everywhere and +inf when it never
-    does; flat (clipped) stretches equal to t are included.
+    A :class:`ClippedAffineLlr` gives one closed-form half-line, flat
+    stretches equal to t included. Any other log-LR, monotone or not, is
+    tabulated once on the pair's grid and split at its strict crossings of
+    each t; beyond the grid it stays on its end points' side, and
+    crossings narrower than a grid cell can be missed.
     """
-    return _log_lr_boundary(pair, t, strict=True)
+    if isinstance(pair.log_lr, ClippedAffineLlr):
+        return [[(-math.inf, pair.log_lr.boundary(t, strict=True))] for t in t_values]
+    xs = pair.grid()
+    fx = np.asarray(pair.log_lr(xs), dtype=float)
+    sets = []
+    for t in t_values:
+        ends = [-math.inf, *crossings(pair.log_lr, xs, fx, t, strict=True), math.inf]
+        ends = ends[1:] if fx[0] > t else ends  # starts above t: no (-inf, .) piece
+        sets.append(list(zip(ends[::2], ends[1::2])))
+    return sets
+
+
+def _level_set_masses(cdf: Callable[[float], float], level_sets) -> list[float]:
+    """A law's mass on each level set; (-inf, b) costs one call: ``_cdf_at(cdf, b)``."""
+    masses = []
+    for intervals in level_sets:
+        mass = 0.0
+        for a, b in intervals:
+            mass += _cdf_at(cdf, b)
+            if a != -math.inf:
+                mass -= cdf(a)
+        masses.append(mass)
+    return masses
 
 
 def robust_lr_cdf(pair: LfdPair, member, t: float) -> float:
     """P_member[log_lr(Y) <= t] for a member exposing ``cdf``."""
-    return _cdf_at(member.cdf, upper_level_boundary(pair, t))
+    return _level_set_masses(member.cdf, _lower_level_sets(pair, [t]))[0]
 
 
 @dataclass(frozen=True)
@@ -511,29 +575,27 @@ def joint_boundedness_check(
     For every member Q0 and every threshold t the null-side inequality
     Q0[log_lr <= t] >= Q0_hat[log_lr <= t] must hold, and symmetrically
     Q1[log_lr <= t] <= Q1_hat[log_lr <= t] on the alternative side. Members
-    only need a ``cdf`` method; probabilities are exact for monotone
-    log-likelihood ratios (half-line inversion plus closed-form cdfs).
-    Violations beyond ``tol`` flip ``holds`` and the worst one is reported
-    as a witness; of candidates within ``WITNESS_TOL`` of each other the
-    first found wins (h0 before h1, then member and threshold order).
+    only need a ``cdf`` method; each event {log_lr <= t} is a union of
+    intervals (a half-line for a nondecreasing log-LR), whose probabilities
+    are exact cdf differences. Violations beyond ``tol`` flip ``holds`` and
+    the worst one is reported as a witness; of candidates within
+    ``WITNESS_TOL`` of each other the first found wins (h0 before h1, then
+    member and threshold order).
     """
-    if not isinstance(pair.log_lr, ClippedAffineLlr):
-        xs = pair.grid(512)
-        if np.any(np.diff(pair.log_lr(xs)) < -1e-12):
-            raise ValueError("joint_boundedness_check requires a nondecreasing log_lr")
     worst = 0.0
     witness = None
     t_values = [float(t) for t in t_grid]
-    boundaries = [upper_level_boundary(pair, t) for t in t_values]
+    level_sets = _lower_level_sets(pair, t_values)
     for side, members, lfd_cdf, sign in (
         ("h0", class0_members, pair.q0_cdf, +1.0),
         ("h1", class1_members, pair.q1_cdf, -1.0),
     ):
-        lfd_vals = [_cdf_at(lfd_cdf, b) for b in boundaries]
+        lfd_vals = _level_set_masses(lfd_cdf, level_sets)
         for idx, member in enumerate(members):
-            for t, b, lfd_val in zip(t_values, boundaries, lfd_vals):
+            member_vals = _level_set_masses(member.cdf, level_sets)
+            for t, lfd_val, member_val in zip(t_values, lfd_vals, member_vals):
                 # h0 requires member >= LFD, h1 requires member <= LFD.
-                gap = sign * (lfd_val - _cdf_at(member.cdf, b))
+                gap = sign * (lfd_val - member_val)
                 if gap > (worst if witness is None else worst + WITNESS_TOL):
                     worst = gap
                     witness = BoundednessWitness(side, idx, member, t, gap)
@@ -574,53 +636,3 @@ def dabak_affinity_check(
         residual=residual,
     )
 
-
-def kl_ball_members(
-    nominal: GaussianSpec,
-    other: GaussianSpec,
-    eps: float,
-    n_means: int = 11,
-    n_scales: int = 9,
-) -> list[GaussianSpec]:
-    """Gaussian probe members of the KL ball around ``nominal``.
-
-    The probes are exponential tilts of the nominal in both natural
-    parameters: mean shifts (the direction of the opposite nominal) and
-    variance scalings, gridded so every member lies inside the ball. Mean
-    shifts alone cannot violate joint boundedness for equal-variance
-    nominals (their cdfs are totally ordered), so the variance direction is
-    what makes this family an effective falsifier.
-    """
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
-    if eps == 0.0:
-        return [nominal]
-    sigma = nominal.sigma
-
-    # Variance-scale range: tau^2 - 1 - 2 ln tau = 2 eps at the boundary.
-    def scale_gap(tau: float) -> float:
-        return tau * tau - 1.0 - 2.0 * math.log(tau)
-
-    tau_hi = solve_increasing(scale_gap, 1.0, 8.0, 2.0 * eps, tol=1e-13)
-    tau_lo = solve_decreasing(scale_gap, 1e-3, 1.0, 2.0 * eps, tol=1e-13)
-    members: list[GaussianSpec] = []
-    direction = 1.0 if other.mean >= nominal.mean else -1.0
-    for tau in np.linspace(tau_lo, tau_hi, n_scales):
-        budget = 2.0 * eps - scale_gap(float(tau))
-        if budget < 0.0:
-            continue
-        radius = sigma * math.sqrt(budget)
-        for frac in np.linspace(-1.0, 1.0, n_means):
-            members.append(
-                GaussianSpec(nominal.mean + direction * float(frac) * radius, float(tau) * sigma)
-            )
-    return members
-
-
-def contamination_members(
-    cls: EpsContaminationClass, atoms: Sequence[float]
-) -> list:
-    """Contamination-class probes: the nominal plus point-mass contaminations."""
-    members: list = [cls.nominal]
-    members.extend(ContaminatedGaussian(cls.nominal, cls.eps, float(z)) for z in atoms)
-    return members

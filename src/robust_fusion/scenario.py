@@ -34,11 +34,17 @@ LFD normalization residuals; no sensor cut, channel or saddle check uses
 it. Sensor kinds may be mixed freely (composite networks). Floats are written
 in Python's shortest round-trip form (at most 17 significant digits), so
 parse -> serialize -> parse is the identity.
+
+:func:`build_sensor` parses a spec once into a :class:`BuiltSensor` that
+keeps its two uncertainty classes and one ``SensorRule`` (channel by
+``sensor.channel_from_rule``); probes come from the classes' ``members``
+methods, and spec errors name the sensor.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -52,10 +58,8 @@ from .lfd import (
     GaussianBandClass,
     KlBallClass,
     LfdPair,
-    contamination_members,
     gaussian_band_lfd,
     huber_clipped_lfd,
-    kl_ball_members,
     kl_dabak_lfd,
 )
 from .sensor import (
@@ -63,7 +67,7 @@ from .sensor import (
     SensorChannel,
     SensorRule,
     channel_from_pmfs,
-    channel_from_quantizer,
+    channel_from_rule,
     default_quantizer,
     member_channel,
 )
@@ -141,127 +145,117 @@ def _gaussian(doc: dict, what: str) -> GaussianSpec:
         raise ValueError(f"{what}: expected {{mean, sigma}}, got {doc!r}") from exc
 
 
-def build_lfd_pair(spec: dict, index: int) -> LfdPair | None:
-    """LFD pair for one sensor spec; None for explicit-pmf sensors."""
-    kind = spec["kind"]
+@contextmanager
+def _sensor_errors(index: int, kind: str):
+    """Re-raise a malformed or invalid spec's error as a ValueError naming the sensor."""
     try:
-        if kind == "gaussian-band":
-            sigma = float(spec["sigma"])
-            c0 = GaussianBandClass(
-                float(spec["band0"]["mu_lo"]), float(spec["band0"]["mu_hi"]), sigma
-            )
-            c1 = GaussianBandClass(
-                float(spec["band1"]["mu_lo"]), float(spec["band1"]["mu_hi"]), sigma
-            )
-            return gaussian_band_lfd(c0, c1)
-        if kind == "kl-ball":
-            return kl_dabak_lfd(
-                _gaussian(spec["nominal0"], "nominal0"),
-                _gaussian(spec["nominal1"], "nominal1"),
-                float(spec["eps0"]),
-                float(spec["eps1"]),
-            )
-        if kind == "eps-contamination":
-            return huber_clipped_lfd(
-                EpsContaminationClass(_gaussian(spec["nominal0"], "nominal0"), float(spec["eps0"])),
-                EpsContaminationClass(_gaussian(spec["nominal1"], "nominal1"), float(spec["eps1"])),
-            )
-        return None
+        yield
     except (KeyError, TypeError) as exc:
         raise ValueError(f"sensor {index}: malformed {kind} spec ({exc})") from exc
     except ValueError as exc:
         raise ValueError(f"sensor {index}: {exc}") from None
 
 
-def build_quantizer(spec: dict, pair: LfdPair | None, index: int) -> Quantizer | None:
+def _classes(spec: dict) -> tuple:
+    """The H0 and H1 uncertainty classes of a robust sensor spec."""
+    if spec["kind"] == "gaussian-band":
+        sigma = float(spec["sigma"])
+        return tuple(
+            GaussianBandClass(float(spec[b]["mu_lo"]), float(spec[b]["mu_hi"]), sigma)
+            for b in ("band0", "band1")
+        )
+    cls = KlBallClass if spec["kind"] == "kl-ball" else EpsContaminationClass
+    return tuple(
+        cls(_gaussian(spec[f"nominal{j}"], f"nominal{j}"), float(spec[f"eps{j}"]))
+        for j in (0, 1)
+    )
+
+
+_LFD = {
+    "gaussian-band": gaussian_band_lfd,
+    "kl-ball": lambda c0, c1: kl_dabak_lfd(c0.nominal, c1.nominal, c0.radius, c1.radius),
+    "eps-contamination": huber_clipped_lfd,
+}
+
+
+def build_lfd_pair(spec: dict, index: int) -> LfdPair | None:
+    """LFD pair for one sensor spec; None for explicit-pmf sensors."""
     if spec["kind"] == "explicit-pmf":
         return None
+    with _sensor_errors(index, spec["kind"]):
+        return _LFD[spec["kind"]](*_classes(spec))
+
+
+def build_quantizer(spec: dict, pair: LfdPair) -> Quantizer:
     qdoc = spec.get("quantizer")
     if not isinstance(qdoc, dict):
-        raise ValueError(f"sensor {index}: missing quantizer spec")
+        raise ValueError("missing quantizer spec")
     if "thresholds" in qdoc:
         return Quantizer(tuple(float(t) for t in qdoc["thresholds"]))
     if "num_thresholds" in qdoc:
         return default_quantizer(pair, int(qdoc["num_thresholds"]))
-    raise ValueError(f"sensor {index}: quantizer needs thresholds or num_thresholds")
-
-
-def build_channel(spec: dict, index: int) -> tuple[SensorChannel, LfdPair | None, Quantizer | None]:
-    pair = build_lfd_pair(spec, index)
-    quantizer = build_quantizer(spec, pair, index)
-    if spec["kind"] == "explicit-pmf":
-        try:
-            levels = tuple(int(l) for l in spec["levels"])
-            pmf0 = pmf_from_weights(levels, [float(p) for p in spec["pmf0"]])
-            pmf1 = pmf_from_weights(levels, [float(p) for p in spec["pmf1"]])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"sensor {index}: malformed explicit-pmf spec ({exc})") from exc
-        return channel_from_pmfs(pmf0, pmf1), None, None
-    try:
-        channel = channel_from_quantizer(quantizer, pair)
-    except ValueError as exc:
-        raise ValueError(f"sensor {index}: {exc}") from None
-    return channel, pair, quantizer
+    raise ValueError("quantizer needs thresholds or num_thresholds")
 
 
 @dataclass(frozen=True)
 class BuiltSensor:
+    """One parsed sensor: its channel and, unless it is explicit-pmf (None),
+    its H0 and H1 uncertainty ``classes`` and its one :class:`SensorRule`."""
+
     index: int
     kind: str
     channel: SensorChannel
-    pair: LfdPair | None
-    quantizer: Quantizer | None
+    classes: tuple | None = None
+    rule: SensorRule | None = None
+
+    @property
+    def pair(self) -> LfdPair | None:
+        return None if self.rule is None else self.rule.pair
+
+    @property
+    def quantizer(self) -> Quantizer | None:
+        return None if self.rule is None else self.rule.quantizer
+
+    def members(self, side: int, n: int) -> list:
+        """Probes of the class for hypothesis ``side``; ``n == 1`` gives the LFD
+        itself (zero-gap case). Band classes probe an n-point mean grid, KL
+        balls the two-parameter tilt family, contamination classes the nominal
+        and max(2, n - 1) point masses across the pair's support."""
+        if n < 1:
+            raise ValueError("need at least one member")
+        if self.rule is None:
+            return []
+        if n == 1:
+            return [CdfMember(self.pair.q0_cdf if side == 0 else self.pair.q1_cdf)]
+        cls = self.classes[side]
+        if isinstance(cls, GaussianBandClass):
+            return cls.members(n)
+        if isinstance(cls, KlBallClass):
+            return cls.members(n, self.classes[1 - side].nominal)
+        return cls.members(np.linspace(*self.pair.support, max(2, n - 1)))
+
+    def member_laws(self, side: int, n: int) -> list[DiscretePmf]:
+        """Channel laws of :meth:`members` through the sensor's rule."""
+        if self.rule is None:
+            return [self.channel.pmf0 if side == 0 else self.channel.pmf1]
+        levels = self.channel.levels
+        return [member_channel(m, self.rule, levels) for m in self.members(side, n)]
+
+
+def build_sensor(spec: dict, index: int) -> BuiltSensor:
+    """Parse one sensor spec: its classes, LFD pair, rule and channel."""
+    kind = spec["kind"]
+    with _sensor_errors(index, kind):
+        if kind == "explicit-pmf":
+            levels = tuple(int(l) for l in spec["levels"])
+            pmf0 = pmf_from_weights(levels, [float(p) for p in spec["pmf0"]])
+            pmf1 = pmf_from_weights(levels, [float(p) for p in spec["pmf1"]])
+            return BuiltSensor(index, kind, channel_from_pmfs(pmf0, pmf1))
+        classes = _classes(spec)
+        pair = _LFD[kind](*classes)
+        rule = SensorRule(pair, build_quantizer(spec, pair))
+        return BuiltSensor(index, kind, channel_from_rule(rule), classes, rule)
 
 
 def build_sensors(scenario: Scenario) -> list[BuiltSensor]:
-    built = []
-    for i, spec in enumerate(scenario.sensors):
-        channel, pair, quantizer = build_channel(spec, i)
-        built.append(BuiltSensor(i, spec["kind"], channel, pair, quantizer))
-    return built
-
-
-def class_members(spec: dict, pair: LfdPair | None, side: int, n: int, index: int) -> list:
-    """Probe members of one sensor's uncertainty class for one hypothesis.
-
-    ``n == 1`` returns the LFD itself (zero-gap sanity case). Band classes
-    probe a mean grid, KL balls the two-parameter exponential-tilt family,
-    contamination classes point-mass contaminations across the support.
-    """
-    kind = spec["kind"]
-    if n < 1:
-        raise ValueError("need at least one member")
-    if kind == "explicit-pmf":
-        return []
-    if n == 1:
-        return [CdfMember(pair.q0_cdf if side == 0 else pair.q1_cdf)]
-    if kind == "gaussian-band":
-        band = spec["band0"] if side == 0 else spec["band1"]
-        cls = GaussianBandClass(
-            float(band["mu_lo"]), float(band["mu_hi"]), float(spec["sigma"])
-        )
-        return cls.members(n)
-    if kind == "kl-ball":
-        nominal = _gaussian(spec["nominal0" if side == 0 else "nominal1"], "nominal")
-        other = _gaussian(spec["nominal1" if side == 0 else "nominal0"], "nominal")
-        ball = KlBallClass(nominal, float(spec["eps0" if side == 0 else "eps1"]))
-        return kl_ball_members(
-            ball.nominal, other, ball.radius, n_means=n, n_scales=max(3, n - 2)
-        )
-    nominal = _gaussian(spec["nominal0" if side == 0 else "nominal1"], "nominal")
-    eps = float(spec["eps0" if side == 0 else "eps1"])
-    cls = EpsContaminationClass(nominal, eps)
-    lo, hi = pair.support
-    atoms = np.linspace(lo, hi, max(2, n - 1))
-    return contamination_members(cls, atoms)
-
-
-def member_laws(
-    built: BuiltSensor, spec: dict, side: int, n: int
-) -> list[DiscretePmf]:
-    """Channel laws induced by class members through the fixed sensor rule."""
-    if built.kind == "explicit-pmf":
-        return [built.channel.pmf0 if side == 0 else built.channel.pmf1]
-    rule = SensorRule(built.pair, built.quantizer)
-    members = class_members(spec, built.pair, side, n, built.index)
-    return [member_channel(m, rule, levels=built.channel.levels) for m in members]
+    return [build_sensor(spec, i) for i, spec in enumerate(scenario.sensors)]

@@ -194,13 +194,11 @@ class SensorRule:
         return int(self.segment_levels[np.searchsorted(self.cuts, y, side="right")])
 
 
-def channel_from_quantizer(
-    q: Quantizer, pair: LfdPair, grid: np.ndarray | None = None
-) -> SensorChannel:
-    """Push the LFD pair through a quantizer on the robust-LR axis.
+def channel_from_rule(rule: SensorRule) -> SensorChannel:
+    """Push the rule's LFD pair through its quantizer on the robust-LR axis.
 
-    Level probabilities are the LFDs' masses under ``SensorRule(pair, q,
-    grid)``, exact cdf differences between observation-axis cuts.
+    Level probabilities are the LFDs' masses under the rule, exact cdf
+    differences between observation-axis cuts.
 
     Levels with zero mass under both LFDs are dropped with a warning;
     levels with zero mass under exactly one keep a +/-inf LLR sentinel.
@@ -208,13 +206,18 @@ def channel_from_quantizer(
     is the LR's conditional mean over [t_{d-1}, t_d), whatever the
     preimage shape); a violation raises.
     """
-    rule = SensorRule(pair, q, grid)
-    channel = _build_channel(
-        list(range(q.num_levels)), rule.masses(pair.q0_cdf), rule.masses(pair.q1_cdf)
-    )
+    pair, levels = rule.pair, list(range(rule.quantizer.num_levels))
+    channel = _build_channel(levels, rule.masses(pair.q0_cdf), rule.masses(pair.q1_cdf))
     if not llr_monotone_check(channel):
         raise RuntimeError("per-level LLR is not nondecreasing; quantizer is invalid")
     return channel
+
+
+def channel_from_quantizer(
+    q: Quantizer, pair: LfdPair, grid: np.ndarray | None = None
+) -> SensorChannel:
+    """:func:`channel_from_rule` of ``SensorRule(pair, q, grid)``."""
+    return channel_from_rule(SensorRule(pair, q, grid))
 
 
 def member_channel(

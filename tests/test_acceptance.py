@@ -14,10 +14,10 @@ import numpy as np
 from robust_fusion.distributions import DiscretePmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import (
     GaussianBandClass,
+    KlBallClass,
     dabak_affinity_check,
     gaussian_band_lfd,
     joint_boundedness_check,
-    kl_ball_members,
     kl_dabak_lfd,
     kl_divergence,
 )
@@ -77,8 +77,8 @@ def test_criterion_2_kl_ball_falsification():
     assert abs(affinity.slope - 0.2) < 1e-6
     report = joint_boundedness_check(
         pair,
-        kl_ball_members(STD, SHIFTED, 0.08),
-        kl_ball_members(SHIFTED, STD, 0.08),
+        KlBallClass(STD, 0.08).members(11, SHIFTED),
+        KlBallClass(SHIFTED, 0.08).members(11, STD),
         np.linspace(-2.5, 2.5, 101),
     )
     elapsed = time.perf_counter() - start

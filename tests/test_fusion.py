@@ -24,7 +24,7 @@ from robust_fusion.fusion import (
     saddle_verify,
 )
 from robust_fusion.ordering import atoms_stochastically_larger
-from robust_fusion.scenario import build_channel, build_lfd_pair, class_members
+from robust_fusion.scenario import build_lfd_pair, build_sensor
 from robust_fusion.sensor import (
     Quantizer,
     SensorRule,
@@ -633,7 +633,7 @@ def _random_tie_network(rng, k: int | None = None) -> NetworkModel:
         kind = ("gaussian-band", "eps-contamination")[int(rng.integers(2))]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return build_channel(_random_spec(rng, kind, levels), 0)[0]
+            return build_sensor(_random_spec(rng, kind, levels), 0).channel
 
     k = int(rng.integers(2, 8)) if k is None else k
     if rng.random() < 0.5:
@@ -657,13 +657,14 @@ def _random_saddle_network(rng, comparable: bool = True):
             spec = _random_spec(rng, kind, levels)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                ch, pair, q = build_channel(spec, index)
+                built = build_sensor(spec, index)
+                ch = built.channel
                 m0, m1 = [], []
                 for side, laws in enumerate((m0, m1)):
-                    members = class_members(spec, pair, side, n, index)
+                    members = built.members(side, n)
                     # KL probes are an n x (n - 2) family; keep at most n
                     keep = rng.choice(len(members), size=min(n, len(members)), replace=False)
-                    laws += [member_channel(members[j], SensorRule(pair, q), ch.levels) for j in np.sort(keep)]
+                    laws += [member_channel(members[j], built.rule, ch.levels) for j in np.sort(keep)]
         if comparable:
             m0.insert(int(rng.integers(len(m0) + 1)), ch.pmf0)
             m1.insert(int(rng.integers(len(m1) + 1)), ch.pmf1)

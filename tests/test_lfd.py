@@ -11,16 +11,14 @@ from robust_fusion.lfd import (
     ContaminatedGaussian,
     EpsContaminationClass,
     GaussianBandClass,
-    contamination_members,
+    KlBallClass,
     dabak_affinity_check,
     gaussian_band_lfd,
     huber_clipped_lfd,
     joint_boundedness_check,
-    kl_ball_members,
     kl_dabak_lfd,
     kl_divergence,
     robust_lr_cdf,
-    upper_level_boundary,
 )
 
 from _oracles import density_integral
@@ -229,8 +227,8 @@ class TestUpperLevelBoundary:
             )
             lo, hi = pair.support
             assert lo < pair.meta["y_lo"] and pair.meta["y_hi"] < hi
-            assert upper_level_boundary(pair, float(pair.log_lr(hi))) == math.inf
-            bottom = upper_level_boundary(pair, float(pair.log_lr(lo)))
+            assert pair.log_lr.boundary(float(pair.log_lr(hi)), strict=True) == math.inf
+            bottom = pair.log_lr.boundary(float(pair.log_lr(lo)), strict=True)
             assert abs(bottom - pair.meta["y_lo"]) < 1e-9
 
 
@@ -259,8 +257,8 @@ class TestJointBoundedness:
     def test_kl_ball_pair_violated_with_witness(self):
         """No pair is jointly bounded for KL balls; tilted probes find it."""
         pair = kl_dabak_lfd(STD, SHIFTED, 0.08, 0.08)
-        members0 = kl_ball_members(STD, SHIFTED, 0.08)
-        members1 = kl_ball_members(SHIFTED, STD, 0.08)
+        members0 = KlBallClass(STD, 0.08).members(11, SHIFTED)
+        members1 = KlBallClass(SHIFTED, 0.08).members(11, STD)
         report = joint_boundedness_check(
             pair, members0, members1, np.linspace(-2.5, 2.5, 101)
         )
@@ -287,8 +285,8 @@ class TestJointBoundedness:
         atoms = np.linspace(-6.0, 7.0, 9)
         report = joint_boundedness_check(
             pair,
-            contamination_members(cls0, atoms),
-            contamination_members(cls1, atoms),
+            cls0.members(atoms),
+            cls1.members(atoms),
             np.linspace(-1.5, 1.5, 101),
         )
         assert report.holds
@@ -303,6 +301,63 @@ class TestJointBoundedness:
                 if previous is not None:
                     assert val <= previous + 1e-12
                 previous = val
+
+
+class TestNonMonotoneLogLr:
+    """Unequal-variance KL nominals give a Gaussian LFD pair whose log-LR is
+    a quadratic with its minimum inside the support, so {log_lr <= t} is
+    empty, a bounded interval (two crossings on the grid) or a half-line
+    (one crossing), depending on t."""
+
+    PAIR = kl_dabak_lfd(STD, GaussianSpec(1.0, 1.6), 0.03, 0.03)
+
+    @staticmethod
+    def _closed_form(pair, member, t):
+        """P_member[log q1(Y) - log q0(Y) <= t] from the quadratic's roots."""
+        q0, q1 = pair.meta["q0"], pair.meta["q1"]
+        a = 0.5 / q0.sigma**2 - 0.5 / q1.sigma**2
+        b = q1.mean / q1.sigma**2 - q0.mean / q0.sigma**2
+        c = (
+            math.log(q0.sigma / q1.sigma)
+            + 0.5 * (q0.mean / q0.sigma) ** 2
+            - 0.5 * (q1.mean / q1.sigma) ** 2
+        )
+        disc = b * b - 4.0 * a * (c - t)
+        if disc <= 0.0:
+            return 0.0
+        lo = (-b - math.sqrt(disc)) / (2.0 * a)
+        hi = (-b + math.sqrt(disc)) / (2.0 * a)
+        return member.cdf(hi) - member.cdf(lo)
+
+    def test_robust_lr_cdf_matches_quadratic_roots(self):
+        pair = self.PAIR
+        lo, hi = pair.support
+        fx = pair.log_lr(pair.grid())
+        t_min, t_left = float(np.min(fx)), float(pair.log_lr(lo))
+        assert pair.meta["q1"].sigma > pair.meta["q0"].sigma
+        assert lo < pair.grid()[np.argmin(fx)] < hi
+        t_grid = np.linspace(t_min - 1.0, float(pair.log_lr(hi)) + 1.0, 121)
+        # empty, two-crossing and one-crossing regimes all sampled
+        assert np.sum(t_grid < t_min) >= 5
+        assert np.sum((t_grid > t_min) & (t_grid < t_left)) >= 50
+        assert np.sum(t_grid > t_left) >= 30
+        members = (pair.meta["q0"], pair.meta["q1"], GaussianSpec(0.4, 0.8))
+        for member in members:
+            for t in t_grid:
+                got = robust_lr_cdf(pair, member, float(t))
+                assert abs(got - self._closed_form(pair, member, float(t))) < 1e-9
+
+    def test_lfds_bound_themselves(self):
+        pair = self.PAIR
+        fx = pair.log_lr(pair.grid())
+        report = joint_boundedness_check(
+            pair,
+            [pair.meta["q0"]],
+            [pair.meta["q1"]],
+            np.linspace(float(np.min(fx)), float(np.max(fx)), 101),
+        )
+        assert report.holds
+        assert report.worst_violation == 0.0
 
 
 class TestAffinity:
@@ -338,7 +393,7 @@ class TestMembers:
         assert members[-1].mean == 0.0
 
     def test_kl_ball_members_inside_ball(self):
-        members = kl_ball_members(STD, SHIFTED, 0.08)
+        members = KlBallClass(STD, 0.08).members(11, SHIFTED)
         assert len(members) > 20
         for m in members:
             assert kl_divergence(m, STD) <= 0.08 + 1e-9

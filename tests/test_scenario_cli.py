@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from robust_fusion import fusion
+from robust_fusion import fusion, sensor
 from robust_fusion.cli import main
 from robust_fusion.scenario import Scenario, build_sensors, load_scenario, save_scenario
 
@@ -340,6 +340,38 @@ class TestCliSaddle:
         assert all(float(row[5]) == 0.0 for row in rows[1:])
 
 
+    def test_non_monotone_kl_log_lr_exit_0(self, tmp_path, capsys):
+        """Unequal nominal variances make the KL log-LR a quadratic; its
+        level sets are read as intervals, and the t grid spans the log-LR's
+        range on the grid, whose minimum is interior."""
+        doc = {
+            "scenario_id": "kl-nonmonotone",
+            "prior0": 0.5,
+            "log_threshold": None,
+            "grid_points": 2001,
+            "seed": 1,
+            "sensors": [{
+                "kind": "kl-ball",
+                "nominal0": {"mean": 0.0, "sigma": 1.0},
+                "nominal1": {"mean": 1.0, "sigma": 1.6},
+                "eps0": 0.03, "eps1": 0.03,
+                "quantizer": {"thresholds": [1.0]},
+            }],
+        }
+        path = tmp_path / "kl_nonmonotone.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "s.csv"
+        assert main([
+            "saddle", "--scenario", str(path), "--out", str(out), "--members", "11",
+        ]) == 0
+        rows = read_csv(out)
+        assert [row[1] for row in rows[1:]] == ["boundedness", "saddle"]
+        # KL balls admit no jointly bounded pair; a variance tilt shows it
+        assert rows[1][4] == "False"
+        assert float(rows[1][5]) > 1e-3
+        assert capsys.readouterr().out.startswith("VIOLATED sensor=0")
+
+
 class TestCliSweep:
     def test_odd_k_nonincreasing(self, tmp_path):
         path = make_majority_scenario(tmp_path, sensors=1)
@@ -412,6 +444,67 @@ def assert_matches_golden(actual: str, expected: str) -> None:
             assert abs(float(a) - float(e)) <= 1e-12, (a, e)
         else:
             assert a == e, (actual, expected)
+
+
+class TestSpecErrors:
+    GOOD = {"kind": "explicit-pmf", "levels": [0, 1], "pmf0": [0.8, 0.2], "pmf1": [0.2, 0.8]}
+    KL = {
+        "kind": "kl-ball",
+        "nominal0": {"mean": 0.0, "sigma": 1.0},
+        "nominal1": {"mean": 1.0, "sigma": 1.0},
+        "eps0": 0.05, "eps1": 0.05,
+        "quantizer": {"thresholds": [1.0]},
+    }
+
+    @pytest.mark.parametrize(
+        ("change", "message"),
+        [
+            ({"quantizer": {"thresholds": [2.0, 1.0]}}, "thresholds must be strictly increasing"),
+            ({"eps1": -0.1}, "radius must be >= 0"),
+            ({"kind": "eps-contamination", "eps0": 1.0}, "eps must be in [0, 1)"),
+            ({"quantizer": None}, "missing quantizer spec"),
+            ({"quantizer": {"num_thresholds": None}}, "malformed kl-ball spec"),
+            (
+                {"kind": "eps-contamination", "eps0": 0.1, "eps1": 0.1,
+                 "quantizer": {"num_thresholds": 9}},
+                "could not place distinct default thresholds",
+            ),
+        ],
+        ids=["decreasing-thresholds", "negative-kl-radius", "eps-at-one",
+             "missing-quantizer", "null-num-thresholds", "flat-default-thresholds"],
+    )
+    def test_error_names_the_sensor(self, tmp_path, capsys, change, message):
+        bad = {**self.KL, **change}
+        doc = {
+            "scenario_id": "bad",
+            "prior0": 0.5,
+            "sensors": [self.GOOD, bad],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["evaluate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: sensor 1: {message}" in err
+
+
+class TestOneRulePerSensor:
+    def test_saddle_builds_each_rule_once(self, monkeypatch, capsys):
+        """One saddle run cuts each robust sensor's axis once: the channel,
+        the probes and their laws all read the one SensorRule."""
+        built = []
+        original = sensor.SensorRule.__post_init__
+
+        def counting(rule):
+            built.append(rule.quantizer.thresholds)
+            original(rule)
+
+        monkeypatch.setattr(sensor.SensorRule, "__post_init__", counting)
+        path = SCENARIOS / "composite.json"
+        robust = [s for s in load_scenario(path).sensors if s["kind"] != "explicit-pmf"]
+        assert len(robust) == 2
+        assert main(["saddle", "--scenario", str(path), "--members", "11"]) == 0
+        assert capsys.readouterr().out.endswith("HOLDS\n")
+        assert len(built) == len(robust)
 
 
 class TestCliGolden:

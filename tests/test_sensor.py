@@ -18,7 +18,7 @@ from robust_fusion.lfd import (
     kl_dabak_lfd,
 )
 from robust_fusion.ordering import CdfView, dominates
-from robust_fusion.scenario import BuiltSensor, build_channel, build_lfd_pair, class_members, member_laws
+from robust_fusion.scenario import build_lfd_pair, build_sensor
 from robust_fusion.sensor import (
     Quantizer,
     RandomizedBinaryRule,
@@ -283,11 +283,11 @@ class TestSensorRule:
             n = (3, 7, 11)[int(rng.integers(3))]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                ch, pair, q = build_channel(spec, 0)
-            built = BuiltSensor(0, kind, ch, pair, q)
+                built = build_sensor(spec, 0)
+            ch, pair, q = built.channel, built.pair, built.quantizer
             for side in (0, 1):
-                laws = member_laws(built, spec, side, n)
-                members = class_members(spec, pair, side, n, 0)
+                laws = built.member_laws(side, n)
+                members = built.members(side, n)
                 assert len(laws) == len(members)
                 for law, member in zip(laws, members):
                     ref = member_channel_reference(member, pair, q, ch.levels)
@@ -302,11 +302,11 @@ class TestSensorRule:
             ("kl-ball", "crossings"),
         ],
     )
-    def test_member_laws_cut_the_axis_once_per_call(self, monkeypatch, kind, counted):
+    def test_member_laws_reuse_the_sensors_cuts(self, monkeypatch, kind, counted):
+        """The axis is cut once, in build_sensor; member_laws never cuts it."""
         spec = _random_member_spec(np.random.default_rng(7), kind, 4)
         spec["quantizer"] = {"num_thresholds": 3}
-        ch, pair, q = build_channel(spec, 0)
-        built = BuiltSensor(0, kind, ch, pair, q)
+        built = build_sensor(spec, 0)
         calls = []
         original = getattr(sensor, counted)
 
@@ -315,13 +315,12 @@ class TestSensorRule:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(sensor, counted, counting)
-        per_rule = 1 if counted == "level_boundaries" else len(q.thresholds)
         for n in (3, 7, 11):
             for side in (0, 1):
                 calls.clear()
-                laws = member_laws(built, spec, side, n)
+                laws = built.member_laws(side, n)
                 assert len(laws) >= n - 1
-                assert len(calls) == per_rule
+                assert len(calls) == 0
 
 
 class TestLlrMonotoneCheck:
