@@ -134,13 +134,15 @@ def _cmd_saddle(args) -> int:
     overall_holds = True
     witness_text = ""
 
-    for b in built:
+    # each class is probed once; the list feeds boundedness and the saddle
+    probes = [(b.members(0, n), b.members(1, n)) for b in built]
+    for b, (members0, members1) in zip(built, probes):
         if b.pair is None:
             continue
         # the log-LR's range on the grid, also where it is not monotone
         llr = b.pair.log_lr(b.pair.grid())
         t_grid = np.linspace(float(np.min(llr)), float(np.max(llr)), 101)
-        report = joint_boundedness_check(b.pair, b.members(0, n), b.members(1, n), t_grid)
+        report = joint_boundedness_check(b.pair, members0, members1, t_grid)
         rows.append(
             (
                 scenario.scenario_id,
@@ -160,8 +162,8 @@ def _cmd_saddle(args) -> int:
                     f"t={_fmt(w.t)} gap={_fmt(w.gap)}"
                 )
 
-    laws0 = [b.member_laws(0, n) for b in built]
-    laws1 = [b.member_laws(1, n) for b in built]
+    laws0 = [b.member_laws(0, members0) for b, (members0, _) in zip(built, probes)]
+    laws1 = [b.member_laws(1, members1) for b, (_, members1) in zip(built, probes)]
     saddle = fusion.saddle_verify(net, laws0, laws1)
     rows.append(
         (

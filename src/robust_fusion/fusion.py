@@ -109,6 +109,17 @@ def fuse(net: NetworkModel, u: Sequence[int]) -> int:
     )
 
 
+def _decide_one_mass(law: AtomPmf, tau, shift=0.0) -> np.ndarray:
+    """Mass of ``law`` whose atoms a decide 1 at log threshold ``tau`` once
+    ``shift`` is added: a + shift > tau + TIE_TOL, so ties decide 0.
+
+    One tail-sum table and one ``searchsorted``; ``tau`` and ``shift``
+    broadcast against each other.
+    """
+    tail = np.concatenate([np.cumsum(law.masses[::-1])[::-1], [0.0]])
+    return tail[np.searchsorted(law.atoms, (tau + TIE_TOL) - shift, side="right")]
+
+
 @dataclass(frozen=True, eq=False)
 class LlrSumLaw:
     """Law of the fused LLR sum: two independent halves plus the forced-1 mass.
@@ -135,10 +146,8 @@ class LlrSumLaw:
         tau + TIE_TOL - a, so one ``searchsorted`` over the right half's
         atoms reads each left atom's share off the right half's tail sums.
         """
-        right = self.right
-        tail = np.concatenate([np.cumsum(right.masses[::-1])[::-1], [0.0]])
-        idx = np.searchsorted(right.atoms, (tau + TIE_TOL) - self.left.atoms, side="right")
-        return self.forced_one + float(np.dot(self.left.masses, tail[idx]))
+        shares = _decide_one_mass(self.right, tau, self.left.atoms)
+        return self.forced_one + float(np.dot(self.left.masses, shares))
 
 
 # the sum over no sensors: the left half of a one-sensor law
@@ -377,45 +386,44 @@ def best_fusion_threshold(
     Each candidate is scored as :meth:`LlrSumLaw.prob_decide_one` would
     score it. Returns (log_threshold, p_error).
     """
-    atoms = np.union1d(conv0.atoms, conv1.atoms)
-    candidates = np.concatenate([[atoms[0] - 1.0], atoms])
-    idx0 = np.searchsorted(conv0.atoms, candidates + TIE_TOL, side="right")
-    idx1 = np.searchsorted(conv1.atoms, candidates + TIE_TOL, side="right")
-    tail0 = np.concatenate([np.cumsum(conv0.masses[::-1])[::-1], [0.0]])
-    tail1 = np.concatenate([np.cumsum(conv1.masses[::-1])[::-1], [0.0]])
-    p_f = forced_one0 + tail0[idx0]
-    p_m = 1.0 - forced_one1 - tail1[idx1]
-    p_e = prior0 * p_f + (1.0 - prior0) * p_m
+    candidates, p_e = _threshold_errors(conv0, conv1, prior0, forced_one0, forced_one1)
     best = int(np.argmin(p_e))
     return float(candidates[best]), float(p_e[best])
 
 
+def _threshold_errors(
+    conv0: AtomPmf, conv1: AtomPmf, prior0: float, forced_one0: float, forced_one1: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(candidate log thresholds, P_E at each) for :func:`best_fusion_threshold`.
+
+    The candidates are every atom of the sum and one below the smallest.
+    """
+    atoms = np.union1d(conv0.atoms, conv1.atoms)
+    candidates = np.concatenate([[atoms[0] - 1.0], atoms])
+    p_f = forced_one0 + _decide_one_mass(conv0, candidates)
+    p_m = 1.0 - forced_one1 - _decide_one_mass(conv1, candidates)
+    return candidates, prior0 * p_f + (1.0 - prior0) * p_m
+
+
 @dataclass(frozen=True)
 class DesignResult:
+    """A threshold design and its exact error report.
+
+    ``best_response_gain`` is the P_E that one further person-by-person
+    sweep from this design gains, the certificate of person-by-person
+    optimality; a converged design's last sweep gained less than 1e-12.
+    """
+
     quantizers: tuple[Quantizer, ...]
     log_threshold: float
     report: ErrorReport
     converged: bool
+    best_response_gain: float
 
 
-def _golden_section(fn, lo: float, hi: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(60):
-        if b - a < 1e-10:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc <= fd else (d, fd)
+# a best response replies to this many fusion thresholds, the lowest-P_E
+# candidates; for one sensor, or two with D <= 2, that is every candidate
+_REPLY_TAUS = 16
 
 
 class _Slot(NamedTuple):
@@ -423,14 +431,54 @@ class _Slot(NamedTuple):
 
     log_thresholds: tuple[float, ...]
     parts: tuple[_SensorPart, _SensorPart]  # under H0 and under H1
+    llr: np.ndarray  # the channel's per-level LLR, +/-inf included
+
+
+def _envelope_cuts(
+    a0: np.ndarray, a1: np.ndarray, prior0: float, bracket: tuple[float, float], num: int
+) -> tuple[float, ...]:
+    """Log thresholds of the sensor's Bayes reply to a fixed fusion map.
+
+    Level d costs prior0 * a0[d] - (1 - prior0) * L * a1[d] at LR value L,
+    where a_h[d] = P_h(fuse 1 | level d). The reply sends each L to the
+    cheapest level, so its thresholds are the breakpoints of the lower
+    envelope of these lines, read from the bracket's low end up; breakpoints
+    outside the bracket are dropped. While fewer than ``num`` remain, the
+    widest log-LR cell between the bracket ends is split at its midpoint: a
+    finer quantizer under a re-optimized fusion never raises P_E, and a
+    collapsed sensor gets its levels back.
+    """
+    lo, hi = bracket
+    pi1 = 1.0 - prior0
+    # lowest line at the low end; on a tie the steeper one, which stays lower
+    order = np.lexsort((-a1, prior0 * a0 - pi1 * a1 * math.exp(lo)))
+    cur, at, cuts = int(order[0]), lo, []
+    while True:
+        up = np.flatnonzero(a1 > a1[cur])
+        if not up.size:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.log(prior0 * (a0[up] - a0[cur])) - np.log(pi1 * (a1[up] - a1[cur]))
+        cross = np.maximum(np.where(np.isnan(cross), -math.inf, cross), at)
+        k = int(np.lexsort((-a1[up], cross))[0])
+        if cross[k] >= hi:
+            break
+        if cross[k] > at:
+            cuts.append(float(cross[k]))
+        cur, at = int(up[k]), float(cross[k])
+    while len(cuts) < num:
+        edges = [lo, *cuts, hi]
+        k = int(np.argmax(np.diff(edges)))
+        cuts.insert(k, 0.5 * (edges[k] + edges[k + 1]))
+    return tuple(cuts)
 
 
 class _ThresholdObjective:
     """P_E of a threshold configuration, minimized over the fusion threshold.
 
     Evaluation is incremental. One slot per sensor keeps the log thresholds
-    it was last built from and that sensor's LLR-sum parts under each
-    hypothesis, so an evaluation rebuilds (and re-validates) only the
+    it was last built from, its LLR values and its LLR-sum parts under
+    each hypothesis, so an evaluation rebuilds (and re-validates) only the
     sensors whose thresholds changed. Per hypothesis the left-fold prefixes
     s_0, s_0*s_1, ... of the finite parts are kept too: rebuilding sensor i
     drops the prefixes from i on, and the fold resumes from the last one
@@ -455,6 +503,12 @@ class _ThresholdObjective:
             warnings.simplefilter("ignore", RuntimeWarning)
             return channel_from_quantizer(q, self.pairs[i])
 
+    def _set(self, i: int, slot: _Slot) -> None:
+        if slot is not self._slots[i]:
+            self._slots[i] = slot
+            for prefixes in self._prefixes:
+                del prefixes[i:]
+
     def _update(self, i: int, log_thresholds: tuple[float, ...]) -> bool:
         """Bring sensor i's slot to ``log_thresholds``; False when invalid."""
         slot = self._slots[i]
@@ -464,9 +518,7 @@ class _ThresholdObjective:
         if ch is None:
             return False
         parts = (_sensor_part(ch, ch.pmf0), _sensor_part(ch, ch.pmf1))
-        self._slots[i] = _Slot(log_thresholds, parts)
-        for prefixes in self._prefixes:
-            del prefixes[i:]
+        self._set(i, _Slot(log_thresholds, parts, ch.llr))
         return True
 
     def _fold(self, h: int) -> tuple[AtomPmf, float]:
@@ -486,6 +538,77 @@ class _ThresholdObjective:
         tau, p_e = best_fusion_threshold(finite0, finite1, self.prior0, forced0, forced1)
         return p_e, tau
 
+    def _fuse_one_given_level(self, i: int, taus: np.ndarray, h: int) -> np.ndarray:
+        """a[t, d] = P_h(fuse 1 | sensor i sends level d) at fusion threshold taus[t].
+
+        The other sensors' parts fold into one law; level d's LLR w decides
+        as in :meth:`LlrSumLaw.prob_decide_one`: -inf never fuses 1, +inf
+        fuses 1 unless another level is -inf, and a finite w reads the
+        others' tail above tau + TIE_TOL - w.
+        """
+        others = [slot.parts[h] for j, slot in enumerate(self._slots) if j != i]
+        law = convolve_many([part.finite for part in others]) if others else _POINT_ZERO
+        llr = self._slots[i].llr
+        finite = np.isfinite(llr)
+        no_minus = math.prod(part.no_minus for part in others)
+        a = np.tile(np.where(llr == math.inf, no_minus, 0.0), (len(taus), 1))
+        a[:, finite] = _forced_one(others) + _decide_one_mass(law, taus[:, None], llr[finite])
+        return a
+
+    def best_response(
+        self,
+        i: int,
+        all_log_thresholds: Sequence[Sequence[float]],
+        bracket: tuple[float, float],
+    ) -> tuple[float, float, tuple[float, ...]]:
+        """Sensor i's best reply with the others fixed: (p_error, tau, its log thresholds).
+
+        The current LLR test at a fusion threshold fixes a fusion map;
+        against it the sensor's Bayes reply is an LR quantizer
+        (:func:`_envelope_cuts`). Of :func:`best_fusion_threshold`'s
+        candidates (every atom of the sum, and one below) the
+        ``_REPLY_TAUS`` with the lowest current P_E are replied to, so the
+        work per sensor does not grow with the sum's atom count, which is
+        up to (D+1)^K. Each distinct reply is scored exactly, rebuilding
+        only sensor i, and kept only if it strictly lowers P_E. The
+        configuration must be valid; sensor i's slot ends at the reply.
+        """
+        best = (*self.evaluate(all_log_thresholds), tuple(all_log_thresholds[i]))
+        kept = self._slots[i]
+        (finite0, forced0), (finite1, forced1) = self._fold(0), self._fold(1)
+        taus, p_e = _threshold_errors(finite0, finite1, self.prior0, forced0, forced1)
+        taus = taus[np.argsort(p_e, kind="stable")[:_REPLY_TAUS]]
+        a = np.hstack([self._fuse_one_given_level(i, taus, h) for h in (0, 1)])
+        levels = len(kept.llr)
+        trial = [list(c) for c in all_log_thresholds]
+        tried = {best[2]}
+        for row in np.unique(a, axis=0):
+            cuts = _envelope_cuts(row[:levels], row[levels:], self.prior0, bracket, len(best[2]))
+            if cuts in tried:
+                continue
+            tried.add(cuts)
+            trial[i] = cuts
+            p_e, tau = self.evaluate(trial)
+            if p_e < best[0]:
+                best, kept = (p_e, tau, cuts), self._slots[i]
+        self._set(i, kept)
+        return best
+
+
+def _sweep(
+    objective: _ThresholdObjective,
+    conf: list[list[float]],
+    brackets: Sequence[tuple[float, float]],
+) -> tuple[float, float]:
+    """One person-by-person sweep over the sensors in order; updates ``conf``.
+
+    Returns (p_error, log fusion threshold) of the configuration it ends at.
+    """
+    for i in range(len(conf)):
+        p_e, tau, coords = objective.best_response(i, conf, brackets[i])
+        conf[i] = list(coords)
+    return p_e, tau
+
 
 def optimize_thresholds(
     pairs: Sequence[LfdPair],
@@ -494,14 +617,17 @@ def optimize_thresholds(
 ) -> DesignResult:
     """Design sensor thresholds and the fusion threshold to minimize P_E.
 
-    Coordinate descent (golden section per threshold, in log-LR space)
-    interleaved with exact fusion-threshold selection by atom scanning,
-    restarted from three initial configurations: equal-mixture quantiles,
-    LR = 1 centered, and seeded random. The objective is not convex, so
-    the result is grid-validated local optimality, not a global claim.
-    A start stops once a sweep improves P_E by less than 1e-12;
-    non-convergence within 40 sweeps returns best-found with a warning and
-    ``converged=False``.
+    Person-by-person descent (Tsitsiklis 1993): each sweep replaces every
+    sensor's quantizer, in turn, by its best response to the others and
+    to the LLR fusion test, and the fusion threshold is re-chosen exactly
+    by atom scanning; no step raises P_E. It runs from three initial
+    configurations: equal-mixture quantiles, LR = 1 centered, and seeded
+    random. The objective is not convex, so the claim is person-by-person
+    optimality, not a global optimum: no sensor can lower P_E alone by
+    changing its LR quantizer. ``best_response_gain`` certifies it, as the
+    P_E one further sweep from the returned design gains. A start stops
+    once a sweep improves P_E by less than 1e-12; non-convergence within
+    40 sweeps returns best-found with a warning and ``converged=False``.
     """
     if len(pairs) > 10 or any(d > 4 for d in num_levels):
         raise ValueError("designed for K <= 10 sensors with at most 4 thresholds each")
@@ -535,37 +661,21 @@ def optimize_thresholds(
     best_pe = math.inf
     best_tau = 0.0
     best_converged = False
-    gap = 1e-6
     for conf in starts:
         conf = [list(c) for c in conf]
         pe, tau = objective.evaluate(conf)
         converged = False
         for _ in range(40):
-            improved = 0.0
-            for i in range(len(pairs)):
-                for d in range(len(conf[i])):
-                    lo = conf[i][d - 1] + gap if d > 0 else brackets[i][0]
-                    hi = conf[i][d + 1] - gap if d + 1 < len(conf[i]) else brackets[i][1]
-                    if hi <= lo:
-                        continue
-
-                    def coord_fn(x: float) -> float:
-                        trial = [list(c) for c in conf]
-                        trial[i][d] = x
-                        return objective.evaluate(trial)[0]
-
-                    x_best, f_best = _golden_section(coord_fn, lo, hi)
-                    if f_best < pe - 1e-15:
-                        improved += pe - f_best
-                        conf[i][d] = x_best
-                        pe, tau = objective.evaluate(conf)
-            if improved < 1e-12:
+            swept_pe, tau = _sweep(objective, conf, brackets)
+            gain, pe = pe - swept_pe, swept_pe
+            if gain < 1e-12:
                 converged = True
                 break
         if pe < best_pe:
             best_pe, best_tau, best_conf, best_converged = pe, tau, conf, converged
     if not best_converged:
         warnings.warn("threshold optimizer hit the sweep limit; returning best found")
+    best_response_gain = best_pe - _sweep(objective, [list(c) for c in best_conf], brackets)[0]
     quantizers = tuple(
         Quantizer(tuple(math.exp(t) for t in coords)) for coords in best_conf
     )
@@ -579,6 +689,7 @@ def optimize_thresholds(
         log_threshold=best_tau,
         report=report,
         converged=best_converged,
+        best_response_gain=best_response_gain,
     )
 
 

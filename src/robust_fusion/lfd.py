@@ -485,23 +485,6 @@ def huber_clipped_lfd(
     )
 
 
-def _log_lr_boundary(pair: LfdPair, s: float, strict: bool = False) -> float:
-    """inf{y : log_lr(y) >= s} (> s when ``strict``); -inf/+inf for all/no y.
-
-    Closed form for a :class:`ClippedAffineLlr`; any other log-LR must
-    cross s at most once, upward, on the pair's grid (ValueError otherwise).
-    """
-    if isinstance(pair.log_lr, ClippedAffineLlr):
-        return pair.log_lr.boundary(s, strict)
-    xs = pair.grid()
-    fx = np.asarray(pair.log_lr(xs), dtype=float)
-    cuts = crossings(pair.log_lr, xs, fx, s, strict)
-    starts_above = bool(fx[0] > s if strict else fx[0] >= s)
-    if len(cuts) > 1 or (cuts and starts_above):
-        raise ValueError(f"log_lr crosses the level {s!r} other than once upward")
-    return cuts[0] if cuts else (-math.inf if starts_above else math.inf)
-
-
 def _cdf_at(cdf: Callable[[float], float], y: float) -> float:
     """cdf(y), exactly 0 and 1 at y = -inf and y = +inf."""
     return 1.0 if y == math.inf else 0.0 if y == -math.inf else cdf(y)

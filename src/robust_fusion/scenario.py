@@ -234,12 +234,13 @@ class BuiltSensor:
             return cls.members(n, self.classes[1 - side].nominal)
         return cls.members(np.linspace(*self.pair.support, max(2, n - 1)))
 
-    def member_laws(self, side: int, n: int) -> list[DiscretePmf]:
-        """Channel laws of :meth:`members` through the sensor's rule."""
+    def member_laws(self, side: int, members: list) -> list[DiscretePmf]:
+        """Channel laws of ``members`` (from :meth:`members`) through the
+        sensor's rule; an explicit-pmf sensor gives its one channel law."""
         if self.rule is None:
             return [self.channel.pmf0 if side == 0 else self.channel.pmf1]
         levels = self.channel.levels
-        return [member_channel(m, self.rule, levels) for m in self.members(side, n)]
+        return [member_channel(m, self.rule, levels) for m in members]
 
 
 def build_sensor(spec: dict, index: int) -> BuiltSensor:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._roots import crossings, solve_increasing
 from .distributions import DiscretePmf, pmf_from_weights, trapezoid
-from .lfd import ClippedAffineLlr, ContaminatedGaussian, LfdPair, _cdf_at, _log_lr_boundary
+from .lfd import ClippedAffineLlr, ContaminatedGaussian, LfdPair, _cdf_at
 
 _LLR_SLACK = 1e-12
 
@@ -126,25 +126,26 @@ def channel_from_pmfs(pmf0: DiscretePmf, pmf1: DiscretePmf) -> SensorChannel:
 
 
 def level_boundaries(pair: LfdPair, q: Quantizer) -> list[float]:
-    """Observation-axis boundary for each threshold of a nondecreasing log-LR.
+    """Observation-axis boundary for each threshold of a clipped-affine log-LR.
 
     boundary[d] = inf{y : LR(y) >= t_d}, or -inf for t_d <= 0; finite
     values and -inf are clamped to the pair's support (the mass outside is
     below 1e-15 of the total), while +inf (no y reaches t_d) stays, so the
-    levels above get no mass. A :class:`ClippedAffineLlr` is inverted in
+    levels above get no mass. The :class:`ClippedAffineLlr` is inverted in
     closed form allowing ``_LLR_SLACK`` of log-LR rounding, so a threshold
     that only exp/log rounding separates from a flat (clipped) LR stretch
     puts that stretch in the level above, as the left-closed intervals
-    require. Any other log-LR must cross each threshold at most once,
-    upward, on the pair's grid (ValueError otherwise).
+    require. Any other log-LR raises ValueError: :class:`SensorRule` cuts
+    it at its crossings instead.
     """
+    if not isinstance(pair.log_lr, ClippedAffineLlr):
+        raise ValueError("level boundaries need a clipped-affine log-LR")
     lo, hi = pair.support
-    slack = _LLR_SLACK if isinstance(pair.log_lr, ClippedAffineLlr) else 0.0
 
     def cut(t: float) -> float:
         if t <= 0.0:
             return -math.inf
-        b = _log_lr_boundary(pair, math.log(t) - slack)
+        b = pair.log_lr.boundary(math.log(t) - _LLR_SLACK)
         return b if b == math.inf else min(max(b, lo), hi)
 
     return [cut(t) for t in q.thresholds]

@@ -274,7 +274,7 @@ def member_channel_reference(member, pair, q, levels=None):
     """
     from robust_fusion._roots import crossings
     from robust_fusion.distributions import pmf_from_weights
-    from robust_fusion.lfd import ClippedAffineLlr, ContaminatedGaussian, _cdf_at, _log_lr_boundary
+    from robust_fusion.lfd import ClippedAffineLlr, ContaminatedGaussian, _cdf_at
     from robust_fusion.sensor import _LLR_SLACK, quantize
 
     contaminated = isinstance(member, ContaminatedGaussian)
@@ -282,7 +282,7 @@ def member_channel_reference(member, pair, q, levels=None):
     if isinstance(pair.log_lr, ClippedAffineLlr):
         lo, hi = pair.support
         cuts = [
-            min(max(_log_lr_boundary(pair, math.log(t) - _LLR_SLACK), lo), hi)
+            min(max(pair.log_lr.boundary(math.log(t) - _LLR_SLACK), lo), hi)
             if t > 0.0 else -math.inf
             for t in q.thresholds
         ]

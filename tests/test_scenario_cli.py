@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from robust_fusion import fusion, sensor
+from robust_fusion import fusion, lfd, sensor
 from robust_fusion.cli import main
 from robust_fusion.scenario import Scenario, build_sensors, load_scenario, save_scenario
 
@@ -505,6 +505,24 @@ class TestOneRulePerSensor:
         assert main(["saddle", "--scenario", str(path), "--members", "11"]) == 0
         assert capsys.readouterr().out.endswith("HOLDS\n")
         assert len(built) == len(robust)
+
+    def test_saddle_probes_each_class_once(self, monkeypatch, capsys):
+        """Boundedness and the saddle share one probe list per side: two
+        KlBallClass.members calls per KL sensor."""
+        calls = []
+        original = lfd.KlBallClass.members
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(lfd.KlBallClass, "members", counting)
+        path = SCENARIOS / "kl_ball.json"
+        kl = [s for s in load_scenario(path).sensors if s["kind"] == "kl-ball"]
+        assert len(kl) == 1
+        assert main(["saddle", "--scenario", str(path), "--members", "11"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("VIOLATED")
+        assert len(calls) == 2 * len(kl)
 
 
 class TestCliGolden:

@@ -213,9 +213,9 @@ class TestChannelFromQuantizer:
             assert np.max(np.abs(member.probs - pmf.probs)) < 1e-12
 
     def test_level_boundaries_reject_double_crossing(self):
-        """Without a closed-form inverse, each threshold must cross once."""
+        """Only a clipped-affine log-LR has closed-form level boundaries."""
         pair = kl_dabak_lfd(GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.6), 0.03, 0.03)
-        with pytest.raises(ValueError, match="other than once upward"):
+        with pytest.raises(ValueError, match="need a clipped-affine log-LR"):
             level_boundaries(pair, Quantizer((2.0,)))
 
 
@@ -286,8 +286,8 @@ class TestSensorRule:
                 built = build_sensor(spec, 0)
             ch, pair, q = built.channel, built.pair, built.quantizer
             for side in (0, 1):
-                laws = built.member_laws(side, n)
                 members = built.members(side, n)
+                laws = built.member_laws(side, members)
                 assert len(laws) == len(members)
                 for law, member in zip(laws, members):
                     ref = member_channel_reference(member, pair, q, ch.levels)
@@ -318,7 +318,7 @@ class TestSensorRule:
         for n in (3, 7, 11):
             for side in (0, 1):
                 calls.clear()
-                laws = built.member_laws(side, n)
+                laws = built.member_laws(side, built.members(side, n))
                 assert len(laws) >= n - 1
                 assert len(calls) == 0
 
