@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from contextlib import nullcontext
 from typing import Sequence
@@ -208,7 +209,9 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing never mutates it)."""
     parser = argparse.ArgumentParser(
         prog="robust-fusion",
         description="Design and verify robust parallel-network detection rules",

@@ -148,6 +148,24 @@ def pmf_from_weights(levels: Sequence[int], weights: Sequence[float]) -> Discret
     return DiscretePmf(tuple(int(v) for v in levels), w / total)
 
 
+def _sort_merge_duplicates(atoms: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort by atom, then sum the masses of exactly equal atoms.
+
+    Unchecked: the :class:`AtomPmf` constructor validates before calling
+    it, and internal producers call it directly when their atoms are
+    finite and their masses nonnegative.
+    """
+    order = np.argsort(atoms, kind="stable")
+    atoms = atoms[order]
+    masses = masses[order]
+    # sorted, so each run of equal atoms starts where a neighbour differs
+    first = np.concatenate(([True], atoms[1:] != atoms[:-1]))
+    if not np.all(first):
+        masses = np.bincount(np.cumsum(first) - 1, weights=masses)
+        atoms = atoms[first]
+    return atoms, masses
+
+
 @dataclass(frozen=True, eq=False)
 class AtomPmf:
     """Mass function over real-valued atoms (not necessarily normalized).
@@ -169,14 +187,7 @@ class AtomPmf:
             raise ValueError("atoms must be finite (infinite LLRs are handled upstream)")
         if np.any(masses < 0.0):
             raise ValueError("masses must be nonnegative")
-        order = np.argsort(atoms, kind="stable")
-        atoms = atoms[order]
-        masses = masses[order]
-        # sorted, so each run of equal atoms starts where a neighbour differs
-        first = np.concatenate(([True], atoms[1:] != atoms[:-1]))
-        if not np.all(first):
-            masses = np.bincount(np.cumsum(first) - 1, weights=masses)
-            atoms = atoms[first]
+        atoms, masses = _sort_merge_duplicates(atoms, masses)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "masses", masses)
 

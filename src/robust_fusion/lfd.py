@@ -17,9 +17,10 @@ Three classes of distributional uncertainty are supported:
 
 Every construction returns an :class:`LfdPair` with evaluable log-densities,
 an evaluable log-likelihood-ratio, exact cdfs, and the construction
-parameters in ``meta``. Band and contamination pairs carry their affine or
-clipped-affine log-likelihood ratio as a :class:`ClippedAffineLlr`, which
-inverts in closed form; other log-LRs are inverted at grid crossings.
+parameters in ``meta``. Band, contamination and equal-variance KL pairs
+carry their affine or clipped-affine log-likelihood ratio as a
+:class:`ClippedAffineLlr`, which inverts in closed form; other log-LRs
+(unequal-variance KL pairs) are inverted at grid crossings.
 """
 
 from __future__ import annotations
@@ -306,7 +307,13 @@ def kl_divergence(
 
 
 def _geometric_tilt(p0: GaussianSpec, p1: GaussianSpec, s: float) -> GaussianSpec:
-    """Normalized density proportional to p0^(1-s) * p1^s (again Gaussian)."""
+    """Normalized density proportional to p0^(1-s) * p1^s (again Gaussian).
+
+    Equal-variance nominals tilt to the common sigma, exactly, with the
+    linearly interpolated mean.
+    """
+    if p0.sigma == p1.sigma:
+        return GaussianSpec((1.0 - s) * p0.mean + s * p1.mean, p0.sigma)
     precision = (1.0 - s) / p0.sigma**2 + s / p1.sigma**2
     if precision <= 0.0:
         raise ValueError(f"tilt {s} is not normalizable")
@@ -321,9 +328,13 @@ def kl_dabak_lfd(
 
     The tilt exponents u and v are solved by bracketing bisection on [0, 1)
     so that D(q0_hat, p0) = eps0 and D(q1_hat, p1) = eps1 to within 1e-9
-    nats. For equal-variance Gaussian nominals the pair is again Gaussian
-    with linearly interpolated means. Raises when a radius is unreachable
-    or the tilts cross (u + v >= 1), i.e. the hypotheses overlap.
+    nats. For equal-variance Gaussian nominals (mean0 < mean1) the pair is
+    again Gaussian with the nominal sigma and linearly interpolated means,
+    so its log-LR is affine and increasing and is carried as a
+    :class:`ClippedAffineLlr`; unequal variances give a quadratic log-LR,
+    evaluated as the log-density difference. Raises when a radius is
+    unreachable or the tilts cross (u + v >= 1), i.e. the hypotheses
+    overlap.
     """
     if eps0 < 0.0 or eps1 < 0.0:
         raise ValueError("KL radii must be nonnegative")
@@ -346,9 +357,13 @@ def kl_dabak_lfd(
         raise ValueError("KL radii too large, hypotheses overlap")
     q0 = _geometric_tilt(p0, p1, u)
     q1 = _geometric_tilt(p1, p0, v)
-
-    def log_lr(y, _q0=q0, _q1=q1):
-        return _q1.logpdf(y) - _q0.logpdf(y)
+    if q0.sigma == q1.sigma and q0.mean < q1.mean:
+        log_lr = ClippedAffineLlr(
+            slope=(q1.mean - q0.mean) / (q0.sigma * q0.sigma), mid=0.5 * (q0.mean + q1.mean)
+        )
+    else:
+        def log_lr(y, _q0=q0, _q1=q1):
+            return _q1.logpdf(y) - _q0.logpdf(y)
 
     lo = min(q0.mean - 8.0 * q0.sigma, q1.mean - 8.0 * q1.sigma)
     hi = max(q0.mean + 8.0 * q0.sigma, q1.mean + 8.0 * q1.sigma)
@@ -371,6 +386,14 @@ def kl_dabak_lfd(
             "nominal1": p1,
         },
     )
+
+
+def _exp_or_inf(x: float) -> float:
+    """math.exp(x), overflowing to inf (as numpy's exp does) instead of raising."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def huber_clipped_lfd(
@@ -396,9 +419,9 @@ def huber_clipped_lfd(
         )
     eps0, eps1 = c0.eps, c1.eps
     sigma = p0.sigma
-    nominal_llr = ClippedAffineLlr(
-        slope=(p1.mean - p0.mean) / (sigma * sigma), mid=0.5 * (p0.mean + p1.mean)
-    )
+    # the nominal log-LR is slope * (y - mid)
+    slope = (p1.mean - p0.mean) / (sigma * sigma)
+    mid = 0.5 * (p0.mean + p1.mean)
     lo = p0.mean - 13.0 * sigma
     hi = p1.mean + 13.0 * sigma
 
@@ -408,8 +431,7 @@ def huber_clipped_lfd(
         y_hi = math.inf
     else:
         def upper_eq(y: float) -> float:
-            with np.errstate(over="ignore"):
-                return float(np.exp(-nominal_llr(y))) * p1.sf(y) - p0.sf(y)
+            return _exp_or_inf(-slope * (y - mid)) * p1.sf(y) - p0.sf(y)
 
         y_hi = solve_decreasing(upper_eq, lo, hi, eps0 / (1.0 - eps0), tol=1e-13)
 
@@ -419,16 +441,15 @@ def huber_clipped_lfd(
         y_lo = -math.inf
     else:
         def lower_eq(y: float) -> float:
-            with np.errstate(over="ignore"):
-                return float(np.exp(nominal_llr(y))) * p0.cdf(y) - p1.cdf(y)
+            return _exp_or_inf(slope * (y - mid)) * p0.cdf(y) - p1.cdf(y)
 
         y_lo = solve_increasing(lower_eq, lo, hi, eps1 / (1.0 - eps1), tol=1e-13)
 
     if not y_lo < y_hi:
         raise ValueError("contamination too large")
 
-    log_c_hi = float(nominal_llr(y_hi)) if math.isfinite(y_hi) else math.inf
-    log_c_lo = float(nominal_llr(y_lo)) if math.isfinite(y_lo) else -math.inf
+    log_c_hi = slope * (y_hi - mid) if math.isfinite(y_hi) else math.inf
+    log_c_lo = slope * (y_lo - mid) if math.isfinite(y_lo) else -math.inf
     c_hi = math.exp(log_c_hi) if math.isfinite(log_c_hi) else math.inf
     c_lo = math.exp(log_c_lo) if math.isfinite(log_c_lo) else 0.0
     log_b = math.log1p(-eps1) - math.log1p(-eps0)
@@ -445,7 +466,7 @@ def huber_clipped_lfd(
             y > _y_lo, p1.logpdf(y), p0.logpdf(y) + log_c_lo
         )
 
-    log_lr = ClippedAffineLlr(nominal_llr.slope, nominal_llr.mid, log_b, log_c_lo, log_c_hi)
+    log_lr = ClippedAffineLlr(slope, mid, log_b, log_c_lo, log_c_hi)
 
     def q0_cdf(x: float) -> float:
         val = p0.cdf(min(x, y_hi))

@@ -16,7 +16,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import AtomPmf, DiscretePmf, GridFunction, GaussianSpec
+from .distributions import (
+    AtomPmf,
+    DiscretePmf,
+    GaussianSpec,
+    GridFunction,
+    _sort_merge_duplicates,
+)
 
 ANALYTIC_TOL = 1e-9
 ATOM_BIN_WIDTH = 1e-9
@@ -169,7 +175,8 @@ def convolve(a: AtomPmf | DiscretePmf, b: AtomPmf | DiscretePmf) -> AtomPmf:
     b = b.as_atoms() if isinstance(b, DiscretePmf) else b
     sums = np.add.outer(a.atoms, b.atoms).ravel()
     masses = np.multiply.outer(a.masses, b.masses).ravel()
-    out = AtomPmf(sums, masses)  # sorts and merges exact duplicates
+    # sums of finite atoms and products of nonnegative masses need no checks
+    out = AtomPmf._from_sorted(*_sort_merge_duplicates(sums, masses))
     return _merge_close_atoms(out, ATOM_BIN_WIDTH)
 
 

@@ -132,20 +132,26 @@ def level_boundaries(pair: LfdPair, q: Quantizer) -> list[float]:
     values and -inf are clamped to the pair's support (the mass outside is
     below 1e-15 of the total), while +inf (no y reaches t_d) stays, so the
     levels above get no mass. The :class:`ClippedAffineLlr` is inverted in
-    closed form allowing ``_LLR_SLACK`` of log-LR rounding, so a threshold
-    that only exp/log rounding separates from a flat (clipped) LR stretch
-    puts that stretch in the level above, as the left-closed intervals
-    require. Any other log-LR raises ValueError: :class:`SensorRule` cuts
-    it at its crossings instead.
+    closed form, exactly, except that a log threshold within
+    ``_LLR_SLACK`` of a clip level is lowered by ``_LLR_SLACK`` first: a
+    threshold that only exp/log rounding separates from a flat (clipped)
+    LR stretch puts that stretch in the level above, as the left-closed
+    intervals require. Any other log-LR raises ValueError:
+    :class:`SensorRule` cuts it at its crossings instead.
     """
-    if not isinstance(pair.log_lr, ClippedAffineLlr):
+    llr = pair.log_lr
+    if not isinstance(llr, ClippedAffineLlr):
         raise ValueError("level boundaries need a clipped-affine log-LR")
     lo, hi = pair.support
+    flats = (llr.offset + llr.lo, llr.offset + llr.hi)
 
     def cut(t: float) -> float:
         if t <= 0.0:
             return -math.inf
-        b = pair.log_lr.boundary(math.log(t) - _LLR_SLACK)
+        s = math.log(t)
+        if any(abs(s - flat) <= _LLR_SLACK for flat in flats):
+            s -= _LLR_SLACK
+        b = llr.boundary(s)
         return b if b == math.inf else min(max(b, lo), hi)
 
     return [cut(t) for t in q.thresholds]
@@ -157,11 +163,12 @@ class SensorRule:
 
     ``cuts`` split the axis into segments and ``segment_levels[i]`` is the
     output level of the segment between ``cuts[i-1]`` (inclusive) and
-    ``cuts[i]``. A clipped-affine log-LR has one closed-form cut per
-    threshold (:func:`level_boundaries`), segment d being level d. Any
-    other log-LR is cut at every threshold crossing on ``grid`` (default:
-    the pair's grid), and each segment goes to the level of its midpoint;
-    crossings narrower than a grid cell can be missed.
+    ``cuts[i]``. A clipped-affine log-LR (band, contamination and
+    equal-variance KL pairs) has one closed-form cut per threshold
+    (:func:`level_boundaries`), segment d being level d. Any other log-LR
+    is cut at every threshold crossing on ``grid`` (default: the pair's
+    grid), and each segment goes to the level of its midpoint; crossings
+    narrower than a grid cell can be missed.
     """
 
     pair: LfdPair

@@ -268,9 +268,11 @@ def member_channel_reference(member, pair, q, levels=None):
     Re-derives the observation-axis cuts from (pair, q) for every member,
     clamps every boundary (+inf included) to the support, and places a
     point-contaminated member's atom by quantizing its likelihood ratio
-    rather than by the segment that holds it. Agrees with the library
-    bit for bit unless a threshold lies within ``_LLR_SLACK`` above a clip
-    level or above the whole log-LR range.
+    rather than by the segment that holds it. A log threshold within
+    ``_LLR_SLACK`` of a clip level is lowered by ``_LLR_SLACK``, as in the
+    library. Agrees with the library bit for bit unless a threshold lies
+    within ``_LLR_SLACK`` above a clip level or above the whole log-LR
+    range.
     """
     from robust_fusion._roots import crossings
     from robust_fusion.distributions import pmf_from_weights
@@ -280,12 +282,17 @@ def member_channel_reference(member, pair, q, levels=None):
     contaminated = isinstance(member, ContaminatedGaussian)
     cdf = member.nominal.cdf if contaminated else member.cdf
     if isinstance(pair.log_lr, ClippedAffineLlr):
+        llr = pair.log_lr
         lo, hi = pair.support
-        cuts = [
-            min(max(pair.log_lr.boundary(math.log(t) - _LLR_SLACK), lo), hi)
-            if t > 0.0 else -math.inf
-            for t in q.thresholds
-        ]
+
+        def cut(log_t):
+            # rounding slack only next to a flat (clipped) stretch
+            bottom, top = llr.offset + llr.lo, llr.offset + llr.hi
+            if min(abs(log_t - bottom), abs(log_t - top)) <= _LLR_SLACK:
+                log_t -= _LLR_SLACK
+            return min(max(llr.boundary(log_t), lo), hi)
+
+        cuts = [cut(math.log(t)) if t > 0.0 else -math.inf for t in q.thresholds]
         segment_levels = np.arange(q.num_levels)
     else:
         xs = pair.grid()
@@ -306,3 +313,69 @@ def member_channel_reference(member, pair, q, levels=None):
         keep = [all_levels.index(l) for l in levels]
         return pmf_from_weights(levels, mass[keep])
     return pmf_from_weights(all_levels, mass)
+
+
+def huber_clip_reference(c0, c1):
+    """(c_lo, c_hi) of ``lfd.huber_clipped_lfd`` from the normalization
+    equations written in numpy scalars, on the same bracket, solver and
+    tolerance; raises ValueError where the clip points cross."""
+    from robust_fusion._roots import solve_decreasing, solve_increasing
+
+    p0, p1, sigma = c0.nominal, c1.nominal, c0.nominal.sigma
+    slope = (p1.mean - p0.mean) / (sigma * sigma)
+    mid = 0.5 * (p0.mean + p1.mean)
+    lo, hi = p0.mean - 13.0 * sigma, p1.mean + 13.0 * sigma
+
+    def llr(y):
+        return 0.0 + np.clip(slope * (np.asarray(y, dtype=float) - mid), -math.inf, math.inf)
+
+    def upper_eq(y):
+        with np.errstate(over="ignore"):
+            return float(np.exp(-llr(y))) * p1.sf(y) - p0.sf(y)
+
+    def lower_eq(y):
+        with np.errstate(over="ignore"):
+            return float(np.exp(llr(y))) * p0.cdf(y) - p1.cdf(y)
+
+    y_hi = math.inf
+    if c0.eps > 0.0:
+        y_hi = solve_decreasing(upper_eq, lo, hi, c0.eps / (1.0 - c0.eps), tol=1e-13)
+    y_lo = -math.inf
+    if c1.eps > 0.0:
+        y_lo = solve_increasing(lower_eq, lo, hi, c1.eps / (1.0 - c1.eps), tol=1e-13)
+    if not y_lo < y_hi:
+        raise ValueError("contamination too large")
+    c_lo = math.exp(float(llr(y_lo))) if math.isfinite(y_lo) else 0.0
+    c_hi = math.exp(float(llr(y_hi))) if math.isfinite(y_hi) else math.inf
+    return c_lo, c_hi
+
+
+def log_density_crossing_cuts(pair, q):
+    """Observation-axis cuts of a Gaussian LFD pair at the quantizer's thresholds.
+
+    The log-LR is the literal difference log q1 - log q0 of the pair's
+    Gaussians (``meta["q0"]``/``meta["q1"]``), tabulated on the pair's grid;
+    each grid cell where it crosses a log threshold (>= is above) is
+    bisected to adjacent floats and the first float above is the cut.
+    """
+    q0, q1 = pair.meta["q0"], pair.meta["q1"]
+
+    def llr(y):
+        return q1.logpdf(y) - q0.logpdf(y)
+
+    xs = pair.grid()
+    fx = np.asarray(llr(xs), dtype=float)
+    cuts = []
+    for t in q.thresholds:
+        level = math.log(t)
+        above = fx >= level
+        for i in np.flatnonzero(above[1:] != above[:-1]):
+            a, b = float(xs[i]), float(xs[i + 1])
+            while a < 0.5 * (a + b) < b:
+                m = 0.5 * (a + b)
+                if (float(llr(m)) >= level) == above[i]:
+                    a = m
+                else:
+                    b = m
+            cuts.append(b)
+    return sorted(cuts)

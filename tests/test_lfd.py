@@ -21,7 +21,7 @@ from robust_fusion.lfd import (
     robust_lr_cdf,
 )
 
-from _oracles import density_integral
+from _oracles import density_integral, huber_clip_reference
 
 BAND0 = GaussianBandClass(-1.0, 0.0, 1.0)
 BAND1 = GaussianBandClass(1.0, 2.0, 1.0)
@@ -133,7 +133,7 @@ class TestKlDabakLfd:
         pair = kl_dabak_lfd(STD, SHIFTED, 0.08, 0.08)
         r0, r1 = pair.normalization_residuals()
         assert r0 < 1e-8 and r1 < 1e-8
-        assert pair_identity_residual(pair) == 0.0
+        assert pair_identity_residual(pair) < 1e-12
 
 
 class TestHuberClippedLfd:
@@ -180,6 +180,43 @@ class TestHuberClippedLfd:
             EpsContaminationClass(STD, 0.03), EpsContaminationClass(SHIFTED, 0.08)
         )
         assert pair_identity_residual(pair) < 1e-12
+
+    def test_clip_constants_match_numpy_scalar_reference(self):
+        """The float-speed clip solve reproduces the numpy-scalar equations.
+
+        Same specs raise; otherwise log c agrees within the bisection's
+        1e-13 bracket on y times the slope. math.exp and numpy's exp differ
+        by one ulp on a few percent of arguments, which can flip one
+        bisection step, so exact equality is required only of most specs.
+        """
+        rng = np.random.default_rng(20261102)
+        raised = identical = 0
+        specs = 400
+        for _ in range(specs):
+            sigma = float(rng.uniform(0.1, 3.0))
+            mean0 = float(rng.uniform(-3.0, 3.0))
+            mean1 = mean0 + float(rng.uniform(0.05, 40.0)) * sigma
+            eps0, eps1 = (0.0 if rng.random() < 0.1 else float(e) for e in rng.uniform(0.0, 0.4, 2))
+            c0 = EpsContaminationClass(GaussianSpec(mean0, sigma), eps0)
+            c1 = EpsContaminationClass(GaussianSpec(mean1, sigma), eps1)
+            try:
+                reference = huber_clip_reference(c0, c1)
+            except ValueError:
+                with pytest.raises(ValueError, match="contamination too large"):
+                    huber_clipped_lfd(c0, c1)
+                raised += 1
+                continue
+            pair = huber_clipped_lfd(c0, c1)
+            got = (pair.meta["c_lo"], pair.meta["c_hi"])
+            identical += got == reference
+            slope = (mean1 - mean0) / sigma**2
+            for c, ref in zip(got, reference):
+                if ref in (0.0, math.inf):
+                    assert c == ref
+                else:
+                    assert abs(math.log(c) - math.log(ref)) <= 1e-12 * slope
+        assert 0 < raised < specs
+        assert identical >= 0.95 * (specs - raised)
 
     def test_contamination_too_large(self):
         with pytest.raises(ValueError, match="contamination too large"):

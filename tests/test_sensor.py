@@ -10,6 +10,7 @@ from robust_fusion import sensor
 from robust_fusion.distributions import DiscretePmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import (
     CdfMember,
+    ClippedAffineLlr,
     ContaminatedGaussian,
     EpsContaminationClass,
     GaussianBandClass,
@@ -35,7 +36,12 @@ from robust_fusion.sensor import (
     randomized_binary_admissible,
 )
 
-from _oracles import density_integral, member_channel_reference, normal_cdf_quadrature
+from _oracles import (
+    density_integral,
+    log_density_crossing_cuts,
+    member_channel_reference,
+    normal_cdf_quadrature,
+)
 from test_fusion import _random_spec
 
 EXAMPLE_PAIR = gaussian_band_lfd(
@@ -299,6 +305,7 @@ class TestSensorRule:
         [
             ("gaussian-band", "level_boundaries"),
             ("eps-contamination", "level_boundaries"),
+            ("kl-ball", "level_boundaries"),
             ("kl-ball", "crossings"),
         ],
     )
@@ -306,7 +313,10 @@ class TestSensorRule:
         """The axis is cut once, in build_sensor; member_laws never cuts it."""
         spec = _random_member_spec(np.random.default_rng(7), kind, 4)
         spec["quantizer"] = {"num_thresholds": 3}
+        if counted == "crossings":  # unequal variances: a quadratic log-LR
+            spec["nominal1"]["sigma"] *= 1.3
         built = build_sensor(spec, 0)
+        assert isinstance(built.pair.log_lr, ClippedAffineLlr) == (counted == "level_boundaries")
         calls = []
         original = getattr(sensor, counted)
 
@@ -321,6 +331,44 @@ class TestSensorRule:
                 laws = built.member_laws(side, built.members(side, n))
                 assert len(laws) >= n - 1
                 assert len(calls) == 0
+
+
+class TestEqualVarianceKlRule:
+    """Equal-variance KL pairs have an affine log-LR and are cut in closed form."""
+
+    def test_closed_form_cuts_match_log_density_crossings(self):
+        rng = np.random.default_rng(20261101)
+        for _ in range(120):
+            spec = _random_member_spec(rng, "kl-ball", int(rng.integers(2, 5)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                built = build_sensor(spec, 0)
+            pair, q = built.pair, built.quantizer
+            assert isinstance(pair.log_lr, ClippedAffineLlr)
+            rule = SensorRule(pair, q)
+            reference = log_density_crossing_cuts(pair, q)
+            assert len(rule.cuts) == len(reference) == len(q.thresholds), spec
+            assert np.max(np.abs(np.subtract(rule.cuts, reference))) < 1e-12, spec
+            for cdf in (pair.q0_cdf, pair.q1_cdf):
+                ref_mass = np.diff([0.0, *(cdf(c) for c in reference), 1.0])
+                assert np.max(np.abs(rule.masses(cdf) - ref_mass)) < 1e-14, spec
+
+    def test_unequal_variance_pair_is_cut_at_crossings(self, monkeypatch):
+        pair = kl_dabak_lfd(GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.01), 0.03, 0.03)
+        assert not isinstance(pair.log_lr, ClippedAffineLlr)
+        calls = []
+        original = sensor.crossings
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sensor, "crossings", counting)
+        q = Quantizer((0.5, 1.0, 2.0))
+        rule = SensorRule(pair, q)
+        assert len(calls) == len(q.thresholds)
+        reference = log_density_crossing_cuts(pair, q)
+        assert np.max(np.abs(np.subtract(rule.cuts, reference))) < 1e-12
 
 
 class TestLlrMonotoneCheck:
