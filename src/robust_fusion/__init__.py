@@ -7,54 +7,31 @@ probabilities exactly, and verifies the stochastic-ordering and
 saddle-point conditions that make the design minimax robust.
 """
 
-from .distributions import (
-    AtomPmf,
-    DiscretePmf,
-    GaussianSpec,
-    GridFunction,
-    default_grid,
-    gaussian_cdf,
-    pmf_from_weights,
-    sample,
-)
+from .distributions import AtomPmf, DiscretePmf, GaussianSpec, pmf_from_weights
 from .lfd import (
-    AffinityReport,
     BoundednessReport,
     ContaminatedGaussian,
     EpsContaminationClass,
     GaussianBandClass,
     KlBallClass,
     LfdPair,
-    dabak_affinity_check,
     gaussian_band_lfd,
     huber_clipped_lfd,
     joint_boundedness_check,
     kl_dabak_lfd,
-    kl_divergence,
-    robust_lr_cdf,
 )
-from .ordering import (
-    CdfView,
-    DominanceReport,
-    convolve,
-    convolve_many,
-    dominates,
-    monotone_map_preserves,
-    sum_dominance_check,
-)
+from .ordering import convolve, convolve_many
 from .sensor import (
     Quantizer,
     RandomizedBinaryRule,
     SensorChannel,
     SensorRule,
-    block_sensor_llr,
     channel_from_pmfs,
     channel_from_quantizer,
     channel_from_rule,
     default_quantizer,
     llr_monotone_check,
     member_channel,
-    quantize,
     randomized_binary_admissible,
 )
 from .fusion import (

@@ -9,15 +9,12 @@ This module carries the basic objects everything else is built from:
   levels (sensor output alphabets).
 * :class:`AtomPmf`: a mass function over real-valued atoms, the carrier
   for log-likelihood-ratio sums and their convolutions.
-* :class:`GridFunction`: a sampled function on a strictly increasing grid,
-  used as the numerical carrier for densities and cdfs.
+* :func:`trapezoid`: the composite trapezoid rule that the LFD
+  normalization residuals and randomized-rule laws integrate with.
 
-Randomness policy: every sampling routine takes an explicit seed or a
-``numpy.random.Generator`` (PCG64, a 64-bit splittable generator; use
-``Generator.spawn`` to derive independent per-worker streams). No global
-generator is ever touched, so equal seeds give bit-identical draws.
+Every constructor rejects NaN: its checks are written so that a NaN
+fails them.
 """
-
 from __future__ import annotations
 
 import math
@@ -31,13 +28,6 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Mass tolerance for pmf normalization checks.
 MASS_TOL = 1e-12
-
-
-def as_rng(rng: np.random.Generator | int) -> np.random.Generator:
-    """Coerce an int seed or Generator into a Generator (PCG64 for seeds)."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 @dataclass(frozen=True)
@@ -56,8 +46,10 @@ class GaussianSpec:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
 
     def pdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mean) / self.sigma
@@ -76,22 +68,6 @@ class GaussianSpec:
         return 0.5 * math.erfc((x - self.mean) / (self.sigma * _SQRT2))
 
 
-def gaussian_cdf(g: GaussianSpec, x: float) -> float:
-    """Cumulative distribution function of ``g`` at ``x``."""
-    return g.cdf(x)
-
-
-def sample(g: GaussianSpec, rng: np.random.Generator | int, n: int) -> np.ndarray:
-    """Draw ``n`` i.i.d. values from ``g``.
-
-    ``rng`` is an explicit seed or Generator; equal seeds give bit-identical
-    sequences.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return as_rng(rng).normal(g.mean, g.sigma, size=n)
-
-
 @dataclass(frozen=True, eq=False)
 class DiscretePmf:
     """Probability mass function over strictly increasing integer levels."""
@@ -108,43 +84,27 @@ class DiscretePmf:
             raise ValueError("levels and probs must be 1-D and of equal length")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        if np.any(probs < 0.0):
+        if not np.all(probs >= 0.0):
             raise ValueError("probabilities must be nonnegative")
         total = float(np.sum(probs))
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise ValueError(f"probabilities must sum to 1 within {MASS_TOL}, got {total!r}")
-
-    def prob(self, level: int) -> float:
-        try:
-            return float(self.probs[self.levels.index(level)])
-        except ValueError:
-            raise ValueError(f"level {level} not in pmf support {self.levels}") from None
-
-    def cdf(self, x: float) -> float:
-        """Right-continuous step cdf P[L <= x]."""
-        idx = np.searchsorted(np.asarray(self.levels, dtype=float), x, side="right")
-        return float(np.sum(self.probs[:idx]))
-
-    def as_atoms(self) -> "AtomPmf":
-        """View as a real-atom mass function on the levels."""
-        return AtomPmf(np.asarray(self.levels, dtype=float), self.probs)
-
-    def sample(self, rng: np.random.Generator | int, n: int) -> np.ndarray:
-        return as_rng(rng).choice(np.asarray(self.levels), size=n, p=self.probs)
 
 
 def pmf_from_weights(levels: Sequence[int], weights: Sequence[float]) -> DiscretePmf:
     """Normalize nonnegative weights into a :class:`DiscretePmf`.
 
-    Raises ValueError for negative weights and for all-zero weights
-    ("degenerate pmf").
+    Raises ValueError for negative, NaN or infinite weights and for
+    all-zero weights ("degenerate pmf").
     """
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0.0):
+    if not np.all(w >= 0.0):
         raise ValueError("weights must be nonnegative")
     total = float(np.sum(w))
-    if total <= 0.0:
+    if not total > 0.0:
         raise ValueError("degenerate pmf: weights sum to zero")
+    if not total < math.inf:
+        raise ValueError("weights must be finite")
     return DiscretePmf(tuple(int(v) for v in levels), w / total)
 
 
@@ -185,7 +145,7 @@ class AtomPmf:
             raise ValueError("atoms and masses must have equal length")
         if np.any(~np.isfinite(atoms)):
             raise ValueError("atoms must be finite (infinite LLRs are handled upstream)")
-        if np.any(masses < 0.0):
+        if not np.all(masses >= 0.0):
             raise ValueError("masses must be nonnegative")
         atoms, masses = _sort_merge_duplicates(atoms, masses)
         object.__setattr__(self, "atoms", atoms)
@@ -209,56 +169,8 @@ class AtomPmf:
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
 
-    def cdf(self, x: float) -> float:
-        """P[A <= x] (mass at atoms <= x)."""
-        idx = int(np.searchsorted(self.atoms, x, side="right"))
-        return float(np.sum(self.masses[:idx]))
-
-    def mass_above(self, x: float) -> float:
-        """Mass strictly above ``x``."""
-        idx = int(np.searchsorted(self.atoms, x, side="right"))
-        return float(np.sum(self.masses[idx:]))
-
-
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Function values sampled on a strictly increasing grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float).ravel()
-        values = np.asarray(self.values, dtype=float).ravel()
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        if grid.shape[0] < 2 or grid.shape != values.shape:
-            raise ValueError("grid and values must be equal-length with at least 2 points")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
-
-    def __call__(self, x):
-        return np.interp(x, self.grid, self.values)
-
-    def integrate(self) -> float:
-        """Composite trapezoid integral over the full grid."""
-        return trapezoid(self.grid, self.values)
-
 
 def trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     return float(np.sum((ys[1:] + ys[:-1]) * np.diff(xs)) * 0.5)
-
-
-def default_grid(specs: Sequence[GaussianSpec], points: int = 2001) -> np.ndarray:
-    """Evaluation grid spanning mean +/- 8 sigma of the widest input.
-
-    2001 points over +/- 8 sigma keep Gaussian trapezoid mass error below
-    1e-14 of the total.
-    """
-    if not specs:
-        raise ValueError("at least one distribution is required")
-    lo = min(g.mean - 8.0 * g.sigma for g in specs)
-    hi = max(g.mean + 8.0 * g.sigma for g in specs)
-    return np.linspace(lo, hi, points)

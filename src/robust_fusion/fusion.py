@@ -60,6 +60,8 @@ class NetworkModel:
             object.__setattr__(
                 self, "log_threshold", math.log(self.prior0 / (1.0 - self.prior0))
             )
+        elif math.isnan(self.log_threshold):
+            raise ValueError("log_threshold must not be NaN")
 
     @property
     def num_sensors(self) -> int:

@@ -32,15 +32,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._roots import crossings, solve_decreasing, solve_increasing
-from .distributions import GaussianSpec, GridFunction, trapezoid
+from .distributions import GaussianSpec, trapezoid
 
-NORMALIZATION_TOL = 1e-8
 BOUNDEDNESS_TOL = 1e-9
 # A later worst-case witness replaces the incumbent only when it is worse by
 # more than this, so mirror-image witnesses of a symmetric class resolve to
 # the first one whatever the rounding.
 WITNESS_TOL = 1e-12
-AFFINITY_TOL = 1e-8
 _KL_SOLVE_TOL = 1e-9
 
 
@@ -53,6 +51,8 @@ class GaussianBandClass:
     sigma: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.mu_lo) and math.isfinite(self.mu_hi)):
+            raise ValueError(f"mean band endpoints must be finite: [{self.mu_lo}, {self.mu_hi}]")
         if self.mu_lo > self.mu_hi:
             raise ValueError(f"mean band is empty: [{self.mu_lo}, {self.mu_hi}]")
         if not self.sigma > 0.0:
@@ -75,7 +75,7 @@ class KlBallClass:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius < 0.0:
+        if not self.radius >= 0.0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
 
     def members(self, n: int, toward: GaussianSpec) -> list[GaussianSpec]:
@@ -206,10 +206,6 @@ class LfdPair:
     support: tuple[float, float]
     meta: dict = field(default_factory=dict)
 
-    @property
-    def kind(self) -> str:
-        return self.meta.get("kind", "unknown")
-
     def grid(self, points: int = 2001) -> np.ndarray:
         return np.linspace(self.support[0], self.support[1], points)
 
@@ -274,38 +270,6 @@ def _kl_gaussians(q: GaussianSpec, p: GaussianSpec) -> float:
     return math.log(p.sigma / q.sigma) + 0.5 * (var_ratio + shift * shift - 1.0)
 
 
-def kl_divergence(
-    q: GaussianSpec | GridFunction, p: GaussianSpec | GridFunction
-) -> float:
-    """KL divergence D(q, p) in nats.
-
-    Gaussian/Gaussian uses the closed form; grid densities are integrated
-    by trapezoid and must share the grid. Raises when q puts mass where p
-    has none ("not absolutely continuous").
-    """
-    if isinstance(q, GaussianSpec) and isinstance(p, GaussianSpec):
-        return _kl_gaussians(q, p)
-    if isinstance(q, GridFunction) and isinstance(p, GridFunction):
-        if not np.array_equal(q.grid, p.grid):
-            raise ValueError("grid densities must share the same grid")
-        grid, qv, pv = q.grid, q.values, p.values
-    elif isinstance(q, GridFunction):
-        grid, qv = q.grid, q.values
-        pv = np.asarray(p.pdf(grid))
-    else:
-        grid = p.grid
-        qv = np.asarray(q.pdf(grid))
-        pv = p.values
-    if np.any(qv < 0.0) or np.any(pv < 0.0):
-        raise ValueError("densities must be nonnegative")
-    mask = qv > 0.0
-    if np.any(pv[mask] <= 0.0):
-        raise ValueError("not absolutely continuous")
-    integrand = np.zeros_like(qv)
-    integrand[mask] = qv[mask] * np.log(qv[mask] / pv[mask])
-    return trapezoid(grid, integrand)
-
-
 def _geometric_tilt(p0: GaussianSpec, p1: GaussianSpec, s: float) -> GaussianSpec:
     """Normalized density proportional to p0^(1-s) * p1^s (again Gaussian).
 
@@ -336,7 +300,7 @@ def kl_dabak_lfd(
     unreachable or the tilts cross (u + v >= 1), i.e. the hypotheses
     overlap.
     """
-    if eps0 < 0.0 or eps1 < 0.0:
+    if not (eps0 >= 0.0 and eps1 >= 0.0):
         raise ValueError("KL radii must be nonnegative")
 
     def solve_tilt(base: GaussianSpec, other: GaussianSpec, eps: float) -> float:
@@ -545,11 +509,6 @@ def _level_set_masses(cdf: Callable[[float], float], level_sets) -> list[float]:
     return masses
 
 
-def robust_lr_cdf(pair: LfdPair, member, t: float) -> float:
-    """P_member[log_lr(Y) <= t] for a member exposing ``cdf``."""
-    return _level_set_masses(member.cdf, _lower_level_sets(pair, [t]))[0]
-
-
 @dataclass(frozen=True)
 class BoundednessWitness:
     side: str
@@ -607,36 +566,3 @@ def joint_boundedness_check(
     return BoundednessReport(
         holds=holds, worst_violation=worst, tol=tol, witness=None if holds else witness
     )
-
-
-@dataclass(frozen=True)
-class AffinityReport:
-    affine: bool
-    slope: float
-    intercept: float
-    residual: float
-
-
-def dabak_affinity_check(
-    pair: LfdPair,
-    p0: GaussianSpec,
-    p1: GaussianSpec,
-) -> AffinityReport:
-    """Least-squares fit of the pair's log-LR against the nominal log-LR.
-
-    A geometric-mixture pair reproduces the nominal test: its log-LR is an
-    affine function of the nominal log-LR with slope 1 - u - v. Clipped
-    constructions break affinity and report a large residual.
-    """
-    ys = pair.grid()
-    nominal = np.asarray(p1.logpdf(ys) - p0.logpdf(ys), dtype=float)
-    robust = np.asarray(pair.log_lr(ys), dtype=float)
-    slope, intercept = np.polyfit(nominal, robust, 1)
-    residual = float(np.max(np.abs(robust - (slope * nominal + intercept))))
-    return AffinityReport(
-        affine=residual < AFFINITY_TOL,
-        slope=float(slope),
-        intercept=float(intercept),
-        residual=residual,
-    )
-

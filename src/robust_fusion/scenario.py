@@ -94,6 +94,8 @@ class Scenario:
         if not self.sensors:
             raise ValueError("scenario needs at least one sensor")
         for i, spec in enumerate(self.sensors):
+            if not isinstance(spec, dict):
+                raise ValueError(f"sensor {i}: expected an object")
             kind = spec.get("kind")
             if kind not in SENSOR_KINDS:
                 raise ValueError(f"sensor {i}: unknown kind {kind!r}")
@@ -113,6 +115,8 @@ class Scenario:
         if not isinstance(doc, dict):
             raise ValueError("scenario document must be a single JSON object")
         try:
+            if not isinstance(doc["sensors"], list):
+                raise ValueError("sensors: expected a list of objects")
             return cls(
                 scenario_id=str(doc["scenario_id"]),
                 prior0=float(doc["prior0"]),
@@ -125,6 +129,8 @@ class Scenario:
             )
         except KeyError as exc:
             raise ValueError(f"scenario is missing required key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"scenario has a malformed value ({exc})") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -32,8 +32,9 @@ class Quantizer:
     """Strictly increasing thresholds on the likelihood-ratio axis.
 
     D = len(thresholds) thresholds partition the LR axis into D + 1 output
-    levels 0..D; an empty threshold tuple is the single-level
-    (uninformative) quantizer.
+    levels 0..D, left-closed: level d covers t_{d-1} <= LR < t_d, so an LR
+    on a threshold goes to the level above. An empty threshold tuple is the
+    single-level (uninformative) quantizer.
     """
 
     thresholds: tuple[float, ...]
@@ -41,23 +42,14 @@ class Quantizer:
     def __post_init__(self) -> None:
         thresholds = tuple(float(t) for t in self.thresholds)
         object.__setattr__(self, "thresholds", thresholds)
+        if any(math.isnan(t) for t in thresholds):
+            raise ValueError(f"thresholds must not be NaN, got {thresholds}")
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError("thresholds must be strictly increasing")
 
     @property
     def num_levels(self) -> int:
         return len(self.thresholds) + 1
-
-
-def quantize(q: Quantizer, x: float) -> int:
-    """Output level for an LR-axis value.
-
-    Intervals are left-closed: level d covers t_{d-1} <= x < t_d, level 0
-    covers x < t_0 and the top level covers x >= t_{D-1}, so the map is
-    total (the boundary convention costs zero probability for continuous
-    laws).
-    """
-    return int(np.searchsorted(np.asarray(q.thresholds), x, side="right"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,21 +328,3 @@ def randomized_binary_admissible(pmf0: DiscretePmf, pmf1: DiscretePmf) -> bool:
         if not pmf1.probs[1] * pmf0.probs[0] > pmf1.probs[0] * pmf0.probs[1]:
             raise RuntimeError("admissible laws must have strictly increasing LLR")
     return admissible
-
-
-def block_sensor_llr(pair: LfdPair, observations: Sequence[float]) -> float:
-    """Robust log-LR of a block of observations: the sum of per-sample values.
-
-    Valid for censored-LR and mean-band pairs, where the product of the
-    per-sample robust likelihood ratios retains the minimax property;
-    divergence-ball (geometric-mixture) pairs are rejected because the
-    product rule does not hold for them.
-    """
-    if pair.kind == "kl-dabak":
-        raise ValueError("product rule invalid for divergence-ball classes")
-    if pair.kind not in ("gaussian-band", "huber"):
-        raise ValueError(f"unsupported pair kind for block sensing: {pair.kind!r}")
-    obs = np.asarray(observations, dtype=float)
-    if obs.size < 1:
-        raise ValueError("need at least one observation")
-    return float(np.sum(pair.log_lr(obs)))

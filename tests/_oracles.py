@@ -174,10 +174,55 @@ def atom_pmf_unique_reference(atoms, masses):
 
 def atoms_stochastically_larger_loop(x, y, tol: float = 1e-12):
     """Reference X >= Y check for ``AtomPmf``s: one cdf pair per support point."""
+
+    def cdf(p, v):
+        return sum(m for a, m in zip(p.atoms, p.masses) if a <= v)
+
     worst = -math.inf
     for v in np.union1d(x.atoms, y.atoms):
-        worst = max(worst, x.cdf(float(v)) - y.cdf(float(v)))
+        worst = max(worst, cdf(x, v) - cdf(y, v))
     return worst <= tol, worst
+
+
+def tail_mass(law, x: float) -> float:
+    """Mass of an ``AtomPmf`` strictly above ``x``."""
+    return float(np.sum(law.masses[law.atoms > x]))
+
+
+def pushforward(levels, probs, upsilon):
+    """``AtomPmf`` of upsilon(L) for a level law (levels, probs); equal
+    images merge."""
+    from robust_fusion.distributions import AtomPmf
+
+    return AtomPmf(np.array([float(upsilon(level)) for level in levels]), probs)
+
+
+def gaussian_kl(q, p) -> float:
+    """D(q || p) in nats for Gaussians, in the textbook form
+    log(sigma_p / sigma_q) + (sigma_q^2 + (mu_q - mu_p)^2) / (2 sigma_p^2) - 1/2."""
+    return (
+        math.log(p.sigma / q.sigma)
+        + (q.sigma**2 + (q.mean - p.mean) ** 2) / (2.0 * p.sigma**2)
+        - 0.5
+    )
+
+
+def affinity_fit(pair, p0, p1):
+    """(slope, residual) of the least-squares line of the pair's log-LR
+    against the nominal log-LR log p1 - log p0 on the pair's grid; residual
+    is the largest absolute deviation from that line."""
+    ys = pair.grid()
+    nominal = np.asarray(p1.logpdf(ys) - p0.logpdf(ys), dtype=float)
+    robust = np.asarray(pair.log_lr(ys), dtype=float)
+    slope, intercept = np.polyfit(nominal, robust, 1)
+    residual = float(np.max(np.abs(robust - (slope * nominal + intercept))))
+    return float(slope), residual
+
+
+def lr_level(q, lr: float) -> int:
+    """Output level of an LR value under quantizer ``q``: left-closed
+    intervals, so an LR on a threshold goes to the level above."""
+    return int(np.searchsorted(np.asarray(q.thresholds), lr, side="right"))
 
 
 def ordered_pmf_pair(rng: np.random.Generator, max_levels: int = 6):
@@ -277,7 +322,7 @@ def member_channel_reference(member, pair, q, levels=None):
     from robust_fusion._roots import crossings
     from robust_fusion.distributions import pmf_from_weights
     from robust_fusion.lfd import ClippedAffineLlr, ContaminatedGaussian, _cdf_at
-    from robust_fusion.sensor import _LLR_SLACK, quantize
+    from robust_fusion.sensor import _LLR_SLACK
 
     contaminated = isinstance(member, ContaminatedGaussian)
     cdf = member.nominal.cdf if contaminated else member.cdf
@@ -306,7 +351,7 @@ def member_channel_reference(member, pair, q, levels=None):
     mass = np.bincount(segment_levels, weights, q.num_levels)
     if contaminated:
         mass = (1.0 - member.eps) * mass
-        mass[quantize(q, math.exp(float(pair.log_lr(member.atom))))] += member.eps
+        mass[lr_level(q, math.exp(float(pair.log_lr(member.atom))))] += member.eps
     mass = np.maximum(mass, 0.0)
     all_levels = tuple(range(q.num_levels))
     if levels is not None and levels != all_levels:

@@ -1,4 +1,4 @@
-"""Distribution primitives: cdf accuracy, sampling determinism, pmfs."""
+"""Distribution primitives: cdf accuracy, pmfs, atom laws, NaN rejection."""
 
 import math
 
@@ -9,11 +9,8 @@ from robust_fusion.distributions import (
     AtomPmf,
     DiscretePmf,
     GaussianSpec,
-    GridFunction,
-    default_grid,
-    gaussian_cdf,
     pmf_from_weights,
-    sample,
+    trapezoid,
 )
 
 from _oracles import atom_pmf_unique_reference, normal_cdf_quadrature
@@ -25,33 +22,33 @@ PHI_1 = 0.8413447460685429
 class TestGaussianCdf:
     def test_trivial_values(self):
         g = GaussianSpec(0.0, 1.0)
-        assert gaussian_cdf(g, 0.0) == 0.5
-        assert gaussian_cdf(g, math.inf) == 1.0
-        assert gaussian_cdf(g, -math.inf) == 0.0
+        assert g.cdf(0.0) == 0.5
+        assert g.cdf(math.inf) == 1.0
+        assert g.cdf(-math.inf) == 0.0
 
     def test_cdf_against_quadrature(self):
         """Standard-normal cdf matches the quadrature oracle to 1e-12."""
         g = Gaussian = GaussianSpec(0.0, 1.0)
         assert abs(normal_cdf_quadrature(1.0) - PHI_1) < 1e-12
-        assert abs(gaussian_cdf(g, 1.0) - PHI_1) < 1e-14
+        assert abs(g.cdf(1.0) - PHI_1) < 1e-14
         for x in (-3.0, -0.7, 0.3, 2.5):
-            assert abs(gaussian_cdf(g, x) - normal_cdf_quadrature(x)) < 1e-12
+            assert abs(g.cdf(x) - normal_cdf_quadrature(x)) < 1e-12
 
     def test_nonstandard_parameters(self):
         g = GaussianSpec(2.0, 0.5)
         for x in (1.0, 2.0, 3.1):
-            assert abs(gaussian_cdf(g, x) - normal_cdf_quadrature(x, 2.0, 0.5)) < 1e-12
+            assert abs(g.cdf(x) - normal_cdf_quadrature(x, 2.0, 0.5)) < 1e-12
 
     def test_monotone_on_grid(self):
         g = GaussianSpec(-1.0, 2.0)
         xs = np.linspace(-15.0, 13.0, 400)
-        vals = [gaussian_cdf(g, x) for x in xs]
+        vals = [g.cdf(x) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_symmetry_identity(self):
         g = GaussianSpec(0.7, 1.3)
         for a in np.linspace(0.0, 6.0, 50):
-            total = gaussian_cdf(g, g.mean + a) + gaussian_cdf(g, g.mean - a)
+            total = g.cdf(g.mean + a) + g.cdf(g.mean - a)
             assert abs(total - 1.0) < 1e-12
 
     def test_sigma_validation(self):
@@ -59,34 +56,13 @@ class TestGaussianCdf:
             GaussianSpec(0.0, 0.0)
         with pytest.raises(ValueError):
             GaussianSpec(0.0, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            GaussianSpec(0.0, math.inf)
 
-
-class TestSampling:
-    def test_same_seed_bit_identical(self):
-        g = GaussianSpec(0.0, 1.0)
-        a = sample(g, 1234, 5)
-        b = sample(g, 1234, 5)
-        assert np.array_equal(a, b)
-
-    def test_sample_mean_clt_bound(self):
-        n = 10**6
-        xs = sample(GaussianSpec(0.0, 1.0), 42, n)
-        assert abs(np.mean(xs)) < 4.0 / math.sqrt(n)
-
-    def test_sample_variance(self):
-        xs = sample(GaussianSpec(0.0, 1.0), 43, 10**6)
-        assert abs(np.var(xs) - 1.0) < 0.01
-
-    def test_split_streams_differ(self):
-        rng = np.random.default_rng(7)
-        r1, r2 = rng.spawn(2)
-        assert not np.array_equal(
-            sample(GaussianSpec(0.0, 1.0), r1, 10), sample(GaussianSpec(0.0, 1.0), r2, 10)
-        )
-
-    def test_n_validation(self):
-        with pytest.raises(ValueError):
-            sample(GaussianSpec(0.0, 1.0), 0, 0)
+    def test_mean_must_be_finite(self):
+        for mean in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="mean must be finite"):
+                GaussianSpec(mean, 1.0)
 
 
 class TestDiscretePmf:
@@ -115,12 +91,13 @@ class TestDiscretePmf:
         with pytest.raises(ValueError, match="sum"):
             DiscretePmf((0, 1), np.array([0.5, 0.4]))
 
-    def test_cdf_steps(self):
-        pmf = pmf_from_weights([0, 2], [1.0, 3.0])
-        assert pmf.cdf(-0.5) == 0.0
-        assert pmf.cdf(0.0) == 0.25
-        assert pmf.cdf(1.9) == 0.25
-        assert pmf.cdf(2.0) == 1.0
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiscretePmf((0, 1), np.array([math.nan, 1.0]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            pmf_from_weights((0, 1), [math.nan, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            pmf_from_weights((0, 1), [math.inf, 1.0])
 
 
 class TestAtomPmf:
@@ -142,32 +119,18 @@ class TestAtomPmf:
             assert np.array_equal(pmf.atoms, ref_atoms)
             assert np.array_equal(pmf.masses, ref_masses)
 
-    def test_mass_above_is_strict(self):
-        pmf = AtomPmf(np.array([0.0, 1.0]), np.array([0.4, 0.6]))
-        assert pmf.mass_above(0.0) == 0.6
-        assert pmf.mass_above(-0.1) == 1.0
-        assert pmf.mass_above(1.0) == 0.0
-
     def test_rejects_infinite_atoms(self):
         with pytest.raises(ValueError):
             AtomPmf(np.array([math.inf]), np.array([1.0]))
 
+    def test_rejects_nan_masses(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            AtomPmf(np.array([0.0, 1.0]), np.array([0.5, math.nan]))
 
-class TestGridFunction:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GridFunction(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(ValueError):
-            GridFunction(np.array([0.0]), np.array([1.0]))
 
+class TestTrapezoid:
     def test_integrates_gaussian_mass(self):
+        """2001 points over mean +/- 8 sigma integrate a Gaussian to 1e-14."""
         g = GaussianSpec(0.3, 1.7)
-        xs = default_grid([g])
-        gf = GridFunction(xs, g.pdf(xs))
-        assert abs(gf.integrate() - 1.0) < 1e-14
-
-    def test_default_grid_spans_widest(self):
-        xs = default_grid([GaussianSpec(0.0, 1.0), GaussianSpec(5.0, 2.0)], points=11)
-        assert xs[0] == -11.0
-        assert xs[-1] == 21.0
-        assert len(xs) == 11
+        xs = np.linspace(g.mean - 8.0 * g.sigma, g.mean + 8.0 * g.sigma, 2001)
+        assert abs(trapezoid(xs, g.pdf(xs)) - 1.0) < 1e-14

@@ -5,23 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from robust_fusion.distributions import GaussianSpec, GridFunction, default_grid
+from robust_fusion.distributions import GaussianSpec, trapezoid
 from robust_fusion.lfd import (
     CdfMember,
     ContaminatedGaussian,
     EpsContaminationClass,
     GaussianBandClass,
     KlBallClass,
-    dabak_affinity_check,
+    _kl_gaussians,
+    _level_set_masses,
+    _lower_level_sets,
     gaussian_band_lfd,
     huber_clipped_lfd,
     joint_boundedness_check,
     kl_dabak_lfd,
-    kl_divergence,
-    robust_lr_cdf,
 )
 
-from _oracles import density_integral, huber_clip_reference
+from _oracles import affinity_fit, density_integral, gaussian_kl, huber_clip_reference
 
 BAND0 = GaussianBandClass(-1.0, 0.0, 1.0)
 BAND1 = GaussianBandClass(1.0, 2.0, 1.0)
@@ -77,26 +77,23 @@ class TestGaussianBandLfd:
 
 
 class TestKlDivergence:
+    """The closed-form Gaussian KL that the tilt solve inverts."""
+
     def test_identical_gaussians(self):
-        assert kl_divergence(STD, STD) == 0.0
+        assert _kl_gaussians(STD, STD) == 0.0
 
     def test_equal_variance_analytic(self):
         """Equal-sigma Gaussian KL is (delta mean)^2 / (2 sigma^2)."""
-        assert abs(kl_divergence(GaussianSpec(0.4, 1.0), STD) - 0.08) < 1e-10
-        assert abs(kl_divergence(SHIFTED, STD) - 0.5) < 1e-10
+        assert abs(_kl_gaussians(GaussianSpec(0.4, 1.0), STD) - 0.08) < 1e-10
+        assert abs(_kl_gaussians(SHIFTED, STD) - 0.5) < 1e-10
 
     def test_grid_density_matches_analytic(self):
-        xs = default_grid([STD, SHIFTED])
-        q = GridFunction(xs, SHIFTED.pdf(xs))
-        assert abs(kl_divergence(q, STD) - 0.5) < 1e-6
-
-    def test_support_violation(self):
-        xs = np.linspace(-1.0, 1.0, 101)
-        q = GridFunction(xs, np.full(101, 0.5))
-        p_vals = np.full(101, 0.5)
-        p_vals[xs > 0.5] = 0.0
-        with pytest.raises(ValueError, match="absolutely continuous"):
-            kl_divergence(q, GridFunction(xs, p_vals))
+        """Trapezoid integral of q log(q/p) on mean +/- 8 sigma agrees,
+        also for unequal variances."""
+        for q, p in ((SHIFTED, STD), (GaussianSpec(0.3, 0.7), GaussianSpec(-0.2, 1.4))):
+            xs = np.linspace(-12.0, 12.0, 4001)
+            integrand = q.pdf(xs) * (q.logpdf(xs) - p.logpdf(xs))
+            assert abs(trapezoid(xs, integrand) - _kl_gaussians(q, p)) < 1e-6
 
 
 class TestKlDabakLfd:
@@ -126,8 +123,8 @@ class TestKlDabakLfd:
         for _ in range(20):
             eps0, eps1 = rng.uniform(1e-4, 0.1, size=2)
             pair = kl_dabak_lfd(STD, SHIFTED, float(eps0), float(eps1))
-            assert abs(kl_divergence(pair.meta["q0"], STD) - eps0) < 1e-8
-            assert abs(kl_divergence(pair.meta["q1"], SHIFTED) - eps1) < 1e-8
+            assert abs(gaussian_kl(pair.meta["q0"], STD) - eps0) < 1e-8
+            assert abs(gaussian_kl(pair.meta["q1"], SHIFTED) - eps1) < 1e-8
 
     def test_normalization_and_identity(self):
         pair = kl_dabak_lfd(STD, SHIFTED, 0.08, 0.08)
@@ -331,13 +328,13 @@ class TestJointBoundedness:
     def test_example_tail_probability_monotone_in_mean(self):
         """P[log LR <= t] under a band member falls as the mean rises."""
         pair = gaussian_band_lfd(BAND0, BAND1)
-        for t in np.linspace(-4.0, 4.0, 9):
-            previous = None
-            for mu in np.linspace(-1.0, 0.0, 11):
-                val = robust_lr_cdf(pair, GaussianSpec(float(mu), 1.0), float(t))
-                if previous is not None:
-                    assert val <= previous + 1e-12
-                previous = val
+        level_sets = _lower_level_sets(pair, np.linspace(-4.0, 4.0, 9))
+        previous = None
+        for mu in np.linspace(-1.0, 0.0, 11):
+            vals = np.array(_level_set_masses(GaussianSpec(float(mu), 1.0).cdf, level_sets))
+            if previous is not None:
+                assert np.all(vals <= previous + 1e-12)
+            previous = vals
 
 
 class TestNonMonotoneLogLr:
@@ -378,10 +375,10 @@ class TestNonMonotoneLogLr:
         assert np.sum(t_grid < t_min) >= 5
         assert np.sum((t_grid > t_min) & (t_grid < t_left)) >= 50
         assert np.sum(t_grid > t_left) >= 30
+        level_sets = _lower_level_sets(pair, t_grid)
         members = (pair.meta["q0"], pair.meta["q1"], GaussianSpec(0.4, 0.8))
         for member in members:
-            for t in t_grid:
-                got = robust_lr_cdf(pair, member, float(t))
+            for t, got in zip(t_grid, _level_set_masses(member.cdf, level_sets)):
                 assert abs(got - self._closed_form(pair, member, float(t))) < 1e-9
 
     def test_lfds_bound_themselves(self):
@@ -401,25 +398,22 @@ class TestAffinity:
     def test_dabak_pair_is_affine_in_nominal_llr(self):
         """Geometric-mixture log-LR = (1 - u - v) * nominal log-LR + const."""
         pair = kl_dabak_lfd(STD, SHIFTED, 0.08, 0.08)
-        report = dabak_affinity_check(pair, STD, SHIFTED)
-        assert report.affine
-        assert report.residual < 1e-8
-        assert abs(report.slope - 0.2) < 1e-6
+        slope, residual = affinity_fit(pair, STD, SHIFTED)
+        assert residual < 1e-8
+        assert abs(slope - 0.2) < 1e-6
 
     def test_zero_radius_slope_one(self):
         pair = kl_dabak_lfd(STD, SHIFTED, 0.0, 0.0)
-        report = dabak_affinity_check(pair, STD, SHIFTED)
-        assert report.affine
-        assert abs(report.slope - 1.0) < 1e-12
-        assert report.residual < 1e-12
+        slope, residual = affinity_fit(pair, STD, SHIFTED)
+        assert abs(slope - 1.0) < 1e-12
+        assert residual < 1e-12
 
     def test_clipped_pair_not_affine(self):
         pair = huber_clipped_lfd(
             EpsContaminationClass(STD, 0.05), EpsContaminationClass(SHIFTED, 0.05)
         )
-        report = dabak_affinity_check(pair, STD, SHIFTED)
-        assert not report.affine
-        assert report.residual > 1e-3
+        _, residual = affinity_fit(pair, STD, SHIFTED)
+        assert residual > 1e-3
 
 
 class TestMembers:
@@ -433,7 +427,19 @@ class TestMembers:
         members = KlBallClass(STD, 0.08).members(11, SHIFTED)
         assert len(members) > 20
         for m in members:
-            assert kl_divergence(m, STD) <= 0.08 + 1e-9
+            assert gaussian_kl(m, STD) <= 0.08 + 1e-9
+
+    def test_classes_reject_nan(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianBandClass(math.nan, 0.0, 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianBandClass(-1.0, math.inf, 1.0)
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            KlBallClass(STD, math.nan)
+        with pytest.raises(ValueError, match="radii must be nonnegative"):
+            kl_dabak_lfd(STD, SHIFTED, math.nan, 0.05)
+        with pytest.raises(ValueError, match="eps must be in"):
+            EpsContaminationClass(STD, math.nan)
 
     def test_contaminated_member_cdf(self):
         member = ContaminatedGaussian(STD, 0.1, 0.5)

@@ -1,111 +1,109 @@
-"""Stochastic ordering: dominance, monotone maps, exact convolution."""
+"""Stochastic ordering: exact dominance, monotone maps, exact convolution."""
 
 import math
 
 import numpy as np
-import pytest
 
-from robust_fusion.distributions import AtomPmf, DiscretePmf, GaussianSpec, sample
+from robust_fusion.distributions import AtomPmf, GaussianSpec
 from robust_fusion.ordering import (
     ATOM_BIN_WIDTH,
-    CdfView,
     _merge_close_atoms,
     atoms_stochastically_larger,
     convolve,
     convolve_many,
-    dominates,
-    monotone_map_preserves,
-    sum_dominance_check,
 )
 
 from _oracles import (
     atoms_stochastically_larger_loop,
     binomial_majority_error,
     ordered_pmf_pair,
+    pushforward,
     random_nondecreasing_map,
+    tail_mass,
 )
+
+
+def binned(g: GaussianSpec, grid) -> AtomPmf:
+    """``g`` with its mass moved up to the next grid point (the mass above
+    the grid one unit past it), so its cdf at every grid point is g's."""
+    cdf = np.array([g.cdf(float(x)) for x in grid])
+    atoms = np.append(grid, grid[-1] + 1.0)
+    return AtomPmf(atoms, np.diff(cdf, prepend=0.0, append=1.0))
+
+
+def ordered(x: AtomPmf, y: AtomPmf) -> bool:
+    return atoms_stochastically_larger(x, y)[0]
+
+
+def atoms(levels, probs) -> AtomPmf:
+    return AtomPmf(np.asarray(levels, dtype=float), probs)
 
 
 class TestDominates:
     def test_mean_shifted_gaussians(self):
         """Equal-variance Gaussians are ordered by mean."""
-        x = CdfView.from_gaussian(GaussianSpec(1.0, 1.0))
-        y = CdfView.from_gaussian(GaussianSpec(0.0, 1.0))
         grid = np.linspace(-8.0, 9.0, 500)
-        assert dominates(x, y, grid).dominates
-        assert not dominates(y, x, grid).dominates
+        x = binned(GaussianSpec(1.0, 1.0), grid)
+        y = binned(GaussianSpec(0.0, 1.0), grid)
+        assert ordered(x, y)
+        assert not ordered(y, x)
 
     def test_reflexive(self):
-        x = CdfView.from_gaussian(GaussianSpec(0.0, 1.0))
-        report = dominates(x, x, np.linspace(-8.0, 8.0, 200))
-        assert report.dominates
-        assert report.worst_gap == 0.0
+        x = binned(GaussianSpec(0.0, 1.0), np.linspace(-8.0, 8.0, 200))
+        holds, worst_gap = atoms_stochastically_larger(x, x)
+        assert holds
+        assert worst_gap == 0.0
 
     def test_crossing_cdfs_not_ordered(self):
         """Different variances make the cdfs cross, so neither dominates."""
-        x = CdfView.from_gaussian(GaussianSpec(0.0, 1.0))
-        y = CdfView.from_gaussian(GaussianSpec(0.0, 2.0))
         grid = np.linspace(-16.0, 16.0, 800)
-        assert not dominates(x, y, grid).dominates
-        assert not dominates(y, x, grid).dominates
+        x = binned(GaussianSpec(0.0, 1.0), grid)
+        y = binned(GaussianSpec(0.0, 2.0), grid)
+        assert not ordered(x, y)
+        assert not ordered(y, x)
 
     def test_transitive_on_grid(self):
         grid = np.linspace(-9.0, 10.0, 300)
-        a = CdfView.from_gaussian(GaussianSpec(2.0, 1.0))
-        b = CdfView.from_gaussian(GaussianSpec(1.0, 1.0))
-        c = CdfView.from_gaussian(GaussianSpec(0.0, 1.0))
-        assert dominates(a, b, grid).dominates
-        assert dominates(b, c, grid).dominates
-        assert dominates(a, c, grid).dominates
-
-    def test_empirical_uses_dkw_band(self):
-        """MC self-comparison stays inside the 99% DKW band."""
-        xs = sample(GaussianSpec(0.0, 1.0), 99, 4000)
-        emp = CdfView.from_samples(xs)
-        exact = CdfView.from_gaussian(GaussianSpec(0.0, 1.0))
-        expected_band = math.sqrt(math.log(2.0 / 0.01) / (2.0 * 4000))
-        assert abs(emp.dkw_band() - expected_band) < 1e-15
-        grid = np.linspace(-4.0, 4.0, 200)
-        assert dominates(emp, exact, grid).dominates
-        assert dominates(exact, emp, grid).dominates
-
-    def test_validate(self):
-        view = CdfView.from_gaussian(GaussianSpec(0.0, 1.0))
-        view.validate(np.linspace(-9.0, 9.0, 100))
-        with pytest.raises(ValueError):
-            view.validate(np.linspace(-1.0, 1.0, 10))  # endpoints not reached
+        a, b, c = (binned(GaussianSpec(m, 1.0), grid) for m in (2.0, 1.0, 0.0))
+        assert ordered(a, b)
+        assert ordered(b, c)
+        assert ordered(a, c)
 
 
 class TestMonotoneMapPreserves:
+    X = ((0, 1), np.array([0.3, 0.7]))
+    Y = ((0, 1), np.array([0.7, 0.3]))
+
     def test_identity_map(self):
-        x = DiscretePmf((0, 1), np.array([0.3, 0.7]))
-        y = DiscretePmf((0, 1), np.array([0.7, 0.3]))
-        assert monotone_map_preserves(x, y, lambda d: d)
+        assert ordered(pushforward(*self.X, lambda d: d), pushforward(*self.Y, lambda d: d))
 
     def test_affine_map(self):
-        x = DiscretePmf((0, 1), np.array([0.3, 0.7]))
-        y = DiscretePmf((0, 1), np.array([0.7, 0.3]))
-        assert monotone_map_preserves(x, y, lambda d: 2 * d + 1)
+        def upsilon(d):
+            return 2 * d + 1
+
+        assert ordered(pushforward(*self.X, upsilon), pushforward(*self.Y, upsilon))
 
     def test_decreasing_map_rejected(self):
-        x = DiscretePmf((0, 1), np.array([0.3, 0.7]))
-        with pytest.raises(ValueError, match="not nondecreasing"):
-            monotone_map_preserves(x, x, lambda d: 1 - d)
+        """A decreasing map reverses the order, so the ordering check fails."""
+        def upsilon(d):
+            return 1 - d
+
+        x, y = pushforward(*self.X, upsilon), pushforward(*self.Y, upsilon)
+        assert not ordered(x, y)
+        assert ordered(y, x)
 
     def test_property_500_random_instances(self):
         """Ordered pairs stay ordered under any nondecreasing map."""
         rng = np.random.default_rng(2024)
         for _ in range(500):
             xp, yp, levels = ordered_pmf_pair(rng)
-            x = DiscretePmf(tuple(levels), xp)
-            y = DiscretePmf(tuple(levels), yp)
             upsilon = random_nondecreasing_map(rng, levels)
-            assert monotone_map_preserves(x, y, upsilon)
+            assert ordered(pushforward(levels, xp, upsilon), pushforward(levels, yp, upsilon))
 
 
 class TestConvolve:
     def test_two_fair_bernoullis(self):
-        b = DiscretePmf((0, 1), np.array([0.5, 0.5]))
+        b = atoms((0, 1), [0.5, 0.5])
         out = convolve(b, b)
         assert np.array_equal(out.atoms, [0.0, 1.0, 2.0])
         assert np.allclose(out.masses, [0.25, 0.5, 0.25], atol=1e-15)
@@ -119,7 +117,7 @@ class TestConvolve:
 
     def test_threefold_binomial(self):
         """Three-fold convolution of Bernoulli(0.2) matches the binomial pmf."""
-        b = DiscretePmf((0, 1), np.array([0.8, 0.2]))
+        b = atoms((0, 1), [0.8, 0.2])
         out = convolve_many([b, b, b])
         assert np.array_equal(out.atoms, [0.0, 1.0, 2.0, 3.0])
         expected = [
@@ -205,18 +203,13 @@ class TestAtomsStochasticallyLarger:
 
 class TestSumDominance:
     def test_two_ordered_bernoulli_pairs(self):
-        x = DiscretePmf((0, 1), np.array([0.3, 0.7]))
-        y = DiscretePmf((0, 1), np.array([0.7, 0.3]))
-        assert sum_dominance_check([x, x], [y, y])
+        x = atoms((0, 1), [0.3, 0.7])
+        y = atoms((0, 1), [0.7, 0.3])
+        assert ordered(convolve_many([x, x]), convolve_many([y, y]))
 
     def test_equality_case(self):
-        x = DiscretePmf((0, 1), np.array([0.3, 0.7]))
-        assert sum_dominance_check([x, x, x], [x, x, x])
-
-    def test_length_mismatch(self):
-        x = DiscretePmf((0, 1), np.array([0.3, 0.7]))
-        with pytest.raises(ValueError, match="mismatch"):
-            sum_dominance_check([x, x], [x])
+        x = atoms((0, 1), [0.3, 0.7])
+        assert ordered(convolve_many([x, x, x]), convolve_many([x, x, x]))
 
     def test_property_500_random_instances(self):
         """Componentwise-ordered sums stay ordered (exact convolution)."""
@@ -226,12 +219,11 @@ class TestSumDominance:
             xs, ys = [], []
             for _ in range(k):
                 xp, yp, levels = ordered_pmf_pair(rng)
-                xs.append(DiscretePmf(tuple(levels), xp))
-                ys.append(DiscretePmf(tuple(levels), yp))
-            assert sum_dominance_check(xs, ys)
+                xs.append(atoms(levels, xp))
+                ys.append(atoms(levels, yp))
+            assert ordered(convolve_many(xs), convolve_many(ys))
 
     def test_majority_error_from_convolution(self):
         """Binomial tail from convolution agrees with the formula oracle."""
-        b = DiscretePmf((0, 1), np.array([0.8, 0.2]))
-        out = convolve_many([b] * 5)
-        assert abs(out.mass_above(2.5) - binomial_majority_error(5, 0.2)) < 1e-15
+        out = convolve_many([atoms((0, 1), [0.8, 0.2])] * 5)
+        assert abs(tail_mass(out, 2.5) - binomial_majority_error(5, 0.2)) < 1e-15

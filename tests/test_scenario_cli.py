@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -485,6 +486,63 @@ class TestSpecErrors:
         assert main(["evaluate", "--scenario", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"error: sensor 1: {message}" in err
+
+
+class TestMalformedScenario:
+    """Malformed and non-finite documents exit 2 with an error line, no traceback."""
+
+    BAND = {
+        "kind": "gaussian-band",
+        "band0": {"mu_lo": -1.0, "mu_hi": 0.0},
+        "band1": {"mu_lo": 1.0, "mu_hi": 2.0},
+        "sigma": 1.0,
+        "quantizer": {"num_thresholds": 1},
+    }
+    DOC = {"scenario_id": "doc", "prior0": 0.5, "sensors": [BAND, TestSpecErrors.KL]}
+
+    @pytest.mark.parametrize(
+        ("where", "value"),
+        [
+            (("prior0",), None),
+            (("seed",), None),
+            (("grid_points",), None),
+            (("sensors",), "abc"),
+            (("sensors",), {"kind": "explicit-pmf"}),
+            (("sensors",), [[1, 2]]),
+            (("log_threshold",), math.nan),
+            (("sensors", 1, "eps0"), math.nan),
+            (("sensors", 0, "band0", "mu_lo"), math.nan),
+            (("sensors", 1, "nominal0", "mean"), math.nan),
+            (("sensors", 0, "sigma"), math.inf),
+        ],
+        ids=["null-prior0", "null-seed", "null-grid-points", "string-sensors",
+             "object-sensors", "list-sensor", "nan-log-threshold", "nan-kl-radius",
+             "nan-band-endpoint", "nan-nominal-mean", "inf-band-sigma"],
+    )
+    def test_exit_2(self, tmp_path, capsys, where, value):
+        doc = json.loads(json.dumps(self.DOC))
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["evaluate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^error: ", err, re.MULTILINE)
+        assert "Traceback" not in err
+
+
+class TestReadme:
+    def test_library_sketch_runs(self, monkeypatch, capsys):
+        """The README's library sketch runs from the repository root."""
+        root = SCENARIOS.parent
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        sketch = readme.split("## Library sketch", 1)[1]
+        code = sketch.split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(root)
+        exec(compile(code, "README.md", "exec"), {})
+        assert "True" in capsys.readouterr().out
 
 
 class TestOneRulePerSensor:

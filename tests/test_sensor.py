@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from robust_fusion import sensor
-from robust_fusion.distributions import DiscretePmf, GaussianSpec, pmf_from_weights
+from robust_fusion.distributions import AtomPmf, DiscretePmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import (
     CdfMember,
     ClippedAffineLlr,
@@ -18,27 +18,26 @@ from robust_fusion.lfd import (
     huber_clipped_lfd,
     kl_dabak_lfd,
 )
-from robust_fusion.ordering import CdfView, dominates
+from robust_fusion.ordering import atoms_stochastically_larger
 from robust_fusion.scenario import build_lfd_pair, build_sensor
 from robust_fusion.sensor import (
     Quantizer,
     RandomizedBinaryRule,
     SensorChannel,
     SensorRule,
-    block_sensor_llr,
     channel_from_pmfs,
     channel_from_quantizer,
     default_quantizer,
     level_boundaries,
     llr_monotone_check,
     member_channel,
-    quantize,
     randomized_binary_admissible,
 )
 
 from _oracles import (
     density_integral,
     log_density_crossing_cuts,
+    lr_level,
     member_channel_reference,
     normal_cdf_quadrature,
 )
@@ -51,25 +50,36 @@ EXAMPLE_PAIR = gaussian_band_lfd(
 PHI_HALF = 0.6914624612740131
 
 
+def lr_level_of(q: Quantizer, lr: float) -> int:
+    """Level that ``SensorRule`` gives the observation whose EXAMPLE_PAIR
+    likelihood ratio is ``lr`` (log-LR y - 1/2, inverted as the rule does)."""
+    return SensorRule(EXAMPLE_PAIR, q).level_of(0.5 + math.log(lr))
+
+
 class TestQuantize:
     def test_single_threshold(self):
         q = Quantizer((1.0,))
-        assert quantize(q, 0.5) == 0
-        assert quantize(q, 1.5) == 1
+        assert lr_level_of(q, 0.5) == 0
+        assert lr_level_of(q, 1.5) == 1
 
     def test_interval_convention_left_closed(self):
         q = Quantizer((1.0, 2.0, 3.0))
-        assert quantize(q, 2.0) == 2
-        assert quantize(q, 2.9) == 2
-        assert quantize(q, 3.0) == 3
+        assert lr_level_of(q, 2.0) == 2
+        assert lr_level_of(q, 2.9) == 2
+        assert lr_level_of(q, 3.0) == 3
 
     def test_boundary_goes_up(self):
         q = Quantizer((1.0,))
-        assert quantize(q, 1.0) == 1
+        assert lr_level_of(q, 1.0) == 1
 
     def test_thresholds_must_increase(self):
         with pytest.raises(ValueError):
             Quantizer((1.0, 1.0))
+
+    def test_nan_threshold_rejected(self):
+        for thresholds in ((math.nan,), (math.nan, 2.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="NaN"):
+                Quantizer(thresholds)
 
 
 class TestChannelFromQuantizer:
@@ -117,17 +127,16 @@ class TestChannelFromQuantizer:
         band1 = GaussianBandClass(1.0, 2.0, 1.0)
         pair = gaussian_band_lfd(band0, band1)
         q = Quantizer((0.5, 1.0, 2.0))
-        lfd0 = member_channel(GaussianSpec(0.0, 1.0), SensorRule(pair, q))
-        lfd1 = member_channel(GaussianSpec(1.0, 1.0), SensorRule(pair, q))
-        grid = np.arange(-1.0, 5.0, 0.5)
+
+        def level_atoms(mean):
+            law = member_channel(GaussianSpec(float(mean), 1.0), SensorRule(pair, q))
+            return AtomPmf(np.asarray(law.levels, dtype=float), law.probs)
+
+        lfd0, lfd1 = level_atoms(0.0), level_atoms(1.0)
         for mu in np.linspace(-1.0, 0.0, 7):
-            member = member_channel(GaussianSpec(float(mu), 1.0), SensorRule(pair, q))
-            report = dominates(CdfView.from_pmf(lfd0), CdfView.from_pmf(member), grid)
-            assert report.dominates
+            assert atoms_stochastically_larger(lfd0, level_atoms(mu))[0]
         for mu in np.linspace(1.0, 2.0, 7):
-            member = member_channel(GaussianSpec(float(mu), 1.0), SensorRule(pair, q))
-            report = dominates(CdfView.from_pmf(member), CdfView.from_pmf(lfd1), grid)
-            assert report.dominates
+            assert atoms_stochastically_larger(level_atoms(mu), lfd1)[0]
 
     def test_huber_channel_exact(self):
         pair = huber_clipped_lfd(
@@ -201,7 +210,7 @@ class TestChannelFromQuantizer:
             for logpdf, pmf in ((pair.q0_logpdf, ch.pmf0), (pair.q1_logpdf, ch.pmf1)):
                 oracle = np.zeros(q.num_levels)
                 for a, b in zip(cuts, cuts[1:]):
-                    level = quantize(q, math.exp(float(pair.log_lr(0.5 * (a + b)))))
+                    level = lr_level(q, math.exp(float(pair.log_lr(0.5 * (a + b)))))
                     oracle[level] += quad(
                         lambda y: math.exp(float(logpdf(y))), a, b, limit=200
                     )[0]
@@ -439,30 +448,6 @@ class TestRandomizedBinaryRule:
     def test_out_of_range_probability_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             RandomizedBinaryRule.from_accept_prob(lambda y: 1.5, EXAMPLE_PAIR)
-
-
-class TestBlockSensor:
-    def test_single_observation(self):
-        y = 0.8
-        expected = float(EXAMPLE_PAIR.log_lr(y))
-        assert block_sensor_llr(EXAMPLE_PAIR, [y]) == expected
-
-    def test_repeated_observation_triples(self):
-        y = -0.3
-        single = float(EXAMPLE_PAIR.log_lr(y))
-        assert abs(block_sensor_llr(EXAMPLE_PAIR, [y, y, y]) - 3.0 * single) < 1e-12
-
-    def test_huber_pair_allowed(self):
-        pair = huber_clipped_lfd(
-            EpsContaminationClass(GaussianSpec(0.0, 1.0), 0.05),
-            EpsContaminationClass(GaussianSpec(1.0, 1.0), 0.05),
-        )
-        assert math.isfinite(block_sensor_llr(pair, [0.1, 4.0, -3.0]))
-
-    def test_divergence_ball_pair_rejected(self):
-        pair = kl_dabak_lfd(GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.0), 0.05, 0.05)
-        with pytest.raises(ValueError, match="product rule invalid"):
-            block_sensor_llr(pair, [0.1])
 
 
 class TestDefaultQuantizer:
