@@ -111,17 +111,6 @@ def fuse(net: NetworkModel, u: Sequence[int]) -> int:
     )
 
 
-def _decide_one_mass(law: AtomPmf, tau, shift=0.0) -> np.ndarray:
-    """Mass of ``law`` whose atoms a decide 1 at log threshold ``tau`` once
-    ``shift`` is added: a + shift > tau + TIE_TOL, so ties decide 0.
-
-    One tail-sum table and one ``searchsorted``; ``tau`` and ``shift``
-    broadcast against each other.
-    """
-    tail = np.concatenate([np.cumsum(law.masses[::-1])[::-1], [0.0]])
-    return tail[np.searchsorted(law.atoms, (tau + TIE_TOL) - shift, side="right")]
-
-
 @dataclass(frozen=True, eq=False)
 class LlrSumLaw:
     """Law of the fused LLR sum: two independent halves plus the forced-1 mass.
@@ -138,18 +127,24 @@ class LlrSumLaw:
 
     @property
     def finite(self) -> AtomPmf:
-        """The finite part as one atom law, convolved on each access."""
-        return convolve(self.left, self.right)
+        """The finite part as one atom law: the halves convolved, or the
+        right half itself when the left is the empty sum."""
+        return self.right if self.left is _POINT_ZERO else convolve(self.left, self.right)
 
-    def prob_decide_one(self, tau: float) -> float:
+    def prob_decide_one(self, tau):
         """P[decide 1] at log threshold ``tau``, without building the sum.
 
         A left atom a decides 1 with every right atom above
         tau + TIE_TOL - a, so one ``searchsorted`` over the right half's
         atoms reads each left atom's share off the right half's tail sums.
+        ``tau`` is a float, or an array of thresholds for an array of
+        probabilities.
         """
-        shares = _decide_one_mass(self.right, tau, self.left.atoms)
-        return self.forced_one + float(np.dot(self.left.masses, shares))
+        tail = np.concatenate([np.cumsum(self.right.masses[::-1])[::-1], [0.0]])
+        cut = (np.asarray(tau)[..., None] + TIE_TOL) - self.left.atoms
+        shares = tail[np.searchsorted(self.right.atoms, cut, side="right")]
+        p_one = self.forced_one + np.dot(shares, self.left.masses)
+        return float(p_one) if np.ndim(tau) == 0 else p_one
 
 
 # the sum over no sensors: the left half of a one-sensor law
@@ -164,14 +159,11 @@ class _SensorPart(NamedTuple):
     finite_mass: float  # probability of a finite-LLR level
 
 
-def _sensor_part(ch: SensorChannel, law: DiscretePmf) -> _SensorPart:
-    if law.levels != ch.levels:
-        raise ValueError(
-            f"law levels {law.levels} do not match channel levels {ch.levels}"
-        )
-    finite = np.isfinite(ch.llr)
-    atoms = AtomPmf(ch.llr[finite], law.probs[finite])
-    no_minus = 1.0 - float(np.sum(law.probs[ch.llr == -math.inf]))
+def _sensor_part(llr: np.ndarray, probs: np.ndarray) -> _SensorPart:
+    """The part of a sensor with per-level LLRs ``llr`` and level law ``probs``."""
+    finite = np.isfinite(llr)
+    atoms = AtomPmf(llr[finite], probs[finite])
+    no_minus = 1.0 - float(np.sum(probs[llr == -math.inf]))
     return _SensorPart(atoms, no_minus, atoms.total_mass)
 
 
@@ -193,7 +185,10 @@ def llr_sum_law(
     The sensors split at K // 2 and each half is folded in sensor order,
     so no atom law has more than (D+1)^ceil(K/2) atoms.
     """
-    parts = [_sensor_part(ch, law) for ch, law in zip(channels, laws)]
+    for ch, law in zip(channels, laws):
+        if law.levels != ch.levels:
+            raise ValueError(f"law levels {law.levels} do not match channel levels {ch.levels}")
+    parts = [_sensor_part(ch.llr, law.probs) for ch, law in zip(channels, laws)]
     half = len(parts) // 2
     left = convolve_many([part.finite for part in parts[:half]]) if half else _POINT_ZERO
     right = convolve_many([part.finite for part in parts[half:]])
@@ -371,39 +366,31 @@ def saddle_verify(
     )
 
 
-def best_fusion_threshold(
-    conv0: AtomPmf,
-    conv1: AtomPmf,
-    prior0: float,
-    forced_one0: float = 0.0,
-    forced_one1: float = 0.0,
-) -> tuple[float, float]:
+def best_fusion_threshold(law0: LlrSumLaw, law1: LlrSumLaw, prior0: float) -> tuple[float, float]:
     """Exact minimizer of P_E over the achievable LLR-sum atoms.
 
     Under the tie-to-null rule the error probability only changes at atom
     values, so scanning atoms (plus an always-decide-1 candidate below the
-    smallest atom) is exhaustive. ``conv0``/``conv1`` are the finite parts
-    of the LLR-sum laws; ``forced_one*`` carry the threshold-independent
-    probability of a forced decide-1 (an infinite-LLR level observed).
-    Each candidate is scored as :meth:`LlrSumLaw.prob_decide_one` would
-    score it. Returns (log_threshold, p_error).
+    smallest atom) is exhaustive. ``law0``/``law1`` are the LLR-sum laws
+    under H0 and H1, and each candidate is scored by
+    :meth:`LlrSumLaw.prob_decide_one`. Returns (log_threshold, p_error).
     """
-    candidates, p_e = _threshold_errors(conv0, conv1, prior0, forced_one0, forced_one1)
+    candidates, p_e = _threshold_errors(law0, law1, prior0)
     best = int(np.argmin(p_e))
     return float(candidates[best]), float(p_e[best])
 
 
 def _threshold_errors(
-    conv0: AtomPmf, conv1: AtomPmf, prior0: float, forced_one0: float, forced_one1: float
+    law0: LlrSumLaw, law1: LlrSumLaw, prior0: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(candidate log thresholds, P_E at each) for :func:`best_fusion_threshold`.
 
     The candidates are every atom of the sum and one below the smallest.
     """
-    atoms = np.union1d(conv0.atoms, conv1.atoms)
+    atoms = np.union1d(law0.finite.atoms, law1.finite.atoms)
     candidates = np.concatenate([[atoms[0] - 1.0], atoms])
-    p_f = forced_one0 + _decide_one_mass(conv0, candidates)
-    p_m = 1.0 - forced_one1 - _decide_one_mass(conv1, candidates)
+    p_f = law0.prob_decide_one(candidates)
+    p_m = 1.0 - law1.prob_decide_one(candidates)
     return candidates, prior0 * p_f + (1.0 - prior0) * p_m
 
 
@@ -428,12 +415,30 @@ class DesignResult:
 _REPLY_TAUS = 16
 
 
-class _Slot(NamedTuple):
-    """One sensor of the design objective, as last built."""
+class _SensorBuild(NamedTuple):
+    """One sensor of the design objective, built at one set of thresholds."""
 
-    log_thresholds: tuple[float, ...]
+    channel: SensorChannel
     parts: tuple[_SensorPart, _SensorPart]  # under H0 and under H1
-    llr: np.ndarray  # the channel's per-level LLR, +/-inf included
+
+
+def _fuse_one_given_level(
+    others: Sequence[_SensorPart], llr: np.ndarray, taus: np.ndarray
+) -> np.ndarray:
+    """a[t, d] = P(fuse 1 | the sensor sends level d) at fusion threshold taus[t].
+
+    ``llr`` is the sensor's per-level LLR and ``others`` are the other
+    sensors' parts under one hypothesis. Level d's column is one
+    :class:`LlrSumLaw`: its left half is the level's own part (one atom at
+    a finite LLR, none at +/-inf) and its right half the others' fold.
+    """
+    right = convolve_many([part.finite for part in others]) if others else _POINT_ZERO
+    columns = []
+    for d in range(len(llr)):
+        level = _sensor_part(llr[d : d + 1], np.ones(1))
+        law = LlrSumLaw(level.finite, right, _forced_one([level, *others]))
+        columns.append(law.prob_decide_one(taus))
+    return np.column_stack(columns)
 
 
 def _envelope_cuts(
@@ -478,84 +483,64 @@ def _envelope_cuts(
 class _ThresholdObjective:
     """P_E of a threshold configuration, minimized over the fusion threshold.
 
-    Evaluation is incremental. One slot per sensor keeps the log thresholds
-    it was last built from, its LLR values and its LLR-sum parts under
-    each hypothesis, so an evaluation rebuilds (and re-validates) only the
-    sensors whose thresholds changed. Per hypothesis the left-fold prefixes
-    s_0, s_0*s_1, ... of the finite parts are kept too: rebuilding sensor i
-    drops the prefixes from i on, and the fold resumes from the last one
-    kept. The fusion-threshold scan needs every atom of the sum, so it
-    reads the full prefix; every value is bit-identical to building all K
-    channels and folding both laws afresh in sensor order. The caches
-    belong to the instance; ``optimize_thresholds`` makes one per call.
+    One memo maps (sensor, LR thresholds) to that sensor's channel and its
+    LLR-sum parts under each hypothesis, or to None when the thresholds are
+    not a valid quantizer, so each distinct sensor design is built (and
+    validated) once, also when two log thresholds round to one LR value.
+    An evaluation folds the K parts afresh in sensor order, so every value
+    is bit-identical to building all K channels and folding both laws from
+    scratch. The memo belongs to the instance; ``optimize_thresholds``
+    makes one per call.
     """
 
     def __init__(self, pairs: Sequence[LfdPair], prior0: float):
         self.pairs = list(pairs)
         self.prior0 = prior0
-        self._slots: list[_Slot | None] = [None] * len(self.pairs)
-        self._prefixes: tuple[list[AtomPmf], list[AtomPmf]] = ([], [])
+        self._built: dict[tuple[int, tuple[float, ...]], _SensorBuild | None] = {}
 
-    def channel(self, i: int, log_thresholds: Sequence[float]) -> SensorChannel | None:
-        try:
-            q = Quantizer(tuple(math.exp(t) for t in log_thresholds))
-        except ValueError:
-            return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return channel_from_quantizer(q, self.pairs[i])
+    def build(self, i: int, log_thresholds: Sequence[float]) -> _SensorBuild | None:
+        """Sensor i at ``log_thresholds``; None when they are invalid."""
+        key = (i, tuple(math.exp(t) for t in log_thresholds))
+        if key not in self._built:
+            try:
+                q = Quantizer(key[1])
+            except ValueError:
+                self._built[key] = None
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                ch = channel_from_quantizer(q, self.pairs[i])
+            parts = (_sensor_part(ch.llr, ch.pmf0.probs), _sensor_part(ch.llr, ch.pmf1.probs))
+            self._built[key] = _SensorBuild(ch, parts)
+        return self._built[key]
 
-    def _set(self, i: int, slot: _Slot) -> None:
-        if slot is not self._slots[i]:
-            self._slots[i] = slot
-            for prefixes in self._prefixes:
-                del prefixes[i:]
-
-    def _update(self, i: int, log_thresholds: tuple[float, ...]) -> bool:
-        """Bring sensor i's slot to ``log_thresholds``; False when invalid."""
-        slot = self._slots[i]
-        if slot is not None and slot.log_thresholds == log_thresholds:
-            return True
-        ch = self.channel(i, log_thresholds)
-        if ch is None:
-            return False
-        parts = (_sensor_part(ch, ch.pmf0), _sensor_part(ch, ch.pmf1))
-        self._set(i, _Slot(log_thresholds, parts, ch.llr))
-        return True
-
-    def _fold(self, h: int) -> tuple[AtomPmf, float]:
-        """(finite part of the sum, forced-1 mass) under hypothesis h."""
-        parts = [slot.parts[h] for slot in self._slots]
-        prefixes = self._prefixes[h]
-        for part in parts[len(prefixes) :]:
-            prefixes.append(convolve(prefixes[-1], part.finite) if prefixes else part.finite)
-        return prefixes[-1], _forced_one(parts)
+    def laws(
+        self, all_log_thresholds: Sequence[Sequence[float]]
+    ) -> tuple[LlrSumLaw, LlrSumLaw] | None:
+        """The LLR-sum laws under H0 and H1, each folded left to right in
+        sensor order; None when some sensor's thresholds are invalid."""
+        builds = []
+        for i, coords in enumerate(all_log_thresholds):
+            build = self.build(i, coords)
+            if build is None:
+                return None
+            builds.append(build)
+        return tuple(
+            LlrSumLaw(
+                _POINT_ZERO,
+                convolve_many([b.parts[h].finite for b in builds]),
+                _forced_one([b.parts[h] for b in builds]),
+            )
+            for h in (0, 1)
+        )
 
     def evaluate(self, all_log_thresholds: Sequence[Sequence[float]]) -> tuple[float, float]:
         """Returns (p_error, best log fusion threshold); inf when invalid."""
-        for i, coords in enumerate(all_log_thresholds):
-            if not self._update(i, tuple(coords)):
-                return math.inf, 0.0
-        (finite0, forced0), (finite1, forced1) = self._fold(0), self._fold(1)
-        tau, p_e = best_fusion_threshold(finite0, finite1, self.prior0, forced0, forced1)
+        laws = self.laws(all_log_thresholds)
+        if laws is None:
+            return math.inf, 0.0
+        tau, p_e = best_fusion_threshold(*laws, self.prior0)
         return p_e, tau
-
-    def _fuse_one_given_level(self, i: int, taus: np.ndarray, h: int) -> np.ndarray:
-        """a[t, d] = P_h(fuse 1 | sensor i sends level d) at fusion threshold taus[t].
-
-        The other sensors' parts fold into one law; level d's LLR w decides
-        as in :meth:`LlrSumLaw.prob_decide_one`: -inf never fuses 1, +inf
-        fuses 1 unless another level is -inf, and a finite w reads the
-        others' tail above tau + TIE_TOL - w.
-        """
-        others = [slot.parts[h] for j, slot in enumerate(self._slots) if j != i]
-        law = convolve_many([part.finite for part in others]) if others else _POINT_ZERO
-        llr = self._slots[i].llr
-        finite = np.isfinite(llr)
-        no_minus = math.prod(part.no_minus for part in others)
-        a = np.tile(np.where(llr == math.inf, no_minus, 0.0), (len(taus), 1))
-        a[:, finite] = _forced_one(others) + _decide_one_mass(law, taus[:, None], llr[finite])
-        return a
 
     def best_response(
         self,
@@ -571,29 +556,32 @@ class _ThresholdObjective:
         candidates (every atom of the sum, and one below) the
         ``_REPLY_TAUS`` with the lowest current P_E are replied to, so the
         work per sensor does not grow with the sum's atom count, which is
-        up to (D+1)^K. Each distinct reply is scored exactly, rebuilding
-        only sensor i, and kept only if it strictly lowers P_E. The
-        configuration must be valid; sensor i's slot ends at the reply.
+        up to (D+1)^K. Each distinct reply is scored exactly and kept only
+        if it strictly lowers P_E. The configuration must be valid.
         """
-        best = (*self.evaluate(all_log_thresholds), tuple(all_log_thresholds[i]))
-        kept = self._slots[i]
-        (finite0, forced0), (finite1, forced1) = self._fold(0), self._fold(1)
-        taus, p_e = _threshold_errors(finite0, finite1, self.prior0, forced0, forced1)
-        taus = taus[np.argsort(p_e, kind="stable")[:_REPLY_TAUS]]
-        a = np.hstack([self._fuse_one_given_level(i, taus, h) for h in (0, 1)])
-        levels = len(kept.llr)
-        trial = [list(c) for c in all_log_thresholds]
-        tried = {best[2]}
+        conf = [tuple(coords) for coords in all_log_thresholds]
+        taus, p_e = _threshold_errors(*self.laws(conf), self.prior0)
+        order = np.argsort(p_e, kind="stable")
+        best = (float(p_e[order[0]]), float(taus[order[0]]), conf[i])
+        taus = taus[order[:_REPLY_TAUS]]
+        builds = [self.build(j, coords) for j, coords in enumerate(conf)]
+        others = builds[:i] + builds[i + 1 :]
+        llr = builds[i].channel.llr
+        a = np.hstack(
+            [_fuse_one_given_level([b.parts[h] for b in others], llr, taus) for h in (0, 1)]
+        )
+        levels = len(llr)
+        trial = list(conf)
+        tried = {conf[i]}
         for row in np.unique(a, axis=0):
-            cuts = _envelope_cuts(row[:levels], row[levels:], self.prior0, bracket, len(best[2]))
+            cuts = _envelope_cuts(row[:levels], row[levels:], self.prior0, bracket, len(conf[i]))
             if cuts in tried:
                 continue
             tried.add(cuts)
             trial[i] = cuts
             p_e, tau = self.evaluate(trial)
             if p_e < best[0]:
-                best, kept = (p_e, tau, cuts), self._slots[i]
-        self._set(i, kept)
+                best = (p_e, tau, cuts)
         return best
 
 
@@ -678,12 +666,8 @@ def optimize_thresholds(
     if not best_converged:
         warnings.warn("threshold optimizer hit the sweep limit; returning best found")
     best_response_gain = best_pe - _sweep(objective, [list(c) for c in best_conf], brackets)[0]
-    quantizers = tuple(
-        Quantizer(tuple(math.exp(t) for t in coords)) for coords in best_conf
-    )
-    channels = tuple(
-        channel_from_quantizer(q, pair) for q, pair in zip(quantizers, pairs)
-    )
+    quantizers = tuple(Quantizer(tuple(math.exp(t) for t in coords)) for coords in best_conf)
+    channels = tuple(objective.build(i, coords).channel for i, coords in enumerate(best_conf))
     net = NetworkModel(channels, prior0, best_tau)
     report = exact_error(net)
     return DesignResult(
@@ -720,7 +704,7 @@ def k_sweep(
     if any(k < 1 for k in ks):
         raise ValueError("sensor counts must be >= 1")
     net = NetworkModel((template,), prior0, log_threshold)
-    parts = [_sensor_part(template, law) for law in (template.pmf0, template.pmf1)]
+    parts = [_sensor_part(template.llr, law.probs) for law in (template.pmf0, template.pmf1)]
     folds = [[_POINT_ZERO, part.finite] for part in parts]
     reports = {}
     for k in sorted(set(ks)):

@@ -44,6 +44,7 @@ methods, and spec errors name the sensor.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,6 +90,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if not 0.0 < self.prior0 < 1.0:
             raise ValueError(f"prior0 must be in (0, 1), got {self.prior0}")
+        if self.log_threshold is not None and math.isnan(self.log_threshold):
+            raise ValueError("log_threshold must not be NaN")
         if self.grid_points < 3:
             raise ValueError("grid_points must be at least 3")
         if not self.sensors:
@@ -124,13 +127,20 @@ class Scenario:
                 log_threshold=(
                     None if doc.get("log_threshold") is None else float(doc["log_threshold"])
                 ),
-                grid_points=int(doc.get("grid_points", 2001)),
-                seed=int(doc.get("seed", 0)),
+                grid_points=_integer(doc.get("grid_points", 2001), "grid_points"),
+                seed=_integer(doc.get("seed", 0), "seed"),
             )
         except KeyError as exc:
             raise ValueError(f"scenario is missing required key {exc}") from None
         except TypeError as exc:
             raise ValueError(f"scenario has a malformed value ({exc})") from None
+
+
+def _integer(value: Any, field: str) -> int:
+    """``value`` as an int; a boolean or a fractional number names ``field``."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{field}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -199,7 +209,7 @@ def build_quantizer(spec: dict, pair: LfdPair) -> Quantizer:
     if "thresholds" in qdoc:
         return Quantizer(tuple(float(t) for t in qdoc["thresholds"]))
     if "num_thresholds" in qdoc:
-        return default_quantizer(pair, int(qdoc["num_thresholds"]))
+        return default_quantizer(pair, _integer(qdoc["num_thresholds"], "num_thresholds"))
     raise ValueError("quantizer needs thresholds or num_thresholds")
 
 
@@ -254,7 +264,7 @@ def build_sensor(spec: dict, index: int) -> BuiltSensor:
     kind = spec["kind"]
     with _sensor_errors(index, kind):
         if kind == "explicit-pmf":
-            levels = tuple(int(l) for l in spec["levels"])
+            levels = tuple(_integer(level, "levels") for level in spec["levels"])
             pmf0 = pmf_from_weights(levels, [float(p) for p in spec["pmf0"]])
             pmf1 = pmf_from_weights(levels, [float(p) for p in spec["pmf1"]])
             return BuiltSensor(index, kind, channel_from_pmfs(pmf0, pmf1))

@@ -134,7 +134,7 @@ def full_rebuild_objective(pairs, prior0, all_log_thresholds):
     import warnings
 
     from robust_fusion.distributions import AtomPmf
-    from robust_fusion.fusion import best_fusion_threshold, llr_sum_law
+    from robust_fusion.fusion import LlrSumLaw, best_fusion_threshold, llr_sum_law
     from robust_fusion.ordering import convolve_many
     from robust_fusion.sensor import Quantizer, channel_from_quantizer
 
@@ -147,15 +147,17 @@ def full_rebuild_objective(pairs, prior0, all_log_thresholds):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             channels.append(channel_from_quantizer(q, pair))
-    finite, forced_one = [], []
+    sums = []
     for laws in ([ch.pmf0 for ch in channels], [ch.pmf1 for ch in channels]):
-        # every atom of the sum, folded left to right in sensor order
-        finite.append(convolve_many([
+        # every atom of the sum, folded left to right in sensor order, as
+        # the right half of a law whose left half is the point mass at 0
+        finite = convolve_many([
             AtomPmf(ch.llr[np.isfinite(ch.llr)], law.probs[np.isfinite(ch.llr)])
             for ch, law in zip(channels, laws)
-        ]))
-        forced_one.append(llr_sum_law(channels, laws).forced_one)
-    tau, p_e = best_fusion_threshold(finite[0], finite[1], prior0, *forced_one)
+        ])
+        point_zero = AtomPmf(np.zeros(1), np.ones(1))
+        sums.append(LlrSumLaw(point_zero, finite, llr_sum_law(channels, laws).forced_one))
+    tau, p_e = best_fusion_threshold(*sums, prior0)
     return p_e, tau
 
 

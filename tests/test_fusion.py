@@ -380,6 +380,18 @@ class TestExactError:
                 ) <= 1e-12
         assert edges >= 100
 
+    def test_array_thresholds_match_float_thresholds(self):
+        """``prob_decide_one`` on an array of thresholds gives each float
+        threshold's value, on split laws of 1-6 sensors."""
+        rng = np.random.default_rng(20261106)
+        for _ in range(40):
+            net = _random_tie_network(rng, int(rng.integers(1, 7)))
+            law = llr_sum_law(net.channels, [ch.pmf0 for ch in net.channels])
+            taus = np.concatenate([law.finite.atoms, law.finite.atoms - 5e-13, [0.0]])
+            values = law.prob_decide_one(taus)
+            assert values.shape == taus.shape
+            assert np.max(np.abs(values - [law.prob_decide_one(float(t)) for t in taus])) <= 1e-15
+
 
 def _record_convolutions(monkeypatch) -> list[int]:
     """Output sizes of every convolution the library runs from now on."""
@@ -699,10 +711,10 @@ class TestBestFusionThreshold:
             channel_from_quantizer(Quantizer((math.exp(s * 5.1),)), pair)
             for s in (-1.0, 1.0)
         )
-        conv0 = llr_sum_law(chans, [c.pmf0 for c in chans]).finite
-        conv1 = llr_sum_law(chans, [c.pmf1 for c in chans]).finite
-        assert np.array_equal(conv0.atoms, conv1.atoms)
-        _, pe = best_fusion_threshold(conv0, conv1, 0.5)
+        law0 = llr_sum_law(chans, [c.pmf0 for c in chans])
+        law1 = llr_sum_law(chans, [c.pmf1 for c in chans])
+        assert np.array_equal(law0.finite.atoms, law1.finite.atoms)
+        _, pe = best_fusion_threshold(law0, law1, 0.5)
         # no quantized rule can beat the full-observation Bayes error
         bayes_floor = 1.0 - GaussianSpec(0.0, 1.0).cdf(0.5)
         assert pe >= bayes_floor - 1e-12
@@ -715,12 +727,13 @@ class TestBestFusionThreshold:
                 pmf_from_weights([0, 1, 2], rng.uniform(0.05, 1.0, 3)),
             )
             prior0 = float(rng.uniform(0.2, 0.8))
-            conv0 = llr_sum_law((ch, ch), [ch.pmf0, ch.pmf0]).finite
-            conv1 = llr_sum_law((ch, ch), [ch.pmf1, ch.pmf1]).finite
-            tau, pe = best_fusion_threshold(conv0, conv1, prior0)
+            law0 = llr_sum_law((ch, ch), [ch.pmf0, ch.pmf0])
+            law1 = llr_sum_law((ch, ch), [ch.pmf1, ch.pmf1])
+            tau, pe = best_fusion_threshold(law0, law1, prior0)
+            atoms = law0.finite.atoms
             brute = min(
                 exact_error(NetworkModel((ch, ch), prior0, float(t)), cross_check=False).p_error
-                for t in np.concatenate([[conv0.atoms[0] - 1.0], conv0.atoms])
+                for t in np.concatenate([[atoms[0] - 1.0], atoms])
             )
             assert abs(pe - brute) < 1e-14
             report = exact_error(NetworkModel((ch, ch), prior0, tau))
@@ -803,7 +816,7 @@ def _outcome(fn, *args):
 
 class TestThresholdObjective:
     def test_matches_full_rebuild_reference(self):
-        """The incremental objective equals a from-scratch rebuild bit for
+        """The memoized objective equals a from-scratch rebuild bit for
         bit along probe sequences that move one coordinate at a time, jump
         between sensors, repeat a configuration or break a sensor's
         threshold order (which must give inf)."""
@@ -836,45 +849,81 @@ class TestThresholdObjective:
         assert kinds == {"gaussian-band", "huber", "kl-dabak"}
         assert invalid >= 20 and probes - invalid >= 500
 
-    def test_each_scored_candidate_rebuilds_only_the_sensor_it_moves(self, monkeypatch):
-        """A best response builds one channel per candidate it scores, for
-        the sensor it moves only, and leaves that sensor's slot at the reply
-        without another build."""
+    def test_each_sensor_design_is_built_once_per_call(self, monkeypatch):
+        """One ``optimize_thresholds`` call builds each distinct (sensor,
+        thresholds) channel at most once, the returned design's included:
+        later sweeps, later starts and the certificate sweep reuse them."""
         rng = np.random.default_rng(20261022)
-        kinds = ("gaussian-band", "eps-contamination", "gaussian-band")
-        pairs = [build_lfd_pair(_random_spec(rng, kind, 3), i) for i, kind in enumerate(kinds)]
-        brackets = [tuple(float(pair.log_lr(y)) for y in pair.support) for pair in pairs]
-        conf = [[-0.5, 0.5] for _ in pairs]
-        objective = fusion._ThresholdObjective(pairs, 0.5)
-        builds = 0
         original = fusion.channel_from_quantizer
+        builds = {}
 
-        def counting(*args, **kwargs):
-            nonlocal builds
-            builds += 1
-            return original(*args, **kwargs)
+        def counting(q, pair, *args, **kwargs):
+            key = (id(pair), q.thresholds)
+            builds[key] = builds.get(key, 0) + 1
+            return original(q, pair, *args, **kwargs)
 
         monkeypatch.setattr(fusion, "channel_from_quantizer", counting)
-        evaluate = objective.evaluate
-        probes = []
+        for kinds, num_levels in (
+            (("gaussian-band", "eps-contamination", "gaussian-band"), [2, 2, 2]),
+            (("eps-contamination", "gaussian-band"), [3, 1]),
+        ):
+            pairs = [build_lfd_pair(_random_spec(rng, kind, 3), i) for i, kind in enumerate(kinds)]
+            builds.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                result = optimize_thresholds(pairs, num_levels, 0.5)
+            assert len(builds) > 3 * len(pairs)
+            assert max(builds.values()) == 1
+            for pair, q in zip(pairs, result.quantizers):
+                assert builds[(id(pair), q.thresholds)] == 1
 
-        def recording(trial):
-            probes.append([list(c) for c in trial])
-            return evaluate(trial)
 
-        monkeypatch.setattr(objective, "evaluate", recording)
-        for i in (1, 0, 2, 0):
-            evaluate(conf)  # where the previous reply leaves it
-            builds = 0
-            probes.clear()
-            p_e, _, coords = objective.best_response(i, conf, brackets[i])
-            scored = [trial for trial in probes if trial != conf]
-            assert scored
-            assert all(t[:i] + t[i + 1 :] == conf[:i] + conf[i + 1 :] for t in scored)
-            assert builds == len(scored)
-            conf[i] = list(coords)
-            assert evaluate(conf)[0] == p_e
-            assert builds == len(scored)
+    def test_level_rows_match_enumeration(self):
+        """a[t, d] = P_h(fuse 1 | sensor i sends level d) equals enumeration
+        with sensor i pinned at level d, on explicit channels with +inf and
+        -inf levels mixed with band and contamination sensors, at every raw
+        sum, 5e-13 either side of it and inside its tie band."""
+        rng = np.random.default_rng(20261105)
+        columns = {-math.inf: 0, math.inf: 0}
+        for _ in range(80):
+            channels = []
+            for _ in range(int(rng.integers(1, 5))):
+                levels = int(rng.integers(2, 5))
+                if rng.random() < 0.6:
+                    channels.append(_explicit_saddle_sensor(rng, levels, 1, True)[0])
+                    continue
+                kind = ("gaussian-band", "eps-contamination")[int(rng.integers(2))]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    channels.append(build_sensor(_random_spec(rng, kind, levels), 0).channel)
+            i = int(rng.integers(len(channels)))
+            llr = channels[i].llr
+            for h in (0, 1):
+                laws = [ch.pmf0 if h == 0 else ch.pmf1 for ch in channels]
+                others = [
+                    fusion._sensor_part(ch.llr, law.probs)
+                    for j, (ch, law) in enumerate(zip(channels, laws))
+                    if j != i
+                ]
+                sums, _, has_pos, has_neg = joint_llr_sums(channels, laws)
+                raw = np.unique(sums[~has_pos & ~has_neg])
+                taus = np.concatenate(
+                    [raw, raw - 5e-13, raw + 5e-13, raw - 0.5 * TIE_TOL, raw - 1.5 * TIE_TOL]
+                )
+                a = fusion._fuse_one_given_level(others, llr, taus)
+                assert a.shape == (len(taus), len(llr))
+                for d in range(len(llr)):
+                    pinned = list(laws)
+                    pinned[i] = pmf_from_weights(channels[i].levels, np.eye(len(llr))[d])
+                    want = decide_one_enumeration(channels, pinned, taus)
+                    assert np.max(np.abs(a[:, d] - want)) <= 1e-12
+                    for t in rng.choice(len(taus), size=3):
+                        assert abs(
+                            a[t, d] - _prob_decide_one_enumeration(channels, pinned, taus[t])
+                        ) <= 1e-12
+                    if llr[d] in columns:
+                        columns[llr[d]] += 1
+        assert min(columns.values()) >= 10
 
 
 def _line_argmin_changes(a0, a1, prior0, xs):
@@ -980,9 +1029,17 @@ class TestPersonByPerson:
         monkeypatch.setattr(objective, "evaluate", recording)
         for i in range(len(pairs)):
             _, tau = evaluate(conf)
-            atoms = np.union1d(objective._fold(0)[0].atoms, objective._fold(1)[0].atoms)
+            law0, law1 = objective.laws(conf)
+            atoms = np.union1d(law0.finite.atoms, law1.finite.atoms)
             assert len(atoms) > 4 * fusion._REPLY_TAUS
-            a0, a1 = (objective._fuse_one_given_level(i, np.array([tau]), h)[0] for h in (0, 1))
+            builds = [objective.build(j, coords) for j, coords in enumerate(conf)]
+            others = builds[:i] + builds[i + 1 :]
+            a0, a1 = (
+                fusion._fuse_one_given_level(
+                    [b.parts[h] for b in others], builds[i].channel.llr, np.array([tau])
+                )[0]
+                for h in (0, 1)
+            )
             current = fusion._envelope_cuts(a0, a1, 0.5, brackets[i], len(conf[i]))
             scored.clear()
             _, _, coords = objective.best_response(i, conf, brackets[i])

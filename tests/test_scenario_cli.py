@@ -533,6 +533,62 @@ class TestMalformedScenario:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "command", [["lfd"], ["evaluate"], ["saddle"], ["sweep", "--k-list", "1,3"]]
+    )
+    def test_nan_log_threshold_exit_2_on_every_subcommand(self, tmp_path, capsys, command):
+        """The scenario itself rejects a NaN log_threshold, so ``lfd``, which
+        builds no network, exits 2 like the others; a one-sensor document,
+        so that ``sweep`` would otherwise run."""
+        doc = {**self.DOC, "sensors": [self.BAND], "log_threshold": math.nan}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main([*command, "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: log_threshold must not be NaN" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        ("where", "value", "message"),
+        [
+            (("seed",), 1.5, "seed: expected an integer, got 1.5"),
+            (("seed",), True, "seed: expected an integer, got True"),
+            (("grid_points",), 3.9, "grid_points: expected an integer, got 3.9"),
+            (("grid_points",), False, "grid_points: expected an integer, got False"),
+            (("sensors", 0, "quantizer", "num_thresholds"), 2.7,
+             "sensor 0: num_thresholds: expected an integer, got 2.7"),
+            (("sensors", 0, "quantizer", "num_thresholds"), True,
+             "sensor 0: num_thresholds: expected an integer, got True"),
+            (("sensors", 0), {**TestSpecErrors.GOOD, "levels": [0.5, 1]},
+             "sensor 0: levels: expected an integer, got 0.5"),
+        ],
+        ids=["fractional-seed", "boolean-seed", "fractional-grid-points", "boolean-grid-points",
+             "fractional-num-thresholds", "boolean-num-thresholds", "fractional-level"],
+    )
+    def test_integer_fields_are_not_truncated(self, tmp_path, capsys, where, value, message):
+        """A fractional or boolean integer field exits 2 with an error that
+        names it, where ``int()`` used to truncate it silently."""
+        doc = json.loads(json.dumps(self.DOC))
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["evaluate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_integral_floats_read_as_integers(self):
+        doc = {**self.DOC, "seed": 7.0, "grid_points": 101.0}
+        scenario = Scenario.from_dict(doc)
+        assert (scenario.seed, scenario.grid_points) == (7, 101)
+        assert isinstance(scenario.seed, int) and isinstance(scenario.grid_points, int)
+        spec = {**TestSpecErrors.GOOD, "levels": [0.0, 1.0]}
+        assert build_sensors(Scenario.from_dict({**doc, "sensors": [spec]}))[0].channel.levels == (0, 1)
+
+
 class TestReadme:
     def test_library_sketch_runs(self, monkeypatch, capsys):
         """The README's library sketch runs from the repository root."""
