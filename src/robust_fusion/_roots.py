@@ -2,16 +2,13 @@
 
 All solvers here are plain bisection: robust, derivative-free and exactly
 reproducible. They are used for one-shot parameter solves (tilt exponents,
-clip constants) and for locating where a log-likelihood ratio without a
-closed-form inverse crosses a level, so robustness matters more than
+clip constants, mixture quantiles), so robustness matters more than
 iteration count.
 """
 
 from __future__ import annotations
 
 from typing import Callable
-
-import numpy as np
 
 
 def solve_increasing(
@@ -56,29 +53,3 @@ def solve_decreasing(
 ) -> float:
     """Solve f(y) = target for nonincreasing f by bisection."""
     return solve_increasing(lambda y: -f(y), lo, hi, -target, tol=tol)
-
-
-def crossings(
-    f: Callable[[float], float], xs: np.ndarray, fx: np.ndarray, level: float, strict: bool = False
-) -> list[float]:
-    """Where f, tabulated as ``fx`` on the increasing grid ``xs``, crosses ``level``.
-
-    A point is above when f >= level (f > level when ``strict``). Each grid
-    cell whose ends disagree is bisected down to adjacent floats; the first
-    float on the right end's side is returned. Crossings narrower than one
-    cell can be missed.
-    """
-    above = fx > level if strict else fx >= level
-    points = []
-    for i in np.flatnonzero(above[1:] != above[:-1]):
-        a, b = float(xs[i]), float(xs[i + 1])
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            if not a < m < b:
-                break
-            if (f(m) > level if strict else f(m) >= level) == above[i]:
-                a = m
-            else:
-                b = m
-        points.append(b)
-    return points

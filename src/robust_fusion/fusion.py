@@ -303,10 +303,12 @@ def saddle_verify(
     ``worst_gap`` (P_LFD − P_member at the network's threshold, negative
     on a violation) comes from one pass per side: sensor by sensor, each
     member is tried with the earlier sensors at their chosen members and
-    the later ones at the LFD, and the first member with the smallest gap
-    is kept. When each sensor's members are totally ordered (2-level
-    sensors, band and contamination classes) this is the grid's minimum;
-    otherwise it is the gap of a real combination, not always the least.
+    the later ones at the LFD, and the first member within
+    ``WITNESS_TOL`` of the smallest gap is kept, so rounding noise does not
+    pick the witness. When each sensor's members are totally ordered
+    (2-level sensors, band and contamination classes) this is the grid's
+    minimum within ``WITNESS_TOL``; otherwise it is the gap of a real
+    combination, not always the least.
     """
     if len(member_laws0) != net.num_sensors or len(member_laws1) != net.num_sensors:
         raise ValueError("need one member-law list per sensor and hypothesis")
@@ -338,7 +340,8 @@ def saddle_verify(
         combo = []
         for i, members in enumerate(member_lists):
             gaps = [gap(laws[:i] + [m] + laws[i + 1 :]) for m in members]
-            combo.append(int(np.argmin(gaps)))
+            least = min(gaps)
+            combo.append(next(j for j, g in enumerate(gaps) if g <= least + WITNESS_TOL))
             laws[i] = members[combo[-1]]
         # the miss side must be worse by more than rounding to replace the
         # false-alarm side, so mirror-image witnesses resolve to false-alarm

@@ -17,10 +17,10 @@ Three classes of distributional uncertainty are supported:
 
 Every construction returns an :class:`LfdPair` with evaluable log-densities,
 an evaluable log-likelihood-ratio, exact cdfs, and the construction
-parameters in ``meta``. Band, contamination and equal-variance KL pairs
-carry their affine or clipped-affine log-likelihood ratio as a
-:class:`ClippedAffineLlr`, which inverts in closed form; other log-LRs
-(unequal-variance KL pairs) are inverted at grid crossings.
+parameters in ``meta``. Every log-likelihood ratio inverts in closed form:
+band, contamination and equal-variance KL pairs (mean0 < mean1) carry an
+affine or clipped-affine :class:`ClippedAffineLlr`, and every other KL pair
+a :class:`QuadraticLlr`. No log-LR is cut on a grid.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._roots import crossings, solve_decreasing, solve_increasing
+from ._roots import solve_decreasing, solve_increasing
 from .distributions import GaussianSpec, trapezoid
 
 BOUNDEDNESS_TOL = 1e-9
@@ -187,6 +187,41 @@ class ClippedAffineLlr:
         return self.mid + (s - self.offset) / self.slope
 
 
+@dataclass(frozen=True)
+class QuadraticLlr:
+    """Log-LR log q1(y) - log q0(y) = a*y^2 + b*y + c of two Gaussians (any
+    real a, b, c), evaluated as the log-density difference and inverted in
+    closed form by :meth:`crossings`."""
+
+    q0: GaussianSpec
+    q1: GaussianSpec
+
+    def __call__(self, y):
+        return self.q1.logpdf(y) - self.q0.logpdf(y)
+
+    def crossings(self, s: float) -> list[float]:
+        """Sorted points where the log-LR crosses s, by the cancellation-free
+        root pair q/a, (c - s)/q with q = -(b + sign(b)*sqrt(disc))/2."""
+        (m0, s0), (m1, s1) = (self.q0.mean, self.q0.sigma), (self.q1.mean, self.q1.sigma)
+        a = (s1 - s0) * (s1 + s0) / (2.0 * (s0 * s1) ** 2)  # s1 - s0 is exact for close sigmas
+        b = m1 / (s1 * s1) - m0 / (s0 * s0)
+        k = math.log(s0 / s1) + 0.5 * (m0 / s0) ** 2 - 0.5 * (m1 / s1) ** 2 - s
+        disc = b * b - 4.0 * a * k
+        if not (math.isfinite(s) and disc > 0.0):  # no root, or a tangent that crosses nothing
+            return []
+        if a == 0.0:
+            return [-k / b]
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        return sorted((q / a, k / q))
+
+    def split(self, levels: Sequence[float]) -> tuple[list[float], np.ndarray]:
+        """Sorted crossings of all levels, and the log-LR at a point inside
+        each segment of the line between them."""
+        cuts = sorted(y for s in levels for y in self.crossings(s))
+        edges = np.array([cuts[0] - 1.0, *cuts, cuts[-1] + 1.0]) if cuts else np.zeros(2)
+        return cuts, self(0.5 * (edges[:-1] + edges[1:]))
+
+
 @dataclass(frozen=True, eq=False)
 class LfdPair:
     """A matched pair of least favorable distributions.
@@ -200,7 +235,7 @@ class LfdPair:
 
     q0_logpdf: Callable
     q1_logpdf: Callable
-    log_lr: Callable
+    log_lr: ClippedAffineLlr | QuadraticLlr
     q0_cdf: Callable[[float], float]
     q1_cdf: Callable[[float], float]
     support: tuple[float, float]
@@ -292,13 +327,14 @@ def kl_dabak_lfd(
 
     The tilt exponents u and v are solved by bracketing bisection on [0, 1)
     so that D(q0_hat, p0) = eps0 and D(q1_hat, p1) = eps1 to within 1e-9
-    nats. For equal-variance Gaussian nominals (mean0 < mean1) the pair is
-    again Gaussian with the nominal sigma and linearly interpolated means,
-    so its log-LR is affine and increasing and is carried as a
-    :class:`ClippedAffineLlr`; unequal variances give a quadratic log-LR,
-    evaluated as the log-density difference. Raises when a radius is
-    unreachable or the tilts cross (u + v >= 1), i.e. the hypotheses
-    overlap.
+    nats; for equal-variance nominals they have the closed form
+    u = sigma * sqrt(2 * eps0) / |mean1 - mean0| (and v alike). For
+    equal-variance Gaussian nominals (mean0 < mean1) the pair is again
+    Gaussian with the nominal sigma and linearly interpolated means, so its
+    log-LR is affine and increasing and is carried as a
+    :class:`ClippedAffineLlr`; every other pair carries its quadratic log-LR
+    as a :class:`QuadraticLlr`. Raises when a radius is unreachable or the
+    tilts cross (u + v >= 1), i.e. the hypotheses overlap.
     """
     if not (eps0 >= 0.0 and eps1 >= 0.0):
         raise ValueError("KL radii must be nonnegative")
@@ -306,6 +342,12 @@ def kl_dabak_lfd(
     def solve_tilt(base: GaussianSpec, other: GaussianSpec, eps: float) -> float:
         if eps == 0.0:
             return 0.0
+        if base.sigma == other.sigma:
+            gap = abs(other.mean - base.mean)
+            u = base.sigma * math.sqrt(2.0 * eps) / gap if gap > 0.0 else math.inf
+            if u >= 1.0:
+                raise ValueError("KL radii too large, hypotheses overlap")
+            return u
         u_max = 1.0 - 1e-12
         f = lambda s: _kl_gaussians(_geometric_tilt(base, other, s), base)
         if f(u_max) < eps:
@@ -326,8 +368,7 @@ def kl_dabak_lfd(
             slope=(q1.mean - q0.mean) / (q0.sigma * q0.sigma), mid=0.5 * (q0.mean + q1.mean)
         )
     else:
-        def log_lr(y, _q0=q0, _q1=q1):
-            return _q1.logpdf(y) - _q0.logpdf(y)
+        log_lr = QuadraticLlr(q0, q1)
 
     lo = min(q0.mean - 8.0 * q0.sigma, q1.mean - 8.0 * q1.sigma)
     hi = max(q0.mean + 8.0 * q0.sigma, q1.mean + 8.0 * q1.sigma)
@@ -479,20 +520,16 @@ def _lower_level_sets(pair: LfdPair, t_values: Sequence[float]) -> list[list[tup
     """{y : log_lr(y) <= t} for each t, as increasing disjoint intervals (a, b).
 
     A :class:`ClippedAffineLlr` gives one closed-form half-line, flat
-    stretches equal to t included. Any other log-LR, monotone or not, is
-    tabulated once on the pair's grid and split at its strict crossings of
-    each t; beyond the grid it stays on its end points' side, and
-    crossings narrower than a grid cell can be missed.
+    stretches equal to t included. A :class:`QuadraticLlr` is split at its
+    closed-form crossings of t, and each piece on which it is <= t is kept.
     """
     if isinstance(pair.log_lr, ClippedAffineLlr):
         return [[(-math.inf, pair.log_lr.boundary(t, strict=True))] for t in t_values]
-    xs = pair.grid()
-    fx = np.asarray(pair.log_lr(xs), dtype=float)
     sets = []
     for t in t_values:
-        ends = [-math.inf, *crossings(pair.log_lr, xs, fx, t, strict=True), math.inf]
-        ends = ends[1:] if fx[0] > t else ends  # starts above t: no (-inf, .) piece
-        sets.append(list(zip(ends[::2], ends[1::2])))
+        cuts, inner = pair.log_lr.split([t])
+        ends = [-math.inf, *cuts, math.inf]
+        sets.append([(ends[i], ends[i + 1]) for i in np.flatnonzero(inner <= t)])
     return sets
 
 

@@ -137,8 +137,8 @@ class Scenario:
 
 
 def _integer(value: Any, field: str) -> int:
-    """``value`` as an int; a boolean or a fractional number names ``field``."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``value`` as an int; a boolean, a string or a fractional number names ``field``."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{field}: expected an integer, got {value!r}")
     return int(value)
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._roots import crossings, solve_increasing
+from ._roots import solve_increasing
 from .distributions import DiscretePmf, pmf_from_weights, trapezoid
 from .lfd import ClippedAffineLlr, ContaminatedGaussian, LfdPair, _cdf_at
 
@@ -128,8 +128,8 @@ def level_boundaries(pair: LfdPair, q: Quantizer) -> list[float]:
     ``_LLR_SLACK`` of a clip level is lowered by ``_LLR_SLACK`` first: a
     threshold that only exp/log rounding separates from a flat (clipped)
     LR stretch puts that stretch in the level above, as the left-closed
-    intervals require. Any other log-LR raises ValueError:
-    :class:`SensorRule` cuts it at its crossings instead.
+    intervals require. A :class:`~robust_fusion.lfd.QuadraticLlr` raises
+    ValueError: :class:`SensorRule` cuts it at its closed-form crossings.
     """
     llr = pair.log_lr
     if not isinstance(llr, ClippedAffineLlr):
@@ -155,17 +155,14 @@ class SensorRule:
 
     ``cuts`` split the axis into segments and ``segment_levels[i]`` is the
     output level of the segment between ``cuts[i-1]`` (inclusive) and
-    ``cuts[i]``. A clipped-affine log-LR (band, contamination and
-    equal-variance KL pairs) has one closed-form cut per threshold
-    (:func:`level_boundaries`), segment d being level d. Any other log-LR
-    is cut at every threshold crossing on ``grid`` (default: the pair's
-    grid), and each segment goes to the level of its midpoint; crossings
-    narrower than a grid cell can be missed.
+    ``cuts[i]``. All cuts are closed-form: a clipped-affine log-LR has one
+    per threshold (:func:`level_boundaries`), segment d being level d; a
+    quadratic one is cut at every crossing of every threshold, and each
+    segment goes to the level of the log-LR evaluated inside it.
     """
 
     pair: LfdPair
     quantizer: Quantizer
-    grid: np.ndarray | None = None
     cuts: tuple[float, ...] = field(init=False)
     segment_levels: np.ndarray = field(init=False)
 
@@ -174,13 +171,9 @@ class SensorRule:
         if isinstance(pair.log_lr, ClippedAffineLlr):
             cuts, levels = level_boundaries(pair, q), np.arange(q.num_levels)
         else:
-            xs = pair.grid() if self.grid is None else np.asarray(self.grid, dtype=float)
-            fx = np.asarray(pair.log_lr(xs), dtype=float)
             log_t = np.array([math.log(t) if t > 0.0 else -math.inf for t in q.thresholds])
-            cuts = sorted(c for s in log_t for c in crossings(pair.log_lr, xs, fx, s))
-            edges = np.array([xs[0], *cuts, xs[-1]])
-            mid_llr = np.asarray(pair.log_lr(0.5 * (edges[:-1] + edges[1:])), dtype=float)
-            levels = np.searchsorted(log_t, mid_llr, side="right")
+            cuts, inner = pair.log_lr.split(log_t)
+            levels = np.searchsorted(log_t, inner, side="right")
         object.__setattr__(self, "cuts", tuple(cuts))
         object.__setattr__(self, "segment_levels", levels)
 
@@ -213,11 +206,12 @@ def channel_from_rule(rule: SensorRule) -> SensorChannel:
     return channel
 
 
-def channel_from_quantizer(
-    q: Quantizer, pair: LfdPair, grid: np.ndarray | None = None
-) -> SensorChannel:
-    """:func:`channel_from_rule` of ``SensorRule(pair, q, grid)``."""
-    return channel_from_rule(SensorRule(pair, q, grid))
+def channel_from_quantizer(q: Quantizer, pair: LfdPair, grid: None = None) -> SensorChannel:
+    """:func:`channel_from_rule` of ``SensorRule(pair, q)``. ``grid`` must be
+    None; it is kept only for the benchmark's span hooks, until ROADMAP item 9."""
+    if grid is not None:
+        raise ValueError("no log-LR is cut on a grid; grid must be None")
+    return channel_from_rule(SensorRule(pair, q))
 
 
 def member_channel(
@@ -244,10 +238,13 @@ def member_channel(
 
 
 def default_quantizer(pair: LfdPair, num_thresholds: int) -> Quantizer:
-    """Thresholds at equally spaced mixture quantiles of the robust LR.
+    """Thresholds at the LR of equally spaced mixture quantiles of y.
 
-    Places the d-th threshold at the LR value whose equal-mixture
-    probability P[(Q0+Q1)/2 <= y] equals d / (D + 1).
+    Places the d-th threshold at LR(y_d), where y_d is the observation
+    whose equal-mixture probability P[(Q0+Q1)/2 <= y_d] equals d / (D + 1).
+    These are mixture quantiles of the robust LR itself only when the
+    log-LR is nondecreasing; a quadratic one (unequal-variance KL pair)
+    maps the y-quantiles to other LR values.
     """
     if num_thresholds < 0:
         raise ValueError("num_thresholds must be >= 0")

@@ -319,9 +319,11 @@ def member_channel_reference(member, pair, q, levels=None):
     ``_LLR_SLACK`` of a clip level is lowered by ``_LLR_SLACK``, as in the
     library. Agrees with the library bit for bit unless a threshold lies
     within ``_LLR_SLACK`` above a clip level or above the whole log-LR
-    range.
+    range. A quadratic log-LR is cut at :func:`log_density_crossing_cuts`
+    (grid bisection, not the library's closed form), each segment taking
+    the level of its midpoint; those laws agree with the library's to
+    rounding where the grid sees every crossing.
     """
-    from robust_fusion._roots import crossings
     from robust_fusion.distributions import pmf_from_weights
     from robust_fusion.lfd import ClippedAffineLlr, ContaminatedGaussian, _cdf_at
     from robust_fusion.sensor import _LLR_SLACK
@@ -342,11 +344,9 @@ def member_channel_reference(member, pair, q, levels=None):
         cuts = [cut(math.log(t)) if t > 0.0 else -math.inf for t in q.thresholds]
         segment_levels = np.arange(q.num_levels)
     else:
-        xs = pair.grid()
-        fx = np.asarray(pair.log_lr(xs), dtype=float)
         log_t = np.array([math.log(t) if t > 0.0 else -math.inf for t in q.thresholds])
-        cuts = sorted(c for s in log_t for c in crossings(pair.log_lr, xs, fx, s))
-        edges = np.array([xs[0], *cuts, xs[-1]])
+        cuts = log_density_crossing_cuts(pair, q)
+        edges = np.array([pair.support[0], *cuts, pair.support[1]])
         mid_llr = np.asarray(pair.log_lr(0.5 * (edges[:-1] + edges[1:])), dtype=float)
         segment_levels = np.searchsorted(log_t, mid_llr, side="right")
     weights = np.diff([0.0, *(_cdf_at(cdf, c) for c in cuts), 1.0])
@@ -404,6 +404,7 @@ def log_density_crossing_cuts(pair, q):
     Gaussians (``meta["q0"]``/``meta["q1"]``), tabulated on the pair's grid;
     each grid cell where it crosses a log threshold (>= is above) is
     bisected to adjacent floats and the first float above is the cut.
+    Crossings outside the support or narrower than a grid cell are missed.
     """
     q0, q1 = pair.meta["q0"], pair.meta["q1"]
 
@@ -414,6 +415,8 @@ def log_density_crossing_cuts(pair, q):
     fx = np.asarray(llr(xs), dtype=float)
     cuts = []
     for t in q.thresholds:
+        if t <= 0.0:
+            continue
         level = math.log(t)
         above = fx >= level
         for i in np.flatnonzero(above[1:] != above[:-1]):
@@ -426,3 +429,36 @@ def log_density_crossing_cuts(pair, q):
                     b = m
             cuts.append(b)
     return sorted(cuts)
+
+
+def quad_level_masses(pair, q, lo: float = -14.0, hi: float = 15.0, points: int = 20001):
+    """(H0, H1) per-level masses of quantizer ``q`` on a Gaussian LFD pair,
+    by adaptive quadrature over [lo, hi].
+
+    The log-LR is the literal difference log q1 - log q0 of the pair's
+    Gaussians (``meta["q0"]``/``meta["q1"]``). Its crossings of each log
+    threshold are found by a dense scan of [lo, hi] plus brentq; each
+    piece between them goes to the level of the log-LR at its midpoint,
+    and each density is integrated over it with quad.
+    """
+    from scipy.optimize import brentq
+
+    q0, q1 = pair.meta["q0"], pair.meta["q1"]
+
+    def llr(y):
+        return q1.logpdf(y) - q0.logpdf(y)
+
+    ys = np.linspace(lo, hi, points)
+    cuts = [lo, hi]
+    for t in q.thresholds:
+        g = lambda y, lt=math.log(t): float(llr(y)) - lt
+        vals = np.asarray(llr(ys), dtype=float) - math.log(t)
+        for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
+            cuts.append(brentq(g, ys[i], ys[i + 1], xtol=1e-14))
+    cuts = sorted(set(cuts))
+    masses = np.zeros((2, q.num_levels))
+    for a, b in zip(cuts, cuts[1:]):
+        level = lr_level(q, math.exp(float(llr(0.5 * (a + b)))))
+        for h, law in enumerate((q0, q1)):
+            masses[h, level] += quad(lambda y: float(law.pdf(y)), a, b, limit=200)[0]
+    return masses

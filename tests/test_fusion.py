@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from robust_fusion import fusion, ordering
-from robust_fusion.distributions import AtomPmf, GaussianSpec, pmf_from_weights
+from robust_fusion.distributions import AtomPmf, DiscretePmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import CdfMember, GaussianBandClass, gaussian_band_lfd
 from robust_fusion.fusion import (
     TIE_TOL,
@@ -476,6 +476,21 @@ class TestSaddleVerify:
         report = saddle_verify(net, [law0, law0], [law1, law1])
         assert report.holds
         assert report.worst_gap == 0.0
+
+    def test_witness_ignores_rounding_noise(self):
+        """A member whose gap is below the least only by rounding noise does
+        not take the witness: the first member within WITNESS_TOL does."""
+        ch = channel_from_pmfs(
+            pmf_from_weights([0, 1], [0.6, 0.4]), pmf_from_weights([0, 1], [0.3, 0.7])
+        )
+        net = NetworkModel((ch,), 0.5)
+        noisy = DiscretePmf((0, 1), np.array([0.6 - 2e-16, 0.4 + 2e-16]))
+        report = saddle_verify(net, [[ch.pmf0, noisy]], [[ch.pmf1]])
+        assert report.worst_gap == 0.0
+        assert report.worst_combo == (0,)
+        report = saddle_verify(net, [[noisy, ch.pmf0]], [[ch.pmf1]])
+        assert report.worst_combo == (0,)
+        assert 0.0 < -report.worst_gap < fusion.WITNESS_TOL
 
     def test_midpoint_imposters_fail(self):
         """Band midpoints are not least favorable; a member beats them."""

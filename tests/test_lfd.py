@@ -106,6 +106,24 @@ class TestKlDabakLfd:
         assert abs(pair.meta["q1"].mean - 0.6) < 1e-6
         assert pair.meta["q0"].sigma == 1.0
 
+    def test_equal_variance_tilts_are_closed_form(self):
+        """Equal sigmas: u = sigma*sqrt(2 eps0)/|dmu| and v alike, exactly,
+        for either mean order; identical nominals reach no positive radius."""
+        pair = kl_dabak_lfd(STD, SHIFTED, 0.08, 0.08)
+        assert pair.meta["u"] == pair.meta["v"] == 0.4
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            sigma, gap = rng.uniform(0.5, 2.0, size=2)
+            eps0, eps1 = rng.uniform(1e-4, 0.1, size=2) * gap * gap / (sigma * sigma)
+            p0 = GaussianSpec(0.3, float(sigma))
+            p1 = GaussianSpec(0.3 + float(rng.choice([-1.0, 1.0]) * gap), float(sigma))
+            pair = kl_dabak_lfd(p0, p1, float(eps0), float(eps1))
+            dmu = abs(p1.mean - p0.mean)
+            assert pair.meta["u"] == sigma * math.sqrt(2.0 * eps0) / dmu
+            assert pair.meta["v"] == sigma * math.sqrt(2.0 * eps1) / dmu
+        with pytest.raises(ValueError, match="too large"):
+            kl_dabak_lfd(STD, STD, 0.01, 0.0)
+
     def test_zero_radii_give_nominals(self):
         pair = kl_dabak_lfd(STD, SHIFTED, 0.0, 0.0)
         assert pair.meta["u"] == 0.0
@@ -340,7 +358,7 @@ class TestJointBoundedness:
 class TestNonMonotoneLogLr:
     """Unequal-variance KL nominals give a Gaussian LFD pair whose log-LR is
     a quadratic with its minimum inside the support, so {log_lr <= t} is
-    empty, a bounded interval (two crossings on the grid) or a half-line
+    empty, a bounded interval (two crossings) or a half-line
     (one crossing), depending on t."""
 
     PAIR = kl_dabak_lfd(STD, GaussianSpec(1.0, 1.6), 0.03, 0.03)

@@ -92,7 +92,8 @@ class TestScenarioRoundTrip:
             Scenario.from_dict({"prior0": 0.5})
 
     def test_shipped_scenarios_parse_and_build(self):
-        for name in ("band_pair", "kl_ball", "majority_k3", "composite", "binary_symmetric"):
+        for name in ("band_pair", "kl_ball", "majority_k3", "composite", "binary_symmetric",
+                     "kl_unequal_variance"):
             scenario = load_scenario(SCENARIOS / f"{name}.json")
             built = build_sensors(scenario)
             assert len(built) == len(scenario.sensors)
@@ -470,9 +471,11 @@ class TestSpecErrors:
                  "quantizer": {"num_thresholds": 9}},
                 "could not place distinct default thresholds",
             ),
+            ({"nominal1": {"mean": 0.0, "sigma": 1.0}}, "KL radii too large"),
         ],
         ids=["decreasing-thresholds", "negative-kl-radius", "eps-at-one",
-             "missing-quantizer", "null-num-thresholds", "flat-default-thresholds"],
+             "missing-quantizer", "null-num-thresholds", "flat-default-thresholds",
+             "identical-kl-nominals"],
     )
     def test_error_names_the_sensor(self, tmp_path, capsys, change, message):
         bad = {**self.KL, **change}
@@ -514,10 +517,14 @@ class TestMalformedScenario:
             (("sensors", 0, "band0", "mu_lo"), math.nan),
             (("sensors", 1, "nominal0", "mean"), math.nan),
             (("sensors", 0, "sigma"), math.inf),
+            (("seed",), "7"),
+            (("seed",), "abc"),
+            (("seed",), "1e3"),
         ],
         ids=["null-prior0", "null-seed", "null-grid-points", "string-sensors",
              "object-sensors", "list-sensor", "nan-log-threshold", "nan-kl-radius",
-             "nan-band-endpoint", "nan-nominal-mean", "inf-band-sigma"],
+             "nan-band-endpoint", "nan-nominal-mean", "inf-band-sigma",
+             "numeric-string-seed", "string-seed", "exponent-string-seed"],
     )
     def test_exit_2(self, tmp_path, capsys, where, value):
         doc = json.loads(json.dumps(self.DOC))
@@ -553,6 +560,7 @@ class TestMalformedScenario:
         [
             (("seed",), 1.5, "seed: expected an integer, got 1.5"),
             (("seed",), True, "seed: expected an integer, got True"),
+            (("seed",), "abc", "seed: expected an integer, got 'abc'"),
             (("grid_points",), 3.9, "grid_points: expected an integer, got 3.9"),
             (("grid_points",), False, "grid_points: expected an integer, got False"),
             (("sensors", 0, "quantizer", "num_thresholds"), 2.7,
@@ -562,12 +570,13 @@ class TestMalformedScenario:
             (("sensors", 0), {**TestSpecErrors.GOOD, "levels": [0.5, 1]},
              "sensor 0: levels: expected an integer, got 0.5"),
         ],
-        ids=["fractional-seed", "boolean-seed", "fractional-grid-points", "boolean-grid-points",
+        ids=["fractional-seed", "boolean-seed", "string-seed", "fractional-grid-points",
+             "boolean-grid-points",
              "fractional-num-thresholds", "boolean-num-thresholds", "fractional-level"],
     )
     def test_integer_fields_are_not_truncated(self, tmp_path, capsys, where, value, message):
-        """A fractional or boolean integer field exits 2 with an error that
-        names it, where ``int()`` used to truncate it silently."""
+        """A fractional, boolean or string integer field exits 2 with an error
+        that names it, where ``int()`` used to truncate or parse it."""
         doc = json.loads(json.dumps(self.DOC))
         target = doc
         for key in where[:-1]:

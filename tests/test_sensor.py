@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from robust_fusion.lfd import (
     ContaminatedGaussian,
     EpsContaminationClass,
     GaussianBandClass,
+    QuadraticLlr,
+    _level_set_masses,
+    _lower_level_sets,
     gaussian_band_lfd,
     huber_clipped_lfd,
     kl_dabak_lfd,
@@ -40,6 +44,7 @@ from _oracles import (
     lr_level,
     member_channel_reference,
     normal_cdf_quadrature,
+    quad_level_masses,
 )
 from test_fusion import _random_spec
 
@@ -178,12 +183,9 @@ class TestChannelFromQuantizer:
         The oracle finds the threshold crossings independently (dense scan
         plus brentq) and integrates each piece with adaptive quadrature.
         The second pair (sigma 1.01) has its vertex far outside the
-        support: monotone there but not affine, so it is cut at grid
-        crossings too.
+        support: monotone there but not affine, and cut in closed form
+        like the first.
         """
-        from scipy.integrate import quad
-        from scipy.optimize import brentq
-
         curved = kl_dabak_lfd(
             GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.6), 0.03, 0.03
         )
@@ -198,24 +200,16 @@ class TestChannelFromQuantizer:
         cases = ((curved, curved_ch), (nearly_affine, channel_from_quantizer(q, nearly_affine)))
         for pair, ch in cases:
             assert llr_monotone_check(ch)
-            lo, hi = -14.0, 15.0
-            ys = np.linspace(lo, hi, 20001)
-            cuts = [lo, hi]
-            for t in q.thresholds:
-                g = lambda y, lt=math.log(t): float(pair.log_lr(y)) - lt
-                vals = np.array([g(y) for y in ys])
-                for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-                    cuts.append(brentq(g, ys[i], ys[i + 1], xtol=1e-14))
-            cuts = sorted(set(cuts))
-            for logpdf, pmf in ((pair.q0_logpdf, ch.pmf0), (pair.q1_logpdf, ch.pmf1)):
-                oracle = np.zeros(q.num_levels)
-                for a, b in zip(cuts, cuts[1:]):
-                    level = lr_level(q, math.exp(float(pair.log_lr(0.5 * (a + b)))))
-                    oracle[level] += quad(
-                        lambda y: math.exp(float(logpdf(y))), a, b, limit=200
-                    )[0]
+            oracle = quad_level_masses(pair, q)
+            for h, pmf in enumerate((ch.pmf0, ch.pmf1)):
                 for level, prob in zip(ch.levels, pmf.probs):
-                    assert abs(prob - oracle[level]) < 1e-10
+                    assert abs(prob - oracle[h, level]) < 1e-10
+
+    def test_grid_argument_is_refused(self):
+        """No log-LR is cut on a grid: a grid passed in raises."""
+        pair = kl_dabak_lfd(GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.6), 0.03, 0.03)
+        with pytest.raises(ValueError, match="grid must be None"):
+            channel_from_quantizer(Quantizer((1.0,)), pair, pair.grid())
 
     def test_lfd_as_member_reproduces_non_monotone_channel(self):
         """member_channel cuts a non-monotone log-LR where the channel does."""
@@ -326,14 +320,15 @@ class TestSensorRule:
             spec["nominal1"]["sigma"] *= 1.3
         built = build_sensor(spec, 0)
         assert isinstance(built.pair.log_lr, ClippedAffineLlr) == (counted == "level_boundaries")
+        owner = QuadraticLlr if counted == "crossings" else sensor
         calls = []
-        original = getattr(sensor, counted)
+        original = getattr(owner, counted)
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(sensor, counted, counting)
+        monkeypatch.setattr(owner, counted, counting)
         for n in (3, 7, 11):
             for side in (0, 1):
                 calls.clear()
@@ -363,21 +358,114 @@ class TestEqualVarianceKlRule:
                 assert np.max(np.abs(rule.masses(cdf) - ref_mass)) < 1e-14, spec
 
     def test_unequal_variance_pair_is_cut_at_crossings(self, monkeypatch):
+        """sigma1/sigma0 = 1.01: the vertex lies far outside the support, so
+        each threshold has one crossing there and one far out, both closed
+        form; the one in the support is the grid bisection's cut."""
         pair = kl_dabak_lfd(GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.01), 0.03, 0.03)
-        assert not isinstance(pair.log_lr, ClippedAffineLlr)
+        assert isinstance(pair.log_lr, QuadraticLlr)
         calls = []
-        original = sensor.crossings
+        original = QuadraticLlr.crossings
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(sensor, "crossings", counting)
+        monkeypatch.setattr(QuadraticLlr, "crossings", counting)
         q = Quantizer((0.5, 1.0, 2.0))
         rule = SensorRule(pair, q)
         assert len(calls) == len(q.thresholds)
+        assert len(rule.cuts) == 2 * len(q.thresholds)
+        lo, hi = pair.support
+        inside = [c for c in rule.cuts if lo <= c <= hi]
         reference = log_density_crossing_cuts(pair, q)
-        assert np.max(np.abs(np.subtract(rule.cuts, reference))) < 1e-12
+        assert len(inside) == len(reference) == len(q.thresholds)
+        assert np.max(np.abs(np.subtract(inside, reference))) < 1e-12
+        for cdf in (pair.q0_cdf, pair.q1_cdf):
+            ref_mass = np.diff([0.0, *(cdf(c) for c in reference), 1.0])
+            assert np.max(np.abs(rule.masses(cdf) - ref_mass)) < 1e-14
+
+
+class TestQuadraticLlrRule:
+    """KL pairs other than equal-variance mean0 < mean1 carry a quadratic
+    log-LR and are cut at its closed-form roots."""
+
+    @staticmethod
+    def _cell_mass(pair, law, t):
+        """law's mass between the two roots of log q1 - log q0 = log t
+        (sigma1 > sigma0), the roots in 40-digit decimal arithmetic."""
+        q0, q1 = pair.meta["q0"], pair.meta["q1"]
+        with localcontext() as ctx:
+            ctx.prec = 40
+            m0, s0, m1, s1 = (Decimal(x) for x in (q0.mean, q0.sigma, q1.mean, q1.sigma))
+            a = 1 / (2 * s0 * s0) - 1 / (2 * s1 * s1)
+            b = m1 / (s1 * s1) - m0 / (s0 * s0)
+            c = (s0 / s1).ln() + m0 * m0 / (2 * s0 * s0) - m1 * m1 / (2 * s1 * s1)
+            root = (b * b - 4 * a * (c - Decimal(t).ln())).sqrt()
+            z = [
+                float((r - Decimal(law.mean)) / (Decimal(law.sigma) * Decimal(2).sqrt()))
+                for r in ((-b - root) / (2 * a), (-b + root) / (2 * a))
+            ]
+        return 0.5 * (math.erf(z[1]) - math.erf(z[0]))
+
+    def test_narrow_cell_is_kept(self):
+        """A log threshold 1e-6 above the quadratic's minimum leaves an H0
+        cell of mass 1.4e-3, narrower than a cell of the pair's grid; the
+        channel keeps it as level 0 and the level set {log_lr <= s} holds it."""
+        pair = kl_dabak_lfd(GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.6), 0.03, 0.03)
+        q0, q1 = pair.meta["q0"], pair.meta["q1"]
+        a = 0.5 / q0.sigma**2 - 0.5 / q1.sigma**2
+        b = q1.mean / q1.sigma**2 - q0.mean / q0.sigma**2
+        vertex = -b / (2.0 * a)
+        t = math.exp(float(pair.log_lr(vertex)) + 1e-6)
+        reference = self._cell_mass(pair, q0, t)
+        assert 1.39e-3 < reference < 1.40e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ch = channel_from_quantizer(Quantizer((t,)), pair)
+        assert ch.levels == (0, 1)
+        assert abs(ch.pmf0.probs[0] - reference) < 1e-13
+        level_set = _lower_level_sets(pair, [math.log(t)])
+        assert abs(_level_set_masses(q0.cdf, level_set)[0] - reference) < 1e-13
+
+    def test_cuts_and_masses_match_references(self):
+        """Seeded unequal-variance pairs (sigma1/sigma0 in [0.5, 2] and
+        1 + 1e-6, both mean orders), a decreasing affine pair and a
+        constant one: the cuts the grid sees are the grid bisection's to
+        1e-12, the level masses are the quadrature's, and the level sets
+        {log_lr <= log t_d} hold the masses of levels 0..d."""
+        rng = np.random.default_rng(20261018)
+        cases = []
+        for ratio in [*rng.uniform(0.5, 2.0, size=24), 1.0 + 1e-6, 1.0 + 1e-6, 1.0, 1.0]:
+            gap = rng.uniform(0.8, 2.0) * (1.0 if len(cases) % 2 else -1.0)
+            radii = rng.uniform(0.005, 0.04, size=2)
+            if ratio == 1.0:  # equal variances, mean0 > mean1: decreasing affine
+                gap = -abs(gap)
+            cases.append((GaussianSpec(0.0, 1.0), GaussianSpec(gap, ratio), *radii))
+        cases.append((GaussianSpec(0.3, 1.2), GaussianSpec(0.3, 1.2), 0.0, 0.0))  # constant
+        for p0, p1, eps0, eps1 in cases:
+            pair = kl_dabak_lfd(p0, p1, eps0, eps1)
+            llr = pair.log_lr
+            assert isinstance(llr, QuadraticLlr)
+            lo, hi = pair.support
+            if llr.q0 == llr.q1:
+                log_t = np.sort(rng.uniform(-1.0, 1.0, size=2))
+            else:
+                ys = rng.uniform(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo), size=3)
+                log_t = np.unique(np.asarray(llr(ys), dtype=float))
+            q = Quantizer(tuple(math.exp(s) for s in log_t))
+            rule = SensorRule(pair, q)
+            reference = log_density_crossing_cuts(pair, q)
+            seen = [c for c in rule.cuts if lo <= c <= hi]
+            assert len(seen) == len(reference), (p0, p1)
+            if reference:
+                assert np.max(np.abs(np.subtract(seen, reference))) < 1e-12, (p0, p1)
+            oracle = quad_level_masses(pair, q, lo, hi)
+            level_sets = _lower_level_sets(pair, log_t)
+            for h, cdf in enumerate((pair.q0_cdf, pair.q1_cdf)):
+                masses = rule.masses(cdf)
+                assert np.max(np.abs(masses - oracle[h])) < 1e-11, (p0, p1, h)
+                below = _level_set_masses(cdf, level_sets)
+                assert np.max(np.abs(np.subtract(below, np.cumsum(masses)[:-1]))) < 1e-14
 
 
 class TestLlrMonotoneCheck:
