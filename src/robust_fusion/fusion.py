@@ -26,7 +26,7 @@ import numpy as np
 
 from .distributions import AtomPmf, DiscretePmf
 from .lfd import WITNESS_TOL, LfdPair
-from .ordering import atoms_stochastically_larger, convolve, convolve_many
+from .ordering import convolve, convolve_many
 from .sensor import Quantizer, SensorChannel, channel_from_quantizer, default_quantizer
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -186,9 +186,18 @@ def llr_sum_law(
     so no atom law has more than (D+1)^ceil(K/2) atoms.
     """
     for ch, law in zip(channels, laws):
-        if law.levels != ch.levels:
-            raise ValueError(f"law levels {law.levels} do not match channel levels {ch.levels}")
-    parts = [_sensor_part(ch.llr, law.probs) for ch, law in zip(channels, laws)]
+        _check_levels(ch, law)
+    return _fold([_sensor_part(ch.llr, law.probs) for ch, law in zip(channels, laws)])
+
+
+def _check_levels(ch: SensorChannel, law: DiscretePmf) -> None:
+    if law.levels != ch.levels:
+        raise ValueError(f"law levels {law.levels} do not match channel levels {ch.levels}")
+
+
+def _fold(parts: Sequence[_SensorPart]) -> LlrSumLaw:
+    """The LLR-sum law of one or more independent sensor parts, split at
+    len(parts) // 2 into two halves, each folded in order."""
     half = len(parts) // 2
     left = convolve_many([part.finite for part in parts[:half]]) if half else _POINT_ZERO
     right = convolve_many([part.finite for part in parts[half:]])
@@ -200,16 +209,39 @@ def _prob_decide_one_enumeration(
     laws: Sequence[DiscretePmf],
     log_threshold: float,
 ) -> float:
+    """P[decide 1] under one list of laws, by visiting every joint level."""
+    return _enumerate_decide_one(channels, [laws], log_threshold)[0]
+
+
+def _enumerate_decide_one(
+    channels: Sequence[SensorChannel],
+    law_lists: Sequence[Sequence[DiscretePmf]],
+    log_threshold: float,
+) -> list[float]:
+    """P[decide 1] under each list of laws, by visiting every joint level.
+
+    The LLR sums and the decision of every joint level do not depend on
+    the laws, so they are built once for all the lists.
+    """
     sums = np.zeros(1)
-    probs = np.ones(1)
-    has_pos = np.zeros(1, dtype=bool)
-    has_neg = np.zeros(1, dtype=bool)
-    for ch, law in zip(channels, laws):
+    for ch in channels:
         sums = np.add.outer(sums, np.where(np.isfinite(ch.llr), ch.llr, 0.0)).ravel()
-        probs = np.multiply.outer(probs, law.probs).ravel()
-        has_pos = np.logical_or.outer(has_pos, ch.llr == math.inf).ravel()
-        has_neg = np.logical_or.outer(has_neg, ch.llr == -math.inf).ravel()
-    return float(np.sum(probs[_decide_one(sums, has_pos, has_neg, log_threshold)]))
+    if all(np.all(np.isfinite(ch.llr)) for ch in channels):
+        decide = sums > log_threshold + TIE_TOL
+    else:
+        has_pos = np.zeros(1, dtype=bool)
+        has_neg = np.zeros(1, dtype=bool)
+        for ch in channels:
+            has_pos = np.logical_or.outer(has_pos, ch.llr == math.inf).ravel()
+            has_neg = np.logical_or.outer(has_neg, ch.llr == -math.inf).ravel()
+        decide = _decide_one(sums, has_pos, has_neg, log_threshold)
+    p_one = []
+    for laws in law_lists:
+        probs = np.ones(1)
+        for law in laws:
+            probs = np.multiply.outer(probs, law.probs).ravel()
+        p_one.append(float(np.sum(probs[decide])))
+    return p_one
 
 
 def exact_error(
@@ -241,19 +273,22 @@ def exact_error(
     for ch in net.channels:
         joint_size *= len(ch.levels)
 
-    def decide_one(laws, how: str) -> float:
+    def errors(how: str) -> tuple[float, float]:
+        """(P_F, P_M) by one path."""
         if how == "convolution":
-            return llr_sum_law(net.channels, laws).prob_decide_one(net.log_threshold)
-        return _prob_decide_one_enumeration(net.channels, laws, net.log_threshold)
+            p_one = [
+                llr_sum_law(net.channels, laws).prob_decide_one(net.log_threshold)
+                for laws in (laws0, laws1)
+            ]
+        else:
+            p_one = _enumerate_decide_one(net.channels, (laws0, laws1), net.log_threshold)
+        return p_one[0], 1.0 - p_one[1]
 
     if method == "enumeration" and joint_size > enumeration_limit:
         raise ValueError("joint level space too large for enumeration")
-    p_f = decide_one(laws0, method)
-    p_m = 1.0 - decide_one(laws1, method)
+    p_f, p_m = errors(method)
     if cross_check and joint_size <= enumeration_limit:
-        other = "enumeration" if method == "convolution" else "convolution"
-        p_f_other = decide_one(laws0, other)
-        p_m_other = 1.0 - decide_one(laws1, other)
+        p_f_other, p_m_other = errors("enumeration" if method == "convolution" else "convolution")
         if abs(p_f - p_f_other) > _AGREEMENT_TOL or abs(p_m - p_m_other) > _AGREEMENT_TOL:
             raise RuntimeError(
                 "convolution and enumeration disagree beyond 1e-10: "
@@ -298,17 +333,23 @@ def saddle_verify(
     member combination at every fusion threshold: :func:`_decide_one` is
     nondecreasing in each sensor's LLR, ±inf included, and the sensors are
     independent, so swapping the LFDs for members one sensor at a time
-    never raises P_F (under H0) or P_M (under H1).
+    never raises P_F (under H0) or P_M (under H1). Each sensor's members
+    are checked at once, as cdf rows on the signed LLR ranks
+    (:func:`_dominance_gaps`).
 
     ``worst_gap`` (P_LFD − P_member at the network's threshold, negative
     on a violation) comes from one pass per side: sensor by sensor, each
     member is tried with the earlier sensors at their chosen members and
     the later ones at the LFD, and the first member within
     ``WITNESS_TOL`` of the smallest gap is kept, so rounding noise does not
-    pick the witness. When each sensor's members are totally ordered
-    (2-level sensors, band and contamination classes) this is the grid's
-    minimum within ``WITNESS_TOL``; otherwise it is the gap of a real
-    combination, not always the least.
+    pick the witness. P(decide 1) is linear in one sensor's level law, so
+    each sensor folds the others once (:func:`_fuse_one_given_level`) and
+    scores every member by one dot product; the gap kept at the previous
+    sensor carries over, so an LFD member's gap stays exactly that gap.
+    When each sensor's members are totally ordered (2-level sensors, band
+    and contamination classes) this is the grid's minimum within
+    ``WITNESS_TOL``; otherwise it is the gap of a real combination, not
+    always the least.
     """
     if len(member_laws0) != net.num_sensors or len(member_laws1) != net.num_sensors:
         raise ValueError("need one member-law list per sensor and hypothesis")
@@ -331,31 +372,27 @@ def saddle_verify(
         ("miss", member_laws1, lfd_laws1, -1),
     ):
         n_checked += math.prod(len(members) for members in member_lists)
-
-        def gap(laws) -> float:
-            p1 = llr_sum_law(net.channels, laws).prob_decide_one(tau)
-            return p_f_lfd - p1 if sign > 0 else p_m_lfd - (1.0 - p1)
-
-        laws = list(lfd_laws)
+        parts = [_sensor_part(ch.llr, law.probs) for ch, law in zip(net.channels, lfd_laws)]
         combo = []
-        for i, members in enumerate(member_lists):
-            gaps = [gap(laws[:i] + [m] + laws[i + 1 :]) for m in members]
-            least = min(gaps)
-            combo.append(next(j for j, g in enumerate(gaps) if g <= least + WITNESS_TOL))
-            laws[i] = members[combo[-1]]
+        carried = 0.0  # the gap of the current combination
+        for i, (ch, members) in enumerate(zip(net.channels, member_lists)):
+            for member in members:
+                _check_levels(ch, member)
+            probs = np.array([member.probs for member in members])
+            a = _fuse_one_given_level(parts[:i] + parts[i + 1 :], ch.llr, np.array([tau]))[0]
+            current = lfd_laws[i].probs
+            gaps = carried + sign * ((current - probs) @ a)
+            j = int(np.flatnonzero(gaps <= np.min(gaps) + WITNESS_TOL)[0])
+            combo.append(j)
+            carried = float(gaps[j])
+            parts[i] = _sensor_part(ch.llr, probs[j])
+            # the LFD must dominate each member on the signed LLR ranks
+            worst = _dominance_gaps(sign * ranks[i], current, probs)
+            dominance_ok = dominance_ok and bool(np.all(worst <= tol))
         # the miss side must be worse by more than rounding to replace the
         # false-alarm side, so mirror-image witnesses resolve to false-alarm
-        if gaps[combo[-1]] < worst_gap - WITNESS_TOL:
-            worst_gap, worst_side, worst_combo = gaps[combo[-1]], side, tuple(combo)
-
-        # the LFD must dominate each member on the signed LLR ranks
-        for rank, lfd_law, members in zip(ranks, lfd_laws, member_lists):
-            lfd_atoms = AtomPmf(sign * rank, lfd_law.probs)
-            for member in members:
-                ok, _ = atoms_stochastically_larger(
-                    lfd_atoms, AtomPmf(sign * rank, member.probs), tol
-                )
-                dominance_ok = dominance_ok and ok
+        if carried < worst_gap - WITNESS_TOL:
+            worst_gap, worst_side, worst_combo = carried, side, tuple(combo)
     return SaddleReport(
         holds=worst_gap >= -tol and dominance_ok,
         worst_side=worst_side,
@@ -367,6 +404,20 @@ def saddle_verify(
         n_checked=n_checked,
         tol=tol,
     )
+
+
+def _dominance_gaps(key: np.ndarray, law: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """max over x of cdf_law(x) - cdf_member(x), one per row of ``members``.
+
+    Level d sits at ``key[d]``: each law's masses are grouped by key, in
+    increasing key order, and summed along the rows, so every member's cdf
+    is one row. A gap at most 0 means the law is stochastically larger
+    than the member on the keys.
+    """
+    order = np.argsort(key, kind="stable")
+    ends = np.append(np.flatnonzero(np.diff(key[order])), len(key) - 1)
+    cdf = np.cumsum(np.vstack([law, members])[:, order], axis=1)[:, ends]
+    return np.max(cdf[0] - cdf[1:], axis=1)
 
 
 def best_fusion_threshold(law0: LlrSumLaw, law1: LlrSumLaw, prior0: float) -> tuple[float, float]:
@@ -431,17 +482,22 @@ def _fuse_one_given_level(
     """a[t, d] = P(fuse 1 | the sensor sends level d) at fusion threshold taus[t].
 
     ``llr`` is the sensor's per-level LLR and ``others`` are the other
-    sensors' parts under one hypothesis. Level d's column is one
-    :class:`LlrSumLaw`: its left half is the level's own part (one atom at
-    a finite LLR, none at +/-inf) and its right half the others' fold.
+    sensors' parts under one hypothesis. P(fuse 1) is linear in the
+    sensor's level law, with row t as its coefficients. The others are
+    folded once into an :class:`LlrSumLaw`, split as :func:`llr_sum_law`
+    splits, so no fold of all of them is built. A finite level d reads that
+    law at taus - llr[d]; a +inf level decides 1 unless another sensor
+    sends -inf, and a -inf level decides 0. With no others a level decides
+    1 iff its LLR is above the tie band.
     """
-    right = convolve_many([part.finite for part in others]) if others else _POINT_ZERO
-    columns = []
-    for d in range(len(llr)):
-        level = _sensor_part(llr[d : d + 1], np.ones(1))
-        law = LlrSumLaw(level.finite, right, _forced_one([level, *others]))
-        columns.append(law.prob_decide_one(taus))
-    return np.column_stack(columns)
+    taus = np.asarray(taus, dtype=float)
+    if not others:
+        return (llr > taus[:, None] + TIE_TOL).astype(float)
+    a = np.zeros((len(taus), len(llr)))
+    finite = np.isfinite(llr)
+    a[:, finite] = _fold(others).prob_decide_one(taus[:, None] - llr[finite])
+    a[:, llr == math.inf] = math.prod(part.no_minus for part in others)
+    return a
 
 
 def _envelope_cuts(

@@ -1,16 +1,12 @@
-"""First-order stochastic ordering and exact convolution of atom laws.
+"""Exact convolution of atom laws.
 
-``X`` is stochastically larger than ``Y`` (written X >= Y here) when the cdf
-of Y sits on or above the cdf of X everywhere.
-:func:`atoms_stochastically_larger` checks that exactly for two atom mass
-functions, and :func:`convolve` gives the exact law of an independent sum,
-which is how the fusion layer folds per-sensor LLR laws into the law of
-the fused statistic.
+:func:`convolve` gives the exact law of an independent sum, which is how
+the fusion layer folds per-sensor LLR laws into the law of the fused
+statistic.
 """
 
 from __future__ import annotations
 
-import math
 from functools import reduce
 from typing import Sequence
 
@@ -19,21 +15,6 @@ import numpy as np
 from .distributions import AtomPmf, _sort_merge_duplicates
 
 ATOM_BIN_WIDTH = 1e-9
-_EXACT_TOL = 1e-12
-
-
-def atoms_stochastically_larger(
-    x: AtomPmf, y: AtomPmf, tol: float = _EXACT_TOL
-) -> tuple[bool, float]:
-    """Exact X >= Y check for atom mass functions; returns (holds, worst gap)."""
-    support = np.union1d(x.atoms, y.atoms)
-
-    def cdf_on_support(p: AtomPmf) -> np.ndarray:
-        cum = np.concatenate(([0.0], np.cumsum(p.masses)))
-        return cum[np.searchsorted(p.atoms, support, side="right")]
-
-    worst = float(np.max(cdf_on_support(x) - cdf_on_support(y), initial=-math.inf))
-    return worst <= tol, worst
 
 
 def convolve(a: AtomPmf, b: AtomPmf) -> AtomPmf:

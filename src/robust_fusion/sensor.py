@@ -244,7 +244,9 @@ def default_quantizer(pair: LfdPair, num_thresholds: int) -> Quantizer:
     whose equal-mixture probability P[(Q0+Q1)/2 <= y_d] equals d / (D + 1).
     These are mixture quantiles of the robust LR itself only when the
     log-LR is nondecreasing; a quadratic one (unequal-variance KL pair)
-    maps the y-quantiles to other LR values.
+    maps the y-quantiles to other LR values, and when the quantiles
+    straddle its turning point the LRs are not increasing, which raises
+    ValueError. So does a flat LR region, where two thresholds tie.
     """
     if num_thresholds < 0:
         raise ValueError("num_thresholds must be >= 0")
@@ -256,7 +258,15 @@ def default_quantizer(pair: LfdPair, num_thresholds: int) -> Quantizer:
     for d in range(1, num_thresholds + 1):
         y = solve_increasing(mix_cdf, lo, hi, d / (num_thresholds + 1.0), tol=1e-12)
         thresholds.append(math.exp(float(pair.log_lr(y))))
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+    steps = list(zip(thresholds, thresholds[1:]))
+    if any(b < a for a, b in steps):
+        raise ValueError(
+            "could not place increasing default thresholds: the log-LR is not "
+            "monotone in y, and LR(y_d) falls between mixture quantiles that "
+            "straddle its turning point; supply explicit thresholds or "
+            "reduce the level count"
+        )
+    if any(b == a for a, b in steps):
         raise ValueError(
             "could not place distinct default thresholds (flat LR region); "
             "supply explicit thresholds or reduce the level count"

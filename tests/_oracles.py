@@ -174,6 +174,20 @@ def atom_pmf_unique_reference(atoms, masses):
     return atoms, masses
 
 
+def atoms_stochastically_larger(x, y, tol: float = 1e-12):
+    """Exact X >= Y check for ``AtomPmf``s, where X >= Y means the cdf of Y
+    sits on or above the cdf of X everywhere; returns (holds, worst gap),
+    the worst gap being the largest cdf_X - cdf_Y on the joint support."""
+    support = np.union1d(x.atoms, y.atoms)
+
+    def cdf_on_support(p):
+        cum = np.concatenate(([0.0], np.cumsum(p.masses)))
+        return cum[np.searchsorted(p.atoms, support, side="right")]
+
+    worst = float(np.max(cdf_on_support(x) - cdf_on_support(y), initial=-math.inf))
+    return worst <= tol, worst
+
+
 def atoms_stochastically_larger_loop(x, y, tol: float = 1e-12):
     """Reference X >= Y check for ``AtomPmf``s: one cdf pair per support point."""
 
@@ -307,6 +321,66 @@ def saddle_grid_reference(net, member_laws0, member_laws1, tol: float = 1e-9):
         gaps.update(((side, combo), float(g)) for combo, g in zip(combos, gap))
     holds = min(gaps.values()) >= -tol and dominance_ok
     return holds, dominance_ok, gaps
+
+
+def saddle_verify_rebuild(net, member_laws0, member_laws1, tol: float = 1e-9):
+    """Reference for ``fusion.saddle_verify``: every trial rebuilt.
+
+    The same one-pass search and per-sensor certificate, but each member
+    trial folds a whole new ``llr_sum_law`` of all K sensors, and each
+    member's dominance is one :func:`atoms_stochastically_larger` call on
+    two fresh ``AtomPmf``s. Returns a ``fusion.SaddleReport``.
+    """
+    from robust_fusion.distributions import AtomPmf
+    from robust_fusion.fusion import SaddleReport, llr_sum_law
+    from robust_fusion.lfd import WITNESS_TOL
+
+    tau = net.log_threshold
+    lfd_laws0 = [ch.pmf0 for ch in net.channels]
+    lfd_laws1 = [ch.pmf1 for ch in net.channels]
+    p_f_lfd = llr_sum_law(net.channels, lfd_laws0).prob_decide_one(tau)
+    p_m_lfd = 1.0 - llr_sum_law(net.channels, lfd_laws1).prob_decide_one(tau)
+    ranks = [np.unique(ch.llr, return_inverse=True)[1] for ch in net.channels]
+    worst_gap, worst_side, worst_combo = math.inf, "false-alarm", ()
+    dominance_ok = True
+    n_checked = 0
+    for side, member_lists, lfd_laws, sign in (
+        ("false-alarm", member_laws0, lfd_laws0, 1),
+        ("miss", member_laws1, lfd_laws1, -1),
+    ):
+        n_checked += math.prod(len(members) for members in member_lists)
+
+        def gap(laws):
+            p1 = llr_sum_law(net.channels, laws).prob_decide_one(tau)
+            return p_f_lfd - p1 if sign > 0 else p_m_lfd - (1.0 - p1)
+
+        laws = list(lfd_laws)
+        combo = []
+        for i, members in enumerate(member_lists):
+            gaps = [gap(laws[:i] + [m] + laws[i + 1 :]) for m in members]
+            least = min(gaps)
+            combo.append(next(j for j, g in enumerate(gaps) if g <= least + WITNESS_TOL))
+            laws[i] = members[combo[-1]]
+        if gaps[combo[-1]] < worst_gap - WITNESS_TOL:
+            worst_gap, worst_side, worst_combo = gaps[combo[-1]], side, tuple(combo)
+        for rank, lfd_law, members in zip(ranks, lfd_laws, member_lists):
+            lfd_atoms = AtomPmf(sign * rank, lfd_law.probs)
+            for member in members:
+                ok, _ = atoms_stochastically_larger(
+                    lfd_atoms, AtomPmf(sign * rank, member.probs), tol
+                )
+                dominance_ok = dominance_ok and ok
+    return SaddleReport(
+        holds=worst_gap >= -tol and dominance_ok,
+        worst_side=worst_side,
+        worst_combo=worst_combo,
+        worst_gap=worst_gap,
+        p_false_alarm_lfd=p_f_lfd,
+        p_miss_lfd=p_m_lfd,
+        dominance_ok=dominance_ok,
+        n_checked=n_checked,
+        tol=tol,
+    )
 
 
 def member_channel_reference(member, pair, q, levels=None):

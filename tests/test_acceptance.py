@@ -22,7 +22,7 @@ from robust_fusion.lfd import (
     kl_dabak_lfd,
 )
 from robust_fusion.fusion import NetworkModel, exact_error, k_sweep, monte_carlo, saddle_verify
-from robust_fusion.ordering import atoms_stochastically_larger, convolve_many
+from robust_fusion.ordering import convolve_many
 from robust_fusion.sensor import (
     Quantizer,
     SensorRule,
@@ -33,6 +33,7 @@ from robust_fusion.sensor import (
 
 from _oracles import (
     affinity_fit,
+    atoms_stochastically_larger,
     binomial_majority_error,
     gaussian_kl,
     ordered_pmf_pair,

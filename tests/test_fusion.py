@@ -25,7 +25,6 @@ from robust_fusion.fusion import (
     optimize_thresholds,
     saddle_verify,
 )
-from robust_fusion.ordering import atoms_stochastically_larger
 from robust_fusion.scenario import build_lfd_pair, build_sensor
 from robust_fusion.sensor import (
     Quantizer,
@@ -38,6 +37,7 @@ from robust_fusion.sensor import (
 )
 
 from _oracles import (
+    atoms_stochastically_larger,
     binomial_majority_error,
     decide_one_enumeration,
     enumerate_error_probs,
@@ -45,6 +45,7 @@ from _oracles import (
     grid_search_thresholds,
     joint_llr_sums,
     saddle_grid_reference,
+    saddle_verify_rebuild,
     tail_mass,
 )
 
@@ -565,6 +566,52 @@ class TestSaddleVerify:
             assert holds or not report.holds
             at_combo = gaps[report.worst_side, report.worst_combo]
             assert abs(report.worst_gap - at_combo) <= 1e-12
+
+    def test_matches_per_member_rebuild_reference(self):
+        """The one-fold-per-sensor pass gives the verdicts, witness and side
+        of the reference that folds a new LLR-sum law for every member
+        trial, and its gap within 1e-14, on networks with +inf, -inf and
+        tied LLRs, with and without comparable member lists."""
+        rng = np.random.default_rng(20261118)
+        seen = {"+inf": 0, "-inf": 0, "tie": 0, "violated": 0, "refused": 0}
+        for comparable in (True, False):
+            for _ in range(120):
+                net, laws0, laws1 = _random_saddle_network(rng, comparable)
+                got = saddle_verify(net, laws0, laws1)
+                want = saddle_verify_rebuild(net, laws0, laws1)
+                for name in ("holds", "dominance_ok", "worst_side", "worst_combo", "n_checked"):
+                    assert getattr(got, name) == getattr(want, name), name
+                for name in ("p_false_alarm_lfd", "p_miss_lfd"):
+                    assert getattr(got, name) == getattr(want, name)
+                assert abs(got.worst_gap - want.worst_gap) <= 1e-14
+                llrs = np.concatenate([ch.llr for ch in net.channels])
+                seen["+inf"] += bool(np.any(llrs == math.inf))
+                seen["-inf"] += bool(np.any(llrs == -math.inf))
+                seen["tie"] += any(len(np.unique(ch.llr)) < len(ch.llr) for ch in net.channels)
+                seen["violated"] += got.worst_gap < -got.tol
+                seen["refused"] += not got.dominance_ok
+        assert min(seen.values()) >= 10, seen
+
+    def test_dominance_rows_match_pairwise_check(self):
+        """Each member's row of ``_dominance_gaps`` is the worst cdf gap of
+        the pairwise check on signed LLR ranks, within 1e-14."""
+        rng = np.random.default_rng(20261119)
+        verdicts = set()
+        for _ in range(60):
+            net, laws0, laws1 = _random_saddle_network(rng, comparable=bool(rng.integers(2)))
+            for ch, m0, m1 in zip(net.channels, laws0, laws1):
+                rank = np.unique(ch.llr, return_inverse=True)[1]
+                for sign, lfd_law, members in ((1, ch.pmf0, m0), (-1, ch.pmf1, m1)):
+                    probs = np.array([m.probs for m in members])
+                    gaps = fusion._dominance_gaps(sign * rank, lfd_law.probs, probs)
+                    assert gaps.shape == (len(members),)
+                    for gap, member in zip(gaps, members):
+                        ok, worst = atoms_stochastically_larger(
+                            AtomPmf(sign * rank, lfd_law.probs), AtomPmf(sign * rank, member.probs)
+                        )
+                        assert abs(gap - worst) <= 1e-14
+                        verdicts.add(ok)
+        assert verdicts == {True, False}
 
 
 def _totally_ordered(ch, laws) -> bool:

@@ -8,12 +8,12 @@ from robust_fusion.distributions import AtomPmf, GaussianSpec
 from robust_fusion.ordering import (
     ATOM_BIN_WIDTH,
     _merge_close_atoms,
-    atoms_stochastically_larger,
     convolve,
     convolve_many,
 )
 
 from _oracles import (
+    atoms_stochastically_larger,
     atoms_stochastically_larger_loop,
     binomial_majority_error,
     ordered_pmf_pair,

@@ -12,7 +12,7 @@ from robust_fusion import fusion, lfd, sensor
 from robust_fusion.cli import main
 from robust_fusion.scenario import Scenario, build_sensors, load_scenario, save_scenario
 
-from _golden import GOLDEN, cases as golden_cases, run as run_golden
+from _golden import GOLDEN, NUMBER, assert_matches_record, cases as golden_cases, run as run_golden
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -217,7 +217,7 @@ class TestCliEvaluate:
 
         for (csv_desc, out_desc), (csv_asc, out_asc) in zip(outputs(True), outputs(False)):
             assert out_desc == out_asc
-            got, want = _NUMBER.split(csv_desc), _NUMBER.split(csv_asc)
+            got, want = NUMBER.split(csv_desc), NUMBER.split(csv_asc)
             assert len(got) == len(want)
             for i, (a, e) in enumerate(zip(got, want)):
                 assert abs(float(a) - float(e)) <= 1e-14 if i % 2 else a == e
@@ -433,21 +433,6 @@ class TestCompositeNetworks:
         assert capsys.readouterr().out.strip() == "HOLDS"
 
 
-_NUMBER = re.compile(r"(-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
-
-
-def assert_matches_golden(actual: str, expected: str) -> None:
-    """Equal text with every number token in place; integers must match
-    exactly and floats (a '.' or exponent) within 1e-12."""
-    got, want = _NUMBER.split(actual), _NUMBER.split(expected)
-    assert len(got) == len(want), (actual, expected)
-    for i, (a, e) in enumerate(zip(got, want)):
-        if i % 2 == 1 and any(c in e for c in ".eE"):
-            assert abs(float(a) - float(e)) <= 1e-12, (a, e)
-        else:
-            assert a == e, (actual, expected)
-
-
 class TestSpecErrors:
     GOOD = {"kind": "explicit-pmf", "levels": [0, 1], "pmf0": [0.8, 0.2], "pmf1": [0.2, 0.8]}
     KL = {
@@ -472,10 +457,15 @@ class TestSpecErrors:
                 "could not place distinct default thresholds",
             ),
             ({"nominal1": {"mean": 0.0, "sigma": 1.0}}, "KL radii too large"),
+            (
+                {"nominal1": {"mean": 1.0, "sigma": 2.0}, "eps0": 0.03, "eps1": 0.03,
+                 "quantizer": {"num_thresholds": 4}},
+                "could not place increasing default thresholds: the log-LR is not monotone",
+            ),
         ],
         ids=["decreasing-thresholds", "negative-kl-radius", "eps-at-one",
              "missing-quantizer", "null-num-thresholds", "flat-default-thresholds",
-             "identical-kl-nominals"],
+             "identical-kl-nominals", "non-monotone-default-thresholds"],
     )
     def test_error_names_the_sensor(self, tmp_path, capsys, change, message):
         bad = {**self.KL, **change}
@@ -659,10 +649,7 @@ class TestCliGolden:
         argv = self.CASES[name]
         expected = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
         assert expected["argv"] == argv
-        actual = run_golden(argv)
-        assert actual["exit"] == expected["exit"]
-        assert_matches_golden(actual["csv"], expected["csv"])
-        assert_matches_golden(actual["stdout"], expected["stdout"])
+        assert_matches_record(run_golden(argv), expected)
 
     def test_golden_directory_holds_exactly_the_cases(self):
         """No golden file outlives its scenario or command, and none is missing."""

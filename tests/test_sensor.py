@@ -22,7 +22,6 @@ from robust_fusion.lfd import (
     huber_clipped_lfd,
     kl_dabak_lfd,
 )
-from robust_fusion.ordering import atoms_stochastically_larger
 from robust_fusion.scenario import build_lfd_pair, build_sensor
 from robust_fusion.sensor import (
     Quantizer,
@@ -39,6 +38,7 @@ from robust_fusion.sensor import (
 )
 
 from _oracles import (
+    atoms_stochastically_larger,
     density_integral,
     log_density_crossing_cuts,
     lr_level,
