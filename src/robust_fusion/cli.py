@@ -140,9 +140,11 @@ def _cmd_saddle(args) -> int:
     for b, (members0, members1) in zip(built, probes):
         if b.pair is None:
             continue
-        # the log-LR's range on the grid, also where it is not monotone
+        # the log-LR's range on the grid, also where it is not monotone; a
+        # constant log-LR (identical LFDs) spans one point
         llr = b.pair.log_lr(b.pair.grid())
         t_grid = np.linspace(float(np.min(llr)), float(np.max(llr)), 101)
+        t_grid = t_grid[np.append(True, np.diff(t_grid) > 0.0)]
         report = joint_boundedness_check(b.pair, members0, members1, t_grid)
         rows.append(
             (

@@ -21,6 +21,9 @@ parameters in ``meta``. Every log-likelihood ratio inverts in closed form:
 band, contamination and equal-variance KL pairs (mean0 < mean1) carry an
 affine or clipped-affine :class:`ClippedAffineLlr`, and every other KL pair
 a :class:`QuadraticLlr`. No log-LR is cut on a grid.
+:func:`cut_log_lr` is the one inversion, into levels {t_(d-1) <= log_lr < t_d},
+and :func:`level_masses` the one way to read a law on them; a sensor rule
+cuts at its log LR thresholds, :func:`joint_boundedness_check` at its t grid.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ BOUNDEDNESS_TOL = 1e-9
 # the first one whatever the rounding.
 WITNESS_TOL = 1e-12
 _KL_SOLVE_TOL = 1e-9
+# A log threshold within this of a flat (clipped) log-LR stretch is lowered
+# by it, so a threshold that only exp/log rounding separates from the
+# stretch puts the stretch in the level above, as left-closed levels require.
+_LLR_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -138,10 +145,6 @@ class ContaminatedGaussian:
     eps: float
     atom: float
 
-    def cdf(self, x: float) -> float:
-        step = 1.0 if x >= self.atom else 0.0
-        return (1.0 - self.eps) * self.nominal.cdf(x) + self.eps * step
-
 
 @dataclass(frozen=True)
 class CdfMember:
@@ -171,18 +174,16 @@ class ClippedAffineLlr:
             self.slope * (np.asarray(y, dtype=float) - self.mid), self.lo, self.hi
         )
 
-    def boundary(self, s: float, strict: bool = False) -> float:
-        """inf{y : log_lr(y) >= s} (> s when ``strict``).
+    def boundary(self, s: float) -> float:
+        """inf{y : log_lr(y) >= s}.
 
         -inf when every y qualifies, +inf when none does. The clip levels
         are the float sums ``offset + lo``/``offset + hi`` that evaluation
         returns, so an s read off the log-LR classifies its flat stretch.
         """
-        bottom = self.offset + self.lo
-        top = self.offset + self.hi
-        if s < bottom or (s == bottom and not strict):
+        if s <= self.offset + self.lo:
             return -math.inf
-        if s > top or (s == top and strict):
+        if s > self.offset + self.hi:
             return math.inf
         return self.mid + (s - self.offset) / self.slope
 
@@ -260,6 +261,55 @@ class LfdPair:
         r0 = abs(trapezoid(xs, np.exp(self.q0_logpdf(xs))) - 1.0)
         r1 = abs(trapezoid(xs, np.exp(self.q1_logpdf(xs))) - 1.0)
         return r0, r1
+
+
+def cut_log_lr(pair: LfdPair, log_t) -> tuple[tuple[float, ...], np.ndarray]:
+    """Cut the pair's log-LR at sorted log thresholds: (cuts, segment_levels).
+
+    The segment from ``cuts[i-1]`` (inclusive) to ``cuts[i]`` has level
+    ``segment_levels[i]``, level d holding {log_t[d-1] <= log_lr < log_t[d]}.
+    A :class:`ClippedAffineLlr` has one cut per threshold, level d being
+    segment d; a threshold within ``_LLR_SLACK`` of a clip level is lowered
+    by it. Its cuts are clamped to the support (the mass outside is below
+    1e-15), except a -inf threshold's (LR threshold <= 0) and a +inf cut (no
+    y reaches the threshold). A :class:`QuadraticLlr` is cut at every
+    crossing of every threshold, each segment taking the level of the log-LR
+    inside it.
+    """
+    llr = pair.log_lr
+    if isinstance(llr, QuadraticLlr):
+        cuts, inner = llr.split(log_t)
+        return tuple(cuts), np.searchsorted(log_t, inner, side="right")
+    lo, hi = pair.support
+    flats = (llr.offset + llr.lo, llr.offset + llr.hi)
+
+    def cut(s: float) -> float:
+        if s == -math.inf:
+            return -math.inf
+        if any(abs(s - flat) <= _LLR_SLACK for flat in flats):
+            s -= _LLR_SLACK
+        b = llr.boundary(s)
+        return b if b == math.inf else min(max(b, lo), hi)
+
+    return tuple([cut(float(s)) for s in log_t]), np.arange(len(log_t) + 1)
+
+
+def level_masses(law, cuts: Sequence[float], segment_levels, num_levels: int) -> np.ndarray:
+    """A law's mass on each level of :func:`cut_log_lr`'s cuts: exact cdf
+    differences between the cuts, summed by segment level. ``law`` has a
+    ``cdf``, or is a :class:`ContaminatedGaussian`: 1 - eps times its nominal's
+    masses, plus eps at the level of the segment that holds its atom
+    (left-closed: an atom on a cut joins the segment above).
+    """
+    contaminated = isinstance(law, ContaminatedGaussian)
+    cdf = law.nominal.cdf if contaminated else law.cdf
+    at_cuts = [1.0 if c == math.inf else 0.0 if c == -math.inf else cdf(c) for c in cuts]
+    weights = np.diff([0.0, *at_cuts, 1.0])
+    mass = np.bincount(segment_levels, weights, num_levels)
+    if contaminated:
+        mass = (1.0 - law.eps) * mass
+        mass[segment_levels[np.searchsorted(cuts, law.atom, side="right")]] += law.eps
+    return mass
 
 
 def gaussian_band_lfd(c0: GaussianBandClass, c1: GaussianBandClass) -> LfdPair:
@@ -511,41 +561,6 @@ def huber_clipped_lfd(
     )
 
 
-def _cdf_at(cdf: Callable[[float], float], y: float) -> float:
-    """cdf(y), exactly 0 and 1 at y = -inf and y = +inf."""
-    return 1.0 if y == math.inf else 0.0 if y == -math.inf else cdf(y)
-
-
-def _lower_level_sets(pair: LfdPair, t_values: Sequence[float]) -> list[list[tuple[float, float]]]:
-    """{y : log_lr(y) <= t} for each t, as increasing disjoint intervals (a, b).
-
-    A :class:`ClippedAffineLlr` gives one closed-form half-line, flat
-    stretches equal to t included. A :class:`QuadraticLlr` is split at its
-    closed-form crossings of t, and each piece on which it is <= t is kept.
-    """
-    if isinstance(pair.log_lr, ClippedAffineLlr):
-        return [[(-math.inf, pair.log_lr.boundary(t, strict=True))] for t in t_values]
-    sets = []
-    for t in t_values:
-        cuts, inner = pair.log_lr.split([t])
-        ends = [-math.inf, *cuts, math.inf]
-        sets.append([(ends[i], ends[i + 1]) for i in np.flatnonzero(inner <= t)])
-    return sets
-
-
-def _level_set_masses(cdf: Callable[[float], float], level_sets) -> list[float]:
-    """A law's mass on each level set; (-inf, b) costs one call: ``_cdf_at(cdf, b)``."""
-    masses = []
-    for intervals in level_sets:
-        mass = 0.0
-        for a, b in intervals:
-            mass += _cdf_at(cdf, b)
-            if a != -math.inf:
-                mass -= cdf(a)
-        masses.append(mass)
-    return masses
-
-
 @dataclass(frozen=True)
 class BoundednessWitness:
     side: str
@@ -573,32 +588,47 @@ def joint_boundedness_check(
     """Verify the two-sided cdf sandwich of the robust LR over class members.
 
     For every member Q0 and every threshold t the null-side inequality
-    Q0[log_lr <= t] >= Q0_hat[log_lr <= t] must hold, and symmetrically
-    Q1[log_lr <= t] <= Q1_hat[log_lr <= t] on the alternative side. Members
-    only need a ``cdf`` method; each event {log_lr <= t} is a union of
-    intervals (a half-line for a nondecreasing log-LR), whose probabilities
-    are exact cdf differences. Violations beyond ``tol`` flip ``holds`` and
-    the worst one is reported as a witness; of candidates within
-    ``WITNESS_TOL`` of each other the first found wins (h0 before h1, then
-    member and threshold order).
+    Q0[log_lr < t] >= Q0_hat[log_lr < t] must hold, and symmetrically
+    Q1[log_lr < t] <= Q1_hat[log_lr < t] on the alternative side. The
+    log-LR is cut once at the t grid (:func:`cut_log_lr`, as a sensor rule
+    with those log thresholds); column k of the cumulative level masses
+    (:func:`level_masses`) of a law is its P(log_lr < t_k). Violations
+    beyond ``tol`` flip ``holds`` and the worst one is reported as a
+    witness; of candidates within ``WITNESS_TOL`` of each other the first
+    found wins (h0 before h1, then member and threshold order). An empty
+    member list adds nothing. Raises ValueError on a t grid that holds a
+    NaN or is not strictly increasing.
     """
-    worst = 0.0
-    witness = None
-    t_values = [float(t) for t in t_grid]
-    level_sets = _lower_level_sets(pair, t_values)
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or np.any(np.isnan(t)) or not np.all(t[1:] > t[:-1]):
+        raise ValueError("t_grid must be strictly increasing and free of NaN")
+    cuts, segment_levels = cut_log_lr(pair, t)
+
+    def below(law) -> np.ndarray:
+        return np.cumsum(level_masses(law, cuts, segment_levels, len(t) + 1))[:-1]
+
+    sides, rows = [], []
     for side, members, lfd_cdf, sign in (
         ("h0", class0_members, pair.q0_cdf, +1.0),
         ("h1", class1_members, pair.q1_cdf, -1.0),
     ):
-        lfd_vals = _level_set_masses(lfd_cdf, level_sets)
-        for idx, member in enumerate(members):
-            member_vals = _level_set_masses(member.cdf, level_sets)
-            for t, lfd_val, member_val in zip(t_values, lfd_vals, member_vals):
-                # h0 requires member >= LFD, h1 requires member <= LFD.
-                gap = sign * (lfd_val - member_val)
-                if gap > (worst if witness is None else worst + WITNESS_TOL):
-                    worst = gap
-                    witness = BoundednessWitness(side, idx, member, t, gap)
+        if len(members):
+            # h0 requires member >= LFD, h1 requires member <= LFD.
+            lfd_row = below(CdfMember(lfd_cdf))
+            rows.append(sign * (lfd_row - np.array([below(m) for m in members])))
+            sides += [(side, idx, m) for idx, m in enumerate(members)]
+    gaps = np.concatenate(rows).ravel() if rows else np.zeros(0)
+    # The witness is the first positive gap, replaced by each later gap that
+    # beats it by more than WITNESS_TOL. No gap before the incumbent beats it
+    # by more, so the next one is where the running maximum first does.
+    running = np.maximum.accumulate(gaps)
+    worst, witness = 0.0, None
+    i = int(np.searchsorted(running, 0.0, side="right"))
+    while i < gaps.size:
+        worst = float(gaps[i])
+        side, idx, member = sides[i // len(t)]
+        witness = BoundednessWitness(side, idx, member, float(t[i % len(t)]), worst)
+        i = int(np.searchsorted(running, worst + WITNESS_TOL, side="right"))
     holds = worst <= tol
     return BoundednessReport(
         holds=holds, worst_violation=worst, tol=tol, witness=None if holds else witness

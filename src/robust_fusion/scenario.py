@@ -120,13 +120,12 @@ class Scenario:
         try:
             if not isinstance(doc["sensors"], list):
                 raise ValueError("sensors: expected a list of objects")
+            log_threshold = doc.get("log_threshold")
             return cls(
                 scenario_id=str(doc["scenario_id"]),
-                prior0=float(doc["prior0"]),
+                prior0=_real(doc["prior0"], "prior0"),
                 sensors=tuple(doc["sensors"]),
-                log_threshold=(
-                    None if doc.get("log_threshold") is None else float(doc["log_threshold"])
-                ),
+                log_threshold=None if log_threshold is None else _real(log_threshold, "log_threshold"),
                 grid_points=_integer(doc.get("grid_points", 2001), "grid_points"),
                 seed=_integer(doc.get("seed", 0), "seed"),
             )
@@ -143,6 +142,13 @@ def _integer(value: Any, field: str) -> int:
     return int(value)
 
 
+def _real(value: Any, field: str) -> float:
+    """``value`` as a float; a boolean or a string names ``field``."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{field}: expected a number, got {value!r}")
+    return float(value)
+
+
 def load_scenario(path: str | Path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         return Scenario.from_dict(json.load(fh))
@@ -156,7 +162,7 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 def _gaussian(doc: dict, what: str) -> GaussianSpec:
     try:
-        return GaussianSpec(float(doc["mean"]), float(doc["sigma"]))
+        return GaussianSpec(_real(doc["mean"], f"{what}.mean"), _real(doc["sigma"], f"{what}.sigma"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{what}: expected {{mean, sigma}}, got {doc!r}") from exc
 
@@ -175,14 +181,14 @@ def _sensor_errors(index: int, kind: str):
 def _classes(spec: dict) -> tuple:
     """The H0 and H1 uncertainty classes of a robust sensor spec."""
     if spec["kind"] == "gaussian-band":
-        sigma = float(spec["sigma"])
+        sigma = _real(spec["sigma"], "sigma")
         return tuple(
-            GaussianBandClass(float(spec[b]["mu_lo"]), float(spec[b]["mu_hi"]), sigma)
+            GaussianBandClass(_real(spec[b]["mu_lo"], "mu_lo"), _real(spec[b]["mu_hi"], "mu_hi"), sigma)
             for b in ("band0", "band1")
         )
     cls = KlBallClass if spec["kind"] == "kl-ball" else EpsContaminationClass
     return tuple(
-        cls(_gaussian(spec[f"nominal{j}"], f"nominal{j}"), float(spec[f"eps{j}"]))
+        cls(_gaussian(spec[f"nominal{j}"], f"nominal{j}"), _real(spec[f"eps{j}"], f"eps{j}"))
         for j in (0, 1)
     )
 
@@ -207,7 +213,7 @@ def build_quantizer(spec: dict, pair: LfdPair) -> Quantizer:
     if not isinstance(qdoc, dict):
         raise ValueError("missing quantizer spec")
     if "thresholds" in qdoc:
-        return Quantizer(tuple(float(t) for t in qdoc["thresholds"]))
+        return Quantizer(tuple(_real(t, "thresholds") for t in qdoc["thresholds"]))
     if "num_thresholds" in qdoc:
         return default_quantizer(pair, _integer(qdoc["num_thresholds"], "num_thresholds"))
     raise ValueError("quantizer needs thresholds or num_thresholds")
@@ -265,8 +271,8 @@ def build_sensor(spec: dict, index: int) -> BuiltSensor:
     with _sensor_errors(index, kind):
         if kind == "explicit-pmf":
             levels = tuple(_integer(level, "levels") for level in spec["levels"])
-            pmf0 = pmf_from_weights(levels, [float(p) for p in spec["pmf0"]])
-            pmf1 = pmf_from_weights(levels, [float(p) for p in spec["pmf1"]])
+            pmf0 = pmf_from_weights(levels, [_real(p, "pmf0") for p in spec["pmf0"]])
+            pmf1 = pmf_from_weights(levels, [_real(p, "pmf1") for p in spec["pmf1"]])
             return BuiltSensor(index, kind, channel_from_pmfs(pmf0, pmf1))
         classes = _classes(spec)
         pair = _LFD[kind](*classes)

@@ -7,8 +7,11 @@ quantizes that value with strictly increasing thresholds into levels
 over the threshold intervals, hence automatically nondecreasing in the
 level; this module computes them exactly and enforces that property as a
 postcondition. A :class:`SensorRule` cuts the observation axis once per
-(pair, quantizer); the LFD channel, every class member's law and every
-point atom are read off those cuts, so all pass through one fixed rule.
+(pair, quantizer), with :func:`~robust_fusion.lfd.cut_log_lr` at the logs
+of the LR thresholds; the LFD channel, every class member's law and every
+point atom are read off those cuts by one mass function
+(:func:`~robust_fusion.lfd.level_masses`), so all pass through one fixed
+rule.
 """
 
 from __future__ import annotations
@@ -22,9 +25,7 @@ import numpy as np
 
 from ._roots import solve_increasing
 from .distributions import DiscretePmf, pmf_from_weights, trapezoid
-from .lfd import ClippedAffineLlr, ContaminatedGaussian, LfdPair, _cdf_at
-
-_LLR_SLACK = 1e-12
+from .lfd import CdfMember, LfdPair, cut_log_lr, level_masses
 
 
 @dataclass(frozen=True)
@@ -117,48 +118,17 @@ def channel_from_pmfs(pmf0: DiscretePmf, pmf1: DiscretePmf) -> SensorChannel:
     return _build_channel(pmf0.levels, pmf0.probs, pmf1.probs)
 
 
-def level_boundaries(pair: LfdPair, q: Quantizer) -> list[float]:
-    """Observation-axis boundary for each threshold of a clipped-affine log-LR.
-
-    boundary[d] = inf{y : LR(y) >= t_d}, or -inf for t_d <= 0; finite
-    values and -inf are clamped to the pair's support (the mass outside is
-    below 1e-15 of the total), while +inf (no y reaches t_d) stays, so the
-    levels above get no mass. The :class:`ClippedAffineLlr` is inverted in
-    closed form, exactly, except that a log threshold within
-    ``_LLR_SLACK`` of a clip level is lowered by ``_LLR_SLACK`` first: a
-    threshold that only exp/log rounding separates from a flat (clipped)
-    LR stretch puts that stretch in the level above, as the left-closed
-    intervals require. A :class:`~robust_fusion.lfd.QuadraticLlr` raises
-    ValueError: :class:`SensorRule` cuts it at its closed-form crossings.
-    """
-    llr = pair.log_lr
-    if not isinstance(llr, ClippedAffineLlr):
-        raise ValueError("level boundaries need a clipped-affine log-LR")
-    lo, hi = pair.support
-    flats = (llr.offset + llr.lo, llr.offset + llr.hi)
-
-    def cut(t: float) -> float:
-        if t <= 0.0:
-            return -math.inf
-        s = math.log(t)
-        if any(abs(s - flat) <= _LLR_SLACK for flat in flats):
-            s -= _LLR_SLACK
-        b = llr.boundary(s)
-        return b if b == math.inf else min(max(b, lo), hi)
-
-    return [cut(t) for t in q.thresholds]
-
-
 @dataclass(frozen=True, eq=False)
 class SensorRule:
     """One sensor's quantizer written on the observation axis.
 
-    ``cuts`` split the axis into segments and ``segment_levels[i]`` is the
-    output level of the segment between ``cuts[i-1]`` (inclusive) and
-    ``cuts[i]``. All cuts are closed-form: a clipped-affine log-LR has one
-    per threshold (:func:`level_boundaries`), segment d being level d; a
-    quadratic one is cut at every crossing of every threshold, and each
-    segment goes to the level of the log-LR evaluated inside it.
+    ``cuts`` and ``segment_levels`` are :func:`~robust_fusion.lfd.cut_log_lr`
+    of the pair at the logs of the quantizer's LR thresholds (-inf for a
+    threshold <= 0): the segment between ``cuts[i-1]`` (inclusive) and
+    ``cuts[i]`` has output level ``segment_levels[i]``, and level d holds
+    {t_(d-1) <= LR < t_d}. A clipped-affine log-LR has one closed-form cut
+    per threshold, segment d being level d; a quadratic one is cut at every
+    crossing of every threshold.
     """
 
     pair: LfdPair
@@ -167,24 +137,15 @@ class SensorRule:
     segment_levels: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        pair, q = self.pair, self.quantizer
-        if isinstance(pair.log_lr, ClippedAffineLlr):
-            cuts, levels = level_boundaries(pair, q), np.arange(q.num_levels)
-        else:
-            log_t = np.array([math.log(t) if t > 0.0 else -math.inf for t in q.thresholds])
-            cuts, inner = pair.log_lr.split(log_t)
-            levels = np.searchsorted(log_t, inner, side="right")
-        object.__setattr__(self, "cuts", tuple(cuts))
+        log_t = [math.log(t) if t > 0.0 else -math.inf for t in self.quantizer.thresholds]
+        cuts, levels = cut_log_lr(self.pair, log_t)
+        object.__setattr__(self, "cuts", cuts)
         object.__setattr__(self, "segment_levels", levels)
 
-    def masses(self, cdf: Callable[[float], float]) -> np.ndarray:
-        """Per-level mass of a law: exact cdf differences between the cuts."""
-        weights = np.diff([0.0, *(_cdf_at(cdf, c) for c in self.cuts), 1.0])
-        return np.bincount(self.segment_levels, weights, self.quantizer.num_levels)
-
-    def level_of(self, y: float) -> int:
-        """Output level of the observation y."""
-        return int(self.segment_levels[np.searchsorted(self.cuts, y, side="right")])
+    def masses(self, law) -> np.ndarray:
+        """Per-level mass of a law or class member
+        (:func:`~robust_fusion.lfd.level_masses` at the rule's cuts)."""
+        return level_masses(law, self.cuts, self.segment_levels, self.quantizer.num_levels)
 
 
 def channel_from_rule(rule: SensorRule) -> SensorChannel:
@@ -200,7 +161,8 @@ def channel_from_rule(rule: SensorRule) -> SensorChannel:
     preimage shape); a violation raises.
     """
     pair, levels = rule.pair, list(range(rule.quantizer.num_levels))
-    channel = _build_channel(levels, rule.masses(pair.q0_cdf), rule.masses(pair.q1_cdf))
+    mass0, mass1 = rule.masses(CdfMember(pair.q0_cdf)), rule.masses(CdfMember(pair.q1_cdf))
+    channel = _build_channel(levels, mass0, mass1)
     if not llr_monotone_check(channel):
         raise RuntimeError("per-level LLR is not nondecreasing; quantizer is invalid")
     return channel
@@ -219,17 +181,13 @@ def member_channel(
 ) -> DiscretePmf:
     """Output law of a class member pushed through the sensor rule.
 
-    ``member`` exposes ``cdf`` and is cut where the rule cuts the LFDs;
-    a point-contaminated member's atom goes to the level of the segment
-    that holds it. When ``levels`` restricts to a channel's kept level
-    set, mass on dropped levels must be negligible.
+    ``member`` is read by :meth:`SensorRule.masses` at the rule's cuts, the
+    same cuts and the same mass function as the LFDs: a point-contaminated
+    member's atom goes to the level of the segment that holds it, an atom
+    on a cut to the segment above. When ``levels`` restricts to a channel's
+    kept level set, mass on dropped levels must be negligible.
     """
-    contaminated = isinstance(member, ContaminatedGaussian)
-    mass = rule.masses(member.nominal.cdf if contaminated else member.cdf)
-    if contaminated:
-        mass = (1.0 - member.eps) * mass
-        mass[rule.level_of(member.atom)] += member.eps
-    mass = np.maximum(mass, 0.0)
+    mass = np.maximum(rule.masses(member), 0.0)
     levels = tuple(range(len(mass))) if levels is None else tuple(levels)
     lost = mass.sum() - mass[list(levels)].sum()
     if lost > 1e-12:

@@ -383,6 +383,11 @@ def saddle_verify_rebuild(net, member_laws0, member_laws1, tol: float = 1e-9):
     )
 
 
+def _cdf_at(cdf, y: float) -> float:
+    """cdf(y), exactly 0 and 1 at y = -inf and y = +inf."""
+    return 1.0 if y == math.inf else 0.0 if y == -math.inf else cdf(y)
+
+
 def member_channel_reference(member, pair, q, levels=None):
     """Reference for ``sensor.member_channel``: the per-member route.
 
@@ -399,8 +404,7 @@ def member_channel_reference(member, pair, q, levels=None):
     rounding where the grid sees every crossing.
     """
     from robust_fusion.distributions import pmf_from_weights
-    from robust_fusion.lfd import ClippedAffineLlr, ContaminatedGaussian, _cdf_at
-    from robust_fusion.sensor import _LLR_SLACK
+    from robust_fusion.lfd import _LLR_SLACK, ClippedAffineLlr, ContaminatedGaussian
 
     contaminated = isinstance(member, ContaminatedGaussian)
     cdf = member.nominal.cdf if contaminated else member.cdf
@@ -434,6 +438,89 @@ def member_channel_reference(member, pair, q, levels=None):
         keep = [all_levels.index(l) for l in levels]
         return pmf_from_weights(levels, mass[keep])
     return pmf_from_weights(all_levels, mass)
+
+
+def member_cdf(member):
+    """A probe member's cdf P[Y <= x]; a point-contaminated member's atom
+    counts at x >= atom (the step cdf, right-closed)."""
+    from robust_fusion.lfd import ContaminatedGaussian
+
+    if not isinstance(member, ContaminatedGaussian):
+        return member.cdf
+    return lambda x: (1.0 - member.eps) * member.nominal.cdf(x) + member.eps * (x >= member.atom)
+
+
+def lower_level_sets(pair, t_values):
+    """{y : log_lr(y) <= t} for each t, as increasing disjoint intervals (a, b).
+
+    A clipped-affine log-LR gives one half-line up to inf{y : log_lr(y) > t},
+    flat stretches equal to t included. A quadratic one is split at its
+    crossings of t, and each piece on which it is <= t is kept.
+    """
+    from robust_fusion.lfd import ClippedAffineLlr
+
+    llr = pair.log_lr
+    if isinstance(llr, ClippedAffineLlr):
+
+        def strict_boundary(t):
+            if t < llr.offset + llr.lo:
+                return -math.inf
+            if t >= llr.offset + llr.hi:
+                return math.inf
+            return llr.mid + (t - llr.offset) / llr.slope
+
+        return [[(-math.inf, strict_boundary(t))] for t in t_values]
+    sets = []
+    for t in t_values:
+        cuts, inner = llr.split([t])
+        ends = [-math.inf, *cuts, math.inf]
+        sets.append([(ends[i], ends[i + 1]) for i in np.flatnonzero(inner <= t)])
+    return sets
+
+
+def level_set_masses(cdf, level_sets):
+    """A law's mass on each level set, as cdf differences per interval."""
+    masses = []
+    for intervals in level_sets:
+        mass = 0.0
+        for a, b in intervals:
+            mass += _cdf_at(cdf, b)
+            if a != -math.inf:
+                mass -= cdf(a)
+        masses.append(mass)
+    return masses
+
+
+def joint_boundedness_reference(pair, class0_members, class1_members, t_grid, tol: float = 1e-9):
+    """Reference for ``lfd.joint_boundedness_check``: the per-threshold route.
+
+    Reads Q[log_lr <= t] per member and threshold from the level sets
+    {log_lr <= t} (:func:`lower_level_sets`) and each member's step cdf
+    (:func:`member_cdf`), and walks the gaps in h0-before-h1, member and
+    threshold order: a later gap replaces the witness only when it is
+    larger by more than ``WITNESS_TOL``. Returns (holds, worst, witness)
+    with witness (side, member index, t, gap) or None.
+    """
+    from robust_fusion.lfd import WITNESS_TOL
+
+    worst = 0.0
+    witness = None
+    t_values = [float(t) for t in t_grid]
+    level_sets = lower_level_sets(pair, t_values)
+    for side, members, lfd_cdf, sign in (
+        ("h0", class0_members, pair.q0_cdf, +1.0),
+        ("h1", class1_members, pair.q1_cdf, -1.0),
+    ):
+        lfd_vals = level_set_masses(lfd_cdf, level_sets)
+        for idx, member in enumerate(members):
+            member_vals = level_set_masses(member_cdf(member), level_sets)
+            for t, lfd_val, member_val in zip(t_values, lfd_vals, member_vals):
+                gap = sign * (lfd_val - member_val)
+                if gap > (worst if witness is None else worst + WITNESS_TOL):
+                    worst = gap
+                    witness = (side, idx, t, gap)
+    holds = worst <= tol
+    return holds, worst, None if holds else witness
 
 
 def huber_clip_reference(c0, c1):

@@ -13,15 +13,21 @@ from robust_fusion.lfd import (
     GaussianBandClass,
     KlBallClass,
     _kl_gaussians,
-    _level_set_masses,
-    _lower_level_sets,
+    cut_log_lr,
     gaussian_band_lfd,
     huber_clipped_lfd,
     joint_boundedness_check,
     kl_dabak_lfd,
+    level_masses,
 )
 
-from _oracles import affinity_fit, density_integral, gaussian_kl, huber_clip_reference
+from _oracles import (
+    affinity_fit,
+    density_integral,
+    gaussian_kl,
+    huber_clip_reference,
+    joint_boundedness_reference,
+)
 
 BAND0 = GaussianBandClass(-1.0, 0.0, 1.0)
 BAND1 = GaussianBandClass(1.0, 2.0, 1.0)
@@ -263,9 +269,10 @@ class TestUpperLevelBoundary:
     def test_clip_levels_read_off_asymmetric_huber_pairs(self):
         """At the pair's own clip levels the flat stretches land correctly.
 
-        With eps0 != eps1 the log-LR carries an offset; a level read off the
-        log-LR at the support ends must select the whole top stretch (no y
-        has a larger log-LR) and the start of the bottom one.
+        With eps0 != eps1 the log-LR carries an offset; cut at the levels
+        read off the log-LR at the support ends, {log_lr < bottom} is empty
+        (its cut is the support's lower end) and {log_lr < top} ends where
+        the top stretch starts.
         """
         rng = np.random.default_rng(2000)
         for _ in range(2000):
@@ -279,9 +286,9 @@ class TestUpperLevelBoundary:
             )
             lo, hi = pair.support
             assert lo < pair.meta["y_lo"] and pair.meta["y_hi"] < hi
-            assert pair.log_lr.boundary(float(pair.log_lr(hi)), strict=True) == math.inf
-            bottom = pair.log_lr.boundary(float(pair.log_lr(lo)), strict=True)
-            assert abs(bottom - pair.meta["y_lo"]) < 1e-9
+            cuts, _ = cut_log_lr(pair, [float(pair.log_lr(lo)), float(pair.log_lr(hi))])
+            assert cuts[0] == lo
+            assert abs(cuts[1] - pair.meta["y_hi"]) < 1e-9
 
 
 class TestJointBoundedness:
@@ -344,15 +351,87 @@ class TestJointBoundedness:
         assert report.holds
 
     def test_example_tail_probability_monotone_in_mean(self):
-        """P[log LR <= t] under a band member falls as the mean rises."""
+        """P[log LR < t] under a band member falls as the mean rises."""
         pair = gaussian_band_lfd(BAND0, BAND1)
-        level_sets = _lower_level_sets(pair, np.linspace(-4.0, 4.0, 9))
+        cuts, segment_levels = cut_log_lr(pair, np.linspace(-4.0, 4.0, 9))
         previous = None
         for mu in np.linspace(-1.0, 0.0, 11):
-            vals = np.array(_level_set_masses(GaussianSpec(float(mu), 1.0).cdf, level_sets))
+            member = GaussianSpec(float(mu), 1.0)
+            vals = np.cumsum(level_masses(member, cuts, segment_levels, 10))[:-1]
             if previous is not None:
                 assert np.all(vals <= previous + 1e-12)
             previous = vals
+
+    def test_matches_per_threshold_reference(self):
+        """One cut at the t grid and one mass function give the per-threshold
+        route's verdict, witness and worst violation, on seeded band,
+        contamination and equal- and unequal-variance KL sensors, on the
+        CLI's t grid and on one past the log-LR range at both ends."""
+        from robust_fusion.scenario import build_sensor
+        from test_fusion import _random_spec
+
+        rng = np.random.default_rng(20261018)
+        kinds = ("gaussian-band", "eps-contamination", "kl-ball", "kl-unequal")
+        seen = {"violated": 0, "holds": 0}
+        for index in range(320):
+            kind = kinds[index % 4]
+            spec = _random_spec(rng, "kl-ball" if kind == "kl-unequal" else kind, 2)
+            if kind == "kl-unequal":
+                spec["nominal1"]["sigma"] *= float(rng.choice([rng.uniform(0.6, 0.9), rng.uniform(1.1, 1.6)]))
+            built = build_sensor(spec, 0)
+            n = (1, 5, 11)[index % 3]
+            members0, members1 = built.members(0, n), built.members(1, n)
+            llr = built.pair.log_lr(built.pair.grid())
+            t_min, t_max = float(np.min(llr)), float(np.max(llr))
+            grids = (
+                np.unique(np.linspace(t_min, t_max, 101)),
+                np.linspace(t_min - 2.0, t_max + 2.0, 101),
+            )
+            for t_grid in grids:
+                report = joint_boundedness_check(built.pair, members0, members1, t_grid)
+                holds, worst, witness = joint_boundedness_reference(
+                    built.pair, members0, members1, t_grid
+                )
+                case = (spec, n)
+                assert report.holds == holds, case
+                assert abs(report.worst_violation - worst) < 1e-13, case
+                if witness is None:
+                    assert report.witness is None, case
+                else:
+                    w = report.witness
+                    assert (w.side, w.member_index, w.t) == witness[:3], case
+                seen["holds" if holds else "violated"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_t_grid_must_be_strictly_increasing_without_nan(self):
+        """A NaN t used to be skipped silently; it now raises, as does a
+        grid that repeats or decreases."""
+        pair = gaussian_band_lfd(BAND0, BAND1)
+        members0, members1 = BAND0.members(3), BAND1.members(3)
+        for t_grid in ([math.nan, 0.0], [math.nan], [0.0, math.nan]):
+            with pytest.raises(ValueError, match="NaN"):
+                joint_boundedness_check(pair, members0, members1, t_grid)
+        for t_grid in ([0.0, 0.0], [1.0, 0.0], [0.0, math.inf, math.inf]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                joint_boundedness_check(pair, members0, members1, t_grid)
+
+    def test_empty_member_lists_add_nothing(self):
+        """An empty side adds no gap; with both empty the sandwich holds."""
+        pair = kl_dabak_lfd(STD, SHIFTED, 0.08, 0.08)
+        members0 = KlBallClass(STD, 0.08).members(11, SHIFTED)
+        members1 = KlBallClass(SHIFTED, 0.08).members(11, STD)
+        t_grid = np.linspace(-2.5, 2.5, 101)
+        both = joint_boundedness_check(pair, members0, members1, t_grid)
+        for side, only0, only1 in (("h0", members0, []), ("h1", [], members1)):
+            report = joint_boundedness_check(pair, only0, only1, t_grid)
+            holds, worst, witness = joint_boundedness_reference(pair, only0, only1, t_grid)
+            assert report.holds == holds
+            assert abs(report.worst_violation - worst) < 1e-13
+            assert report.worst_violation <= both.worst_violation
+            if witness is not None:
+                assert (report.witness.side, report.witness.member_index) == (side, witness[1])
+        report = joint_boundedness_check(pair, [], [], t_grid)
+        assert report.holds and report.worst_violation == 0.0 and report.witness is None
 
 
 class TestNonMonotoneLogLr:
@@ -393,10 +472,11 @@ class TestNonMonotoneLogLr:
         assert np.sum(t_grid < t_min) >= 5
         assert np.sum((t_grid > t_min) & (t_grid < t_left)) >= 50
         assert np.sum(t_grid > t_left) >= 30
-        level_sets = _lower_level_sets(pair, t_grid)
+        cuts, segment_levels = cut_log_lr(pair, t_grid)
         members = (pair.meta["q0"], pair.meta["q1"], GaussianSpec(0.4, 0.8))
         for member in members:
-            for t, got in zip(t_grid, _level_set_masses(member.cdf, level_sets)):
+            below = np.cumsum(level_masses(member, cuts, segment_levels, len(t_grid) + 1))
+            for t, got in zip(t_grid, below[:-1]):
                 assert abs(got - self._closed_form(pair, member, float(t))) < 1e-9
 
     def test_lfds_bound_themselves(self):
@@ -460,7 +540,12 @@ class TestMembers:
             EpsContaminationClass(STD, math.nan)
 
     def test_contaminated_member_cdf(self):
+        """P(Y < x) of a point-contaminated member, read off level masses:
+        the atom at 0.5 joins the segment above a cut through it."""
         member = ContaminatedGaussian(STD, 0.1, 0.5)
-        assert abs(member.cdf(10.0) - 1.0) < 1e-12
-        jump = member.cdf(0.5) - member.cdf(0.5 - 1e-9)
-        assert abs(jump - 0.1) < 1e-6
+        levels = np.arange(2)
+        at_atom = level_masses(member, (0.5,), levels, 2)
+        past_atom = level_masses(member, (0.5 + 1e-9,), levels, 2)
+        assert abs(at_atom.sum() - 1.0) < 1e-12
+        assert abs(at_atom[0] - 0.9 * STD.cdf(0.5)) < 1e-15
+        assert abs(past_atom[0] - at_atom[0] - 0.1) < 1e-6

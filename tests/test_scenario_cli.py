@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -374,6 +375,21 @@ class TestCliSaddle:
         assert capsys.readouterr().out.startswith("VIOLATED sensor=0")
 
 
+    def test_constant_log_lr_sensor_exit_0(self, tmp_path, capsys):
+        """Identical KL nominals with zero radii give a constant log-LR, so
+        the t grid spans one point; that sensor bounds itself."""
+        kl = {**TestSpecErrors.KL, "nominal1": {"mean": 0.0, "sigma": 1.0}, "eps0": 0.0, "eps1": 0.0}
+        doc = {"scenario_id": "flat", "prior0": 0.5, "sensors": [kl, TestSpecErrors.GOOD]}
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["saddle", "--scenario", str(path), "--out", str(out), "--members", "3"]) == 0
+        rows = read_csv(out)
+        assert rows[1][1:] == ["boundedness", "0", "", "True", "0.0"]
+
+
 class TestCliSweep:
     def test_odd_k_nonincreasing(self, tmp_path):
         path = make_majority_scenario(tmp_path, sensors=1)
@@ -510,11 +526,23 @@ class TestMalformedScenario:
             (("seed",), "7"),
             (("seed",), "abc"),
             (("seed",), "1e3"),
+            (("sensors", 0, "sigma"), True),
+            (("sensors", 0, "band0", "mu_hi"), False),
+            (("log_threshold",), True),
+            (("prior0",), "0.5"),
+            (("sensors", 0, "sigma"), "1.0"),
+            (("sensors", 1, "nominal1", "mean"), True),
+            (("sensors", 1, "eps0"), "0.05"),
+            (("sensors", 1, "quantizer", "thresholds"), [True]),
+            (("sensors",), [{**TestSpecErrors.GOOD, "pmf0": ["0.8", 0.2]}]),
         ],
         ids=["null-prior0", "null-seed", "null-grid-points", "string-sensors",
              "object-sensors", "list-sensor", "nan-log-threshold", "nan-kl-radius",
              "nan-band-endpoint", "nan-nominal-mean", "inf-band-sigma",
-             "numeric-string-seed", "string-seed", "exponent-string-seed"],
+             "numeric-string-seed", "string-seed", "exponent-string-seed",
+             "boolean-band-sigma", "boolean-band-endpoint", "boolean-log-threshold",
+             "string-prior0", "string-band-sigma", "boolean-nominal-mean",
+             "string-kl-radius", "boolean-threshold", "string-pmf"],
     )
     def test_exit_2(self, tmp_path, capsys, where, value):
         doc = json.loads(json.dumps(self.DOC))

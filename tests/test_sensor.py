@@ -7,7 +7,6 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from robust_fusion import sensor
 from robust_fusion.distributions import AtomPmf, DiscretePmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import (
     CdfMember,
@@ -16,11 +15,11 @@ from robust_fusion.lfd import (
     EpsContaminationClass,
     GaussianBandClass,
     QuadraticLlr,
-    _level_set_masses,
-    _lower_level_sets,
+    cut_log_lr,
     gaussian_band_lfd,
     huber_clipped_lfd,
     kl_dabak_lfd,
+    level_masses,
 )
 from robust_fusion.scenario import build_lfd_pair, build_sensor
 from robust_fusion.sensor import (
@@ -31,7 +30,6 @@ from robust_fusion.sensor import (
     channel_from_pmfs,
     channel_from_quantizer,
     default_quantizer,
-    level_boundaries,
     llr_monotone_check,
     member_channel,
     randomized_binary_admissible,
@@ -40,7 +38,9 @@ from robust_fusion.sensor import (
 from _oracles import (
     atoms_stochastically_larger,
     density_integral,
+    level_set_masses,
     log_density_crossing_cuts,
+    lower_level_sets,
     lr_level,
     member_channel_reference,
     normal_cdf_quadrature,
@@ -57,8 +57,11 @@ PHI_HALF = 0.6914624612740131
 
 def lr_level_of(q: Quantizer, lr: float) -> int:
     """Level that ``SensorRule`` gives the observation whose EXAMPLE_PAIR
-    likelihood ratio is ``lr`` (log-LR y - 1/2, inverted as the rule does)."""
-    return SensorRule(EXAMPLE_PAIR, q).level_of(0.5 + math.log(lr))
+    likelihood ratio is ``lr`` (log-LR y - 1/2, inverted as the rule does):
+    where the rule's mass function puts a point atom at that observation."""
+    rule, nominal = SensorRule(EXAMPLE_PAIR, q), GaussianSpec(0.0, 1.0)
+    member = ContaminatedGaussian(nominal, 0.5, 0.5 + math.log(lr))
+    return int(np.argmax(rule.masses(member) - 0.5 * rule.masses(nominal)))
 
 
 class TestQuantize:
@@ -106,7 +109,7 @@ class TestChannelFromQuantizer:
         thresholds = tuple(np.exp(np.sort(rng.uniform(-2.0, 2.0, size=3))))
         q = Quantizer(thresholds)
         ch = channel_from_quantizer(q, EXAMPLE_PAIR)
-        bounds = [-13.0] + level_boundaries(EXAMPLE_PAIR, q) + [14.0]
+        bounds = [-13.0, *SensorRule(EXAMPLE_PAIR, q).cuts, 14.0]
         for logpdf, pmf in ((EXAMPLE_PAIR.q0_logpdf, ch.pmf0), (EXAMPLE_PAIR.q1_logpdf, ch.pmf1)):
             for d in range(len(bounds) - 1):
                 mass = density_integral(
@@ -221,12 +224,6 @@ class TestChannelFromQuantizer:
             member = member_channel(CdfMember(cdf), SensorRule(pair, q), levels=ch.levels)
             assert np.max(np.abs(member.probs - pmf.probs)) < 1e-12
 
-    def test_level_boundaries_reject_double_crossing(self):
-        """Only a clipped-affine log-LR has closed-form level boundaries."""
-        pair = kl_dabak_lfd(GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.6), 0.03, 0.03)
-        with pytest.raises(ValueError, match="need a clipped-affine log-LR"):
-            level_boundaries(pair, Quantizer((2.0,)))
-
 
 def _random_member_spec(rng, kind: str, levels: int) -> dict:
     """A random band, contamination or KL spec with ``levels`` levels: its
@@ -255,7 +252,7 @@ class TestSensorRule:
         pair = self.CONTAMINATION
         q = Quantizer((1.0, 20.0))
         assert math.log(20.0) > pair.log_lr.offset + pair.log_lr.hi
-        bounds = level_boundaries(pair, q)
+        bounds = SensorRule(pair, q).cuts
         assert pair.support[0] < bounds[0] < pair.support[1]
         assert bounds[1] == math.inf
         with pytest.warns(RuntimeWarning, match=r"dropping levels \[2\]"):
@@ -276,10 +273,9 @@ class TestSensorRule:
         rule = SensorRule(pair, q)
         atom = pair.support[1] - 0.5
         assert float(pair.log_lr(atom)) == top
-        assert rule.level_of(atom) == 2
         nominal = GaussianSpec(-0.5, 1.0)
         law = member_channel(ContaminatedGaussian(nominal, 0.05, atom), rule)
-        stretch = 0.95 * rule.masses(nominal.cdf)
+        stretch = 0.95 * rule.masses(nominal)
         assert np.array_equal(law.probs, stretch + np.array([0.0, 0.0, 0.05]))
 
     def test_member_laws_match_per_member_reference(self):
@@ -306,9 +302,9 @@ class TestSensorRule:
     @pytest.mark.parametrize(
         ("kind", "counted"),
         [
-            ("gaussian-band", "level_boundaries"),
-            ("eps-contamination", "level_boundaries"),
-            ("kl-ball", "level_boundaries"),
+            ("gaussian-band", "boundary"),
+            ("eps-contamination", "boundary"),
+            ("kl-ball", "boundary"),
             ("kl-ball", "crossings"),
         ],
     )
@@ -319,8 +315,8 @@ class TestSensorRule:
         if counted == "crossings":  # unequal variances: a quadratic log-LR
             spec["nominal1"]["sigma"] *= 1.3
         built = build_sensor(spec, 0)
-        assert isinstance(built.pair.log_lr, ClippedAffineLlr) == (counted == "level_boundaries")
-        owner = QuadraticLlr if counted == "crossings" else sensor
+        assert isinstance(built.pair.log_lr, ClippedAffineLlr) == (counted == "boundary")
+        owner = QuadraticLlr if counted == "crossings" else ClippedAffineLlr
         calls = []
         original = getattr(owner, counted)
 
@@ -355,7 +351,7 @@ class TestEqualVarianceKlRule:
             assert np.max(np.abs(np.subtract(rule.cuts, reference))) < 1e-12, spec
             for cdf in (pair.q0_cdf, pair.q1_cdf):
                 ref_mass = np.diff([0.0, *(cdf(c) for c in reference), 1.0])
-                assert np.max(np.abs(rule.masses(cdf) - ref_mass)) < 1e-14, spec
+                assert np.max(np.abs(rule.masses(CdfMember(cdf)) - ref_mass)) < 1e-14, spec
 
     def test_unequal_variance_pair_is_cut_at_crossings(self, monkeypatch):
         """sigma1/sigma0 = 1.01: the vertex lies far outside the support, so
@@ -382,7 +378,7 @@ class TestEqualVarianceKlRule:
         assert np.max(np.abs(np.subtract(inside, reference))) < 1e-12
         for cdf in (pair.q0_cdf, pair.q1_cdf):
             ref_mass = np.diff([0.0, *(cdf(c) for c in reference), 1.0])
-            assert np.max(np.abs(rule.masses(cdf) - ref_mass)) < 1e-14
+            assert np.max(np.abs(rule.masses(CdfMember(cdf)) - ref_mass)) < 1e-14
 
 
 class TestQuadraticLlrRule:
@@ -410,7 +406,8 @@ class TestQuadraticLlrRule:
     def test_narrow_cell_is_kept(self):
         """A log threshold 1e-6 above the quadratic's minimum leaves an H0
         cell of mass 1.4e-3, narrower than a cell of the pair's grid; the
-        channel keeps it as level 0 and the level set {log_lr <= s} holds it."""
+        channel keeps it as level 0, and the cut at s itself (no exp/log
+        round trip) reads it as P(log_lr < s)."""
         pair = kl_dabak_lfd(GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.6), 0.03, 0.03)
         q0, q1 = pair.meta["q0"], pair.meta["q1"]
         a = 0.5 / q0.sigma**2 - 0.5 / q1.sigma**2
@@ -424,15 +421,15 @@ class TestQuadraticLlrRule:
             ch = channel_from_quantizer(Quantizer((t,)), pair)
         assert ch.levels == (0, 1)
         assert abs(ch.pmf0.probs[0] - reference) < 1e-13
-        level_set = _lower_level_sets(pair, [math.log(t)])
-        assert abs(_level_set_masses(q0.cdf, level_set)[0] - reference) < 1e-13
+        cuts, segment_levels = cut_log_lr(pair, [math.log(t)])
+        assert abs(level_masses(q0, cuts, segment_levels, 2)[0] - reference) < 1e-13
 
     def test_cuts_and_masses_match_references(self):
         """Seeded unequal-variance pairs (sigma1/sigma0 in [0.5, 2] and
         1 + 1e-6, both mean orders), a decreasing affine pair and a
         constant one: the cuts the grid sees are the grid bisection's to
-        1e-12, the level masses are the quadrature's, and the level sets
-        {log_lr <= log t_d} hold the masses of levels 0..d."""
+        1e-12, the level masses are the quadrature's, and the reference's
+        level sets {log_lr <= log t_d} hold the masses of levels 0..d."""
         rng = np.random.default_rng(20261018)
         cases = []
         for ratio in [*rng.uniform(0.5, 2.0, size=24), 1.0 + 1e-6, 1.0 + 1e-6, 1.0, 1.0]:
@@ -460,11 +457,11 @@ class TestQuadraticLlrRule:
             if reference:
                 assert np.max(np.abs(np.subtract(seen, reference))) < 1e-12, (p0, p1)
             oracle = quad_level_masses(pair, q, lo, hi)
-            level_sets = _lower_level_sets(pair, log_t)
+            level_sets = lower_level_sets(pair, log_t)
             for h, cdf in enumerate((pair.q0_cdf, pair.q1_cdf)):
-                masses = rule.masses(cdf)
+                masses = rule.masses(CdfMember(cdf))
                 assert np.max(np.abs(masses - oracle[h])) < 1e-11, (p0, p1, h)
-                below = _level_set_masses(cdf, level_sets)
+                below = level_set_masses(cdf, level_sets)
                 assert np.max(np.abs(np.subtract(below, np.cumsum(masses)[:-1]))) < 1e-14
 
 
