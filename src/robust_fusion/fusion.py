@@ -13,6 +13,12 @@ the exact convolution of half the sensors' finite atom mass functions, and
 one tail mass of their sum is read by a meet-in-the-middle search, so no
 atom law larger than (D+1)^ceil(K/2) is built. Results are cross-checked
 against full enumeration when the joint level space is small enough.
+
+Threshold design is person-by-person: sweeps replace each sensor's LR
+quantizer by its best response to the others, and Anderson steps on the log
+thresholds extrapolate the sweeps; a step is taken only if it keeps every
+sensor's thresholds in order inside its log-LR bracket and strictly lowers
+the exact P_E. The design reports its sweeps and the steps it took.
 """
 
 from __future__ import annotations
@@ -455,6 +461,9 @@ class DesignResult:
     ``best_response_gain`` is the P_E that one further person-by-person
     sweep from this design gains, the certificate of person-by-person
     optimality; a converged design's last sweep gained less than 1e-12.
+    ``sweeps`` counts the person-by-person sweeps of all three starts,
+    without that certificate sweep, and ``accelerated`` the extrapolated
+    (Anderson) steps that passed the P_E safeguard and were taken.
     """
 
     quantizers: tuple[Quantizer, ...]
@@ -462,11 +471,17 @@ class DesignResult:
     report: ErrorReport
     converged: bool
     best_response_gain: float
+    sweeps: int
+    accelerated: int
 
 
 # a best response replies to this many fusion thresholds, the lowest-P_E
 # candidates; for one sensor, or two with D <= 2, that is every candidate
 _REPLY_TAUS = 16
+# a design start stops after _MAX_SWEEPS sweeps, and extrapolates them
+# from its last _ANDERSON_DEPTH (x, sweep(x)) pairs
+_MAX_SWEEPS = 40
+_ANDERSON_DEPTH = 3
 
 
 class _SensorBuild(NamedTuple):
@@ -659,35 +674,110 @@ def _sweep(
     return p_e, tau
 
 
-def optimize_thresholds(
-    pairs: Sequence[LfdPair],
-    num_levels: Sequence[int],
-    prior0: float,
-) -> DesignResult:
-    """Design sensor thresholds and the fusion threshold to minimize P_E.
+def _anderson_step(xs: Sequence[np.ndarray], gs: Sequence[np.ndarray]) -> np.ndarray | None:
+    """Type-II Anderson extrapolation from pairs (x_j, G(x_j)), oldest first.
 
-    Person-by-person descent (Tsitsiklis 1993): each sweep replaces every
-    sensor's quantizer, in turn, by its best response to the others and
-    to the LLR fusion test, and the fusion threshold is re-chosen exactly
-    by atom scanning; no step raises P_E. It runs from three initial
-    configurations: equal-mixture quantiles, LR = 1 centered, and seeded
-    random. The objective is not convex, so the claim is person-by-person
-    optimality, not a global optimum: no sensor can lower P_E alone by
-    changing its LR quantizer. ``best_response_gain`` certifies it, as the
-    P_E one further sweep from the returned design gains. A start stops
-    once a sweep improves P_E by less than 1e-12; non-convergence within
-    40 sweeps returns best-found with a warning and ``converged=False``.
+    With residuals f = G(x) - x, returns G(x_k) - dG @ gamma, where gamma
+    minimises ||f_k - dF @ gamma|| over the differences of consecutive
+    pairs (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011). The columns of
+    dF are orthonormalised by Gram-Schmidt from dot products, newest first,
+    and dG takes the same column operations, so no matrix is factored. A
+    difference whose part outside the newer ones' span is within 1e-8 of
+    its residuals' size (zero, up to rounding) is dropped; with none left
+    there is no step and None is returned.
     """
-    if len(pairs) > 10 or any(d > 4 for d in num_levels):
-        raise ValueError("designed for K <= 10 sensors with at most 4 thresholds each")
-    if len(pairs) != len(num_levels):
-        raise ValueError("need one threshold count per sensor")
-    objective = _ThresholdObjective(pairs, prior0)
+    fs = [g - x for x, g in zip(xs, gs)]
+    basis: list[tuple[np.ndarray, np.ndarray]] = []
+    for j in range(len(fs) - 1, 0, -1):
+        df, dg = fs[j] - fs[j - 1], gs[j] - gs[j - 1]
+        for q, qg in basis:
+            c = q @ df
+            df, dg = df - c * q, dg - c * qg
+        norm = math.sqrt(df @ df)
+        if norm <= 1e-8 * math.sqrt(max(fs[j] @ fs[j], fs[j - 1] @ fs[j - 1])):
+            continue
+        basis.append((df / norm, dg / norm))
+    if not basis:
+        return None
+    step = gs[-1].copy()
+    for q, qg in basis:
+        step -= (q @ fs[-1]) * qg
+    return step
+
+
+class _Descent(NamedTuple):
+    """Where one start of :func:`optimize_thresholds` ends, and its work."""
+
+    conf: list[list[float]]
+    p_error: float
+    tau: float
+    converged: bool
+    sweeps: int
+    accelerated: int
+
+
+def _descend(
+    objective: _ThresholdObjective,
+    conf: list[list[float]],
+    brackets: Sequence[tuple[float, float]],
+) -> _Descent:
+    """One start of :func:`optimize_thresholds`: sweeps from ``conf`` with
+    the safeguarded Anderson steps described there, on the flattened log
+    thresholds. The P_E of the iterates never rises."""
+    sizes = np.cumsum([len(coords) for coords in conf])[:-1]
+    p_e, tau = objective.evaluate(conf)
+    xs: list[np.ndarray] = []
+    gs: list[np.ndarray] = []
+    sweeps = accelerated = 0
+    while sweeps < _MAX_SWEEPS:
+        swept = [list(coords) for coords in conf]
+        swept_pe, swept_tau = _sweep(objective, swept, brackets)
+        sweeps += 1
+        if p_e - swept_pe < 1e-12:
+            return _Descent(swept, swept_pe, swept_tau, True, sweeps, accelerated)
+        if sweeps > 1:
+            xs.append(np.concatenate(conf))
+            gs.append(np.concatenate(swept))
+            del xs[:-_ANDERSON_DEPTH], gs[:-_ANDERSON_DEPTH]
+        conf, p_e, tau = swept, swept_pe, swept_tau
+        if len(xs) < 2:
+            continue
+        step = _anderson_step(xs, gs)
+        if step is not None:
+            trial = [coords.tolist() for coords in np.split(step, sizes)]
+            trial_pe, trial_tau = _screened_error(objective, trial, brackets)
+            if trial_pe < p_e:
+                conf, p_e, tau = trial, trial_pe, trial_tau
+                accelerated += 1
+                continue
+        xs.clear()
+        gs.clear()
+    return _Descent(conf, p_e, tau, False, sweeps, accelerated)
+
+
+def _screened_error(
+    objective: _ThresholdObjective,
+    conf: list[list[float]],
+    brackets: Sequence[tuple[float, float]],
+) -> tuple[float, float]:
+    """(p_error, log fusion threshold) of an extrapolated configuration; inf
+    unless every sensor's log thresholds rise strictly inside its bracket
+    and its channels build (a KL tail can break the LLR order)."""
+    for coords, (lo, hi) in zip(conf, brackets):
+        if not lo < coords[0] < hi or not all(a < b < hi for a, b in zip(coords, coords[1:])):
+            return math.inf, 0.0
+    try:
+        return objective.evaluate(conf)
+    except RuntimeError:
+        return math.inf, 0.0
+
+
+def _starts(
+    pairs: Sequence[LfdPair], num_levels: Sequence[int], brackets: Sequence[tuple[float, float]]
+) -> list[list[list[float]]]:
+    """The three initial log-threshold configurations of :func:`optimize_thresholds`:
+    equal-mixture quantiles, LR = 1 centered, and seeded random."""
     rng = np.random.default_rng(0)
-    brackets = []
-    for pair in pairs:
-        lo, hi = pair.support
-        brackets.append((float(pair.log_lr(lo)), float(pair.log_lr(hi))))
 
     def quantile_start(i: int, d: int) -> list[float]:
         qz = default_quantizer(pairs[i], d)
@@ -702,39 +792,70 @@ def optimize_thresholds(
         lo, hi = brackets[i]
         return sorted(float(v) for v in rng.uniform(lo + 0.1, hi - 0.1, size=d))
 
-    starts = []
-    for maker in (quantile_start, centered_start, random_start):
-        starts.append([maker(i, d) for i, d in enumerate(num_levels)])
+    return [
+        [maker(i, d) for i, d in enumerate(num_levels)]
+        for maker in (quantile_start, centered_start, random_start)
+    ]
 
-    best_conf = None
-    best_pe = math.inf
-    best_tau = 0.0
-    best_converged = False
-    for conf in starts:
-        conf = [list(c) for c in conf]
-        pe, tau = objective.evaluate(conf)
-        converged = False
-        for _ in range(40):
-            swept_pe, tau = _sweep(objective, conf, brackets)
-            gain, pe = pe - swept_pe, swept_pe
-            if gain < 1e-12:
-                converged = True
-                break
-        if pe < best_pe:
-            best_pe, best_tau, best_conf, best_converged = pe, tau, conf, converged
-    if not best_converged:
-        warnings.warn("threshold optimizer hit the sweep limit; returning best found")
-    best_response_gain = best_pe - _sweep(objective, [list(c) for c in best_conf], brackets)[0]
-    quantizers = tuple(Quantizer(tuple(math.exp(t) for t in coords)) for coords in best_conf)
-    channels = tuple(objective.build(i, coords).channel for i, coords in enumerate(best_conf))
-    net = NetworkModel(channels, prior0, best_tau)
+
+def optimize_thresholds(
+    pairs: Sequence[LfdPair],
+    num_levels: Sequence[int],
+    prior0: float,
+) -> DesignResult:
+    """Design sensor thresholds and the fusion threshold to minimize P_E.
+
+    Person-by-person descent (Tsitsiklis 1993): each sweep replaces every
+    sensor's quantizer, in turn, by its best response to the others and
+    to the LLR fusion test, and the fusion threshold is re-chosen exactly
+    by atom scanning; no step raises P_E. It runs from three initial
+    configurations: equal-mixture quantiles, LR = 1 centered, and seeded
+    random. The sweeps converge only linearly, so each start extrapolates
+    them: from its second sweep on it keeps its last three (x, sweep(x))
+    pairs of log thresholds, and after each sweep tries the Anderson step
+    (Walker & Ni 2011, :func:`_anderson_step`). The step is taken only if
+    every sensor's thresholds stay strictly increasing inside its log-LR
+    bracket, its channels build and its P_E is strictly below the sweep's;
+    otherwise the start goes on from the sweep with no pairs kept, so no
+    step raises P_E either. The objective is not convex, so the claim is
+    person-by-person optimality, not a global optimum: no sensor can lower
+    P_E alone by changing its LR quantizer. ``best_response_gain``
+    certifies it, as the P_E one further sweep from the returned design
+    gains. A start stops once a sweep improves P_E by less than 1e-12;
+    non-convergence within 40 sweeps (Anderson steps not counted) returns
+    best-found with a warning that names how many starts hit the limit, and
+    ``converged=False``.
+    """
+    if len(pairs) > 10 or any(d > 4 for d in num_levels):
+        raise ValueError("designed for K <= 10 sensors with at most 4 thresholds each")
+    if len(pairs) != len(num_levels):
+        raise ValueError("need one threshold count per sensor")
+    objective = _ThresholdObjective(pairs, prior0)
+    brackets = []
+    for pair in pairs:
+        lo, hi = pair.support
+        brackets.append((float(pair.log_lr(lo)), float(pair.log_lr(hi))))
+    descents = [_descend(objective, conf, brackets) for conf in _starts(pairs, num_levels, brackets)]
+    best = min(descents, key=lambda descent: descent.p_error)  # the first on a tie
+    if not best.converged:
+        stuck = sum(not descent.converged for descent in descents)
+        warnings.warn(
+            f"threshold optimizer hit the sweep limit on {stuck} of {len(descents)} starts; "
+            "returning best found"
+        )
+    best_response_gain = best.p_error - _sweep(objective, [list(c) for c in best.conf], brackets)[0]
+    quantizers = tuple(Quantizer(tuple(math.exp(t) for t in coords)) for coords in best.conf)
+    channels = tuple(objective.build(i, coords).channel for i, coords in enumerate(best.conf))
+    net = NetworkModel(channels, prior0, best.tau)
     report = exact_error(net)
     return DesignResult(
         quantizers=quantizers,
-        log_threshold=best_tau,
+        log_threshold=best.tau,
         report=report,
-        converged=best_converged,
+        converged=best.converged,
         best_response_gain=best_response_gain,
+        sweeps=sum(descent.sweeps for descent in descents),
+        accelerated=sum(descent.accelerated for descent in descents),
     )
 
 

@@ -161,6 +161,39 @@ def full_rebuild_objective(pairs, prior0, all_log_thresholds):
     return p_e, tau
 
 
+def plain_person_by_person(pairs, num_levels, prior0):
+    """Reference for ``fusion.optimize_thresholds`` without Anderson steps.
+
+    The plain person-by-person loop from the optimizer's three starts: each
+    start sweeps until a sweep gains less than 1e-12, or 40 sweeps, and the
+    lowest P_E wins. Returns (log thresholds per sensor, log fusion
+    threshold, p_error, converged, sweeps over all starts).
+    """
+    from robust_fusion.fusion import _starts, _sweep, _ThresholdObjective
+
+    objective = _ThresholdObjective(pairs, prior0)
+    brackets = [tuple(float(pair.log_lr(y)) for y in pair.support) for pair in pairs]
+    best_conf = None
+    best_pe = math.inf
+    best_tau = 0.0
+    best_converged = False
+    sweeps = 0
+    for conf in _starts(pairs, num_levels, brackets):
+        conf = [list(c) for c in conf]
+        pe, tau = objective.evaluate(conf)
+        converged = False
+        for _ in range(40):
+            swept_pe, tau = _sweep(objective, conf, brackets)
+            sweeps += 1
+            gain, pe = pe - swept_pe, swept_pe
+            if gain < 1e-12:
+                converged = True
+                break
+        if pe < best_pe:
+            best_pe, best_tau, best_conf, best_converged = pe, tau, conf, converged
+    return best_conf, best_tau, best_pe, best_converged, sweeps
+
+
 def atom_pmf_unique_reference(atoms, masses):
     """(atoms, masses) of ``AtomPmf`` normal form via ``np.unique``: a
     stable sort, then exact duplicates summed by ``bincount``."""

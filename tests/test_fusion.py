@@ -44,6 +44,7 @@ from _oracles import (
     full_rebuild_objective,
     grid_search_thresholds,
     joint_llr_sums,
+    plain_person_by_person,
     saddle_grid_reference,
     saddle_verify_rebuild,
     tail_mass,
@@ -995,6 +996,111 @@ def _line_argmin_changes(a0, a1, prior0, xs):
     return xs[1:][best[1:] != best[:-1]]
 
 
+def _design_problems() -> list[tuple[str, list, list[int], float, float]]:
+    """(id, pairs, num_levels, prior0, recorded P_E) of the 16 fixed design
+    problems of perfbench's design workload (prior 0.5)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "design_problems.json"
+    problems = json.loads(path.read_text(encoding="utf-8"))
+    return [
+        (
+            problem["id"],
+            [build_lfd_pair(s, i) for i, s in enumerate(problem["sensors"])],
+            problem["num_levels"],
+            0.5,
+            problem["p_error"],
+        )
+        for shape in problems.values()
+        for problem in shape
+    ]
+
+
+def _seeded_designs() -> list[tuple[str, list, list[int], float, float]]:
+    """Eight K=1-4 band, contamination and KL networks of ``_random_design``,
+    drawn once from a fixed seed, each in the form of ``_design_problems``
+    with no recorded P_E."""
+    rng = np.random.default_rng(20261106)
+    designs = []
+    for n in range(8):
+        pairs, prior0, conf, _ = _random_design(rng)
+        designs.append((f"seeded-{n}", pairs, [len(c) for c in conf], prior0, math.inf))
+    return designs
+
+
+def _record_design(monkeypatch, pairs, num_levels, prior0):
+    """(result, starts): ``optimize_thresholds`` with ``_descend``, ``_sweep``
+    and the objective's ``evaluate`` wrapped. Each start is (brackets,
+    events): ("evaluate", configuration, P_E) for an evaluation outside a
+    sweep (the start itself, then the Anderson candidates; P_E is inf when
+    the channel build raised) and ("sweep", P_E in, P_E out)."""
+    descend, sweep, evaluate = fusion._descend, fusion._sweep, fusion._ThresholdObjective.evaluate
+    starts = []
+    inside = []  # non-empty while a sweep runs or after the start returned
+
+    def recording_descend(objective, conf, brackets):
+        starts.append((brackets, []))
+        inside.clear()
+        out = descend(objective, conf, brackets)
+        inside.append("done")
+        return out
+
+    def recording_sweep(objective, conf, brackets):
+        pe_in = evaluate(objective, conf)[0]
+        inside.append("sweep")
+        try:
+            pe_out, tau = sweep(objective, conf, brackets)
+        finally:
+            inside.pop()
+        if not inside:
+            starts[-1][1].append(("sweep", pe_in, pe_out))
+        return pe_out, tau
+
+    def recording_evaluate(objective, conf):
+        if inside:
+            return evaluate(objective, conf)
+        event = ["evaluate", [list(c) for c in conf], math.inf]
+        starts[-1][1].append(event)
+        out = evaluate(objective, conf)
+        event[2] = out[0]
+        return out
+
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        patch.setattr(fusion, "_descend", recording_descend)
+        patch.setattr(fusion, "_sweep", recording_sweep)
+        patch.setattr(fusion._ThresholdObjective, "evaluate", recording_evaluate)
+        result = optimize_thresholds(pairs, num_levels, prior0)
+    return result, starts
+
+
+def _check_descents(result, starts) -> tuple[int, int]:
+    """Asserts that every start's accepted iterates never rise in P_E, that
+    each sweep starts from the last accepted iterate, and that every
+    evaluated candidate keeps each sensor's log thresholds strictly
+    increasing inside its bracket; returns (accepted, rejected) candidates.
+    The result's counters must match the recording."""
+    sweeps = accepted = rejected = 0
+    for brackets, events in starts:
+        kind, _, current = events[0]  # the start itself
+        assert kind == "evaluate"
+        for kind, a, b in events[1:]:
+            if kind == "sweep":
+                assert a == current
+                assert b <= a
+                current = b
+                sweeps += 1
+                continue
+            for coords, (lo, hi) in zip(a, brackets):
+                assert lo < coords[0] and coords[-1] < hi
+                assert all(x < y for x, y in zip(coords, coords[1:]))
+            if b < current:
+                current = b
+                accepted += 1
+            else:
+                rejected += 1
+    assert (result.sweeps, result.accelerated) == (sweeps, accepted)
+    return accepted, rejected
+
+
 class TestPersonByPerson:
     BAND = gaussian_band_lfd(GaussianBandClass(0.0, 0.0, 1.0), GaussianBandClass(1.0, 1.0, 1.0))
 
@@ -1109,31 +1215,120 @@ class TestPersonByPerson:
             assert current in scored
             conf[i] = list(coords)
 
-    def test_design_problems_at_or_below_recorded(self):
+    def test_design_problems_at_or_below_recorded(self, monkeypatch):
         """The 16 fixed benchmark design problems end at or below their
-        recorded P_E (the benchmark's own 1e-9 gate) and at or below their
-        quantile start, with the certificate below 1e-12."""
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "design_problems.json"
-        problems = json.loads(path.read_text(encoding="utf-8"))
-        prior0 = 0.5  # the design workload's prior
-        count = 0
-        for shape in problems.values():
-            for problem in shape:
-                pairs = [build_lfd_pair(s, i) for i, s in enumerate(problem["sensors"])]
-                d = problem["num_levels"]
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    result = optimize_thresholds(pairs, d, prior0)
-                    start = [
-                        [math.log(t) for t in default_quantizer(p, n).thresholds]
-                        for p, n in zip(pairs, d)
-                    ]
-                    start_pe, _ = fusion._ThresholdObjective(pairs, prior0).evaluate(start)
-                assert result.report.p_error <= problem["p_error"] + 1e-9, problem["id"]
-                assert result.report.p_error <= start_pe + 1e-12, problem["id"]
-                assert result.converged and result.best_response_gain < 1e-12
-                count += 1
-        assert count == 16
+        recorded P_E, their quantile start and the plain person-by-person
+        loop (within 1e-12), converged with the certificate below 1e-12, in
+        at most 350 sweeps in all where the plain loop takes 496, and with
+        the safeguard's invariants kept."""
+        problems = _design_problems()
+        sweeps = plain_sweeps = 0
+        for name, pairs, d, prior0, recorded in problems:
+            result, starts = _record_design(monkeypatch, pairs, d, prior0)
+            _check_descents(result, starts)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                start = [
+                    [math.log(t) for t in default_quantizer(p, n).thresholds]
+                    for p, n in zip(pairs, d)
+                ]
+                start_pe, _ = fusion._ThresholdObjective(pairs, prior0).evaluate(start)
+                _, _, plain_pe, _, plain = plain_person_by_person(pairs, d, prior0)
+            assert result.report.p_error <= recorded + 1e-12, name
+            assert result.report.p_error <= start_pe + 1e-12, name
+            assert result.report.p_error <= plain_pe + 1e-12, name
+            assert result.converged and result.best_response_gain < 1e-12, name
+            sweeps += result.sweeps
+            plain_sweeps += plain
+        assert len(problems) == 16
+        assert plain_sweeps == 496 and sweeps <= 350
+
+
+class TestAndersonDesign:
+    def test_step_lands_on_fixed_point_of_rank_one_affine_map(self):
+        """On x -> A x + b with A = c u v^T a contraction, the iterates
+        after one map lie on the line through the fixed point along u, so
+        one step from two pairs lands on the fixed point."""
+        rng = np.random.default_rng(20261107)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            u, v, b = rng.normal(size=(3, n))
+            a = float(rng.uniform(-0.95, 0.95)) / (u @ v) * np.outer(u, v)
+            fixed = np.linalg.solve(np.eye(n) - a, b)
+            x1 = a @ rng.normal(size=n) + b
+            x2 = a @ x1 + b
+            step = fusion._anderson_step([x1, x2], [x2, a @ x2 + b])
+            assert np.max(np.abs(step - fixed)) <= 1e-12 * max(1.0, np.max(np.abs(fixed)))
+
+    def test_zero_residual_difference_gives_no_step(self):
+        """Two pairs with one residual leave nothing to extrapolate from:
+        no step, and no division by zero."""
+        x, d, f = np.array([0.1, 0.4]), np.array([0.3, -0.2]), np.array([0.05, 0.02])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fusion._anderson_step([x, x + d], [x + f, x + d + f]) is None
+            assert fusion._anderson_step([x, x], [x, x]) is None
+
+    def test_screen_scores_only_ordered_buildable_candidates(self, monkeypatch):
+        """A candidate is scored only when every sensor's log thresholds rise
+        strictly inside its bracket, and one whose channel build raises (a
+        KL tail out of LLR order) scores inf instead of stopping the design."""
+        kl = build_lfd_pair(
+            {
+                "kind": "kl-ball",
+                "nominal0": {"mean": -0.5, "sigma": 1.0},
+                "nominal1": {"mean": 0.5, "sigma": 1.0},
+                "eps0": 0.02,
+                "eps1": 0.02,
+            },
+            0,
+        )
+        pairs = [BAND_PAIR, kl]
+        brackets = [tuple(float(pair.log_lr(y)) for y in pair.support) for pair in pairs]
+        (lo, hi), (kl_lo, kl_hi) = brackets
+        objective = fusion._ThresholdObjective(pairs, 0.5)
+        evaluate = objective.evaluate
+        scored = []
+
+        def recording(conf):
+            scored.append(conf)
+            return evaluate(conf)
+
+        monkeypatch.setattr(objective, "evaluate", recording)
+        valid = [[-0.5, 0.5], [-1.0, 0.0, 1.0]]
+        assert fusion._screened_error(objective, valid, brackets) == evaluate(valid)
+        for conf in (
+            [[lo, 0.5], [-1.0, 0.0, 1.0]],
+            [[-0.5, hi], [-1.0, 0.0, 1.0]],
+            [[-0.5, 0.5], [kl_lo - 1.0, 0.0, 1.0]],
+            [[-0.5, 0.5], [-1.0, 1.0, kl_hi + 1.0]],
+            [[0.5, -0.5], [-1.0, 0.0, 1.0]],
+            [[-0.5, 0.5], [-1.0, 0.0, 0.0]],
+        ):
+            scored.clear()
+            assert fusion._screened_error(objective, conf, brackets) == (math.inf, 0.0)
+            assert not scored
+        unbuildable = [[-0.5, 0.5], [0.0, 4.48, 4.49]]
+        with pytest.raises(RuntimeError):
+            evaluate(unbuildable)
+        assert fusion._screened_error(objective, unbuildable, brackets) == (math.inf, 0.0)
+
+    def test_seeded_networks_converge_under_the_safeguard(self, monkeypatch):
+        """Seeded K=1-4 band, contamination and KL networks: every design
+        converges with a certificate below 1e-12, the P_E of accepted
+        iterates never rises and no candidate leaves its bracket or breaks
+        threshold order."""
+        accepted = rejected = 0
+        kinds = set()
+        for name, pairs, num_levels, prior0, _ in _seeded_designs():
+            kinds.update(pair.meta["kind"] for pair in pairs)
+            result, starts = _record_design(monkeypatch, pairs, num_levels, prior0)
+            assert result.converged and result.best_response_gain < 1e-12, name
+            counts = _check_descents(result, starts)
+            accepted += counts[0]
+            rejected += counts[1]
+        assert kinds == {"gaussian-band", "huber", "kl-dabak"}
+        assert accepted > 0 and rejected > 0
 
 
 class TestKSweep:
