@@ -32,6 +32,7 @@ from .sensor import (
     default_quantizer,
     llr_monotone_check,
     member_channel,
+    member_laws,
     randomized_binary_admissible,
 )
 from .fusion import (

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import AtomPmf, DiscretePmf
+from .distributions import MASS_TOL, AtomPmf, DiscretePmf
 from .lfd import WITNESS_TOL, LfdPair
 from .ordering import convolve, convolve_many
 from .sensor import Quantizer, SensorChannel, channel_from_quantizer, default_quantizer
@@ -327,11 +327,16 @@ class SaddleReport:
 
 def saddle_verify(
     net: NetworkModel,
-    member_laws0: Sequence[Sequence[DiscretePmf]],
-    member_laws1: Sequence[Sequence[DiscretePmf]],
+    member_laws0: Sequence[np.ndarray],
+    member_laws1: Sequence[np.ndarray],
     tol: float = 1e-9,
 ) -> SaddleReport:
     """Certify that the LFD laws are worst cases for the fixed rules.
+
+    ``member_laws0``/``member_laws1`` hold one (members x levels) array per
+    sensor, row r the law of member r on the channel's levels (as
+    ``BuiltSensor.member_laws`` gives them); each is checked and read in C
+    order by :func:`_member_rows`.
 
     The certificate is per sensor: in the order of the sensor's LLR
     values, every H0 member law must lie stochastically below ``pmf0`` and
@@ -358,9 +363,9 @@ def saddle_verify(
     always the least.
     """
     if len(member_laws0) != net.num_sensors or len(member_laws1) != net.num_sensors:
-        raise ValueError("need one member-law list per sensor and hypothesis")
-    if not all(member_laws0) or not all(member_laws1):
-        raise ValueError("every sensor needs at least one member law per hypothesis")
+        raise ValueError("need one member-law array per sensor and hypothesis")
+    member_laws0 = [_member_rows(ch, rows) for ch, rows in zip(net.channels, member_laws0)]
+    member_laws1 = [_member_rows(ch, rows) for ch, rows in zip(net.channels, member_laws1)]
     tau = net.log_threshold
     lfd_laws0 = [ch.pmf0 for ch in net.channels]
     lfd_laws1 = [ch.pmf1 for ch in net.channels]
@@ -381,10 +386,7 @@ def saddle_verify(
         parts = [_sensor_part(ch.llr, law.probs) for ch, law in zip(net.channels, lfd_laws)]
         combo = []
         carried = 0.0  # the gap of the current combination
-        for i, (ch, members) in enumerate(zip(net.channels, member_lists)):
-            for member in members:
-                _check_levels(ch, member)
-            probs = np.array([member.probs for member in members])
+        for i, (ch, probs) in enumerate(zip(net.channels, member_lists)):
             a = _fuse_one_given_level(parts[:i] + parts[i + 1 :], ch.llr, np.array([tau]))[0]
             current = lfd_laws[i].probs
             gaps = carried + sign * ((current - probs) @ a)
@@ -410,6 +412,29 @@ def saddle_verify(
         n_checked=n_checked,
         tol=tol,
     )
+
+
+def _member_rows(ch: SensorChannel, rows) -> np.ndarray:
+    """One sensor's member laws as a C-ordered (members x levels) float
+    array, so no report depends on the caller's memory layout; raises
+    ValueError unless there is at least one row, each row has the channel's
+    level count, and each is a law: finite, nonnegative, summing to 1
+    within ``MASS_TOL``."""
+    probs = np.ascontiguousarray(rows, dtype=float)
+    if probs.ndim != 2 or probs.shape[0] == 0:
+        raise ValueError(
+            "every sensor needs at least one member law per hypothesis, "
+            "as a (members x levels) array"
+        )
+    if probs.shape[1] != len(ch.levels):
+        raise ValueError(
+            f"member laws have {probs.shape[1]} levels, the channel {len(ch.levels)}"
+        )
+    if not np.all(np.isfinite(probs) & (probs >= 0.0)):
+        raise ValueError("member laws must be finite and nonnegative")
+    if not np.all(np.abs(probs.sum(axis=1) - 1.0) <= MASS_TOL):
+        raise ValueError(f"each member law must sum to 1 within {MASS_TOL}")
+    return probs
 
 
 def _dominance_gaps(key: np.ndarray, law: np.ndarray, members: np.ndarray) -> np.ndarray:

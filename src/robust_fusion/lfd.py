@@ -22,8 +22,10 @@ band, contamination and equal-variance KL pairs (mean0 < mean1) carry an
 affine or clipped-affine :class:`ClippedAffineLlr`, and every other KL pair
 a :class:`QuadraticLlr`. No log-LR is cut on a grid.
 :func:`cut_log_lr` is the one inversion, into levels {t_(d-1) <= log_lr < t_d},
-and :func:`level_masses` the one way to read a law on them; a sensor rule
-cuts at its log LR thresholds, :func:`joint_boundedness_check` at its t grid.
+and :func:`level_masses` the one way to read laws on them: a list of laws
+at once, as a (laws x levels) array, Gaussian members in one batch and
+contaminated members through their nominal's one row. A sensor rule cuts
+at its log LR thresholds, :func:`joint_boundedness_check` at its t grid.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._roots import solve_decreasing, solve_increasing
-from .distributions import GaussianSpec, trapezoid
+from .distributions import _SQRT2, GaussianSpec, trapezoid
 
 BOUNDEDNESS_TOL = 1e-9
 # A later worst-case witness replaces the incumbent only when it is worse by
@@ -281,12 +283,12 @@ def cut_log_lr(pair: LfdPair, log_t) -> tuple[tuple[float, ...], np.ndarray]:
         cuts, inner = llr.split(log_t)
         return tuple(cuts), np.searchsorted(log_t, inner, side="right")
     lo, hi = pair.support
-    flats = (llr.offset + llr.lo, llr.offset + llr.hi)
+    bottom, top = llr.offset + llr.lo, llr.offset + llr.hi  # the flat stretches
 
     def cut(s: float) -> float:
         if s == -math.inf:
             return -math.inf
-        if any(abs(s - flat) <= _LLR_SLACK for flat in flats):
+        if abs(s - bottom) <= _LLR_SLACK or abs(s - top) <= _LLR_SLACK:
             s -= _LLR_SLACK
         b = llr.boundary(s)
         return b if b == math.inf else min(max(b, lo), hi)
@@ -294,22 +296,75 @@ def cut_log_lr(pair: LfdPair, log_t) -> tuple[tuple[float, ...], np.ndarray]:
     return tuple([cut(float(s)) for s in log_t]), np.arange(len(log_t) + 1)
 
 
-def level_masses(law, cuts: Sequence[float], segment_levels, num_levels: int) -> np.ndarray:
-    """A law's mass on each level of :func:`cut_log_lr`'s cuts: exact cdf
-    differences between the cuts, summed by segment level. ``law`` has a
-    ``cdf``, or is a :class:`ContaminatedGaussian`: 1 - eps times its nominal's
-    masses, plus eps at the level of the segment that holds its atom
-    (left-closed: an atom on a cut joins the segment above).
+def level_masses(
+    laws: Sequence, cuts: Sequence[float], segment_levels, num_levels: int
+) -> np.ndarray:
+    """Each law's mass on each level of :func:`cut_log_lr`'s cuts, one
+    C-ordered row per law of ``laws``: exact cdf differences between the
+    cuts, summed by segment level. A law has a ``cdf``, or is a
+    :class:`ContaminatedGaussian`: 1 - eps times its nominal's masses, plus
+    eps at the level of the segment that holds its atom (left-closed: an
+    atom on a cut joins the segment above).
+
+    Each distinct law (laws are told apart by ``==``, so they must be
+    hashable) is read once, contaminated members through their shared
+    nominal. When every law read is a :class:`GaussianSpec` they are
+    read together (:func:`_gaussian_weights`); otherwise each law's ``cdf``
+    is called at each finite cut. Both give the same bits.
     """
-    contaminated = isinstance(law, ContaminatedGaussian)
-    cdf = law.nominal.cdf if contaminated else law.cdf
-    at_cuts = [1.0 if c == math.inf else 0.0 if c == -math.inf else cdf(c) for c in cuts]
-    weights = np.diff([0.0, *at_cuts, 1.0])
-    mass = np.bincount(segment_levels, weights, num_levels)
+    reads: dict = {}  # distinct law read -> its row
+    row_of = [
+        reads.setdefault(law.nominal if isinstance(law, ContaminatedGaussian) else law, len(reads))
+        for law in laws
+    ]
+    n = len(reads)
+    if n and all(isinstance(law, GaussianSpec) for law in reads):
+        weights = _gaussian_weights(list(reads), cuts).ravel()
+    else:
+        weights = _cdf_weights(reads, cuts)
+    # one bincount over the rows back to back sums each row's segments in
+    # order, as a bincount per row would; one row needs no offsets
+    flat = segment_levels
+    if n != 1:
+        flat = (np.arange(0, n * num_levels, num_levels)[:, None] + segment_levels).ravel()
+    mass = np.bincount(flat, weights, n * num_levels).reshape(n, num_levels)
+    if n < len(laws):
+        mass = mass[row_of]
+    contaminated = [i for i, law in enumerate(laws) if isinstance(law, ContaminatedGaussian)]
     if contaminated:
-        mass = (1.0 - law.eps) * mass
-        mass[segment_levels[np.searchsorted(cuts, law.atom, side="right")]] += law.eps
+        eps = np.array([laws[i].eps for i in contaminated])
+        atoms = np.array([laws[i].atom for i in contaminated])
+        mass[contaminated] *= (1.0 - eps)[:, None]
+        mass[contaminated, segment_levels[np.searchsorted(cuts, atoms, side="right")]] += eps
     return mass
+
+
+def _cdf_weights(laws, cuts: Sequence[float]) -> list[float]:
+    """Each law's mass between consecutive cuts, -inf and +inf included,
+    rows back to back: the differences of its ``cdf`` at the cuts, which is
+    exactly 0 at -inf and 1 at +inf."""
+    inf = math.inf
+    weights: list[float] = []
+    for law in laws:
+        cdf, below = law.cdf, 0.0
+        for c in cuts:
+            at = 1.0 if c == inf else 0.0 if c == -inf else cdf(c)
+            weights.append(at - below)
+            below = at
+        weights.append(1.0 - below)
+    return weights
+
+
+def _gaussian_weights(specs: Sequence[GaussianSpec], cuts: Sequence[float]) -> np.ndarray:
+    """:func:`_cdf_weights` of Gaussians, one row each: one array of
+    (mean - cut) / (sigma * sqrt 2) at -inf, the cuts and +inf through one
+    map of ``math.erfc``, the bits of :meth:`GaussianSpec.cdf`."""
+    ends = np.array([-math.inf, *cuts, math.inf])
+    means = np.array([g.mean for g in specs])[:, None]
+    scales = np.array([g.sigma for g in specs])[:, None] * _SQRT2
+    z = (means - ends) / scales
+    at = 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
+    return at[:, 1:] - at[:, :-1]
 
 
 def gaussian_band_lfd(c0: GaussianBandClass, c1: GaussianBandClass) -> LfdPair:
@@ -591,8 +646,9 @@ def joint_boundedness_check(
     Q0[log_lr < t] >= Q0_hat[log_lr < t] must hold, and symmetrically
     Q1[log_lr < t] <= Q1_hat[log_lr < t] on the alternative side. The
     log-LR is cut once at the t grid (:func:`cut_log_lr`, as a sensor rule
-    with those log thresholds); column k of the cumulative level masses
-    (:func:`level_masses`) of a law is its P(log_lr < t_k). Violations
+    with those log thresholds); column k of a law's cumulative level
+    masses is its P(log_lr < t_k), and each side's members are read in one
+    :func:`level_masses` call, the LFD in another. Violations
     beyond ``tol`` flip ``holds`` and the worst one is reported as a
     witness; of candidates within ``WITNESS_TOL`` of each other the first
     found wins (h0 before h1, then member and threshold order). An empty
@@ -604,8 +660,8 @@ def joint_boundedness_check(
         raise ValueError("t_grid must be strictly increasing and free of NaN")
     cuts, segment_levels = cut_log_lr(pair, t)
 
-    def below(law) -> np.ndarray:
-        return np.cumsum(level_masses(law, cuts, segment_levels, len(t) + 1))[:-1]
+    def below(laws) -> np.ndarray:
+        return np.cumsum(level_masses(laws, cuts, segment_levels, len(t) + 1), axis=1)[:, :-1]
 
     sides, rows = [], []
     for side, members, lfd_cdf, sign in (
@@ -614,8 +670,8 @@ def joint_boundedness_check(
     ):
         if len(members):
             # h0 requires member >= LFD, h1 requires member <= LFD.
-            lfd_row = below(CdfMember(lfd_cdf))
-            rows.append(sign * (lfd_row - np.array([below(m) for m in members])))
+            lfd_row = below([CdfMember(lfd_cdf)])[0]
+            rows.append(sign * (lfd_row - below(members)))
             sides += [(side, idx, m) for idx, m in enumerate(members)]
     gaps = np.concatenate(rows).ravel() if rows else np.zeros(0)
     # The witness is the first positive gap, replaced by each later gap that

@@ -52,7 +52,7 @@ from typing import Any
 
 import numpy as np
 
-from .distributions import DiscretePmf, GaussianSpec, pmf_from_weights
+from .distributions import GaussianSpec, pmf_from_weights
 from .lfd import (
     CdfMember,
     EpsContaminationClass,
@@ -70,7 +70,7 @@ from .sensor import (
     channel_from_pmfs,
     channel_from_rule,
     default_quantizer,
-    member_channel,
+    member_laws,
 )
 
 SENSOR_KINDS = ("gaussian-band", "kl-ball", "eps-contamination", "explicit-pmf")
@@ -256,13 +256,14 @@ class BuiltSensor:
             return cls.members(n, self.classes[1 - side].nominal)
         return cls.members(np.linspace(*self.pair.support, max(2, n - 1)))
 
-    def member_laws(self, side: int, members: list) -> list[DiscretePmf]:
+    def member_laws(self, side: int, members: list) -> np.ndarray:
         """Channel laws of ``members`` (from :meth:`members`) through the
-        sensor's rule; an explicit-pmf sensor gives its one channel law."""
+        sensor's rule, one C-ordered row per member on the channel's levels
+        (:func:`~robust_fusion.sensor.member_laws`); an explicit-pmf sensor
+        gives its one channel law."""
         if self.rule is None:
-            return [self.channel.pmf0 if side == 0 else self.channel.pmf1]
-        levels = self.channel.levels
-        return [member_channel(m, self.rule, levels) for m in members]
+            return np.array([(self.channel.pmf0 if side == 0 else self.channel.pmf1).probs])
+        return member_laws(members, self.rule, self.channel.levels)
 
 
 def build_sensor(spec: dict, index: int) -> BuiltSensor:

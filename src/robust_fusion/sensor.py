@@ -11,7 +11,8 @@ postcondition. A :class:`SensorRule` cuts the observation axis once per
 of the LR thresholds; the LFD channel, every class member's law and every
 point atom are read off those cuts by one mass function
 (:func:`~robust_fusion.lfd.level_masses`), so all pass through one fixed
-rule.
+rule. The LFDs are read one law at a time (:meth:`SensorRule.masses`), a
+class's members all at once (:func:`member_laws`, one row per member).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._roots import solve_increasing
-from .distributions import DiscretePmf, pmf_from_weights, trapezoid
+from .distributions import DiscretePmf, trapezoid
 from .lfd import CdfMember, LfdPair, cut_log_lr, level_masses
 
 
@@ -145,7 +146,7 @@ class SensorRule:
     def masses(self, law) -> np.ndarray:
         """Per-level mass of a law or class member
         (:func:`~robust_fusion.lfd.level_masses` at the rule's cuts)."""
-        return level_masses(law, self.cuts, self.segment_levels, self.quantizer.num_levels)
+        return level_masses([law], self.cuts, self.segment_levels, self.quantizer.num_levels)[0]
 
 
 def channel_from_rule(rule: SensorRule) -> SensorChannel:
@@ -176,23 +177,39 @@ def channel_from_quantizer(q: Quantizer, pair: LfdPair, grid: None = None) -> Se
     return channel_from_rule(SensorRule(pair, q))
 
 
+def member_laws(
+    members: Sequence, rule: SensorRule, levels: Sequence[int] | None = None
+) -> np.ndarray:
+    """Output laws of class members pushed through the sensor rule, one
+    C-ordered row per member.
+
+    The members are read together by :func:`~robust_fusion.lfd.level_masses`
+    at the rule's cuts, the same cuts and the same mass function as the
+    LFDs: a point-contaminated member's atom goes to the level of the
+    segment that holds it, an atom on a cut to the segment above. Each row
+    is clipped at 0 and normalized. When ``levels`` restricts to a
+    channel's kept level set, mass on dropped levels must be negligible.
+    """
+    mass = level_masses(members, rule.cuts, rule.segment_levels, rule.quantizer.num_levels)
+    mass = np.maximum(mass, 0.0)
+    levels = range(mass.shape[1]) if levels is None else levels
+    # C order: each row sums as that row alone would, whatever the count
+    kept = np.ascontiguousarray(mass[:, list(levels)])
+    total = kept.sum(axis=1)
+    lost = mass.sum(axis=1) - total
+    if np.any(lost > 1e-12):
+        raise ValueError(
+            f"member places mass {np.max(lost):.3e} on levels dropped from the channel"
+        )
+    return kept / total[:, None]
+
+
 def member_channel(
     member, rule: SensorRule, levels: tuple[int, ...] | None = None
 ) -> DiscretePmf:
-    """Output law of a class member pushed through the sensor rule.
-
-    ``member`` is read by :meth:`SensorRule.masses` at the rule's cuts, the
-    same cuts and the same mass function as the LFDs: a point-contaminated
-    member's atom goes to the level of the segment that holds it, an atom
-    on a cut to the segment above. When ``levels`` restricts to a channel's
-    kept level set, mass on dropped levels must be negligible.
-    """
-    mass = np.maximum(rule.masses(member), 0.0)
-    levels = tuple(range(len(mass))) if levels is None else tuple(levels)
-    lost = mass.sum() - mass[list(levels)].sum()
-    if lost > 1e-12:
-        raise ValueError(f"member places mass {lost:.3e} on levels dropped from the channel")
-    return pmf_from_weights(levels, mass[list(levels)])
+    """Output law of one class member: the one-row case of :func:`member_laws`."""
+    row = member_laws([member], rule, levels)[0]
+    return DiscretePmf(tuple(range(len(row))) if levels is None else tuple(levels), row)
 
 
 def default_quantizer(pair: LfdPair, num_thresholds: int) -> Quantizer:

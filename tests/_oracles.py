@@ -422,7 +422,8 @@ def _cdf_at(cdf, y: float) -> float:
 
 
 def member_channel_reference(member, pair, q, levels=None):
-    """Reference for ``sensor.member_channel``: the per-member route.
+    """Reference for ``sensor.member_channel`` and each row of
+    ``sensor.member_laws``: the per-member route.
 
     Re-derives the observation-axis cuts from (pair, q) for every member,
     clamps every boundary (+inf included) to the support, and places a

@@ -28,7 +28,7 @@ from robust_fusion.sensor import (
     SensorRule,
     channel_from_pmfs,
     channel_from_quantizer,
-    member_channel,
+    member_laws,
 )
 
 from _oracles import (
@@ -159,8 +159,8 @@ def test_criterion_6_saddle_inequalities():
     pair = gaussian_band_lfd(BAND0, BAND1)
     ch = channel_from_quantizer(q, pair)
     net = NetworkModel((ch, ch), 0.5)
-    laws0 = [member_channel(m, SensorRule(pair, q)) for m in BAND0.members(11)]
-    laws1 = [member_channel(m, SensorRule(pair, q)) for m in BAND1.members(11)]
+    laws0 = member_laws(BAND0.members(11), SensorRule(pair, q))
+    laws1 = member_laws(BAND1.members(11), SensorRule(pair, q))
     report = saddle_verify(net, [laws0, laws0], [laws1, laws1])
     assert report.holds
     assert report.worst_gap >= -1e-9
@@ -170,8 +170,8 @@ def test_criterion_6_saddle_inequalities():
     )
     wrong_ch = channel_from_quantizer(q, wrong_pair)
     wrong_net = NetworkModel((wrong_ch, wrong_ch), 0.5)
-    wrong0 = [member_channel(m, SensorRule(wrong_pair, q)) for m in BAND0.members(11)]
-    wrong1 = [member_channel(m, SensorRule(wrong_pair, q)) for m in BAND1.members(11)]
+    wrong0 = member_laws(BAND0.members(11), SensorRule(wrong_pair, q))
+    wrong1 = member_laws(BAND1.members(11), SensorRule(wrong_pair, q))
     wrong_report = saddle_verify(wrong_net, [wrong0, wrong0], [wrong1, wrong1])
     assert not wrong_report.holds
     _report(

@@ -25,7 +25,7 @@ from robust_fusion.fusion import (
     optimize_thresholds,
     saddle_verify,
 )
-from robust_fusion.scenario import build_lfd_pair, build_sensor
+from robust_fusion.scenario import build_lfd_pair, build_sensor, build_sensors, load_scenario
 from robust_fusion.sensor import (
     Quantizer,
     SensorRule,
@@ -34,6 +34,7 @@ from robust_fusion.sensor import (
     default_quantizer,
     llr_monotone_check,
     member_channel,
+    member_laws,
 )
 
 from _oracles import (
@@ -213,11 +214,11 @@ class TestExactError:
             for name in ("p_false_alarm", "p_miss", "p_error"):
                 assert abs(getattr(got, name) - getattr(want, name)) <= 1e-14
 
-            want = saddle_verify(net, laws0, laws1)
+            want = saddle_verify(net, _rows(laws0), _rows(laws1))
             got = saddle_verify(
                 moved,
-                [[relabel(m, perm) for m in ms] for ms, perm in zip(laws0, perms)],
-                [[relabel(m, perm) for m in ms] for ms, perm in zip(laws1, perms)],
+                _rows([[relabel(m, perm) for m in ms] for ms, perm in zip(laws0, perms)]),
+                _rows([[relabel(m, perm) for m in ms] for ms, perm in zip(laws1, perms)]),
             )
             assert (got.holds, got.dominance_ok, got.n_checked) == (
                 want.holds, want.dominance_ok, want.n_checked
@@ -455,8 +456,8 @@ class TestSplitLawSize:
 
 class TestSaddleVerify:
     def _member_laws(self, pair, q, n):
-        laws0 = [member_channel(m, SensorRule(pair, q)) for m in BAND0.members(n)]
-        laws1 = [member_channel(m, SensorRule(pair, q)) for m in BAND1.members(n)]
+        laws0 = member_laws(BAND0.members(n), SensorRule(pair, q))
+        laws1 = member_laws(BAND1.members(n), SensorRule(pair, q))
         return laws0, laws1
 
     def test_band_lfds_are_saddle_point(self):
@@ -473,8 +474,8 @@ class TestSaddleVerify:
         q = Quantizer((1.0,))
         ch = channel_from_quantizer(q, BAND_PAIR)
         net = NetworkModel((ch, ch), 0.5)
-        law0 = [member_channel(CdfMember(BAND_PAIR.q0_cdf), SensorRule(BAND_PAIR, q))]
-        law1 = [member_channel(CdfMember(BAND_PAIR.q1_cdf), SensorRule(BAND_PAIR, q))]
+        law0 = member_laws([CdfMember(BAND_PAIR.q0_cdf)], SensorRule(BAND_PAIR, q))
+        law1 = member_laws([CdfMember(BAND_PAIR.q1_cdf)], SensorRule(BAND_PAIR, q))
         report = saddle_verify(net, [law0, law0], [law1, law1])
         assert report.holds
         assert report.worst_gap == 0.0
@@ -487,10 +488,10 @@ class TestSaddleVerify:
         )
         net = NetworkModel((ch,), 0.5)
         noisy = DiscretePmf((0, 1), np.array([0.6 - 2e-16, 0.4 + 2e-16]))
-        report = saddle_verify(net, [[ch.pmf0, noisy]], [[ch.pmf1]])
+        report = saddle_verify(net, _rows([[ch.pmf0, noisy]]), _rows([[ch.pmf1]]))
         assert report.worst_gap == 0.0
         assert report.worst_combo == (0,)
-        report = saddle_verify(net, [[noisy, ch.pmf0]], [[ch.pmf1]])
+        report = saddle_verify(net, _rows([[noisy, ch.pmf0]]), _rows([[ch.pmf1]]))
         assert report.worst_combo == (0,)
         assert 0.0 < -report.worst_gap < fusion.WITNESS_TOL
 
@@ -502,8 +503,8 @@ class TestSaddleVerify:
         q = Quantizer((1.0,))
         ch = channel_from_quantizer(q, wrong_pair)
         net = NetworkModel((ch, ch), 0.5)
-        laws0 = [member_channel(m, SensorRule(wrong_pair, q)) for m in BAND0.members(11)]
-        laws1 = [member_channel(m, SensorRule(wrong_pair, q)) for m in BAND1.members(11)]
+        laws0 = member_laws(BAND0.members(11), SensorRule(wrong_pair, q))
+        laws1 = member_laws(BAND1.members(11), SensorRule(wrong_pair, q))
         report = saddle_verify(net, [laws0, laws0], [laws1, laws1])
         assert not report.holds
         assert report.worst_gap < -1e-3
@@ -529,6 +530,51 @@ class TestSaddleVerify:
         with pytest.raises(ValueError, match="at least one member"):
             saddle_verify(net, [laws0, laws0], [laws1, []])
 
+    def test_member_row_layout_does_not_change_the_report(self):
+        """F-ordered rows (as ``rows[:, levels]`` gives) read as C-ordered
+        ones: on the unequal-variance KL scenario an F-ordered matrix would
+        move the last bits of worst_gap through the dot product's order."""
+        root = Path(__file__).resolve().parent.parent
+        scenario = load_scenario(root / "scenarios" / "kl_unequal_variance.json")
+        built = build_sensors(scenario)
+        net = NetworkModel(tuple(b.channel for b in built), scenario.prior0, scenario.log_threshold)
+        laws0 = [b.member_laws(0, b.members(0, 11)) for b in built]
+        laws1 = [b.member_laws(1, b.members(1, 11)) for b in built]
+        assert all(rows.flags.c_contiguous for rows in laws0 + laws1)
+        fortran0 = [np.asfortranarray(rows) for rows in laws0]
+        fortran1 = [np.asfortranarray(rows) for rows in laws1]
+        assert not any(rows.flags.c_contiguous for rows in fortran0 + fortran1)
+        report = saddle_verify(net, laws0, laws1)
+        assert saddle_verify(net, fortran0, fortran1) == report
+        assert saddle_verify(net, [rows.tolist() for rows in laws0], laws1) == report
+        assert not report.holds
+
+    def test_member_rows_are_validated(self):
+        """Rows must match the channel's level count and be laws: finite,
+        nonnegative and summing to 1 within MASS_TOL, at least one per
+        sensor and hypothesis."""
+        q = Quantizer((1.0,))
+        ch = channel_from_quantizer(q, BAND_PAIR)
+        net = NetworkModel((ch,), 0.5)
+        laws0, laws1 = self._member_laws(BAND_PAIR, q, 3)
+        assert saddle_verify(net, [laws0], [laws1]).holds
+        bad = {
+            "levels": np.hstack([laws0, np.zeros((3, 1))]),
+            "nonnegative": np.array([[1.2, -0.2], [0.5, 0.5]]),
+            "finite": np.where(laws0 > 0.5, np.nan, laws0),
+            "sum to 1": laws0 * (1.0 + 1e-10),
+            "at least one member": np.zeros((0, 2)),
+        }
+        for match, rows in bad.items():
+            with pytest.raises(ValueError, match=match):
+                saddle_verify(net, [rows], [laws1])
+            with pytest.raises(ValueError, match=match):
+                saddle_verify(net, [laws0], [rows])
+        with pytest.raises(ValueError, match="at least one member"):
+            saddle_verify(net, [[]], [laws1])
+        with pytest.raises(ValueError, match="one member-law array per sensor"):
+            saddle_verify(net, [laws0, laws0], [laws1])
+
     def test_matches_full_grid_reference(self):
         """Per-sensor certificate and one-pass worst member against the
         full member grid, on random networks of every sensor kind whose
@@ -539,7 +585,7 @@ class TestSaddleVerify:
         exact = 0
         for _ in range(100):
             net, laws0, laws1 = _random_saddle_network(rng)
-            report = saddle_verify(net, laws0, laws1)
+            report = saddle_verify(net, _rows(laws0), _rows(laws1))
             holds, dominance_ok, gaps = saddle_grid_reference(net, laws0, laws1)
             assert report.holds == holds
             assert report.dominance_ok == dominance_ok
@@ -561,7 +607,7 @@ class TestSaddleVerify:
         rng = np.random.default_rng(20261020)
         for _ in range(40):
             net, laws0, laws1 = _random_saddle_network(rng, comparable=False)
-            report = saddle_verify(net, laws0, laws1)
+            report = saddle_verify(net, _rows(laws0), _rows(laws1))
             holds, dominance_ok, gaps = saddle_grid_reference(net, laws0, laws1)
             assert dominance_ok or not report.dominance_ok
             assert holds or not report.holds
@@ -578,7 +624,7 @@ class TestSaddleVerify:
         for comparable in (True, False):
             for _ in range(120):
                 net, laws0, laws1 = _random_saddle_network(rng, comparable)
-                got = saddle_verify(net, laws0, laws1)
+                got = saddle_verify(net, _rows(laws0), _rows(laws1))
                 want = saddle_verify_rebuild(net, laws0, laws1)
                 for name in ("holds", "dominance_ok", "worst_side", "worst_combo", "n_checked"):
                     assert getattr(got, name) == getattr(want, name), name
@@ -722,6 +768,12 @@ def _random_tie_network(rng, k: int | None = None) -> NetworkModel:
     if rng.random() < 0.5:
         return NetworkModel((channel(),) * k, 0.5)
     return NetworkModel(tuple(channel() for _ in range(k)), float(rng.uniform(0.3, 0.7)))
+
+
+def _rows(laws_per_sensor):
+    """Per-sensor lists of DiscretePmf member laws as the (members x levels)
+    arrays that ``saddle_verify`` reads."""
+    return [np.array([law.probs for law in laws]) for laws in laws_per_sensor]
 
 
 def _random_saddle_network(rng, comparable: bool = True):

@@ -357,7 +357,7 @@ class TestJointBoundedness:
         previous = None
         for mu in np.linspace(-1.0, 0.0, 11):
             member = GaussianSpec(float(mu), 1.0)
-            vals = np.cumsum(level_masses(member, cuts, segment_levels, 10))[:-1]
+            vals = np.cumsum(level_masses([member], cuts, segment_levels, 10)[0])[:-1]
             if previous is not None:
                 assert np.all(vals <= previous + 1e-12)
             previous = vals
@@ -475,7 +475,7 @@ class TestNonMonotoneLogLr:
         cuts, segment_levels = cut_log_lr(pair, t_grid)
         members = (pair.meta["q0"], pair.meta["q1"], GaussianSpec(0.4, 0.8))
         for member in members:
-            below = np.cumsum(level_masses(member, cuts, segment_levels, len(t_grid) + 1))
+            below = np.cumsum(level_masses([member], cuts, segment_levels, len(t_grid) + 1)[0])
             for t, got in zip(t_grid, below[:-1]):
                 assert abs(got - self._closed_form(pair, member, float(t))) < 1e-9
 
@@ -544,8 +544,8 @@ class TestMembers:
         the atom at 0.5 joins the segment above a cut through it."""
         member = ContaminatedGaussian(STD, 0.1, 0.5)
         levels = np.arange(2)
-        at_atom = level_masses(member, (0.5,), levels, 2)
-        past_atom = level_masses(member, (0.5 + 1e-9,), levels, 2)
+        at_atom = level_masses([member], (0.5,), levels, 2)[0]
+        past_atom = level_masses([member], (0.5 + 1e-9,), levels, 2)[0]
         assert abs(at_atom.sum() - 1.0) < 1e-12
         assert abs(at_atom[0] - 0.9 * STD.cdf(0.5)) < 1e-15
         assert abs(past_atom[0] - at_atom[0] - 0.1) < 1e-6

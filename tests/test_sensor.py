@@ -32,6 +32,7 @@ from robust_fusion.sensor import (
     default_quantizer,
     llr_monotone_check,
     member_channel,
+    member_laws,
     randomized_binary_admissible,
 )
 
@@ -279,7 +280,8 @@ class TestSensorRule:
         assert np.array_equal(law.probs, stretch + np.array([0.0, 0.0, 0.05]))
 
     def test_member_laws_match_per_member_reference(self):
-        """One rule per sensor gives the per-member route's laws bit for bit."""
+        """One rule per sensor gives the per-member route's laws bit for bit,
+        one C-ordered row per member on the channel's levels."""
         rng = np.random.default_rng(20261018)
         kinds = ("gaussian-band", "kl-ball", "eps-contamination")
         for index in range(300):
@@ -293,11 +295,12 @@ class TestSensorRule:
             for side in (0, 1):
                 members = built.members(side, n)
                 laws = built.member_laws(side, members)
-                assert len(laws) == len(members)
-                for law, member in zip(laws, members):
+                assert laws.shape == (len(members), len(ch.levels))
+                assert laws.flags.c_contiguous
+                for row, member in zip(laws, members):
                     ref = member_channel_reference(member, pair, q, ch.levels)
-                    assert law.levels == ref.levels
-                    assert np.array_equal(law.probs, ref.probs), (spec, side, n, member)
+                    assert ref.levels == ch.levels
+                    assert np.array_equal(row, ref.probs), (spec, side, n, member)
 
     @pytest.mark.parametrize(
         ("kind", "counted"),
@@ -331,6 +334,108 @@ class TestSensorRule:
                 laws = built.member_laws(side, built.members(side, n))
                 assert len(laws) >= n - 1
                 assert len(calls) == 0
+
+
+def _one_law_reference(law, cuts, segment_levels, num_levels):
+    """A law's masses by scalar cdf calls only: a Gaussian (or a
+    contaminated member's nominal) is read through ``CdfMember(cdf)``, and
+    a point atom joins the level of the segment past every cut <= atom."""
+    base = law.nominal if isinstance(law, ContaminatedGaussian) else law
+    mass = level_masses([CdfMember(base.cdf)], cuts, segment_levels, num_levels)[0]
+    if isinstance(law, ContaminatedGaussian):
+        mass = (1.0 - law.eps) * mass
+        mass[segment_levels[sum(c <= law.atom for c in cuts)]] += law.eps
+    return mass
+
+
+class TestBatchedLevelMasses:
+    """``level_masses`` reads a whole member list at once; each row must be
+    that law's one-law read and its scalar-cdf read, bit for bit."""
+
+    @staticmethod
+    def _check(laws, cuts, segment_levels, num_levels, case):
+        rows = level_masses(laws, cuts, segment_levels, num_levels)
+        assert rows.shape == (len(laws), num_levels), case
+        assert rows.flags.c_contiguous, case
+        for row, law in zip(rows, laws):
+            one = level_masses([law], cuts, segment_levels, num_levels)
+            assert one.shape == (1, num_levels)
+            assert np.array_equal(row, one[0]), (case, law)
+            reference = _one_law_reference(law, cuts, segment_levels, num_levels)
+            assert np.array_equal(row, reference), (case, law)
+
+    @staticmethod
+    def _probes(built, side, rng):
+        """The class probes of one side, the LFD as a CdfMember, and for a
+        contamination class point atoms on each finite cut, between cuts
+        and outside the support, in shuffled order."""
+        laws = built.members(side, int(rng.integers(2, 12))) + built.members(side, 1)
+        cls = built.classes[side]
+        if isinstance(cls, EpsContaminationClass):
+            finite = [c for c in built.rule.cuts if math.isfinite(c)]
+            lo, hi = built.pair.support
+            edges = [lo, *finite, hi]
+            between = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+            atoms = finite + between + [lo - 1.0, hi + 1.0]
+            laws += cls.members(atoms)
+        return [laws[i] for i in rng.permutation(len(laws))]
+
+    def test_rows_match_one_law_reads_on_seeded_sensors(self):
+        """Band, contamination and equal- and unequal-variance KL sensors,
+        with default or log-LR-read thresholds."""
+        rng = np.random.default_rng(20261120)
+        kinds = ("gaussian-band", "eps-contamination", "kl-ball", "kl-unequal")
+        two_segment_levels = 0
+        for index in range(160):
+            kind = kinds[index % 4]
+            levels = int(rng.integers(2, 5))
+            spec = _random_member_spec(rng, "kl-ball" if kind == "kl-unequal" else kind, levels)
+            if kind == "kl-unequal":
+                spec["nominal1"]["sigma"] *= float(rng.choice([0.7, 1.3]))
+                spec["quantizer"] = {"num_thresholds": int(rng.integers(1, 4))}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    built = build_sensor(spec, 0)
+                except ValueError:  # no increasing default thresholds on this quadratic
+                    continue
+            rule = built.rule
+            assert isinstance(rule.pair.log_lr, QuadraticLlr) == (kind == "kl-unequal")
+            num_levels = rule.quantizer.num_levels
+            segments = np.bincount(rule.segment_levels, minlength=num_levels)
+            two_segment_levels += bool(np.any(segments >= 2))
+            for side in (0, 1):
+                laws = self._probes(built, side, rng)
+                self._check(laws, rule.cuts, rule.segment_levels, num_levels, (spec, side))
+        assert two_segment_levels >= 10
+
+    def test_infinite_cuts_and_mixed_lists(self):
+        """LR thresholds at 0 and above the upper clip level cut at -inf and
+        +inf; one list may mix Gaussians, contaminated members (sharing and
+        not sharing a nominal), repeats and cdf-only laws."""
+        pair = TestSensorRule.CONTAMINATION
+        rule = SensorRule(pair, Quantizer((0.0, 1.0, 20.0)))
+        assert rule.cuts[0] == -math.inf and rule.cuts[-1] == math.inf
+        nominal, other = GaussianSpec(-0.5, 1.0), GaussianSpec(0.3, 0.8)
+        laws = [
+            ContaminatedGaussian(nominal, 0.05, 0.2),
+            GaussianSpec(1.0, 2.0),
+            CdfMember(pair.q1_cdf),
+            nominal,
+            ContaminatedGaussian(other, 0.1, -40.0),
+            ContaminatedGaussian(nominal, 0.05, 40.0),
+            nominal,
+            CdfMember(pair.q0_cdf),
+        ]
+        self._check(laws, rule.cuts, rule.segment_levels, 4, "mixed")
+        self._check(laws[:2] + laws[3:5], rule.cuts, rule.segment_levels, 4, "gaussian-based")
+        cuts = (-math.inf, -0.3, 0.4, math.inf)
+        self._check(laws, cuts, np.arange(5), 5, "explicit infinite cuts")
+
+    def test_empty_member_list(self):
+        rule = SensorRule(EXAMPLE_PAIR, Quantizer((0.5, 2.0)))
+        assert level_masses([], rule.cuts, rule.segment_levels, 3).shape == (0, 3)
+        assert member_laws([], rule).shape == (0, 3)
 
 
 class TestEqualVarianceKlRule:
@@ -422,7 +527,7 @@ class TestQuadraticLlrRule:
         assert ch.levels == (0, 1)
         assert abs(ch.pmf0.probs[0] - reference) < 1e-13
         cuts, segment_levels = cut_log_lr(pair, [math.log(t)])
-        assert abs(level_masses(q0, cuts, segment_levels, 2)[0] - reference) < 1e-13
+        assert abs(level_masses([q0], cuts, segment_levels, 2)[0, 0] - reference) < 1e-13
 
     def test_cuts_and_masses_match_references(self):
         """Seeded unequal-variance pairs (sigma1/sigma0 in [0.5, 2] and
