@@ -109,19 +109,22 @@ def pmf_from_weights(levels: Sequence[int], weights: Sequence[float]) -> Discret
 
 
 def _sort_merge_duplicates(atoms: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort by atom, then sum the masses of exactly equal atoms.
-
-    Unchecked: the :class:`AtomPmf` constructor validates before calling
-    it, and internal producers call it directly when their atoms are
-    finite and their masses nonnegative.
+    """Stable sort by atom, then sum the masses of exactly equal atoms, per
+    mass row (one bincount, a block of bins per row). Unchecked: the
+    :class:`AtomPmf` constructor validates before calling it, and internal
+    producers call it directly when their atoms are finite and their masses
+    nonnegative.
     """
-    order = np.argsort(atoms, kind="stable")
+    order = atoms.argsort(kind="stable")
     atoms = atoms[order]
-    masses = masses[order]
+    masses = masses.take(order, axis=-1)  # C order: rows stay contiguous
     # sorted, so each run of equal atoms starts where a neighbour differs
     first = np.concatenate(([True], atoms[1:] != atoms[:-1]))
-    if not np.all(first):
-        masses = np.bincount(np.cumsum(first) - 1, weights=masses)
+    if not first.all():
+        runs = first.cumsum() - 1
+        bins = runs + (runs[-1] + 1) * np.arange(masses.size // first.size)[:, None]
+        sums = np.bincount(bins.ravel(), weights=masses.ravel())
+        masses = sums.reshape(masses.shape[:-1] + (-1,))
         atoms = atoms[first]
     return atoms, masses
 
@@ -131,8 +134,9 @@ class AtomPmf:
     """Mass function over real-valued atoms (not necessarily normalized).
 
     Atoms are sorted ascending and exact duplicates are merged on
-    construction. Sub-unit total mass is allowed; fusion uses that to carry
-    the finite part of laws that also place mass on infinite-LLR levels.
+    construction, in every row of ``masses`` (one row per law on the shared
+    atoms). Sub-unit total mass is allowed; fusion carries the finite part
+    of laws that also place mass on infinite-LLR levels that way.
     """
 
     atoms: np.ndarray
@@ -140,9 +144,9 @@ class AtomPmf:
 
     def __post_init__(self) -> None:
         atoms = np.asarray(self.atoms, dtype=float).ravel()
-        masses = np.asarray(self.masses, dtype=float).ravel()
-        if atoms.shape != masses.shape:
-            raise ValueError("atoms and masses must have equal length")
+        masses = np.asarray(self.masses, dtype=float)
+        if masses.ndim not in (1, 2) or masses.shape[-1:] != atoms.shape:
+            raise ValueError("masses must be one row, or one row per law, as long as atoms")
         if np.any(~np.isfinite(atoms)):
             raise ValueError("atoms must be finite (infinite LLRs are handled upstream)")
         if not np.all(masses >= 0.0):
@@ -157,7 +161,7 @@ class AtomPmf:
 
         For internal producers only: ``atoms`` must be a strictly
         increasing 1-D float array of finite values and ``masses`` a
-        nonnegative float array of the same length. On such input the
+        nonnegative float array of row(s) of the same length. On such input the
         validating constructor's sort and duplicate merge change nothing.
         """
         pmf = object.__new__(cls)
@@ -166,8 +170,8 @@ class AtomPmf:
         return pmf
 
     @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
+    def total_mass(self) -> float | np.ndarray:  # one per mass row
+        return np.sum(self.masses, axis=-1)
 
 
 def trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:

@@ -11,7 +11,9 @@ Carlo) applies this one rule. Error probabilities are exact: the law of
 the LLR sum (:class:`LlrSumLaw`) is held as two independent halves, each
 the exact convolution of half the sensors' finite atom mass functions, and
 one tail mass of their sum is read by a meet-in-the-middle search, so no
-atom law larger than (D+1)^ceil(K/2) is built. Results are cross-checked
+atom law larger than (D+1)^ceil(K/2) is built. Both hypotheses' sums sit on
+the same atoms, so a law holds one support with an H0 and an H1 mass row,
+sorted, merged and searched once for both. Results are cross-checked
 against full enumeration when the joint level space is small enough.
 
 Threshold design is person-by-person: sweeps replace each sensor's LR
@@ -124,12 +126,13 @@ class LlrSumLaw:
     Over the outcomes where every level has a finite LLR, the sum is
     ``left + right``, each half the fold of some of the sensors' finite
     parts. ``forced_one`` is the probability that some level has LLR +inf
-    and none has -inf, which decides 1 at every threshold.
+    and none has -inf, which decides 1 at every threshold. With one mass
+    row per level law (H0 and H1) on one support, it has one entry per row.
     """
 
     left: AtomPmf
     right: AtomPmf
-    forced_one: float
+    forced_one: float | np.ndarray
 
     @property
     def finite(self) -> AtomPmf:
@@ -144,13 +147,19 @@ class LlrSumLaw:
         tau + TIE_TOL - a, so one ``searchsorted`` over the right half's
         atoms reads each left atom's share off the right half's tail sums.
         ``tau`` is a float, or an array of thresholds for an array of
-        probabilities.
+        probabilities; mass rows share the search and give one each.
         """
-        tail = np.concatenate([np.cumsum(self.right.masses[::-1])[::-1], [0.0]])
         cut = (np.asarray(tau)[..., None] + TIE_TOL) - self.left.atoms
-        shares = tail[np.searchsorted(self.right.atoms, cut, side="right")]
-        p_one = self.forced_one + np.dot(shares, self.left.masses)
-        return float(p_one) if np.ndim(tau) == 0 else p_one
+        at = self.right.atoms.searchsorted(cut, side="right")
+        rows = np.atleast_2d(self.right.masses)
+        lefts = np.atleast_2d(self.left.masses)  # one row serves all
+        p_one = np.array([
+            f + np.dot(np.concatenate([r[::-1].cumsum()[::-1], [0.0]])[at], lefts[i % len(lefts)])
+            for i, (f, r) in enumerate(zip(np.reshape(self.forced_one, -1), rows))
+        ])
+        if self.right.masses.ndim == 2:
+            return p_one
+        return float(p_one[0]) if np.ndim(tau) == 0 else p_one[0]
 
 
 # the sum over no sensors: the left half of a one-sensor law
@@ -158,47 +167,43 @@ _POINT_ZERO = AtomPmf(np.zeros(1), np.ones(1))
 
 
 class _SensorPart(NamedTuple):
-    """One sensor's share of an :class:`LlrSumLaw` under one level law."""
+    """One sensor's share of an :class:`LlrSumLaw`, per level law (mass row)."""
 
     finite: AtomPmf  # the finite-LLR levels as atoms
-    no_minus: float  # probability of a level that is not -inf
-    finite_mass: float  # probability of a finite-LLR level
+    no_minus: float | np.ndarray  # probability of a level that is not -inf
+    finite_mass: float | np.ndarray  # probability of a finite-LLR level
 
 
 def _sensor_part(llr: np.ndarray, probs: np.ndarray) -> _SensorPart:
-    """The part of a sensor with per-level LLRs ``llr`` and level law ``probs``."""
+    """The part of a sensor with per-level LLRs ``llr`` and level law(s) ``probs``."""
     finite = np.isfinite(llr)
-    atoms = AtomPmf(llr[finite], probs[finite])
-    no_minus = 1.0 - float(np.sum(probs[llr == -math.inf]))
+    atoms = AtomPmf(llr[finite], probs[..., finite])
+    no_minus = 1.0 - np.sum(np.compress(llr == -math.inf, probs, axis=-1), axis=-1)
     return _SensorPart(atoms, no_minus, atoms.total_mass)
 
 
-def _forced_one(parts: Sequence[_SensorPart]) -> float:
+def _forced_one(parts: Sequence[_SensorPart]) -> float | np.ndarray:
     """P[some level has LLR +inf and none has -inf] over independent sensors."""
-    no_minus = 1.0
-    all_finite = 1.0
-    for part in parts:
-        no_minus *= part.no_minus
-        all_finite *= part.finite_mass
+    # products in sensor order, one per row, as a loop from 1.0 would form them
+    no_minus, all_finite = np.array([(p.no_minus, p.finite_mass) for p in parts]).prod(axis=0)
     return no_minus - all_finite
 
 
 def llr_sum_law(
-    channels: Sequence[SensorChannel], laws: Sequence[DiscretePmf]
+    channels: Sequence[SensorChannel], *law_lists: Sequence[DiscretePmf]
 ) -> LlrSumLaw:
-    """Exact law of the LLR sum when each sensor's level follows ``laws``.
+    """Exact law of the LLR sum when each sensor's level follows a list of laws.
 
-    The sensors split at K // 2 and each half is folded in sensor order,
-    so no atom law has more than (D+1)^ceil(K/2) atoms.
+    Several lists (H0 and H1) give one mass row each on one shared support,
+    folded once; each row equals its list's one-row law bit for bit. The
+    sensors split at K // 2 and each half is folded in sensor order, so no
+    atom law has more than (D+1)^ceil(K/2) atoms.
     """
-    for ch, law in zip(channels, laws):
-        _check_levels(ch, law)
-    return _fold([_sensor_part(ch.llr, law.probs) for ch, law in zip(channels, laws)])
-
-
-def _check_levels(ch: SensorChannel, law: DiscretePmf) -> None:
-    if law.levels != ch.levels:
-        raise ValueError(f"law levels {law.levels} do not match channel levels {ch.levels}")
+    for ch, *laws in zip(channels, *law_lists):
+        if any(law.levels != ch.levels for law in laws):
+            raise ValueError(f"law levels do not match channel levels {ch.levels}")
+    rows = [np.array([law.probs for law in laws]) for laws in zip(*law_lists)]
+    return _fold([_sensor_part(ch.llr, p if len(p) > 1 else p[0]) for ch, p in zip(channels, rows)])
 
 
 def _fold(parts: Sequence[_SensorPart]) -> LlrSumLaw:
@@ -263,10 +268,10 @@ def exact_error(
     Laws default to the channels' own (least favorable) pmfs; pass member
     laws to probe the saddle. ``method`` picks the primary path:
     "convolution" reads the tail of the two half-convolutions of
-    :func:`llr_sum_law` by meet-in-the-middle, "enumeration" visits every
-    joint level. With ``cross_check`` the other path is also run when the
-    joint level space has at most ``enumeration_limit`` points, and a
-    disagreement beyond 1e-10 raises.
+    one :func:`llr_sum_law` with an H0 and an H1 row by meet-in-the-middle,
+    "enumeration" visits every joint level. With ``cross_check`` the other
+    path is also run when the joint level space has at most
+    ``enumeration_limit`` points, and a disagreement beyond 1e-10 raises.
     """
     if method not in ("convolution", "enumeration"):
         raise ValueError(f"unknown method {method!r}")
@@ -275,17 +280,13 @@ def exact_error(
     if len(laws0) != net.num_sensors or len(laws1) != net.num_sensors:
         raise ValueError("need one law per sensor and hypothesis")
 
-    joint_size = 1
-    for ch in net.channels:
-        joint_size *= len(ch.levels)
+    joint_size = math.prod(len(ch.levels) for ch in net.channels)
 
     def errors(how: str) -> tuple[float, float]:
         """(P_F, P_M) by one path."""
         if how == "convolution":
-            p_one = [
-                llr_sum_law(net.channels, laws).prob_decide_one(net.log_threshold)
-                for laws in (laws0, laws1)
-            ]
+            law = llr_sum_law(net.channels, laws0, laws1)
+            p_one = law.prob_decide_one(net.log_threshold).tolist()
         else:
             p_one = _enumerate_decide_one(net.channels, (laws0, laws1), net.log_threshold)
         return p_one[0], 1.0 - p_one[1]
@@ -356,7 +357,9 @@ def saddle_verify(
     pick the witness. P(decide 1) is linear in one sensor's level law, so
     each sensor folds the others once (:func:`_fuse_one_given_level`) and
     scores every member by one dot product; the gap kept at the previous
-    sensor carries over, so an LFD member's gap stays exactly that gap.
+    sensor carries over, so an LFD member's gap stays exactly that gap. The
+    two sides walk the sensors in lockstep, as the H0 and H1 mass rows of
+    one fold, so each sensor's fold of the others serves both.
     When each sensor's members are totally ordered (2-level sensors, band
     and contamination classes) this is the grid's minimum within
     ``WITNESS_TOL``; otherwise it is the gap of a real combination, not
@@ -367,49 +370,41 @@ def saddle_verify(
     member_laws0 = [_member_rows(ch, rows) for ch, rows in zip(net.channels, member_laws0)]
     member_laws1 = [_member_rows(ch, rows) for ch, rows in zip(net.channels, member_laws1)]
     tau = net.log_threshold
-    lfd_laws0 = [ch.pmf0 for ch in net.channels]
-    lfd_laws1 = [ch.pmf1 for ch in net.channels]
-    p_f_lfd = llr_sum_law(net.channels, lfd_laws0).prob_decide_one(tau)
-    p_m_lfd = 1.0 - llr_sum_law(net.channels, lfd_laws1).prob_decide_one(tau)
+    # row 0 holds the false-alarm side's current laws, row 1 the miss side's
+    parts = [_sensor_part(ch.llr, np.array([ch.pmf0.probs, ch.pmf1.probs])) for ch in net.channels]
+    p_f_lfd, p_one = _fold(parts).prob_decide_one(tau).tolist()
     ranks = [np.unique(ch.llr, return_inverse=True)[1] for ch in net.channels]
 
-    worst_gap = math.inf
-    worst_side = "false-alarm"
-    worst_combo: tuple[int, ...] = ()
+    combos: tuple[list[int], list[int]] = ([], [])
+    carried = [0.0, 0.0]  # the gap of each side's current combination
     dominance_ok = True
-    n_checked = 0
-    for side, member_lists, lfd_laws, sign in (
-        ("false-alarm", member_laws0, lfd_laws0, 1),
-        ("miss", member_laws1, lfd_laws1, -1),
-    ):
-        n_checked += math.prod(len(members) for members in member_lists)
-        parts = [_sensor_part(ch.llr, law.probs) for ch, law in zip(net.channels, lfd_laws)]
-        combo = []
-        carried = 0.0  # the gap of the current combination
-        for i, (ch, probs) in enumerate(zip(net.channels, member_lists)):
-            a = _fuse_one_given_level(parts[:i] + parts[i + 1 :], ch.llr, np.array([tau]))[0]
-            current = lfd_laws[i].probs
-            gaps = carried + sign * ((current - probs) @ a)
+    for i, ch in enumerate(net.channels):
+        a = _fuse_one_given_level(parts[:i] + parts[i + 1 :], ch.llr, np.array([tau]))
+        a = np.broadcast_to(a[..., 0, :], (2, len(ch.llr)))
+        chosen = []
+        for h, (probs, sign) in enumerate(((member_laws0[i], 1), (member_laws1[i], -1))):
+            current = (ch.pmf0, ch.pmf1)[h].probs
+            gaps = carried[h] + sign * ((current - probs) @ a[h])
             j = int(np.flatnonzero(gaps <= np.min(gaps) + WITNESS_TOL)[0])
-            combo.append(j)
-            carried = float(gaps[j])
-            parts[i] = _sensor_part(ch.llr, probs[j])
+            combos[h].append(j)
+            carried[h] = float(gaps[j])
+            chosen.append(probs[j])
             # the LFD must dominate each member on the signed LLR ranks
             worst = _dominance_gaps(sign * ranks[i], current, probs)
             dominance_ok = dominance_ok and bool(np.all(worst <= tol))
-        # the miss side must be worse by more than rounding to replace the
-        # false-alarm side, so mirror-image witnesses resolve to false-alarm
-        if carried < worst_gap - WITNESS_TOL:
-            worst_gap, worst_side, worst_combo = carried, side, tuple(combo)
+        parts[i] = _sensor_part(ch.llr, np.array(chosen))
+    # the miss side must be worse by more than rounding to replace the
+    # false-alarm side, so mirror-image witnesses resolve to false-alarm
+    h = int(carried[1] < carried[0] - WITNESS_TOL)
     return SaddleReport(
-        holds=worst_gap >= -tol and dominance_ok,
-        worst_side=worst_side,
-        worst_combo=worst_combo,
-        worst_gap=worst_gap,
+        holds=carried[h] >= -tol and dominance_ok,
+        worst_side=("false-alarm", "miss")[h],
+        worst_combo=tuple(combos[h]),
+        worst_gap=carried[h],
         p_false_alarm_lfd=p_f_lfd,
-        p_miss_lfd=p_m_lfd,
+        p_miss_lfd=1.0 - p_one,
         dominance_ok=dominance_ok,
-        n_checked=n_checked,
+        n_checked=math.prod(map(len, member_laws0)) + math.prod(map(len, member_laws1)),
         tol=tol,
     )
 
@@ -457,26 +452,36 @@ def best_fusion_threshold(law0: LlrSumLaw, law1: LlrSumLaw, prior0: float) -> tu
     Under the tie-to-null rule the error probability only changes at atom
     values, so scanning atoms (plus an always-decide-1 candidate below the
     smallest atom) is exhaustive. ``law0``/``law1`` are the LLR-sum laws
-    under H0 and H1, and each candidate is scored by
-    :meth:`LlrSumLaw.prob_decide_one`. Returns (log_threshold, p_error).
+    under H0 and H1 of one rule, on one support (else ValueError), and each
+    candidate is scored by :meth:`LlrSumLaw.prob_decide_one` of the two as
+    mass rows of one law. Returns (log_threshold, p_error).
     """
-    candidates, p_e = _threshold_errors(law0, law1, prior0)
+    halves = []
+    for h0, h1 in ((law0.left, law1.left), (law0.right, law1.right)):
+        if not np.array_equal(h0.atoms, h1.atoms):
+            raise ValueError("the H0 and H1 laws must share one support")
+        rows = np.array([h0.masses, h1.masses])
+        halves.append(h0 if h0 is h1 else AtomPmf._from_sorted(h0.atoms, rows))
+    law = LlrSumLaw(*halves, np.array([law0.forced_one, law1.forced_one]))
+    return _best_threshold(law, prior0)
+
+
+def _best_threshold(law: LlrSumLaw, prior0: float) -> tuple[float, float]:
+    """:func:`best_fusion_threshold` of a law with an H0 and an H1 mass row."""
+    candidates, p_e = _threshold_errors(law, prior0)
     best = int(np.argmin(p_e))
     return float(candidates[best]), float(p_e[best])
 
 
-def _threshold_errors(
-    law0: LlrSumLaw, law1: LlrSumLaw, prior0: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _threshold_errors(law: LlrSumLaw, prior0: float) -> tuple[np.ndarray, np.ndarray]:
     """(candidate log thresholds, P_E at each) for :func:`best_fusion_threshold`.
 
-    The candidates are every atom of the sum and one below the smallest.
+    The candidates are every atom of the sum (both rows') and one below.
     """
-    atoms = np.union1d(law0.finite.atoms, law1.finite.atoms)
+    atoms = law.finite.atoms
     candidates = np.concatenate([[atoms[0] - 1.0], atoms])
-    p_f = law0.prob_decide_one(candidates)
-    p_m = 1.0 - law1.prob_decide_one(candidates)
-    return candidates, prior0 * p_f + (1.0 - prior0) * p_m
+    p_one = law.prob_decide_one(candidates)
+    return candidates, prior0 * p_one[0] + (1.0 - prior0) * (1.0 - p_one[1])
 
 
 @dataclass(frozen=True)
@@ -513,7 +518,7 @@ class _SensorBuild(NamedTuple):
     """One sensor of the design objective, built at one set of thresholds."""
 
     channel: SensorChannel
-    parts: tuple[_SensorPart, _SensorPart]  # under H0 and under H1
+    part: _SensorPart  # an H0 and an H1 mass row
 
 
 def _fuse_one_given_level(
@@ -522,9 +527,9 @@ def _fuse_one_given_level(
     """a[t, d] = P(fuse 1 | the sensor sends level d) at fusion threshold taus[t].
 
     ``llr`` is the sensor's per-level LLR and ``others`` are the other
-    sensors' parts under one hypothesis. P(fuse 1) is linear in the
-    sensor's level law, with row t as its coefficients. The others are
-    folded once into an :class:`LlrSumLaw`, split as :func:`llr_sum_law`
+    sensors' parts (with mass rows: a[r, t, d] per row). P(fuse 1) is linear
+    in the sensor's level law, with row t as its coefficients. The others
+    are folded once into an :class:`LlrSumLaw`, split as :func:`llr_sum_law`
     splits, so no fold of all of them is built. A finite level d reads that
     law at taus - llr[d]; a +inf level decides 1 unless another sensor
     sends -inf, and a -inf level decides 0. With no others a level decides
@@ -533,10 +538,11 @@ def _fuse_one_given_level(
     taus = np.asarray(taus, dtype=float)
     if not others:
         return (llr > taus[:, None] + TIE_TOL).astype(float)
-    a = np.zeros((len(taus), len(llr)))
+    law = _fold(others)
+    a = np.zeros(np.shape(law.forced_one) + (len(taus), len(llr)))
     finite = np.isfinite(llr)
-    a[:, finite] = _fold(others).prob_decide_one(taus[:, None] - llr[finite])
-    a[:, llr == math.inf] = math.prod(part.no_minus for part in others)
+    a[..., finite] = law.prob_decide_one(taus[:, None] - llr[finite])
+    a[..., llr == math.inf] = np.expand_dims(math.prod(p.no_minus for p in others), (-2, -1))
     return a
 
 
@@ -579,15 +585,21 @@ def _envelope_cuts(
     return tuple(cuts)
 
 
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a, axis=0)``, the distinct rows in lexicographic order, without numpy.ma."""
+    a = a[np.lexsort(a.T[::-1])]
+    return a[np.concatenate(([True], np.any(a[1:] != a[:-1], axis=1)))]
+
+
 class _ThresholdObjective:
     """P_E of a threshold configuration, minimized over the fusion threshold.
 
     One memo maps (sensor, LR thresholds) to that sensor's channel and its
-    LLR-sum parts under each hypothesis, or to None when the thresholds are
+    LLR-sum part (an H0 and an H1 row), or to None when the thresholds are
     not a valid quantizer, so each distinct sensor design is built (and
     validated) once, also when two log thresholds round to one LR value.
     An evaluation folds the K parts afresh in sensor order, so every value
-    is bit-identical to building all K channels and folding both laws from
+    is bit-identical to building all K channels and folding each law from
     scratch. The memo belongs to the instance; ``optimize_thresholds``
     makes one per call.
     """
@@ -609,36 +621,27 @@ class _ThresholdObjective:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 ch = channel_from_quantizer(q, self.pairs[i])
-            parts = (_sensor_part(ch.llr, ch.pmf0.probs), _sensor_part(ch.llr, ch.pmf1.probs))
-            self._built[key] = _SensorBuild(ch, parts)
+            part = _sensor_part(ch.llr, np.array([ch.pmf0.probs, ch.pmf1.probs]))
+            self._built[key] = _SensorBuild(ch, part)
         return self._built[key]
 
-    def laws(
-        self, all_log_thresholds: Sequence[Sequence[float]]
-    ) -> tuple[LlrSumLaw, LlrSumLaw] | None:
-        """The LLR-sum laws under H0 and H1, each folded left to right in
-        sensor order; None when some sensor's thresholds are invalid."""
-        builds = []
+    def law(self, all_log_thresholds: Sequence[Sequence[float]]) -> LlrSumLaw | None:
+        """The LLR-sum law with an H0 and an H1 mass row, folded left to
+        right in sensor order; None when some sensor's thresholds are invalid."""
+        parts = []
         for i, coords in enumerate(all_log_thresholds):
             build = self.build(i, coords)
             if build is None:
                 return None
-            builds.append(build)
-        return tuple(
-            LlrSumLaw(
-                _POINT_ZERO,
-                convolve_many([b.parts[h].finite for b in builds]),
-                _forced_one([b.parts[h] for b in builds]),
-            )
-            for h in (0, 1)
-        )
+            parts.append(build.part)
+        return LlrSumLaw(_POINT_ZERO, convolve_many([p.finite for p in parts]), _forced_one(parts))
 
     def evaluate(self, all_log_thresholds: Sequence[Sequence[float]]) -> tuple[float, float]:
         """Returns (p_error, best log fusion threshold); inf when invalid."""
-        laws = self.laws(all_log_thresholds)
-        if laws is None:
+        law = self.law(all_log_thresholds)
+        if law is None:
             return math.inf, 0.0
-        tau, p_e = best_fusion_threshold(*laws, self.prior0)
+        tau, p_e = _best_threshold(law, self.prior0)
         return p_e, tau
 
     def best_response(
@@ -659,21 +662,18 @@ class _ThresholdObjective:
         if it strictly lowers P_E. The configuration must be valid.
         """
         conf = [tuple(coords) for coords in all_log_thresholds]
-        taus, p_e = _threshold_errors(*self.laws(conf), self.prior0)
+        taus, p_e = _threshold_errors(self.law(conf), self.prior0)
         order = np.argsort(p_e, kind="stable")
         best = (float(p_e[order[0]]), float(taus[order[0]]), conf[i])
         taus = taus[order[:_REPLY_TAUS]]
         builds = [self.build(j, coords) for j, coords in enumerate(conf)]
-        others = builds[:i] + builds[i + 1 :]
+        others = [b.part for b in builds[:i] + builds[i + 1 :]]
         llr = builds[i].channel.llr
-        a = np.hstack(
-            [_fuse_one_given_level([b.parts[h] for b in others], llr, taus) for h in (0, 1)]
-        )
-        levels = len(llr)
+        a = np.broadcast_to(_fuse_one_given_level(others, llr, taus), (2, len(taus), len(llr)))
         trial = list(conf)
         tried = {conf[i]}
-        for row in np.unique(a, axis=0):
-            cuts = _envelope_cuts(row[:levels], row[levels:], self.prior0, bracket, len(conf[i]))
+        for a0, a1 in _unique_rows(np.concatenate(a, axis=1)).reshape(-1, 2, len(llr)):
+            cuts = _envelope_cuts(a0, a1, self.prior0, bracket, len(conf[i]))
             if cuts in tried:
                 continue
             tried.add(cuts)
@@ -856,10 +856,7 @@ def optimize_thresholds(
     if len(pairs) != len(num_levels):
         raise ValueError("need one threshold count per sensor")
     objective = _ThresholdObjective(pairs, prior0)
-    brackets = []
-    for pair in pairs:
-        lo, hi = pair.support
-        brackets.append((float(pair.log_lr(lo)), float(pair.log_lr(hi))))
+    brackets = [tuple(float(pair.log_lr(y)) for y in pair.support) for pair in pairs]
     descents = [_descend(objective, conf, brackets) for conf in _starts(pairs, num_levels, brackets)]
     best = min(descents, key=lambda descent: descent.p_error)  # the first on a tie
     if not best.converged:
@@ -896,12 +893,12 @@ def k_sweep(
     of P_E with K is what the sweep exists to expose. Cross-checking is
     left to callers (the convolution path is exact on its own).
 
-    Per hypothesis one fold (entry j: the j-fold sum of the template's
-    finite part) grows only as far as the largest K needs, and K reads its
-    halves off entries K // 2 and K - K // 2. Those are the halves of
-    :func:`llr_sum_law`, so each report equals ``exact_error`` of the
-    K-sensor network with ``cross_check=False``. Counts run in ascending
-    order, so entries below the current K // 2 are dropped.
+    One fold for both hypotheses (entry j: the j-fold sum of the template's
+    finite part, an H0 and an H1 row) grows only as far as the largest K
+    needs, and K reads its halves off entries K // 2 and K - K // 2. Those
+    are the halves of :func:`llr_sum_law`, so each report equals
+    ``exact_error`` of the K-sensor network with ``cross_check=False``.
+    Counts run in ascending order, so entries below K // 2 are dropped.
     """
     if np.max(np.abs(template.pmf0.probs - template.pmf1.probs)) <= 1e-12:
         raise ValueError("uninformative sensor template: pmf0 equals pmf1")
@@ -909,19 +906,17 @@ def k_sweep(
     if any(k < 1 for k in ks):
         raise ValueError("sensor counts must be >= 1")
     net = NetworkModel((template,), prior0, log_threshold)
-    parts = [_sensor_part(template.llr, law.probs) for law in (template.pmf0, template.pmf1)]
-    folds = [[_POINT_ZERO, part.finite] for part in parts]
+    part = _sensor_part(template.llr, np.array([template.pmf0.probs, template.pmf1.probs]))
+    fold = [_POINT_ZERO, part.finite]
     reports = {}
     for k in sorted(set(ks)):
         half = k // 2
-        p_one = []
-        for part, fold in zip(parts, folds):
-            while len(fold) <= k - half:
-                fold.append(convolve(fold[-1], part.finite))
-            law = LlrSumLaw(fold[half], fold[k - half], _forced_one([part] * k))
-            p_one.append(law.prob_decide_one(net.log_threshold))
-            fold[:half] = [None] * half
-        p_f, p_m = p_one[0], 1.0 - p_one[1]
+        while len(fold) <= k - half:
+            fold.append(convolve(fold[-1], part.finite))
+        law = LlrSumLaw(fold[half], fold[k - half], _forced_one([part] * k))
+        p_f, p_one = law.prob_decide_one(net.log_threshold).tolist()
+        p_m = 1.0 - p_one
+        fold[:half] = [None] * half
         p_e = net.prior0 * p_f + (1.0 - net.prior0) * p_m
         reports[k] = ErrorReport(p_f, p_m, p_e, method="exact-convolution")
     return [(k, reports[k]) for k in ks]

@@ -2,7 +2,7 @@
 
 :func:`convolve` gives the exact law of an independent sum, which is how
 the fusion layer folds per-sensor LLR laws into the law of the fused
-statistic.
+statistic, with an H0 and an H1 mass row on one support.
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ def convolve(a: AtomPmf, b: AtomPmf) -> AtomPmf:
     precision.
 
     Merged positions are a function of the input atom positions only,
-    never of the masses: two laws over the same support always convolve to
-    byte-identical supports. Threshold comparisons across hypotheses stay
-    consistent because of this (a mass-dependent merge position would let
-    a threshold slip between the H0 and H1 copies of the same sum atom).
+    never of the masses (a mass-dependent merge position would let a
+    threshold slip between the H0 and H1 copies of the same sum atom), so
+    mass rows share one support: the sort and merges run once, and a row
+    comes out as its 1-D law would; a 1-D operand pairs with every row.
     """
     sums = np.add.outer(a.atoms, b.atoms).ravel()
-    masses = np.multiply.outer(a.masses, b.masses).ravel()
+    masses = a.masses[..., :, None] * b.masses[..., None, :]
+    masses = masses.reshape(masses.shape[:-2] + sums.shape)
     # sums of finite atoms and products of nonnegative masses need no checks
     out = AtomPmf._from_sorted(*_sort_merge_duplicates(sums, masses))
     return _merge_close_atoms(out, ATOM_BIN_WIDTH)
@@ -42,11 +43,11 @@ def _merge_close_atoms(pmf: AtomPmf, bin_width: float) -> AtomPmf:
     atoms, masses = pmf.atoms, pmf.masses
     if atoms.shape[0] < 2:
         return pmf
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(atoms) >= bin_width)))
+    starts = np.flatnonzero(np.concatenate(([True], atoms[1:] - atoms[:-1] >= bin_width)))
     if starts.shape[0] == atoms.shape[0]:
         return pmf
-    sizes = np.diff(np.append(starts, atoms.shape[0]))
-    merged_mass = np.add.reduceat(masses, starts)
+    sizes = np.append(starts[1:], atoms.shape[0]) - starts
+    merged_mass = np.add.reduceat(masses, starts, axis=-1)
     # unweighted group mean: position is independent of the mass vector
     merged_pos = np.add.reduceat(atoms, starts) / sizes
     merged_pos[sizes == 1] = atoms[starts[sizes == 1]]  # keep singletons exact

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -657,3 +658,194 @@ def quad_level_masses(pair, q, lo: float = -14.0, hi: float = 15.0, points: int 
         for h, law in enumerate((q0, q1)):
             masses[h, level] += quad(lambda y: float(law.pdf(y)), a, b, limit=200)[0]
     return masses
+
+
+# -- the per-hypothesis fold ----------------------------------------------------
+# The fusion layer folds a network's H0 and H1 laws once, as two mass rows on
+# one support. Below is the fold it replaced, one law at a time on plain 1-D
+# arrays, kept as the bit-for-bit reference of each row. ``stats`` counts the
+# exact-duplicate merges ("duplicates") and close-atom merges ("merges") the
+# folds make, so a test can show that its inputs reach both.
+
+
+def _sorted_law_reference(atoms, masses, stats):
+    """(atoms, masses) stably sorted, exact duplicates summed by bincount."""
+    order = np.argsort(atoms, kind="stable")
+    atoms, masses = atoms[order], masses[order]
+    first = np.concatenate(([True], atoms[1:] != atoms[:-1]))
+    if not np.all(first):
+        stats["duplicates"] += 1
+        masses = np.bincount(np.cumsum(first) - 1, weights=masses)
+        atoms = atoms[first]
+    return atoms, masses
+
+
+def convolve_reference(a, b, stats):
+    """(atoms, masses) of the independent sum of two 1-D laws (atoms, masses)."""
+    from robust_fusion.ordering import ATOM_BIN_WIDTH
+
+    sums, products = np.add.outer(a[0], b[0]).ravel(), np.multiply.outer(a[1], b[1]).ravel()
+    atoms, masses = _sorted_law_reference(sums, products, stats)
+    if atoms.shape[0] < 2:
+        return atoms, masses
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(atoms) >= ATOM_BIN_WIDTH)))
+    if starts.shape[0] == atoms.shape[0]:
+        return atoms, masses
+    stats["merges"] += 1
+    sizes = np.diff(np.append(starts, atoms.shape[0]))
+    merged_mass = np.add.reduceat(masses, starts)
+    merged_pos = np.add.reduceat(atoms, starts) / sizes
+    merged_pos[sizes == 1] = atoms[starts[sizes == 1]]
+    return merged_pos, merged_mass
+
+
+class PartReference(NamedTuple):
+    finite: tuple  # (atoms, masses) of the finite-LLR levels
+    no_minus: float
+    finite_mass: float
+
+
+def part_reference(llr, probs, stats) -> PartReference:
+    """One sensor's finite atoms and ±inf masses under one level law."""
+    finite = np.isfinite(llr)
+    atoms = _sorted_law_reference(llr[finite], probs[finite], stats)
+    no_minus = 1.0 - float(np.sum(probs[llr == -math.inf]))
+    return PartReference(atoms, no_minus, float(np.sum(atoms[1])))
+
+
+_EMPTY_SUM = (np.zeros(1), np.ones(1))  # the left half of a one-sensor law
+
+
+class LawReference(NamedTuple):
+    left: tuple  # (atoms, masses); _EMPTY_SUM for an empty half
+    right: tuple
+    forced_one: float
+
+    def finite(self, stats):
+        """(atoms, masses) of the whole finite sum: the halves convolved."""
+        if self.left is _EMPTY_SUM:
+            return self.right
+        return convolve_reference(self.left, self.right, stats)
+
+    def prob_decide_one(self, tau):
+        """P[decide 1] at ``tau`` (float or array) by meet-in-the-middle."""
+        from robust_fusion.fusion import TIE_TOL
+
+        tail = np.concatenate([np.cumsum(self.right[1][::-1])[::-1], [0.0]])
+        cut = (np.asarray(tau)[..., None] + TIE_TOL) - self.left[0]
+        shares = tail[np.searchsorted(self.right[0], cut, side="right")]
+        p_one = self.forced_one + np.dot(shares, self.left[1])
+        return float(p_one) if np.ndim(tau) == 0 else p_one
+
+
+def fold_reference(parts, stats, split: bool = True) -> LawReference:
+    """The law of the parts' sum, split at len // 2 (or not at all) into
+    halves, each left-folded in order."""
+    half = len(parts) // 2 if split else 0
+
+    def fold(ps):
+        law = ps[0].finite
+        for p in ps[1:]:
+            law = convolve_reference(law, p.finite, stats)
+        return law
+
+    left = fold(parts[:half]) if half else _EMPTY_SUM
+    no_minus = all_finite = 1.0
+    for part in parts:
+        no_minus *= part.no_minus
+        all_finite *= part.finite_mass
+    return LawReference(left, fold(parts[half:]), no_minus - all_finite)
+
+
+def law_reference(channels, laws, stats, split: bool = True) -> LawReference:
+    """The LLR-sum law of the channels under one list of level laws."""
+    parts = [part_reference(ch.llr, law.probs, stats) for ch, law in zip(channels, laws)]
+    return fold_reference(parts, stats, split)
+
+
+def exact_error_reference(net, stats, laws0=None, laws1=None):
+    """``fusion.exact_error(net, laws0, laws1, cross_check=False)`` with one
+    fold per hypothesis."""
+    from robust_fusion.fusion import ErrorReport
+
+    laws0 = [ch.pmf0 for ch in net.channels] if laws0 is None else laws0
+    laws1 = [ch.pmf1 for ch in net.channels] if laws1 is None else laws1
+    p_f = law_reference(net.channels, laws0, stats).prob_decide_one(net.log_threshold)
+    p_m = 1.0 - law_reference(net.channels, laws1, stats).prob_decide_one(net.log_threshold)
+    p_e = net.prior0 * p_f + (1.0 - net.prior0) * p_m
+    return ErrorReport(p_false_alarm=p_f, p_miss=p_m, p_error=p_e, method="exact-convolution")
+
+
+def threshold_scan_reference(law0, law1, prior0, stats):
+    """``fusion.best_fusion_threshold`` of two separately folded laws, the
+    candidates the union of both supports: (log threshold, P_E)."""
+    atoms = np.union1d(law0.finite(stats)[0], law1.finite(stats)[0])
+    candidates = np.concatenate([[atoms[0] - 1.0], atoms])
+    p_f = law0.prob_decide_one(candidates)
+    p_m = 1.0 - law1.prob_decide_one(candidates)
+    p_e = prior0 * p_f + (1.0 - prior0) * p_m
+    best = int(np.argmin(p_e))
+    return float(candidates[best]), float(p_e[best])
+
+
+def _fuse_one_given_level_reference(others, llr, tau, stats):
+    """P(fuse 1 | level d) at ``tau`` under one hypothesis's parts."""
+    from robust_fusion.fusion import TIE_TOL
+
+    taus = np.array([tau])
+    if not others:
+        return (llr > taus[:, None] + TIE_TOL).astype(float)[0]
+    a = np.zeros((1, len(llr)))
+    finite = np.isfinite(llr)
+    a[:, finite] = fold_reference(others, stats).prob_decide_one(taus[:, None] - llr[finite])
+    a[:, llr == math.inf] = math.prod(part.no_minus for part in others)
+    return a[0]
+
+
+def saddle_verify_reference(net, member_laws0, member_laws1, stats, tol: float = 1e-9):
+    """``fusion.saddle_verify`` with each side walked on its own: one pass
+    per side, each sensor folding the others of that side alone."""
+    from robust_fusion.fusion import SaddleReport, _dominance_gaps
+    from robust_fusion.lfd import WITNESS_TOL
+
+    tau = net.log_threshold
+    lfd_laws0 = [ch.pmf0 for ch in net.channels]
+    lfd_laws1 = [ch.pmf1 for ch in net.channels]
+    p_f_lfd = law_reference(net.channels, lfd_laws0, stats).prob_decide_one(tau)
+    p_m_lfd = 1.0 - law_reference(net.channels, lfd_laws1, stats).prob_decide_one(tau)
+    ranks = [np.unique(ch.llr, return_inverse=True)[1] for ch in net.channels]
+    worst_gap, worst_side, worst_combo = math.inf, "false-alarm", ()
+    dominance_ok = True
+    n_checked = 0
+    for side, member_lists, lfd_laws, sign in (
+        ("false-alarm", member_laws0, lfd_laws0, 1),
+        ("miss", member_laws1, lfd_laws1, -1),
+    ):
+        member_lists = [np.ascontiguousarray(rows, dtype=float) for rows in member_lists]
+        n_checked += math.prod(len(members) for members in member_lists)
+        parts = [part_reference(ch.llr, m.probs, stats) for ch, m in zip(net.channels, lfd_laws)]
+        combo = []
+        carried = 0.0
+        for i, (ch, probs) in enumerate(zip(net.channels, member_lists)):
+            a = _fuse_one_given_level_reference(parts[:i] + parts[i + 1 :], ch.llr, tau, stats)
+            current = lfd_laws[i].probs
+            gaps = carried + sign * ((current - probs) @ a)
+            j = int(np.flatnonzero(gaps <= np.min(gaps) + WITNESS_TOL)[0])
+            combo.append(j)
+            carried = float(gaps[j])
+            parts[i] = part_reference(ch.llr, probs[j], stats)
+            worst = _dominance_gaps(sign * ranks[i], current, probs)
+            dominance_ok = dominance_ok and bool(np.all(worst <= tol))
+        if carried < worst_gap - WITNESS_TOL:
+            worst_gap, worst_side, worst_combo = carried, side, tuple(combo)
+    return SaddleReport(
+        holds=worst_gap >= -tol and dominance_ok,
+        worst_side=worst_side,
+        worst_combo=worst_combo,
+        worst_gap=worst_gap,
+        p_false_alarm_lfd=p_f_lfd,
+        p_miss_lfd=p_m_lfd,
+        dominance_ok=dominance_ok,
+        n_checked=n_checked,
+        tol=tol,
+    )

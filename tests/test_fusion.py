@@ -3,7 +3,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -42,13 +46,17 @@ from _oracles import (
     binomial_majority_error,
     decide_one_enumeration,
     enumerate_error_probs,
+    exact_error_reference,
     full_rebuild_objective,
     grid_search_thresholds,
     joint_llr_sums,
+    law_reference,
     plain_person_by_person,
     saddle_grid_reference,
+    saddle_verify_reference,
     saddle_verify_rebuild,
     tail_mass,
+    threshold_scan_reference,
 )
 
 SYM02 = channel_from_pmfs(
@@ -454,6 +462,197 @@ class TestSplitLawSize:
             assert np.max(np.abs(split - enumerated)) <= 1e-12
 
 
+# a sensor that always knows: LLR -inf or +inf, no finite level
+_SURE = channel_from_pmfs(
+    pmf_from_weights([0, 1], [1.0, 0.0]), pmf_from_weights([0, 1], [0.0, 1.0])
+)
+
+
+def _colliding_network(rng):
+    """(net, members0, members1): K = 1-7 explicit sensors whose LLR sums
+    collide. A sensor repeats one base channel (exactly duplicated sums),
+    moves the base's LLRs by less than 4e-10 (sums closer than
+    ATOM_BIN_WIDTH, which merge) or is a channel of its own; ±inf levels
+    come with the explicit channels, and a few sensors have no finite level
+    at all. Each sensor has its LFD and up to three members per hypothesis,
+    as (members x levels) rows."""
+    base, b0, b1 = _explicit_saddle_sensor(rng, int(rng.integers(2, 5)), 3, True)
+    channels, members0, members1 = [], [], []
+    for _ in range(int(rng.integers(1, 8))):
+        u = rng.random()
+        if u < 0.4:
+            ch, m0, m1 = base, b0, b1
+        elif u < 0.7:
+            moved = base.pmf1.probs * np.exp(rng.uniform(1e-10, 4e-10, len(base.levels)))
+            ch, m0, m1 = channel_from_pmfs(base.pmf0, pmf_from_weights(base.levels, moved)), b0, b1
+        elif u < 0.75:
+            ch, m0, m1 = _SURE, [], []
+        else:
+            ch, m0, m1 = _explicit_saddle_sensor(rng, int(rng.integers(2, 5)), 3, True)
+        channels.append(ch)
+        members0.append(np.array([ch.pmf0.probs] + [m.probs for m in m0]))
+        members1.append(np.array([ch.pmf1.probs] + [m.probs for m in m1]))
+    return NetworkModel(tuple(channels), float(rng.uniform(0.3, 0.7))), members0, members1
+
+
+def _rows_of(pmf, rows: int) -> np.ndarray:
+    """The masses of an atom law as ``rows`` mass rows (a 1-D law serves all)."""
+    return np.broadcast_to(pmf.masses, (rows, len(pmf.atoms)))
+
+
+class TestTwoRowFold:
+    """One fold with an H0 and an H1 mass row equals the per-hypothesis
+    folds of ``_oracles`` bit for bit: every comparison is ``==``."""
+
+    def test_rows_match_per_hypothesis_folds(self):
+        """Halves, whole sum, forced-1 mass and P(decide 1) at float and
+        array thresholds, of the two-row law and of each one-row law, on
+        networks with ±inf levels, exact duplicate sums and merged sums."""
+        rng = np.random.default_rng(20261107)
+        stats = Counter()
+        infinite = 0
+        for _ in range(150):
+            net = _colliding_network(rng)[0]
+            infinite += any(np.any(np.isinf(ch.llr)) for ch in net.channels)
+            laws = ([ch.pmf0 for ch in net.channels], [ch.pmf1 for ch in net.channels])
+            law = llr_sum_law(net.channels, *laws)
+            atoms = law.finite.atoms
+            taus = np.concatenate([atoms, atoms - 5e-13, atoms - TIE_TOL, [0.0, net.log_threshold]])
+            p_two = law.prob_decide_one(taus)
+            assert p_two.shape == (2, len(taus))
+            for h in (0, 1):
+                ref = law_reference(net.channels, laws[h], stats)
+                one = llr_sum_law(net.channels, laws[h])
+                ref_finite = ref.finite(stats)
+                for got, rows in ((law, 2), (one, 1)):
+                    for half, ref_half in ((got.left, ref.left), (got.right, ref.right)):
+                        assert np.array_equal(half.atoms, ref_half[0])
+                        assert np.array_equal(_rows_of(half, rows)[min(h, rows - 1)], ref_half[1])
+                    finite = got.finite
+                    assert np.array_equal(finite.atoms, ref_finite[0])
+                    assert np.array_equal(_rows_of(finite, rows)[min(h, rows - 1)], ref_finite[1])
+                assert law.forced_one[h] == one.forced_one == ref.forced_one
+                want = ref.prob_decide_one(taus)
+                assert np.array_equal(p_two[h], want)
+                assert np.array_equal(one.prob_decide_one(taus), want)
+                for t in rng.choice(taus, size=4):
+                    got = law.prob_decide_one(float(t))
+                    assert got[h] == one.prob_decide_one(float(t)) == ref.prob_decide_one(float(t))
+        assert infinite >= 30
+        assert stats["duplicates"] >= 100 and stats["merges"] >= 100
+
+    def test_reports_match_per_hypothesis_folds(self):
+        """``exact_error`` (LFD and member laws), ``saddle_verify`` and
+        ``best_fusion_threshold`` equal their per-hypothesis references."""
+        rng = np.random.default_rng(20261108)
+        stats = Counter()
+        for _ in range(60):
+            net, members0, members1 = _colliding_network(rng)
+            assert exact_error(net, cross_check=False) == exact_error_reference(net, stats)
+            picked = [
+                [pmf_from_weights(ch.levels, m[int(rng.integers(len(m)))]) for ch, m in zip(
+                    net.channels, members)]
+                for members in (members0, members1)
+            ]
+            assert exact_error(net, *picked, cross_check=False) == exact_error_reference(
+                net, stats, *picked
+            )
+            got = saddle_verify(net, members0, members1)
+            assert got == saddle_verify_reference(net, members0, members1, stats)
+            if not all(np.any(np.isfinite(ch.llr)) for ch in net.channels):
+                continue  # no finite sum, so no threshold candidate
+            laws = ([ch.pmf0 for ch in net.channels], [ch.pmf1 for ch in net.channels])
+            refs = [law_reference(net.channels, laws[h], stats) for h in (0, 1)]
+            assert best_fusion_threshold(
+                *(llr_sum_law(net.channels, laws[h]) for h in (0, 1)), net.prior0
+            ) == threshold_scan_reference(*refs, net.prior0, stats)
+        assert stats["duplicates"] >= 100 and stats["merges"] >= 100
+
+    def test_k_sweep_matches_per_hypothesis_folds(self):
+        """Each count's report equals the per-hypothesis ``exact_error`` of
+        the K-sensor network, on templates with ±inf and equal-LLR levels."""
+        rng = np.random.default_rng(20261109)
+        stats = Counter()
+        templates = [
+            _explicit_saddle_sensor(rng, int(rng.integers(2, 5)), 1, True)[0] for _ in range(12)
+        ]
+        ks = [5, 1, 12, 3, 12, 2, 8, 7]
+        for template in [SYM02, *templates]:
+            prior0 = float(rng.uniform(0.3, 0.7))
+            for k, report in k_sweep(template, ks, prior0):
+                assert report == exact_error_reference(
+                    NetworkModel((template,) * k, prior0), stats
+                )
+        assert stats["duplicates"] >= 50 and stats["merges"] >= 10
+
+    def test_objective_matches_per_hypothesis_folds(self):
+        """``_ThresholdObjective.evaluate`` equals the threshold scan of the
+        two laws folded one at a time over the union of their supports."""
+        rng = np.random.default_rng(20261110)
+        stats = Counter()
+        checked = 0
+        for _ in range(40):
+            pairs, prior0, conf, _ = _random_design(rng)
+            got = _outcome(fusion._ThresholdObjective(pairs, prior0).evaluate, conf)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    channels = [
+                        channel_from_quantizer(Quantizer(tuple(math.exp(t) for t in c)), pair)
+                        for pair, c in zip(pairs, conf)
+                    ]
+                except RuntimeError as exc:
+                    assert got == ("raised", str(exc))
+                    continue
+            refs = [law_reference(channels, [ch.pmf0 for ch in channels], stats, split=False),
+                    law_reference(channels, [ch.pmf1 for ch in channels], stats, split=False)]
+            tau, p_e = threshold_scan_reference(*refs, prior0, stats)
+            assert got == (p_e, tau)
+            checked += 1
+        assert checked >= 30
+
+
+def test_unique_rows_match_numpy_unique():
+    """``_unique_rows`` gives ``np.unique(a, axis=0)``'s rows in its order,
+    on seeded rows with repeats, ties in leading columns and zeros."""
+    rng = np.random.default_rng(20261111)
+    for _ in range(200):
+        values = [0.0, 0.25, 0.5, 1.0, float(rng.random())]
+        pool = rng.choice(values, size=(int(rng.integers(1, 6)), int(rng.integers(1, 7))))
+        a = pool[rng.integers(len(pool), size=int(rng.integers(1, 40)))]
+        got = fusion._unique_rows(a)
+        assert got.shape == np.unique(a, axis=0).shape
+        assert np.array_equal(got, np.unique(a, axis=0))
+
+
+def test_design_evaluate_and_saddle_leave_numpy_ma_unimported():
+    """A threshold design, a CLI evaluate and a CLI saddle run in a fresh
+    interpreter never import numpy.ma (np.unique without return_inverse
+    does, at about 9 ms on its first call)."""
+    root = Path(__file__).resolve().parents[1]
+    path = str(root / "scenarios" / "composite.json")
+    script = f"""
+import contextlib, io, sys, warnings
+from robust_fusion import cli, fusion
+from robust_fusion.scenario import build_lfd_pair, load_scenario
+scenario = load_scenario({path!r})
+pairs = [build_lfd_pair(spec, i) for i, spec in enumerate(scenario.sensors[:2])]
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    fusion.optimize_thresholds(pairs, [2, 2], 0.5)
+for argv in (["evaluate"], ["saddle", "--members", "5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([argv[0], "--scenario", {path!r}, *argv[1:]]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
+
+
 class TestSaddleVerify:
     def _member_laws(self, pair, q, n):
         laws0 = member_laws(BAND0.members(n), SensorRule(pair, q))
@@ -829,7 +1028,12 @@ class TestBestFusionThreshold:
         law0 = llr_sum_law(chans, [c.pmf0 for c in chans])
         law1 = llr_sum_law(chans, [c.pmf1 for c in chans])
         assert np.array_equal(law0.finite.atoms, law1.finite.atoms)
+        # the two-row fold carries that one support with a row per hypothesis
+        law = llr_sum_law(chans, [c.pmf0 for c in chans], [c.pmf1 for c in chans])
+        assert np.array_equal(law.finite.atoms, law0.finite.atoms)
+        assert law.finite.masses.shape == (2, len(law0.finite.atoms))
         _, pe = best_fusion_threshold(law0, law1, 0.5)
+        assert fusion._best_threshold(law, 0.5)[1] == pe
         # no quantized rule can beat the full-observation Bayes error
         bayes_floor = 1.0 - GaussianSpec(0.0, 1.0).cdf(0.5)
         assert pe >= bayes_floor - 1e-12
@@ -1249,17 +1453,13 @@ class TestPersonByPerson:
         monkeypatch.setattr(objective, "evaluate", recording)
         for i in range(len(pairs)):
             _, tau = evaluate(conf)
-            law0, law1 = objective.laws(conf)
-            atoms = np.union1d(law0.finite.atoms, law1.finite.atoms)
+            atoms = objective.law(conf).finite.atoms  # one support, both rows
             assert len(atoms) > 4 * fusion._REPLY_TAUS
             builds = [objective.build(j, coords) for j, coords in enumerate(conf)]
-            others = builds[:i] + builds[i + 1 :]
-            a0, a1 = (
-                fusion._fuse_one_given_level(
-                    [b.parts[h] for b in others], builds[i].channel.llr, np.array([tau])
-                )[0]
-                for h in (0, 1)
-            )
+            others = [b.part for b in builds[:i] + builds[i + 1 :]]
+            a0, a1 = fusion._fuse_one_given_level(
+                others, builds[i].channel.llr, np.array([tau])
+            )[:, 0]
             current = fusion._envelope_cuts(a0, a1, 0.5, brackets[i], len(conf[i]))
             scored.clear()
             _, _, coords = objective.best_response(i, conf, brackets[i])
@@ -1420,11 +1620,11 @@ class TestKSweep:
                     assert abs(getattr(report, name) - getattr(expected, name)) <= 1e-12
 
     def test_folds_once_for_all_counts(self, monkeypatch):
-        """K = 1..200 costs one fold per hypothesis up to K = 100."""
+        """K = 1..200 costs one fold, for both hypotheses, up to K = 100."""
         sizes = _record_convolutions(monkeypatch)
         results = k_sweep(SYM02, range(1, 201), 0.5)
         assert len(results) == 200
-        assert len(sizes) <= 2 * 100
+        assert len(sizes) <= 100
 
     def test_counts_validated_before_folding(self, monkeypatch):
         sizes = _record_convolutions(monkeypatch)
