@@ -84,11 +84,23 @@ class DiscretePmf:
             raise ValueError("levels and probs must be 1-D and of equal length")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        if not np.all(probs >= 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        total = float(np.sum(probs))
-        if not abs(total - 1.0) <= MASS_TOL:
-            raise ValueError(f"probabilities must sum to 1 within {MASS_TOL}, got {total!r}")
+        _check_law(probs)
+
+
+def _check_law(probs: np.ndarray) -> None:
+    """Raise ValueError unless ``probs`` are nonnegative (so not NaN) and sum to 1."""
+    if not np.all(probs >= 0.0):
+        raise ValueError("probabilities must be nonnegative")
+    total = float(np.sum(probs))
+    if not abs(total - 1.0) <= MASS_TOL:
+        raise ValueError(f"probabilities must sum to 1 within {MASS_TOL}, got {total!r}")
+
+
+def _unchecked(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields``, which pass its checks, unchecked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def pmf_from_weights(levels: Sequence[int], weights: Sequence[float]) -> DiscretePmf:
@@ -164,10 +176,7 @@ class AtomPmf:
         nonnegative float array of row(s) of the same length. On such input the
         validating constructor's sort and duplicate merge change nothing.
         """
-        pmf = object.__new__(cls)
-        object.__setattr__(pmf, "atoms", atoms)
-        object.__setattr__(pmf, "masses", masses)
-        return pmf
+        return _unchecked(cls, atoms=atoms, masses=masses)
 
     @property
     def total_mass(self) -> float | np.ndarray:  # one per mass row

@@ -14,7 +14,10 @@ one tail mass of their sum is read by a meet-in-the-middle search, so no
 atom law larger than (D+1)^ceil(K/2) is built. Both hypotheses' sums sit on
 the same atoms, so a law holds one support with an H0 and an H1 mass row,
 sorted, merged and searched once for both. Results are cross-checked
-against full enumeration when the joint level space is small enough.
+against full enumeration when the joint level space is small enough: it
+decides every joint level, but holds only the first K - 1 sensors' sums
+and the decisions of one level of the last sensor at a time, never an
+array of joint probabilities.
 
 Threshold design is person-by-person: sweeps replace each sensor's LR
 quantizer by its best response to the others, and Anderson steps on the log
@@ -35,7 +38,8 @@ import numpy as np
 from .distributions import MASS_TOL, AtomPmf, DiscretePmf
 from .lfd import WITNESS_TOL, LfdPair
 from .ordering import convolve, convolve_many
-from .sensor import Quantizer, SensorChannel, channel_from_quantizer, default_quantizer
+from .sensor import Quantizer, SensorChannel, _SensorPart, _sensor_part
+from .sensor import channel_from_quantizer, default_quantizer
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 _AGREEMENT_TOL = 1e-10
@@ -166,22 +170,6 @@ class LlrSumLaw:
 _POINT_ZERO = AtomPmf(np.zeros(1), np.ones(1))
 
 
-class _SensorPart(NamedTuple):
-    """One sensor's share of an :class:`LlrSumLaw`, per level law (mass row)."""
-
-    finite: AtomPmf  # the finite-LLR levels as atoms
-    no_minus: float | np.ndarray  # probability of a level that is not -inf
-    finite_mass: float | np.ndarray  # probability of a finite-LLR level
-
-
-def _sensor_part(llr: np.ndarray, probs: np.ndarray) -> _SensorPart:
-    """The part of a sensor with per-level LLRs ``llr`` and level law(s) ``probs``."""
-    finite = np.isfinite(llr)
-    atoms = AtomPmf(llr[finite], probs[..., finite])
-    no_minus = 1.0 - np.sum(np.compress(llr == -math.inf, probs, axis=-1), axis=-1)
-    return _SensorPart(atoms, no_minus, atoms.total_mass)
-
-
 def _forced_one(parts: Sequence[_SensorPart]) -> float | np.ndarray:
     """P[some level has LLR +inf and none has -inf] over independent sensors."""
     # products in sensor order, one per row, as a loop from 1.0 would form them
@@ -215,15 +203,6 @@ def _fold(parts: Sequence[_SensorPart]) -> LlrSumLaw:
     return LlrSumLaw(left, right, _forced_one(parts))
 
 
-def _prob_decide_one_enumeration(
-    channels: Sequence[SensorChannel],
-    laws: Sequence[DiscretePmf],
-    log_threshold: float,
-) -> float:
-    """P[decide 1] under one list of laws, by visiting every joint level."""
-    return _enumerate_decide_one(channels, [laws], log_threshold)[0]
-
-
 def _enumerate_decide_one(
     channels: Sequence[SensorChannel],
     law_lists: Sequence[Sequence[DiscretePmf]],
@@ -231,28 +210,27 @@ def _enumerate_decide_one(
 ) -> list[float]:
     """P[decide 1] under each list of laws, by visiting every joint level.
 
-    The LLR sums and the decision of every joint level do not depend on
-    the laws, so they are built once for all the lists.
+    The sums of the first K - 1 sensors are built once for all the lists;
+    each level of the last sensor decides them, and the decisions are
+    contracted with the other sensors' law rows, the last of them first.
     """
-    sums = np.zeros(1)
-    for ch in channels:
+    *firsts, last = channels
+    rows = [np.array([law.probs for law in laws]) for laws in zip(*law_lists)]
+    sums, has_pos, has_neg = np.zeros(1), np.zeros(1, dtype=bool), np.zeros(1, dtype=bool)
+    finite = all(np.all(np.isfinite(ch.llr)) for ch in firsts)
+    for ch in firsts:
         sums = np.add.outer(sums, np.where(np.isfinite(ch.llr), ch.llr, 0.0)).ravel()
-    if all(np.all(np.isfinite(ch.llr)) for ch in channels):
-        decide = sums > log_threshold + TIE_TOL
-    else:
-        has_pos = np.zeros(1, dtype=bool)
-        has_neg = np.zeros(1, dtype=bool)
-        for ch in channels:
+        if not finite:
             has_pos = np.logical_or.outer(has_pos, ch.llr == math.inf).ravel()
             has_neg = np.logical_or.outer(has_neg, ch.llr == -math.inf).ravel()
-        decide = _decide_one(sums, has_pos, has_neg, log_threshold)
-    p_one = []
-    for laws in law_lists:
-        probs = np.ones(1)
-        for law in laws:
-            probs = np.multiply.outer(probs, law.probs).ravel()
-        p_one.append(float(np.sum(probs[decide])))
-    return p_one
+    p_one = np.zeros(len(law_lists))
+    for d, (llr, add) in enumerate(zip(last.llr, np.where(np.isfinite(last.llr), last.llr, 0.0))):
+        pos, neg = has_pos | (llr == math.inf), has_neg | (llr == -math.inf)
+        decided = _decide_one(sums + add, pos, neg, log_threshold)[None]
+        for w in reversed(rows[:-1]):  # sum out the last remaining sensor
+            decided = np.matmul(decided.reshape(len(decided), -1, w.shape[1]), w[..., None])[..., 0]
+        p_one += rows[-1][:, d] * decided[:, 0]
+    return p_one.tolist()
 
 
 def exact_error(
@@ -275,6 +253,7 @@ def exact_error(
     """
     if method not in ("convolution", "enumeration"):
         raise ValueError(f"unknown method {method!r}")
+    own_parts = [ch.part for ch in net.channels] if laws0 is None and laws1 is None else None
     laws0 = [ch.pmf0 for ch in net.channels] if laws0 is None else list(laws0)
     laws1 = [ch.pmf1 for ch in net.channels] if laws1 is None else list(laws1)
     if len(laws0) != net.num_sensors or len(laws1) != net.num_sensors:
@@ -284,11 +263,11 @@ def exact_error(
 
     def errors(how: str) -> tuple[float, float]:
         """(P_F, P_M) by one path."""
-        if how == "convolution":
-            law = llr_sum_law(net.channels, laws0, laws1)
-            p_one = law.prob_decide_one(net.log_threshold).tolist()
-        else:
+        if how == "enumeration":
             p_one = _enumerate_decide_one(net.channels, (laws0, laws1), net.log_threshold)
+        else:
+            law = _fold(own_parts) if own_parts else llr_sum_law(net.channels, laws0, laws1)
+            p_one = law.prob_decide_one(net.log_threshold).tolist()
         return p_one[0], 1.0 - p_one[1]
 
     if method == "enumeration" and joint_size > enumeration_limit:
@@ -371,7 +350,7 @@ def saddle_verify(
     member_laws1 = [_member_rows(ch, rows) for ch, rows in zip(net.channels, member_laws1)]
     tau = net.log_threshold
     # row 0 holds the false-alarm side's current laws, row 1 the miss side's
-    parts = [_sensor_part(ch.llr, np.array([ch.pmf0.probs, ch.pmf1.probs])) for ch in net.channels]
+    parts = [ch.part for ch in net.channels]
     p_f_lfd, p_one = _fold(parts).prob_decide_one(tau).tolist()
     ranks = [np.unique(ch.llr, return_inverse=True)[1] for ch in net.channels]
 
@@ -451,10 +430,10 @@ def best_fusion_threshold(law0: LlrSumLaw, law1: LlrSumLaw, prior0: float) -> tu
 
     Under the tie-to-null rule the error probability only changes at atom
     values, so scanning atoms (plus an always-decide-1 candidate below the
-    smallest atom) is exhaustive. ``law0``/``law1`` are the LLR-sum laws
-    under H0 and H1 of one rule, on one support (else ValueError), and each
-    candidate is scored by :meth:`LlrSumLaw.prob_decide_one` of the two as
-    mass rows of one law. Returns (log_threshold, p_error).
+    smallest; 0.0 alone without atoms) is exhaustive. ``law0``/``law1`` are
+    the LLR-sum laws under H0 and H1 of one rule, on one support (else
+    ValueError), each candidate scored by :meth:`LlrSumLaw.prob_decide_one`
+    of the two as mass rows of one law. Returns (log_threshold, p_error).
     """
     halves = []
     for h0, h1 in ((law0.left, law1.left), (law0.right, law1.right)):
@@ -478,8 +457,8 @@ def _threshold_errors(law: LlrSumLaw, prior0: float) -> tuple[np.ndarray, np.nda
 
     The candidates are every atom of the sum (both rows') and one below.
     """
-    atoms = law.finite.atoms
-    candidates = np.concatenate([[atoms[0] - 1.0], atoms])
+    atoms = law.finite.atoms  # with none, every threshold gives one P_E
+    candidates = np.concatenate([[atoms[0] - 1.0] if len(atoms) else [0.0], atoms])
     p_one = law.prob_decide_one(candidates)
     return candidates, prior0 * p_one[0] + (1.0 - prior0) * (1.0 - p_one[1])
 
@@ -512,13 +491,6 @@ _REPLY_TAUS = 16
 # from its last _ANDERSON_DEPTH (x, sweep(x)) pairs
 _MAX_SWEEPS = 40
 _ANDERSON_DEPTH = 3
-
-
-class _SensorBuild(NamedTuple):
-    """One sensor of the design objective, built at one set of thresholds."""
-
-    channel: SensorChannel
-    part: _SensorPart  # an H0 and an H1 mass row
 
 
 def _fuse_one_given_level(
@@ -594,10 +566,11 @@ def _unique_rows(a: np.ndarray) -> np.ndarray:
 class _ThresholdObjective:
     """P_E of a threshold configuration, minimized over the fusion threshold.
 
-    One memo maps (sensor, LR thresholds) to that sensor's channel and its
-    LLR-sum part (an H0 and an H1 row), or to None when the thresholds are
-    not a valid quantizer, so each distinct sensor design is built (and
-    validated) once, also when two log thresholds round to one LR value.
+    One memo maps (sensor, LR thresholds) to that sensor's channel, which
+    carries its LLR-sum part (an H0 and an H1 row), or to None when the
+    thresholds are not a valid quantizer, so each distinct sensor design is
+    built (and validated) once, also when two log thresholds round to one
+    LR value.
     An evaluation folds the K parts afresh in sensor order, so every value
     is bit-identical to building all K channels and folding each law from
     scratch. The memo belongs to the instance; ``optimize_thresholds``
@@ -607,9 +580,9 @@ class _ThresholdObjective:
     def __init__(self, pairs: Sequence[LfdPair], prior0: float):
         self.pairs = list(pairs)
         self.prior0 = prior0
-        self._built: dict[tuple[int, tuple[float, ...]], _SensorBuild | None] = {}
+        self._built: dict[tuple[int, tuple[float, ...]], SensorChannel | None] = {}
 
-    def build(self, i: int, log_thresholds: Sequence[float]) -> _SensorBuild | None:
+    def build(self, i: int, log_thresholds: Sequence[float]) -> SensorChannel | None:
         """Sensor i at ``log_thresholds``; None when they are invalid."""
         key = (i, tuple(math.exp(t) for t in log_thresholds))
         if key not in self._built:
@@ -620,9 +593,7 @@ class _ThresholdObjective:
                 return None
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                ch = channel_from_quantizer(q, self.pairs[i])
-            part = _sensor_part(ch.llr, np.array([ch.pmf0.probs, ch.pmf1.probs]))
-            self._built[key] = _SensorBuild(ch, part)
+                self._built[key] = channel_from_quantizer(q, self.pairs[i])
         return self._built[key]
 
     def law(self, all_log_thresholds: Sequence[Sequence[float]]) -> LlrSumLaw | None:
@@ -668,7 +639,7 @@ class _ThresholdObjective:
         taus = taus[order[:_REPLY_TAUS]]
         builds = [self.build(j, coords) for j, coords in enumerate(conf)]
         others = [b.part for b in builds[:i] + builds[i + 1 :]]
-        llr = builds[i].channel.llr
+        llr = builds[i].llr
         a = np.broadcast_to(_fuse_one_given_level(others, llr, taus), (2, len(taus), len(llr)))
         trial = list(conf)
         tried = {conf[i]}
@@ -803,23 +774,13 @@ def _starts(
     """The three initial log-threshold configurations of :func:`optimize_thresholds`:
     equal-mixture quantiles, LR = 1 centered, and seeded random."""
     rng = np.random.default_rng(0)
-
-    def quantile_start(i: int, d: int) -> list[float]:
-        qz = default_quantizer(pairs[i], d)
-        return [math.log(t) for t in qz.thresholds]
-
-    def centered_start(i: int, d: int) -> list[float]:
-        if d == 1:
-            return [0.0]
-        return list(np.linspace(-0.5, 0.5, d))
-
-    def random_start(i: int, d: int) -> list[float]:
-        lo, hi = brackets[i]
-        return sorted(float(v) for v in rng.uniform(lo + 0.1, hi - 0.1, size=d))
-
     return [
-        [maker(i, d) for i, d in enumerate(num_levels)]
-        for maker in (quantile_start, centered_start, random_start)
+        [[math.log(t) for t in default_quantizer(p, d).thresholds] for p, d in zip(pairs, num_levels)],
+        [[0.0] if d == 1 else list(np.linspace(-0.5, 0.5, d)) for d in num_levels],
+        [
+            sorted(float(v) for v in rng.uniform(lo + 0.1, hi - 0.1, size=d))
+            for (lo, hi), d in zip(brackets, num_levels)
+        ],
     ]
 
 
@@ -867,7 +828,7 @@ def optimize_thresholds(
         )
     best_response_gain = best.p_error - _sweep(objective, [list(c) for c in best.conf], brackets)[0]
     quantizers = tuple(Quantizer(tuple(math.exp(t) for t in coords)) for coords in best.conf)
-    channels = tuple(objective.build(i, coords).channel for i, coords in enumerate(best.conf))
+    channels = tuple(objective.build(i, coords) for i, coords in enumerate(best.conf))
     net = NetworkModel(channels, prior0, best.tau)
     report = exact_error(net)
     return DesignResult(
@@ -906,7 +867,7 @@ def k_sweep(
     if any(k < 1 for k in ks):
         raise ValueError("sensor counts must be >= 1")
     net = NetworkModel((template,), prior0, log_threshold)
-    part = _sensor_part(template.llr, np.array([template.pmf0.probs, template.pmf1.probs]))
+    part = template.part
     fold = [_POINT_ZERO, part.finite]
     reports = {}
     for k in sorted(set(ks)):

@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -282,4 +282,13 @@ def build_sensor(spec: dict, index: int) -> BuiltSensor:
 
 
 def build_sensors(scenario: Scenario) -> list[BuiltSensor]:
-    return [build_sensor(spec, i) for i, spec in enumerate(scenario.sensors)]
+    """Each sensor of the scenario. A spec whose JSON text equals an earlier
+    one's gets that build under its own index; text, not ``==``, under which
+    ``true`` equals ``1`` and a refused spec could reuse a valid build."""
+    built: dict[str, BuiltSensor] = {}
+    sensors = []
+    for i, spec in enumerate(scenario.sensors):
+        text = json.dumps(spec, sort_keys=True, default=repr)
+        sensors.append(replace(built[text], index=i) if text in built else build_sensor(spec, i))
+        built.setdefault(text, sensors[-1])
+    return sensors

@@ -11,7 +11,7 @@ postcondition. A :class:`SensorRule` cuts the observation axis once per
 of the LR thresholds; the LFD channel, every class member's law and every
 point atom are read off those cuts by one mass function
 (:func:`~robust_fusion.lfd.level_masses`), so all pass through one fixed
-rule. The LFDs are read one law at a time (:meth:`SensorRule.masses`), a
+rule. The two LFDs are read in one call (:func:`channel_from_rule`), a
 class's members all at once (:func:`member_laws`, one row per member).
 """
 
@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from ._roots import solve_increasing
-from .distributions import DiscretePmf, trapezoid
+from .distributions import AtomPmf, DiscretePmf, _check_law, _unchecked, trapezoid
 from .lfd import CdfMember, LfdPair, cut_log_lr, level_masses
 
 
@@ -61,7 +62,8 @@ class SensorChannel:
     ``llr`` is always log pmf1 - log pmf0, level by level (+/-inf where one
     law has no mass). The labels need not follow LLR order: every fusion
     path reads only LLR values, so a channel evaluates exactly like its
-    LLR-sorted relabeling.
+    LLR-sorted relabeling. ``part`` is the channel's share of an LLR sum
+    under its own laws (an H0 and an H1 mass row), built on first use.
     """
 
     pmf0: DiscretePmf
@@ -71,13 +73,14 @@ class SensorChannel:
     def __post_init__(self) -> None:
         if self.pmf0.levels != self.pmf1.levels:
             raise ValueError("pmf0 and pmf1 must share the same level set")
-        both_zero = (self.pmf0.probs == 0.0) & (self.pmf1.probs == 0.0)
-        if np.any(both_zero):
-            raise ValueError(
-                "levels with zero mass under both hypotheses must be dropped"
-            )
+        if np.any((self.pmf0.probs == 0.0) & (self.pmf1.probs == 0.0)):
+            raise ValueError("levels with zero mass under both hypotheses must be dropped")
         with np.errstate(divide="ignore"):
             object.__setattr__(self, "llr", np.log(self.pmf1.probs) - np.log(self.pmf0.probs))
+
+    @cached_property
+    def part(self) -> "_SensorPart":
+        return _sensor_part(self.llr, np.array([self.pmf0.probs, self.pmf1.probs]))
 
     @property
     def levels(self) -> tuple[int, ...]:
@@ -90,33 +93,51 @@ class SensorChannel:
             raise ValueError(f"level {level} not in channel levels {self.levels}") from None
 
 
-def _build_channel(
-    levels: Sequence[int], mass0: np.ndarray, mass1: np.ndarray
-) -> SensorChannel:
-    mass0 = np.maximum(np.asarray(mass0, dtype=float), 0.0)
-    mass1 = np.maximum(np.asarray(mass1, dtype=float), 0.0)
-    keep = ~((mass0 == 0.0) & (mass1 == 0.0))
+class _SensorPart(NamedTuple):
+    """One sensor's share of an LLR-sum law (``fusion.LlrSumLaw``), per level law (mass row)."""
+
+    finite: AtomPmf  # the finite-LLR levels as atoms
+    no_minus: float | np.ndarray  # probability of a level that is not -inf
+    finite_mass: float | np.ndarray  # probability of a finite-LLR level
+
+
+def _sensor_part(llr: np.ndarray, probs: np.ndarray) -> _SensorPart:
+    """The part of a sensor with per-level LLRs ``llr`` and level law(s) ``probs``,
+    rows gathered in C order; strictly rising finite LLRs skip the sort."""
+    finite = np.isfinite(llr)
+    atoms, masses = llr[finite], np.compress(finite, probs, axis=-1)
+    rising = np.all(atoms[1:] > atoms[:-1])
+    law = AtomPmf._from_sorted(atoms, masses) if rising else AtomPmf(atoms, masses)
+    no_minus = 1.0 - np.sum(np.compress(llr == -math.inf, probs, axis=-1), axis=-1)
+    return _SensorPart(law, no_minus, law.total_mass)
+
+
+def _build_channel(levels: Sequence[int], masses) -> SensorChannel:
+    """The channel of per-level ``masses`` (an H0 and an H1 row) clipped at 0, less
+    the levels with zero mass under both (with a warning). Each row is checked
+    once as a law, so the laws and channel skip their constructors' checks."""
+    masses = np.maximum(np.asarray(masses, dtype=float), 0.0)
+    keep = (masses[0] != 0.0) | (masses[1] != 0.0)
     if not np.all(keep):
         dropped = [int(l) for l, k in zip(levels, keep) if not k]
-        warnings.warn(
-            f"dropping levels {dropped} with zero mass under both hypotheses",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        msg = f"dropping levels {dropped} with zero mass under both hypotheses"
+        warnings.warn(msg, RuntimeWarning, stacklevel=3)
         levels = [l for l, k in zip(levels, keep) if k]
-        mass0 = mass0[keep]
-        mass1 = mass1[keep]
-    return SensorChannel(
-        pmf0=DiscretePmf(tuple(int(l) for l in levels), mass0),
-        pmf1=DiscretePmf(tuple(int(l) for l in levels), mass1),
-    )
+        masses = np.compress(keep, masses, axis=1)
+    for row in masses:
+        _check_law(row)
+    levels = tuple(int(l) for l in levels)
+    pmf0, pmf1 = (_unchecked(DiscretePmf, levels=levels, probs=row) for row in masses)
+    with np.errstate(divide="ignore"):
+        llr = np.log(masses[1]) - np.log(masses[0])
+    return _unchecked(SensorChannel, pmf0=pmf0, pmf1=pmf1, llr=llr)
 
 
 def channel_from_pmfs(pmf0: DiscretePmf, pmf1: DiscretePmf) -> SensorChannel:
     """Channel from explicitly given per-hypothesis output laws, in any label order."""
     if pmf0.levels != pmf1.levels:
         raise ValueError("pmf0 and pmf1 must share the same level set")
-    return _build_channel(pmf0.levels, pmf0.probs, pmf1.probs)
+    return _build_channel(pmf0.levels, np.array([pmf0.probs, pmf1.probs]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,9 +182,9 @@ def channel_from_rule(rule: SensorRule) -> SensorChannel:
     is the LR's conditional mean over [t_{d-1}, t_d), whatever the
     preimage shape); a violation raises.
     """
-    pair, levels = rule.pair, list(range(rule.quantizer.num_levels))
-    mass0, mass1 = rule.masses(CdfMember(pair.q0_cdf)), rule.masses(CdfMember(pair.q1_cdf))
-    channel = _build_channel(levels, mass0, mass1)
+    pair, levels = rule.pair, range(rule.quantizer.num_levels)
+    lfds = [CdfMember(pair.q0_cdf), CdfMember(pair.q1_cdf)]
+    channel = _build_channel(levels, level_masses(lfds, rule.cuts, rule.segment_levels, len(levels)))
     if not llr_monotone_check(channel):
         raise RuntimeError("per-level LLR is not nondecreasing; quantizer is invalid")
     return channel

@@ -778,9 +778,10 @@ def exact_error_reference(net, stats, laws0=None, laws1=None):
 
 def threshold_scan_reference(law0, law1, prior0, stats):
     """``fusion.best_fusion_threshold`` of two separately folded laws, the
-    candidates the union of both supports: (log threshold, P_E)."""
+    candidates the union of both supports and one below, or 0.0 alone when
+    the sums have no finite atom: (log threshold, P_E)."""
     atoms = np.union1d(law0.finite(stats)[0], law1.finite(stats)[0])
-    candidates = np.concatenate([[atoms[0] - 1.0], atoms])
+    candidates = np.concatenate([[atoms[0] - 1.0] if len(atoms) else [0.0], atoms])
     p_f = law0.prob_decide_one(candidates)
     p_m = 1.0 - law1.prob_decide_one(candidates)
     p_e = prior0 * p_f + (1.0 - prior0) * p_m

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -19,7 +20,6 @@ from robust_fusion.lfd import CdfMember, GaussianBandClass, gaussian_band_lfd
 from robust_fusion.fusion import (
     TIE_TOL,
     NetworkModel,
-    _prob_decide_one_enumeration,
     best_fusion_threshold,
     exact_error,
     fuse,
@@ -65,6 +65,11 @@ SYM02 = channel_from_pmfs(
 BAND0 = GaussianBandClass(-1.0, 0.0, 1.0)
 BAND1 = GaussianBandClass(1.0, 2.0, 1.0)
 BAND_PAIR = gaussian_band_lfd(BAND0, BAND1)
+
+
+def _enumerated(channels, laws, tau) -> float:
+    """P[decide 1] under one list of laws, by the library's enumeration."""
+    return fusion._enumerate_decide_one(channels, [laws], tau)[0]
 
 
 class TestFuse:
@@ -330,7 +335,7 @@ class TestExactError:
             for tau in rng.choice(taus, size=5):
                 assert abs(
                     law.prob_decide_one(tau)
-                    - _prob_decide_one_enumeration(net.channels, laws, tau)
+                    - _enumerated(net.channels, laws, tau)
                 ) <= 1e-12
 
     def test_split_law_matches_enumeration_at_ties(self):
@@ -355,7 +360,7 @@ class TestExactError:
             for tau in rng.choice(taus, size=3):
                 assert abs(
                     law.prob_decide_one(tau)
-                    - _prob_decide_one_enumeration(net.channels, laws, tau)
+                    - _enumerated(net.channels, laws, tau)
                 ) <= 1e-12
             taus_checked += len(taus)
         assert taus_checked >= 10**4
@@ -387,7 +392,7 @@ class TestExactError:
                 edges += 1
                 assert abs(
                     law.prob_decide_one(tau)
-                    - _prob_decide_one_enumeration(net.channels, laws, tau)
+                    - _enumerated(net.channels, laws, tau)
                 ) <= 1e-12
         assert edges >= 100
 
@@ -559,8 +564,6 @@ class TestTwoRowFold:
             )
             got = saddle_verify(net, members0, members1)
             assert got == saddle_verify_reference(net, members0, members1, stats)
-            if not all(np.any(np.isfinite(ch.llr)) for ch in net.channels):
-                continue  # no finite sum, so no threshold candidate
             laws = ([ch.pmf0 for ch in net.channels], [ch.pmf1 for ch in net.channels])
             refs = [law_reference(net.channels, laws[h], stats) for h in (0, 1)]
             assert best_fusion_threshold(
@@ -610,6 +613,94 @@ class TestTwoRowFold:
             assert got == (p_e, tau)
             checked += 1
         assert checked >= 30
+
+
+def _enumeration_network(rng):
+    """(channels, laws0, laws1): K = 1-5 explicit sensors of 1-4 levels, so
+    one-level sensors and mixed level counts, some with a +inf and a -inf
+    level and a few with no finite level; the laws are the channels' own or
+    seeded laws on their levels."""
+    channels = []
+    for _ in range(int(rng.integers(1, 6))):
+        levels = int(rng.integers(1, 5))
+        if levels == 2 and rng.random() < 0.15:
+            channels.append(_SURE)
+            continue
+        pmf0, pmf1 = rng.dirichlet([1.0] * levels), rng.dirichlet([1.0] * levels)
+        if levels > 1 and rng.random() < 0.5:
+            plus, minus = rng.choice(levels, size=2, replace=False)
+            pmf0[plus] = 0.0  # LLR +inf
+            if rng.random() < 0.6:
+                pmf1[minus] = 0.0  # LLR -inf
+        lv = list(range(levels))
+        channels.append(channel_from_pmfs(pmf_from_weights(lv, pmf0), pmf_from_weights(lv, pmf1)))
+    laws = [
+        [(ch.pmf0, ch.pmf1)[h] if own else
+         pmf_from_weights(ch.levels, rng.dirichlet([1.0] * len(ch.levels))) for ch in channels]
+        for h, own in enumerate(rng.random(2) < 0.5)
+    ]
+    return tuple(channels), *laws
+
+
+class TestEnumeration:
+    def test_matches_oracles_at_ties(self):
+        """The contracted enumeration equals the numpy and the pure-Python
+        oracle enumerations within 1e-12 on seeded networks with ±inf
+        levels, K = 1, one-level sensors and mixed level counts, at
+        thresholds on finite joint sums and within TIE_TOL below them."""
+        rng = np.random.default_rng(20261201)
+        seen = Counter()
+        for _ in range(120):
+            channels, laws0, laws1 = _enumeration_network(rng)
+            seen["k1"] += len(channels) == 1
+            seen["one-level"] += any(len(ch.levels) == 1 for ch in channels)
+            seen["mixed"] += len({len(ch.levels) for ch in channels}) > 1
+            seen["infinite"] += any(np.any(np.isinf(ch.llr)) for ch in channels)
+            sums, _, has_pos, has_neg = joint_llr_sums(channels, laws0)
+            finite = np.unique(sums[~has_pos & ~has_neg])
+            picked = rng.choice(finite, size=min(3, len(finite)), replace=False)
+            taus = [0.0, *(s + off for s in picked for off in (0.0, -0.5 * TIE_TOL, -1.5 * TIE_TOL))]
+            for n, tau in enumerate(taus):
+                got = fusion._enumerate_decide_one(channels, (laws0, laws1), float(tau))
+                for h, laws in enumerate((laws0, laws1)):
+                    assert abs(got[h] - decide_one_enumeration(channels, laws, [tau])[0]) <= 1e-12
+                if n % 3 == 2:  # the sum in the tie band: the pure-Python oracle too
+                    p_f, p_m, _ = enumerate_error_probs(
+                        [ch.levels for ch in channels], [ch.llr for ch in channels],
+                        [law.probs for law in laws0], [law.probs for law in laws1],
+                        float(tau) + TIE_TOL, 0.5,
+                    )
+                    assert abs(got[0] - p_f) <= 1e-12 and abs(1.0 - got[1] - p_m) <= 1e-12
+                    inside = fusion._enumerate_decide_one(channels, (laws0, laws1), float(tau))
+                    below = fusion._enumerate_decide_one(
+                        channels, (laws0, laws1), float(tau) - TIE_TOL
+                    )
+                    seen["tie moves"] += inside != below
+            net = NetworkModel(channels, 0.5, float(taus[-1]))
+            report = exact_error(net, laws0, laws1, method="enumeration", cross_check=False)
+            got = fusion._enumerate_decide_one(channels, (laws0, laws1), float(taus[-1]))
+            assert (report.p_false_alarm, report.p_miss) == (got[0], 1.0 - got[1])
+        assert min(seen["k1"], seen["one-level"], seen["infinite"]) >= 15
+        assert seen["mixed"] >= 60 and seen["tie moves"] >= 60
+
+    def test_cross_check_builds_no_joint_probability_array(self, monkeypatch):
+        """``exact_error`` on K=9 sensors of 4 levels, cross-checked over all
+        4^9 joint levels, peaks below 2 MB of traced memory (building the
+        per-law joint arrays took about 5 MB)."""
+        net = _explicit_network(np.random.default_rng(20261202), 9)
+        calls = []
+        enumerate_ = fusion._enumerate_decide_one
+        monkeypatch.setattr(
+            fusion, "_enumerate_decide_one", lambda *a: calls.append(1) or enumerate_(*a)
+        )
+        tracemalloc.start()
+        try:
+            report = exact_error(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [1] and report.method == "exact-convolution"
+        assert peak < 2_000_000
 
 
 def test_unique_rows_match_numpy_unique():
@@ -1038,6 +1129,19 @@ class TestBestFusionThreshold:
         bayes_floor = 1.0 - GaussianSpec(0.0, 1.0).cdf(0.5)
         assert pe >= bayes_floor - 1e-12
 
+    def test_sum_without_finite_atom_has_one_candidate(self):
+        """When some sensor has only ±inf levels the LLR sum has no finite
+        atom; the scan and the designer's candidates are then 0.0 alone, and
+        P_E is that of the forced decisions (here 0)."""
+        for channels in ((_SURE,), (_SURE, _SURE), (SYM02, _SURE), (_SURE, SYM02, SYM02)):
+            laws = ([ch.pmf0 for ch in channels], [ch.pmf1 for ch in channels])
+            law0, law1 = (llr_sum_law(channels, laws[h]) for h in (0, 1))
+            assert len(law0.finite.atoms) == 0
+            assert best_fusion_threshold(law0, law1, 0.3) == (0.0, 0.0)
+            candidates, p_e = fusion._threshold_errors(llr_sum_law(channels, *laws), 0.3)
+            assert candidates.tolist() == [0.0] and p_e.tolist() == [0.0]
+            assert exact_error(NetworkModel(channels, 0.3, 0.0)).p_error == 0.0
+
     def test_scan_matches_brute_force(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -1238,7 +1342,7 @@ class TestThresholdObjective:
                     assert np.max(np.abs(a[:, d] - want)) <= 1e-12
                     for t in rng.choice(len(taus), size=3):
                         assert abs(
-                            a[t, d] - _prob_decide_one_enumeration(channels, pinned, taus[t])
+                            a[t, d] - _enumerated(channels, pinned, taus[t])
                         ) <= 1e-12
                     if llr[d] in columns:
                         columns[llr[d]] += 1
@@ -1458,7 +1562,7 @@ class TestPersonByPerson:
             builds = [objective.build(j, coords) for j, coords in enumerate(conf)]
             others = [b.part for b in builds[:i] + builds[i + 1 :]]
             a0, a1 = fusion._fuse_one_given_level(
-                others, builds[i].channel.llr, np.array([tau])
+                others, builds[i].llr, np.array([tau])
             )[:, 0]
             current = fusion._envelope_cuts(a0, a1, 0.5, brackets[i], len(conf[i]))
             scored.clear()

@@ -7,11 +7,13 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from robust_fusion import fusion, lfd, sensor
+from robust_fusion import scenario as scenario_module
 from robust_fusion.cli import main
-from robust_fusion.scenario import Scenario, build_sensors, load_scenario, save_scenario
+from robust_fusion.scenario import Scenario, build_sensor, build_sensors, load_scenario, save_scenario
 
 from _golden import GOLDEN, NUMBER, assert_matches_record, cases as golden_cases, run as run_golden
 
@@ -664,6 +666,71 @@ class TestOneRulePerSensor:
         assert main(["saddle", "--scenario", str(path), "--members", "11"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("VIOLATED")
         assert len(calls) == 2 * len(kl)
+
+
+class TestEqualSpecsBuildOnce:
+    BAND = {
+        "kind": "gaussian-band",
+        "band0": {"mu_lo": -1.0, "mu_hi": 0.0},
+        "band1": {"mu_lo": 1.0, "mu_hi": 2.0},
+        "sigma": 1.0,
+        "quantizer": {"num_thresholds": 2},
+    }
+    CONTAMINATION = {
+        "kind": "eps-contamination",
+        "nominal0": {"mean": 0.0, "sigma": 1.0},
+        "nominal1": {"mean": 1.0, "sigma": 1.0},
+        "eps0": 0.05, "eps1": 0.05,
+        "quantizer": {"num_thresholds": 3},
+    }
+    EXPLICIT = {"kind": "explicit-pmf", "levels": [0, 1], "pmf0": [0.8, 0.2], "pmf1": [0.3, 0.7]}
+
+    def _count(self, monkeypatch, names):
+        calls = {name: 0 for name in names}
+        for name in names:
+            original = getattr(scenario_module, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(scenario_module, name, counting)
+        return calls
+
+    def test_homogeneous_scenario_builds_each_distinct_spec_once(self, monkeypatch):
+        """Specs equal as JSON text (key order aside) share one build, which
+        each sensor gets under its own index: the channel, the quantizer
+        and the LFD pair are made once per distinct spec."""
+        reordered = dict(reversed(list(self.BAND.items())))
+        wider = {**self.BAND, "sigma": 1.5}
+        specs = [self.BAND, self.CONTAMINATION, self.BAND, reordered, self.EXPLICIT,
+                 wider, self.EXPLICIT, self.CONTAMINATION, self.BAND]
+        fresh = [build_sensor(spec, i) for i, spec in enumerate(specs)]
+        calls = self._count(
+            monkeypatch, ("channel_from_rule", "default_quantizer", "channel_from_pmfs")
+        )
+        doc = {"scenario_id": "homogeneous", "prior0": 0.5, "sensors": specs}
+        built = build_sensors(Scenario.from_dict(doc))
+        assert calls == {"channel_from_rule": 3, "default_quantizer": 3, "channel_from_pmfs": 1}
+        assert [b.index for b in built] == list(range(len(specs)))
+        for i in (2, 3, 8):
+            assert built[i].channel is built[0].channel and built[i].rule is built[0].rule
+        assert built[6].channel is built[4].channel
+        assert built[5].channel is not built[0].channel
+        for got, want in zip(built, fresh):
+            assert got.kind == want.kind and got.channel.levels == want.channel.levels
+            assert np.array_equal(got.channel.llr, want.channel.llr)
+            assert np.array_equal(got.channel.pmf0.probs, want.channel.pmf0.probs)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_true_is_not_one(self, first):
+        """A spec that differs from a valid one only by ``true`` for ``1``
+        is still refused, and the error names its own index."""
+        bad = {**self.BAND, "sigma": True}
+        specs = [{**self.BAND, "sigma": 1}, bad] if first == 0 else [bad, {**self.BAND, "sigma": 1}]
+        doc = {"scenario_id": "true-is-not-one", "prior0": 0.5, "sensors": specs}
+        with pytest.raises(ValueError, match=f"^sensor {1 - first}: sigma: expected a number"):
+            build_sensors(Scenario.from_dict(doc))
 
 
 class TestCliGolden:

@@ -27,6 +27,8 @@ from robust_fusion.sensor import (
     RandomizedBinaryRule,
     SensorChannel,
     SensorRule,
+    _build_channel,
+    _sensor_part,
     channel_from_pmfs,
     channel_from_quantizer,
     default_quantizer,
@@ -666,3 +668,115 @@ class TestSensorChannelValidation:
         assert ch.llr[0] == -math.inf
         assert ch.llr[2] == math.inf
         assert llr_monotone_check(ch)
+
+
+def _public_channel(levels, masses) -> SensorChannel:
+    """The channel of ``masses`` (an H0 and an H1 row) through the public
+    constructors, each with its checks: the rows clipped at 0, the levels
+    with zero mass under both dropped, ``DiscretePmf`` for each row in turn,
+    then ``SensorChannel``."""
+    masses = np.maximum(np.asarray(masses, dtype=float), 0.0)
+    keep = ~((masses[0] == 0.0) & (masses[1] == 0.0))
+    kept = tuple(int(level) for level, k in zip(levels, keep) if k)
+    return SensorChannel(DiscretePmf(kept, masses[0][keep]), DiscretePmf(kept, masses[1][keep]))
+
+
+def _same_channel(got: SensorChannel, want: SensorChannel) -> bool:
+    return (
+        got.levels == want.levels == got.pmf1.levels
+        and all(np.array_equal(a, b) for a, b in (
+            (got.pmf0.probs, want.pmf0.probs), (got.pmf1.probs, want.pmf1.probs),
+            (got.llr, want.llr),
+        ))
+    )
+
+
+class TestChannelBuild:
+    """``_build_channel`` checks the two mass rows once and skips the
+    constructors' checks; what it builds and refuses is what the public
+    constructors build and refuse."""
+
+    def test_matches_public_constructors_on_seeded_rules(self):
+        """Bit-identical pmf0, pmf1 and llr on seeded band, KL and
+        contamination rules, also with levels dropped and ±inf LLRs."""
+        rng = np.random.default_rng(20261203)
+        seen = {"dropped": 0, "infinite": 0}
+        for n in range(120):
+            kind = ("gaussian-band", "kl-ball", "eps-contamination")[n % 3]
+            rule = build_sensor(_random_member_spec(rng, kind, int(rng.integers(2, 6))), 0).rule
+            lfds = [CdfMember(rule.pair.q0_cdf), CdfMember(rule.pair.q1_cdf)]
+            masses = level_masses(lfds, rule.cuts, rule.segment_levels, rule.quantizer.num_levels)
+            levels = range(masses.shape[1])
+            if rng.random() < 0.5:  # a level of no mass under one law, or under both
+                at = int(rng.integers(len(levels)))
+                masses[int(rng.integers(2)) if rng.random() < 0.5 else slice(None), at] = 0.0
+                masses /= masses.sum(axis=1, keepdims=True)
+            want = _public_channel(levels, masses)
+            dropped = len(want.levels) < len(levels)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = _build_channel(levels, masses)
+            assert len(caught) == dropped
+            assert _same_channel(got, want)
+            seen["dropped"] += dropped
+            seen["infinite"] += bool(np.any(np.isinf(got.llr)))
+        assert min(seen.values()) >= 10
+
+    @pytest.mark.parametrize(
+        ("masses", "message"),
+        [
+            ([[0.5, math.nan], [0.5, 0.5]], "probabilities must be nonnegative"),
+            ([[0.5, 0.5], [math.nan, 1.0]], "probabilities must be nonnegative"),
+            ([[0.7, 0.7], [math.nan, 0.5]], "probabilities must sum to 1 within 1e-12, got 1.4"),
+            ([[0.9, -0.3], [0.5, 0.5]], "probabilities must sum to 1 within 1e-12, got 0.9"),
+            ([[0.5, 0.5], [0.5, 0.5 + 1e-9]], "probabilities must sum to 1 within 1e-12"),
+        ],
+        ids=["nan-h0", "nan-h1", "unnormalized-before-nan", "negative", "unnormalized-h1"],
+    )
+    def test_invalid_masses_raise_the_public_errors(self, masses, message):
+        """NaN, negative (clipped to 0) and unnormalized masses raise the
+        ValueError the public constructors raise, row 0 checked first."""
+        with pytest.raises(ValueError) as want:
+            _public_channel(range(2), masses)
+        with pytest.raises(ValueError) as got:
+            _build_channel(range(2), masses)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(message)
+
+    def test_rounding_below_zero_is_clipped(self):
+        masses = [[0.5, 0.5, -1e-18], [0.25, 0.25, 0.5]]
+        assert _same_channel(_build_channel(range(3), masses), _public_channel(range(3), masses))
+
+    def test_part_is_the_two_row_sensor_part(self):
+        """``ch.part`` is ``_sensor_part`` of the channel's two rows bit for
+        bit, built once, with C-contiguous rows; the unsorted gather of
+        strictly rising LLRs equals the validating constructor's sort, also
+        on channels out of LLR order and with ±inf levels."""
+        rng = np.random.default_rng(20261204)
+        unordered = 0
+        for n in range(90):
+            if n % 2:
+                kind = ("gaussian-band", "kl-ball", "eps-contamination")[n % 3]
+                spec = _random_member_spec(rng, kind, int(rng.integers(2, 6)))
+                ch = build_sensor(spec, 0).channel
+            else:
+                levels = list(range(int(rng.integers(1, 6))))
+                w0, w1 = rng.dirichlet([1.0] * len(levels)), rng.dirichlet([1.0] * len(levels))
+                if len(levels) > 2:
+                    w0[0], w1[-1] = 0.0, 0.0
+                ch = channel_from_pmfs(pmf_from_weights(levels, w0), pmf_from_weights(levels, w1))
+            rows = np.array([ch.pmf0.probs, ch.pmf1.probs])
+            part, ref = ch.part, _sensor_part(ch.llr, rows)
+            assert ch.part is part
+            assert np.array_equal(part.finite.atoms, ref.finite.atoms)
+            assert np.array_equal(part.finite.masses, ref.finite.masses)
+            assert np.array_equal(part.no_minus, ref.no_minus)
+            assert np.array_equal(part.finite_mass, ref.finite_mass)
+            assert part.finite.masses.flags.c_contiguous
+            finite = np.isfinite(ch.llr)
+            sorted_law = AtomPmf(ch.llr[finite], rows[:, finite])
+            assert np.array_equal(part.finite.atoms, sorted_law.atoms)
+            assert np.array_equal(part.finite.masses, sorted_law.masses)
+            assert np.array_equal(part.finite_mass, sorted_law.total_mass)
+            unordered += not np.all(np.diff(ch.llr[finite]) > 0)
+        assert unordered >= 10
