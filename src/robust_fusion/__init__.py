@@ -23,7 +23,6 @@ from .lfd import (
 from .ordering import convolve, convolve_many
 from .sensor import (
     Quantizer,
-    RandomizedBinaryRule,
     SensorChannel,
     SensorRule,
     channel_from_pmfs,
@@ -31,7 +30,6 @@ from .sensor import (
     channel_from_rule,
     default_quantizer,
     llr_monotone_check,
-    member_channel,
     member_laws,
     randomized_binary_admissible,
 )

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import sys
 from contextlib import nullcontext
 from typing import Sequence
@@ -92,14 +93,18 @@ def _cmd_lfd(args) -> int:
                 extra = f"admissible={ok}"
             rows.append((scenario.scenario_id, b.index, b.kind, extra, "", ""))
             continue
-        meta = b.pair.meta
+        meta, q0, q1 = b.pair.meta, b.pair.q0, b.pair.q1
         if b.kind == "gaussian-band":
-            params = f"q0_mean={_fmt(meta['q0'].mean)};q1_mean={_fmt(meta['q1'].mean)};sigma={_fmt(meta['q0'].sigma)}"
+            params = f"q0_mean={_fmt(q0.mean)};q1_mean={_fmt(q1.mean)};sigma={_fmt(q0.sigma)}"
         elif b.kind == "kl-ball":
-            params = f"u={_fmt(meta['u'])};v={_fmt(meta['v'])};q0_mean={_fmt(meta['q0'].mean)};q1_mean={_fmt(meta['q1'].mean)}"
+            params = (
+                f"u={_fmt(meta['u'])};v={_fmt(meta['v'])};"
+                f"q0_mean={_fmt(q0.mean)};q1_mean={_fmt(q1.mean)}"
+            )
         else:
             params = f"c_lo={_fmt(meta['c_lo'])};c_hi={_fmt(meta['c_hi'])}"
-        r0, r1 = b.pair.normalization_residuals(scenario.grid_points)
+        # each law's total mass, |Q_j(+inf) - 1|, from its closed-form cdf
+        r0, r1 = (abs(law.cdf(math.inf) - 1.0) for law in (q0, q1))
         rows.append((scenario.scenario_id, b.index, b.kind, params, r0, r1))
     _write_rows(
         args.out,
@@ -135,17 +140,25 @@ def _cmd_saddle(args) -> int:
     overall_holds = True
     witness_text = ""
 
-    # each class is probed once; the list feeds boundedness and the saddle
-    probes = [(b.members(0, n), b.members(1, n)) for b in built]
-    for b, (members0, members1) in zip(built, probes):
-        if b.pair is None:
+    # each distinct build (sensors with equal specs share one) is probed
+    # and checked once; its probes feed boundedness and the saddle
+    checks = {}
+    for b in built:
+        if b.channel in checks:
             continue
-        # the log-LR's range on the grid, also where it is not monotone; a
-        # constant log-LR (identical LFDs) spans one point
-        llr = b.pair.log_lr(b.pair.grid())
-        t_grid = np.linspace(float(np.min(llr)), float(np.max(llr)), 101)
-        t_grid = t_grid[np.append(True, np.diff(t_grid) > 0.0)]
-        report = joint_boundedness_check(b.pair, members0, members1, t_grid)
+        members0, members1 = b.members(0, n), b.members(1, n)
+        report = None
+        if b.pair is not None:
+            # a constant log-LR (identical LFDs) spans one point
+            t_grid = np.linspace(*b.pair.log_lr_range(), 101)
+            t_grid = t_grid[np.append(True, np.diff(t_grid) > 0.0)]
+            report = joint_boundedness_check(b.pair, members0, members1, t_grid)
+        checks[b.channel] = (report, b.member_laws(0, members0), b.member_laws(1, members1))
+
+    for b in built:
+        report = checks[b.channel][0]
+        if report is None:
+            continue
         rows.append(
             (
                 scenario.scenario_id,
@@ -165,8 +178,8 @@ def _cmd_saddle(args) -> int:
                     f"t={_fmt(w.t)} gap={_fmt(w.gap)}"
                 )
 
-    laws0 = [b.member_laws(0, members0) for b, (members0, _) in zip(built, probes)]
-    laws1 = [b.member_laws(1, members1) for b, (_, members1) in zip(built, probes)]
+    laws0 = [checks[b.channel][1] for b in built]
+    laws1 = [checks[b.channel][2] for b in built]
     saddle = fusion.saddle_verify(net, laws0, laws1)
     rows.append(
         (

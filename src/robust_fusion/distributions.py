@@ -9,8 +9,6 @@ This module carries the basic objects everything else is built from:
   levels (sensor output alphabets).
 * :class:`AtomPmf`: a mass function over real-valued atoms, the carrier
   for log-likelihood-ratio sums and their convolutions.
-* :func:`trapezoid`: the composite trapezoid rule that the LFD
-  normalization residuals and randomized-rule laws integrate with.
 
 Every constructor rejects NaN: its checks are written so that a NaN
 fails them.
@@ -182,8 +180,3 @@ class AtomPmf:
     def total_mass(self) -> float | np.ndarray:  # one per mass row
         return np.sum(self.masses, axis=-1)
 
-
-def trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    return float(np.sum((ys[1:] + ys[:-1]) * np.diff(xs)) * 0.5)

@@ -6,7 +6,6 @@ Schema (one top-level object)::
       "scenario_id": "example-band",
       "prior0": 0.5,
       "log_threshold": null,        # optional override of log(prior0/prior1)
-      "grid_points": 2001,          # quadrature points of `lfd`'s residuals
       "seed": 20260809,
       "sensors": [
         {"kind": "gaussian-band",
@@ -29,16 +28,16 @@ Schema (one top-level object)::
       ]
     }
 
-``grid_points`` is read only by ``cli lfd``, as the quadrature size of the
-LFD normalization residuals; no sensor cut, channel or saddle check uses
-it. Sensor kinds may be mixed freely (composite networks). Floats are written
+A ``grid_points`` key, which older files carry, is accepted and ignored:
+nothing is computed on a grid. Other unknown keys are ignored too. Sensor
+kinds may be mixed freely (composite networks). Floats are written
 in Python's shortest round-trip form (at most 17 significant digits), so
 parse -> serialize -> parse is the identity.
 
 :func:`build_sensor` parses a spec once into a :class:`BuiltSensor` that
 keeps its two uncertainty classes and one ``SensorRule`` (channel by
 ``sensor.channel_from_rule``); probes come from the classes' ``members``
-methods, and spec errors name the sensor.
+methods (one probe is the LFD law itself), and spec errors name the sensor.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ import numpy as np
 
 from .distributions import GaussianSpec, pmf_from_weights
 from .lfd import (
-    CdfMember,
     EpsContaminationClass,
     GaussianBandClass,
     KlBallClass,
@@ -84,7 +82,6 @@ class Scenario:
     prior0: float
     sensors: tuple[dict, ...]
     log_threshold: float | None = None
-    grid_points: int = 2001
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -92,8 +89,6 @@ class Scenario:
             raise ValueError(f"prior0 must be in (0, 1), got {self.prior0}")
         if self.log_threshold is not None and math.isnan(self.log_threshold):
             raise ValueError("log_threshold must not be NaN")
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be at least 3")
         if not self.sensors:
             raise ValueError("scenario needs at least one sensor")
         for i, spec in enumerate(self.sensors):
@@ -108,7 +103,6 @@ class Scenario:
             "scenario_id": self.scenario_id,
             "prior0": self.prior0,
             "log_threshold": self.log_threshold,
-            "grid_points": self.grid_points,
             "seed": self.seed,
             "sensors": list(self.sensors),
         }
@@ -126,7 +120,6 @@ class Scenario:
                 prior0=_real(doc["prior0"], "prior0"),
                 sensors=tuple(doc["sensors"]),
                 log_threshold=None if log_threshold is None else _real(log_threshold, "log_threshold"),
-                grid_points=_integer(doc.get("grid_points", 2001), "grid_points"),
                 seed=_integer(doc.get("seed", 0), "seed"),
             )
         except KeyError as exc:
@@ -248,7 +241,7 @@ class BuiltSensor:
         if self.rule is None:
             return []
         if n == 1:
-            return [CdfMember(self.pair.q0_cdf if side == 0 else self.pair.q1_cdf)]
+            return [self.pair.q0 if side == 0 else self.pair.q1]
         cls = self.classes[side]
         if isinstance(cls, GaussianBandClass):
             return cls.members(n)

@@ -11,8 +11,8 @@ postcondition. A :class:`SensorRule` cuts the observation axis once per
 of the LR thresholds; the LFD channel, every class member's law and every
 point atom are read off those cuts by one mass function
 (:func:`~robust_fusion.lfd.level_masses`), so all pass through one fixed
-rule. The two LFDs are read in one call (:func:`channel_from_rule`), a
-class's members all at once (:func:`member_laws`, one row per member).
+rule. The pair's two laws are read in one call (:func:`channel_from_rule`),
+a class's members all at once (:func:`member_laws`, one row per member).
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._roots import solve_increasing
-from .distributions import AtomPmf, DiscretePmf, _check_law, _unchecked, trapezoid
-from .lfd import CdfMember, LfdPair, cut_log_lr, level_masses
+from .distributions import AtomPmf, DiscretePmf, _check_law, _unchecked
+from .lfd import LfdPair, cut_log_lr, level_masses
 
 
 @dataclass(frozen=True)
@@ -164,17 +164,12 @@ class SensorRule:
         object.__setattr__(self, "cuts", cuts)
         object.__setattr__(self, "segment_levels", levels)
 
-    def masses(self, law) -> np.ndarray:
-        """Per-level mass of a law or class member
-        (:func:`~robust_fusion.lfd.level_masses` at the rule's cuts)."""
-        return level_masses([law], self.cuts, self.segment_levels, self.quantizer.num_levels)[0]
-
 
 def channel_from_rule(rule: SensorRule) -> SensorChannel:
     """Push the rule's LFD pair through its quantizer on the robust-LR axis.
 
-    Level probabilities are the LFDs' masses under the rule, exact cdf
-    differences between observation-axis cuts.
+    Level probabilities are the masses of the pair's laws under the rule,
+    exact cdf differences between observation-axis cuts.
 
     Levels with zero mass under both LFDs are dropped with a warning;
     levels with zero mass under exactly one keep a +/-inf LLR sentinel.
@@ -183,8 +178,8 @@ def channel_from_rule(rule: SensorRule) -> SensorChannel:
     preimage shape); a violation raises.
     """
     pair, levels = rule.pair, range(rule.quantizer.num_levels)
-    lfds = [CdfMember(pair.q0_cdf), CdfMember(pair.q1_cdf)]
-    channel = _build_channel(levels, level_masses(lfds, rule.cuts, rule.segment_levels, len(levels)))
+    masses = level_masses([pair.q0, pair.q1], rule.cuts, rule.segment_levels, len(levels))
+    channel = _build_channel(levels, masses)
     if not llr_monotone_check(channel):
         raise RuntimeError("per-level LLR is not nondecreasing; quantizer is invalid")
     return channel
@@ -192,7 +187,7 @@ def channel_from_rule(rule: SensorRule) -> SensorChannel:
 
 def channel_from_quantizer(q: Quantizer, pair: LfdPair, grid: None = None) -> SensorChannel:
     """:func:`channel_from_rule` of ``SensorRule(pair, q)``. ``grid`` must be
-    None; it is kept only for the benchmark's span hooks, until ROADMAP item 9."""
+    None; it is kept only for the benchmark's span hooks, until ROADMAP item 13."""
     if grid is not None:
         raise ValueError("no log-LR is cut on a grid; grid must be None")
     return channel_from_rule(SensorRule(pair, q))
@@ -225,14 +220,6 @@ def member_laws(
     return kept / total[:, None]
 
 
-def member_channel(
-    member, rule: SensorRule, levels: tuple[int, ...] | None = None
-) -> DiscretePmf:
-    """Output law of one class member: the one-row case of :func:`member_laws`."""
-    row = member_laws([member], rule, levels)[0]
-    return DiscretePmf(tuple(range(len(row))) if levels is None else tuple(levels), row)
-
-
 def default_quantizer(pair: LfdPair, num_thresholds: int) -> Quantizer:
     """Thresholds at the LR of equally spaced mixture quantiles of y.
 
@@ -249,7 +236,7 @@ def default_quantizer(pair: LfdPair, num_thresholds: int) -> Quantizer:
     if num_thresholds == 0:
         return Quantizer(())
     lo, hi = pair.support
-    mix_cdf = lambda y: 0.5 * (pair.q0_cdf(y) + pair.q1_cdf(y))
+    mix_cdf = lambda y: 0.5 * (pair.q0.cdf(y) + pair.q1.cdf(y))
     thresholds = []
     for d in range(1, num_thresholds + 1):
         y = solve_increasing(mix_cdf, lo, hi, d / (num_thresholds + 1.0), tol=1e-12)
@@ -273,46 +260,6 @@ def default_quantizer(pair: LfdPair, num_thresholds: int) -> Quantizer:
 def llr_monotone_check(ch: SensorChannel) -> bool:
     """True when the per-level LLR weights are nondecreasing."""
     return bool(np.all(ch.llr[1:] >= ch.llr[:-1]))
-
-
-@dataclass(frozen=True, eq=False)
-class RandomizedBinaryRule:
-    """A randomized two-level sensor given by its acceptance probability.
-
-    ``accept_prob(y)`` is the probability of transmitting level 1 on
-    observation y; ``pmf0``/``pmf1`` are the Bernoulli output laws it
-    induces under the least favorable pair. The rule itself is supplied by
-    the caller (robust randomized designs come from outside this package);
-    this type validates it and carries its induced laws to the
-    admissibility check.
-    """
-
-    accept_prob: Callable[[float], float]
-    pmf0: DiscretePmf
-    pmf1: DiscretePmf
-
-    @classmethod
-    def from_accept_prob(cls, accept_prob, pair: LfdPair) -> "RandomizedBinaryRule":
-        """Induce the Bernoulli laws of a randomized rule under an LFD pair.
-
-        P[U = 1 | H_j] is the integral of accept_prob against the j-th
-        density, by trapezoid on the pair's grid; accuracy is grid-limited
-        for discontinuous rules. The acceptance probability must stay
-        within [0, 1] everywhere probed.
-        """
-        xs = pair.grid()
-        probs = np.asarray([float(accept_prob(float(y))) for y in xs])
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise ValueError("accept_prob must map into [0, 1]")
-        laws = []
-        for logpdf in (pair.q0_logpdf, pair.q1_logpdf):
-            density = np.exp(np.asarray(logpdf(xs)))
-            p_one = min(max(trapezoid(xs, probs * density), 0.0), 1.0)
-            laws.append(DiscretePmf((0, 1), np.array([1.0 - p_one, p_one])))
-        return cls(accept_prob=accept_prob, pmf0=laws[0], pmf1=laws[1])
-
-    def admissible(self) -> bool:
-        return randomized_binary_admissible(self.pmf0, self.pmf1)
 
 
 def randomized_binary_admissible(pmf0: DiscretePmf, pmf1: DiscretePmf) -> bool:

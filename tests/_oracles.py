@@ -30,6 +30,48 @@ def density_integral(fn, lo: float, hi: float, points=None) -> float:
     return val
 
 
+def lfd_logpdfs(pair):
+    """(log q0, log q1) of an LFD pair, on scalars or arrays. Gaussian laws
+    give their own log-densities; a contamination (Huber) pair's are
+    written from its construction parameters in ``meta`` (nominals, radii,
+    clip points y_lo, y_hi and clip constants c_lo, c_hi), not from the
+    library's cdfs: (1 - eps0) p0 below y_hi and (1 - eps0) p1 / c_hi
+    above it; (1 - eps1) c_lo p0 below y_lo and (1 - eps1) p1 above it."""
+    meta = pair.meta
+    if meta["kind"] != "huber":
+        return pair.q0.logpdf, pair.q1.logpdf
+    p0, p1 = meta["nominal0"], meta["nominal1"]
+    y_lo, y_hi = meta["y_lo"], meta["y_hi"]
+    with np.errstate(divide="ignore"):
+        log_c_lo, log_c_hi = float(np.log(meta["c_lo"])), float(np.log(meta["c_hi"]))
+
+    def logpdf0(y):
+        y = np.asarray(y, dtype=float)
+        return math.log1p(-meta["eps0"]) + np.where(y < y_hi, p0.logpdf(y), p1.logpdf(y) - log_c_hi)
+
+    def logpdf1(y):
+        y = np.asarray(y, dtype=float)
+        return math.log1p(-meta["eps1"]) + np.where(y > y_lo, p1.logpdf(y), p0.logpdf(y) + log_c_lo)
+
+    return logpdf0, logpdf1
+
+
+def randomized_binary_laws(accept_prob, pair, jumps=()):
+    """(pmf0, pmf1) that a randomized binary rule induces under an LFD pair:
+    P[U = 1 | H_j] is the integral of ``accept_prob`` against the j-th
+    density (:func:`lfd_logpdfs`) by adaptive quadrature, with the rule's
+    ``jumps`` as break points."""
+    from robust_fusion.distributions import DiscretePmf
+
+    lo, hi = pair.support
+    laws = []
+    for logpdf in lfd_logpdfs(pair):
+        density = lambda y: float(accept_prob(y)) * math.exp(float(logpdf(y)))
+        p_one = density_integral(density, lo, hi, points=list(jumps) or None)
+        laws.append(DiscretePmf((0, 1), np.array([1.0 - p_one, p_one])))
+    return tuple(laws)
+
+
 def binomial_majority_error(k: int, p: float) -> float:
     """P[more than k/2 wrong of k i.i.d. Bernoulli(p) errors]."""
     return sum(
@@ -259,9 +301,9 @@ def gaussian_kl(q, p) -> float:
 
 def affinity_fit(pair, p0, p1):
     """(slope, residual) of the least-squares line of the pair's log-LR
-    against the nominal log-LR log p1 - log p0 on the pair's grid; residual
-    is the largest absolute deviation from that line."""
-    ys = pair.grid()
+    against the nominal log-LR log p1 - log p0 on 2001 points of the pair's
+    support; residual is the largest absolute deviation from that line."""
+    ys = np.linspace(*pair.support, 2001)
     nominal = np.asarray(p1.logpdf(ys) - p0.logpdf(ys), dtype=float)
     robust = np.asarray(pair.log_lr(ys), dtype=float)
     slope, intercept = np.polyfit(nominal, robust, 1)
@@ -423,8 +465,8 @@ def _cdf_at(cdf, y: float) -> float:
 
 
 def member_channel_reference(member, pair, q, levels=None):
-    """Reference for ``sensor.member_channel`` and each row of
-    ``sensor.member_laws``: the per-member route.
+    """Reference for each row of ``sensor.member_laws``: the per-member
+    route.
 
     Re-derives the observation-axis cuts from (pair, q) for every member,
     clamps every boundary (+inf included) to the support, and places a
@@ -542,11 +584,11 @@ def joint_boundedness_reference(pair, class0_members, class1_members, t_grid, to
     witness = None
     t_values = [float(t) for t in t_grid]
     level_sets = lower_level_sets(pair, t_values)
-    for side, members, lfd_cdf, sign in (
-        ("h0", class0_members, pair.q0_cdf, +1.0),
-        ("h1", class1_members, pair.q1_cdf, -1.0),
+    for side, members, lfd, sign in (
+        ("h0", class0_members, pair.q0, +1.0),
+        ("h1", class1_members, pair.q1, -1.0),
     ):
-        lfd_vals = level_set_masses(lfd_cdf, level_sets)
+        lfd_vals = level_set_masses(lfd.cdf, level_sets)
         for idx, member in enumerate(members):
             member_vals = level_set_masses(member_cdf(member), level_sets)
             for t, lfd_val, member_val in zip(t_values, lfd_vals, member_vals):
@@ -597,17 +639,17 @@ def log_density_crossing_cuts(pair, q):
     """Observation-axis cuts of a Gaussian LFD pair at the quantizer's thresholds.
 
     The log-LR is the literal difference log q1 - log q0 of the pair's
-    Gaussians (``meta["q0"]``/``meta["q1"]``), tabulated on the pair's grid;
-    each grid cell where it crosses a log threshold (>= is above) is
-    bisected to adjacent floats and the first float above is the cut.
-    Crossings outside the support or narrower than a grid cell are missed.
+    Gaussians, tabulated on 2001 points of the support; each grid cell
+    where it crosses a log threshold (>= is above) is bisected to adjacent
+    floats and the first float above is the cut. Crossings outside the
+    support or narrower than a grid cell are missed.
     """
-    q0, q1 = pair.meta["q0"], pair.meta["q1"]
+    q0, q1 = pair.q0, pair.q1
 
     def llr(y):
         return q1.logpdf(y) - q0.logpdf(y)
 
-    xs = pair.grid()
+    xs = np.linspace(*pair.support, 2001)
     fx = np.asarray(llr(xs), dtype=float)
     cuts = []
     for t in q.thresholds:
@@ -632,14 +674,14 @@ def quad_level_masses(pair, q, lo: float = -14.0, hi: float = 15.0, points: int 
     by adaptive quadrature over [lo, hi].
 
     The log-LR is the literal difference log q1 - log q0 of the pair's
-    Gaussians (``meta["q0"]``/``meta["q1"]``). Its crossings of each log
+    Gaussians. Its crossings of each log
     threshold are found by a dense scan of [lo, hi] plus brentq; each
     piece between them goes to the level of the log-LR at its midpoint,
     and each density is integrated over it with quad.
     """
     from scipy.optimize import brentq
 
-    q0, q1 = pair.meta["q0"], pair.meta["q1"]
+    q0, q1 = pair.q0, pair.q1
 
     def llr(y):
         return q1.logpdf(y) - q0.logpdf(y)

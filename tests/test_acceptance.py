@@ -105,8 +105,8 @@ def test_criterion_3_kl_round_trip():
         pair = kl_dabak_lfd(STD, SHIFTED, eps0, eps1)
         worst = max(
             worst,
-            abs(gaussian_kl(pair.meta["q0"], STD) - eps0),
-            abs(gaussian_kl(pair.meta["q1"], SHIFTED) - eps1),
+            abs(gaussian_kl(pair.q0, STD) - eps0),
+            abs(gaussian_kl(pair.q1, SHIFTED) - eps1),
         )
     assert worst < 1e-8
     _report(3, "KL round trip", f"worst residual={worst:.2e}")

@@ -10,7 +10,6 @@ from robust_fusion.distributions import (
     DiscretePmf,
     GaussianSpec,
     pmf_from_weights,
-    trapezoid,
 )
 
 from _oracles import atom_pmf_unique_reference, normal_cdf_quadrature
@@ -127,10 +126,3 @@ class TestAtomPmf:
         with pytest.raises(ValueError, match="nonnegative"):
             AtomPmf(np.array([0.0, 1.0]), np.array([0.5, math.nan]))
 
-
-class TestTrapezoid:
-    def test_integrates_gaussian_mass(self):
-        """2001 points over mean +/- 8 sigma integrate a Gaussian to 1e-14."""
-        g = GaussianSpec(0.3, 1.7)
-        xs = np.linspace(g.mean - 8.0 * g.sigma, g.mean + 8.0 * g.sigma, 2001)
-        assert abs(trapezoid(xs, g.pdf(xs)) - 1.0) < 1e-14

@@ -16,7 +16,7 @@ import pytest
 
 from robust_fusion import fusion, ordering
 from robust_fusion.distributions import AtomPmf, DiscretePmf, GaussianSpec, pmf_from_weights
-from robust_fusion.lfd import CdfMember, GaussianBandClass, gaussian_band_lfd
+from robust_fusion.lfd import GaussianBandClass, gaussian_band_lfd
 from robust_fusion.fusion import (
     TIE_TOL,
     NetworkModel,
@@ -37,7 +37,6 @@ from robust_fusion.sensor import (
     channel_from_quantizer,
     default_quantizer,
     llr_monotone_check,
-    member_channel,
     member_laws,
 )
 
@@ -173,11 +172,11 @@ class TestExactError:
         lfd0 = llr_sum_law(net.channels, [ch.pmf0, ch.pmf0]).finite
         lfd1 = llr_sum_law(net.channels, [ch.pmf1, ch.pmf1]).finite
         for mu in np.linspace(-1.0, 0.0, 5):
-            law = member_channel(GaussianSpec(float(mu), 1.0), SensorRule(BAND_PAIR, q))
+            law = member_law(GaussianSpec(float(mu), 1.0), SensorRule(BAND_PAIR, q))
             member = llr_sum_law(net.channels, [law, law]).finite
             assert atoms_stochastically_larger(lfd0, member)[0]
         for mu in np.linspace(1.0, 2.0, 5):
-            law = member_channel(GaussianSpec(float(mu), 1.0), SensorRule(BAND_PAIR, q))
+            law = member_law(GaussianSpec(float(mu), 1.0), SensorRule(BAND_PAIR, q))
             member = llr_sum_law(net.channels, [law, law]).finite
             assert atoms_stochastically_larger(member, lfd1)[0]
 
@@ -764,8 +763,8 @@ class TestSaddleVerify:
         q = Quantizer((1.0,))
         ch = channel_from_quantizer(q, BAND_PAIR)
         net = NetworkModel((ch, ch), 0.5)
-        law0 = member_laws([CdfMember(BAND_PAIR.q0_cdf)], SensorRule(BAND_PAIR, q))
-        law1 = member_laws([CdfMember(BAND_PAIR.q1_cdf)], SensorRule(BAND_PAIR, q))
+        law0 = member_laws([BAND_PAIR.q0], SensorRule(BAND_PAIR, q))
+        law1 = member_laws([BAND_PAIR.q1], SensorRule(BAND_PAIR, q))
         report = saddle_verify(net, [law0, law0], [law1, law1])
         assert report.holds
         assert report.worst_gap == 0.0
@@ -1013,6 +1012,13 @@ def _explicit_saddle_sensor(rng, levels: int, n: int, comparable: bool):
     ]
 
 
+def member_law(member, rule, levels=None) -> DiscretePmf:
+    """One member's output law through ``rule``: the one-row case of
+    ``member_laws``, on ``levels`` (default all of the rule's levels)."""
+    row = member_laws([member], rule, levels)[0]
+    return DiscretePmf(tuple(range(len(row))) if levels is None else tuple(levels), row)
+
+
 def _random_spec(rng, kind: str, levels: int) -> dict:
     """Scenario spec of a band, contamination or KL sensor with a default
     quantizer of ``levels`` levels."""
@@ -1089,7 +1095,7 @@ def _random_saddle_network(rng, comparable: bool = True):
                     members = built.members(side, n)
                     # KL probes are an n x (n - 2) family; keep at most n
                     keep = rng.choice(len(members), size=min(n, len(members)), replace=False)
-                    laws += [member_channel(members[j], built.rule, ch.levels) for j in np.sort(keep)]
+                    laws += [member_law(members[j], built.rule, ch.levels) for j in np.sort(keep)]
         if comparable:
             m0.insert(int(rng.integers(len(m0) + 1)), ch.pmf0)
             m1.insert(int(rng.integers(len(m1) + 1)), ch.pmf1)

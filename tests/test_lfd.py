@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
-from robust_fusion.distributions import GaussianSpec, trapezoid
+from robust_fusion.distributions import GaussianSpec
 from robust_fusion.lfd import (
-    CdfMember,
     ContaminatedGaussian,
     EpsContaminationClass,
     GaussianBandClass,
     KlBallClass,
+    QuadraticLlr,
     _kl_gaussians,
     cut_log_lr,
     gaussian_band_lfd,
@@ -27,6 +28,7 @@ from _oracles import (
     gaussian_kl,
     huber_clip_reference,
     joint_boundedness_reference,
+    lfd_logpdfs,
 )
 
 BAND0 = GaussianBandClass(-1.0, 0.0, 1.0)
@@ -36,26 +38,42 @@ SHIFTED = GaussianSpec(1.0, 1.0)
 
 
 def pair_identity_residual(pair, points=2001):
-    xs = pair.grid(points)
+    """Largest |log_lr - (log q1 - log q0)| on the support, the densities
+    from :func:`lfd_logpdfs`."""
+    xs = np.linspace(*pair.support, points)
+    logpdf0, logpdf1 = lfd_logpdfs(pair)
     direct = np.asarray(pair.log_lr(xs))
-    derived = np.asarray(pair.q1_logpdf(xs)) - np.asarray(pair.q0_logpdf(xs))
+    derived = np.asarray(logpdf1(xs)) - np.asarray(logpdf0(xs))
     finite = np.isfinite(direct) & np.isfinite(derived)
     return float(np.max(np.abs(direct[finite] - derived[finite])))
+
+
+def total_mass_residuals(pair):
+    """|Q_j(+inf) - 1| of each law's closed-form cdf, as ``cli lfd`` reports."""
+    return tuple(abs(law.cdf(math.inf) - 1.0) for law in (pair.q0, pair.q1))
+
+
+def density_masses(pair, lo, hi, points=None):
+    """Each law's density (:func:`lfd_logpdfs`) integrated over [lo, hi]."""
+    return tuple(
+        density_integral(lambda y: math.exp(float(logpdf(y))), lo, hi, points=points)
+        for logpdf in lfd_logpdfs(pair)
+    )
 
 
 class TestGaussianBandLfd:
     def test_example_construction(self):
         """Separated bands push toward each other: N(0,1) vs N(1,1)."""
         pair = gaussian_band_lfd(BAND0, BAND1)
-        assert pair.meta["q0"] == GaussianSpec(0.0, 1.0)
-        assert pair.meta["q1"] == GaussianSpec(1.0, 1.0)
+        assert pair.q0 == GaussianSpec(0.0, 1.0)
+        assert pair.q1 == GaussianSpec(1.0, 1.0)
 
     def test_zero_width_bands_reduce_to_nominals(self):
         pair = gaussian_band_lfd(
             GaussianBandClass(0.0, 0.0, 1.0), GaussianBandClass(1.0, 1.0, 1.0)
         )
-        assert pair.meta["q0"].mean == 0.0
-        assert pair.meta["q1"].mean == 1.0
+        assert pair.q0.mean == 0.0
+        assert pair.q1.mean == 1.0
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="classes overlap"):
@@ -69,7 +87,7 @@ class TestGaussianBandLfd:
 
     def test_log_lr_affine_increasing(self):
         pair = gaussian_band_lfd(BAND0, BAND1)
-        xs = pair.grid()
+        xs = np.linspace(*pair.support, 2001)
         vals = np.asarray(pair.log_lr(xs))
         slopes = np.diff(vals) / np.diff(xs)
         assert np.all(np.diff(vals) > 0)
@@ -77,8 +95,9 @@ class TestGaussianBandLfd:
 
     def test_normalization_and_identity(self):
         pair = gaussian_band_lfd(BAND0, BAND1)
-        r0, r1 = pair.normalization_residuals()
-        assert r0 < 1e-8 and r1 < 1e-8
+        assert total_mass_residuals(pair) == (0.0, 0.0)
+        for mass in density_masses(pair, -13.0, 14.0):
+            assert abs(mass - 1.0) < 1e-8
         assert pair_identity_residual(pair) < 1e-12
 
 
@@ -99,7 +118,7 @@ class TestKlDivergence:
         for q, p in ((SHIFTED, STD), (GaussianSpec(0.3, 0.7), GaussianSpec(-0.2, 1.4))):
             xs = np.linspace(-12.0, 12.0, 4001)
             integrand = q.pdf(xs) * (q.logpdf(xs) - p.logpdf(xs))
-            assert abs(trapezoid(xs, integrand) - _kl_gaussians(q, p)) < 1e-6
+            assert abs(trapezoid(integrand, xs) - _kl_gaussians(q, p)) < 1e-6
 
 
 class TestKlDabakLfd:
@@ -108,9 +127,9 @@ class TestKlDabakLfd:
         pair = kl_dabak_lfd(STD, SHIFTED, 0.08, 0.08)
         assert abs(pair.meta["u"] - 0.4) < 1e-6
         assert abs(pair.meta["v"] - 0.4) < 1e-6
-        assert abs(pair.meta["q0"].mean - 0.4) < 1e-6
-        assert abs(pair.meta["q1"].mean - 0.6) < 1e-6
-        assert pair.meta["q0"].sigma == 1.0
+        assert abs(pair.q0.mean - 0.4) < 1e-6
+        assert abs(pair.q1.mean - 0.6) < 1e-6
+        assert pair.q0.sigma == 1.0
 
     def test_equal_variance_tilts_are_closed_form(self):
         """Equal sigmas: u = sigma*sqrt(2 eps0)/|dmu| and v alike, exactly,
@@ -134,8 +153,8 @@ class TestKlDabakLfd:
         pair = kl_dabak_lfd(STD, SHIFTED, 0.0, 0.0)
         assert pair.meta["u"] == 0.0
         assert pair.meta["v"] == 0.0
-        assert pair.meta["q0"] == STD
-        assert pair.meta["q1"] == SHIFTED
+        assert pair.q0 == STD
+        assert pair.q1 == SHIFTED
 
     def test_radii_too_large(self):
         """eps = 0.2 gives u = v = sqrt(0.4) and u + v > 1."""
@@ -147,13 +166,14 @@ class TestKlDabakLfd:
         for _ in range(20):
             eps0, eps1 = rng.uniform(1e-4, 0.1, size=2)
             pair = kl_dabak_lfd(STD, SHIFTED, float(eps0), float(eps1))
-            assert abs(gaussian_kl(pair.meta["q0"], STD) - eps0) < 1e-8
-            assert abs(gaussian_kl(pair.meta["q1"], SHIFTED) - eps1) < 1e-8
+            assert abs(gaussian_kl(pair.q0, STD) - eps0) < 1e-8
+            assert abs(gaussian_kl(pair.q1, SHIFTED) - eps1) < 1e-8
 
     def test_normalization_and_identity(self):
         pair = kl_dabak_lfd(STD, SHIFTED, 0.08, 0.08)
-        r0, r1 = pair.normalization_residuals()
-        assert r0 < 1e-8 and r1 < 1e-8
+        assert total_mass_residuals(pair) == (0.0, 0.0)
+        for mass in density_masses(pair, -13.0, 14.0):
+            assert abs(mass - 1.0) < 1e-8
         assert pair_identity_residual(pair) < 1e-12
 
 
@@ -164,7 +184,7 @@ class TestHuberClippedLfd:
         )
         assert pair.meta["c_lo"] == 0.0
         assert pair.meta["c_hi"] == math.inf
-        xs = pair.grid()
+        xs = np.linspace(*pair.support, 2001)
         nominal = SHIFTED.logpdf(xs) - STD.logpdf(xs)
         assert np.max(np.abs(np.asarray(pair.log_lr(xs)) - nominal)) < 1e-12
 
@@ -175,13 +195,37 @@ class TestHuberClippedLfd:
         )
         assert math.isfinite(pair.meta["c_hi"])
         y_lo, y_hi = pair.meta["y_lo"], pair.meta["y_hi"]
-        for logpdf in (pair.q0_logpdf, pair.q1_logpdf):
-            mass = density_integral(
-                lambda y: math.exp(float(logpdf(y))), -13.0, 14.0, points=[y_lo, y_hi]
-            )
+        for mass in density_masses(pair, -13.0, 14.0, points=[y_lo, y_hi]):
             assert abs(mass - 1.0) < 1e-8
-        r0, r1 = pair.normalization_residuals()
-        assert r0 < 1e-8 and r1 < 1e-8
+        r0, r1 = total_mass_residuals(pair)
+        assert r0 < 1e-13 and r1 < 1e-13
+
+    def test_total_mass_is_one_in_closed_form(self):
+        """|Q_j(+inf) - 1| of the closed-form cdfs stays below 1e-13 on
+        seeded radii, zero radii on either or both sides included: the
+        clip constants solve the normalization equations to rounding."""
+        rng = np.random.default_rng(20261019)
+        zero_sides = 0
+        for index in range(200):
+            sigma = float(rng.uniform(0.3, 3.0))
+            mean1 = sigma * float(rng.uniform(0.2, 4.0))
+            eps = [float(e) for e in rng.uniform(0.0, 0.2, size=2)]
+            if index % 4 == 1:
+                eps[0] = 0.0
+            elif index % 4 == 2:
+                eps[1] = 0.0
+            elif index % 4 == 3:
+                eps = [0.0, 0.0]
+            c0 = EpsContaminationClass(GaussianSpec(0.0, sigma), eps[0])
+            c1 = EpsContaminationClass(GaussianSpec(mean1, sigma), eps[1])
+            try:
+                pair = huber_clipped_lfd(c0, c1)
+            except ValueError:
+                continue
+            zero_sides += 0.0 in eps
+            r0, r1 = total_mass_residuals(pair)
+            assert r0 <= 1e-13 and r1 <= 1e-13, (sigma, mean1, eps, r0, r1)
+        assert zero_sides >= 100
 
     def test_log_lr_monotone_for_random_valid_inputs(self):
         rng = np.random.default_rng(3)
@@ -193,7 +237,7 @@ class TestHuberClippedLfd:
                 EpsContaminationClass(GaussianSpec(0.0, sigma), float(eps0)),
                 EpsContaminationClass(GaussianSpec(mu1, sigma), float(eps1)),
             )
-            vals = np.asarray(pair.log_lr(pair.grid()))
+            vals = np.asarray(pair.log_lr(np.linspace(*pair.support, 2001)))
             assert np.all(np.diff(vals) >= 0.0)
 
     def test_identity_with_asymmetric_eps(self):
@@ -258,11 +302,14 @@ class TestHuberClippedLfd:
         )
         y_lo, y_hi = pair.meta["y_lo"], pair.meta["y_hi"]
         for x in (-1.0, 0.2, y_hi, 2.5):
-            direct = pair.q0_cdf(x)
-            integral = density_integral(
-                lambda y: math.exp(float(pair.q0_logpdf(y))), -13.0, x, points=[y_lo]
-            )
-            assert abs(direct - integral) < 1e-10
+            for law, logpdf in zip((pair.q0, pair.q1), lfd_logpdfs(pair)):
+                integral = density_integral(
+                    lambda y: math.exp(float(logpdf(y))),
+                    -13.0,
+                    x,
+                    points=[y for y in (y_lo, y_hi) if y < x],
+                )
+                assert abs(law.cdf(x) - integral) < 1e-10
 
 
 class TestUpperLevelBoundary:
@@ -305,10 +352,7 @@ class TestJointBoundedness:
     def test_lfd_member_gap_is_zero(self):
         pair = gaussian_band_lfd(BAND0, BAND1)
         report = joint_boundedness_check(
-            pair,
-            [CdfMember(pair.q0_cdf)],
-            [CdfMember(pair.q1_cdf)],
-            np.linspace(-8.0, 8.0, 101),
+            pair, [pair.q0], [pair.q1], np.linspace(-8.0, 8.0, 101)
         )
         assert report.holds
         assert report.worst_violation == 0.0
@@ -381,8 +425,7 @@ class TestJointBoundedness:
             built = build_sensor(spec, 0)
             n = (1, 5, 11)[index % 3]
             members0, members1 = built.members(0, n), built.members(1, n)
-            llr = built.pair.log_lr(built.pair.grid())
-            t_min, t_max = float(np.min(llr)), float(np.max(llr))
+            t_min, t_max = built.pair.log_lr_range()
             grids = (
                 np.unique(np.linspace(t_min, t_max, 101)),
                 np.linspace(t_min - 2.0, t_max + 2.0, 101),
@@ -445,7 +488,7 @@ class TestNonMonotoneLogLr:
     @staticmethod
     def _closed_form(pair, member, t):
         """P_member[log q1(Y) - log q0(Y) <= t] from the quadratic's roots."""
-        q0, q1 = pair.meta["q0"], pair.meta["q1"]
+        q0, q1 = pair.q0, pair.q1
         a = 0.5 / q0.sigma**2 - 0.5 / q1.sigma**2
         b = q1.mean / q1.sigma**2 - q0.mean / q0.sigma**2
         c = (
@@ -463,17 +506,16 @@ class TestNonMonotoneLogLr:
     def test_robust_lr_cdf_matches_quadratic_roots(self):
         pair = self.PAIR
         lo, hi = pair.support
-        fx = pair.log_lr(pair.grid())
-        t_min, t_left = float(np.min(fx)), float(pair.log_lr(lo))
-        assert pair.meta["q1"].sigma > pair.meta["q0"].sigma
-        assert lo < pair.grid()[np.argmin(fx)] < hi
+        (t_min, _), t_left = pair.log_lr_range(), float(pair.log_lr(lo))
+        assert pair.q1.sigma > pair.q0.sigma
+        assert lo < pair.log_lr.vertex() < hi
         t_grid = np.linspace(t_min - 1.0, float(pair.log_lr(hi)) + 1.0, 121)
         # empty, two-crossing and one-crossing regimes all sampled
         assert np.sum(t_grid < t_min) >= 5
         assert np.sum((t_grid > t_min) & (t_grid < t_left)) >= 50
         assert np.sum(t_grid > t_left) >= 30
         cuts, segment_levels = cut_log_lr(pair, t_grid)
-        members = (pair.meta["q0"], pair.meta["q1"], GaussianSpec(0.4, 0.8))
+        members = (pair.q0, pair.q1, GaussianSpec(0.4, 0.8))
         for member in members:
             below = np.cumsum(level_masses([member], cuts, segment_levels, len(t_grid) + 1)[0])
             for t, got in zip(t_grid, below[:-1]):
@@ -481,15 +523,61 @@ class TestNonMonotoneLogLr:
 
     def test_lfds_bound_themselves(self):
         pair = self.PAIR
-        fx = pair.log_lr(pair.grid())
         report = joint_boundedness_check(
-            pair,
-            [pair.meta["q0"]],
-            [pair.meta["q1"]],
-            np.linspace(float(np.min(fx)), float(np.max(fx)), 101),
+            pair, [pair.q0], [pair.q1], np.linspace(*pair.log_lr_range(), 101)
         )
         assert report.holds
         assert report.worst_violation == 0.0
+
+
+class TestLogLrRange:
+    """``LfdPair.log_lr_range``: the log-LR at the support ends and at a
+    quadratic's vertex inside the support."""
+
+    def test_clipped_affine_range_is_the_grid_range(self):
+        """Band, contamination and equal-variance KL pairs: the grid's min
+        and max over 2001 support points, bit for bit."""
+        from test_fusion import _random_spec
+
+        from robust_fusion.scenario import build_lfd_pair
+
+        rng = np.random.default_rng(20261021)
+        kinds = ("gaussian-band", "eps-contamination", "kl-ball")
+        for index in range(150):
+            pair = build_lfd_pair(_random_spec(rng, kinds[index % 3], 2), 0)
+            assert not isinstance(pair.log_lr, QuadraticLlr)
+            llr = pair.log_lr(np.linspace(*pair.support, 2001))
+            assert pair.log_lr_range() == (float(np.min(llr)), float(np.max(llr)))
+
+    def test_quadratic_range_covers_a_dense_scan(self):
+        """Seeded unequal-variance KL pairs, vertex inside and outside the
+        support: the range holds every value of a dense scan, and the
+        bound it adds at an inside vertex is attained there."""
+        rng = np.random.default_rng(20261022)
+        seen = {"inside": 0, "outside": 0}
+        for _ in range(200):
+            ratio = float(
+                rng.choice([rng.uniform(0.5, 0.95), rng.uniform(1.05, 2.0), 1.0 + rng.uniform(1e-4, 2e-2)])
+            )
+            p1 = GaussianSpec(float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])), ratio)
+            try:
+                pair = kl_dabak_lfd(STD, p1, *(float(e) for e in rng.uniform(0.0, 0.04, size=2)))
+            except ValueError:
+                continue
+            assert isinstance(pair.log_lr, QuadraticLlr)
+            lo, hi = pair.support
+            t_min, t_max = pair.log_lr_range()
+            scan = np.asarray(pair.log_lr(np.linspace(lo, hi, 200001)))
+            assert t_min <= np.min(scan) and np.max(scan) <= t_max
+            vertex = pair.log_lr.vertex()
+            inside = lo < vertex < hi
+            seen["inside" if inside else "outside"] += 1
+            ends = (float(pair.log_lr(lo)), float(pair.log_lr(hi)))
+            if inside:
+                assert float(pair.log_lr(vertex)) in (t_min, t_max)
+            else:
+                assert (t_min, t_max) == (min(ends), max(ends))
+        assert min(seen.values()) >= 30, seen
 
 
 class TestAffinity:

@@ -86,6 +86,22 @@ class TestScenarioRoundTrip:
         save_scenario(scenario, out)
         assert load_scenario(out).prior0 == scenario.prior0
 
+    @pytest.mark.parametrize("value", [2001, 3, None, 3.9, False, "abc"])
+    def test_grid_points_is_accepted_and_ignored(self, tmp_path, value):
+        """Older files carry ``grid_points``; any value loads, is not kept,
+        and changes no output."""
+        doc = json.loads(make_band_scenario(tmp_path).read_text())
+        plain = {key: v for key, v in doc.items() if key != "grid_points"}
+        scenario = Scenario.from_dict({**doc, "grid_points": value})
+        assert scenario == Scenario.from_dict(plain)
+        assert "grid_points" not in scenario.to_dict()
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**doc, "grid_points": value}))
+        for command in ("lfd", "saddle"):
+            assert main([command, "--scenario", str(path), "--out", str(tmp_path / "old.csv")]) == 0
+            assert main([command, "--scenario", str(tmp_path / "band.json"), "--out", str(tmp_path / "new.csv")]) == 0
+            assert (tmp_path / "old.csv").read_text() == (tmp_path / "new.csv").read_text()
+
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="prior0"):
             Scenario("x", 1.5, ({"kind": "explicit-pmf"},))
@@ -516,7 +532,6 @@ class TestMalformedScenario:
         [
             (("prior0",), None),
             (("seed",), None),
-            (("grid_points",), None),
             (("sensors",), "abc"),
             (("sensors",), {"kind": "explicit-pmf"}),
             (("sensors",), [[1, 2]]),
@@ -538,7 +553,7 @@ class TestMalformedScenario:
             (("sensors", 1, "quantizer", "thresholds"), [True]),
             (("sensors",), [{**TestSpecErrors.GOOD, "pmf0": ["0.8", 0.2]}]),
         ],
-        ids=["null-prior0", "null-seed", "null-grid-points", "string-sensors",
+        ids=["null-prior0", "null-seed", "string-sensors",
              "object-sensors", "list-sensor", "nan-log-threshold", "nan-kl-radius",
              "nan-band-endpoint", "nan-nominal-mean", "inf-band-sigma",
              "numeric-string-seed", "string-seed", "exponent-string-seed",
@@ -581,8 +596,6 @@ class TestMalformedScenario:
             (("seed",), 1.5, "seed: expected an integer, got 1.5"),
             (("seed",), True, "seed: expected an integer, got True"),
             (("seed",), "abc", "seed: expected an integer, got 'abc'"),
-            (("grid_points",), 3.9, "grid_points: expected an integer, got 3.9"),
-            (("grid_points",), False, "grid_points: expected an integer, got False"),
             (("sensors", 0, "quantizer", "num_thresholds"), 2.7,
              "sensor 0: num_thresholds: expected an integer, got 2.7"),
             (("sensors", 0, "quantizer", "num_thresholds"), True,
@@ -590,8 +603,7 @@ class TestMalformedScenario:
             (("sensors", 0), {**TestSpecErrors.GOOD, "levels": [0.5, 1]},
              "sensor 0: levels: expected an integer, got 0.5"),
         ],
-        ids=["fractional-seed", "boolean-seed", "string-seed", "fractional-grid-points",
-             "boolean-grid-points",
+        ids=["fractional-seed", "boolean-seed", "string-seed",
              "fractional-num-thresholds", "boolean-num-thresholds", "fractional-level"],
     )
     def test_integer_fields_are_not_truncated(self, tmp_path, capsys, where, value, message):
@@ -610,10 +622,9 @@ class TestMalformedScenario:
         assert "Traceback" not in err
 
     def test_integral_floats_read_as_integers(self):
-        doc = {**self.DOC, "seed": 7.0, "grid_points": 101.0}
+        doc = {**self.DOC, "seed": 7.0}
         scenario = Scenario.from_dict(doc)
-        assert (scenario.seed, scenario.grid_points) == (7, 101)
-        assert isinstance(scenario.seed, int) and isinstance(scenario.grid_points, int)
+        assert scenario.seed == 7 and isinstance(scenario.seed, int)
         spec = {**TestSpecErrors.GOOD, "levels": [0.0, 1.0]}
         assert build_sensors(Scenario.from_dict({**doc, "sensors": [spec]}))[0].channel.levels == (0, 1)
 
@@ -721,6 +732,46 @@ class TestEqualSpecsBuildOnce:
             assert got.kind == want.kind and got.channel.levels == want.channel.levels
             assert np.array_equal(got.channel.llr, want.channel.llr)
             assert np.array_equal(got.channel.pmf0.probs, want.channel.pmf0.probs)
+
+    def test_saddle_checks_each_distinct_build_once(self, monkeypatch, tmp_path, capsys):
+        """Six equal band sensors share one build, so ``saddle`` probes it,
+        checks its boundedness and reads its member laws once, and writes
+        the CSV and verdict of six separate builds (specs told apart by an
+        ignored key) byte for byte, one boundedness row per sensor."""
+        from robust_fusion import cli
+
+        calls = {"check": 0, "members": 0, "member_laws": 0}
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        count(cli, "joint_boundedness_check", "check")
+        count(scenario_module.BuiltSensor, "members", "members")
+        count(scenario_module.BuiltSensor, "member_laws", "member_laws")
+        outputs = {}
+        for name, specs in (
+            ("shared", [self.BAND] * 6),
+            ("separate", [{**self.BAND, "copy": i} for i in range(6)]),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"scenario_id": "six", "prior0": 0.5, "sensors": specs}))
+            for key in calls:
+                calls[key] = 0
+            out = tmp_path / f"{name}.csv"
+            assert main(["saddle", "--scenario", str(path), "--out", str(out)]) == 0
+            outputs[name] = (out.read_bytes(), capsys.readouterr().out, dict(calls))
+        csv_text, verdict, shared_calls = outputs["shared"]
+        assert (csv_text, verdict) == outputs["separate"][:2]
+        assert shared_calls == {"check": 1, "members": 2, "member_laws": 2}
+        assert outputs["separate"][2] == {"check": 6, "members": 12, "member_laws": 12}
+        rows = csv_text.decode().splitlines()
+        assert [row.split(",")[1:3] for row in rows[1:7]] == [["boundedness", str(i)] for i in range(6)]
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_true_is_not_one(self, first):

@@ -9,7 +9,7 @@ import pytest
 
 from robust_fusion.distributions import AtomPmf, DiscretePmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import (
-    CdfMember,
+    _BATCH_MIN_VALUES,
     ClippedAffineLlr,
     ContaminatedGaussian,
     EpsContaminationClass,
@@ -24,7 +24,6 @@ from robust_fusion.lfd import (
 from robust_fusion.scenario import build_lfd_pair, build_sensor
 from robust_fusion.sensor import (
     Quantizer,
-    RandomizedBinaryRule,
     SensorChannel,
     SensorRule,
     _build_channel,
@@ -33,7 +32,6 @@ from robust_fusion.sensor import (
     channel_from_quantizer,
     default_quantizer,
     llr_monotone_check,
-    member_channel,
     member_laws,
     randomized_binary_admissible,
 )
@@ -48,8 +46,9 @@ from _oracles import (
     member_channel_reference,
     normal_cdf_quadrature,
     quad_level_masses,
+    randomized_binary_laws,
 )
-from test_fusion import _random_spec
+from test_fusion import _random_spec, member_law
 
 EXAMPLE_PAIR = gaussian_band_lfd(
     GaussianBandClass(0.0, 0.0, 1.0), GaussianBandClass(1.0, 1.0, 1.0)
@@ -58,13 +57,18 @@ EXAMPLE_PAIR = gaussian_band_lfd(
 PHI_HALF = 0.6914624612740131
 
 
+def rule_masses(rule: SensorRule, law) -> np.ndarray:
+    """A law's per-level mass under the rule: its one-row level_masses read."""
+    return level_masses([law], rule.cuts, rule.segment_levels, rule.quantizer.num_levels)[0]
+
+
 def lr_level_of(q: Quantizer, lr: float) -> int:
     """Level that ``SensorRule`` gives the observation whose EXAMPLE_PAIR
     likelihood ratio is ``lr`` (log-LR y - 1/2, inverted as the rule does):
     where the rule's mass function puts a point atom at that observation."""
     rule, nominal = SensorRule(EXAMPLE_PAIR, q), GaussianSpec(0.0, 1.0)
     member = ContaminatedGaussian(nominal, 0.5, 0.5 + math.log(lr))
-    return int(np.argmax(rule.masses(member) - 0.5 * rule.masses(nominal)))
+    return int(np.argmax(rule_masses(rule, member) - 0.5 * rule_masses(rule, nominal)))
 
 
 class TestQuantize:
@@ -113,7 +117,7 @@ class TestChannelFromQuantizer:
         q = Quantizer(thresholds)
         ch = channel_from_quantizer(q, EXAMPLE_PAIR)
         bounds = [-13.0, *SensorRule(EXAMPLE_PAIR, q).cuts, 14.0]
-        for logpdf, pmf in ((EXAMPLE_PAIR.q0_logpdf, ch.pmf0), (EXAMPLE_PAIR.q1_logpdf, ch.pmf1)):
+        for logpdf, pmf in ((EXAMPLE_PAIR.q0.logpdf, ch.pmf0), (EXAMPLE_PAIR.q1.logpdf, ch.pmf1)):
             for d in range(len(bounds) - 1):
                 mass = density_integral(
                     lambda y: math.exp(float(logpdf(y))), bounds[d], bounds[d + 1]
@@ -140,7 +144,7 @@ class TestChannelFromQuantizer:
         q = Quantizer((0.5, 1.0, 2.0))
 
         def level_atoms(mean):
-            law = member_channel(GaussianSpec(float(mean), 1.0), SensorRule(pair, q))
+            law = member_law(GaussianSpec(float(mean), 1.0), SensorRule(pair, q))
             return AtomPmf(np.asarray(law.levels, dtype=float), law.probs)
 
         lfd0, lfd1 = level_atoms(0.0), level_atoms(1.0)
@@ -170,11 +174,11 @@ class TestChannelFromQuantizer:
         )
         log_c_hi = float(pair.log_lr(pair.support[1]))
         ch = channel_from_quantizer(Quantizer((math.exp(log_c_hi),)), pair)
-        y_hi = pair.meta["breakpoints"][-1]
-        assert abs(ch.pmf0.probs[0] - pair.q0_cdf(y_hi)) < 1e-12
-        assert abs(ch.pmf1.probs[0] - pair.q1_cdf(y_hi)) < 1e-12
-        assert abs(ch.pmf0.probs[1] - (1.0 - pair.q0_cdf(y_hi))) < 1e-12
-        assert abs(ch.pmf1.probs[1] - (1.0 - pair.q1_cdf(y_hi))) < 1e-12
+        y_hi = pair.meta["y_hi"]
+        assert abs(ch.pmf0.probs[0] - pair.q0.cdf(y_hi)) < 1e-12
+        assert abs(ch.pmf1.probs[0] - pair.q1.cdf(y_hi)) < 1e-12
+        assert abs(ch.pmf0.probs[1] - (1.0 - pair.q0.cdf(y_hi))) < 1e-12
+        assert abs(ch.pmf1.probs[1] - (1.0 - pair.q1.cdf(y_hi))) < 1e-12
 
     def test_zero_mass_levels_dropped_with_warning(self):
         """Thresholds beyond the support leave empty levels behind."""
@@ -199,8 +203,9 @@ class TestChannelFromQuantizer:
             GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.01), 0.03, 0.03
         )
         q = Quantizer((0.5, 1.0, 2.0))
-        assert not bool(np.all(np.diff(np.asarray(curved.log_lr(curved.grid()))) >= 0))
-        assert bool(np.all(np.diff(np.asarray(nearly_affine.log_lr(nearly_affine.grid()))) > 0))
+        for pair, rising in ((curved, False), (nearly_affine, True)):
+            llr = np.asarray(pair.log_lr(np.linspace(*pair.support, 2001)))
+            assert bool(np.all(np.diff(llr) > 0)) == rising
         with pytest.warns(RuntimeWarning, match="zero mass"):
             curved_ch = channel_from_quantizer(q, curved)
         cases = ((curved, curved_ch), (nearly_affine, channel_from_quantizer(q, nearly_affine)))
@@ -215,17 +220,17 @@ class TestChannelFromQuantizer:
         """No log-LR is cut on a grid: a grid passed in raises."""
         pair = kl_dabak_lfd(GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.6), 0.03, 0.03)
         with pytest.raises(ValueError, match="grid must be None"):
-            channel_from_quantizer(Quantizer((1.0,)), pair, pair.grid())
+            channel_from_quantizer(Quantizer((1.0,)), pair, np.linspace(*pair.support, 2001))
 
     def test_lfd_as_member_reproduces_non_monotone_channel(self):
-        """member_channel cuts a non-monotone log-LR where the channel does."""
+        """member_laws cuts a non-monotone log-LR where the channel does."""
         pair = kl_dabak_lfd(GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.6), 0.03, 0.03)
         q = Quantizer((0.5, 1.0, 2.0))
         with pytest.warns(RuntimeWarning, match="zero mass"):
             ch = channel_from_quantizer(q, pair)
-        for cdf, pmf in ((pair.q0_cdf, ch.pmf0), (pair.q1_cdf, ch.pmf1)):
-            member = member_channel(CdfMember(cdf), SensorRule(pair, q), levels=ch.levels)
-            assert np.max(np.abs(member.probs - pmf.probs)) < 1e-12
+        laws = member_laws([pair.q0, pair.q1], SensorRule(pair, q), levels=ch.levels)
+        for law, pmf in zip(laws, (ch.pmf0, ch.pmf1)):
+            assert np.max(np.abs(law - pmf.probs)) < 1e-12
 
 
 def _random_member_spec(rng, kind: str, levels: int) -> dict:
@@ -263,7 +268,7 @@ class TestSensorRule:
         assert ch.levels == (0, 1)
         assert llr_monotone_check(ch)
         member = ContaminatedGaussian(GaussianSpec(-0.5, 1.0), 0.05, pair.support[1])
-        law = member_channel(member, SensorRule(pair, q), levels=ch.levels)
+        law = member_law(member, SensorRule(pair, q), levels=ch.levels)
         assert law.levels == (0, 1)
 
     def test_atom_on_flat_top_stretch_follows_the_cuts(self):
@@ -277,8 +282,8 @@ class TestSensorRule:
         atom = pair.support[1] - 0.5
         assert float(pair.log_lr(atom)) == top
         nominal = GaussianSpec(-0.5, 1.0)
-        law = member_channel(ContaminatedGaussian(nominal, 0.05, atom), rule)
-        stretch = 0.95 * rule.masses(nominal)
+        law = member_law(ContaminatedGaussian(nominal, 0.05, atom), rule)
+        stretch = 0.95 * rule_masses(rule, nominal)
         assert np.array_equal(law.probs, stretch + np.array([0.0, 0.0, 0.05]))
 
     def test_member_laws_match_per_member_reference(self):
@@ -339,11 +344,13 @@ class TestSensorRule:
 
 
 def _one_law_reference(law, cuts, segment_levels, num_levels):
-    """A law's masses by scalar cdf calls only: a Gaussian (or a
-    contaminated member's nominal) is read through ``CdfMember(cdf)``, and
-    a point atom joins the level of the segment past every cut <= atom."""
+    """A law's masses by scalar cdf calls only: the differences of its cdf
+    (or a contaminated member's nominal's) at the cuts, exactly 0 at -inf
+    and 1 at +inf, summed by segment level; a point atom joins the level of
+    the segment past every cut <= atom."""
     base = law.nominal if isinstance(law, ContaminatedGaussian) else law
-    mass = level_masses([CdfMember(base.cdf)], cuts, segment_levels, num_levels)[0]
+    at = [1.0 if c == math.inf else 0.0 if c == -math.inf else base.cdf(c) for c in cuts]
+    mass = np.bincount(segment_levels, np.diff([0.0, *at, 1.0]), num_levels)
     if isinstance(law, ContaminatedGaussian):
         mass = (1.0 - law.eps) * mass
         mass[segment_levels[sum(c <= law.atom for c in cuts)]] += law.eps
@@ -368,7 +375,7 @@ class TestBatchedLevelMasses:
 
     @staticmethod
     def _probes(built, side, rng):
-        """The class probes of one side, the LFD as a CdfMember, and for a
+        """The class probes of one side, the LFD law, and for a
         contamination class point atoms on each finite cut, between cuts
         and outside the support, in shuffled order."""
         laws = built.members(side, int(rng.integers(2, 12))) + built.members(side, 1)
@@ -414,7 +421,8 @@ class TestBatchedLevelMasses:
     def test_infinite_cuts_and_mixed_lists(self):
         """LR thresholds at 0 and above the upper clip level cut at -inf and
         +inf; one list may mix Gaussians, contaminated members (sharing and
-        not sharing a nominal), repeats and cdf-only laws."""
+        not sharing a nominal), repeats and the contamination pair's own
+        laws, which only have a cdf."""
         pair = TestSensorRule.CONTAMINATION
         rule = SensorRule(pair, Quantizer((0.0, 1.0, 20.0)))
         assert rule.cuts[0] == -math.inf and rule.cuts[-1] == math.inf
@@ -422,17 +430,56 @@ class TestBatchedLevelMasses:
         laws = [
             ContaminatedGaussian(nominal, 0.05, 0.2),
             GaussianSpec(1.0, 2.0),
-            CdfMember(pair.q1_cdf),
+            pair.q1,
             nominal,
             ContaminatedGaussian(other, 0.1, -40.0),
             ContaminatedGaussian(nominal, 0.05, 40.0),
             nominal,
-            CdfMember(pair.q0_cdf),
+            pair.q0,
         ]
         self._check(laws, rule.cuts, rule.segment_levels, 4, "mixed")
         self._check(laws[:2] + laws[3:5], rule.cuts, rule.segment_levels, 4, "gaussian-based")
         cuts = (-math.inf, -0.3, 0.4, math.inf)
         self._check(laws, cuts, np.arange(5), 5, "explicit infinite cuts")
+
+    def test_weight_paths_agree_across_the_size_selection(self, monkeypatch):
+        """A read of Gaussians that needs fewer than _BATCH_MIN_VALUES cdf
+        values (distinct laws x cuts) calls each cdf in a loop, a larger one
+        takes the batched erfc map; either gives the scalar reference's
+        bits, at the selection's edge and away from it, infinite cuts
+        included."""
+        import robust_fusion.lfd as lfd
+
+        batched = []
+        original = lfd._gaussian_weights
+
+        def counting(*args):
+            batched.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(lfd, "_gaussian_weights", counting)
+        rng = np.random.default_rng(20261023)
+        seen = {True: 0, False: 0}
+        for num_cuts in (1, 2, 3, 5, 8, 16, 31, 32, 33, 101):
+            cuts = sorted(rng.uniform(-3.0, 3.0, size=num_cuts))
+            if rng.random() < 0.3:
+                cuts[0] = -math.inf
+            if rng.random() < 0.3:
+                cuts[-1] = math.inf
+            edge = -(-_BATCH_MIN_VALUES // num_cuts)  # fewest laws that batch
+            for n in sorted({1, max(1, edge - 1), edge, edge + 1, 2 * edge + 3}):
+                laws = [
+                    GaussianSpec(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.3, 2.0)))
+                    for _ in range(n)
+                ]
+                segment_levels = np.arange(num_cuts + 1)
+                batched.clear()
+                level_masses(laws, cuts, segment_levels, num_cuts + 1)
+                takes_batch = n * num_cuts >= _BATCH_MIN_VALUES
+                assert bool(batched) == takes_batch, (n, num_cuts)
+                seen[takes_batch] += 1
+                self._check(laws, cuts, segment_levels, num_cuts + 1, (n, num_cuts))
+        assert min(seen.values()) >= 10, seen
 
     def test_empty_member_list(self):
         rule = SensorRule(EXAMPLE_PAIR, Quantizer((0.5, 2.0)))
@@ -456,9 +503,9 @@ class TestEqualVarianceKlRule:
             reference = log_density_crossing_cuts(pair, q)
             assert len(rule.cuts) == len(reference) == len(q.thresholds), spec
             assert np.max(np.abs(np.subtract(rule.cuts, reference))) < 1e-12, spec
-            for cdf in (pair.q0_cdf, pair.q1_cdf):
-                ref_mass = np.diff([0.0, *(cdf(c) for c in reference), 1.0])
-                assert np.max(np.abs(rule.masses(CdfMember(cdf)) - ref_mass)) < 1e-14, spec
+            for law in (pair.q0, pair.q1):
+                ref_mass = np.diff([0.0, *(law.cdf(c) for c in reference), 1.0])
+                assert np.max(np.abs(rule_masses(rule, law) - ref_mass)) < 1e-14, spec
 
     def test_unequal_variance_pair_is_cut_at_crossings(self, monkeypatch):
         """sigma1/sigma0 = 1.01: the vertex lies far outside the support, so
@@ -483,9 +530,9 @@ class TestEqualVarianceKlRule:
         reference = log_density_crossing_cuts(pair, q)
         assert len(inside) == len(reference) == len(q.thresholds)
         assert np.max(np.abs(np.subtract(inside, reference))) < 1e-12
-        for cdf in (pair.q0_cdf, pair.q1_cdf):
-            ref_mass = np.diff([0.0, *(cdf(c) for c in reference), 1.0])
-            assert np.max(np.abs(rule.masses(CdfMember(cdf)) - ref_mass)) < 1e-14
+        for law in (pair.q0, pair.q1):
+            ref_mass = np.diff([0.0, *(law.cdf(c) for c in reference), 1.0])
+            assert np.max(np.abs(rule_masses(rule, law) - ref_mass)) < 1e-14
 
 
 class TestQuadraticLlrRule:
@@ -496,7 +543,7 @@ class TestQuadraticLlrRule:
     def _cell_mass(pair, law, t):
         """law's mass between the two roots of log q1 - log q0 = log t
         (sigma1 > sigma0), the roots in 40-digit decimal arithmetic."""
-        q0, q1 = pair.meta["q0"], pair.meta["q1"]
+        q0, q1 = pair.q0, pair.q1
         with localcontext() as ctx:
             ctx.prec = 40
             m0, s0, m1, s1 = (Decimal(x) for x in (q0.mean, q0.sigma, q1.mean, q1.sigma))
@@ -516,7 +563,7 @@ class TestQuadraticLlrRule:
         channel keeps it as level 0, and the cut at s itself (no exp/log
         round trip) reads it as P(log_lr < s)."""
         pair = kl_dabak_lfd(GaussianSpec(0.0, 1.0), GaussianSpec(1.0, 1.6), 0.03, 0.03)
-        q0, q1 = pair.meta["q0"], pair.meta["q1"]
+        q0, q1 = pair.q0, pair.q1
         a = 0.5 / q0.sigma**2 - 0.5 / q1.sigma**2
         b = q1.mean / q1.sigma**2 - q0.mean / q0.sigma**2
         vertex = -b / (2.0 * a)
@@ -565,10 +612,10 @@ class TestQuadraticLlrRule:
                 assert np.max(np.abs(np.subtract(seen, reference))) < 1e-12, (p0, p1)
             oracle = quad_level_masses(pair, q, lo, hi)
             level_sets = lower_level_sets(pair, log_t)
-            for h, cdf in enumerate((pair.q0_cdf, pair.q1_cdf)):
-                masses = rule.masses(CdfMember(cdf))
+            for h, law in enumerate((pair.q0, pair.q1)):
+                masses = rule_masses(rule, law)
                 assert np.max(np.abs(masses - oracle[h])) < 1e-11, (p0, p1, h)
-                below = level_set_masses(cdf, level_sets)
+                below = level_set_masses(law.cdf, level_sets)
                 assert np.max(np.abs(np.subtract(below, np.cumsum(masses)[:-1]))) < 1e-14
 
 
@@ -613,33 +660,29 @@ class TestRandomizedBinaryAdmissible:
 
 
 class TestRandomizedBinaryRule:
-    def test_hard_threshold_matches_quantizer_channel(self):
-        """A 0/1 accept probability reproduces the deterministic split.
+    """Admissibility of the laws a randomized binary rule induces under the
+    LFDs, integrated by the tests' quadrature oracle."""
 
-        The jump limits trapezoid accuracy to the grid step; smooth rules
-        integrate to near machine precision.
-        """
-        rule = RandomizedBinaryRule.from_accept_prob(
-            lambda y: 1.0 if y >= 0.5 else 0.0, EXAMPLE_PAIR
+    def test_hard_threshold_matches_quantizer_channel(self):
+        """A 0/1 accept probability reproduces the deterministic split."""
+        pmf0, pmf1 = randomized_binary_laws(
+            lambda y: 1.0 if y >= 0.5 else 0.0, EXAMPLE_PAIR, jumps=(0.5,)
         )
-        assert abs(rule.pmf0.probs[1] - (1.0 - PHI_HALF)) < 2e-3
-        assert abs(rule.pmf1.probs[1] - PHI_HALF) < 2e-3
-        assert rule.admissible()
+        ch = channel_from_quantizer(Quantizer((1.0,)), EXAMPLE_PAIR)
+        assert np.max(np.abs(pmf0.probs - ch.pmf0.probs)) < 1e-10
+        assert np.max(np.abs(pmf1.probs - ch.pmf1.probs)) < 1e-10
+        assert abs(pmf1.probs[1] - PHI_HALF) < 1e-10
+        assert randomized_binary_admissible(pmf0, pmf1)
 
     def test_smooth_randomized_rule_admissible(self):
-        rule = RandomizedBinaryRule.from_accept_prob(
+        laws = randomized_binary_laws(
             lambda y: 1.0 / (1.0 + math.exp(-2.0 * (y - 0.5))), EXAMPLE_PAIR
         )
-        assert rule.admissible()
+        assert randomized_binary_admissible(*laws)
 
     def test_constant_half_rule_not_admissible(self):
         """A coin flip induces q1(0) + q0(1) = 1 exactly: excluded."""
-        rule = RandomizedBinaryRule.from_accept_prob(lambda y: 0.5, EXAMPLE_PAIR)
-        assert not rule.admissible()
-
-    def test_out_of_range_probability_rejected(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            RandomizedBinaryRule.from_accept_prob(lambda y: 1.5, EXAMPLE_PAIR)
+        assert not randomized_binary_admissible(*randomized_binary_laws(lambda y: 0.5, EXAMPLE_PAIR))
 
 
 class TestDefaultQuantizer:
@@ -704,7 +747,7 @@ class TestChannelBuild:
         for n in range(120):
             kind = ("gaussian-band", "kl-ball", "eps-contamination")[n % 3]
             rule = build_sensor(_random_member_spec(rng, kind, int(rng.integers(2, 6))), 0).rule
-            lfds = [CdfMember(rule.pair.q0_cdf), CdfMember(rule.pair.q1_cdf)]
+            lfds = [rule.pair.q0, rule.pair.q1]
             masses = level_masses(lfds, rule.cuts, rule.segment_levels, rule.quantizer.num_levels)
             levels = range(masses.shape[1])
             if rng.random() < 0.5:  # a level of no mass under one law, or under both
