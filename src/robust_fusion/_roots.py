@@ -1,14 +1,11 @@
-"""Bracketing bisection helpers.
-
-All solvers here are plain bisection: robust, derivative-free and exactly
-reproducible. They are used for one-shot parameter solves (tilt exponents,
-clip constants, mixture quantiles), so robustness matters more than
-iteration count.
-"""
+"""Bracketing root solvers: exactly reproducible bisections for one-shot
+parameter solves (tilts, clip constants, probe scales), and safeguarded
+Newton steps for the mixture quantiles of default thresholds."""
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from typing import Callable, Sequence
 
 
 def solve_increasing(
@@ -53,3 +50,50 @@ def solve_decreasing(
 ) -> float:
     """Solve f(y) = target for nonincreasing f by bisection."""
     return solve_increasing(lambda y: -f(y), lo, hi, -target, tol=tol)
+
+
+def solve_newton(
+    f: Callable[[float], float],
+    df: Callable[[float], float],
+    lo: float,
+    hi: float,
+    targets: Sequence[float],
+) -> list[float]:
+    """Roots of f(y) = t for each of ``targets``, f nondecreasing with
+    derivative ``df``, by Newton steps from the midpoint of [lo, hi] (read
+    once for all targets). The bracket must hold every root; it is trusted,
+    not read. A step that would leave a target's bracket, or that is longer
+    than half the step before the last, bisects it instead (``rtsafe``). A
+    root is returned after a step shorter than 1e-10 * max(1, |y|), or once
+    its bracket is narrower than 1e-13 * max(1, |y|).
+    """
+    mid = 0.5 * (lo + hi)
+    at_mid = f(mid), df(mid)
+    roots = []
+    for target in targets:
+        a, b, y = lo, hi, mid
+        value, slope = at_mid
+        last = before = hi - lo  # the last two steps
+        for _ in range(200):
+            r = value - target
+            if r == 0.0:
+                break
+            if r < 0.0:
+                a = y
+            else:
+                b = y
+            newton = -r / slope if slope > 0.0 else math.inf
+            if abs(newton) <= 1e-10 * max(1.0, abs(y)):
+                y += newton
+                break
+            if a < y + newton < b and abs(newton) <= 0.5 * abs(before):
+                before, last = last, newton
+            else:
+                before, last = last, 0.5 * (b - a)
+                y = a
+            y += last
+            if b - a <= 1e-13 * max(1.0, abs(y)):
+                break
+            value, slope = f(y), df(y)
+        roots.append(y)
+    return roots

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Mass tolerance for pmf normalization checks.
@@ -49,9 +50,9 @@ class GaussianSpec:
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
 
-    def pdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.mean) / self.sigma
-        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+    def pdf(self, x: float) -> float:
+        z = (x - self.mean) / self.sigma
+        return math.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI)
 
     def logpdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mean) / self.sigma

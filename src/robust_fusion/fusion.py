@@ -571,9 +571,10 @@ class _ThresholdObjective:
     thresholds are not a valid quantizer, so each distinct sensor design is
     built (and validated) once, also when two log thresholds round to one
     LR value.
-    An evaluation folds the K parts afresh in sensor order, so every value
-    is bit-identical to building all K channels and folding each law from
-    scratch. The memo belongs to the instance; ``optimize_thresholds``
+    A second memo maps a configuration's LR thresholds to its scan. A scan
+    folds the K parts afresh in sensor order, so every value is
+    bit-identical to building all K channels and folding each law from
+    scratch. The memos belong to the instance; ``optimize_thresholds``
     makes one per call.
     """
 
@@ -581,6 +582,7 @@ class _ThresholdObjective:
         self.pairs = list(pairs)
         self.prior0 = prior0
         self._built: dict[tuple[int, tuple[float, ...]], SensorChannel | None] = {}
+        self._scans: dict[tuple, tuple[np.ndarray, np.ndarray] | None] = {}
 
     def build(self, i: int, log_thresholds: Sequence[float]) -> SensorChannel | None:
         """Sensor i at ``log_thresholds``; None when they are invalid."""
@@ -607,13 +609,28 @@ class _ThresholdObjective:
             parts.append(build.part)
         return LlrSumLaw(_POINT_ZERO, convolve_many([p.finite for p in parts]), _forced_one(parts))
 
+    def scan(
+        self, all_log_thresholds: Sequence[Sequence[float]]
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The ``_REPLY_TAUS`` lowest-P_E (log fusion threshold, P_E) pairs of
+        :func:`_threshold_errors`, in stable order; None when invalid."""
+        key = tuple(tuple(math.exp(t) for t in coords) for coords in all_log_thresholds)
+        if key not in self._scans:
+            law = self.law(all_log_thresholds)
+            if law is None:
+                self._scans[key] = None
+            else:
+                taus, p_e = _threshold_errors(law, self.prior0)
+                order = np.argsort(p_e, kind="stable")[:_REPLY_TAUS]
+                self._scans[key] = taus[order], p_e[order]
+        return self._scans[key]
+
     def evaluate(self, all_log_thresholds: Sequence[Sequence[float]]) -> tuple[float, float]:
         """Returns (p_error, best log fusion threshold); inf when invalid."""
-        law = self.law(all_log_thresholds)
-        if law is None:
+        scan = self.scan(all_log_thresholds)
+        if scan is None:
             return math.inf, 0.0
-        tau, p_e = _best_threshold(law, self.prior0)
-        return p_e, tau
+        return float(scan[1][0]), float(scan[0][0])
 
     def best_response(
         self,
@@ -633,10 +650,8 @@ class _ThresholdObjective:
         if it strictly lowers P_E. The configuration must be valid.
         """
         conf = [tuple(coords) for coords in all_log_thresholds]
-        taus, p_e = _threshold_errors(self.law(conf), self.prior0)
-        order = np.argsort(p_e, kind="stable")
-        best = (float(p_e[order[0]]), float(taus[order[0]]), conf[i])
-        taus = taus[order[:_REPLY_TAUS]]
+        taus, p_e = self.scan(conf)
+        best = (float(p_e[0]), float(taus[0]), conf[i])
         builds = [self.build(j, coords) for j, coords in enumerate(conf)]
         others = [b.part for b in builds[:i] + builds[i + 1 :]]
         llr = builds[i].llr
@@ -859,7 +874,8 @@ def k_sweep(
     needs, and K reads its halves off entries K // 2 and K - K // 2. Those
     are the halves of :func:`llr_sum_law`, so each report equals
     ``exact_error`` of the K-sensor network with ``cross_check=False``.
-    Counts run in ascending order, so entries below K // 2 are dropped.
+    Counts run in ascending order, so entries below K // 2 are dropped, and
+    the products of :func:`_forced_one` run on, a factor per added sensor.
     """
     if np.max(np.abs(template.pmf0.probs - template.pmf1.probs)) <= 1e-12:
         raise ValueError("uninformative sensor template: pmf0 equals pmf1")
@@ -869,12 +885,16 @@ def k_sweep(
     net = NetworkModel((template,), prior0, log_threshold)
     part = template.part
     fold = [_POINT_ZERO, part.finite]
+    factor = np.array([part.no_minus, part.finite_mass])
+    products, count = np.ones_like(factor), 0  # no_minus and finite_mass over `count` sensors
     reports = {}
     for k in sorted(set(ks)):
         half = k // 2
         while len(fold) <= k - half:
             fold.append(convolve(fold[-1], part.finite))
-        law = LlrSumLaw(fold[half], fold[k - half], _forced_one([part] * k))
+        while count < k:
+            products, count = products * factor, count + 1
+        law = LlrSumLaw(fold[half], fold[k - half], products[0] - products[1])
         p_f, p_one = law.prob_decide_one(net.log_threshold).tolist()
         p_m = 1.0 - p_one
         fold[:half] = [None] * half

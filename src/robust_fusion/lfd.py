@@ -180,6 +180,12 @@ class CensoredGaussian:
             val += (self.p1.cdf(x) - self.p1.cdf(self.split)) / self.hi_div
         return (1.0 - self.eps) * val
 
+    def pdf(self, x: float) -> float:
+        """The density; continuous, as the LR at ``split`` is the clip constant."""
+        if x <= self.split:
+            return (1.0 - self.eps) * self.lo_weight * self.p0.pdf(x)
+        return (1.0 - self.eps) * self.p1.pdf(x) / self.hi_div
+
 
 @dataclass(frozen=True)
 class ClippedAffineLlr:

@@ -186,10 +186,11 @@ def _classes(spec: dict) -> tuple:
     )
 
 
+# each constructor is looked up when called, so a rebinding of its name reaches it
 _LFD = {
-    "gaussian-band": gaussian_band_lfd,
+    "gaussian-band": lambda c0, c1: gaussian_band_lfd(c0, c1),
     "kl-ball": lambda c0, c1: kl_dabak_lfd(c0.nominal, c1.nominal, c0.radius, c1.radius),
-    "eps-contamination": huber_clipped_lfd,
+    "eps-contamination": lambda c0, c1: huber_clipped_lfd(c0, c1),
 }
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._roots import solve_increasing
+from ._roots import solve_newton
 from .distributions import AtomPmf, DiscretePmf, _check_law, _unchecked
 from .lfd import LfdPair, cut_log_lr, level_masses
 
@@ -225,7 +225,8 @@ def default_quantizer(pair: LfdPair, num_thresholds: int) -> Quantizer:
 
     Places the d-th threshold at LR(y_d), where y_d is the observation
     whose equal-mixture probability P[(Q0+Q1)/2 <= y_d] equals d / (D + 1).
-    These are mixture quantiles of the robust LR itself only when the
+    Newton steps on the mixture's cdf and density solve them together
+    (:func:`~robust_fusion._roots.solve_newton`). These are mixture quantiles of the robust LR itself only when the
     log-LR is nondecreasing; a quadratic one (unequal-variance KL pair)
     maps the y-quantiles to other LR values, and when the quantiles
     straddle its turning point the LRs are not increasing, which raises
@@ -235,12 +236,12 @@ def default_quantizer(pair: LfdPair, num_thresholds: int) -> Quantizer:
         raise ValueError("num_thresholds must be >= 0")
     if num_thresholds == 0:
         return Quantizer(())
-    lo, hi = pair.support
-    mix_cdf = lambda y: 0.5 * (pair.q0.cdf(y) + pair.q1.cdf(y))
-    thresholds = []
-    for d in range(1, num_thresholds + 1):
-        y = solve_increasing(mix_cdf, lo, hi, d / (num_thresholds + 1.0), tol=1e-12)
-        thresholds.append(math.exp(float(pair.log_lr(y))))
+    q0, q1 = pair.q0, pair.q1
+    mix_cdf = lambda y: 0.5 * (q0.cdf(y) + q1.cdf(y))
+    mix_pdf = lambda y: 0.5 * (q0.pdf(y) + q1.pdf(y))
+    targets = [d / (num_thresholds + 1.0) for d in range(1, num_thresholds + 1)]
+    ys = solve_newton(mix_cdf, mix_pdf, *pair.support, targets)
+    thresholds = [math.exp(v) for v in pair.log_lr(np.array(ys)).tolist()]
     steps = list(zip(thresholds, thresholds[1:]))
     if any(b < a for a, b in steps):
         raise ValueError(

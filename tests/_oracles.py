@@ -600,6 +600,19 @@ def joint_boundedness_reference(pair, class0_members, class1_members, t_grid, to
     return holds, worst, None if holds else witness
 
 
+def mixture_quantile_reference(pair, p: float) -> float:
+    """The first float of the pair's support where the equal-mixture cdf
+    0.5 * (Q0 + Q1) reaches p, bisected to adjacent floats."""
+    a, b = pair.support
+    while a < 0.5 * (a + b) < b:
+        m = 0.5 * (a + b)
+        if 0.5 * (pair.q0.cdf(m) + pair.q1.cdf(m)) < p:
+            a = m
+        else:
+            b = m
+    return b
+
+
 def huber_clip_reference(c0, c1):
     """(c_lo, c_hi) of ``lfd.huber_clipped_lfd`` from the normalization
     equations written in numpy scalars, on the same bracket, solver and

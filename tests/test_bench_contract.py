@@ -6,10 +6,12 @@ that reads 0, or a hook that raises). This file only reads ``perfbench/``.
 
 import importlib.util
 import inspect
+import math
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import robust_fusion
@@ -28,9 +30,10 @@ HOOK_PARAMETERS = {
 
 def _load(name: str):
     """A perfbench module loaded from its file, without touching sys.path
-    or writing a bytecode cache next to it."""
+    or writing a bytecode cache next to it. It is registered in
+    sys.modules under its ``perfbench_`` name, as dataclasses require."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         spec.loader.exec_module(module)
@@ -82,3 +85,38 @@ def test_workload_references_resolve():
     assert names
     for module, name in names:
         assert hasattr(getattr(robust_fusion, module), name), (module, name)
+
+
+def test_default_thresholds_agree_with_the_benchmark_oracle():
+    """On seeded specs of each robust kind, ``default_quantizer``'s log
+    thresholds are within 1e-11 of ``oracle.default_log_thresholds``, far
+    inside the benchmark's own 1e-8 check."""
+    from robust_fusion.scenario import build_lfd_pair
+    from robust_fusion.sensor import default_quantizer
+
+    oracle = _load("oracle")
+    rng = np.random.default_rng(11)
+    compared = 0
+    for _ in range(8):
+        sigma, center = rng.uniform(0.7, 1.4), rng.uniform(-0.5, 0.5)
+        gap = rng.uniform(0.6, 2.0) * sigma
+        lo, hi = center - 0.5 * gap, center + 0.5 * gap
+        nominals = {"nominal0": {"mean": lo, "sigma": sigma}, "nominal1": {"mean": hi, "sigma": sigma}}
+        specs = [
+            {
+                "kind": "gaussian-band",
+                "band0": {"mu_lo": lo - rng.uniform(0.2, 1.0) * sigma, "mu_hi": lo},
+                "band1": {"mu_lo": hi, "mu_hi": hi + rng.uniform(0.2, 1.0) * sigma},
+                "sigma": sigma,
+            },
+            {"kind": "kl-ball", **nominals, "eps0": rng.uniform(0.005, 0.04), "eps1": rng.uniform(0.005, 0.04)},
+            {"kind": "eps-contamination", **nominals, "eps0": rng.uniform(0.01, 0.08), "eps1": rng.uniform(0.01, 0.08)},
+        ]
+        for spec in specs:
+            pair, reference = build_lfd_pair(spec, 0), oracle.PAIR_BUILDERS[spec["kind"]](spec)
+            for num in (1, 2, 3):
+                got = [math.log(t) for t in default_quantizer(pair, num).thresholds]
+                want = oracle.default_log_thresholds(reference, num)
+                assert np.max(np.abs(np.subtract(got, want))) <= 1e-11, (spec, num)
+                compared += 1
+    assert compared == 8 * 3 * 3

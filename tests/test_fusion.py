@@ -1729,6 +1729,29 @@ class TestKSweep:
                 for name in ("p_false_alarm", "p_miss", "p_error"):
                     assert abs(getattr(report, name) - getattr(expected, name)) <= 1e-12
 
+    def test_running_products_equal_forced_one(self, monkeypatch):
+        """For K = 1..200 the forced-1 mass equals ``_forced_one`` of K
+        copies of the template's part, with ==, for SYM02, a template with
+        ±inf LLR levels and a 4-level band template."""
+        built, law = [], fusion.LlrSumLaw
+
+        def recording(left, right, forced_one):
+            built.append(forced_one)
+            return law(left, right, forced_one)
+
+        monkeypatch.setattr(fusion, "LlrSumLaw", recording)
+        band = channel_from_quantizer(default_quantizer(BAND_PAIR, 3), BAND_PAIR)
+        sentinel = channel_from_pmfs(
+            pmf_from_weights([0, 1, 2, 3], [0.3, 0.4, 0.3, 0.0]),
+            pmf_from_weights([0, 1, 2, 3], [0.0, 0.3, 0.4, 0.3]),
+        )
+        for template in (SYM02, band, sentinel):
+            built.clear()
+            k_sweep(template, range(200, 0, -1), 0.5)
+            assert len(built) == 200
+            for k, forced_one in enumerate(built, start=1):
+                assert np.array_equal(forced_one, fusion._forced_one([template.part] * k)), k
+
     def test_folds_once_for_all_counts(self, monkeypatch):
         """K = 1..200 costs one fold, for both hypotheses, up to K = 100."""
         sizes = _record_convolutions(monkeypatch)

@@ -679,6 +679,53 @@ class TestOneRulePerSensor:
         assert len(calls) == 2 * len(kl)
 
 
+class TestLfdConstructorLookup:
+    SPECS = {
+        "gaussian_band_lfd": {
+            "kind": "gaussian-band",
+            "band0": {"mu_lo": -1.0, "mu_hi": 0.0},
+            "band1": {"mu_lo": 1.0, "mu_hi": 2.0},
+            "sigma": 1.0,
+            "quantizer": {"num_thresholds": 1},
+        },
+        "kl_dabak_lfd": {
+            "kind": "kl-ball",
+            "nominal0": {"mean": 0.0, "sigma": 1.0},
+            "nominal1": {"mean": 1.0, "sigma": 1.0},
+            "eps0": 0.02,
+            "eps1": 0.02,
+            "quantizer": {"num_thresholds": 1},
+        },
+        "huber_clipped_lfd": {
+            "kind": "eps-contamination",
+            "nominal0": {"mean": 0.0, "sigma": 1.0},
+            "nominal1": {"mean": 1.0, "sigma": 1.0},
+            "eps0": 0.05,
+            "eps1": 0.05,
+            "quantizer": {"num_thresholds": 1},
+        },
+    }
+
+    def test_each_kind_reaches_its_rebound_constructor(self, monkeypatch):
+        """``build_lfd_pair`` and ``build_sensor`` call each LFD constructor
+        by its name in the scenario module at call time, so a wrapper bound
+        to that name (as a span tracer binds one) sees every build."""
+        calls = []
+        for name in self.SPECS:
+            original = getattr(scenario_module, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(scenario_module, name, counting)
+        for name, spec in self.SPECS.items():
+            calls.clear()
+            assert isinstance(scenario_module.build_lfd_pair(spec, 0), lfd.LfdPair)
+            build_sensor(spec, 0)
+            assert calls == [name, name]
+
+
 class TestEqualSpecsBuildOnce:
     BAND = {
         "kind": "gaussian-band",

@@ -14,6 +14,7 @@ from robust_fusion.lfd import (
     ContaminatedGaussian,
     EpsContaminationClass,
     GaussianBandClass,
+    LfdPair,
     QuadraticLlr,
     cut_log_lr,
     gaussian_band_lfd,
@@ -44,6 +45,7 @@ from _oracles import (
     lower_level_sets,
     lr_level,
     member_channel_reference,
+    mixture_quantile_reference,
     normal_cdf_quadrature,
     quad_level_masses,
     randomized_binary_laws,
@@ -695,6 +697,103 @@ class TestDefaultQuantizer:
 
     def test_zero_levels(self):
         assert default_quantizer(EXAMPLE_PAIR, 0).thresholds == ()
+
+    @staticmethod
+    def _seeded_pairs():
+        """Band, equal- and unequal-variance KL and contamination pairs whose
+        nominal means are 0.5 to 3 sigma apart, after a KL pair whose log-LR
+        turns between its quantiles and a contamination pair whose clipped
+        stretch holds two of them."""
+        std = GaussianSpec(0.0, 1.0)
+        pairs = [
+            kl_dabak_lfd(std, GaussianSpec(0.3, 2.0), 0.01, 0.01),
+            huber_clipped_lfd(
+                EpsContaminationClass(std, 0.2), EpsContaminationClass(GaussianSpec(1.0, 1.0), 0.2)
+            ),
+        ]
+        rng = np.random.default_rng(24)
+        for _ in range(6):
+            sigma, center = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+            lo, hi = center + np.array([-0.5, 0.5]) * rng.uniform(0.5, 3.0) * sigma
+            p0, p1 = GaussianSpec(lo, sigma), GaussianSpec(hi, sigma)
+            eps0, eps1 = rng.uniform(0.002, 0.04, size=2)
+            pairs += [
+                gaussian_band_lfd(
+                    GaussianBandClass(lo - rng.uniform(0.0, 1.0), lo, sigma),
+                    GaussianBandClass(hi, hi + rng.uniform(0.0, 1.0), sigma),
+                ),
+                kl_dabak_lfd(p0, p1, eps0, eps1),
+                kl_dabak_lfd(p0, GaussianSpec(hi, sigma * rng.uniform(0.5, 2.0)), eps0, eps1),
+                huber_clipped_lfd(
+                    EpsContaminationClass(p0, 2.0 * eps0), EpsContaminationClass(p1, 2.0 * eps1)
+                ),
+            ]
+        return pairs
+
+    def test_quantiles_match_adjacent_float_bisection(self, monkeypatch):
+        """Each mixture quantile is within 1e-13 * max(1, |y|) of the
+        bisection to adjacent floats; the thresholds rise strictly, or
+        default_quantizer raises the ValueError that the reference
+        quantiles call for."""
+        import robust_fusion.sensor as sensor
+
+        solved, sensor_solve = [], sensor.solve_newton
+
+        def recording(f, df, lo, hi, targets):
+            roots = sensor_solve(f, df, lo, hi, targets)
+            solved.extend(zip(targets, roots))
+            return roots
+
+        monkeypatch.setattr(sensor, "solve_newton", recording)
+        raised = set()
+        for pair in self._seeded_pairs():
+            for num in range(1, 5):
+                solved.clear()
+                try:
+                    got = default_quantizer(pair, num).thresholds
+                except ValueError as exc:
+                    got = exc
+                assert [target for target, _ in solved] == [d / (num + 1.0) for d in range(1, num + 1)]
+                ys = [mixture_quantile_reference(pair, target) for target, _ in solved]
+                for (_, y), ref in zip(solved, ys):
+                    assert abs(y - ref) <= 1e-13 * max(1.0, abs(ref)), (pair.meta["kind"], num)
+                want = [math.exp(float(pair.log_lr(y))) for y in ys]
+                steps = list(zip(want, want[1:]))
+                if any(b < a for a, b in steps):
+                    assert isinstance(got, ValueError) and "not monotone" in str(got)
+                    raised.add("not monotone")
+                elif any(b == a for a, b in steps):
+                    assert isinstance(got, ValueError) and "flat LR region" in str(got)
+                    raised.add("flat")
+                else:
+                    assert not isinstance(got, ValueError), got
+                    assert all(b > a for a, b in zip(got, got[1:]))
+        assert raised == {"not monotone", "flat"}
+
+    def test_at_most_eight_cdf_reads_per_threshold(self):
+        """The mixture cdf is read at most 8 times per threshold (a bisection
+        of the support to 1e-12 reads it about 46 times)."""
+
+        class Counting:
+            def __init__(self, law):
+                self.law, self.reads = law, 0
+
+            def cdf(self, x):
+                self.reads += 1
+                return self.law.cdf(x)
+
+            def pdf(self, x):
+                return self.law.pdf(x)
+
+        for pair in self._seeded_pairs():
+            for num in range(1, 5):
+                q0 = Counting(pair.q0)
+                counted = LfdPair(q0, pair.q1, pair.log_lr, pair.support, pair.meta)
+                try:
+                    default_quantizer(counted, num)
+                except ValueError:
+                    pass
+                assert q0.reads <= 8 * num, (pair.meta["kind"], num, q0.reads)
 
 
 class TestSensorChannelValidation:
