@@ -88,9 +88,9 @@ class DiscretePmf:
 
 def _check_law(probs: np.ndarray) -> None:
     """Raise ValueError unless ``probs`` are nonnegative (so not NaN) and sum to 1."""
-    if not np.all(probs >= 0.0):
+    if not (probs >= 0.0).all():
         raise ValueError("probabilities must be nonnegative")
-    total = float(np.sum(probs))
+    total = float(probs.sum())
     if not abs(total - 1.0) <= MASS_TOL:
         raise ValueError(f"probabilities must sum to 1 within {MASS_TOL}, got {total!r}")
 
@@ -179,5 +179,5 @@ class AtomPmf:
 
     @property
     def total_mass(self) -> float | np.ndarray:  # one per mass row
-        return np.sum(self.masses, axis=-1)
+        return self.masses.sum(axis=-1)
 

@@ -156,10 +156,12 @@ class LlrSumLaw:
         cut = (np.asarray(tau)[..., None] + TIE_TOL) - self.left.atoms
         at = self.right.atoms.searchsorted(cut, side="right")
         rows = np.atleast_2d(self.right.masses)
+        tails = np.zeros((len(rows), rows.shape[1] + 1))  # mass at and above each atom
+        tails[:, :-1] = rows[:, ::-1].cumsum(axis=1)[:, ::-1]
         lefts = np.atleast_2d(self.left.masses)  # one row serves all
         p_one = np.array([
-            f + np.dot(np.concatenate([r[::-1].cumsum()[::-1], [0.0]])[at], lefts[i % len(lefts)])
-            for i, (f, r) in enumerate(zip(np.reshape(self.forced_one, -1), rows))
+            f + np.dot(t[at], lefts[i % len(lefts)])
+            for i, (f, t) in enumerate(zip(np.reshape(self.forced_one, -1), tails))
         ])
         if self.right.masses.ndim == 2:
             return p_one
@@ -470,7 +472,7 @@ class DesignResult:
     ``best_response_gain`` is the P_E that one further person-by-person
     sweep from this design gains, the certificate of person-by-person
     optimality; a converged design's last sweep gained less than 1e-12.
-    ``sweeps`` counts the person-by-person sweeps of all three starts,
+    ``sweeps`` counts the person-by-person sweeps of all starts,
     without that certificate sweep, and ``accelerated`` the extrapolated
     (Anderson) steps that passed the P_E safeguard and were taken.
     """
@@ -519,42 +521,47 @@ def _fuse_one_given_level(
 
 
 def _envelope_cuts(
-    a0: np.ndarray, a1: np.ndarray, prior0: float, bracket: tuple[float, float], num: int
-) -> tuple[float, ...]:
-    """Log thresholds of the sensor's Bayes reply to a fixed fusion map.
+    a: np.ndarray, prior0: float, bracket: tuple[float, float], num: int
+) -> list[tuple[float, ...]]:
+    """Log thresholds of the sensor's Bayes reply to each fixed fusion map a[r].
 
-    Level d costs prior0 * a0[d] - (1 - prior0) * L * a1[d] at LR value L,
-    where a_h[d] = P_h(fuse 1 | level d). The reply sends each L to the
-    cheapest level, so its thresholds are the breakpoints of the lower
-    envelope of these lines, read from the bracket's low end up; breakpoints
-    outside the bracket are dropped. While fewer than ``num`` remain, the
-    widest log-LR cell between the bracket ends is split at its midpoint: a
-    finer quantizer under a re-optimized fusion never raises P_E, and a
-    collapsed sensor gets its levels back.
+    Level d costs prior0 * a[r, 0, d] - (1 - prior0) * L * a[r, 1, d] at LR
+    value L, where a[r, h, d] = P_h(fuse 1 | level d). The reply sends each L
+    to the cheapest level, so its thresholds are the breakpoints of the lower
+    envelope of these lines, walked in all maps at once from the bracket's low
+    end up; breakpoints outside the bracket are dropped. While fewer than
+    ``num`` remain, the first widest log-LR cell between the bracket ends is
+    split at its midpoint: a finer quantizer under a re-optimized fusion never
+    raises P_E, and a collapsed sensor gets its levels back.
     """
     lo, hi = bracket
-    pi1 = 1.0 - prior0
+    rows = np.arange(len(a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.array([prior0, 1.0 - prior0])[:, None, None]
+        logs = np.log(weights * (a[:, :, None] - a[..., None]))
+        cross = logs[:, 0] - logs[:, 1]  # [r, j, k]: where line k crosses line j
+    cross[np.isnan(cross)] = -math.inf
+    cross[a[:, 1, None] <= a[:, 1, :, None]] = math.inf  # line k is not steeper
     # lowest line at the low end; on a tie the steeper one, which stays lower
-    order = np.lexsort((-a1, prior0 * a0 - pi1 * a1 * math.exp(lo)))
-    cur, at, cuts = int(order[0]), lo, []
-    while True:
-        up = np.flatnonzero(a1 > a1[cur])
-        if not up.size:
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = np.log(prior0 * (a0[up] - a0[cur])) - np.log(pi1 * (a1[up] - a1[cur]))
-        cross = np.maximum(np.where(np.isnan(cross), -math.inf, cross), at)
-        k = int(np.lexsort((-a1[up], cross))[0])
-        if cross[k] >= hi:
-            break
-        if cross[k] > at:
-            cuts.append(float(cross[k]))
-        cur, at = int(up[k]), float(cross[k])
-    while len(cuts) < num:
-        edges = [lo, *cuts, hi]
-        k = int(np.argmax(np.diff(edges)))
-        cuts.insert(k, 0.5 * (edges[k] + edges[k + 1]))
-    return tuple(cuts)
+    cur = np.lexsort((-a[:, 1], prior0 * a[:, 0] - (1.0 - prior0) * a[:, 1] * math.exp(lo)))[:, 0]
+    at = np.full(len(a), lo)  # at or past hi once a map's walk has ended
+    found = np.full((len(a), a.shape[2] - 1), hi)
+    for step in range(found.shape[1]):  # the current line gets steeper each step
+        x = np.maximum(cross[rows, cur], at[:, None])
+        cur = np.lexsort((-a[:, 1], x))[:, 0]  # on a tie the steeper line
+        x = x[rows, cur]
+        found[:, step] = np.where((at < x) & (x < hi), x, hi)
+        at = x
+    replies = []
+    for cuts in found.tolist():
+        cuts = [x for x in cuts if x < hi]
+        while len(cuts) < num:
+            edges = [lo, *cuts, hi]
+            widths = [right - left for left, right in zip(edges, edges[1:])]
+            k = widths.index(max(widths))
+            cuts.insert(k, 0.5 * (edges[k] + edges[k + 1]))
+        replies.append(tuple(cuts))
+    return replies
 
 
 def _unique_rows(a: np.ndarray) -> np.ndarray:
@@ -574,7 +581,8 @@ class _ThresholdObjective:
     A second memo maps a configuration's LR thresholds to its scan. A scan
     folds the K parts afresh in sensor order, so every value is
     bit-identical to building all K channels and folding each law from
-    scratch. The memos belong to the instance; ``optimize_thresholds``
+    scratch. A third maps (sensor, log thresholds, bracket) to its best
+    response. The memos belong to the instance; ``optimize_thresholds``
     makes one per call.
     """
 
@@ -583,6 +591,7 @@ class _ThresholdObjective:
         self.prior0 = prior0
         self._built: dict[tuple[int, tuple[float, ...]], SensorChannel | None] = {}
         self._scans: dict[tuple, tuple[np.ndarray, np.ndarray] | None] = {}
+        self._replies: dict[tuple, tuple] = {}
 
     def build(self, i: int, log_thresholds: Sequence[float]) -> SensorChannel | None:
         """Sensor i at ``log_thresholds``; None when they are invalid."""
@@ -649,7 +658,10 @@ class _ThresholdObjective:
         up to (D+1)^K. Each distinct reply is scored exactly and kept only
         if it strictly lowers P_E. The configuration must be valid.
         """
-        conf = [tuple(coords) for coords in all_log_thresholds]
+        conf = tuple(tuple(coords) for coords in all_log_thresholds)
+        key = (i, conf, bracket)
+        if key in self._replies:
+            return self._replies[key]
         taus, p_e = self.scan(conf)
         best = (float(p_e[0]), float(taus[0]), conf[i])
         builds = [self.build(j, coords) for j, coords in enumerate(conf)]
@@ -658,8 +670,8 @@ class _ThresholdObjective:
         a = np.broadcast_to(_fuse_one_given_level(others, llr, taus), (2, len(taus), len(llr)))
         trial = list(conf)
         tried = {conf[i]}
-        for a0, a1 in _unique_rows(np.concatenate(a, axis=1)).reshape(-1, 2, len(llr)):
-            cuts = _envelope_cuts(a0, a1, self.prior0, bracket, len(conf[i]))
+        maps = _unique_rows(np.concatenate(a, axis=1)).reshape(-1, 2, len(llr))
+        for cuts in _envelope_cuts(maps, self.prior0, bracket, len(conf[i])):
             if cuts in tried:
                 continue
             tried.add(cuts)
@@ -667,6 +679,7 @@ class _ThresholdObjective:
             p_e, tau = self.evaluate(trial)
             if p_e < best[0]:
                 best = (p_e, tau, cuts)
+        self._replies[key] = best
         return best
 
 
@@ -786,17 +799,21 @@ def _screened_error(
 def _starts(
     pairs: Sequence[LfdPair], num_levels: Sequence[int], brackets: Sequence[tuple[float, float]]
 ) -> list[list[list[float]]]:
-    """The three initial log-threshold configurations of :func:`optimize_thresholds`:
-    equal-mixture quantiles, LR = 1 centered, and seeded random."""
+    """The initial log-threshold configurations of :func:`optimize_thresholds`:
+    equal-mixture quantiles (unless refused), LR = 1 centered, and seeded random."""
     rng = np.random.default_rng(0)
-    return [
-        [[math.log(t) for t in default_quantizer(p, d).thresholds] for p, d in zip(pairs, num_levels)],
+    starts = [
         [[0.0] if d == 1 else list(np.linspace(-0.5, 0.5, d)) for d in num_levels],
         [
             sorted(float(v) for v in rng.uniform(lo + 0.1, hi - 0.1, size=d))
             for (lo, hi), d in zip(brackets, num_levels)
         ],
     ]
+    try:
+        quantizers = [default_quantizer(p, d) for p, d in zip(pairs, num_levels)]
+    except ValueError:  # a log-LR that turns between two quantiles
+        return starts
+    return [[[math.log(t) for t in q.thresholds] for q in quantizers], *starts]
 
 
 def optimize_thresholds(
@@ -810,7 +827,8 @@ def optimize_thresholds(
     sensor's quantizer, in turn, by its best response to the others and
     to the LLR fusion test, and the fusion threshold is re-chosen exactly
     by atom scanning; no step raises P_E. It runs from three initial
-    configurations: equal-mixture quantiles, LR = 1 centered, and seeded
+    configurations: equal-mixture quantiles (skipped when
+    :func:`default_quantizer` refuses them), LR = 1 centered, and seeded
     random. The sweeps converge only linearly, so each start extrapolates
     them: from its second sweep on it keeps its last three (x, sweep(x))
     pairs of log thresholds, and after each sweep tries the Anderson step
@@ -832,7 +850,7 @@ def optimize_thresholds(
     if len(pairs) != len(num_levels):
         raise ValueError("need one threshold count per sensor")
     objective = _ThresholdObjective(pairs, prior0)
-    brackets = [tuple(float(pair.log_lr(y)) for y in pair.support) for pair in pairs]
+    brackets = [pair.log_lr_range() for pair in pairs]
     descents = [_descend(objective, conf, brackets) for conf in _starts(pairs, num_levels, brackets)]
     best = min(descents, key=lambda descent: descent.p_error)  # the first on a tie
     if not best.converged:

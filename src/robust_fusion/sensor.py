@@ -105,10 +105,10 @@ def _sensor_part(llr: np.ndarray, probs: np.ndarray) -> _SensorPart:
     """The part of a sensor with per-level LLRs ``llr`` and level law(s) ``probs``,
     rows gathered in C order; strictly rising finite LLRs skip the sort."""
     finite = np.isfinite(llr)
-    atoms, masses = llr[finite], np.compress(finite, probs, axis=-1)
-    rising = np.all(atoms[1:] > atoms[:-1])
+    atoms, masses = llr[finite], probs.compress(finite, axis=-1)
+    rising = (atoms[1:] > atoms[:-1]).all()
     law = AtomPmf._from_sorted(atoms, masses) if rising else AtomPmf(atoms, masses)
-    no_minus = 1.0 - np.sum(np.compress(llr == -math.inf, probs, axis=-1), axis=-1)
+    no_minus = 1.0 - probs.compress(llr == -math.inf, axis=-1).sum(axis=-1)
     return _SensorPart(law, no_minus, law.total_mass)
 
 
@@ -117,8 +117,8 @@ def _build_channel(levels: Sequence[int], masses) -> SensorChannel:
     the levels with zero mass under both (with a warning). Each row is checked
     once as a law, so the laws and channel skip their constructors' checks."""
     masses = np.maximum(np.asarray(masses, dtype=float), 0.0)
-    keep = (masses[0] != 0.0) | (masses[1] != 0.0)
-    if not np.all(keep):
+    keep = masses.any(axis=0)
+    if not keep.all():
         dropped = [int(l) for l, k in zip(levels, keep) if not k]
         msg = f"dropping levels {dropped} with zero mass under both hypotheses"
         warnings.warn(msg, RuntimeWarning, stacklevel=3)
@@ -129,8 +129,8 @@ def _build_channel(levels: Sequence[int], masses) -> SensorChannel:
     levels = tuple(int(l) for l in levels)
     pmf0, pmf1 = (_unchecked(DiscretePmf, levels=levels, probs=row) for row in masses)
     with np.errstate(divide="ignore"):
-        llr = np.log(masses[1]) - np.log(masses[0])
-    return _unchecked(SensorChannel, pmf0=pmf0, pmf1=pmf1, llr=llr)
+        logs = np.log(masses)
+    return _unchecked(SensorChannel, pmf0=pmf0, pmf1=pmf1, llr=logs[1] - logs[0])
 
 
 def channel_from_pmfs(pmf0: DiscretePmf, pmf1: DiscretePmf) -> SensorChannel:
@@ -260,7 +260,7 @@ def default_quantizer(pair: LfdPair, num_thresholds: int) -> Quantizer:
 
 def llr_monotone_check(ch: SensorChannel) -> bool:
     """True when the per-level LLR weights are nondecreasing."""
-    return bool(np.all(ch.llr[1:] >= ch.llr[:-1]))
+    return bool((ch.llr[1:] >= ch.llr[:-1]).all())
 
 
 def randomized_binary_admissible(pmf0: DiscretePmf, pmf1: DiscretePmf) -> bool:

@@ -215,7 +215,7 @@ def plain_person_by_person(pairs, num_levels, prior0):
     from robust_fusion.fusion import _starts, _sweep, _ThresholdObjective
 
     objective = _ThresholdObjective(pairs, prior0)
-    brackets = [tuple(float(pair.log_lr(y)) for y in pair.support) for pair in pairs]
+    brackets = [pair.log_lr_range() for pair in pairs]
     best_conf = None
     best_pe = math.inf
     best_tau = 0.0
@@ -235,6 +235,40 @@ def plain_person_by_person(pairs, num_levels, prior0):
         if pe < best_pe:
             best_pe, best_tau, best_conf, best_converged = pe, tau, conf, converged
     return best_conf, best_tau, best_pe, best_converged, sweeps
+
+
+def envelope_cuts_loop(a0, a1, prior0, bracket, num):
+    """Reference for ``fusion._envelope_cuts``, one row (a0, a1) at a time.
+
+    Walks the lower envelope of the level lines from the lowest one at the
+    bracket's low end (on a tie the steeper one), each step to the steeper
+    line crossed first (lexsort: lowest crossing, then larger a1, then
+    lower level), dropping crossings at or past the bracket's high end; then
+    splits the first widest cell while fewer than ``num`` cuts remain.
+    Uses numpy's ``log`` on the same differences as the kernel.
+    """
+    lo, hi = bracket
+    pi1 = 1.0 - prior0
+    order = np.lexsort((-a1, prior0 * a0 - pi1 * a1 * math.exp(lo)))
+    cur, at, cuts = int(order[0]), lo, []
+    while True:
+        up = np.flatnonzero(a1 > a1[cur])
+        if not up.size:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.log(prior0 * (a0[up] - a0[cur])) - np.log(pi1 * (a1[up] - a1[cur]))
+        cross = np.maximum(np.where(np.isnan(cross), -math.inf, cross), at)
+        k = int(np.lexsort((-a1[up], cross))[0])
+        if cross[k] >= hi:
+            break
+        if cross[k] > at:
+            cuts.append(float(cross[k]))
+        cur, at = int(up[k]), float(cross[k])
+    while len(cuts) < num:
+        edges = [lo, *cuts, hi]
+        k = int(np.argmax(np.diff(edges)))
+        cuts.insert(k, 0.5 * (edges[k] + edges[k + 1]))
+    return tuple(cuts)
 
 
 def atom_pmf_unique_reference(atoms, masses):

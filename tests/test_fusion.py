@@ -45,6 +45,7 @@ from _oracles import (
     binomial_majority_error,
     decide_one_enumeration,
     enumerate_error_probs,
+    envelope_cuts_loop,
     exact_error_reference,
     full_rebuild_objective,
     grid_search_thresholds,
@@ -1480,10 +1481,97 @@ class TestPersonByPerson:
             a0 = np.sort(rng.uniform(0.0, 1.0, levels))
             a1 = np.sort(rng.uniform(0.0, 1.0, levels))
             prior0 = float(rng.uniform(0.2, 0.8))
-            cuts = fusion._envelope_cuts(a0, a1, prior0, (-3.0, 3.0), 0)
+            (cuts,) = fusion._envelope_cuts(np.array([[a0, a1]]), prior0, (-3.0, 3.0), 0)
             changes = _line_argmin_changes(a0, a1, prior0, xs)
             assert len(cuts) == len(changes)
             assert np.all(np.abs(np.array(cuts) - changes) <= 1e-4 + 1e-12)
+
+    @pytest.mark.parametrize("levels", [2, 3, 4, 5])
+    def test_envelope_kernel_matches_the_row_loop(self, levels):
+        """All maps at once give, bit for bit, the replies of the row-by-row
+        loop: seeded rows with ties in a1, equal a0 (NaN crossings),
+        unsorted rows, and brackets that drop crossings (the fill path)."""
+        rng = np.random.default_rng(20261112 + levels)
+        filled = 0
+        for _ in range(300):
+            rows = int(rng.integers(1, 17))
+            if rng.random() < 0.5:
+                a = rng.integers(0, 4, size=(rows, 2, levels)) / 4.0
+            else:
+                a = rng.uniform(0.0, 1.0, size=(rows, 2, levels))
+            if rng.random() < 0.7:
+                a.sort(axis=2)
+            prior0 = float(rng.uniform(0.1, 0.9))
+            lo = float(rng.uniform(-4.0, 0.0))
+            bracket = (lo, lo + float(rng.uniform(0.1, 5.0)))
+            num = int(rng.integers(0, levels))
+            got = fusion._envelope_cuts(a, prior0, bracket, num)
+            assert len(got) == rows
+            for r in range(rows):
+                want = envelope_cuts_loop(a[r, 0], a[r, 1], prior0, bracket, num)
+                assert got[r] == want
+                filled += len(envelope_cuts_loop(a[r, 0], a[r, 1], prior0, bracket, 0)) < num
+        assert filled > 0
+
+    def test_repeated_best_response_is_memoized(self, monkeypatch):
+        """A repeated best response runs no scan and no envelope kernel, and
+        equals the reply of a fresh objective."""
+        pairs = [self.BAND, BAND_PAIR]
+        brackets = [pair.log_lr_range() for pair in pairs]
+        conf = [[-0.4, 0.3], [0.2]]
+        objective = fusion._ThresholdObjective(pairs, 0.5)
+        first = objective.best_response(0, conf, brackets[0])
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(fusion, "_envelope_cuts", counting("kernel", fusion._envelope_cuts))
+        monkeypatch.setattr(objective, "scan", counting("scan", objective.scan))
+        again = objective.best_response(0, [list(c) for c in conf], brackets[0])
+        assert not counts
+        assert again == first
+        monkeypatch.undo()
+        assert fusion._ThresholdObjective(pairs, 0.5).best_response(0, conf, brackets[0]) == first
+
+    def test_design_brackets_hold_a_quadratic_vertex(self):
+        """An unequal-variance KL sensor's bracket is its whole log-LR range,
+        up to the quadratic's vertex, not the log-LR at the support ends
+        (there the KL sensor was designed useless, at P_E 0.30854)."""
+        scenario = load_scenario(
+            Path(__file__).resolve().parent.parent / "scenarios" / "kl_unequal_variance.json"
+        )
+        pairs = [built.pair for built in build_sensors(scenario)]
+        result = optimize_thresholds(pairs, [1, 1], scenario.prior0)
+        assert result.converged
+        assert result.report.p_error <= 0.2808
+
+    def test_refused_quantile_start_is_skipped(self):
+        """When the log-LR turns between two equal-mixture quantiles,
+        ``default_quantizer`` refuses them; the design runs from the other
+        two starts instead of raising."""
+        pair = build_lfd_pair(
+            {
+                "kind": "kl-ball",
+                "nominal0": {"mean": 0.0, "sigma": 1.0},
+                "nominal1": {"mean": 1.0, "sigma": 2.0},
+                "eps0": 0.03,
+                "eps1": 0.03,
+            },
+            0,
+        )
+        with pytest.raises(ValueError, match="could not place increasing default thresholds"):
+            default_quantizer(pair, 4)
+        brackets = [pair.log_lr_range()]
+        assert len(fusion._starts([pair], [4], brackets)) == 2
+        result = optimize_thresholds([pair], [4], 0.5)
+        assert result.converged and result.best_response_gain < 1e-12
+        centered, _ = fusion._starts([pair], [4], brackets)
+        assert result.report.p_error <= fusion._ThresholdObjective([pair], 0.5).evaluate(centered)[0]
 
     @pytest.mark.parametrize("prior0", [0.3, 0.5, 0.7])
     def test_collapse_escape_keeps_every_level(self, prior0):
@@ -1567,10 +1655,8 @@ class TestPersonByPerson:
             assert len(atoms) > 4 * fusion._REPLY_TAUS
             builds = [objective.build(j, coords) for j, coords in enumerate(conf)]
             others = [b.part for b in builds[:i] + builds[i + 1 :]]
-            a0, a1 = fusion._fuse_one_given_level(
-                others, builds[i].llr, np.array([tau])
-            )[:, 0]
-            current = fusion._envelope_cuts(a0, a1, 0.5, brackets[i], len(conf[i]))
+            a = fusion._fuse_one_given_level(others, builds[i].llr, np.array([tau]))[:, 0]
+            (current,) = fusion._envelope_cuts(a[None], 0.5, brackets[i], len(conf[i]))
             scored.clear()
             _, _, coords = objective.best_response(i, conf, brackets[i])
             assert len(scored) <= 1 + fusion._REPLY_TAUS  # the start, then the replies
