@@ -39,7 +39,6 @@ from .fusion import (
     NetworkModel,
     SaddleReport,
     exact_error,
-    fuse,
     k_sweep,
     monte_carlo,
     optimize_thresholds,

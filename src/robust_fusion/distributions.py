@@ -16,7 +16,7 @@ fails them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -119,25 +119,31 @@ def pmf_from_weights(levels: Sequence[int], weights: Sequence[float]) -> Discret
     return DiscretePmf(tuple(int(v) for v in levels), w / total)
 
 
-def _sort_merge_duplicates(atoms: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sort_merge_duplicates(atoms: np.ndarray, masses: np.ndarray, rows=None) -> tuple:
     """Stable sort by atom, then sum the masses of exactly equal atoms, per
-    mass row (one bincount, a block of bins per row). Unchecked: the
+    mass row (one bincount, a block of bins per row): (atoms, masses, rows).
+    With the batch ``rows`` of :class:`AtomPmf` the sort is by (row, atom)
+    and a run never spans two rows, so each law comes out as alone. Unchecked: the
     :class:`AtomPmf` constructor validates before calling it, and internal
     producers call it directly when their atoms are finite and their masses
     nonnegative.
     """
-    order = atoms.argsort(kind="stable")
+    order = atoms.argsort(kind="stable") if rows is None else np.lexsort((atoms, rows))
     atoms = atoms[order]
     masses = masses.take(order, axis=-1)  # C order: rows stay contiguous
     # sorted, so each run of equal atoms starts where a neighbour differs
     first = np.concatenate(([True], atoms[1:] != atoms[:-1]))
+    if rows is not None:
+        rows = rows[order]
+        first[1:] |= rows[1:] != rows[:-1]
     if not first.all():
         runs = first.cumsum() - 1
         bins = runs + (runs[-1] + 1) * np.arange(masses.size // first.size)[:, None]
         sums = np.bincount(bins.ravel(), weights=masses.ravel())
         masses = sums.reshape(masses.shape[:-1] + (-1,))
         atoms = atoms[first]
-    return atoms, masses
+        rows = None if rows is None else rows[first]
+    return atoms, masses, rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,11 +153,14 @@ class AtomPmf:
     Atoms are sorted ascending and exact duplicates are merged on
     construction, in every row of ``masses`` (one row per law on the shared
     atoms). Sub-unit total mass is allowed; fusion carries the finite part
-    of laws that also place mass on infinite-LLR levels that way.
+    of laws that also place mass on infinite-LLR levels that way. An
+    internal batch of laws shares the flat arrays: ``rows`` gives each
+    atom's law, and the atoms are sorted by (row, atom).
     """
 
     atoms: np.ndarray
     masses: np.ndarray
+    rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         atoms = np.asarray(self.atoms, dtype=float).ravel()
@@ -162,12 +171,12 @@ class AtomPmf:
             raise ValueError("atoms must be finite (infinite LLRs are handled upstream)")
         if not np.all(masses >= 0.0):
             raise ValueError("masses must be nonnegative")
-        atoms, masses = _sort_merge_duplicates(atoms, masses)
+        atoms, masses, _ = _sort_merge_duplicates(atoms, masses)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "masses", masses)
 
     @classmethod
-    def _from_sorted(cls, atoms: np.ndarray, masses: np.ndarray) -> "AtomPmf":
+    def _from_sorted(cls, atoms: np.ndarray, masses: np.ndarray, rows=None) -> "AtomPmf":
         """Wrap a law that is already in constructor output form, unchecked.
 
         For internal producers only: ``atoms`` must be a strictly
@@ -175,7 +184,7 @@ class AtomPmf:
         nonnegative float array of row(s) of the same length. On such input the
         validating constructor's sort and duplicate merge change nothing.
         """
-        return _unchecked(cls, atoms=atoms, masses=masses)
+        return _unchecked(cls, atoms=atoms, masses=masses, rows=rows)
 
     @property
     def total_mass(self) -> float | np.ndarray:  # one per mass row

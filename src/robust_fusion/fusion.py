@@ -6,8 +6,8 @@ compares against a log threshold (default log(prior0 / (1 - prior0))); ties
 decide the null hypothesis, which makes every evaluation deterministic. A
 sum counts as a tie when it is within ``TIE_TOL`` above the threshold, so
 float rounding in the order of summation cannot move an outcome across it;
-every path (``fuse``, convolution, enumeration, threshold search, Monte
-Carlo) applies this one rule. Error probabilities are exact: the law of
+every path (convolution, enumeration, threshold search, Monte Carlo)
+applies this one rule. Error probabilities are exact: the law of
 the LLR sum (:class:`LlrSumLaw`) is held as two independent halves, each
 the exact convolution of half the sensors' finite atom mass functions, and
 one tail mass of their sum is read by a meet-in-the-middle search, so no
@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,8 +39,9 @@ import numpy as np
 from .distributions import MASS_TOL, AtomPmf, DiscretePmf
 from .lfd import WITNESS_TOL, LfdPair
 from .ordering import convolve, convolve_many
-from .sensor import Quantizer, SensorChannel, _SensorPart, _sensor_part
-from .sensor import channel_from_quantizer, default_quantizer
+from .sensor import Quantizer, SensorChannel, SensorRule, _SensorPart, _sensor_part
+from .sensor import _channels_from_rules, default_quantizer
+from .sensor import channel_from_quantizer  # noqa: F401 (perfbench patches fusion's name)
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 _AGREEMENT_TOL = 1e-10
@@ -101,26 +103,6 @@ def _decide_one(sums, has_pos, has_neg, tau):
     LLR sum decides 1 only above the tie band at ``tau``.
     """
     return ~has_neg & (has_pos | (sums > tau + TIE_TOL))
-
-
-def fuse(net: NetworkModel, u: Sequence[int]) -> int:
-    """Fusion decision for one vector of sensor levels.
-
-    Decides 1 iff the LLR sum exceeds the log threshold by more than
-    ``TIE_TOL``; ties decide 0. An infinite-LLR level (impossible under
-    one hypothesis) forces the decision.
-    """
-    if len(u) != net.num_sensors:
-        raise ValueError(f"expected {net.num_sensors} levels, got {len(u)}")
-    llrs = np.array([ch.llr_of(int(level)) for ch, level in zip(net.channels, u)])
-    return int(
-        _decide_one(
-            llrs[np.isfinite(llrs)].sum(),
-            np.any(llrs == math.inf),
-            np.any(llrs == -math.inf),
-            net.log_threshold,
-        )
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,44 +409,6 @@ def _dominance_gaps(key: np.ndarray, law: np.ndarray, members: np.ndarray) -> np
     return np.max(cdf[0] - cdf[1:], axis=1)
 
 
-def best_fusion_threshold(law0: LlrSumLaw, law1: LlrSumLaw, prior0: float) -> tuple[float, float]:
-    """Exact minimizer of P_E over the achievable LLR-sum atoms.
-
-    Under the tie-to-null rule the error probability only changes at atom
-    values, so scanning atoms (plus an always-decide-1 candidate below the
-    smallest; 0.0 alone without atoms) is exhaustive. ``law0``/``law1`` are
-    the LLR-sum laws under H0 and H1 of one rule, on one support (else
-    ValueError), each candidate scored by :meth:`LlrSumLaw.prob_decide_one`
-    of the two as mass rows of one law. Returns (log_threshold, p_error).
-    """
-    halves = []
-    for h0, h1 in ((law0.left, law1.left), (law0.right, law1.right)):
-        if not np.array_equal(h0.atoms, h1.atoms):
-            raise ValueError("the H0 and H1 laws must share one support")
-        rows = np.array([h0.masses, h1.masses])
-        halves.append(h0 if h0 is h1 else AtomPmf._from_sorted(h0.atoms, rows))
-    law = LlrSumLaw(*halves, np.array([law0.forced_one, law1.forced_one]))
-    return _best_threshold(law, prior0)
-
-
-def _best_threshold(law: LlrSumLaw, prior0: float) -> tuple[float, float]:
-    """:func:`best_fusion_threshold` of a law with an H0 and an H1 mass row."""
-    candidates, p_e = _threshold_errors(law, prior0)
-    best = int(np.argmin(p_e))
-    return float(candidates[best]), float(p_e[best])
-
-
-def _threshold_errors(law: LlrSumLaw, prior0: float) -> tuple[np.ndarray, np.ndarray]:
-    """(candidate log thresholds, P_E at each) for :func:`best_fusion_threshold`.
-
-    The candidates are every atom of the sum (both rows') and one below.
-    """
-    atoms = law.finite.atoms  # with none, every threshold gives one P_E
-    candidates = np.concatenate([[atoms[0] - 1.0] if len(atoms) else [0.0], atoms])
-    p_one = law.prob_decide_one(candidates)
-    return candidates, prior0 * p_one[0] + (1.0 - prior0) * (1.0 - p_one[1])
-
-
 @dataclass(frozen=True)
 class DesignResult:
     """A threshold design and its exact error report.
@@ -570,6 +514,49 @@ def _unique_rows(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate(([True], np.any(a[1:] != a[:-1], axis=1)))]
 
 
+def _scan_rows(fold: AtomPmf, forced: np.ndarray, prior0: float, count: int) -> list:
+    """:meth:`_ThresholdObjective.scan` of each of the ``count`` laws of the
+    batch ``fold`` (``AtomPmf.rows``; one law without rows), an H0 and an H1
+    mass row each, with forced-1 masses ``forced[r]``, in one pass.
+
+    Under the tie-to-null rule P_E changes only at atoms, so a law's
+    candidate thresholds are its atoms and one below (0.0 alone without
+    atoms), each read as :meth:`LlrSumLaw.prob_decide_one` reads a law
+    whose left half is the point 0. Law r's candidates fill row r of a
+    flat grid, NaN past them: a candidate's search starts at the atom
+    after it and stops at a larger atom or a NaN, and the tail sums are
+    those of the law's masses padded with zeros, bit for bit as alone.
+    """
+    atoms = fold.atoms
+    rows = np.zeros(len(atoms), int) if fold.rows is None else fold.rows
+    sizes = np.bincount(rows, minlength=count)
+    width = int(sizes.max()) + 2
+    n = count * width
+    pos = np.arange(1, len(atoms) + 1) + (rows * width - (sizes.cumsum() - sizes)[rows])
+    grid = np.empty(n + 1)
+    grid.fill(math.nan)
+    grid[pos] = atoms
+    first = np.arange(0, n, width)  # one below each law's atoms, 0.0 without atoms
+    below = grid[first + 1] - 1.0
+    below[sizes == 0] = 0.0
+    grid[first] = below
+    candidates, cut, at = grid[:-1], grid[:-1] + TIE_TOL, np.arange(1, n + 1)
+    while True:  # searchsorted(side="right") within each law
+        step = grid[at] <= cut
+        if not step.any():
+            break
+        at += step
+    tails = np.zeros((2, n))  # mass at and above each atom
+    tails[:, pos - 1] = fold.masses
+    tails = tails.reshape(2, count, width)[..., ::-1].cumsum(axis=-1)[..., ::-1].reshape(2, n)
+    p_one = forced.T.repeat(width, axis=1) + tails[:, at - 1]
+    p_e = prior0 * p_one[0] + (1.0 - prior0) * (1.0 - p_one[1])
+    p_e[np.isnan(candidates)] = math.inf
+    order = p_e.reshape(count, width).argsort(axis=1, kind="stable") + first[:, None]
+    picks = [order[r, : min(size + 1, _REPLY_TAUS)] for r, size in enumerate(sizes.tolist())]
+    return [(candidates[k], p_e[k]) for k in picks]
+
+
 class _ThresholdObjective:
     """P_E of a threshold configuration, minimized over the fusion threshold.
 
@@ -577,13 +564,14 @@ class _ThresholdObjective:
     carries its LLR-sum part (an H0 and an H1 row), or to None when the
     thresholds are not a valid quantizer, so each distinct sensor design is
     built (and validated) once, also when two log thresholds round to one
-    LR value.
-    A second memo maps a configuration's LR thresholds to its scan. A scan
-    folds the K parts afresh in sensor order, so every value is
-    bit-identical to building all K channels and folding each law from
-    scratch. A third maps (sensor, log thresholds, bracket) to its best
-    response. The memos belong to the instance; ``optimize_thresholds``
-    makes one per call.
+    LR value; the designs not yet built are built in one batch.
+    A second memo maps a configuration's LR thresholds to its scan; the
+    scans of one sensor's new replies are made in one batch
+    (:meth:`_score_batch`), a configuration alone in a batch of one. Every
+    value is bit-identical to building all K channels and folding each law
+    from scratch, left to right in sensor order. A third maps (sensor, log
+    thresholds, bracket) to its best response. The memos belong to the
+    instance; ``optimize_thresholds`` makes one per call.
     """
 
     def __init__(self, pairs: Sequence[LfdPair], prior0: float):
@@ -595,44 +583,78 @@ class _ThresholdObjective:
 
     def build(self, i: int, log_thresholds: Sequence[float]) -> SensorChannel | None:
         """Sensor i at ``log_thresholds``; None when they are invalid."""
-        key = (i, tuple(math.exp(t) for t in log_thresholds))
-        if key not in self._built:
+        return self._build(i, [tuple(math.exp(t) for t in log_thresholds)])[0]
+
+    def _build(self, i: int, lrs: Sequence[tuple[float, ...]]) -> list[SensorChannel | None]:
+        """Sensor i at each tuple of LR thresholds (all of one count)."""
+        rules = {}
+        for lr in lrs:
+            if (i, lr) in self._built or lr in rules:
+                continue
             try:
-                q = Quantizer(key[1])
+                q = Quantizer(lr)
             except ValueError:
-                self._built[key] = None
-                return None
+                self._built[i, lr] = None
+                continue
+            rules[lr] = SensorRule(self.pairs[i], q)
+        if rules:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                self._built[key] = channel_from_quantizer(q, self.pairs[i])
-        return self._built[key]
-
-    def law(self, all_log_thresholds: Sequence[Sequence[float]]) -> LlrSumLaw | None:
-        """The LLR-sum law with an H0 and an H1 mass row, folded left to
-        right in sensor order; None when some sensor's thresholds are invalid."""
-        parts = []
-        for i, coords in enumerate(all_log_thresholds):
-            build = self.build(i, coords)
-            if build is None:
-                return None
-            parts.append(build.part)
-        return LlrSumLaw(_POINT_ZERO, convolve_many([p.finite for p in parts]), _forced_one(parts))
+                channels = _channels_from_rules(list(rules.values()))
+            self._built.update(((i, lr), channel) for lr, channel in zip(rules, channels))
+        return [self._built[i, lr] for lr in lrs]
 
     def scan(
         self, all_log_thresholds: Sequence[Sequence[float]]
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """The ``_REPLY_TAUS`` lowest-P_E (log fusion threshold, P_E) pairs of
-        :func:`_threshold_errors`, in stable order; None when invalid."""
-        key = tuple(tuple(math.exp(t) for t in coords) for coords in all_log_thresholds)
-        if key not in self._scans:
-            law = self.law(all_log_thresholds)
-            if law is None:
-                self._scans[key] = None
-            else:
-                taus, p_e = _threshold_errors(law, self.prior0)
-                order = np.argsort(p_e, kind="stable")[:_REPLY_TAUS]
-                self._scans[key] = taus[order], p_e[order]
-        return self._scans[key]
+        :func:`_scan_rows`, in stable order; None when invalid."""
+        lrs = [tuple(math.exp(t) for t in coords) for coords in all_log_thresholds]
+        return self._score(len(lrs) - 1, lrs, lrs[-1:])[0]
+
+    def _score(self, i: int, lrs: list[tuple[float, ...]], replies: list) -> list:
+        """:meth:`scan` of the configuration of LR thresholds ``lrs`` with
+        sensor i at each of the LR thresholds ``replies``."""
+        keys = [(*lrs[:i], reply, *lrs[i + 1 :]) for reply in replies]
+        todo = {key: reply for key, reply in zip(keys, replies) if key not in self._scans}
+        if todo:
+            self._scans.update(zip(todo, self._score_batch(i, lrs, list(todo.values()))))
+        return [self._scans[key] for key in keys]
+
+    def _score_batch(self, i: int, lrs: list[tuple[float, ...]], replies: list) -> list:
+        """The scans of :meth:`_score`: the sensors other than i are built in
+        order (the first invalid one makes every scan None), then the
+        replies in one batch. The sensors before i are folded once and the
+        replies' parts, as one batch of laws (``AtomPmf.rows``), are
+        convolved with that fold and the later sensors in turn, so each
+        law's fold is ((p0 + p1) + reply) + p3 ..., as alone."""
+        fixed = []
+        for j, lr in enumerate(lrs):
+            if j != i:
+                fixed.extend(self._build(j, [lr]))
+                if fixed[-1] is None:
+                    return [None] * len(replies)
+        fixed = [build.part for build in fixed]
+        builds = self._build(i, replies)
+        parts = [build.part for build in builds if build is not None]
+        if not parts:
+            return builds
+        sizes = [len(part.finite.atoms) for part in parts]
+        fold = AtomPmf._from_sorted(
+            np.concatenate([part.finite.atoms for part in parts]),
+            np.concatenate([part.finite.masses for part in parts], axis=1),
+            np.arange(len(parts)).repeat(sizes) if len(parts) > 1 else None,
+        )
+        if i:
+            fold = convolve(convolve_many([part.finite for part in fixed[:i]]), fold)
+        for part in fixed[i:]:
+            fold = convolve(fold, part.finite)
+        # products in sensor order, one per reply and row, as _forced_one forms them
+        factors = [np.array([part.no_minus, part.finite_mass]) for part in fixed]
+        factors.insert(i, np.array([[part.no_minus, part.finite_mass] for part in parts]))
+        products = reduce(np.multiply, factors)
+        scans = iter(_scan_rows(fold, products[:, 0] - products[:, 1], self.prior0, len(parts)))
+        return [None if build is None else next(scans) for build in builds]
 
     def evaluate(self, all_log_thresholds: Sequence[Sequence[float]]) -> tuple[float, float]:
         """Returns (p_error, best log fusion threshold); inf when invalid."""
@@ -651,34 +673,31 @@ class _ThresholdObjective:
 
         The current LLR test at a fusion threshold fixes a fusion map;
         against it the sensor's Bayes reply is an LR quantizer
-        (:func:`_envelope_cuts`). Of :func:`best_fusion_threshold`'s
-        candidates (every atom of the sum, and one below) the
-        ``_REPLY_TAUS`` with the lowest current P_E are replied to, so the
-        work per sensor does not grow with the sum's atom count, which is
-        up to (D+1)^K. Each distinct reply is scored exactly and kept only
-        if it strictly lowers P_E. The configuration must be valid.
+        (:func:`_envelope_cuts`). Of the scan's candidates (every atom of
+        the sum, and one below) the ``_REPLY_TAUS`` with the lowest current
+        P_E are replied to, so the work per sensor does not grow with the
+        sum's atom count, which is up to (D+1)^K. The distinct replies are
+        scored exactly, in one batch (:meth:`_score`), and in order each is
+        kept only if it strictly lowers P_E. The configuration must be valid.
         """
         conf = tuple(tuple(coords) for coords in all_log_thresholds)
         key = (i, conf, bracket)
         if key in self._replies:
             return self._replies[key]
-        taus, p_e = self.scan(conf)
+        lrs = [tuple(math.exp(t) for t in coords) for coords in conf]
+        ((taus, p_e),) = self._score(len(lrs) - 1, lrs, lrs[-1:])
         best = (float(p_e[0]), float(taus[0]), conf[i])
-        builds = [self.build(j, coords) for j, coords in enumerate(conf)]
+        builds = [self._build(j, [lr])[0] for j, lr in enumerate(lrs)]
         others = [b.part for b in builds[:i] + builds[i + 1 :]]
         llr = builds[i].llr
         a = np.broadcast_to(_fuse_one_given_level(others, llr, taus), (2, len(taus), len(llr)))
-        trial = list(conf)
-        tried = {conf[i]}
         maps = _unique_rows(np.concatenate(a, axis=1)).reshape(-1, 2, len(llr))
-        for cuts in _envelope_cuts(maps, self.prior0, bracket, len(conf[i])):
-            if cuts in tried:
-                continue
-            tried.add(cuts)
-            trial[i] = cuts
-            p_e, tau = self.evaluate(trial)
-            if p_e < best[0]:
-                best = (p_e, tau, cuts)
+        cuts = _envelope_cuts(maps, self.prior0, bracket, len(conf[i]))
+        replies = [c for c in dict.fromkeys(cuts) if c != conf[i]]
+        scans = self._score(i, lrs, [tuple(math.exp(t) for t in c) for c in replies])
+        for reply, scan in zip(replies, scans):
+            if scan is not None and scan[1][0] < best[0]:
+                best = (float(scan[1][0]), float(scan[0][0]), reply)
         self._replies[key] = best
         return best
 
@@ -826,7 +845,9 @@ def optimize_thresholds(
     Person-by-person descent (Tsitsiklis 1993): each sweep replaces every
     sensor's quantizer, in turn, by its best response to the others and
     to the LLR fusion test, and the fusion threshold is re-chosen exactly
-    by atom scanning; no step raises P_E. It runs from three initial
+    by atom scanning; no step raises P_E. A best response scores its new
+    replies in one batch, bit for bit as one at a time
+    (:class:`_ThresholdObjective`). It runs from three initial
     configurations: equal-mixture quantiles (skipped when
     :func:`default_quantizer` refuses them), LR = 1 centered, and seeded
     random. The sweeps converge only linearly, so each start extrapolates

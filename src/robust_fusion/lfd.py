@@ -342,61 +342,70 @@ def level_masses(
     nominal. When every law read is a :class:`GaussianSpec` and the read
     needs at least ``_BATCH_MIN_VALUES`` cdf values (laws x cuts) they are
     read together (:func:`_gaussian_weights`); otherwise each law's ``cdf``
-    is called at each finite cut. Both give the same bits.
+    is called at each finite cut. Both give the same bits. With a row of
+    ``cuts`` and ``segment_levels`` per rule (+inf cuts pad a short row and
+    add exactly 0.0) there is one (laws x levels) block per rule, each as
+    read alone; contaminated members need one rule.
     """
     reads: dict = {}  # distinct law read -> its row
     row_of = [
         reads.setdefault(law.nominal if isinstance(law, ContaminatedGaussian) else law, len(reads))
         for law in laws
     ]
-    n = len(reads)
-    if n * len(cuts) >= _BATCH_MIN_VALUES and all(isinstance(law, GaussianSpec) for law in reads):
-        weights = _gaussian_weights(list(reads), cuts).ravel()
+    rules = np.asarray(cuts, dtype=float)
+    one = rules.ndim == 1
+    rules = rules[None] if one else rules
+    n, r = len(reads), len(rules)
+    if n * rules.size >= _BATCH_MIN_VALUES and all(isinstance(law, GaussianSpec) for law in reads):
+        weights = _gaussian_weights(list(reads), rules).ravel()
     else:
-        weights = _cdf_weights(reads, cuts)
-    # one bincount over the rows back to back sums each row's segments in
-    # order, as a bincount per row would; one row needs no offsets
-    flat = segment_levels
-    if n != 1:
-        flat = (np.arange(0, n * num_levels, num_levels)[:, None] + segment_levels).ravel()
-    mass = np.bincount(flat, weights, n * num_levels).reshape(n, num_levels)
+        weights = _cdf_weights(reads, rules.tolist())
+    # one bincount over the (law, rule) rows back to back sums each row's
+    # segments in order, as a bincount per row would; one row needs no offsets
+    flat = np.ravel(segment_levels)
+    if n * r != 1:
+        flat = (np.arange(0, n * r * num_levels, num_levels).reshape(n, r, 1) + segment_levels).ravel()
+    mass = np.bincount(flat, weights, n * r * num_levels).reshape(n, r, num_levels)
     if n < len(laws):
         mass = mass[row_of]
     contaminated = [i for i, law in enumerate(laws) if isinstance(law, ContaminatedGaussian)]
-    if contaminated:
+    if contaminated:  # one rule only: np.searchsorted refuses rows of cuts
         eps = np.array([laws[i].eps for i in contaminated])
         atoms = np.array([laws[i].atom for i in contaminated])
-        mass[contaminated] *= (1.0 - eps)[:, None]
-        mass[contaminated, segment_levels[np.searchsorted(cuts, atoms, side="right")]] += eps
-    return mass
+        mass[contaminated] *= (1.0 - eps)[:, None, None]
+        mass[contaminated, 0, segment_levels[np.searchsorted(cuts, atoms, side="right")]] += eps
+    return mass[:, 0] if one else mass.swapaxes(0, 1)
 
 
-def _cdf_weights(laws, cuts: Sequence[float]) -> list[float]:
-    """Each law's mass between consecutive cuts, -inf and +inf included,
-    rows back to back: the differences of its ``cdf`` at the cuts, which is
-    exactly 0 at -inf and 1 at +inf."""
+def _cdf_weights(laws, rules: list[list[float]]) -> list[float]:
+    """Each law's mass between consecutive cuts of each rule, -inf and +inf
+    included, rows back to back: the differences of its ``cdf`` at the cuts,
+    which is exactly 0 at -inf and 1 at +inf."""
     inf = math.inf
     weights: list[float] = []
     for law in laws:
-        cdf, below = law.cdf, 0.0
-        for c in cuts:
-            at = 1.0 if c == inf else 0.0 if c == -inf else cdf(c)
-            weights.append(at - below)
-            below = at
-        weights.append(1.0 - below)
+        cdf = law.cdf
+        for cuts in rules:
+            below = 0.0
+            for c in cuts:
+                at = 1.0 if c == inf else 0.0 if c == -inf else cdf(c)
+                weights.append(at - below)
+                below = at
+            weights.append(1.0 - below)
     return weights
 
 
-def _gaussian_weights(specs: Sequence[GaussianSpec], cuts: Sequence[float]) -> np.ndarray:
-    """:func:`_cdf_weights` of Gaussians, one row each: one array of
-    (mean - cut) / (sigma * sqrt 2) at -inf, the cuts and +inf through one
-    map of ``math.erfc``, the bits of :meth:`GaussianSpec.cdf`."""
-    ends = np.array([-math.inf, *cuts, math.inf])
-    means = np.array([g.mean for g in specs])[:, None]
-    scales = np.array([g.sigma for g in specs])[:, None] * _SQRT2
+def _gaussian_weights(specs: Sequence[GaussianSpec], rules: np.ndarray) -> np.ndarray:
+    """:func:`_cdf_weights` of Gaussians, one row per (law, rule): one array
+    of (mean - cut) / (sigma * sqrt 2) at -inf, the cuts and +inf through
+    one map of ``math.erfc``, the bits of :meth:`GaussianSpec.cdf`."""
+    inf = np.full((len(rules), 1), math.inf)
+    ends = np.hstack([-inf, rules, inf])
+    means = np.array([g.mean for g in specs])[:, None, None]
+    scales = np.array([g.sigma for g in specs])[:, None, None] * _SQRT2
     z = (means - ends) / scales
     at = 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
-    return at[:, 1:] - at[:, :-1]
+    return at[..., 1:] - at[..., :-1]
 
 
 def gaussian_band_lfd(c0: GaussianBandClass, c1: GaussianBandClass) -> LfdPair:

@@ -30,20 +30,30 @@ def convolve(a: AtomPmf, b: AtomPmf) -> AtomPmf:
     threshold slip between the H0 and H1 copies of the same sum atom), so
     mass rows share one support: the sort and merges run once, and a row
     comes out as its 1-D law would; a 1-D operand pairs with every row.
+    One operand may be a batch of laws (``AtomPmf.rows``): each of its laws
+    is convolved with the other operand, bit for bit as alone.
     """
     sums = np.add.outer(a.atoms, b.atoms).ravel()
     masses = a.masses[..., :, None] * b.masses[..., None, :]
     masses = masses.reshape(masses.shape[:-2] + sums.shape)
+    rows = None  # the batch row of each sum, when an operand is a batch
+    if a.rows is not None:
+        rows = a.rows.repeat(len(b.atoms))
+    elif b.rows is not None:
+        rows = b.rows[np.arange(len(sums)) % len(b.atoms)]
     # sums of finite atoms and products of nonnegative masses need no checks
-    out = AtomPmf._from_sorted(*_sort_merge_duplicates(sums, masses))
+    out = AtomPmf._from_sorted(*_sort_merge_duplicates(sums, masses, rows))
     return _merge_close_atoms(out, ATOM_BIN_WIDTH)
 
 
 def _merge_close_atoms(pmf: AtomPmf, bin_width: float) -> AtomPmf:
-    atoms, masses = pmf.atoms, pmf.masses
+    atoms, masses, rows = pmf.atoms, pmf.masses, pmf.rows
     if atoms.shape[0] < 2:
         return pmf
-    starts = np.flatnonzero(np.concatenate(([True], atoms[1:] - atoms[:-1] >= bin_width)))
+    new = atoms[1:] - atoms[:-1] >= bin_width
+    if rows is not None:  # a group never spans two laws of a batch
+        new |= rows[1:] != rows[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], new)))
     if starts.shape[0] == atoms.shape[0]:
         return pmf
     sizes = np.append(starts[1:], atoms.shape[0]) - starts
@@ -52,7 +62,7 @@ def _merge_close_atoms(pmf: AtomPmf, bin_width: float) -> AtomPmf:
     merged_pos = np.add.reduceat(atoms, starts) / sizes
     merged_pos[sizes == 1] = atoms[starts[sizes == 1]]  # keep singletons exact
     # groups are >= bin_width apart, so their means are strictly increasing
-    return AtomPmf._from_sorted(merged_pos, merged_mass)
+    return AtomPmf._from_sorted(merged_pos, merged_mass, None if rows is None else rows[starts])
 
 
 def convolve_many(pmfs: Sequence[AtomPmf]) -> AtomPmf:

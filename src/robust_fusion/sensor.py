@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._roots import solve_newton
-from .distributions import AtomPmf, DiscretePmf, _check_law, _unchecked
+from .distributions import MASS_TOL, AtomPmf, DiscretePmf, _check_law, _unchecked
 from .lfd import LfdPair, cut_log_lr, level_masses
 
 
@@ -113,24 +113,48 @@ def _sensor_part(llr: np.ndarray, probs: np.ndarray) -> _SensorPart:
 
 
 def _build_channel(levels: Sequence[int], masses) -> SensorChannel:
-    """The channel of per-level ``masses`` (an H0 and an H1 row) clipped at 0, less
-    the levels with zero mass under both (with a warning). Each row is checked
-    once as a law, so the laws and channel skip their constructors' checks."""
-    masses = np.maximum(np.asarray(masses, dtype=float), 0.0)
-    keep = masses.any(axis=0)
-    if not keep.all():
-        dropped = [int(l) for l, k in zip(levels, keep) if not k]
-        msg = f"dropping levels {dropped} with zero mass under both hypotheses"
-        warnings.warn(msg, RuntimeWarning, stacklevel=3)
-        levels = [l for l, k in zip(levels, keep) if k]
-        masses = np.compress(keep, masses, axis=1)
-    for row in masses:
-        _check_law(row)
-    levels = tuple(int(l) for l in levels)
-    pmf0, pmf1 = (_unchecked(DiscretePmf, levels=levels, probs=row) for row in masses)
-    with np.errstate(divide="ignore"):
+    """The channel of per-level ``masses``, an H0 and an H1 row: a batch of
+    one of :func:`_build_channels`."""
+    return next(_build_channels(levels, np.asarray(masses, dtype=float)[None]))
+
+
+def _build_channels(levels: Sequence[int], masses: np.ndarray):
+    """The channel of each (H0, H1) pair of per-level mass rows in
+    ``masses``, in order: clipped at 0, less the levels with zero mass under
+    both (with a warning). Each row is checked once as a law, so the laws
+    and channels skip their constructors' checks. A channel whose LLRs are
+    finite and strictly rising gets its part here, as :func:`_sensor_part`
+    would make it."""
+    masses = np.maximum(masses, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a dropped level's LLR is NaN
         logs = np.log(masses)
-    return _unchecked(SensorChannel, pmf0=pmf0, pmf1=pmf1, llr=logs[1] - logs[0])
+        llrs = logs[:, 1] - logs[:, 0]
+    totals = np.add.reduce(masses, axis=-1)  # as ndarray.sum, without its wrapper
+    # _check_law's test for every row at once (clipped, only a NaN is negative)
+    laws = (abs(totals - 1.0) <= MASS_TOL).tolist()
+    rising = np.logical_and.reduce(llrs[:, 1:] > llrs[:, :-1], axis=1)
+    plain = (np.logical_and.reduce(np.isfinite(llrs), axis=1) & rising).tolist()
+    keeps = np.logical_or.reduce(masses, axis=1)
+    levels, ones = tuple(int(l) for l in levels), np.ones(2)
+    for rows, llr, keep, full, law, total, part in zip(
+        masses, llrs, keeps, keeps.tolist(), laws, totals, plain
+    ):
+        kept, law = levels, all(law)
+        if not all(full):
+            dropped = [l for l, k in zip(levels, keep) if not k]
+            msg = f"dropping levels {dropped} with zero mass under both hypotheses"
+            warnings.warn(msg, RuntimeWarning, stacklevel=4)
+            kept = tuple(l for l, k in zip(levels, keep) if k)
+            rows, llr, law = rows[:, keep], llr[keep], False
+        if not law:  # raises, or passes the kept levels
+            for row in rows:
+                _check_law(row)
+        pmf0 = _unchecked(DiscretePmf, levels=kept, probs=rows[0])
+        pmf1 = _unchecked(DiscretePmf, levels=kept, probs=rows[1])
+        channel = _unchecked(SensorChannel, pmf0=pmf0, pmf1=pmf1, llr=llr)
+        if part:  # cached as SensorChannel.part caches it
+            channel.__dict__["part"] = _SensorPart(AtomPmf._from_sorted(llr, rows), ones, total)
+        yield channel
 
 
 def channel_from_pmfs(pmf0: DiscretePmf, pmf1: DiscretePmf) -> SensorChannel:
@@ -177,12 +201,27 @@ def channel_from_rule(rule: SensorRule) -> SensorChannel:
     is the LR's conditional mean over [t_{d-1}, t_d), whatever the
     preimage shape); a violation raises.
     """
-    pair, levels = rule.pair, range(rule.quantizer.num_levels)
-    masses = level_masses([pair.q0, pair.q1], rule.cuts, rule.segment_levels, len(levels))
-    channel = _build_channel(levels, masses)
-    if not llr_monotone_check(channel):
-        raise RuntimeError("per-level LLR is not nondecreasing; quantizer is invalid")
-    return channel
+    return _channels_from_rules([rule])[0]
+
+
+def _channels_from_rules(rules: Sequence[SensorRule]) -> list[SensorChannel]:
+    """:func:`channel_from_rule` of each rule, all of one pair and level
+    count, from one :func:`~robust_fusion.lfd.level_masses` read with a cut
+    row per rule (+inf pads a short row); the rules are checked in order,
+    and the first that fails raises."""
+    pair, levels = rules[0].pair, range(rules[0].quantizer.num_levels)
+    width = max(len(rule.cuts) for rule in rules)
+    cuts, segments = [], []
+    for rule in rules:
+        pad = width - len(rule.cuts)
+        cuts.append(rule.cuts + (math.inf,) * pad)
+        segments.append(rule.segment_levels.tolist() + rule.segment_levels[-1:].tolist() * pad)
+    channels = []
+    for channel in _build_channels(levels, level_masses([pair.q0, pair.q1], cuts, segments, len(levels))):
+        if not llr_monotone_check(channel):
+            raise RuntimeError("per-level LLR is not nondecreasing; quantizer is invalid")
+        channels.append(channel)
+    return channels
 
 
 def channel_from_quantizer(q: Quantizer, pair: LfdPair, grid: None = None) -> SensorChannel:

@@ -120,6 +120,28 @@ def joint_llr_sums(channels, laws):
     return sums, probs, has_pos, has_neg
 
 
+def fuse(net, u):
+    """The fusion decision for one vector of sensor levels ``u``.
+
+    Decides 1 iff the LLR sum exceeds the log threshold by more than
+    ``TIE_TOL``; ties decide 0. An infinite-LLR level (impossible under
+    one hypothesis) forces the decision (``fusion._decide_one``).
+    """
+    from robust_fusion.fusion import _decide_one
+
+    if len(u) != net.num_sensors:
+        raise ValueError(f"expected {net.num_sensors} levels, got {len(u)}")
+    llrs = np.array([ch.llr_of(int(level)) for ch, level in zip(net.channels, u)])
+    return int(
+        _decide_one(
+            llrs[np.isfinite(llrs)].sum(),
+            np.any(llrs == math.inf),
+            np.any(llrs == -math.inf),
+            net.log_threshold,
+        )
+    )
+
+
 def decide_one_enumeration(channels, laws, taus):
     """P[decide 1] at each log threshold in ``taus``, by numpy enumeration.
 
@@ -149,7 +171,7 @@ def grid_search_thresholds(pairs, num_levels, prior0, points=101):
     objective = _ThresholdObjective(pairs, prior0)
     axes = []
     for pair, d in zip(pairs, num_levels):
-        lo, hi = float(pair.log_lr(pair.support[0])), float(pair.log_lr(pair.support[1]))
+        lo, hi = pair.log_lr_range()
         axes.extend([np.linspace(lo, hi, points)] * d)
     best = (math.inf, 0.0, None)
     for combo in itertools.product(*axes):
@@ -166,6 +188,49 @@ def grid_search_thresholds(pairs, num_levels, prior0, points=101):
     return best[2], best[1], best[0]
 
 
+def best_fusion_threshold(law0, law1, prior0):
+    """Exact minimizer of P_E over the achievable LLR-sum atoms, by the scan
+    the designer made one law at a time before its replies were batched
+    (``fusion._scan_rows``).
+
+    Under the tie-to-null rule the error probability only changes at atom
+    values, so scanning atoms (plus an always-decide-1 candidate below the
+    smallest; 0.0 alone without atoms) is exhaustive. ``law0``/``law1`` are
+    the LLR-sum laws under H0 and H1 of one rule, on one support (else
+    ValueError), each candidate scored by :meth:`LlrSumLaw.prob_decide_one`
+    of the two as mass rows of one law. Returns (log_threshold, p_error).
+    """
+    from robust_fusion.distributions import AtomPmf
+    from robust_fusion.fusion import LlrSumLaw
+
+    halves = []
+    for h0, h1 in ((law0.left, law1.left), (law0.right, law1.right)):
+        if not np.array_equal(h0.atoms, h1.atoms):
+            raise ValueError("the H0 and H1 laws must share one support")
+        rows = np.array([h0.masses, h1.masses])
+        halves.append(h0 if h0 is h1 else AtomPmf._from_sorted(h0.atoms, rows))
+    law = LlrSumLaw(*halves, np.array([law0.forced_one, law1.forced_one]))
+    return best_threshold(law, prior0)
+
+
+def best_threshold(law, prior0):
+    """``best_fusion_threshold`` of a law with an H0 and an H1 mass row."""
+    candidates, p_e = threshold_errors(law, prior0)
+    best = int(np.argmin(p_e))
+    return float(candidates[best]), float(p_e[best])
+
+
+def threshold_errors(law, prior0):
+    """(candidate log thresholds, P_E at each) for ``best_fusion_threshold``.
+
+    The candidates are every atom of the sum (both rows') and one below.
+    """
+    atoms = law.finite.atoms  # with none, every threshold gives one P_E
+    candidates = np.concatenate([[atoms[0] - 1.0] if len(atoms) else [0.0], atoms])
+    p_one = law.prob_decide_one(candidates)
+    return candidates, prior0 * p_one[0] + (1.0 - prior0) * (1.0 - p_one[1])
+
+
 def full_rebuild_objective(pairs, prior0, all_log_thresholds):
     """Reference for ``fusion._ThresholdObjective.evaluate``: no caches.
 
@@ -177,7 +242,7 @@ def full_rebuild_objective(pairs, prior0, all_log_thresholds):
     import warnings
 
     from robust_fusion.distributions import AtomPmf
-    from robust_fusion.fusion import LlrSumLaw, best_fusion_threshold, llr_sum_law
+    from robust_fusion.fusion import LlrSumLaw, llr_sum_law
     from robust_fusion.ordering import convolve_many
     from robust_fusion.sensor import Quantizer, channel_from_quantizer
 
@@ -866,7 +931,7 @@ def exact_error_reference(net, stats, laws0=None, laws1=None):
 
 
 def threshold_scan_reference(law0, law1, prior0, stats):
-    """``fusion.best_fusion_threshold`` of two separately folded laws, the
+    """``best_fusion_threshold`` of two separately folded laws, the
     candidates the union of both supports and one below, or 0.0 alone when
     the sums have no finite atom: (log threshold, P_E)."""
     atoms = np.union1d(law0.finite(stats)[0], law1.finite(stats)[0])

@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from robust_fusion import fusion, ordering
+from robust_fusion.ordering import convolve_many
 from robust_fusion.distributions import AtomPmf, DiscretePmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import GaussianBandClass, gaussian_band_lfd
 from robust_fusion.fusion import (
     TIE_TOL,
     NetworkModel,
-    best_fusion_threshold,
     exact_error,
-    fuse,
     k_sweep,
     llr_sum_law,
     monte_carlo,
@@ -42,12 +41,15 @@ from robust_fusion.sensor import (
 
 from _oracles import (
     atoms_stochastically_larger,
+    best_fusion_threshold,
+    best_threshold,
     binomial_majority_error,
     decide_one_enumeration,
     enumerate_error_probs,
     envelope_cuts_loop,
     exact_error_reference,
     full_rebuild_objective,
+    fuse,
     grid_search_thresholds,
     joint_llr_sums,
     law_reference,
@@ -56,6 +58,7 @@ from _oracles import (
     saddle_verify_reference,
     saddle_verify_rebuild,
     tail_mass,
+    threshold_errors,
     threshold_scan_reference,
 )
 
@@ -1046,6 +1049,27 @@ def _random_spec(rng, kind: str, levels: int) -> dict:
     return spec
 
 
+def _design_spec(rng, n: int) -> dict:
+    """Cycles through band, contamination and KL specs of ``_random_spec``,
+    a KL pair of unequal variances (quadratic log-LR) and a KL pair whose
+    log-LR falls in y (nominal1 below nominal0)."""
+    kind = ("gaussian-band", "eps-contamination", "kl-ball", "kl-quadratic", "kl-falling")[n % 5]
+    if kind in ("gaussian-band", "eps-contamination", "kl-ball"):
+        return _random_spec(rng, kind, 3)
+    mean, sigma = float(rng.uniform(0.6, 1.6)), 1.0
+    if kind == "kl-quadratic":
+        sigma = float(rng.uniform(1.2, 2.0))
+    else:
+        mean = -mean
+    return {
+        "kind": "kl-ball",
+        "nominal0": {"mean": 0.0, "sigma": 1.0},
+        "nominal1": {"mean": mean, "sigma": sigma},
+        "eps0": float(rng.uniform(0.005, 0.04)),
+        "eps1": float(rng.uniform(0.005, 0.04)),
+    }
+
+
 def _random_tie_network(rng, k: int | None = None) -> NetworkModel:
     """K (2-7 unless given) band, contamination or explicit sensors with
     2-4 levels, all one channel (LLR sums tie up to float noise) or each
@@ -1131,7 +1155,7 @@ class TestBestFusionThreshold:
         assert np.array_equal(law.finite.atoms, law0.finite.atoms)
         assert law.finite.masses.shape == (2, len(law0.finite.atoms))
         _, pe = best_fusion_threshold(law0, law1, 0.5)
-        assert fusion._best_threshold(law, 0.5)[1] == pe
+        assert best_threshold(law, 0.5)[1] == pe
         # no quantized rule can beat the full-observation Bayes error
         bayes_floor = 1.0 - GaussianSpec(0.0, 1.0).cdf(0.5)
         assert pe >= bayes_floor - 1e-12
@@ -1145,7 +1169,10 @@ class TestBestFusionThreshold:
             law0, law1 = (llr_sum_law(channels, laws[h]) for h in (0, 1))
             assert len(law0.finite.atoms) == 0
             assert best_fusion_threshold(law0, law1, 0.3) == (0.0, 0.0)
-            candidates, p_e = fusion._threshold_errors(llr_sum_law(channels, *laws), 0.3)
+            law = llr_sum_law(channels, *laws)
+            candidates, p_e = threshold_errors(law, 0.3)
+            assert candidates.tolist() == [0.0] and p_e.tolist() == [0.0]
+            ((candidates, p_e),) = fusion._scan_rows(law.finite, law.forced_one[None], 0.3, 1)
             assert candidates.tolist() == [0.0] and p_e.tolist() == [0.0]
             assert exact_error(NetworkModel(channels, 0.3, 0.0)).p_error == 0.0
 
@@ -1228,7 +1255,7 @@ def _random_design(rng):
         kind = kinds[int(rng.integers(len(kinds)))]
         levels = int(rng.integers(2, 5))
         pair = build_lfd_pair(_random_spec(rng, kind, levels), index)
-        lo, hi = (float(pair.log_lr(y)) for y in pair.support)
+        lo, hi = pair.log_lr_range()
         pairs.append(pair)
         conf.append(sorted(float(v) for v in rng.uniform(lo, hi, size=levels - 1)))
         brackets.append((lo, hi))
@@ -1282,17 +1309,19 @@ class TestThresholdObjective:
     def test_each_sensor_design_is_built_once_per_call(self, monkeypatch):
         """One ``optimize_thresholds`` call builds each distinct (sensor,
         thresholds) channel at most once, the returned design's included:
-        later sweeps, later starts and the certificate sweep reuse them."""
+        later sweeps, later starts and the certificate sweep reuse them.
+        Every build of the designer goes through the batched builder."""
         rng = np.random.default_rng(20261022)
-        original = fusion.channel_from_quantizer
+        original = fusion._channels_from_rules
         builds = {}
 
-        def counting(q, pair, *args, **kwargs):
-            key = (id(pair), q.thresholds)
-            builds[key] = builds.get(key, 0) + 1
-            return original(q, pair, *args, **kwargs)
+        def counting(rules):
+            for rule in rules:
+                key = (id(rule.pair), rule.quantizer.thresholds)
+                builds[key] = builds.get(key, 0) + 1
+            return original(rules)
 
-        monkeypatch.setattr(fusion, "channel_from_quantizer", counting)
+        monkeypatch.setattr(fusion, "_channels_from_rules", counting)
         for kinds, num_levels in (
             (("gaussian-band", "eps-contamination", "gaussian-band"), [2, 2, 2]),
             (("eps-contamination", "gaussian-band"), [3, 1]),
@@ -1307,6 +1336,137 @@ class TestThresholdObjective:
             for pair, q in zip(pairs, result.quantizers):
                 assert builds[(id(pair), q.thresholds)] == 1
 
+
+    def test_batched_replies_equal_one_at_a_time(self):
+        """Every scan of a reply batch equals the full rebuild of its
+        configuration (best P_E and threshold), and its whole reply list the
+        scan of its two-row law folded alone; every batched channel and its
+        part equal ``channel_from_quantizer``'s bit for bit. K = 1-5 band,
+        contamination and KL sensors (affine log-LR, quadratic, and
+        decreasing in y), with replies whose LR thresholds round to one
+        value, that drop a zero-mass level, that have a +inf or a -inf LLR
+        level, or whose build raises (the batch raises as that reply did)."""
+        rng = np.random.default_rng(20261201)
+        seen = Counter()
+        for n in range(60):
+            k = 1 + n % 5
+            specs = [_design_spec(rng, 4 * n + j) for j in range(k)]
+            if n % 4 == 0:  # a KL sensor whose reply (4.48, 4.49) has LLRs out of order
+                specs[0] = {
+                    "kind": "kl-ball",
+                    "nominal0": {"mean": -0.5, "sigma": 1.0},
+                    "nominal1": {"mean": 0.5, "sigma": 1.0},
+                    "eps0": 0.02,
+                    "eps1": 0.02,
+                }
+            pairs = [build_lfd_pair(spec, j) for j, spec in enumerate(specs)]
+            seen.update(pair.meta["kind"] + type(pair.log_lr).__name__ for pair in pairs)
+            prior0 = float(rng.uniform(0.3, 0.7))
+            brackets = [pair.log_lr_range() for pair in pairs]
+            conf = [sorted(rng.uniform(lo, hi, size=2).tolist()) for lo, hi in brackets]
+            if _outcome(full_rebuild_objective, pairs, prior0, conf)[0] in (math.inf, "raised"):
+                continue
+            i = 0 if n % 4 == 0 else int(rng.integers(k))
+            (lo, hi), pair = brackets[i], pairs[i]
+            x = y = 0.0
+            while math.exp(y) != math.exp(x) or x == y:  # two log thresholds, one LR
+                x = float(rng.uniform(max(lo, -1.0), min(hi, 1.0)))
+                y = float(np.nextafter(x, math.inf))
+            replies = [tuple(sorted(rng.uniform(lo, hi, size=2).tolist())) for _ in range(4)]
+            replies += [(x, y), (0.0, hi + 3.0), (lo - 3.0, 0.0), (lo + 0.01, 0.0)]
+            replies += [(4.48, 4.49)] if n % 4 == 0 else []
+            want, raised = [], None
+            for reply in replies:
+                trial = [list(c) for c in conf]
+                trial[i] = list(reply)
+                want.append(_outcome(full_rebuild_objective, pairs, prior0, trial))
+                raised = raised or (want[-1][0] == "raised" and want[-1][1])
+            objective = fusion._ThresholdObjective(pairs, prior0)
+            lrs = [tuple(math.exp(t) for t in c) for c in conf]
+            reply_lrs = [tuple(math.exp(t) for t in reply) for reply in replies]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                if raised:
+                    with pytest.raises(RuntimeError, match=raised):
+                        objective._score(i, lrs, reply_lrs)
+                    seen["raised"] += 1
+                keep = [j for j, w in enumerate(want) if w[0] != "raised"]
+                scans = objective._score(i, lrs, [reply_lrs[j] for j in keep])
+            parts = [objective.build(j, c).part for j, c in enumerate(conf)]
+            for j, scan in zip(keep, scans):
+                if scan is None:
+                    assert want[j] == (math.inf, 0.0)
+                    seen["invalid"] += 1
+                    continue
+                assert (float(scan[1][0]), float(scan[0][0])) == want[j]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    alone = channel_from_quantizer(Quantizer(reply_lrs[j]), pair)
+                got = objective._built[i, reply_lrs[j]]
+                assert got.levels == alone.levels
+                for a, b in ((got.pmf0.probs, alone.pmf0.probs), (got.pmf1.probs, alone.pmf1.probs),
+                             (got.llr, alone.llr)):
+                    assert np.array_equal(a, b)
+                for a, b in (
+                    (got.part.finite.atoms, alone.part.finite.atoms),
+                    (got.part.finite.masses, alone.part.finite.masses),
+                    (got.part.no_minus, alone.part.no_minus),
+                    (got.part.finite_mass, alone.part.finite_mass),
+                ):
+                    assert np.array_equal(a, b)
+                trial = parts[:i] + [alone.part] + parts[i + 1 :]
+                law = fusion.LlrSumLaw(
+                    fusion._POINT_ZERO, convolve_many([p.finite for p in trial]), fusion._forced_one(trial)
+                )
+                taus, p_e = threshold_errors(law, prior0)
+                order = np.argsort(p_e, kind="stable")[: fusion._REPLY_TAUS]
+                assert np.array_equal(scan[0], taus[order]) and np.array_equal(scan[1], p_e[order])
+                seen["dropped"] += len(got.levels) < 3
+                seen["+inf"] += bool(np.any(got.llr == math.inf))
+                seen["-inf"] += bool(np.any(got.llr == -math.inf))
+                seen[f"K={k}"] += 1
+        assert all(seen[f"K={k}"] >= 20 for k in range(1, 6)), seen
+        assert min(seen[key] for key in ("invalid", "dropped", "+inf", "-inf", "raised")) >= 3, seen
+        kinds = ("gaussian-bandClippedAffineLlr", "huberClippedAffineLlr", "kl-dabakClippedAffineLlr")
+        assert all(seen[kind] for kind in kinds) and seen["kl-dabakQuadraticLlr"], seen
+
+    def test_best_response_scores_its_replies_in_one_batch(self, monkeypatch):
+        """A best response with R new replies builds them in one call of the
+        batched builder, carries them through the left fold as one batch
+        and reads all R scans in one pass: the work does not grow with R."""
+        rng = np.random.default_rng(20261202)
+        kinds = ("gaussian-band", "eps-contamination", "gaussian-band", "kl-ball")
+        pairs = [build_lfd_pair(_random_spec(rng, kind, 3), j) for j, kind in enumerate(kinds)]
+        brackets = [pair.log_lr_range() for pair in pairs]
+        conf = [[-0.5, 0.5] for _ in pairs]
+        counts = Counter()
+
+        def counting(name, fn, size):
+            def wrapped(*args):
+                counts[name] += 1
+                counts[name + " rows"] += size(*args)
+                return fn(*args)
+
+            return wrapped
+
+        originals = (fusion._channels_from_rules, fusion._scan_rows, ordering.convolve)
+        for i in range(len(pairs)):
+            objective = fusion._ThresholdObjective(pairs, 0.5)
+            objective.scan(conf)
+            with monkeypatch.context() as patch:
+                patch.setattr(fusion, "_channels_from_rules", counting("build", originals[0], len))
+                patch.setattr(fusion, "_scan_rows", counting("scan", originals[1], lambda *a: a[3]))
+                batch = lambda a, b: int(a.rows is not None or b.rows is not None)
+                convolve = counting("convolve", originals[2], batch)
+                patch.setattr(fusion, "convolve", convolve)
+                patch.setattr(ordering, "convolve", convolve)
+                counts.clear()
+                objective.best_response(i, conf, brackets[i])
+            assert counts["scan rows"] >= 2
+            assert counts["build"] == counts["scan"] == 1
+            assert counts["build rows"] == counts["scan rows"]  # every new reply is built, once
+            # the batch joins the fold of the sensors before i, then each later one
+            assert counts["convolve rows"] == len(pairs) - max(i, 1)
 
     def test_level_rows_match_enumeration(self):
         """a[t, d] = P_h(fuse 1 | sensor i sends level d) equals enumeration
@@ -1622,7 +1782,7 @@ class TestPersonByPerson:
         result = optimize_thresholds(pairs, [2, 1], 0.5)
         assert result.converged
         assert 0.0 <= result.best_response_gain < 1e-12
-        brackets = [tuple(float(pair.log_lr(y)) for y in pair.support) for pair in pairs]
+        brackets = [pair.log_lr_range() for pair in pairs]
         for i, d in ((0, 0), (0, 1), (1, 0)):
             conf = [[math.log(t) for t in q.thresholds] for q in result.quantizers]
             conf[i][d] += 0.05
@@ -1638,29 +1798,30 @@ class TestPersonByPerson:
         rng = np.random.default_rng(20261104)
         kinds = ("gaussian-band", "eps-contamination") * 3
         pairs = [build_lfd_pair(_random_spec(rng, kind, 3), i) for i, kind in enumerate(kinds)]
-        brackets = [tuple(float(pair.log_lr(y)) for y in pair.support) for pair in pairs]
+        brackets = [pair.log_lr_range() for pair in pairs]
         conf = [[-0.5, 0.5] for _ in pairs]
         objective = fusion._ThresholdObjective(pairs, 0.5)
-        evaluate = objective.evaluate
+        score = objective._score
         scored = []
 
-        def recording(trial):
-            scored.append(tuple(trial[i]))
-            return evaluate(trial)
+        def recording(i, conf, replies):
+            scored.extend(replies)
+            return score(i, conf, replies)
 
-        monkeypatch.setattr(objective, "evaluate", recording)
+        monkeypatch.setattr(objective, "_score", recording)
         for i in range(len(pairs)):
-            _, tau = evaluate(conf)
-            atoms = objective.law(conf).finite.atoms  # one support, both rows
-            assert len(atoms) > 4 * fusion._REPLY_TAUS
+            _, tau = objective.evaluate(conf)
             builds = [objective.build(j, coords) for j, coords in enumerate(conf)]
+            laws = ([b.pmf0 for b in builds], [b.pmf1 for b in builds])
+            atoms = llr_sum_law(builds, *laws).finite.atoms  # one support, both rows
+            assert len(atoms) > 4 * fusion._REPLY_TAUS
             others = [b.part for b in builds[:i] + builds[i + 1 :]]
             a = fusion._fuse_one_given_level(others, builds[i].llr, np.array([tau]))[:, 0]
             (current,) = fusion._envelope_cuts(a[None], 0.5, brackets[i], len(conf[i]))
             scored.clear()
             _, _, coords = objective.best_response(i, conf, brackets[i])
             assert len(scored) <= 1 + fusion._REPLY_TAUS  # the start, then the replies
-            assert current in scored
+            assert tuple(math.exp(t) for t in current) in scored  # scored as LR thresholds
             conf[i] = list(coords)
 
     def test_design_problems_at_or_below_recorded(self, monkeypatch):
@@ -1732,7 +1893,7 @@ class TestAndersonDesign:
             0,
         )
         pairs = [BAND_PAIR, kl]
-        brackets = [tuple(float(pair.log_lr(y)) for y in pair.support) for pair in pairs]
+        brackets = [pair.log_lr_range() for pair in pairs]
         (lo, hi), (kl_lo, kl_hi) = brackets
         objective = fusion._ThresholdObjective(pairs, 0.5)
         evaluate = objective.evaluate

@@ -154,6 +154,37 @@ class TestConvolve:
         assert out.atoms.shape[0] == 1
         assert abs(out.total_mass - 1.0) < 1e-15
 
+    def test_batch_convolves_each_law_as_alone(self):
+        """A batch of laws (``AtomPmf.rows``) convolved with a law, on either
+        side, gives each law's own convolution bit for bit: exact ties and
+        near ties (merged) inside a law, equal atoms in different laws, and
+        empty laws."""
+        rng = np.random.default_rng(20261205)
+        merges = 0
+        for _ in range(300):
+            laws = []
+            for _ in range(int(rng.integers(1, 5))):
+                n = int(rng.integers(0, 6))
+                jitter = np.where(rng.random(n) < 0.3, rng.uniform(-4e-10, 4e-10, n), 0.0)
+                laws.append(AtomPmf(rng.integers(-4, 5, size=n) * 0.5 + jitter, rng.random((2, n))))
+            m = int(rng.integers(1, 5))
+            other = AtomPmf(rng.integers(-3, 4, size=m) * 0.5, rng.random((2, m)))
+            batch = AtomPmf._from_sorted(
+                np.concatenate([law.atoms for law in laws]),
+                np.concatenate([law.masses for law in laws], axis=1),
+                np.repeat(np.arange(len(laws)), [len(law.atoms) for law in laws]),
+            )
+            for got, alone in (
+                (convolve(batch, other), lambda law: convolve(law, other)),
+                (convolve(other, batch), lambda law: convolve(other, law)),
+            ):
+                for r, law in enumerate(laws):
+                    want, mine = alone(law), got.rows == r
+                    assert np.array_equal(got.atoms[mine], want.atoms)
+                    assert np.array_equal(got.masses[:, mine], want.masses)
+                    merges += len(want.atoms) < len(np.unique(np.add.outer(law.atoms, other.atoms)))
+        assert merges >= 100
+
     def test_merged_law_trusted_form_equals_validated_form(self):
         """The merge returns its law through the unchecked constructor;
         running the validating one on that output changes no bit."""
