@@ -137,8 +137,7 @@ def _cmd_saddle(args) -> int:
     built, net = _build_network(scenario)
     n = args.members
     rows = []
-    overall_holds = True
-    witness_text = ""
+    witnesses = []  # one per failed check, in check order; the first is printed
 
     # each distinct build (sensors with equal specs share one) is probed
     # and checked once; its probes feed boundedness and the saddle
@@ -170,13 +169,11 @@ def _cmd_saddle(args) -> int:
             )
         )
         if not report.holds:
-            overall_holds = False
             w = report.witness
-            if not witness_text:
-                witness_text = (
-                    f" sensor={b.index} side={w.side} member={w.member!r} "
-                    f"t={_fmt(w.t)} gap={_fmt(w.gap)}"
-                )
+            witnesses.append(
+                f" sensor={b.index} side={w.side} member={w.member!r} "
+                f"t={_fmt(w.t)} gap={_fmt(w.gap)}"
+            )
 
     laws0 = [checks[b.channel][1] for b in built]
     laws1 = [checks[b.channel][2] for b in built]
@@ -192,19 +189,17 @@ def _cmd_saddle(args) -> int:
         )
     )
     if not saddle.holds:
-        overall_holds = False
-        if not witness_text:
-            witness_text = (
-                f" side={saddle.worst_side} combo={saddle.worst_combo} "
-                f"gap={_fmt(saddle.worst_gap)}"
-            )
+        witnesses.append(
+            f" side={saddle.worst_side} combo={saddle.worst_combo} "
+            f"gap={_fmt(saddle.worst_gap)}"
+        )
 
     _write_rows(
         args.out,
         ("scenario_id", "check", "subject", "combo", "holds", "worst_gap"),
         rows,
     )
-    print(("HOLDS" if overall_holds else "VIOLATED" + witness_text))
+    print("VIOLATED" + witnesses[0] if witnesses else "HOLDS")
     return EXIT_OK
 
 

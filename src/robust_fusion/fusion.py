@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -45,6 +44,8 @@ from .sensor import channel_from_quantizer  # noqa: F401 (perfbench patches fusi
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 _AGREEMENT_TOL = 1e-10
+# saddle_verify's slack: a gap or dominance excess within it still holds
+SADDLE_TOL = 1e-9
 # LLR sums within TIE_TOL above the log threshold are ties and decide H0.
 # It sits well above float summation noise (~1e-13) and below the 1e-9
 # atom merge width, so one tie band never holds two atoms of a convolved law.
@@ -154,11 +155,30 @@ class LlrSumLaw:
 _POINT_ZERO = AtomPmf(np.zeros(1), np.ones(1))
 
 
+# a sensor whose level surely has LLR +inf
+_SURE_PLUS_INF = _SensorPart(AtomPmf._from_sorted(np.zeros(0), np.zeros(0)), 1.0, 0.0)
+
+
 def _forced_one(parts: Sequence[_SensorPart]) -> float | np.ndarray:
-    """P[some level has LLR +inf and none has -inf] over independent sensors."""
-    # products in sensor order, one per row, as a loop from 1.0 would form them
-    no_minus, all_finite = np.array([(p.no_minus, p.finite_mass) for p in parts]).prod(axis=0)
-    return no_minus - all_finite
+    """P[some level has LLR +inf and none has -inf] over independent sensors:
+    products in sensor order, as a loop from 1.0 forms them, one per mass
+    row and per law of a batch part (:func:`_batch_part`), each as alone."""
+    return math.prod(p.no_minus for p in parts) - math.prod(p.finite_mass for p in parts)
+
+
+def _batch_part(parts: Sequence[_SensorPart]) -> _SensorPart:
+    """One sensor's parts at several designs as one part: a batch of their
+    finite laws (``AtomPmf.rows``; no rows for one part), their
+    ``no_minus`` and ``finite_mass`` rows stacked, one per design."""
+    sizes = [len(p.finite.atoms) for p in parts]
+    atoms = np.concatenate([p.finite.atoms for p in parts])
+    masses = np.concatenate([p.finite.masses for p in parts], axis=-1)
+    rows = np.arange(len(parts)).repeat(sizes) if len(parts) > 1 else None
+    return _SensorPart(
+        AtomPmf._from_sorted(atoms, masses, rows),
+        np.array([p.no_minus for p in parts]),
+        np.array([p.finite_mass for p in parts]),
+    )
 
 
 def llr_sum_law(
@@ -286,14 +306,13 @@ class SaddleReport:
     p_miss_lfd: float
     dominance_ok: bool
     n_checked: int
-    tol: float = 1e-9
+    tol: float = SADDLE_TOL
 
 
 def saddle_verify(
     net: NetworkModel,
     member_laws0: Sequence[np.ndarray],
     member_laws1: Sequence[np.ndarray],
-    tol: float = 1e-9,
 ) -> SaddleReport:
     """Certify that the LFD laws are worst cases for the fixed rules.
 
@@ -304,8 +323,8 @@ def saddle_verify(
 
     The certificate is per sensor: in the order of the sensor's LLR
     values, every H0 member law must lie stochastically below ``pmf0`` and
-    every H1 member law above ``pmf1`` (within ``tol``). That covers every
-    member combination at every fusion threshold: :func:`_decide_one` is
+    every H1 member law above ``pmf1`` (within ``SADDLE_TOL``). That covers
+    every member combination at every fusion threshold: :func:`_decide_one` is
     nondecreasing in each sensor's LLR, ±inf included, and the sensors are
     independent, so swapping the LFDs for members one sensor at a time
     never raises P_F (under H0) or P_M (under H1). Each sensor's members
@@ -342,8 +361,7 @@ def saddle_verify(
     carried = [0.0, 0.0]  # the gap of each side's current combination
     dominance_ok = True
     for i, ch in enumerate(net.channels):
-        a = _fuse_one_given_level(parts[:i] + parts[i + 1 :], ch.llr, np.array([tau]))
-        a = np.broadcast_to(a[..., 0, :], (2, len(ch.llr)))
+        a = _fuse_one_given_level(parts[:i] + parts[i + 1 :], ch.llr, np.array([tau]))[:, 0]
         chosen = []
         for h, (probs, sign) in enumerate(((member_laws0[i], 1), (member_laws1[i], -1))):
             current = (ch.pmf0, ch.pmf1)[h].probs
@@ -354,13 +372,13 @@ def saddle_verify(
             chosen.append(probs[j])
             # the LFD must dominate each member on the signed LLR ranks
             worst = _dominance_gaps(sign * ranks[i], current, probs)
-            dominance_ok = dominance_ok and bool(np.all(worst <= tol))
+            dominance_ok = dominance_ok and bool(np.all(worst <= SADDLE_TOL))
         parts[i] = _sensor_part(ch.llr, np.array(chosen))
     # the miss side must be worse by more than rounding to replace the
     # false-alarm side, so mirror-image witnesses resolve to false-alarm
     h = int(carried[1] < carried[0] - WITNESS_TOL)
     return SaddleReport(
-        holds=carried[h] >= -tol and dominance_ok,
+        holds=carried[h] >= -SADDLE_TOL and dominance_ok,
         worst_side=("false-alarm", "miss")[h],
         worst_combo=tuple(combos[h]),
         worst_gap=carried[h],
@@ -368,7 +386,6 @@ def saddle_verify(
         p_miss_lfd=1.0 - p_one,
         dominance_ok=dominance_ok,
         n_checked=math.prod(map(len, member_laws0)) + math.prod(map(len, member_laws1)),
-        tol=tol,
     )
 
 
@@ -442,25 +459,26 @@ _ANDERSON_DEPTH = 3
 def _fuse_one_given_level(
     others: Sequence[_SensorPart], llr: np.ndarray, taus: np.ndarray
 ) -> np.ndarray:
-    """a[t, d] = P(fuse 1 | the sensor sends level d) at fusion threshold taus[t].
+    """a[h, t, d] = P_h(fuse 1 | the sensor sends level d) at fusion threshold taus[t].
 
     ``llr`` is the sensor's per-level LLR and ``others`` are the other
-    sensors' parts (with mass rows: a[r, t, d] per row). P(fuse 1) is linear
-    in the sensor's level law, with row t as its coefficients. The others
-    are folded once into an :class:`LlrSumLaw`, split as :func:`llr_sum_law`
-    splits, so no fold of all of them is built. A finite level d reads that
-    law at taus - llr[d]; a +inf level decides 1 unless another sensor
-    sends -inf, and a -inf level decides 0. With no others a level decides
-    1 iff its LLR is above the tie band.
+    sensors' parts, each with an H0 and an H1 mass row (h = 0, 1). P(fuse 1)
+    is linear in the sensor's level law, with a[h, t] as its coefficients.
+    The others are folded once into an :class:`LlrSumLaw`, split as
+    :func:`llr_sum_law` splits, so no fold of all of them is built. A finite
+    level d reads that law at taus - llr[d]; a +inf level decides 1 unless
+    another sensor sends -inf (the forced-1 mass of the others and a sure
+    +inf), and a -inf level decides 0. With no others a level decides 1 iff
+    its LLR is above the tie band, under both hypotheses.
     """
     taus = np.asarray(taus, dtype=float)
     if not others:
-        return (llr > taus[:, None] + TIE_TOL).astype(float)
+        return np.tile(llr > taus[:, None] + TIE_TOL, (2, 1, 1)).astype(float)
     law = _fold(others)
-    a = np.zeros(np.shape(law.forced_one) + (len(taus), len(llr)))
+    a = np.zeros((2, len(taus), len(llr)))
     finite = np.isfinite(llr)
     a[..., finite] = law.prob_decide_one(taus[:, None] - llr[finite])
-    a[..., llr == math.inf] = np.expand_dims(math.prod(p.no_minus for p in others), (-2, -1))
+    a[..., llr == math.inf] = np.expand_dims(_forced_one([*others, _SURE_PLUS_INF]), (-2, -1))
     return a
 
 
@@ -514,10 +532,11 @@ def _unique_rows(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate(([True], np.any(a[1:] != a[:-1], axis=1)))]
 
 
-def _scan_rows(fold: AtomPmf, forced: np.ndarray, prior0: float, count: int) -> list:
-    """:meth:`_ThresholdObjective.scan` of each of the ``count`` laws of the
-    batch ``fold`` (``AtomPmf.rows``; one law without rows), an H0 and an H1
-    mass row each, with forced-1 masses ``forced[r]``, in one pass.
+def _scan_rows(fold: AtomPmf, forced: np.ndarray, prior0: float) -> list:
+    """The scan of each law of the batch ``fold`` (``AtomPmf.rows``; one law
+    without rows), an H0 and an H1 mass row each, with forced-1 masses
+    ``forced[r]``, in one pass: its ``_REPLY_TAUS`` lowest-P_E (log fusion
+    threshold, P_E) pairs, in stable order.
 
     Under the tie-to-null rule P_E changes only at atoms, so a law's
     candidate thresholds are its atoms and one below (0.0 alone without
@@ -527,7 +546,7 @@ def _scan_rows(fold: AtomPmf, forced: np.ndarray, prior0: float, count: int) -> 
     after it and stops at a larger atom or a NaN, and the tail sums are
     those of the law's masses padded with zeros, bit for bit as alone.
     """
-    atoms = fold.atoms
+    atoms, count = fold.atoms, len(forced)
     rows = np.zeros(len(atoms), int) if fold.rows is None else fold.rows
     sizes = np.bincount(rows, minlength=count)
     width = int(sizes.max()) + 2
@@ -560,30 +579,38 @@ def _scan_rows(fold: AtomPmf, forced: np.ndarray, prior0: float, count: int) -> 
 class _ThresholdObjective:
     """P_E of a threshold configuration, minimized over the fusion threshold.
 
-    One memo maps (sensor, LR thresholds) to that sensor's channel, which
-    carries its LLR-sum part (an H0 and an H1 row), or to None when the
-    thresholds are not a valid quantizer, so each distinct sensor design is
-    built (and validated) once, also when two log thresholds round to one
-    LR value; the designs not yet built are built in one batch.
-    A second memo maps a configuration's LR thresholds to its scan; the
-    scans of one sensor's new replies are made in one batch
-    (:meth:`_score_batch`), a configuration alone in a batch of one. Every
-    value is bit-identical to building all K channels and folding each law
-    from scratch, left to right in sensor order. A third maps (sensor, log
-    thresholds, bracket) to its best response. The memos belong to the
-    instance; ``optimize_thresholds`` makes one per call.
+    Each sensor's log-LR bracket is read once (``brackets``), and the memos
+    key log thresholds by their LR values (:meth:`_lrs`). One memo maps
+    (sensor, LR thresholds) to that sensor's channel, which carries its
+    LLR-sum part (an H0 and an H1 row), or to None when the thresholds are
+    not a valid quantizer, so each distinct sensor design is built (and
+    validated) once, also when two log thresholds round to one LR value;
+    the designs not yet built are built in one batch.
+    A second memo maps a configuration's LR thresholds to its scan
+    (:func:`_scan_rows`); the scans of one sensor's new replies are made in
+    one batch (:meth:`_score_batch`), a configuration alone in a batch of
+    one. Every value is bit-identical to building all K channels and
+    folding each law from scratch, left to right in sensor order. A third
+    maps (sensor, log thresholds) to its best response. The memos belong to
+    the instance; ``optimize_thresholds`` makes one per call.
     """
 
     def __init__(self, pairs: Sequence[LfdPair], prior0: float):
         self.pairs = list(pairs)
         self.prior0 = prior0
+        self.brackets = [pair.log_lr_range() for pair in self.pairs]
         self._built: dict[tuple[int, tuple[float, ...]], SensorChannel | None] = {}
         self._scans: dict[tuple, tuple[np.ndarray, np.ndarray] | None] = {}
         self._replies: dict[tuple, tuple] = {}
 
+    @staticmethod
+    def _lrs(log_thresholds: Sequence[float]) -> tuple[float, ...]:
+        """The LR thresholds of ``log_thresholds``, the memos' key."""
+        return tuple(math.exp(t) for t in log_thresholds)
+
     def build(self, i: int, log_thresholds: Sequence[float]) -> SensorChannel | None:
         """Sensor i at ``log_thresholds``; None when they are invalid."""
-        return self._build(i, [tuple(math.exp(t) for t in log_thresholds)])[0]
+        return self._build(i, [self._lrs(log_thresholds)])[0]
 
     def _build(self, i: int, lrs: Sequence[tuple[float, ...]]) -> list[SensorChannel | None]:
         """Sensor i at each tuple of LR thresholds (all of one count)."""
@@ -604,16 +631,16 @@ class _ThresholdObjective:
             self._built.update(((i, lr), channel) for lr, channel in zip(rules, channels))
         return [self._built[i, lr] for lr in lrs]
 
-    def scan(
-        self, all_log_thresholds: Sequence[Sequence[float]]
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """The ``_REPLY_TAUS`` lowest-P_E (log fusion threshold, P_E) pairs of
-        :func:`_scan_rows`, in stable order; None when invalid."""
-        lrs = [tuple(math.exp(t) for t in coords) for coords in all_log_thresholds]
-        return self._score(len(lrs) - 1, lrs, lrs[-1:])[0]
+    def evaluate(self, all_log_thresholds: Sequence[Sequence[float]]) -> tuple[float, float]:
+        """Returns (p_error, best log fusion threshold); inf when invalid."""
+        lrs = [self._lrs(coords) for coords in all_log_thresholds]
+        (scan,) = self._score(len(lrs) - 1, lrs, lrs[-1:])
+        if scan is None:
+            return math.inf, 0.0
+        return float(scan[1][0]), float(scan[0][0])
 
     def _score(self, i: int, lrs: list[tuple[float, ...]], replies: list) -> list:
-        """:meth:`scan` of the configuration of LR thresholds ``lrs`` with
+        """The scan (None when invalid) of the LR thresholds ``lrs`` with
         sensor i at each of the LR thresholds ``replies``."""
         keys = [(*lrs[:i], reply, *lrs[i + 1 :]) for reply in replies]
         todo = {key: reply for key, reply in zip(keys, replies) if key not in self._scans}
@@ -624,50 +651,27 @@ class _ThresholdObjective:
     def _score_batch(self, i: int, lrs: list[tuple[float, ...]], replies: list) -> list:
         """The scans of :meth:`_score`: the sensors other than i are built in
         order (the first invalid one makes every scan None), then the
-        replies in one batch. The sensors before i are folded once and the
-        replies' parts, as one batch of laws (``AtomPmf.rows``), are
-        convolved with that fold and the later sensors in turn, so each
-        law's fold is ((p0 + p1) + reply) + p3 ..., as alone."""
+        replies in one batch. The replies' parts are one batch part
+        (:func:`_batch_part`) at sensor i, so the left fold
+        ((p0 + p1) + replies) + p3 ... folds each reply as alone."""
         fixed = []
         for j, lr in enumerate(lrs):
             if j != i:
                 fixed.extend(self._build(j, [lr]))
                 if fixed[-1] is None:
                     return [None] * len(replies)
-        fixed = [build.part for build in fixed]
         builds = self._build(i, replies)
         parts = [build.part for build in builds if build is not None]
         if not parts:
             return builds
-        sizes = [len(part.finite.atoms) for part in parts]
-        fold = AtomPmf._from_sorted(
-            np.concatenate([part.finite.atoms for part in parts]),
-            np.concatenate([part.finite.masses for part in parts], axis=1),
-            np.arange(len(parts)).repeat(sizes) if len(parts) > 1 else None,
-        )
-        if i:
-            fold = convolve(convolve_many([part.finite for part in fixed[:i]]), fold)
-        for part in fixed[i:]:
-            fold = convolve(fold, part.finite)
-        # products in sensor order, one per reply and row, as _forced_one forms them
-        factors = [np.array([part.no_minus, part.finite_mass]) for part in fixed]
-        factors.insert(i, np.array([[part.no_minus, part.finite_mass] for part in parts]))
-        products = reduce(np.multiply, factors)
-        scans = iter(_scan_rows(fold, products[:, 0] - products[:, 1], self.prior0, len(parts)))
+        fixed = [build.part for build in fixed]
+        parts = fixed[:i] + [_batch_part(parts)] + fixed[i:]
+        fold = convolve_many([part.finite for part in parts])
+        scans = iter(_scan_rows(fold, _forced_one(parts), self.prior0))
         return [None if build is None else next(scans) for build in builds]
 
-    def evaluate(self, all_log_thresholds: Sequence[Sequence[float]]) -> tuple[float, float]:
-        """Returns (p_error, best log fusion threshold); inf when invalid."""
-        scan = self.scan(all_log_thresholds)
-        if scan is None:
-            return math.inf, 0.0
-        return float(scan[1][0]), float(scan[0][0])
-
     def best_response(
-        self,
-        i: int,
-        all_log_thresholds: Sequence[Sequence[float]],
-        bracket: tuple[float, float],
+        self, i: int, all_log_thresholds: Sequence[Sequence[float]]
     ) -> tuple[float, float, tuple[float, ...]]:
         """Sensor i's best reply with the others fixed: (p_error, tau, its log thresholds).
 
@@ -681,38 +685,33 @@ class _ThresholdObjective:
         kept only if it strictly lowers P_E. The configuration must be valid.
         """
         conf = tuple(tuple(coords) for coords in all_log_thresholds)
-        key = (i, conf, bracket)
-        if key in self._replies:
-            return self._replies[key]
-        lrs = [tuple(math.exp(t) for t in coords) for coords in conf]
+        if (i, conf) in self._replies:
+            return self._replies[i, conf]
+        lrs = [self._lrs(coords) for coords in conf]
         ((taus, p_e),) = self._score(len(lrs) - 1, lrs, lrs[-1:])
         best = (float(p_e[0]), float(taus[0]), conf[i])
         builds = [self._build(j, [lr])[0] for j, lr in enumerate(lrs)]
         others = [b.part for b in builds[:i] + builds[i + 1 :]]
         llr = builds[i].llr
-        a = np.broadcast_to(_fuse_one_given_level(others, llr, taus), (2, len(taus), len(llr)))
+        a = _fuse_one_given_level(others, llr, taus)
         maps = _unique_rows(np.concatenate(a, axis=1)).reshape(-1, 2, len(llr))
-        cuts = _envelope_cuts(maps, self.prior0, bracket, len(conf[i]))
+        cuts = _envelope_cuts(maps, self.prior0, self.brackets[i], len(conf[i]))
         replies = [c for c in dict.fromkeys(cuts) if c != conf[i]]
-        scans = self._score(i, lrs, [tuple(math.exp(t) for t in c) for c in replies])
+        scans = self._score(i, lrs, [self._lrs(c) for c in replies])
         for reply, scan in zip(replies, scans):
             if scan is not None and scan[1][0] < best[0]:
                 best = (float(scan[1][0]), float(scan[0][0]), reply)
-        self._replies[key] = best
+        self._replies[i, conf] = best
         return best
 
 
-def _sweep(
-    objective: _ThresholdObjective,
-    conf: list[list[float]],
-    brackets: Sequence[tuple[float, float]],
-) -> tuple[float, float]:
+def _sweep(objective: _ThresholdObjective, conf: list[list[float]]) -> tuple[float, float]:
     """One person-by-person sweep over the sensors in order; updates ``conf``.
 
     Returns (p_error, log fusion threshold) of the configuration it ends at.
     """
     for i in range(len(conf)):
-        p_e, tau, coords = objective.best_response(i, conf, brackets[i])
+        p_e, tau, coords = objective.best_response(i, conf)
         conf[i] = list(coords)
     return p_e, tau
 
@@ -759,11 +758,7 @@ class _Descent(NamedTuple):
     accelerated: int
 
 
-def _descend(
-    objective: _ThresholdObjective,
-    conf: list[list[float]],
-    brackets: Sequence[tuple[float, float]],
-) -> _Descent:
+def _descend(objective: _ThresholdObjective, conf: list[list[float]]) -> _Descent:
     """One start of :func:`optimize_thresholds`: sweeps from ``conf`` with
     the safeguarded Anderson steps described there, on the flattened log
     thresholds. The P_E of the iterates never rises."""
@@ -774,7 +769,7 @@ def _descend(
     sweeps = accelerated = 0
     while sweeps < _MAX_SWEEPS:
         swept = [list(coords) for coords in conf]
-        swept_pe, swept_tau = _sweep(objective, swept, brackets)
+        swept_pe, swept_tau = _sweep(objective, swept)
         sweeps += 1
         if p_e - swept_pe < 1e-12:
             return _Descent(swept, swept_pe, swept_tau, True, sweeps, accelerated)
@@ -788,7 +783,7 @@ def _descend(
         step = _anderson_step(xs, gs)
         if step is not None:
             trial = [coords.tolist() for coords in np.split(step, sizes)]
-            trial_pe, trial_tau = _screened_error(objective, trial, brackets)
+            trial_pe, trial_tau = _screened_error(objective, trial)
             if trial_pe < p_e:
                 conf, p_e, tau = trial, trial_pe, trial_tau
                 accelerated += 1
@@ -798,15 +793,11 @@ def _descend(
     return _Descent(conf, p_e, tau, False, sweeps, accelerated)
 
 
-def _screened_error(
-    objective: _ThresholdObjective,
-    conf: list[list[float]],
-    brackets: Sequence[tuple[float, float]],
-) -> tuple[float, float]:
+def _screened_error(objective: _ThresholdObjective, conf: list[list[float]]) -> tuple[float, float]:
     """(p_error, log fusion threshold) of an extrapolated configuration; inf
     unless every sensor's log thresholds rise strictly inside its bracket
     and its channels build (a KL tail can break the LLR order)."""
-    for coords, (lo, hi) in zip(conf, brackets):
+    for coords, (lo, hi) in zip(conf, objective.brackets):
         if not lo < coords[0] < hi or not all(a < b < hi for a, b in zip(coords, coords[1:])):
             return math.inf, 0.0
     try:
@@ -815,21 +806,20 @@ def _screened_error(
         return math.inf, 0.0
 
 
-def _starts(
-    pairs: Sequence[LfdPair], num_levels: Sequence[int], brackets: Sequence[tuple[float, float]]
-) -> list[list[list[float]]]:
+def _starts(objective: _ThresholdObjective, num_levels: Sequence[int]) -> list[list[list[float]]]:
     """The initial log-threshold configurations of :func:`optimize_thresholds`:
-    equal-mixture quantiles (unless refused), LR = 1 centered, and seeded random."""
+    equal-mixture quantiles (unless refused), LR = 1 centered, and seeded
+    random inside the objective's brackets."""
     rng = np.random.default_rng(0)
     starts = [
         [[0.0] if d == 1 else list(np.linspace(-0.5, 0.5, d)) for d in num_levels],
         [
             sorted(float(v) for v in rng.uniform(lo + 0.1, hi - 0.1, size=d))
-            for (lo, hi), d in zip(brackets, num_levels)
+            for (lo, hi), d in zip(objective.brackets, num_levels)
         ],
     ]
     try:
-        quantizers = [default_quantizer(p, d) for p, d in zip(pairs, num_levels)]
+        quantizers = [default_quantizer(p, d) for p, d in zip(objective.pairs, num_levels)]
     except ValueError:  # a log-LR that turns between two quantiles
         return starts
     return [[[math.log(t) for t in q.thresholds] for q in quantizers], *starts]
@@ -841,6 +831,10 @@ def optimize_thresholds(
     prior0: float,
 ) -> DesignResult:
     """Design sensor thresholds and the fusion threshold to minimize P_E.
+
+    ``num_levels`` gives each sensor's threshold count, a whole number in
+    1..4, for at most 10 sensors; ``prior0`` must lie in (0, 1). Invalid
+    inputs raise ValueError before any design work.
 
     Person-by-person descent (Tsitsiklis 1993): each sweep replaces every
     sensor's quantizer, in turn, by its best response to the others and
@@ -866,13 +860,15 @@ def optimize_thresholds(
     best-found with a warning that names how many starts hit the limit, and
     ``converged=False``.
     """
-    if len(pairs) > 10 or any(d > 4 for d in num_levels):
-        raise ValueError("designed for K <= 10 sensors with at most 4 thresholds each")
-    if len(pairs) != len(num_levels):
-        raise ValueError("need one threshold count per sensor")
+    if not pairs or len(pairs) != len(num_levels):
+        raise ValueError("need at least one sensor, and one threshold count per sensor")
+    num_levels = _whole_numbers(num_levels, "threshold counts")
+    if len(pairs) > 10 or not all(1 <= d <= 4 for d in num_levels):
+        raise ValueError(f"designed for K <= 10 sensors with 1 to 4 thresholds each: {num_levels}")
+    if not 0.0 < prior0 < 1.0:
+        raise ValueError(f"prior0 must be in (0, 1), got {prior0}")
     objective = _ThresholdObjective(pairs, prior0)
-    brackets = [pair.log_lr_range() for pair in pairs]
-    descents = [_descend(objective, conf, brackets) for conf in _starts(pairs, num_levels, brackets)]
+    descents = [_descend(objective, conf) for conf in _starts(objective, num_levels)]
     best = min(descents, key=lambda descent: descent.p_error)  # the first on a tie
     if not best.converged:
         stuck = sum(not descent.converged for descent in descents)
@@ -880,8 +876,8 @@ def optimize_thresholds(
             f"threshold optimizer hit the sweep limit on {stuck} of {len(descents)} starts; "
             "returning best found"
         )
-    best_response_gain = best.p_error - _sweep(objective, [list(c) for c in best.conf], brackets)[0]
-    quantizers = tuple(Quantizer(tuple(math.exp(t) for t in coords)) for coords in best.conf)
+    best_response_gain = best.p_error - _sweep(objective, [list(c) for c in best.conf])[0]
+    quantizers = tuple(Quantizer(objective._lrs(coords)) for coords in best.conf)
     channels = tuple(objective.build(i, coords) for i, coords in enumerate(best.conf))
     net = NetworkModel(channels, prior0, best.tau)
     report = exact_error(net)
@@ -894,6 +890,18 @@ def optimize_thresholds(
         sweeps=sum(descent.sweeps for descent in descents),
         accelerated=sum(descent.accelerated for descent in descents),
     )
+
+
+def _whole_numbers(values: Sequence, what: str) -> list[int]:
+    """``values`` as ints; ValueError unless each is a whole number."""
+    values = list(values)
+    try:
+        counts = [int(v) for v in values]
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN or inf
+        counts = None
+    if counts != values:
+        raise ValueError(f"{what} must be whole numbers, got {values}")
+    return counts
 
 
 def k_sweep(
@@ -918,7 +926,7 @@ def k_sweep(
     """
     if np.max(np.abs(template.pmf0.probs - template.pmf1.probs)) <= 1e-12:
         raise ValueError("uninformative sensor template: pmf0 equals pmf1")
-    ks = [int(k) for k in ks]
+    ks = _whole_numbers(ks, "sensor counts")
     if any(k < 1 for k in ks):
         raise ValueError("sensor counts must be >= 1")
     net = NetworkModel((template,), prior0, log_threshold)
@@ -942,42 +950,32 @@ def k_sweep(
     return [(k, reports[k]) for k in ks]
 
 
-def monte_carlo(
-    net: NetworkModel,
-    n: int,
-    seed: int,
-    laws0: Sequence[DiscretePmf] | None = None,
-    laws1: Sequence[DiscretePmf] | None = None,
-) -> ErrorReport:
+def monte_carlo(net: NetworkModel, n: int, seed: int) -> ErrorReport:
     """Monte Carlo estimate of the network error probabilities.
 
-    Levels are sampled directly from the per-sensor laws (equal in law to
-    sampling observations and quantizing). The generator is PCG64 seeded
+    Levels are sampled directly from the channels' own (least favorable)
+    laws, equal in law to sampling observations and quantizing. The generator is PCG64 seeded
     with ``seed`` and split per hypothesis, so reports are reproducible
     bit-for-bit. ``ci_halfwidth`` is a 99% half-width for p_error.
     """
     if n < 10**4:
         raise ValueError("need at least 1e4 samples for calibrated estimates")
-    laws0 = [ch.pmf0 for ch in net.channels] if laws0 is None else list(laws0)
-    laws1 = [ch.pmf1 for ch in net.channels] if laws1 is None else list(laws1)
     rng0, rng1 = np.random.default_rng(seed).spawn(2)
 
-    def decide_rate(laws, rng) -> float:
+    def decide_rate(h, rng) -> float:
         sums = np.zeros(n)
         has_pos = np.zeros(n, dtype=bool)
         has_neg = np.zeros(n, dtype=bool)
-        for ch, law in zip(net.channels, laws):
-            if law.levels != ch.levels:
-                raise ValueError("law levels must match channel levels")
-            idx = rng.choice(len(ch.levels), size=n, p=law.probs)
+        for ch in net.channels:
+            idx = rng.choice(len(ch.levels), size=n, p=(ch.pmf0, ch.pmf1)[h].probs)
             vals = ch.llr[idx]
             has_pos |= vals == math.inf
             has_neg |= vals == -math.inf
             sums += np.where(np.isfinite(vals), vals, 0.0)
         return float(np.mean(_decide_one(sums, has_pos, has_neg, net.log_threshold)))
 
-    p_f = decide_rate(laws0, rng0)
-    p_m = 1.0 - decide_rate(laws1, rng1)
+    p_f = decide_rate(0, rng0)
+    p_m = 1.0 - decide_rate(1, rng1)
     hw_f = Z_99 * math.sqrt(p_f * (1.0 - p_f) / n)
     hw_m = Z_99 * math.sqrt(p_m * (1.0 - p_m) / n)
     hw_e = math.hypot(net.prior0 * hw_f, (1.0 - net.prior0) * hw_m)

@@ -631,7 +631,6 @@ def joint_boundedness_check(
     class0_members: Sequence,
     class1_members: Sequence,
     t_grid: Sequence[float],
-    tol: float = BOUNDEDNESS_TOL,
 ) -> BoundednessReport:
     """Verify the two-sided cdf sandwich of the robust LR over class members.
 
@@ -642,7 +641,7 @@ def joint_boundedness_check(
     with those log thresholds); column k of a law's cumulative level
     masses is its P(log_lr < t_k), and each side's LFD and members are
     read in one :func:`level_masses` call. Violations
-    beyond ``tol`` flip ``holds`` and the worst one is reported as a
+    beyond ``BOUNDEDNESS_TOL`` flip ``holds`` and the worst one is reported as a
     witness; of candidates within ``WITNESS_TOL`` of each other the first
     found wins (h0 before h1, then member and threshold order). An empty
     member list adds nothing. Raises ValueError on a t grid that holds a
@@ -678,7 +677,7 @@ def joint_boundedness_check(
         side, idx, member = sides[i // len(t)]
         witness = BoundednessWitness(side, idx, member, float(t[i % len(t)]), worst)
         i = int(np.searchsorted(running, worst + WITNESS_TOL, side="right"))
-    holds = worst <= tol
+    holds = worst <= BOUNDEDNESS_TOL
     return BoundednessReport(
-        holds=holds, worst_violation=worst, tol=tol, witness=None if holds else witness
+        holds=holds, worst_violation=worst, tol=BOUNDEDNESS_TOL, witness=None if holds else witness
     )

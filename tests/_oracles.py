@@ -280,18 +280,17 @@ def plain_person_by_person(pairs, num_levels, prior0):
     from robust_fusion.fusion import _starts, _sweep, _ThresholdObjective
 
     objective = _ThresholdObjective(pairs, prior0)
-    brackets = [pair.log_lr_range() for pair in pairs]
     best_conf = None
     best_pe = math.inf
     best_tau = 0.0
     best_converged = False
     sweeps = 0
-    for conf in _starts(pairs, num_levels, brackets):
+    for conf in _starts(objective, num_levels):
         conf = [list(c) for c in conf]
         pe, tau = objective.evaluate(conf)
         converged = False
         for _ in range(40):
-            swept_pe, tau = _sweep(objective, conf, brackets)
+            swept_pe, tau = _sweep(objective, conf)
             sweeps += 1
             gain, pe = pe - swept_pe, swept_pe
             if gain < 1e-12:

@@ -1172,7 +1172,7 @@ class TestBestFusionThreshold:
             law = llr_sum_law(channels, *laws)
             candidates, p_e = threshold_errors(law, 0.3)
             assert candidates.tolist() == [0.0] and p_e.tolist() == [0.0]
-            ((candidates, p_e),) = fusion._scan_rows(law.finite, law.forced_one[None], 0.3, 1)
+            ((candidates, p_e),) = fusion._scan_rows(law.finite, law.forced_one[None], 0.3)
             assert candidates.tolist() == [0.0] and p_e.tolist() == [0.0]
             assert exact_error(NetworkModel(channels, 0.3, 0.0)).p_error == 0.0
 
@@ -1243,6 +1243,53 @@ class TestOptimizeThresholds:
         )
         with pytest.raises(ValueError):
             optimize_thresholds([pair], [5], 0.5)
+
+    def test_inputs_validated_before_designing(self, monkeypatch):
+        """No sensors, threshold counts that are not whole numbers in 1..4,
+        a count list of the wrong length and a prior outside (0, 1) each
+        raise ValueError before any start descends."""
+
+        def no_design(*args):
+            raise AssertionError("designed before validating")
+
+        monkeypatch.setattr(fusion, "_descend", no_design)
+        cases = [
+            ([], [], "at least one sensor"),
+            ([BAND_PAIR], [], "one threshold count per sensor"),
+            ([BAND_PAIR], [-1], "1 to 4 thresholds each"),
+            ([BAND_PAIR], [0], "1 to 4 thresholds each"),
+            ([BAND_PAIR], [1.5], "whole numbers"),
+            ([BAND_PAIR], [math.nan], "whole numbers"),
+            ([BAND_PAIR], ["2"], "whole numbers"),
+        ]
+        for pairs, num_levels, match in cases:
+            with pytest.raises(ValueError, match=match):
+                optimize_thresholds(pairs, num_levels, 0.5)
+        for prior0 in (0.0, 1.0, -0.2, math.nan):
+            with pytest.raises(ValueError, match="prior0"):
+                optimize_thresholds([BAND_PAIR], [1], prior0)
+
+    def test_sweep_limit_returns_the_best_found(self, monkeypatch):
+        """With the sweep limit at 1, every start stops unconverged: the
+        design warns how many starts hit the limit, reports
+        ``converged=False`` and returns the lowest-P_E start, as the
+        starts' own descents find it."""
+        pairs = [BAND_PAIR, gaussian_band_lfd(BAND0, GaussianBandClass(0.5, 1.5, 1.0))]
+        monkeypatch.setattr(fusion, "_MAX_SWEEPS", 1)
+        objective = fusion._ThresholdObjective(pairs, 0.5)
+        descents = [fusion._descend(objective, conf) for conf in fusion._starts(objective, [2, 1])]
+        assert not any(descent.converged for descent in descents)
+        best = min(descents, key=lambda descent: descent.p_error)
+        message = f"hit the sweep limit on {len(descents)} of {len(descents)} starts"
+        with pytest.warns(UserWarning, match=message):
+            result = optimize_thresholds(pairs, [2, 1], 0.5)
+        assert not result.converged
+        assert result.sweeps == len(descents)
+        assert result.log_threshold == best.tau
+        assert result.report.p_error == pytest.approx(best.p_error, abs=1e-12)
+        for q, coords in zip(result.quantizers, best.conf):
+            assert q.thresholds == tuple(math.exp(t) for t in coords)
+        assert result.best_response_gain >= 0.0
 
 
 def _random_design(rng):
@@ -1437,7 +1484,6 @@ class TestThresholdObjective:
         rng = np.random.default_rng(20261202)
         kinds = ("gaussian-band", "eps-contamination", "gaussian-band", "kl-ball")
         pairs = [build_lfd_pair(_random_spec(rng, kind, 3), j) for j, kind in enumerate(kinds)]
-        brackets = [pair.log_lr_range() for pair in pairs]
         conf = [[-0.5, 0.5] for _ in pairs]
         counts = Counter()
 
@@ -1452,24 +1498,52 @@ class TestThresholdObjective:
         originals = (fusion._channels_from_rules, fusion._scan_rows, ordering.convolve)
         for i in range(len(pairs)):
             objective = fusion._ThresholdObjective(pairs, 0.5)
-            objective.scan(conf)
+            objective.evaluate(conf)
             with monkeypatch.context() as patch:
                 patch.setattr(fusion, "_channels_from_rules", counting("build", originals[0], len))
-                patch.setattr(fusion, "_scan_rows", counting("scan", originals[1], lambda *a: a[3]))
+                scan = counting("scan", originals[1], lambda fold, forced, prior0: len(forced))
+                patch.setattr(fusion, "_scan_rows", scan)
                 batch = lambda a, b: int(a.rows is not None or b.rows is not None)
                 convolve = counting("convolve", originals[2], batch)
                 patch.setattr(fusion, "convolve", convolve)
                 patch.setattr(ordering, "convolve", convolve)
                 counts.clear()
-                objective.best_response(i, conf, brackets[i])
+                objective.best_response(i, conf)
             assert counts["scan rows"] >= 2
             assert counts["build"] == counts["scan"] == 1
             assert counts["build rows"] == counts["scan rows"]  # every new reply is built, once
             # the batch joins the fold of the sensors before i, then each later one
             assert counts["convolve rows"] == len(pairs) - max(i, 1)
 
+    def test_forced_one_over_a_batch_part(self):
+        """``_forced_one`` with a batch part (``_batch_part``) at any
+        position gives each reply's forced-1 masses bit for bit as its part
+        alone, and the batch's finite law holds each reply's atoms and mass
+        rows as law r; explicit sensors with +inf and -inf levels, batches
+        of 1-5 replies among 0-3 other sensors."""
+        rng = np.random.default_rng(20261206)
+
+        def part():
+            return _explicit_saddle_sensor(rng, int(rng.integers(2, 5)), 1, True)[0].part
+
+        forced = 0
+        for _ in range(200):
+            others = [part() for _ in range(int(rng.integers(0, 4)))]
+            replies = [part() for _ in range(int(rng.integers(1, 6)))]
+            i = int(rng.integers(len(others) + 1))
+            batch = fusion._batch_part(replies)
+            got = fusion._forced_one(others[:i] + [batch] + others[i:])
+            assert got.shape == (len(replies), 2)
+            for r, reply in enumerate(replies):
+                assert np.array_equal(got[r], fusion._forced_one(others[:i] + [reply] + others[i:]))
+                mine = slice(None) if batch.finite.rows is None else batch.finite.rows == r
+                assert np.array_equal(batch.finite.atoms[mine], reply.finite.atoms)
+                assert np.array_equal(batch.finite.masses[:, mine], reply.finite.masses)
+            forced += bool(np.any(got > 0.0))
+        assert forced >= 20
+
     def test_level_rows_match_enumeration(self):
-        """a[t, d] = P_h(fuse 1 | sensor i sends level d) equals enumeration
+        """a[h, t, d] = P_h(fuse 1 | sensor i sends level d) equals enumeration
         with sensor i pinned at level d, on explicit channels with +inf and
         -inf levels mixed with band and contamination sensors, at every raw
         sum, 5e-13 either side of it and inside its tie band."""
@@ -1488,20 +1562,17 @@ class TestThresholdObjective:
                     channels.append(build_sensor(_random_spec(rng, kind, levels), 0).channel)
             i = int(rng.integers(len(channels)))
             llr = channels[i].llr
+            others = [ch.part for j, ch in enumerate(channels) if j != i]  # an H0 and an H1 row
             for h in (0, 1):
                 laws = [ch.pmf0 if h == 0 else ch.pmf1 for ch in channels]
-                others = [
-                    fusion._sensor_part(ch.llr, law.probs)
-                    for j, (ch, law) in enumerate(zip(channels, laws))
-                    if j != i
-                ]
                 sums, _, has_pos, has_neg = joint_llr_sums(channels, laws)
                 raw = np.unique(sums[~has_pos & ~has_neg])
                 taus = np.concatenate(
                     [raw, raw - 5e-13, raw + 5e-13, raw - 0.5 * TIE_TOL, raw - 1.5 * TIE_TOL]
                 )
                 a = fusion._fuse_one_given_level(others, llr, taus)
-                assert a.shape == (len(taus), len(llr))
+                assert a.shape == (2, len(taus), len(llr))
+                a = a[h]
                 for d in range(len(llr)):
                     pinned = list(laws)
                     pinned[i] = pmf_from_weights(channels[i].levels, np.eye(len(llr))[d])
@@ -1555,26 +1626,26 @@ def _seeded_designs() -> list[tuple[str, list, list[int], float, float]]:
 
 def _record_design(monkeypatch, pairs, num_levels, prior0):
     """(result, starts): ``optimize_thresholds`` with ``_descend``, ``_sweep``
-    and the objective's ``evaluate`` wrapped. Each start is (brackets,
-    events): ("evaluate", configuration, P_E) for an evaluation outside a
-    sweep (the start itself, then the Anderson candidates; P_E is inf when
-    the channel build raised) and ("sweep", P_E in, P_E out)."""
+    and the objective's ``evaluate`` wrapped. Each start is (the objective's
+    brackets, events): ("evaluate", configuration, P_E) for an evaluation
+    outside a sweep (the start itself, then the Anderson candidates; P_E is
+    inf when the channel build raised) and ("sweep", P_E in, P_E out)."""
     descend, sweep, evaluate = fusion._descend, fusion._sweep, fusion._ThresholdObjective.evaluate
     starts = []
     inside = []  # non-empty while a sweep runs or after the start returned
 
-    def recording_descend(objective, conf, brackets):
-        starts.append((brackets, []))
+    def recording_descend(objective, conf):
+        starts.append((objective.brackets, []))
         inside.clear()
-        out = descend(objective, conf, brackets)
+        out = descend(objective, conf)
         inside.append("done")
         return out
 
-    def recording_sweep(objective, conf, brackets):
+    def recording_sweep(objective, conf):
         pe_in = evaluate(objective, conf)[0]
         inside.append("sweep")
         try:
-            pe_out, tau = sweep(objective, conf, brackets)
+            pe_out, tau = sweep(objective, conf)
         finally:
             inside.pop()
         if not inside:
@@ -1677,10 +1748,9 @@ class TestPersonByPerson:
         """A repeated best response runs no scan and no envelope kernel, and
         equals the reply of a fresh objective."""
         pairs = [self.BAND, BAND_PAIR]
-        brackets = [pair.log_lr_range() for pair in pairs]
         conf = [[-0.4, 0.3], [0.2]]
         objective = fusion._ThresholdObjective(pairs, 0.5)
-        first = objective.best_response(0, conf, brackets[0])
+        first = objective.best_response(0, conf)
         counts = Counter()
 
         def counting(name, fn):
@@ -1691,12 +1761,12 @@ class TestPersonByPerson:
             return wrapped
 
         monkeypatch.setattr(fusion, "_envelope_cuts", counting("kernel", fusion._envelope_cuts))
-        monkeypatch.setattr(objective, "scan", counting("scan", objective.scan))
-        again = objective.best_response(0, [list(c) for c in conf], brackets[0])
+        monkeypatch.setattr(objective, "_score", counting("scan", objective._score))
+        again = objective.best_response(0, [list(c) for c in conf])
         assert not counts
         assert again == first
         monkeypatch.undo()
-        assert fusion._ThresholdObjective(pairs, 0.5).best_response(0, conf, brackets[0]) == first
+        assert fusion._ThresholdObjective(pairs, 0.5).best_response(0, conf) == first
 
     def test_design_brackets_hold_a_quadratic_vertex(self):
         """An unequal-variance KL sensor's bracket is its whole log-LR range,
@@ -1726,12 +1796,12 @@ class TestPersonByPerson:
         )
         with pytest.raises(ValueError, match="could not place increasing default thresholds"):
             default_quantizer(pair, 4)
-        brackets = [pair.log_lr_range()]
-        assert len(fusion._starts([pair], [4], brackets)) == 2
+        objective = fusion._ThresholdObjective([pair], 0.5)
+        assert len(fusion._starts(objective, [4])) == 2
         result = optimize_thresholds([pair], [4], 0.5)
         assert result.converged and result.best_response_gain < 1e-12
-        centered, _ = fusion._starts([pair], [4], brackets)
-        assert result.report.p_error <= fusion._ThresholdObjective([pair], 0.5).evaluate(centered)[0]
+        centered, _ = fusion._starts(objective, [4])
+        assert result.report.p_error <= objective.evaluate(centered)[0]
 
     @pytest.mark.parametrize("prior0", [0.3, 0.5, 0.7])
     def test_collapse_escape_keeps_every_level(self, prior0):
@@ -1759,7 +1829,7 @@ class TestPersonByPerson:
         rng = np.random.default_rng(20261102)
         sweeps = 0
         while sweeps < 60:
-            pairs, prior0, conf, brackets = _random_design(rng)
+            pairs, prior0, conf, _ = _random_design(rng)
             if len(pairs) > 3:
                 continue
             objective = fusion._ThresholdObjective(pairs, prior0)
@@ -1767,7 +1837,7 @@ class TestPersonByPerson:
             if pe in (math.inf, "raised"):
                 continue
             for _ in range(4):
-                swept, _ = fusion._sweep(objective, conf, brackets)
+                swept, _ = fusion._sweep(objective, conf)
                 assert swept <= pe
                 assert objective.evaluate(conf)[0] == swept
                 pe = swept
@@ -1782,13 +1852,12 @@ class TestPersonByPerson:
         result = optimize_thresholds(pairs, [2, 1], 0.5)
         assert result.converged
         assert 0.0 <= result.best_response_gain < 1e-12
-        brackets = [pair.log_lr_range() for pair in pairs]
         for i, d in ((0, 0), (0, 1), (1, 0)):
             conf = [[math.log(t) for t in q.thresholds] for q in result.quantizers]
             conf[i][d] += 0.05
             objective = fusion._ThresholdObjective(pairs, 0.5)
             pe, _ = objective.evaluate(conf)
-            swept, _ = fusion._sweep(objective, conf, brackets)
+            swept, _ = fusion._sweep(objective, conf)
             assert pe - swept > 1e-6
 
     def test_reply_set_is_bounded_and_holds_the_current_test(self, monkeypatch):
@@ -1798,7 +1867,6 @@ class TestPersonByPerson:
         rng = np.random.default_rng(20261104)
         kinds = ("gaussian-band", "eps-contamination") * 3
         pairs = [build_lfd_pair(_random_spec(rng, kind, 3), i) for i, kind in enumerate(kinds)]
-        brackets = [pair.log_lr_range() for pair in pairs]
         conf = [[-0.5, 0.5] for _ in pairs]
         objective = fusion._ThresholdObjective(pairs, 0.5)
         score = objective._score
@@ -1817,9 +1885,9 @@ class TestPersonByPerson:
             assert len(atoms) > 4 * fusion._REPLY_TAUS
             others = [b.part for b in builds[:i] + builds[i + 1 :]]
             a = fusion._fuse_one_given_level(others, builds[i].llr, np.array([tau]))[:, 0]
-            (current,) = fusion._envelope_cuts(a[None], 0.5, brackets[i], len(conf[i]))
+            (current,) = fusion._envelope_cuts(a[None], 0.5, objective.brackets[i], len(conf[i]))
             scored.clear()
-            _, _, coords = objective.best_response(i, conf, brackets[i])
+            _, _, coords = objective.best_response(i, conf)
             assert len(scored) <= 1 + fusion._REPLY_TAUS  # the start, then the replies
             assert tuple(math.exp(t) for t in current) in scored  # scored as LR thresholds
             conf[i] = list(coords)
@@ -1905,7 +1973,7 @@ class TestAndersonDesign:
 
         monkeypatch.setattr(objective, "evaluate", recording)
         valid = [[-0.5, 0.5], [-1.0, 0.0, 1.0]]
-        assert fusion._screened_error(objective, valid, brackets) == evaluate(valid)
+        assert fusion._screened_error(objective, valid) == evaluate(valid)
         for conf in (
             [[lo, 0.5], [-1.0, 0.0, 1.0]],
             [[-0.5, hi], [-1.0, 0.0, 1.0]],
@@ -1915,12 +1983,12 @@ class TestAndersonDesign:
             [[-0.5, 0.5], [-1.0, 0.0, 0.0]],
         ):
             scored.clear()
-            assert fusion._screened_error(objective, conf, brackets) == (math.inf, 0.0)
+            assert fusion._screened_error(objective, conf) == (math.inf, 0.0)
             assert not scored
         unbuildable = [[-0.5, 0.5], [0.0, 4.48, 4.49]]
         with pytest.raises(RuntimeError):
             evaluate(unbuildable)
-        assert fusion._screened_error(objective, unbuildable, brackets) == (math.inf, 0.0)
+        assert fusion._screened_error(objective, unbuildable) == (math.inf, 0.0)
 
     def test_seeded_networks_converge_under_the_safeguard(self, monkeypatch):
         """Seeded K=1-4 band, contamination and KL networks: every design
@@ -2010,7 +2078,11 @@ class TestKSweep:
         sizes = _record_convolutions(monkeypatch)
         with pytest.raises(ValueError, match=">= 1"):
             k_sweep(SYM02, [3, 40, 0], 0.5)
+        for ks in ([2.7], [3, 2.5], [math.nan], ["4"]):
+            with pytest.raises(ValueError, match="whole numbers"):
+                k_sweep(SYM02, ks, 0.5)
         assert sizes == []
+        assert k_sweep(SYM02, [2.0, np.int64(3)], 0.5) == k_sweep(SYM02, [2, 3], 0.5)
 
     def test_uninformative_template_rejected(self):
         flat = channel_from_pmfs(

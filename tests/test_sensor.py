@@ -7,6 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from robust_fusion._roots import solve_newton
 from robust_fusion.distributions import AtomPmf, DiscretePmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import (
     _BATCH_MIN_VALUES,
@@ -794,6 +795,26 @@ class TestDefaultQuantizer:
                 except ValueError:
                     pass
                 assert q0.reads <= 8 * num, (pair.meta["kind"], num, q0.reads)
+
+
+class TestSolveNewton:
+    def test_bisects_where_newton_leaves_the_bracket(self):
+        """From the midpoint 5 of [-10, 20] a Newton step on atan lands
+        near -30.7, outside the bracket [-10, 5] it has shrunk to, so the
+        safeguard bisects to -2.5 instead; a zero slope at the start bisects
+        too. Each root is still found to 1e-12."""
+        reads = []
+
+        def atan(y):
+            reads.append(y)
+            return math.atan(y)
+
+        roots = solve_newton(atan, lambda y: 1.0 / (1.0 + y * y), -10.0, 20.0, [0.0, 1.0])
+        assert reads[:2] == [5.0, -2.5]
+        assert abs(roots[0]) <= 1e-12 and abs(roots[1] - math.tan(1.0)) <= 1e-12
+        cube, slope = (lambda y: y**3), (lambda y: 3.0 * y * y)
+        (root,) = solve_newton(cube, slope, -1.0, 1.0, [0.5])  # zero slope at y = 0
+        assert abs(root - 0.5 ** (1.0 / 3.0)) <= 1e-12
 
 
 class TestSensorChannelValidation:
