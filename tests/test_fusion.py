@@ -132,6 +132,37 @@ class TestExactError:
         assert abs(conv.p_error - report.p_error) < 1e-10
         assert abs(conv.p_false_alarm - binomial_majority_error(3, 0.2)) < 1e-13
 
+    def test_unknown_method_refused(self):
+        with pytest.raises(ValueError, match="unknown method 'fft'"):
+            exact_error(NetworkModel((SYM02,), 0.5), method="fft")
+
+    def test_enumeration_above_limit_refused_before_enumerating(self, monkeypatch):
+        """Two 4-level sensors have 16 joint levels: with a limit of 10 the
+        enumeration method raises without visiting one, and the convolution
+        method skips its cross-check."""
+        net = _explicit_network(np.random.default_rng(20261203), 2)
+
+        def refuse(*args):
+            raise AssertionError("enumerated above the limit")
+
+        monkeypatch.setattr(fusion, "_enumerate_decide_one", refuse)
+        with pytest.raises(ValueError, match="too large for enumeration"):
+            exact_error(net, method="enumeration", enumeration_limit=10)
+        assert exact_error(net, enumeration_limit=10) == exact_error(net, cross_check=False)
+
+    def test_disagreement_refused(self, monkeypatch):
+        """An enumeration that moves P(decide 1) by 1e-9 under both
+        hypotheses fails the cross-check, from either primary path."""
+        enumerate_ = fusion._enumerate_decide_one
+        monkeypatch.setattr(
+            fusion, "_enumerate_decide_one", lambda *a: [p + 1e-9 for p in enumerate_(*a)]
+        )
+        net = NetworkModel((SYM02,) * 3, 0.5)
+        for method in ("convolution", "enumeration"):
+            with pytest.raises(RuntimeError, match="disagree beyond 1e-10"):
+                exact_error(net, method=method)
+        assert exact_error(net, cross_check=False).method == "exact-convolution"
+
     def test_single_sensor_reduction(self):
         net = NetworkModel((SYM02,), 0.5)
         report = exact_error(net)

@@ -145,6 +145,19 @@ class TestCliEvaluate:
         assert rows[1][2] == "exact-convolution"
         assert abs(float(rows[1][5]) - 0.104) < 1e-12
 
+    def test_cross_check_disagreement_exits_2(self, tmp_path, capsys, monkeypatch):
+        """A convolution/enumeration disagreement is a domain error: exit 2
+        with an error line, no traceback and no CSV row."""
+        enumerate_ = fusion._enumerate_decide_one
+        monkeypatch.setattr(
+            fusion, "_enumerate_decide_one", lambda *a: [p + 1e-9 for p in enumerate_(*a)]
+        )
+        path = make_majority_scenario(tmp_path)
+        assert main(["evaluate", "--scenario", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "error: convolution and enumeration disagree beyond 1e-10" in err
+        assert "Traceback" not in err and out == ""
+
     def test_monte_carlo_row_appended(self, tmp_path):
         path = make_majority_scenario(tmp_path)
         out = tmp_path / "eval.csv"
