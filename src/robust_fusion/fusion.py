@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import MASS_TOL, AtomPmf, DiscretePmf
+from .distributions import MASS_TOL, AtomPmf
 from .lfd import WITNESS_TOL, LfdPair
 from .ordering import convolve, convolve_many
 from .sensor import Quantizer, SensorChannel, SensorRule, _SensorPart, _sensor_part
@@ -121,12 +121,6 @@ class LlrSumLaw:
     right: AtomPmf
     forced_one: float | np.ndarray
 
-    @property
-    def finite(self) -> AtomPmf:
-        """The finite part as one atom law: the halves convolved, or the
-        right half itself when the left is the empty sum."""
-        return self.right if self.left is _POINT_ZERO else convolve(self.left, self.right)
-
     def prob_decide_one(self, tau):
         """P[decide 1] at log threshold ``tau``, without building the sum.
 
@@ -181,23 +175,6 @@ def _batch_part(parts: Sequence[_SensorPart]) -> _SensorPart:
     )
 
 
-def llr_sum_law(
-    channels: Sequence[SensorChannel], *law_lists: Sequence[DiscretePmf]
-) -> LlrSumLaw:
-    """Exact law of the LLR sum when each sensor's level follows a list of laws.
-
-    Several lists (H0 and H1) give one mass row each on one shared support,
-    folded once; each row equals its list's one-row law bit for bit. The
-    sensors split at K // 2 and each half is folded in sensor order, so no
-    atom law has more than (D+1)^ceil(K/2) atoms.
-    """
-    for ch, *laws in zip(channels, *law_lists):
-        if any(law.levels != ch.levels for law in laws):
-            raise ValueError(f"law levels do not match channel levels {ch.levels}")
-    rows = [np.array([law.probs for law in laws]) for laws in zip(*law_lists)]
-    return _fold([_sensor_part(ch.llr, p if len(p) > 1 else p[0]) for ch, p in zip(channels, rows)])
-
-
 def _fold(parts: Sequence[_SensorPart]) -> LlrSumLaw:
     """The LLR-sum law of one or more independent sensor parts, split at
     len(parts) // 2 into two halves, each folded in order."""
@@ -208,18 +185,17 @@ def _fold(parts: Sequence[_SensorPart]) -> LlrSumLaw:
 
 
 def _enumerate_decide_one(
-    channels: Sequence[SensorChannel],
-    law_lists: Sequence[Sequence[DiscretePmf]],
-    log_threshold: float,
+    channels: Sequence[SensorChannel], log_threshold: float
 ) -> list[float]:
-    """P[decide 1] under each list of laws, by visiting every joint level.
+    """P[decide 1] under H0 and under H1, by visiting every joint level.
 
-    The sums of the first K - 1 sensors are built once for all the lists;
-    each level of the last sensor decides them, and the decisions are
-    contracted with the other sensors' law rows, the last of them first.
+    The sums of the first K - 1 sensors are built once for both
+    hypotheses; each level of the last sensor decides them, and the
+    decisions are contracted with the other channels' (pmf0, pmf1) rows,
+    the last of them first.
     """
     *firsts, last = channels
-    rows = [np.array([law.probs for law in laws]) for laws in zip(*law_lists)]
+    rows = [np.array([ch.pmf0.probs, ch.pmf1.probs]) for ch in channels]
     sums, has_pos, has_neg = np.zeros(1), np.zeros(1, dtype=bool), np.zeros(1, dtype=bool)
     finite = all(np.all(np.isfinite(ch.llr)) for ch in firsts)
     for ch in firsts:
@@ -227,7 +203,7 @@ def _enumerate_decide_one(
         if not finite:
             has_pos = np.logical_or.outer(has_pos, ch.llr == math.inf).ravel()
             has_neg = np.logical_or.outer(has_neg, ch.llr == -math.inf).ravel()
-    p_one = np.zeros(len(law_lists))
+    p_one = np.zeros(2)
     for d, (llr, add) in enumerate(zip(last.llr, np.where(np.isfinite(last.llr), last.llr, 0.0))):
         pos, neg = has_pos | (llr == math.inf), has_neg | (llr == -math.inf)
         decided = _decide_one(sums + add, pos, neg, log_threshold)[None]
@@ -239,38 +215,30 @@ def _enumerate_decide_one(
 
 def exact_error(
     net: NetworkModel,
-    laws0: Sequence[DiscretePmf] | None = None,
-    laws1: Sequence[DiscretePmf] | None = None,
     method: str = "convolution",
     cross_check: bool = True,
     enumeration_limit: int = 10**6,
 ) -> ErrorReport:
-    """Exact P_F, P_M, P_E of the network under the given level laws.
+    """Exact P_F, P_M, P_E of the network under its channels' own (least
+    favorable) laws; :func:`saddle_verify` evaluates member laws.
 
-    Laws default to the channels' own (least favorable) pmfs; pass member
-    laws to probe the saddle. ``method`` picks the primary path:
-    "convolution" reads the tail of the two half-convolutions of
-    one :func:`llr_sum_law` with an H0 and an H1 row by meet-in-the-middle,
-    "enumeration" visits every joint level. With ``cross_check`` the other
-    path is also run when the joint level space has at most
-    ``enumeration_limit`` points, and a disagreement beyond 1e-10 raises.
+    ``method`` picks the primary path: "convolution" reads the tail of the
+    two half-convolutions of the channels' parts (an H0 and an H1 row) by
+    meet-in-the-middle, "enumeration" visits every joint level. With
+    ``cross_check`` the other path is also run when the joint level space
+    has at most ``enumeration_limit`` points, and a disagreement beyond
+    1e-10 raises.
     """
     if method not in ("convolution", "enumeration"):
         raise ValueError(f"unknown method {method!r}")
-    own_parts = [ch.part for ch in net.channels] if laws0 is None and laws1 is None else None
-    laws0 = [ch.pmf0 for ch in net.channels] if laws0 is None else list(laws0)
-    laws1 = [ch.pmf1 for ch in net.channels] if laws1 is None else list(laws1)
-    if len(laws0) != net.num_sensors or len(laws1) != net.num_sensors:
-        raise ValueError("need one law per sensor and hypothesis")
-
     joint_size = math.prod(len(ch.levels) for ch in net.channels)
 
     def errors(how: str) -> tuple[float, float]:
         """(P_F, P_M) by one path."""
         if how == "enumeration":
-            p_one = _enumerate_decide_one(net.channels, (laws0, laws1), net.log_threshold)
+            p_one = _enumerate_decide_one(net.channels, net.log_threshold)
         else:
-            law = _fold(own_parts) if own_parts else llr_sum_law(net.channels, laws0, laws1)
+            law = _fold([ch.part for ch in net.channels])
             p_one = law.prob_decide_one(net.log_threshold).tolist()
         return p_one[0], 1.0 - p_one[1]
 
@@ -464,12 +432,12 @@ def _fuse_one_given_level(
     ``llr`` is the sensor's per-level LLR and ``others`` are the other
     sensors' parts, each with an H0 and an H1 mass row (h = 0, 1). P(fuse 1)
     is linear in the sensor's level law, with a[h, t] as its coefficients.
-    The others are folded once into an :class:`LlrSumLaw`, split as
-    :func:`llr_sum_law` splits, so no fold of all of them is built. A finite
-    level d reads that law at taus - llr[d]; a +inf level decides 1 unless
-    another sensor sends -inf (the forced-1 mass of the others and a sure
-    +inf), and a -inf level decides 0. With no others a level decides 1 iff
-    its LLR is above the tie band, under both hypotheses.
+    The others are folded once into an :class:`LlrSumLaw` (:func:`_fold`),
+    so no fold of all of them is built. A finite level d reads that law at
+    taus - llr[d]; a +inf level decides 1 unless another sensor sends -inf
+    (the forced-1 mass of the others and a sure +inf), and a -inf level
+    decides 0. With no others a level decides 1 iff its LLR is above the
+    tie band, under both hypotheses.
     """
     taus = np.asarray(taus, dtype=float)
     if not others:
@@ -919,10 +887,11 @@ def k_sweep(
     One fold for both hypotheses (entry j: the j-fold sum of the template's
     finite part, an H0 and an H1 row) grows only as far as the largest K
     needs, and K reads its halves off entries K // 2 and K - K // 2. Those
-    are the halves of :func:`llr_sum_law`, so each report equals
-    ``exact_error`` of the K-sensor network with ``cross_check=False``.
-    Counts run in ascending order, so entries below K // 2 are dropped, and
-    the products of :func:`_forced_one` run on, a factor per added sensor.
+    are the halves :func:`_fold` makes of K copies of the template's part,
+    so each report equals ``exact_error`` of the K-sensor network with
+    ``cross_check=False``. Counts run in ascending order, so entries below
+    K // 2 are dropped, and the products of :func:`_forced_one` run on, a
+    factor per added sensor.
     """
     if np.max(np.abs(template.pmf0.probs - template.pmf1.probs)) <= 1e-12:
         raise ValueError("uninformative sensor template: pmf0 equals pmf1")

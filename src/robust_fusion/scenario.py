@@ -162,11 +162,15 @@ def _gaussian(doc: dict, what: str) -> GaussianSpec:
 
 @contextmanager
 def _sensor_errors(index: int, kind: str):
-    """Re-raise a malformed or invalid spec's error as a ValueError naming the sensor."""
+    """Re-raise a malformed or invalid spec's error as a ValueError naming the
+    sensor; so is a division by zero or an overflow, from finite parameters
+    too small or too large for floating point."""
     try:
         yield
     except (KeyError, TypeError) as exc:
         raise ValueError(f"sensor {index}: malformed {kind} spec ({exc})") from exc
+    except ArithmeticError as exc:
+        raise ValueError(f"sensor {index}: parameters out of floating-point range ({exc})") from exc
     except ValueError as exc:
         raise ValueError(f"sensor {index}: {exc}") from None
 

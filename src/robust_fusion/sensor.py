@@ -86,12 +86,6 @@ class SensorChannel:
     def levels(self) -> tuple[int, ...]:
         return self.pmf0.levels
 
-    def llr_of(self, level: int) -> float:
-        try:
-            return float(self.llr[self.levels.index(level)])
-        except ValueError:
-            raise ValueError(f"level {level} not in channel levels {self.levels}") from None
-
 
 class _SensorPart(NamedTuple):
     """One sensor's share of an LLR-sum law (``fusion.LlrSumLaw``), per level law (mass row)."""

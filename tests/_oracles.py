@@ -131,7 +131,9 @@ def fuse(net, u):
 
     if len(u) != net.num_sensors:
         raise ValueError(f"expected {net.num_sensors} levels, got {len(u)}")
-    llrs = np.array([ch.llr_of(int(level)) for ch, level in zip(net.channels, u)])
+    if any(int(level) not in ch.levels for ch, level in zip(net.channels, u)):
+        raise ValueError(f"levels {list(u)} not all in the channels' levels")
+    llrs = np.array([ch.llr[ch.levels.index(int(level))] for ch, level in zip(net.channels, u)])
     return int(
         _decide_one(
             llrs[np.isfinite(llrs)].sum(),
@@ -157,6 +159,43 @@ def decide_one_enumeration(channels, laws, taus):
     tail = np.r_[np.cumsum(probs[finite][order][::-1])[::-1], 0.0]
     idx = np.searchsorted(sums[finite][order], np.asarray(taus) + TIE_TOL, side="right")
     return np.sum(probs[has_pos & ~has_neg]) + tail[idx]
+
+
+def fold_laws(channels, *law_lists):
+    """The LLR-sum law (``fusion.LlrSumLaw``) of the channels when each
+    sensor's level follows a list of laws, by the library's own fold
+    (``fusion._fold`` of ``sensor._sensor_part``s): several lists (H0 and
+    H1) give one mass row each on one shared support. The library itself
+    only folds its channels' own laws (``SensorChannel.part``)."""
+    from robust_fusion.fusion import _fold
+    from robust_fusion.sensor import _sensor_part
+
+    for ch, *laws in zip(channels, *law_lists):
+        if any(law.levels != ch.levels for law in laws):
+            raise ValueError(f"law levels do not match channel levels {ch.levels}")
+    rows = [np.array([law.probs for law in laws]) for laws in zip(*law_lists)]
+    return _fold([_sensor_part(ch.llr, p if len(p) > 1 else p[0]) for ch, p in zip(channels, rows)])
+
+
+def finite_sum(law):
+    """The finite part of an LLR-sum law as one atom law: its halves
+    convolved, or the right half itself when the left is the empty sum."""
+    from robust_fusion.fusion import _POINT_ZERO
+    from robust_fusion.ordering import convolve
+
+    return law.right if law.left is _POINT_ZERO else convolve(law.left, law.right)
+
+
+def member_error(net, laws0, laws1):
+    """``fusion.exact_error(net, cross_check=False)`` with the sensors'
+    levels following ``laws0`` under H0 and ``laws1`` under H1 instead of
+    the channels' own laws: one :func:`fold_laws` with an H0 and an H1 row."""
+    from robust_fusion.fusion import ErrorReport
+
+    p_one = fold_laws(net.channels, laws0, laws1).prob_decide_one(net.log_threshold).tolist()
+    p_f, p_m = p_one[0], 1.0 - p_one[1]
+    p_e = net.prior0 * p_f + (1.0 - net.prior0) * p_m
+    return ErrorReport(p_false_alarm=p_f, p_miss=p_m, p_error=p_e, method="exact-convolution")
 
 
 def grid_search_thresholds(pairs, num_levels, prior0, points=101):
@@ -225,7 +264,7 @@ def threshold_errors(law, prior0):
 
     The candidates are every atom of the sum (both rows') and one below.
     """
-    atoms = law.finite.atoms  # with none, every threshold gives one P_E
+    atoms = finite_sum(law).atoms  # with none, every threshold gives one P_E
     candidates = np.concatenate([[atoms[0] - 1.0] if len(atoms) else [0.0], atoms])
     p_one = law.prob_decide_one(candidates)
     return candidates, prior0 * p_one[0] + (1.0 - prior0) * (1.0 - p_one[1])
@@ -242,7 +281,7 @@ def full_rebuild_objective(pairs, prior0, all_log_thresholds):
     import warnings
 
     from robust_fusion.distributions import AtomPmf
-    from robust_fusion.fusion import LlrSumLaw, llr_sum_law
+    from robust_fusion.fusion import LlrSumLaw
     from robust_fusion.ordering import convolve_many
     from robust_fusion.sensor import Quantizer, channel_from_quantizer
 
@@ -264,7 +303,7 @@ def full_rebuild_objective(pairs, prior0, all_log_thresholds):
             for ch, law in zip(channels, laws)
         ])
         point_zero = AtomPmf(np.zeros(1), np.ones(1))
-        sums.append(LlrSumLaw(point_zero, finite, llr_sum_law(channels, laws).forced_one))
+        sums.append(LlrSumLaw(point_zero, finite, fold_laws(channels, laws).forced_one))
     tau, p_e = best_fusion_threshold(*sums, prior0)
     return p_e, tau
 
@@ -501,19 +540,19 @@ def saddle_verify_rebuild(net, member_laws0, member_laws1, tol: float = 1e-9):
     """Reference for ``fusion.saddle_verify``: every trial rebuilt.
 
     The same one-pass search and per-sensor certificate, but each member
-    trial folds a whole new ``llr_sum_law`` of all K sensors, and each
+    trial folds a whole new :func:`fold_laws` of all K sensors, and each
     member's dominance is one :func:`atoms_stochastically_larger` call on
     two fresh ``AtomPmf``s. Returns a ``fusion.SaddleReport``.
     """
     from robust_fusion.distributions import AtomPmf
-    from robust_fusion.fusion import SaddleReport, llr_sum_law
+    from robust_fusion.fusion import SaddleReport
     from robust_fusion.lfd import WITNESS_TOL
 
     tau = net.log_threshold
     lfd_laws0 = [ch.pmf0 for ch in net.channels]
     lfd_laws1 = [ch.pmf1 for ch in net.channels]
-    p_f_lfd = llr_sum_law(net.channels, lfd_laws0).prob_decide_one(tau)
-    p_m_lfd = 1.0 - llr_sum_law(net.channels, lfd_laws1).prob_decide_one(tau)
+    p_f_lfd = fold_laws(net.channels, lfd_laws0).prob_decide_one(tau)
+    p_m_lfd = 1.0 - fold_laws(net.channels, lfd_laws1).prob_decide_one(tau)
     ranks = [np.unique(ch.llr, return_inverse=True)[1] for ch in net.channels]
     worst_gap, worst_side, worst_combo = math.inf, "false-alarm", ()
     dominance_ok = True
@@ -525,7 +564,7 @@ def saddle_verify_rebuild(net, member_laws0, member_laws1, tol: float = 1e-9):
         n_checked += math.prod(len(members) for members in member_lists)
 
         def gap(laws):
-            p1 = llr_sum_law(net.channels, laws).prob_decide_one(tau)
+            p1 = fold_laws(net.channels, laws).prob_decide_one(tau)
             return p_f_lfd - p1 if sign > 0 else p_m_lfd - (1.0 - p1)
 
         laws = list(lfd_laws)
@@ -917,8 +956,8 @@ def law_reference(channels, laws, stats, split: bool = True) -> LawReference:
 
 
 def exact_error_reference(net, stats, laws0=None, laws1=None):
-    """``fusion.exact_error(net, laws0, laws1, cross_check=False)`` with one
-    fold per hypothesis."""
+    """``fusion.exact_error(net, cross_check=False)``, or :func:`member_error`
+    under ``laws0``/``laws1``, with one fold per hypothesis."""
     from robust_fusion.fusion import ErrorReport
 
     laws0 = [ch.pmf0 for ch in net.channels] if laws0 is None else laws0

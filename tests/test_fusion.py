@@ -23,7 +23,6 @@ from robust_fusion.fusion import (
     NetworkModel,
     exact_error,
     k_sweep,
-    llr_sum_law,
     monte_carlo,
     optimize_thresholds,
     saddle_verify,
@@ -48,11 +47,14 @@ from _oracles import (
     enumerate_error_probs,
     envelope_cuts_loop,
     exact_error_reference,
+    finite_sum,
+    fold_laws,
     full_rebuild_objective,
     fuse,
     grid_search_thresholds,
     joint_llr_sums,
     law_reference,
+    member_error,
     plain_person_by_person,
     saddle_grid_reference,
     saddle_verify_reference,
@@ -71,8 +73,8 @@ BAND_PAIR = gaussian_band_lfd(BAND0, BAND1)
 
 
 def _enumerated(channels, laws, tau) -> float:
-    """P[decide 1] under one list of laws, by the library's enumeration."""
-    return fusion._enumerate_decide_one(channels, [laws], tau)[0]
+    """P[decide 1] under one list of laws, by the numpy enumeration oracle."""
+    return float(decide_one_enumeration(channels, laws, [tau])[0])
 
 
 class TestFuse:
@@ -204,15 +206,15 @@ class TestExactError:
         q = Quantizer((1.0,))
         ch = channel_from_quantizer(q, BAND_PAIR)
         net = NetworkModel((ch, ch), 0.5)
-        lfd0 = llr_sum_law(net.channels, [ch.pmf0, ch.pmf0]).finite
-        lfd1 = llr_sum_law(net.channels, [ch.pmf1, ch.pmf1]).finite
+        lfd0 = finite_sum(fold_laws(net.channels, [ch.pmf0, ch.pmf0]))
+        lfd1 = finite_sum(fold_laws(net.channels, [ch.pmf1, ch.pmf1]))
         for mu in np.linspace(-1.0, 0.0, 5):
             law = member_law(GaussianSpec(float(mu), 1.0), SensorRule(BAND_PAIR, q))
-            member = llr_sum_law(net.channels, [law, law]).finite
+            member = finite_sum(fold_laws(net.channels, [law, law]))
             assert atoms_stochastically_larger(lfd0, member)[0]
         for mu in np.linspace(1.0, 2.0, 5):
             law = member_law(GaussianSpec(float(mu), 1.0), SensorRule(BAND_PAIR, q))
-            member = llr_sum_law(net.channels, [law, law]).finite
+            member = finite_sum(fold_laws(net.channels, [law, law]))
             assert atoms_stochastically_larger(member, lfd1)[0]
 
     def test_permutation_invariance(self):
@@ -363,8 +365,9 @@ class TestExactError:
                 return tail[np.searchsorted(atoms[order], taus + TIE_TOL, side="right")]
 
             enumerated = np.sum(probs[has_pos & ~has_neg]) + above(sums[finite], probs[finite])
-            law = llr_sum_law(net.channels, laws)
-            convolved = law.forced_one + above(law.finite.atoms, law.finite.masses)
+            law = fold_laws(net.channels, laws)
+            finite = finite_sum(law)
+            convolved = law.forced_one + above(finite.atoms, finite.masses)
             assert np.max(np.abs(convolved - enumerated)) <= 1e-12
             for tau in rng.choice(taus, size=5):
                 assert abs(
@@ -384,11 +387,11 @@ class TestExactError:
             sums, _, has_pos, has_neg = joint_llr_sums(net.channels, laws)
             raw = np.unique(sums[~has_pos & ~has_neg])
             taus = np.concatenate([raw, raw - 5e-13, raw + 5e-13, [0.0]])
-            law = llr_sum_law(net.channels, laws)
+            law = fold_laws(net.channels, laws)
             split = np.array([law.prob_decide_one(tau) for tau in taus])
             enumerated = decide_one_enumeration(net.channels, laws, taus)
             assert np.max(np.abs(split - enumerated)) <= 1e-12
-            finite = law.finite
+            finite = finite_sum(law)
             convolved = [law.forced_one + tail_mass(finite, tau + TIE_TOL) for tau in taus]
             assert np.max(np.abs(split - convolved)) <= 1e-12
             for tau in rng.choice(taus, size=3):
@@ -410,7 +413,7 @@ class TestExactError:
         for _ in range(30):
             net = _random_tie_network(rng, 2)
             laws = [ch.pmf0 if rng.random() < 0.5 else ch.pmf1 for ch in net.channels]
-            law = llr_sum_law(net.channels, laws)
+            law = fold_laws(net.channels, laws)
             a_all, b_all = np.meshgrid(law.left.atoms, law.right.atoms, indexing="ij")
             for a, b in zip(a_all.ravel(), b_all.ravel()):
                 edge = a + b
@@ -436,8 +439,9 @@ class TestExactError:
         rng = np.random.default_rng(20261106)
         for _ in range(40):
             net = _random_tie_network(rng, int(rng.integers(1, 7)))
-            law = llr_sum_law(net.channels, [ch.pmf0 for ch in net.channels])
-            taus = np.concatenate([law.finite.atoms, law.finite.atoms - 5e-13, [0.0]])
+            law = fold_laws(net.channels, [ch.pmf0 for ch in net.channels])
+            atoms = finite_sum(law).atoms
+            taus = np.concatenate([atoms, atoms - 5e-13, [0.0]])
             values = law.prob_decide_one(taus)
             assert values.shape == taus.shape
             assert np.max(np.abs(values - [law.prob_decide_one(float(t)) for t in taus])) <= 1e-15
@@ -496,7 +500,7 @@ class TestSplitLawSize:
             taus = np.r_[net.log_threshold, rng.uniform(sums.min() - 1.0, sums.max(), 50)]
             enumerated = decide_one_enumeration(net.channels, laws, taus)
             assert abs(p_one - enumerated[0]) <= 1e-12
-            law = llr_sum_law(net.channels, laws)
+            law = fold_laws(net.channels, laws)
             split = [law.prob_decide_one(tau) for tau in taus]
             assert np.max(np.abs(split - enumerated)) <= 1e-12
 
@@ -554,20 +558,20 @@ class TestTwoRowFold:
             net = _colliding_network(rng)[0]
             infinite += any(np.any(np.isinf(ch.llr)) for ch in net.channels)
             laws = ([ch.pmf0 for ch in net.channels], [ch.pmf1 for ch in net.channels])
-            law = llr_sum_law(net.channels, *laws)
-            atoms = law.finite.atoms
+            law = fold_laws(net.channels, *laws)
+            atoms = finite_sum(law).atoms
             taus = np.concatenate([atoms, atoms - 5e-13, atoms - TIE_TOL, [0.0, net.log_threshold]])
             p_two = law.prob_decide_one(taus)
             assert p_two.shape == (2, len(taus))
             for h in (0, 1):
                 ref = law_reference(net.channels, laws[h], stats)
-                one = llr_sum_law(net.channels, laws[h])
+                one = fold_laws(net.channels, laws[h])
                 ref_finite = ref.finite(stats)
                 for got, rows in ((law, 2), (one, 1)):
                     for half, ref_half in ((got.left, ref.left), (got.right, ref.right)):
                         assert np.array_equal(half.atoms, ref_half[0])
                         assert np.array_equal(_rows_of(half, rows)[min(h, rows - 1)], ref_half[1])
-                    finite = got.finite
+                    finite = finite_sum(got)
                     assert np.array_equal(finite.atoms, ref_finite[0])
                     assert np.array_equal(_rows_of(finite, rows)[min(h, rows - 1)], ref_finite[1])
                 assert law.forced_one[h] == one.forced_one == ref.forced_one
@@ -581,8 +585,9 @@ class TestTwoRowFold:
         assert stats["duplicates"] >= 100 and stats["merges"] >= 100
 
     def test_reports_match_per_hypothesis_folds(self):
-        """``exact_error`` (LFD and member laws), ``saddle_verify`` and
-        ``best_fusion_threshold`` equal their per-hypothesis references."""
+        """``exact_error`` (LFD laws), ``member_error`` (member laws through
+        the library's fold), ``saddle_verify`` and ``best_fusion_threshold``
+        equal their per-hypothesis references."""
         rng = np.random.default_rng(20261108)
         stats = Counter()
         for _ in range(60):
@@ -593,15 +598,13 @@ class TestTwoRowFold:
                     net.channels, members)]
                 for members in (members0, members1)
             ]
-            assert exact_error(net, *picked, cross_check=False) == exact_error_reference(
-                net, stats, *picked
-            )
+            assert member_error(net, *picked) == exact_error_reference(net, stats, *picked)
             got = saddle_verify(net, members0, members1)
             assert got == saddle_verify_reference(net, members0, members1, stats)
             laws = ([ch.pmf0 for ch in net.channels], [ch.pmf1 for ch in net.channels])
             refs = [law_reference(net.channels, laws[h], stats) for h in (0, 1)]
             assert best_fusion_threshold(
-                *(llr_sum_law(net.channels, laws[h]) for h in (0, 1)), net.prior0
+                *(fold_laws(net.channels, laws[h]) for h in (0, 1)), net.prior0
             ) == threshold_scan_reference(*refs, net.prior0, stats)
         assert stats["duplicates"] >= 100 and stats["merges"] >= 100
 
@@ -650,10 +653,9 @@ class TestTwoRowFold:
 
 
 def _enumeration_network(rng):
-    """(channels, laws0, laws1): K = 1-5 explicit sensors of 1-4 levels, so
-    one-level sensors and mixed level counts, some with a +inf and a -inf
-    level and a few with no finite level; the laws are the channels' own or
-    seeded laws on their levels."""
+    """K = 1-5 explicit channels of 1-4 levels, so one-level sensors and
+    mixed level counts, some with a +inf and a -inf level and a few with no
+    finite level."""
     channels = []
     for _ in range(int(rng.integers(1, 6))):
         levels = int(rng.integers(1, 5))
@@ -668,12 +670,7 @@ def _enumeration_network(rng):
                 pmf1[minus] = 0.0  # LLR -inf
         lv = list(range(levels))
         channels.append(channel_from_pmfs(pmf_from_weights(lv, pmf0), pmf_from_weights(lv, pmf1)))
-    laws = [
-        [(ch.pmf0, ch.pmf1)[h] if own else
-         pmf_from_weights(ch.levels, rng.dirichlet([1.0] * len(ch.levels))) for ch in channels]
-        for h, own in enumerate(rng.random(2) < 0.5)
-    ]
-    return tuple(channels), *laws
+    return tuple(channels)
 
 
 class TestEnumeration:
@@ -685,7 +682,8 @@ class TestEnumeration:
         rng = np.random.default_rng(20261201)
         seen = Counter()
         for _ in range(120):
-            channels, laws0, laws1 = _enumeration_network(rng)
+            channels = _enumeration_network(rng)
+            laws0, laws1 = [ch.pmf0 for ch in channels], [ch.pmf1 for ch in channels]
             seen["k1"] += len(channels) == 1
             seen["one-level"] += any(len(ch.levels) == 1 for ch in channels)
             seen["mixed"] += len({len(ch.levels) for ch in channels}) > 1
@@ -695,7 +693,7 @@ class TestEnumeration:
             picked = rng.choice(finite, size=min(3, len(finite)), replace=False)
             taus = [0.0, *(s + off for s in picked for off in (0.0, -0.5 * TIE_TOL, -1.5 * TIE_TOL))]
             for n, tau in enumerate(taus):
-                got = fusion._enumerate_decide_one(channels, (laws0, laws1), float(tau))
+                got = fusion._enumerate_decide_one(channels, float(tau))
                 for h, laws in enumerate((laws0, laws1)):
                     assert abs(got[h] - decide_one_enumeration(channels, laws, [tau])[0]) <= 1e-12
                 if n % 3 == 2:  # the sum in the tie band: the pure-Python oracle too
@@ -705,17 +703,14 @@ class TestEnumeration:
                         float(tau) + TIE_TOL, 0.5,
                     )
                     assert abs(got[0] - p_f) <= 1e-12 and abs(1.0 - got[1] - p_m) <= 1e-12
-                    inside = fusion._enumerate_decide_one(channels, (laws0, laws1), float(tau))
-                    below = fusion._enumerate_decide_one(
-                        channels, (laws0, laws1), float(tau) - TIE_TOL
-                    )
-                    seen["tie moves"] += inside != below
+                    below = fusion._enumerate_decide_one(channels, float(tau) - TIE_TOL)
+                    seen["tie moves"] += got != below
             net = NetworkModel(channels, 0.5, float(taus[-1]))
-            report = exact_error(net, laws0, laws1, method="enumeration", cross_check=False)
-            got = fusion._enumerate_decide_one(channels, (laws0, laws1), float(taus[-1]))
+            report = exact_error(net, method="enumeration", cross_check=False)
+            got = fusion._enumerate_decide_one(channels, float(taus[-1]))
             assert (report.p_false_alarm, report.p_miss) == (got[0], 1.0 - got[1])
-        assert min(seen["k1"], seen["one-level"], seen["infinite"]) >= 15
-        assert seen["mixed"] >= 60 and seen["tie moves"] >= 60
+        assert min(seen["k1"], seen["one-level"], seen["infinite"]) >= 15, seen
+        assert seen["mixed"] >= 60 and seen["tie moves"] >= 60, seen
 
     def test_cross_check_builds_no_joint_probability_array(self, monkeypatch):
         """``exact_error`` on K=9 sensors of 4 levels, cross-checked over all
@@ -1178,13 +1173,14 @@ class TestBestFusionThreshold:
             channel_from_quantizer(Quantizer((math.exp(s * 5.1),)), pair)
             for s in (-1.0, 1.0)
         )
-        law0 = llr_sum_law(chans, [c.pmf0 for c in chans])
-        law1 = llr_sum_law(chans, [c.pmf1 for c in chans])
-        assert np.array_equal(law0.finite.atoms, law1.finite.atoms)
+        law0 = fold_laws(chans, [c.pmf0 for c in chans])
+        law1 = fold_laws(chans, [c.pmf1 for c in chans])
+        atoms = finite_sum(law0).atoms
+        assert np.array_equal(atoms, finite_sum(law1).atoms)
         # the two-row fold carries that one support with a row per hypothesis
-        law = llr_sum_law(chans, [c.pmf0 for c in chans], [c.pmf1 for c in chans])
-        assert np.array_equal(law.finite.atoms, law0.finite.atoms)
-        assert law.finite.masses.shape == (2, len(law0.finite.atoms))
+        law = fold_laws(chans, [c.pmf0 for c in chans], [c.pmf1 for c in chans])
+        assert np.array_equal(finite_sum(law).atoms, atoms)
+        assert finite_sum(law).masses.shape == (2, len(atoms))
         _, pe = best_fusion_threshold(law0, law1, 0.5)
         assert best_threshold(law, 0.5)[1] == pe
         # no quantized rule can beat the full-observation Bayes error
@@ -1197,13 +1193,13 @@ class TestBestFusionThreshold:
         P_E is that of the forced decisions (here 0)."""
         for channels in ((_SURE,), (_SURE, _SURE), (SYM02, _SURE), (_SURE, SYM02, SYM02)):
             laws = ([ch.pmf0 for ch in channels], [ch.pmf1 for ch in channels])
-            law0, law1 = (llr_sum_law(channels, laws[h]) for h in (0, 1))
-            assert len(law0.finite.atoms) == 0
+            law0, law1 = (fold_laws(channels, laws[h]) for h in (0, 1))
+            assert len(finite_sum(law0).atoms) == 0
             assert best_fusion_threshold(law0, law1, 0.3) == (0.0, 0.0)
-            law = llr_sum_law(channels, *laws)
+            law = fold_laws(channels, *laws)
             candidates, p_e = threshold_errors(law, 0.3)
             assert candidates.tolist() == [0.0] and p_e.tolist() == [0.0]
-            ((candidates, p_e),) = fusion._scan_rows(law.finite, law.forced_one[None], 0.3)
+            ((candidates, p_e),) = fusion._scan_rows(finite_sum(law), law.forced_one[None], 0.3)
             assert candidates.tolist() == [0.0] and p_e.tolist() == [0.0]
             assert exact_error(NetworkModel(channels, 0.3, 0.0)).p_error == 0.0
 
@@ -1215,10 +1211,10 @@ class TestBestFusionThreshold:
                 pmf_from_weights([0, 1, 2], rng.uniform(0.05, 1.0, 3)),
             )
             prior0 = float(rng.uniform(0.2, 0.8))
-            law0 = llr_sum_law((ch, ch), [ch.pmf0, ch.pmf0])
-            law1 = llr_sum_law((ch, ch), [ch.pmf1, ch.pmf1])
+            law0 = fold_laws((ch, ch), [ch.pmf0, ch.pmf0])
+            law1 = fold_laws((ch, ch), [ch.pmf1, ch.pmf1])
             tau, pe = best_fusion_threshold(law0, law1, prior0)
-            atoms = law0.finite.atoms
+            atoms = finite_sum(law0).atoms
             brute = min(
                 exact_error(NetworkModel((ch, ch), prior0, float(t)), cross_check=False).p_error
                 for t in np.concatenate([[atoms[0] - 1.0], atoms])
@@ -1912,7 +1908,7 @@ class TestPersonByPerson:
             _, tau = objective.evaluate(conf)
             builds = [objective.build(j, coords) for j, coords in enumerate(conf)]
             laws = ([b.pmf0 for b in builds], [b.pmf1 for b in builds])
-            atoms = llr_sum_law(builds, *laws).finite.atoms  # one support, both rows
+            atoms = finite_sum(fold_laws(builds, *laws)).atoms  # one support, both rows
             assert len(atoms) > 4 * fusion._REPLY_TAUS
             others = [b.part for b in builds[:i] + builds[i + 1 :]]
             a = fusion._fuse_one_given_level(others, builds[i].llr, np.array([tau]))[:, 0]

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -632,6 +633,54 @@ class TestMalformedScenario:
         assert main(["evaluate", "--scenario", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    EXTREME_FIELDS = ("sigma", "mean", "mu_lo", "mu_hi", "eps0", "eps1")
+
+    def test_extreme_finite_values_exit_0_or_2(self, tmp_path, capsys):
+        """Each sigma, mean, mu_lo, mu_hi, eps0 and eps1 field of the bundled
+        scenarios, set in turn to 1e-300, 1e-150, 1e150 and 1e300: ``lfd``
+        builds the sensors or exits 2 with an error line, never with an
+        exception (a sigma of 1e-300 used to divide by zero, a mean of
+        1e300 to overflow). Warnings stay warnings, as on the command line."""
+
+        def fields(node, where=()):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                if key in self.EXTREME_FIELDS and type(value) in (int, float):
+                    yield (*where, key)
+                elif isinstance(value, (dict, list)):
+                    yield from fields(value, (*where, key))
+
+        codes = Counter()
+        for source in sorted(SCENARIOS.glob("*.json")):
+            doc = json.loads(source.read_text())
+            for where in fields(doc):
+                for value in (1e-300, 1e-150, 1e150, 1e300):
+                    changed = json.loads(json.dumps(doc))
+                    target = changed
+                    for key in where[:-1]:
+                        target = target[key]
+                    target[where[-1]] = value
+                    path = tmp_path / "doc.json"
+                    path.write_text(json.dumps(changed))
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        code = main(["lfd", "--scenario", str(path), "--out", str(tmp_path / "lfd.csv")])
+                    err = capsys.readouterr().err
+                    assert code in (0, 2), (source.name, where, value)
+                    assert code == 0 or re.search(r"^error: ", err, re.MULTILINE), err
+                    codes[code] += 1
+        assert sum(codes.values()) == 152 and min(codes[0], codes[2]) >= 40, codes
+
+    def test_out_of_range_sigma_names_the_sensor(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(self.DOC))
+        doc["sensors"][0]["sigma"] = 1e-300
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["evaluate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: sensor 0: parameters out of floating-point range" in err
         assert "Traceback" not in err
 
     def test_integral_floats_read_as_integers(self):
