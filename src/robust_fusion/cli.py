@@ -148,8 +148,14 @@ def _cmd_saddle(args) -> int:
         members0, members1 = b.members(0, n), b.members(1, n)
         report = None
         if b.pair is not None:
+            lo, hi = b.pair.log_lr_range()
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(
+                    f"sensor {b.index}: log-LR range [{_fmt(lo)}, {_fmt(hi)}] is not finite; "
+                    "the boundedness check needs a finite grid"
+                )
             # a constant log-LR (identical LFDs) spans one point
-            t_grid = np.linspace(*b.pair.log_lr_range(), 101)
+            t_grid = np.linspace(lo, hi, 101)
             t_grid = t_grid[np.append(True, np.diff(t_grid) > 0.0)]
             report = joint_boundedness_check(b.pair, members0, members1, t_grid)
         checks[b.channel] = (report, b.member_laws(0, members0), b.member_laws(1, members1))

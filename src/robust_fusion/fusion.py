@@ -550,10 +550,10 @@ class _ThresholdObjective:
     Each sensor's log-LR bracket is read once (``brackets``), and the memos
     key log thresholds by their LR values (:meth:`_lrs`). One memo maps
     (sensor, LR thresholds) to that sensor's channel, which carries its
-    LLR-sum part (an H0 and an H1 row), or to None when the thresholds are
-    not a valid quantizer, so each distinct sensor design is built (and
-    validated) once, also when two log thresholds round to one LR value;
-    the designs not yet built are built in one batch.
+    LLR-sum part (an H0 and an H1 row), or to None for an invalid quantizer
+    (thresholds out of order, or a falling per-level LLR), so each distinct
+    sensor design is built once, also when two log thresholds round to one
+    LR value; the designs not yet built are built in one batch.
     A second memo maps a configuration's LR thresholds to its scan
     (:func:`_scan_rows`); the scans of one sensor's new replies are made in
     one batch (:meth:`_score_batch`), a configuration alone in a batch of
@@ -732,6 +732,8 @@ def _descend(objective: _ThresholdObjective, conf: list[list[float]]) -> _Descen
     thresholds. The P_E of the iterates never rises."""
     sizes = np.cumsum([len(coords) for coords in conf])[:-1]
     p_e, tau = objective.evaluate(conf)
+    if p_e == math.inf:  # an invalid start: nothing to descend from
+        return _Descent(conf, p_e, tau, True, 0, 0)
     xs: list[np.ndarray] = []
     gs: list[np.ndarray] = []
     sweeps = accelerated = 0
@@ -768,22 +770,21 @@ def _screened_error(objective: _ThresholdObjective, conf: list[list[float]]) -> 
     for coords, (lo, hi) in zip(conf, objective.brackets):
         if not lo < coords[0] < hi or not all(a < b < hi for a, b in zip(coords, coords[1:])):
             return math.inf, 0.0
-    try:
-        return objective.evaluate(conf)
-    except RuntimeError:
-        return math.inf, 0.0
+    return objective.evaluate(conf)
 
 
 def _starts(objective: _ThresholdObjective, num_levels: Sequence[int]) -> list[list[list[float]]]:
     """The initial log-threshold configurations of :func:`optimize_thresholds`:
     equal-mixture quantiles (unless refused), LR = 1 centered, and seeded
-    random inside the objective's brackets."""
+    random inside the objective's brackets, 0.1 (at most a quarter of the
+    bracket) from each end."""
     rng = np.random.default_rng(0)
+    margins = [min(0.1, (hi - lo) / 4) for lo, hi in objective.brackets]
     starts = [
         [[0.0] if d == 1 else list(np.linspace(-0.5, 0.5, d)) for d in num_levels],
         [
-            sorted(float(v) for v in rng.uniform(lo + 0.1, hi - 0.1, size=d))
-            for (lo, hi), d in zip(objective.brackets, num_levels)
+            sorted(float(v) for v in rng.uniform(lo + m, hi - m, size=d))
+            for (lo, hi), m, d in zip(objective.brackets, margins, num_levels)
         ],
     ]
     try:
@@ -809,7 +810,8 @@ def optimize_thresholds(
     to the LLR fusion test, and the fusion threshold is re-chosen exactly
     by atom scanning; no step raises P_E. A best response scores its new
     replies in one batch, bit for bit as one at a time
-    (:class:`_ThresholdObjective`). It runs from three initial
+    (:class:`_ThresholdObjective`); an invalid quantizer (thresholds out of
+    order, or a falling per-level LLR) scores P_E = inf. It runs from three initial
     configurations: equal-mixture quantiles (skipped when
     :func:`default_quantizer` refuses them), LR = 1 centered, and seeded
     random. The sweeps converge only linearly, so each start extrapolates

@@ -104,7 +104,9 @@ class KlBallClass:
         lies inside the ball. Mean shifts alone cannot violate joint
         boundedness for equal-variance nominals (their cdfs are totally
         ordered), so the variance direction is what makes this family an
-        effective falsifier.
+        effective falsifier. A radius so small that no scale on the grid
+        fits (about 1e-31 and below) gives the nominal alone, as radius 0
+        does: the nominal is in every ball.
         """
         nominal = self.nominal
         if self.radius == 0.0:
@@ -128,7 +130,7 @@ class KlBallClass:
                 members.append(
                     GaussianSpec(nominal.mean + direction * float(frac) * radius, float(tau) * sigma)
                 )
-        return members
+        return members or [nominal]
 
 
 @dataclass(frozen=True)
@@ -286,13 +288,15 @@ class LfdPair:
     def log_lr_range(self) -> tuple[float, float]:
         """(min, max) of the log-LR over the support, in closed form: its
         values at the two support ends and, for a quadratic, at a vertex
-        inside the support."""
+        inside the support. An end where the log-LR overflows is +/-inf (or
+        NaN), without a warning; the caller decides."""
         ends = list(self.support)
         if isinstance(self.log_lr, QuadraticLlr):
             vertex = self.log_lr.vertex()
             if ends[0] < vertex < ends[1]:
                 ends.append(vertex)
-        llr = self.log_lr(np.array(ends))
+        with np.errstate(over="ignore", invalid="ignore"):
+            llr = self.log_lr(np.array(ends))
         return float(np.min(llr)), float(np.max(llr))
 
 

@@ -195,14 +195,16 @@ def channel_from_rule(rule: SensorRule) -> SensorChannel:
     is the LR's conditional mean over [t_{d-1}, t_d), whatever the
     preimage shape); a violation raises.
     """
-    return _channels_from_rules([rule])[0]
+    (channel,) = _channels_from_rules([rule])
+    if channel is None:
+        raise RuntimeError("per-level LLR is not nondecreasing; quantizer is invalid")
+    return channel
 
 
-def _channels_from_rules(rules: Sequence[SensorRule]) -> list[SensorChannel]:
+def _channels_from_rules(rules: Sequence[SensorRule]) -> list[SensorChannel | None]:
     """:func:`channel_from_rule` of each rule, all of one pair and level
     count, from one :func:`~robust_fusion.lfd.level_masses` read with a cut
-    row per rule (+inf pads a short row); the rules are checked in order,
-    and the first that fails raises."""
+    row per rule (+inf pads a short row), or None where its LLR falls."""
     pair, levels = rules[0].pair, range(rules[0].quantizer.num_levels)
     width = max(len(rule.cuts) for rule in rules)
     cuts, segments = [], []
@@ -212,15 +214,13 @@ def _channels_from_rules(rules: Sequence[SensorRule]) -> list[SensorChannel]:
         segments.append(rule.segment_levels.tolist() + rule.segment_levels[-1:].tolist() * pad)
     channels = []
     for channel in _build_channels(levels, level_masses([pair.q0, pair.q1], cuts, segments, len(levels))):
-        if not llr_monotone_check(channel):
-            raise RuntimeError("per-level LLR is not nondecreasing; quantizer is invalid")
-        channels.append(channel)
+        channels.append(channel if llr_monotone_check(channel) else None)
     return channels
 
 
 def channel_from_quantizer(q: Quantizer, pair: LfdPair, grid: None = None) -> SensorChannel:
     """:func:`channel_from_rule` of ``SensorRule(pair, q)``. ``grid`` must be
-    None; it is kept only for the benchmark's span hooks, until ROADMAP item 13."""
+    None; it is kept only for the benchmark's span hooks, until ROADMAP item 16."""
     if grid is not None:
         raise ValueError("no log-LR is cut on a grid; grid must be None")
     return channel_from_rule(SensorRule(pair, q))

@@ -275,8 +275,9 @@ def full_rebuild_objective(pairs, prior0, all_log_thresholds):
 
     Builds every sensor's channel and folds both K-fold LLR-sum laws from
     scratch for each configuration. Returns (p_error, log fusion
-    threshold), or (inf, 0.0) when some sensor's thresholds are not
-    strictly increasing.
+    threshold), or (inf, 0.0) when some sensor's quantizer is invalid: its
+    thresholds are not strictly increasing, or ``channel_from_quantizer``
+    refuses its channel (a per-level LLR that falls).
     """
     import warnings
 
@@ -293,7 +294,10 @@ def full_rebuild_objective(pairs, prior0, all_log_thresholds):
             return math.inf, 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            channels.append(channel_from_quantizer(q, pair))
+            try:
+                channels.append(channel_from_quantizer(q, pair))
+            except RuntimeError:  # the per-level LLR falls
+                return math.inf, 0.0
     sums = []
     for laws in ([ch.pmf0 for ch in channels], [ch.pmf1 for ch in channels]):
         # every atom of the sum, folded left to right in sensor order, as

@@ -72,6 +72,22 @@ BAND1 = GaussianBandClass(1.0, 2.0, 1.0)
 BAND_PAIR = gaussian_band_lfd(BAND0, BAND1)
 
 
+def _nominal_spec(kind: str, mean0: float, mean1: float, sigma: float, eps0: float, eps1: float):
+    """Scenario spec of a KL-ball or contamination sensor, without a quantizer."""
+    return {
+        "kind": kind,
+        "nominal0": {"mean": mean0, "sigma": sigma},
+        "nominal1": {"mean": mean1, "sigma": sigma},
+        "eps0": eps0,
+        "eps1": eps1,
+    }
+
+
+# its channel at the log LR thresholds (4.48, 4.49) has a falling per-level
+# LLR (a KL tail at extreme thresholds), so that quantizer is invalid
+FALLING_KL_SPEC = _nominal_spec("kl-ball", -0.5, 0.5, 1.0, 0.02, 0.02)
+
+
 def _enumerated(channels, laws, tau) -> float:
     """P[decide 1] under one list of laws, by the numpy enumeration oracle."""
     return float(decide_one_enumeration(channels, laws, [tau])[0])
@@ -633,7 +649,7 @@ class TestTwoRowFold:
         checked = 0
         for _ in range(40):
             pairs, prior0, conf, _ = _random_design(rng)
-            got = _outcome(fusion._ThresholdObjective(pairs, prior0).evaluate, conf)
+            got = fusion._ThresholdObjective(pairs, prior0).evaluate(conf)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 try:
@@ -641,8 +657,8 @@ class TestTwoRowFold:
                         channel_from_quantizer(Quantizer(tuple(math.exp(t) for t in c)), pair)
                         for pair, c in zip(pairs, conf)
                     ]
-                except RuntimeError as exc:
-                    assert got == ("raised", str(exc))
+                except RuntimeError:  # a per-level LLR falls: an invalid quantizer
+                    assert got == (math.inf, 0.0)
                     continue
             refs = [law_reference(channels, [ch.pmf0 for ch in channels], stats, split=False),
                     law_reference(channels, [ch.pmf1 for ch in channels], stats, split=False)]
@@ -1336,23 +1352,20 @@ def _random_design(rng):
     return pairs, float(rng.uniform(0.3, 0.7)), conf, brackets
 
 
-def _outcome(fn, *args):
-    """fn(*args), or ("raised", message) for a channel build that fails
-    its LLR-monotonicity check (KL tails at extreme thresholds do)."""
-    try:
-        return fn(*args)
-    except RuntimeError as exc:
-        return "raised", str(exc)
+def _rising(values) -> bool:
+    """True when ``values`` increase strictly, as a quantizer's thresholds must."""
+    return all(a < b for a, b in zip(values, values[1:]))
 
 
 class TestThresholdObjective:
     def test_matches_full_rebuild_reference(self):
         """The memoized objective equals a from-scratch rebuild bit for
         bit along probe sequences that move one coordinate at a time, jump
-        between sensors, repeat a configuration or break a sensor's
-        threshold order (which must give inf)."""
+        between sensors, repeat a configuration, break a sensor's threshold
+        order or build a channel whose per-level LLR falls (a KL tail at
+        extreme thresholds); an invalid quantizer of either kind gives inf."""
         rng = np.random.default_rng(20261021)
-        kinds, invalid, probes = set(), 0, 0
+        kinds, invalid, unbuildable, probes = set(), 0, 0, 0
         for _ in range(24):
             pairs, prior0, conf, brackets = _random_design(rng)
             kinds.update(pair.meta["kind"] for pair in pairs)
@@ -1370,15 +1383,17 @@ class TestThresholdObjective:
                     lo = trial[i][d - 1] if d > 0 else brackets[i][0]
                     hi = trial[i][d + 1] if d + 1 < len(trial[i]) else brackets[i][1]
                     trial[i][d] = float(rng.uniform(lo, hi))
-                got = _outcome(objective.evaluate, trial)
-                assert got == _outcome(full_rebuild_objective, pairs, prior0, trial)
+                got = objective.evaluate(trial)
+                assert got == full_rebuild_objective(pairs, prior0, trial)
                 probes += 1
                 if got[0] == math.inf:
                     invalid += 1
-                elif got[0] != "raised" and rng.random() < 0.3:
+                    unbuildable += all(_rising([math.exp(t) for t in c]) for c in trial)
+                elif rng.random() < 0.3:
                     conf = trial
         assert kinds == {"gaussian-band", "huber", "kl-dabak"}
         assert invalid >= 20 and probes - invalid >= 500
+        assert unbuildable >= 1
 
     def test_each_sensor_design_is_built_once_per_call(self, monkeypatch):
         """One ``optimize_thresholds`` call builds each distinct (sensor,
@@ -1419,26 +1434,21 @@ class TestThresholdObjective:
         contamination and KL sensors (affine log-LR, quadratic, and
         decreasing in y), with replies whose LR thresholds round to one
         value, that drop a zero-mass level, that have a +inf or a -inf LLR
-        level, or whose build raises (the batch raises as that reply did)."""
+        level, or whose per-level LLR falls (that reply alone scores None, as
+        an invalid quantizer)."""
         rng = np.random.default_rng(20261201)
         seen = Counter()
         for n in range(60):
             k = 1 + n % 5
             specs = [_design_spec(rng, 4 * n + j) for j in range(k)]
             if n % 4 == 0:  # a KL sensor whose reply (4.48, 4.49) has LLRs out of order
-                specs[0] = {
-                    "kind": "kl-ball",
-                    "nominal0": {"mean": -0.5, "sigma": 1.0},
-                    "nominal1": {"mean": 0.5, "sigma": 1.0},
-                    "eps0": 0.02,
-                    "eps1": 0.02,
-                }
+                specs[0] = FALLING_KL_SPEC
             pairs = [build_lfd_pair(spec, j) for j, spec in enumerate(specs)]
             seen.update(pair.meta["kind"] + type(pair.log_lr).__name__ for pair in pairs)
             prior0 = float(rng.uniform(0.3, 0.7))
             brackets = [pair.log_lr_range() for pair in pairs]
             conf = [sorted(rng.uniform(lo, hi, size=2).tolist()) for lo, hi in brackets]
-            if _outcome(full_rebuild_objective, pairs, prior0, conf)[0] in (math.inf, "raised"):
+            if full_rebuild_objective(pairs, prior0, conf)[0] == math.inf:
                 continue
             i = 0 if n % 4 == 0 else int(rng.integers(k))
             (lo, hi), pair = brackets[i], pairs[i]
@@ -1449,28 +1459,22 @@ class TestThresholdObjective:
             replies = [tuple(sorted(rng.uniform(lo, hi, size=2).tolist())) for _ in range(4)]
             replies += [(x, y), (0.0, hi + 3.0), (lo - 3.0, 0.0), (lo + 0.01, 0.0)]
             replies += [(4.48, 4.49)] if n % 4 == 0 else []
-            want, raised = [], None
+            want = []
             for reply in replies:
                 trial = [list(c) for c in conf]
                 trial[i] = list(reply)
-                want.append(_outcome(full_rebuild_objective, pairs, prior0, trial))
-                raised = raised or (want[-1][0] == "raised" and want[-1][1])
+                want.append(full_rebuild_objective(pairs, prior0, trial))
             objective = fusion._ThresholdObjective(pairs, prior0)
             lrs = [tuple(math.exp(t) for t in c) for c in conf]
             reply_lrs = [tuple(math.exp(t) for t in reply) for reply in replies]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                if raised:
-                    with pytest.raises(RuntimeError, match=raised):
-                        objective._score(i, lrs, reply_lrs)
-                    seen["raised"] += 1
-                keep = [j for j, w in enumerate(want) if w[0] != "raised"]
-                scans = objective._score(i, lrs, [reply_lrs[j] for j in keep])
+                scans = objective._score(i, lrs, reply_lrs)
             parts = [objective.build(j, c).part for j, c in enumerate(conf)]
-            for j, scan in zip(keep, scans):
+            for j, scan in enumerate(scans):
                 if scan is None:
                     assert want[j] == (math.inf, 0.0)
-                    seen["invalid"] += 1
+                    seen["unbuildable" if _rising(reply_lrs[j]) else "invalid"] += 1
                     continue
                 assert (float(scan[1][0]), float(scan[0][0])) == want[j]
                 with warnings.catch_warnings():
@@ -1500,7 +1504,7 @@ class TestThresholdObjective:
                 seen["-inf"] += bool(np.any(got.llr == -math.inf))
                 seen[f"K={k}"] += 1
         assert all(seen[f"K={k}"] >= 20 for k in range(1, 6)), seen
-        assert min(seen[key] for key in ("invalid", "dropped", "+inf", "-inf", "raised")) >= 3, seen
+        assert min(seen[key] for key in ("invalid", "dropped", "+inf", "-inf", "unbuildable")) >= 3, seen
         kinds = ("gaussian-bandClippedAffineLlr", "huberClippedAffineLlr", "kl-dabakClippedAffineLlr")
         assert all(seen[kind] for kind in kinds) and seen["kl-dabakQuadraticLlr"], seen
 
@@ -1656,7 +1660,7 @@ def _record_design(monkeypatch, pairs, num_levels, prior0):
     and the objective's ``evaluate`` wrapped. Each start is (the objective's
     brackets, events): ("evaluate", configuration, P_E) for an evaluation
     outside a sweep (the start itself, then the Anderson candidates; P_E is
-    inf when the channel build raised) and ("sweep", P_E in, P_E out)."""
+    inf for an invalid configuration) and ("sweep", P_E in, P_E out)."""
     descend, sweep, evaluate = fusion._descend, fusion._sweep, fusion._ThresholdObjective.evaluate
     starts = []
     inside = []  # non-empty while a sweep runs or after the start returned
@@ -1830,6 +1834,78 @@ class TestPersonByPerson:
         centered, _ = fusion._starts(objective, [4])
         assert result.report.p_error <= objective.evaluate(centered)[0]
 
+    @pytest.mark.parametrize(
+        ("specs", "num_levels", "prior0", "p_error", "cause"),
+        [
+            (
+                [
+                    _nominal_spec("kl-ball", -0.0445, 0.5684, 1.3365, 0.0168, 0.0207),
+                    _nominal_spec("kl-ball", -0.1145, 1.4169, 0.7706, 0.0224, 0.008),
+                    _nominal_spec("eps-contamination", -0.5657, 1.2749, 1.2769, 0.007, 0.0285),
+                ],
+                [2, 3, 4],
+                0.2228,
+                0.115345,
+                "unbuildable",
+            ),
+            (
+                [
+                    {
+                        "kind": "gaussian-band",
+                        "band0": {"mu_lo": -0.779, "mu_hi": -0.479},
+                        "band1": {"mu_lo": 2.013, "mu_hi": 2.313},
+                        "sigma": 1.017,
+                    },
+                    _nominal_spec("kl-ball", -0.282, 0.301, 1.324, 0.024, 0.024),
+                ],
+                [3, 4],
+                0.635,
+                0.104570,
+                "narrow",
+            ),
+        ],
+        ids=["unbuildable-kl-reply", "narrow-kl-bracket"],
+    )
+    def test_design_finishes(self, monkeypatch, specs, num_levels, prior0, p_error, cause):
+        """Designs that once stopped: a reply batch that holds a KL channel
+        whose per-level LLR falls (it scores inf, the batch's other replies
+        are scored), and a KL sensor whose log-LR bracket is narrower than
+        the random start's 0.1 margins (the margin shrinks to a quarter of
+        the bracket). Each converges, certified, at or below every start."""
+        pairs = [build_lfd_pair(spec, j) for j, spec in enumerate(specs)]
+        build, unbuildable = fusion._channels_from_rules, []
+
+        def counting(rules):
+            channels = build(rules)
+            unbuildable.extend(ch for ch in channels if ch is None)
+            return channels
+
+        monkeypatch.setattr(fusion, "_channels_from_rules", counting)
+        result, starts = _record_design(monkeypatch, pairs, num_levels, prior0)
+        _check_descents(result, starts)
+        assert result.converged and result.best_response_gain < 1e-12
+        assert result.report.p_error == pytest.approx(p_error, abs=1e-6)
+        for _, events in starts:
+            kind, _, start_pe = events[0]
+            assert kind == "evaluate" and result.report.p_error <= start_pe + 1e-12
+        widths = [hi - lo for lo, hi in starts[0][0]]
+        assert bool(unbuildable) == (cause == "unbuildable")
+        assert (min(widths) < 0.2) == (cause == "narrow")
+
+    def test_invalid_start_ends_at_once(self, monkeypatch):
+        """A start whose channel is unbuildable scores inf and ends with no
+        sweep; added to the starts, it changes nothing in the design."""
+        pairs = [BAND_PAIR, build_lfd_pair(FALLING_KL_SPEC, 1)]
+        unbuildable = [[-0.5, 0.5], [0.0, 4.48, 4.49]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            objective = fusion._ThresholdObjective(pairs, 0.5)
+            assert fusion._descend(objective, unbuildable) == (unbuildable, math.inf, 0.0, True, 0, 0)
+            want = optimize_thresholds(pairs, [2, 3], 0.5)
+            starts = fusion._starts
+            monkeypatch.setattr(fusion, "_starts", lambda *args: [unbuildable, *starts(*args)])
+            assert optimize_thresholds(pairs, [2, 3], 0.5) == want
+
     @pytest.mark.parametrize("prior0", [0.3, 0.5, 0.7])
     def test_collapse_escape_keeps_every_level(self, prior0):
         """Two thresholds never do worse than one: a reply that collapses
@@ -1860,8 +1936,8 @@ class TestPersonByPerson:
             if len(pairs) > 3:
                 continue
             objective = fusion._ThresholdObjective(pairs, prior0)
-            pe = _outcome(objective.evaluate, conf)[0]
-            if pe in (math.inf, "raised"):
+            pe, _ = objective.evaluate(conf)
+            if pe == math.inf:
                 continue
             for _ in range(4):
                 swept, _ = fusion._sweep(objective, conf)
@@ -1975,18 +2051,10 @@ class TestAndersonDesign:
 
     def test_screen_scores_only_ordered_buildable_candidates(self, monkeypatch):
         """A candidate is scored only when every sensor's log thresholds rise
-        strictly inside its bracket, and one whose channel build raises (a
-        KL tail out of LLR order) scores inf instead of stopping the design."""
-        kl = build_lfd_pair(
-            {
-                "kind": "kl-ball",
-                "nominal0": {"mean": -0.5, "sigma": 1.0},
-                "nominal1": {"mean": 0.5, "sigma": 1.0},
-                "eps0": 0.02,
-                "eps1": 0.02,
-            },
-            0,
-        )
+        strictly inside its bracket, and one whose channel is unbuildable (a
+        KL tail out of LLR order) scores inf, as the objective scores it,
+        while ``channel_from_quantizer`` still refuses that channel."""
+        kl = build_lfd_pair(FALLING_KL_SPEC, 0)
         pairs = [BAND_PAIR, kl]
         brackets = [pair.log_lr_range() for pair in pairs]
         (lo, hi), (kl_lo, kl_hi) = brackets
@@ -2013,9 +2081,13 @@ class TestAndersonDesign:
             assert fusion._screened_error(objective, conf) == (math.inf, 0.0)
             assert not scored
         unbuildable = [[-0.5, 0.5], [0.0, 4.48, 4.49]]
-        with pytest.raises(RuntimeError):
-            evaluate(unbuildable)
+        assert evaluate(unbuildable) == (math.inf, 0.0)
+        scored.clear()
         assert fusion._screened_error(objective, unbuildable) == (math.inf, 0.0)
+        assert scored == [unbuildable]
+        q = Quantizer(tuple(math.exp(t) for t in unbuildable[1]))
+        with pytest.raises(RuntimeError, match="per-level LLR is not nondecreasing"):
+            channel_from_quantizer(q, kl)
 
     def test_seeded_networks_converge_under_the_safeguard(self, monkeypatch):
         """Seeded K=1-4 band, contamination and KL networks: every design

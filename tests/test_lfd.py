@@ -615,6 +615,15 @@ class TestMembers:
         for m in members:
             assert gaussian_kl(m, STD) <= 0.08 + 1e-9
 
+    def test_kl_ball_below_float_resolution_gives_the_nominal(self):
+        """A radius too small for any variance scale on the grid (1e-31,
+        1e-150) gives the nominal alone, as radius 0 does: the nominal is in
+        every ball. Radii just above keep their grid members."""
+        for radius in (0.0, 1e-31, 1e-150):
+            assert KlBallClass(STD, radius).members(11, SHIFTED) == [STD]
+        assert len(KlBallClass(STD, 1e-30).members(11, SHIFTED)) == 11
+        assert len(KlBallClass(STD, 1e-20).members(11, SHIFTED)) == 88
+
     def test_classes_reject_nan(self):
         with pytest.raises(ValueError, match="must be finite"):
             GaussianBandClass(math.nan, 0.0, 1.0)

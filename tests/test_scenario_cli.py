@@ -365,6 +365,45 @@ class TestCliSaddle:
                 gaps.append(float(rows["boundedness"][5]))
         assert max(gaps) - min(gaps) < 1e-12
 
+    @staticmethod
+    def _kl_ball_variant(tmp_path, **changes):
+        """kl_ball.json with its sensor's fields updated by ``changes``."""
+        doc = json.loads((SCENARIOS / "kl_ball.json").read_text())
+        doc["sensors"][0].update(changes)
+        path = tmp_path / "kl_variant.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_tiny_kl_radius_probes_the_nominal(self, tmp_path, capsys):
+        """An H0 radius of 1e-150 leaves no variance scale inside the ball,
+        so its probe is the nominal alone: saddle exits 0 with a verdict, as
+        lfd and evaluate do."""
+        path = self._kl_ball_variant(tmp_path, eps0=1e-150)
+        for command in ("lfd", "evaluate", "saddle"):
+            args = [command, "--scenario", str(path), "--out", str(tmp_path / f"{command}.csv")]
+            assert main(args + (["--members", "11"] if command == "saddle" else [])) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(("HOLDS", "VIOLATED")) and err == ""
+        assert [row[1] for row in read_csv(tmp_path / "saddle.csv")[1:]] == ["boundedness", "saddle"]
+
+    def test_non_finite_log_lr_range_exit_2_names_the_sensor(self, tmp_path, capsys):
+        """An H1 nominal mean of 1e300 overflows the log-LR at the support
+        ends: saddle refuses with one error line naming the sensor and its
+        range, and no warning; lfd and evaluate still exit 0."""
+        path = self._kl_ball_variant(tmp_path, nominal1={"mean": 1e300, "sigma": 1.0})
+        for command in ("lfd", "evaluate"):
+            assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["saddle", "--scenario", str(path), "--members", "11"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and not caught
+        assert err == (
+            "error: sensor 0: log-LR range [-inf, inf] is not finite; "
+            "the boundedness check needs a finite grid\n"
+        )
+
     def test_single_member_zero_gap(self, tmp_path, capsys):
         path = make_band_scenario(tmp_path)
         out = tmp_path / "s1.csv"

@@ -29,9 +29,11 @@ from robust_fusion.sensor import (
     SensorChannel,
     SensorRule,
     _build_channel,
+    _channels_from_rules,
     _sensor_part,
     channel_from_pmfs,
     channel_from_quantizer,
+    channel_from_rule,
     default_quantizer,
     llr_monotone_check,
     member_laws,
@@ -51,7 +53,7 @@ from _oracles import (
     quad_level_masses,
     randomized_binary_laws,
 )
-from test_fusion import _random_spec, member_law
+from test_fusion import FALLING_KL_SPEC, _random_spec, member_law
 
 EXAMPLE_PAIR = gaussian_band_lfd(
     GaussianBandClass(0.0, 0.0, 1.0), GaussianBandClass(1.0, 1.0, 1.0)
@@ -638,6 +640,25 @@ class TestLlrMonotoneCheck:
             pmf_from_weights([0], [1.0]), pmf_from_weights([0], [1.0])
         )
         assert llr_monotone_check(ch)
+
+    def test_batch_gives_none_for_a_falling_rule_alone(self):
+        """A batch holding a rule whose per-level LLR falls (log LR
+        thresholds (4.48, 4.49) on a KL tail) gives None in that slot and,
+        in every other, the channel its rule builds alone, bit for bit;
+        ``channel_from_rule`` still refuses the falling rule."""
+        pair = build_lfd_pair(FALLING_KL_SPEC, 0)
+        logs = [(-1.0, 0.5), (4.48, 4.49), (0.0, 4.0), (-3.0, -2.5)]
+        rules = [SensorRule(pair, Quantizer(tuple(math.exp(t) for t in c))) for c in logs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = _channels_from_rules(rules)
+            assert got[1] is None
+            with pytest.raises(RuntimeError, match="per-level LLR is not nondecreasing"):
+                channel_from_rule(rules[1])
+            for rule, ch in zip(rules[:1] + rules[2:], got[:1] + got[2:]):
+                alone = channel_from_rule(rule)
+                assert _same_channel(ch, alone)
+                assert np.array_equal(ch.part.finite.masses, alone.part.finite.masses)
 
 
 class TestRandomizedBinaryAdmissible:
