@@ -132,80 +132,53 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _t_grid(pair) -> np.ndarray:
+    """The boundedness check's t grid: 101 points over the pair's log-LR
+    range, deduplicated (a constant log-LR, of identical LFDs, spans one)."""
+    lo, hi = pair.log_lr_range()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(
+            f"log-LR range [{_fmt(lo)}, {_fmt(hi)}] is not finite; "
+            "the boundedness check needs a finite grid"
+        )
+    t_grid = np.linspace(lo, hi, 101)
+    return t_grid[np.append(True, np.diff(t_grid) > 0.0)]
+
+
 def _cmd_saddle(args) -> int:
     scenario = load_scenario(args.scenario)
     built, net = _build_network(scenario)
-    n = args.members
-    rows = []
-    witnesses = []  # one per failed check, in check order; the first is printed
-
-    # each distinct build (sensors with equal specs share one) is probed
-    # and checked once; its probes feed boundedness and the saddle
+    sid, rows, witness = scenario.scenario_id, [], ""  # witness: the first failed check's
+    # each distinct build (sensors with equal specs share one) is probed, checked
+    # and read once: channel -> (report or None without a pair, H0 laws, H1 laws)
     checks = {}
     for b in built:
-        if b.channel in checks:
-            continue
-        members0, members1 = b.members(0, n), b.members(1, n)
-        report = None
-        if b.pair is not None:
-            lo, hi = b.pair.log_lr_range()
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(
-                    f"sensor {b.index}: log-LR range [{_fmt(lo)}, {_fmt(hi)}] is not finite; "
-                    "the boundedness check needs a finite grid"
-                )
-            # a constant log-LR (identical LFDs) spans one point
-            t_grid = np.linspace(lo, hi, 101)
-            t_grid = t_grid[np.append(True, np.diff(t_grid) > 0.0)]
-            report = joint_boundedness_check(b.pair, members0, members1, t_grid)
-        checks[b.channel] = (report, b.member_laws(0, members0), b.member_laws(1, members1))
-
-    for b in built:
+        if b.channel not in checks:
+            try:
+                members = b.members(0, args.members), b.members(1, args.members)
+                report = b.pair and joint_boundedness_check(b.pair, *members, _t_grid(b.pair))
+            except ValueError as exc:
+                raise ValueError(f"sensor {b.index}: {exc}") from None
+            checks[b.channel] = (report, *map(b.member_laws, (0, 1), members))
         report = checks[b.channel][0]
-        if report is None:
-            continue
-        rows.append(
-            (
-                scenario.scenario_id,
-                "boundedness",
-                b.index,
-                "",
-                report.holds,
-                report.worst_violation,
-            )
-        )
-        if not report.holds:
+        if report is not None:
+            rows.append((sid, "boundedness", b.index, "", report.holds, report.worst_violation))
             w = report.witness
-            witnesses.append(
-                f" sensor={b.index} side={w.side} member={w.member!r} "
-                f"t={_fmt(w.t)} gap={_fmt(w.gap)}"
-            )
+            if w is not None and not witness:
+                witness = (
+                    f" sensor={b.index} side={w.side} member={w.member!r} "
+                    f"t={_fmt(w.t)} gap={_fmt(w.gap)}"
+                )
 
-    laws0 = [checks[b.channel][1] for b in built]
-    laws1 = [checks[b.channel][2] for b in built]
+    laws0, laws1 = ([checks[b.channel][side] for b in built] for side in (1, 2))
     saddle = fusion.saddle_verify(net, laws0, laws1)
-    rows.append(
-        (
-            scenario.scenario_id,
-            "saddle",
-            saddle.worst_side,
-            ";".join(str(i) for i in saddle.worst_combo),
-            saddle.holds,
-            saddle.worst_gap,
-        )
-    )
-    if not saddle.holds:
-        witnesses.append(
-            f" side={saddle.worst_side} combo={saddle.worst_combo} "
-            f"gap={_fmt(saddle.worst_gap)}"
-        )
-
-    _write_rows(
-        args.out,
-        ("scenario_id", "check", "subject", "combo", "holds", "worst_gap"),
-        rows,
-    )
-    print("VIOLATED" + witnesses[0] if witnesses else "HOLDS")
+    combo = ";".join(str(i) for i in saddle.worst_combo)
+    rows.append((sid, "saddle", saddle.worst_side, combo, saddle.holds, saddle.worst_gap))
+    if not (saddle.holds or witness):
+        gap = _fmt(saddle.worst_gap)
+        witness = f" side={saddle.worst_side} combo={saddle.worst_combo} gap={gap}"
+    _write_rows(args.out, ("scenario_id", "check", "subject", "combo", "holds", "worst_gap"), rows)
+    print("VIOLATED" + witness if witness else "HOLDS")
     return EXIT_OK
 
 

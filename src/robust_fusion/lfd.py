@@ -34,6 +34,7 @@ grid, whose range :meth:`LfdPair.log_lr_range` gives in closed form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -43,9 +44,10 @@ from ._roots import solve_decreasing, solve_increasing
 from .distributions import _SQRT2, GaussianSpec
 
 BOUNDEDNESS_TOL = 1e-9
-# A later worst-case witness replaces the incumbent only when it is worse by
-# more than this, so mirror-image witnesses of a symmetric class resolve to
-# the first one whatever the rounding.
+# Both certificates (joint_boundedness_check and fusion.saddle_verify) take
+# as witness the first candidate, in their scan order, within this of the
+# worst one, so mirror-image witnesses of a symmetric class resolve to the
+# first one whatever the rounding.
 WITNESS_TOL = 1e-12
 _KL_SOLVE_TOL = 1e-9
 # A log threshold within this of a flat (clipped) log-LR stretch is lowered
@@ -106,7 +108,9 @@ class KlBallClass:
         ordered), so the variance direction is what makes this family an
         effective falsifier. A radius so small that no scale on the grid
         fits (about 1e-31 and below) gives the nominal alone, as radius 0
-        does: the nominal is in every ball.
+        does: the nominal is in every ball. A radius whose smallest variance
+        scale, exp(-radius - 1/2), is below the normal floats (about 708
+        nats and above) raises ValueError.
         """
         nominal = self.nominal
         if self.radius == 0.0:
@@ -117,8 +121,14 @@ class KlBallClass:
         def scale_gap(tau: float) -> float:
             return tau * tau - 1.0 - 2.0 * math.log(tau)
 
-        tau_hi = solve_increasing(scale_gap, 1.0, 8.0, 2.0 * eps, tol=1e-13)
-        tau_lo = solve_decreasing(scale_gap, 1e-3, 1.0, 2.0 * eps, tol=1e-13)
+        # Brackets from the radius: scale_gap(tau) >= (tau - 1)^2 above 1 and
+        # >= -1 - 2 ln tau below it, so each end reaches 2 eps.
+        lo = min(1e-3, math.exp(-eps - 0.5))
+        if lo < sys.float_info.min:
+            raise ValueError(f"KL radius {eps!r} is too large: its variance scales underflow")
+        hi = max(8.0, 1.0 + math.sqrt(2.0 * eps))
+        tau_hi = solve_increasing(scale_gap, 1.0, hi, 2.0 * eps, tol=1e-13)
+        tau_lo = solve_decreasing(scale_gap, lo, 1.0, 2.0 * eps, tol=1e-13)
         members: list[GaussianSpec] = []
         direction = 1.0 if toward.mean >= nominal.mean else -1.0
         for tau in np.linspace(tau_lo, tau_hi, max(3, n - 2)):
@@ -644,12 +654,13 @@ def joint_boundedness_check(
     log-LR is cut once at the t grid (:func:`cut_log_lr`, as a sensor rule
     with those log thresholds); column k of a law's cumulative level
     masses is its P(log_lr < t_k), and each side's LFD and members are
-    read in one :func:`level_masses` call. Violations
-    beyond ``BOUNDEDNESS_TOL`` flip ``holds`` and the worst one is reported as a
-    witness; of candidates within ``WITNESS_TOL`` of each other the first
-    found wins (h0 before h1, then member and threshold order). An empty
-    member list adds nothing. Raises ValueError on a t grid that holds a
-    NaN or is not strictly increasing.
+    read in one :func:`level_masses` call. The witness is the first
+    positive gap (h0 before h1, then member and threshold order) within
+    ``WITNESS_TOL`` of the largest gap, and ``worst_violation`` is its gap,
+    or 0.0 when no gap is positive. A worst violation beyond
+    ``BOUNDEDNESS_TOL`` flips ``holds``, and only then is the witness
+    reported. An empty member list adds nothing. Raises ValueError on a t
+    grid that holds a NaN or is not strictly increasing.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or np.any(np.isnan(t)) or not np.all(t[1:] > t[:-1]):
@@ -670,17 +681,13 @@ def joint_boundedness_check(
             rows.append(sign * (read[0] - read[1:]))
             sides += [(side, idx, m) for idx, m in enumerate(members)]
     gaps = np.concatenate(rows).ravel() if rows else np.zeros(0)
-    # The witness is the first positive gap, replaced by each later gap that
-    # beats it by more than WITNESS_TOL. No gap before the incumbent beats it
-    # by more, so the next one is where the running maximum first does.
-    running = np.maximum.accumulate(gaps)
     worst, witness = 0.0, None
-    i = int(np.searchsorted(running, 0.0, side="right"))
-    while i < gaps.size:
+    first = np.flatnonzero((gaps > 0.0) & (gaps >= gaps.max(initial=0.0) - WITNESS_TOL))
+    if first.size:
+        i = int(first[0])
         worst = float(gaps[i])
         side, idx, member = sides[i // len(t)]
         witness = BoundednessWitness(side, idx, member, float(t[i % len(t)]), worst)
-        i = int(np.searchsorted(running, worst + WITNESS_TOL, side="right"))
     holds = worst <= BOUNDEDNESS_TOL
     return BoundednessReport(
         holds=holds, worst_violation=worst, tol=BOUNDEDNESS_TOL, witness=None if holds else witness

@@ -714,15 +714,15 @@ def joint_boundedness_reference(pair, class0_members, class1_members, t_grid, to
 
     Reads Q[log_lr <= t] per member and threshold from the level sets
     {log_lr <= t} (:func:`lower_level_sets`) and each member's step cdf
-    (:func:`member_cdf`), and walks the gaps in h0-before-h1, member and
-    threshold order: a later gap replaces the witness only when it is
-    larger by more than ``WITNESS_TOL``. Returns (holds, worst, witness)
-    with witness (side, member index, t, gap) or None.
+    (:func:`member_cdf`), lists the gaps in h0-before-h1, member and
+    threshold order, and takes as witness the first positive gap within
+    ``WITNESS_TOL`` of the largest. Returns (holds, worst, witness) with
+    worst the witness's gap (0.0 without one) and witness (side, member
+    index, t, gap), or None when the sandwich holds.
     """
     from robust_fusion.lfd import WITNESS_TOL
 
-    worst = 0.0
-    witness = None
+    gaps = []  # (side, member index, t, gap)
     t_values = [float(t) for t in t_grid]
     level_sets = lower_level_sets(pair, t_values)
     for side, members, lfd, sign in (
@@ -733,10 +733,10 @@ def joint_boundedness_reference(pair, class0_members, class1_members, t_grid, to
         for idx, member in enumerate(members):
             member_vals = level_set_masses(member_cdf(member), level_sets)
             for t, lfd_val, member_val in zip(t_values, lfd_vals, member_vals):
-                gap = sign * (lfd_val - member_val)
-                if gap > (worst if witness is None else worst + WITNESS_TOL):
-                    worst = gap
-                    witness = (side, idx, t, gap)
+                gaps.append((side, idx, t, sign * (lfd_val - member_val)))
+    largest = max((g[3] for g in gaps), default=0.0)
+    witness = next((g for g in gaps if g[3] > 0.0 and g[3] >= largest - WITNESS_TOL), None)
+    worst = 0.0 if witness is None else witness[3]
     holds = worst <= tol
     return holds, worst, None if holds else witness
 

@@ -624,6 +624,34 @@ class TestMembers:
         assert len(KlBallClass(STD, 1e-30).members(11, SHIFTED)) == 11
         assert len(KlBallClass(STD, 1e-20).members(11, SHIFTED)) == 88
 
+    def test_kl_ball_members_for_large_radii_stay_inside(self):
+        """Radii past the old fixed variance-scale brackets (6.41 nats for
+        the lower, 29.42 for the upper) still give probes, each inside its
+        ball; a radius whose smallest scale underflows raises, naming it."""
+        for radius in (6.5, 7.0, 30.0, 100.0, 700.0):
+            members = KlBallClass(STD, radius).members(11, SHIFTED)
+            assert len(members) > 20, radius
+            for m in members:
+                assert gaussian_kl(m, STD) <= radius * (1.0 + 1e-12), (radius, m)
+        with pytest.raises(ValueError, match=r"^KL radius 1e\+300 is too large"):
+            KlBallClass(STD, 1e300).members(11, SHIFTED)
+
+    def test_kl_ball_members_keep_the_fixed_brackets_where_they_hold(self, monkeypatch):
+        """Up to 6.4 nats the radius-derived brackets solve the same scales
+        as the fixed [1e-3, 1] and [1, 8]: the probes are == to those the
+        fixed brackets give."""
+        from robust_fusion import lfd
+
+        radii = (1e-20, 0.01, 0.08, 0.5, 2.0, 6.4)
+        derived = [KlBallClass(STD, r).members(11, SHIFTED) for r in radii]
+
+        def pinned(solve, bracket):
+            return lambda f, lo, hi, target, **kw: solve(f, *bracket, target, **kw)
+
+        monkeypatch.setattr(lfd, "solve_increasing", pinned(lfd.solve_increasing, (1.0, 8.0)))
+        monkeypatch.setattr(lfd, "solve_decreasing", pinned(lfd.solve_decreasing, (1e-3, 1.0)))
+        assert [KlBallClass(STD, r).members(11, SHIFTED) for r in radii] == derived
+
     def test_classes_reject_nan(self):
         with pytest.raises(ValueError, match="must be finite"):
             GaussianBandClass(math.nan, 0.0, 1.0)

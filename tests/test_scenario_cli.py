@@ -404,6 +404,43 @@ class TestCliSaddle:
             "the boundedness check needs a finite grid\n"
         )
 
+    @staticmethod
+    def _wide_kl(tmp_path, eps, mean1):
+        """One KL sensor, nominals N(0, 1) and N(mean1, 1), both radii eps."""
+        sensor = {
+            "kind": "kl-ball",
+            "nominal0": {"mean": 0.0, "sigma": 1.0},
+            "nominal1": {"mean": mean1, "sigma": 1.0},
+            "eps0": eps,
+            "eps1": eps,
+            "quantizer": {"num_thresholds": 1},
+        }
+        path = tmp_path / "kl_wide.json"
+        path.write_text(json.dumps({"scenario_id": "kl-wide", "prior0": 0.5, "sensors": [sensor]}))
+        return path
+
+    def test_kl_radius_past_the_old_probe_brackets(self, tmp_path, capsys):
+        """Radii of 7 nats once broke the probes' variance-scale solve with a
+        message naming no sensor; saddle now gives a verdict, as evaluate
+        does."""
+        path = self._wide_kl(tmp_path, 7.0, 10.0)
+        assert main(["evaluate", "--scenario", str(path), "--out", str(tmp_path / "e.csv")]) == 0
+        assert main(["saddle", "--scenario", str(path), "--out", str(tmp_path / "s.csv")]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("VIOLATED") and err == ""
+
+    def test_kl_radius_too_large_to_probe_names_the_sensor(self, tmp_path, capsys):
+        """A radius of 1e300 nats (nominals far enough apart to build) has
+        no float variance scale at its ball's edge: saddle refuses with one
+        error line naming the sensor and the radius, and no warning."""
+        path = self._wide_kl(tmp_path, 1e300, 1e151)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["saddle", "--scenario", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and not caught
+        assert re.fullmatch(r"error: sensor 0: KL radius 1e\+300 [^\n]*\n", err)
+
     def test_single_member_zero_gap(self, tmp_path, capsys):
         path = make_band_scenario(tmp_path)
         out = tmp_path / "s1.csv"
