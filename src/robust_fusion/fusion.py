@@ -38,8 +38,8 @@ import numpy as np
 from .distributions import MASS_TOL, AtomPmf
 from .lfd import WITNESS_TOL, LfdPair
 from .ordering import convolve, convolve_many
-from .sensor import Quantizer, SensorChannel, SensorRule, _SensorPart, _sensor_part
-from .sensor import _channels_from_rules, default_quantizer
+from .sensor import Quantizer, SensorChannel, _SensorPart, _sensor_part
+from .sensor import _rule_channel, default_quantizer
 from .sensor import channel_from_quantizer  # noqa: F401 (perfbench patches fusion's name)
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -552,8 +552,9 @@ class _ThresholdObjective:
     (sensor, LR thresholds) to that sensor's channel, which carries its
     LLR-sum part (an H0 and an H1 row), or to None for an invalid quantizer
     (thresholds out of order, or a falling per-level LLR), so each distinct
-    sensor design is built once, also when two log thresholds round to one
-    LR value; the designs not yet built are built in one batch.
+    sensor design is built once (:func:`~robust_fusion.sensor._rule_channel`,
+    straight from its cuts), also when two log thresholds round to one LR
+    value.
     A second memo maps a configuration's LR thresholds to its scan
     (:func:`_scan_rows`); the scans of one sensor's new replies are made in
     one batch (:meth:`_score_batch`), a configuration alone in a batch of
@@ -578,26 +579,13 @@ class _ThresholdObjective:
 
     def build(self, i: int, log_thresholds: Sequence[float]) -> SensorChannel | None:
         """Sensor i at ``log_thresholds``; None when they are invalid."""
-        return self._build(i, [self._lrs(log_thresholds)])[0]
+        return self._build(i, self._lrs(log_thresholds))
 
-    def _build(self, i: int, lrs: Sequence[tuple[float, ...]]) -> list[SensorChannel | None]:
-        """Sensor i at each tuple of LR thresholds (all of one count)."""
-        rules = {}
-        for lr in lrs:
-            if (i, lr) in self._built or lr in rules:
-                continue
-            try:
-                q = Quantizer(lr)
-            except ValueError:
-                self._built[i, lr] = None
-                continue
-            rules[lr] = SensorRule(self.pairs[i], q)
-        if rules:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                channels = _channels_from_rules(list(rules.values()))
-            self._built.update(((i, lr), channel) for lr, channel in zip(rules, channels))
-        return [self._built[i, lr] for lr in lrs]
+    def _build(self, i: int, lr: tuple[float, ...]) -> SensorChannel | None:
+        """Sensor i at the LR thresholds ``lr``."""
+        if (i, lr) not in self._built:
+            self._built[i, lr] = _rule_channel(self.pairs[i], lr)
+        return self._built[i, lr]
 
     def evaluate(self, all_log_thresholds: Sequence[Sequence[float]]) -> tuple[float, float]:
         """Returns (p_error, best log fusion threshold); inf when invalid."""
@@ -619,16 +607,16 @@ class _ThresholdObjective:
     def _score_batch(self, i: int, lrs: list[tuple[float, ...]], replies: list) -> list:
         """The scans of :meth:`_score`: the sensors other than i are built in
         order (the first invalid one makes every scan None), then the
-        replies in one batch. The replies' parts are one batch part
+        replies. The replies' parts are one batch part
         (:func:`_batch_part`) at sensor i, so the left fold
         ((p0 + p1) + replies) + p3 ... folds each reply as alone."""
         fixed = []
         for j, lr in enumerate(lrs):
             if j != i:
-                fixed.extend(self._build(j, [lr]))
+                fixed.append(self._build(j, lr))
                 if fixed[-1] is None:
                     return [None] * len(replies)
-        builds = self._build(i, replies)
+        builds = [self._build(i, reply) for reply in replies]
         parts = [build.part for build in builds if build is not None]
         if not parts:
             return builds
@@ -658,7 +646,7 @@ class _ThresholdObjective:
         lrs = [self._lrs(coords) for coords in conf]
         ((taus, p_e),) = self._score(len(lrs) - 1, lrs, lrs[-1:])
         best = (float(p_e[0]), float(taus[0]), conf[i])
-        builds = [self._build(j, [lr])[0] for j, lr in enumerate(lrs)]
+        builds = [self._build(j, lr) for j, lr in enumerate(lrs)]
         others = [b.part for b in builds[:i] + builds[i + 1 :]]
         llr = builds[i].llr
         a = _fuse_one_given_level(others, llr, taus)

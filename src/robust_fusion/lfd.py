@@ -26,7 +26,9 @@ a :class:`QuadraticLlr`. No log-LR is cut on a grid.
 :func:`cut_log_lr` is the one inversion, into levels {t_(d-1) <= log_lr < t_d},
 and :func:`level_masses` the one way to read laws on them: a list of laws
 at once, as a (laws x levels) array, a large read of Gaussians in one batch
-and contaminated members through their nominal's one row. A sensor rule
+and contaminated members through their nominal's one row. A small read sums
+scalar cdf differences (:func:`_cdf_masses`), as a sensor's channel reads
+its pair's two laws. A sensor rule
 cuts at its log LR thresholds, :func:`joint_boundedness_check` at its t
 grid, whose range :meth:`LfdPair.log_lr_range` gives in closed form.
 """
@@ -55,10 +57,10 @@ _KL_SOLVE_TOL = 1e-9
 # stretch puts the stretch in the level above, as left-closed levels require.
 _LLR_SLACK = 1e-12
 # level_masses reads Gaussians in one batch from this many cdf values
-# (laws x cuts) on; below it the scalar cdf loop is faster. A channel's 2
-# laws at 3 cuts take ~4 us looped and ~16 us batched, 11 members at 101
-# cuts ~600 us looped and ~120 us batched (Python 3.11, numpy 2.4).
-_BATCH_MIN_VALUES = 32
+# (laws x cuts) on; below it the scalar cdf loop is faster. Member reads,
+# best of 5: 11 laws at 4 cuts take ~29 us looped and ~34 us batched, 16 at
+# 3 ~35 and ~31 us, 99 at 3 ~180 and ~120 us (Python 3.11, numpy 2.4, Xeon).
+_BATCH_MIN_VALUES = 48
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,11 @@ class KlBallClass:
         ordered), so the variance direction is what makes this family an
         effective falsifier. A radius so small that no scale on the grid
         fits (about 1e-31 and below) gives the nominal alone, as radius 0
-        does: the nominal is in every ball. A radius whose smallest variance
-        scale, exp(-radius - 1/2), is below the normal floats (about 708
-        nats and above) raises ValueError.
+        does: the nominal is in every ball. A smallest variance scale below
+        1e-3 (radius above 6.41 nats) is solved in its logarithm, so it is
+        exact to 1e-12 relative. A radius whose smallest variance scale,
+        exp(-radius - 1/2), is below the normal floats (about 708 nats and
+        above) raises ValueError.
         """
         nominal = self.nominal
         if self.radius == 0.0:
@@ -122,13 +126,20 @@ class KlBallClass:
             return tau * tau - 1.0 - 2.0 * math.log(tau)
 
         # Brackets from the radius: scale_gap(tau) >= (tau - 1)^2 above 1 and
-        # >= -1 - 2 ln tau below it, so each end reaches 2 eps.
-        lo = min(1e-3, math.exp(-eps - 0.5))
+        # >= -1 - 2 ln tau below it, so each end reaches 2 eps (ln tau =
+        # -eps - 0.501 clears 2 eps by 0.002, beyond any rounding).
+        lo = math.exp(-eps - 0.5)
         if lo < sys.float_info.min:
             raise ValueError(f"KL radius {eps!r} is too large: its variance scales underflow")
         hi = max(8.0, 1.0 + math.sqrt(2.0 * eps))
         tau_hi = solve_increasing(scale_gap, 1.0, hi, 2.0 * eps, tol=1e-13)
-        tau_lo = solve_decreasing(scale_gap, lo, 1.0, 2.0 * eps, tol=1e-13)
+        if lo >= 1e-3:
+            tau_lo = solve_decreasing(scale_gap, 1e-3, 1.0, 2.0 * eps, tol=1e-13)
+        else:  # below 1e-3 an absolute 1e-13 in tau is coarse: solve in ln tau,
+            # then step 1e-12 inside the ball, so its boundary row outlives rounding
+            log_gap = lambda u: math.exp(2.0 * u) - 1.0 - 2.0 * u
+            log_lo = solve_decreasing(log_gap, -eps - 0.501, 0.0, 2.0 * eps, tol=1e-13)
+            tau_lo = math.exp(log_lo + 1e-12)
         members: list[GaussianSpec] = []
         direction = 1.0 if toward.mean >= nominal.mean else -1.0
         for tau in np.linspace(tau_lo, tau_hi, max(3, n - 2)):
@@ -356,70 +367,63 @@ def level_masses(
     nominal. When every law read is a :class:`GaussianSpec` and the read
     needs at least ``_BATCH_MIN_VALUES`` cdf values (laws x cuts) they are
     read together (:func:`_gaussian_weights`); otherwise each law's ``cdf``
-    is called at each finite cut. Both give the same bits. With a row of
-    ``cuts`` and ``segment_levels`` per rule (+inf cuts pad a short row and
-    add exactly 0.0) there is one (laws x levels) block per rule, each as
-    read alone; contaminated members need one rule.
+    is called at each finite cut. Both give the same bits.
     """
     reads: dict = {}  # distinct law read -> its row
     row_of = [
         reads.setdefault(law.nominal if isinstance(law, ContaminatedGaussian) else law, len(reads))
         for law in laws
     ]
-    rules = np.asarray(cuts, dtype=float)
-    one = rules.ndim == 1
-    rules = rules[None] if one else rules
-    n, r = len(reads), len(rules)
-    if n * rules.size >= _BATCH_MIN_VALUES and all(isinstance(law, GaussianSpec) for law in reads):
-        weights = _gaussian_weights(list(reads), rules).ravel()
+    cuts, n = np.asarray(cuts, dtype=float), len(reads)
+    if n * cuts.size >= _BATCH_MIN_VALUES and all(isinstance(law, GaussianSpec) for law in reads):
+        # one bincount over the law rows back to back sums each row's
+        # segments in order, as a bincount per row would
+        flat = (np.arange(0, n * num_levels, num_levels)[:, None] + segment_levels).ravel()
+        weights = _gaussian_weights(list(reads), cuts).ravel()
+        mass = np.bincount(flat, weights, n * num_levels).reshape(n, num_levels)
     else:
-        weights = _cdf_weights(reads, rules.tolist())
-    # one bincount over the (law, rule) rows back to back sums each row's
-    # segments in order, as a bincount per row would; one row needs no offsets
-    flat = np.ravel(segment_levels)
-    if n * r != 1:
-        flat = (np.arange(0, n * r * num_levels, num_levels).reshape(n, r, 1) + segment_levels).ravel()
-    mass = np.bincount(flat, weights, n * r * num_levels).reshape(n, r, num_levels)
+        mass = np.array(_cdf_masses(reads, cuts.tolist(), segment_levels, num_levels))
+        mass = mass.reshape(n, num_levels)
     if n < len(laws):
         mass = mass[row_of]
     contaminated = [i for i, law in enumerate(laws) if isinstance(law, ContaminatedGaussian)]
-    if contaminated:  # one rule only: np.searchsorted refuses rows of cuts
+    if contaminated:
         eps = np.array([laws[i].eps for i in contaminated])
         atoms = np.array([laws[i].atom for i in contaminated])
-        mass[contaminated] *= (1.0 - eps)[:, None, None]
-        mass[contaminated, 0, segment_levels[np.searchsorted(cuts, atoms, side="right")]] += eps
-    return mass[:, 0] if one else mass.swapaxes(0, 1)
+        mass[contaminated] *= (1.0 - eps)[:, None]
+        mass[contaminated, segment_levels[np.searchsorted(cuts, atoms, side="right")]] += eps
+    return mass
 
 
-def _cdf_weights(laws, rules: list[list[float]]) -> list[float]:
-    """Each law's mass between consecutive cuts of each rule, -inf and +inf
-    included, rows back to back: the differences of its ``cdf`` at the cuts,
-    which is exactly 0 at -inf and 1 at +inf."""
-    inf = math.inf
-    weights: list[float] = []
+def _cdf_masses(
+    laws, cuts: Sequence[float], segment_levels: np.ndarray, num_levels: int
+) -> list[list[float]]:
+    """Each law's mass on each level, a list per law: the differences of its
+    ``cdf`` at the cuts (exactly 0 at -inf and 1 at +inf), summed by segment
+    level in cut order, as ``np.bincount`` sums them."""
+    ends, inf, rows = segment_levels.tolist(), math.inf, []
     for law in laws:
-        cdf = law.cdf
-        for cuts in rules:
-            below = 0.0
-            for c in cuts:
-                at = 1.0 if c == inf else 0.0 if c == -inf else cdf(c)
-                weights.append(at - below)
-                below = at
-            weights.append(1.0 - below)
-    return weights
+        cdf, row, below = law.cdf, [0.0] * num_levels, 0.0
+        for c, level in zip(cuts, ends):
+            at = 1.0 if c == inf else 0.0 if c == -inf else cdf(c)
+            row[level] += at - below
+            below = at
+        row[ends[-1]] += 1.0 - below
+        rows.append(row)
+    return rows
 
 
-def _gaussian_weights(specs: Sequence[GaussianSpec], rules: np.ndarray) -> np.ndarray:
-    """:func:`_cdf_weights` of Gaussians, one row per (law, rule): one array
-    of (mean - cut) / (sigma * sqrt 2) at -inf, the cuts and +inf through
-    one map of ``math.erfc``, the bits of :meth:`GaussianSpec.cdf`."""
-    inf = np.full((len(rules), 1), math.inf)
-    ends = np.hstack([-inf, rules, inf])
-    means = np.array([g.mean for g in specs])[:, None, None]
-    scales = np.array([g.sigma for g in specs])[:, None, None] * _SQRT2
+def _gaussian_weights(specs: Sequence[GaussianSpec], cuts: np.ndarray) -> np.ndarray:
+    """Each Gaussian's mass between consecutive cuts, -inf and +inf
+    included, one row per law: one array of (mean - cut) / (sigma * sqrt 2)
+    at -inf, the cuts and +inf through one map of ``math.erfc``, the bits
+    of :meth:`GaussianSpec.cdf`."""
+    ends = np.concatenate(([-math.inf], cuts, [math.inf]))
+    means = np.array([g.mean for g in specs])[:, None]
+    scales = np.array([g.sigma for g in specs])[:, None] * _SQRT2
     z = (means - ends) / scales
     at = 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
-    return at[..., 1:] - at[..., :-1]
+    return at[:, 1:] - at[:, :-1]
 
 
 def gaussian_band_lfd(c0: GaussianBandClass, c1: GaussianBandClass) -> LfdPair:

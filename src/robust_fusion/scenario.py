@@ -147,12 +147,6 @@ def load_scenario(path: str | Path) -> Scenario:
         return Scenario.from_dict(json.load(fh))
 
 
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario.to_dict(), fh, indent=2)
-        fh.write("\n")
-
-
 def _gaussian(doc: dict, what: str) -> GaussianSpec:
     try:
         return GaussianSpec(_real(doc["mean"], f"{what}.mean"), _real(doc["sigma"], f"{what}.sigma"))

@@ -9,16 +9,18 @@ level; this module computes them exactly and enforces that property as a
 postcondition. A :class:`SensorRule` cuts the observation axis once per
 (pair, quantizer), with :func:`~robust_fusion.lfd.cut_log_lr` at the logs
 of the LR thresholds; the LFD channel, every class member's law and every
-point atom are read off those cuts by one mass function
-(:func:`~robust_fusion.lfd.level_masses`), so all pass through one fixed
-rule. The pair's two laws are read in one call (:func:`channel_from_rule`),
-a class's members all at once (:func:`member_laws`, one row per member).
+point atom are read off those cuts as cdf differences summed by level, so
+all pass through one fixed rule. The pair's two laws are read through
+their scalar cdf (:func:`channel_from_rule`), a class's members all at
+once by :func:`~robust_fusion.lfd.level_masses` (:func:`member_laws`, one
+row per member), with the same bits.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -27,7 +29,7 @@ import numpy as np
 
 from ._roots import solve_newton
 from .distributions import MASS_TOL, AtomPmf, DiscretePmf, _check_law, _unchecked
-from .lfd import LfdPair, cut_log_lr, level_masses
+from .lfd import LfdPair, _cdf_masses, cut_log_lr, level_masses
 
 
 @dataclass(frozen=True)
@@ -45,14 +47,23 @@ class Quantizer:
     def __post_init__(self) -> None:
         thresholds = tuple(float(t) for t in self.thresholds)
         object.__setattr__(self, "thresholds", thresholds)
-        if any(math.isnan(t) for t in thresholds):
-            raise ValueError(f"thresholds must not be NaN, got {thresholds}")
-        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-            raise ValueError("thresholds must be strictly increasing")
+        fault = _threshold_fault(thresholds)
+        if fault:
+            raise ValueError(fault)
 
     @property
     def num_levels(self) -> int:
         return len(self.thresholds) + 1
+
+
+def _threshold_fault(thresholds: tuple[float, ...]) -> str | None:
+    """Why ``thresholds`` are no :class:`Quantizer`'s (a NaN, or not strictly
+    increasing), or None when they are one's."""
+    if any(math.isnan(t) for t in thresholds):
+        return f"thresholds must not be NaN, got {thresholds}"
+    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        return "thresholds must be strictly increasing"
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,56 +117,54 @@ def _sensor_part(llr: np.ndarray, probs: np.ndarray) -> _SensorPart:
     return _SensorPart(law, no_minus, law.total_mass)
 
 
-def _build_channel(levels: Sequence[int], masses) -> SensorChannel:
-    """The channel of per-level ``masses``, an H0 and an H1 row: a batch of
-    one of :func:`_build_channels`."""
-    return next(_build_channels(levels, np.asarray(masses, dtype=float)[None]))
-
-
-def _build_channels(levels: Sequence[int], masses: np.ndarray):
-    """The channel of each (H0, H1) pair of per-level mass rows in
-    ``masses``, in order: clipped at 0, less the levels with zero mass under
-    both (with a warning). Each row is checked once as a law, so the laws
-    and channels skip their constructors' checks. A channel whose LLRs are
-    finite and strictly rising gets its part here, as :func:`_sensor_part`
-    would make it."""
-    masses = np.maximum(masses, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a dropped level's LLR is NaN
-        logs = np.log(masses)
-        llrs = logs[:, 1] - logs[:, 0]
-    totals = np.add.reduce(masses, axis=-1)  # as ndarray.sum, without its wrapper
-    # _check_law's test for every row at once (clipped, only a NaN is negative)
-    laws = (abs(totals - 1.0) <= MASS_TOL).tolist()
-    rising = np.logical_and.reduce(llrs[:, 1:] > llrs[:, :-1], axis=1)
-    plain = (np.logical_and.reduce(np.isfinite(llrs), axis=1) & rising).tolist()
-    keeps = np.logical_or.reduce(masses, axis=1)
-    levels, ones = tuple(int(l) for l in levels), np.ones(2)
-    for rows, llr, keep, full, law, total, part in zip(
-        masses, llrs, keeps, keeps.tolist(), laws, totals, plain
-    ):
-        kept, law = levels, all(law)
-        if not all(full):
+def _channel(levels: Sequence[int], masses, ordered=True, warn=False) -> SensorChannel | None:
+    """The channel of per-level ``masses``, an H0 and an H1 row: clipped at
+    0, less the levels with zero mass under both (with a warning if
+    ``warn``); None when ``ordered`` and its per-level LLR falls. The rows
+    are checked once as laws, so the laws and the channel skip their
+    constructors' checks. A channel whose LLRs are finite and strictly
+    rising gets its part here, as :func:`_sensor_part` would make it."""
+    rows = np.maximum(masses, 0.0)
+    totals = np.add.reduce(rows, axis=1)  # as ndarray.sum, without its wrapper
+    (t0, t1), (r0, r1) = totals.tolist(), rows.tolist()
+    # _check_law's test of both rows (clipped, only a NaN is negative)
+    law = abs(t0 - 1.0) <= MASS_TOL and abs(t1 - 1.0) <= MASS_TOL
+    keep = [a != 0.0 or b != 0.0 for a, b in zip(r0, r1)]
+    levels, full = tuple(levels), all(keep)
+    if not full:
+        if warn:
             dropped = [l for l, k in zip(levels, keep) if not k]
             msg = f"dropping levels {dropped} with zero mass under both hypotheses"
-            warnings.warn(msg, RuntimeWarning, stacklevel=4)
-            kept = tuple(l for l, k in zip(levels, keep) if k)
-            rows, llr, law = rows[:, keep], llr[keep], False
-        if not law:  # raises, or passes the kept levels
-            for row in rows:
-                _check_law(row)
-        pmf0 = _unchecked(DiscretePmf, levels=kept, probs=rows[0])
-        pmf1 = _unchecked(DiscretePmf, levels=kept, probs=rows[1])
-        channel = _unchecked(SensorChannel, pmf0=pmf0, pmf1=pmf1, llr=llr)
-        if part:  # cached as SensorChannel.part caches it
-            channel.__dict__["part"] = _SensorPart(AtomPmf._from_sorted(llr, rows), ones, total)
-        yield channel
+            warnings.warn(msg, RuntimeWarning, stacklevel=3)
+        levels = tuple(l for l, k in zip(levels, keep) if k)
+        rows, law = rows[:, keep], False
+    if not law:  # raises, or passes the kept levels
+        for row in rows:
+            _check_law(row)
+    # log 0 = -inf gives a +/-inf LLR; its warning is silenced only where a mass is 0
+    with np.errstate(divide="ignore") if 0.0 in r0 or 0.0 in r1 else nullcontext():
+        logs = np.log(rows)
+    llr = logs[1] - logs[0]
+    values = llr.tolist()
+    steps = list(zip(values, values[1:]))
+    if ordered and any(b < a for a, b in steps):
+        return None
+    pmf0 = _unchecked(DiscretePmf, levels=levels, probs=rows[0])
+    pmf1 = _unchecked(DiscretePmf, levels=levels, probs=rows[1])
+    channel = _unchecked(SensorChannel, pmf0=pmf0, pmf1=pmf1, llr=llr)
+    # strictly rising from a finite first to a finite last LLR: all finite
+    if full and -math.inf < values[0] and values[-1] < math.inf and all(b > a for a, b in steps):
+        # cached as SensorChannel.part caches it
+        channel.__dict__["part"] = _SensorPart(AtomPmf._from_sorted(llr, rows), np.ones(2), totals)
+    return channel
 
 
 def channel_from_pmfs(pmf0: DiscretePmf, pmf1: DiscretePmf) -> SensorChannel:
-    """Channel from explicitly given per-hypothesis output laws, in any label order."""
+    """Channel from explicitly given per-hypothesis output laws, in any label
+    order; levels with zero mass under both are dropped with a warning."""
     if pmf0.levels != pmf1.levels:
         raise ValueError("pmf0 and pmf1 must share the same level set")
-    return _build_channel(pmf0.levels, np.array([pmf0.probs, pmf1.probs]))
+    return _channel(pmf0.levels, np.array([pmf0.probs, pmf1.probs]), ordered=False, warn=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +186,15 @@ class SensorRule:
     segment_levels: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        log_t = [math.log(t) if t > 0.0 else -math.inf for t in self.quantizer.thresholds]
-        cuts, levels = cut_log_lr(self.pair, log_t)
+        cuts, levels = _rule_cuts(self.pair, self.quantizer.thresholds)
         object.__setattr__(self, "cuts", cuts)
         object.__setattr__(self, "segment_levels", levels)
+
+
+def _rule_cuts(pair: LfdPair, thresholds: Sequence[float]) -> tuple[tuple[float, ...], np.ndarray]:
+    """:func:`~robust_fusion.lfd.cut_log_lr` of the pair at the logs of the
+    LR ``thresholds``, -inf for a threshold <= 0."""
+    return cut_log_lr(pair, [math.log(t) if t > 0.0 else -math.inf for t in thresholds])
 
 
 def channel_from_rule(rule: SensorRule) -> SensorChannel:
@@ -195,27 +209,23 @@ def channel_from_rule(rule: SensorRule) -> SensorChannel:
     is the LR's conditional mean over [t_{d-1}, t_d), whatever the
     preimage shape); a violation raises.
     """
-    (channel,) = _channels_from_rules([rule])
+    levels = range(rule.quantizer.num_levels)
+    masses = _cdf_masses((rule.pair.q0, rule.pair.q1), rule.cuts, rule.segment_levels, len(levels))
+    channel = _channel(levels, masses, warn=True)
     if channel is None:
         raise RuntimeError("per-level LLR is not nondecreasing; quantizer is invalid")
     return channel
 
 
-def _channels_from_rules(rules: Sequence[SensorRule]) -> list[SensorChannel | None]:
-    """:func:`channel_from_rule` of each rule, all of one pair and level
-    count, from one :func:`~robust_fusion.lfd.level_masses` read with a cut
-    row per rule (+inf pads a short row), or None where its LLR falls."""
-    pair, levels = rules[0].pair, range(rules[0].quantizer.num_levels)
-    width = max(len(rule.cuts) for rule in rules)
-    cuts, segments = [], []
-    for rule in rules:
-        pad = width - len(rule.cuts)
-        cuts.append(rule.cuts + (math.inf,) * pad)
-        segments.append(rule.segment_levels.tolist() + rule.segment_levels[-1:].tolist() * pad)
-    channels = []
-    for channel in _build_channels(levels, level_masses([pair.q0, pair.q1], cuts, segments, len(levels))):
-        channels.append(channel if llr_monotone_check(channel) else None)
-    return channels
+def _rule_channel(pair: LfdPair, thresholds: tuple[float, ...]) -> SensorChannel | None:
+    """:func:`channel_from_rule` of ``SensorRule(pair, Quantizer(thresholds))``
+    without either object or a warning; None where the thresholds are no
+    quantizer's or the per-level LLR falls."""
+    if _threshold_fault(thresholds):
+        return None
+    cuts, segment_levels = _rule_cuts(pair, thresholds)
+    levels = range(len(thresholds) + 1)
+    return _channel(levels, _cdf_masses((pair.q0, pair.q1), cuts, segment_levels, len(levels)))
 
 
 def channel_from_quantizer(q: Quantizer, pair: LfdPair, grid: None = None) -> SensorChannel:

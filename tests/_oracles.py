@@ -605,6 +605,65 @@ def _cdf_at(cdf, y: float) -> float:
     return 1.0 if y == math.inf else 0.0 if y == -math.inf else cdf(y)
 
 
+def batch_channels_reference(rules):
+    """The channels of sensor rules of one pair and level count, built as
+    one batch (the library's route before its per-rule build): one read of
+    the pair's two laws with a cut row per rule, +inf padding a short row,
+    Gaussian laws through one array of erfc values once the read needs 32
+    cdf values, other laws through their scalar cdf; each (law, rule) row
+    summed by segment level in one bincount. Then each rule's two rows are
+    clipped at 0 and checked as laws, the levels with zero mass under both
+    dropped with a warning, its part cached when its LLRs are finite and
+    strictly rising (before the drop), and None returned where its
+    per-level LLR falls."""
+    import warnings
+
+    from robust_fusion.distributions import _SQRT2, MASS_TOL, AtomPmf, DiscretePmf, GaussianSpec
+    from robust_fusion.distributions import _check_law, _unchecked
+    from robust_fusion.sensor import SensorChannel, _SensorPart, llr_monotone_check
+
+    pair, num_levels = rules[0].pair, rules[0].quantizer.num_levels
+    width = max(len(rule.cuts) for rule in rules)
+    ends, segments = [], []
+    for rule in rules:
+        pad = width - len(rule.cuts)
+        ends.append([-math.inf, *rule.cuts, *[math.inf] * pad, math.inf])
+        segments.append(rule.segment_levels.tolist() + rule.segment_levels[-1:].tolist() * pad)
+    laws, ends = [pair.q0, pair.q1], np.array(ends)
+    if 2 * len(rules) * width >= 32 and all(isinstance(law, GaussianSpec) for law in laws):
+        z = [(law.mean - ends) / (law.sigma * _SQRT2) for law in laws]
+        at = 0.5 * np.array([[[math.erfc(v) for v in row] for row in block.tolist()] for block in z])
+    else:
+        at = np.array([[[_cdf_at(law.cdf, c) for c in row] for row in ends.tolist()] for law in laws])
+    weights = at[..., 1:] - at[..., :-1]
+    masses = np.array(
+        [[np.bincount(seg, w, num_levels) for seg, w in zip(segments, block)] for block in weights]
+    ).swapaxes(0, 1)
+    channels = []
+    for rows in np.maximum(masses, 0.0):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            llr = np.log(rows[1]) - np.log(rows[0])
+        totals = rows.sum(axis=1)
+        part = bool(np.all(np.isfinite(llr)) and np.all(llr[1:] > llr[:-1]))
+        keep = (rows[0] != 0.0) | (rows[1] != 0.0)
+        kept, law = tuple(range(num_levels)), bool(np.all(abs(totals - 1.0) <= MASS_TOL))
+        if not keep.all():
+            dropped = [level for level in kept if not keep[level]]
+            warnings.warn(f"dropping levels {dropped} with zero mass under both hypotheses", RuntimeWarning)
+            kept = tuple(level for level in kept if keep[level])
+            rows, llr, law = rows[:, keep], llr[keep], False
+        if not law:
+            for row in rows:
+                _check_law(row)
+        pmf0 = _unchecked(DiscretePmf, levels=kept, probs=rows[0])
+        pmf1 = _unchecked(DiscretePmf, levels=kept, probs=rows[1])
+        channel = _unchecked(SensorChannel, pmf0=pmf0, pmf1=pmf1, llr=llr)
+        if part:
+            channel.__dict__["part"] = _SensorPart(AtomPmf._from_sorted(llr, rows), np.ones(2), totals)
+        channels.append(channel if llr_monotone_check(channel) else None)
+    return channels
+
+
 def member_channel_reference(member, pair, q, levels=None):
     """Reference for each row of ``sensor.member_laws``: the per-member
     route.
@@ -1046,3 +1105,12 @@ def saddle_verify_reference(net, member_laws0, member_laws1, stats, tol: float =
         n_checked=n_checked,
         tol=tol,
     )
+
+
+def save_scenario(scenario, path) -> None:
+    """Write ``scenario`` as the JSON document :func:`robust_fusion.load_scenario` reads."""
+    import json
+
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(scenario.to_dict(), fh, indent=2)
+        fh.write("\n")

@@ -1399,18 +1399,17 @@ class TestThresholdObjective:
         """One ``optimize_thresholds`` call builds each distinct (sensor,
         thresholds) channel at most once, the returned design's included:
         later sweeps, later starts and the certificate sweep reuse them.
-        Every build of the designer goes through the batched builder."""
+        Every build of the designer goes through the per-rule builder."""
         rng = np.random.default_rng(20261022)
-        original = fusion._channels_from_rules
+        original = fusion._rule_channel
         builds = {}
 
-        def counting(rules):
-            for rule in rules:
-                key = (id(rule.pair), rule.quantizer.thresholds)
-                builds[key] = builds.get(key, 0) + 1
-            return original(rules)
+        def counting(pair, thresholds):
+            key = (id(pair), thresholds)
+            builds[key] = builds.get(key, 0) + 1
+            return original(pair, thresholds)
 
-        monkeypatch.setattr(fusion, "_channels_from_rules", counting)
+        monkeypatch.setattr(fusion, "_rule_channel", counting)
         for kinds, num_levels in (
             (("gaussian-band", "eps-contamination", "gaussian-band"), [2, 2, 2]),
             (("eps-contamination", "gaussian-band"), [3, 1]),
@@ -1509,9 +1508,9 @@ class TestThresholdObjective:
         assert all(seen[kind] for kind in kinds) and seen["kl-dabakQuadraticLlr"], seen
 
     def test_best_response_scores_its_replies_in_one_batch(self, monkeypatch):
-        """A best response with R new replies builds them in one call of the
-        batched builder, carries them through the left fold as one batch
-        and reads all R scans in one pass: the work does not grow with R."""
+        """A best response with R new replies builds each once, carries them
+        through the left fold as one batch and reads all R scans in one
+        pass: the work does not grow with R."""
         rng = np.random.default_rng(20261202)
         kinds = ("gaussian-band", "eps-contamination", "gaussian-band", "kl-ball")
         pairs = [build_lfd_pair(_random_spec(rng, kind, 3), j) for j, kind in enumerate(kinds)]
@@ -1526,12 +1525,12 @@ class TestThresholdObjective:
 
             return wrapped
 
-        originals = (fusion._channels_from_rules, fusion._scan_rows, ordering.convolve)
+        originals = (fusion._rule_channel, fusion._scan_rows, ordering.convolve)
         for i in range(len(pairs)):
             objective = fusion._ThresholdObjective(pairs, 0.5)
             objective.evaluate(conf)
             with monkeypatch.context() as patch:
-                patch.setattr(fusion, "_channels_from_rules", counting("build", originals[0], len))
+                patch.setattr(fusion, "_rule_channel", counting("build", originals[0], lambda *_: 1))
                 scan = counting("scan", originals[1], lambda fold, forced, prior0: len(forced))
                 patch.setattr(fusion, "_scan_rows", scan)
                 batch = lambda a, b: int(a.rows is not None or b.rows is not None)
@@ -1541,8 +1540,8 @@ class TestThresholdObjective:
                 counts.clear()
                 objective.best_response(i, conf)
             assert counts["scan rows"] >= 2
-            assert counts["build"] == counts["scan"] == 1
-            assert counts["build rows"] == counts["scan rows"]  # every new reply is built, once
+            assert counts["scan"] == 1
+            assert counts["build"] == counts["scan rows"]  # every new reply is built, once
             # the batch joins the fold of the sensors before i, then each later one
             assert counts["convolve rows"] == len(pairs) - max(i, 1)
 
@@ -1873,14 +1872,15 @@ class TestPersonByPerson:
         the random start's 0.1 margins (the margin shrinks to a quarter of
         the bracket). Each converges, certified, at or below every start."""
         pairs = [build_lfd_pair(spec, j) for j, spec in enumerate(specs)]
-        build, unbuildable = fusion._channels_from_rules, []
+        build, unbuildable = fusion._rule_channel, []
 
-        def counting(rules):
-            channels = build(rules)
-            unbuildable.extend(ch for ch in channels if ch is None)
-            return channels
+        def counting(pair, thresholds):
+            channel = build(pair, thresholds)
+            if channel is None and all(b > a for a, b in zip(thresholds, thresholds[1:])):
+                unbuildable.append(thresholds)
+            return channel
 
-        monkeypatch.setattr(fusion, "_channels_from_rules", counting)
+        monkeypatch.setattr(fusion, "_rule_channel", counting)
         result, starts = _record_design(monkeypatch, pairs, num_levels, prior0)
         _check_descents(result, starts)
         assert result.converged and result.best_response_gain < 1e-12
@@ -1905,6 +1905,28 @@ class TestPersonByPerson:
             starts = fusion._starts
             monkeypatch.setattr(fusion, "_starts", lambda *args: [unbuildable, *starts(*args)])
             assert optimize_thresholds(pairs, [2, 3], 0.5) == want
+
+    def test_dropped_level_warns_nothing(self, monkeypatch):
+        """A contamination pair whose log LR is clipped at +/-0.265 has no
+        mass above the LR = 1 start's top threshold (log LR 0.5): that
+        build drops its top level, and no warning escapes the design, which
+        converges. (Replies lie inside the clip levels and keep theirs.)"""
+        pair = build_lfd_pair(_nominal_spec("eps-contamination", -0.3, 0.3, 1.0, 0.1, 0.1), 0)
+        build, dropped = fusion._rule_channel, []
+
+        def counting(pair, thresholds):
+            channel = build(pair, thresholds)
+            if channel is not None and len(channel.levels) <= len(thresholds):
+                dropped.append(thresholds)
+            return channel
+
+        monkeypatch.setattr(fusion, "_rule_channel", counting)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = optimize_thresholds([pair], [3], 0.5)
+        assert not caught
+        assert dropped == [tuple(math.exp(t) for t in (-0.5, 0.0, 0.5))]
+        assert result.converged and result.best_response_gain < 1e-12
 
     @pytest.mark.parametrize("prior0", [0.3, 0.5, 0.7])
     def test_collapse_escape_keeps_every_level(self, prior0):

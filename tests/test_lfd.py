@@ -636,6 +636,18 @@ class TestMembers:
         with pytest.raises(ValueError, match=r"^KL radius 1e\+300 is too large"):
             KlBallClass(STD, 1e300).members(11, SHIFTED)
 
+    def test_kl_ball_members_reach_the_smallest_scale_at_large_radii(self):
+        """Past 6.41 nats the lower variance scale is solved in ln tau: at
+        radii 40 and 100 the smallest probe scale is the ball's own,
+        exp(-radius - 1/2) (tau^2 is below 1e-35 there), to 1e-11, where an
+        absolute 1e-13 in tau stopped at 2.84e-14; every probe stays inside."""
+        for radius in (40.0, 100.0):
+            members = KlBallClass(STD, radius).members(11, SHIFTED)
+            smallest = min(m.sigma for m in members) / STD.sigma
+            assert abs(smallest / math.exp(-radius - 0.5) - 1.0) < 1e-11, radius
+            for m in members:
+                assert gaussian_kl(m, STD) <= radius * (1.0 + 1e-12), (radius, m)
+
     def test_kl_ball_members_keep_the_fixed_brackets_where_they_hold(self, monkeypatch):
         """Up to 6.4 nats the radius-derived brackets solve the same scales
         as the fixed [1e-3, 1] and [1, 8]: the probes are == to those the

@@ -14,9 +14,10 @@ import pytest
 from robust_fusion import fusion, lfd, sensor
 from robust_fusion import scenario as scenario_module
 from robust_fusion.cli import main
-from robust_fusion.scenario import Scenario, build_sensor, build_sensors, load_scenario, save_scenario
+from robust_fusion.scenario import Scenario, build_sensor, build_sensors, load_scenario
 
 from _golden import GOLDEN, NUMBER, assert_matches_record, cases as golden_cases, run as run_golden
+from _oracles import save_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -28,8 +29,8 @@ from robust_fusion.sensor import (
     Quantizer,
     SensorChannel,
     SensorRule,
-    _build_channel,
-    _channels_from_rules,
+    _channel,
+    _rule_channel,
     _sensor_part,
     channel_from_pmfs,
     channel_from_quantizer,
@@ -42,6 +43,7 @@ from robust_fusion.sensor import (
 
 from _oracles import (
     atoms_stochastically_larger,
+    batch_channels_reference,
     density_integral,
     level_set_masses,
     log_density_crossing_cuts,
@@ -641,18 +643,18 @@ class TestLlrMonotoneCheck:
         )
         assert llr_monotone_check(ch)
 
-    def test_batch_gives_none_for_a_falling_rule_alone(self):
-        """A batch holding a rule whose per-level LLR falls (log LR
-        thresholds (4.48, 4.49) on a KL tail) gives None in that slot and,
-        in every other, the channel its rule builds alone, bit for bit;
-        ``channel_from_rule`` still refuses the falling rule."""
+    def test_falling_rule_builds_none(self):
+        """A rule whose per-level LLR falls (log LR thresholds (4.48, 4.49)
+        on a KL tail) builds None, and the rules around it the channels
+        ``channel_from_rule`` builds, bit for bit; ``channel_from_rule``
+        refuses the falling rule."""
         pair = build_lfd_pair(FALLING_KL_SPEC, 0)
         logs = [(-1.0, 0.5), (4.48, 4.49), (0.0, 4.0), (-3.0, -2.5)]
         rules = [SensorRule(pair, Quantizer(tuple(math.exp(t) for t in c))) for c in logs]
+        got = [_rule_channel(pair, rule.quantizer.thresholds) for rule in rules]
+        assert got[1] is None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = _channels_from_rules(rules)
-            assert got[1] is None
             with pytest.raises(RuntimeError, match="per-level LLR is not nondecreasing"):
                 channel_from_rule(rules[1])
             for rule, ch in zip(rules[:1] + rules[2:], got[:1] + got[2:]):
@@ -876,9 +878,9 @@ def _same_channel(got: SensorChannel, want: SensorChannel) -> bool:
 
 
 class TestChannelBuild:
-    """``_build_channel`` checks the two mass rows once and skips the
+    """``_channel`` checks the two mass rows once and skips the
     constructors' checks; what it builds and refuses is what the public
-    constructors build and refuse."""
+    constructors build and refuse, and it never warns."""
 
     def test_matches_public_constructors_on_seeded_rules(self):
         """Bit-identical pmf0, pmf1 and llr on seeded band, KL and
@@ -899,12 +901,67 @@ class TestChannelBuild:
             dropped = len(want.levels) < len(levels)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                got = _build_channel(levels, masses)
-            assert len(caught) == dropped
+                got = _channel(levels, masses, ordered=False)
+            assert not caught
             assert _same_channel(got, want)
             seen["dropped"] += dropped
             seen["infinite"] += bool(np.any(np.isinf(got.llr)))
         assert min(seen.values()) >= 10
+
+    def test_rule_build_matches_the_batch_read(self):
+        """The per-rule build gives the bits of the batch read it replaced
+        (``batch_channels_reference``: one padded read of all the rules of a
+        pair, Gaussian laws through one erfc array): the same masses, LLRs,
+        cached part, dropped levels and None on a falling LLR, on seeded
+        rules of band, contamination and quadratic-KL pairs. It never warns;
+        ``channel_from_rule`` warns exactly where levels are dropped."""
+        rng = np.random.default_rng(20261205)
+        seen = Counter()
+        for n in range(60):
+            kind = ("gaussian-band", "eps-contamination", "kl-quadratic")[n % 3]
+            spec = _random_spec(rng, "kl-ball" if kind == "kl-quadratic" else kind, 3)
+            if kind == "kl-quadratic":
+                spec["nominal1"]["sigma"] *= float(rng.choice([0.7, 1.3]))
+            falling = n % 15 == 0  # a KL tail, cut once where its LLR falls
+            pair = build_lfd_pair(FALLING_KL_SPEC if falling else spec, 0)
+            lo, hi = pair.log_lr_range()
+            count, size = 2 if falling else int(rng.integers(1, 4)), int(rng.choice([1, 3, 12]))
+            logs = [np.sort(rng.uniform(lo - 1.0, hi + 1.0, count)) for _ in range(size)]
+            logs += [(4.48, 4.49)] if falling else []
+            thresholds = [tuple(math.exp(t) for t in c) for c in logs]
+            thresholds += [(0.0, *t[1:]) for t in thresholds[:1] if rng.random() < 0.3]
+            rules = [SensorRule(pair, Quantizer(t)) for t in thresholds]
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                got = [_rule_channel(pair, t) for t in thresholds]
+            assert not warned
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = batch_channels_reference(rules)
+            for rule, a, b in zip(rules, got, want):
+                seen[kind] += 1
+                if b is None:
+                    assert a is None
+                    seen["falling"] += 1
+                    continue
+                assert _same_channel(a, b)
+                assert ("part" in a.__dict__) == ("part" in b.__dict__)
+                for x, y in (
+                    (a.part.finite.atoms, b.part.finite.atoms),
+                    (a.part.finite.masses, b.part.finite.masses),
+                    (a.part.no_minus, b.part.no_minus),
+                    (a.part.finite_mass, b.part.finite_mass),
+                ):
+                    assert np.array_equal(x, y)
+                dropped = len(a.levels) < rule.quantizer.num_levels
+                with warnings.catch_warnings(record=True) as warned:
+                    warnings.simplefilter("always")
+                    assert _same_channel(channel_from_rule(rule), a)
+                assert len(warned) == dropped
+                seen["dropped"] += dropped
+                seen["cached"] += "part" in a.__dict__
+                seen["batched"] += 2 * len(rules) * max(len(r.cuts) for r in rules) >= 32
+        assert min(seen.values()) >= 3 and len(seen) == 7, seen
 
     @pytest.mark.parametrize(
         ("masses", "message"),
@@ -923,13 +980,13 @@ class TestChannelBuild:
         with pytest.raises(ValueError) as want:
             _public_channel(range(2), masses)
         with pytest.raises(ValueError) as got:
-            _build_channel(range(2), masses)
+            _channel(range(2), masses, ordered=False)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(message)
 
     def test_rounding_below_zero_is_clipped(self):
         masses = [[0.5, 0.5, -1e-18], [0.25, 0.25, 0.5]]
-        assert _same_channel(_build_channel(range(3), masses), _public_channel(range(3), masses))
+        assert _same_channel(_channel(range(3), masses), _public_channel(range(3), masses))
 
     def test_part_is_the_two_row_sensor_part(self):
         """``ch.part`` is ``_sensor_part`` of the channel's two rows bit for
