@@ -44,6 +44,6 @@ from .fusion import (
     optimize_thresholds,
     saddle_verify,
 )
-from .scenario import Scenario, load_scenario
+from .scenario import Certificate, Scenario, certify, load_scenario
 
 __version__ = "0.1.0"

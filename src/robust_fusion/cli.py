@@ -23,11 +23,8 @@ import sys
 from contextlib import nullcontext
 from typing import Sequence
 
-import numpy as np
-
 from . import fusion
-from .lfd import joint_boundedness_check
-from .scenario import Scenario, build_sensors, load_scenario
+from .scenario import Scenario, build_sensors, certify, load_scenario
 from .sensor import randomized_binary_admissible
 
 EXIT_OK = 0
@@ -132,53 +129,23 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _t_grid(pair) -> np.ndarray:
-    """The boundedness check's t grid: 101 points over the pair's log-LR
-    range, deduplicated (a constant log-LR, of identical LFDs, spans one)."""
-    lo, hi = pair.log_lr_range()
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(
-            f"log-LR range [{_fmt(lo)}, {_fmt(hi)}] is not finite; "
-            "the boundedness check needs a finite grid"
-        )
-    t_grid = np.linspace(lo, hi, 101)
-    return t_grid[np.append(True, np.diff(t_grid) > 0.0)]
-
-
 def _cmd_saddle(args) -> int:
     scenario = load_scenario(args.scenario)
-    built, net = _build_network(scenario)
-    sid, rows, witness = scenario.scenario_id, [], ""  # witness: the first failed check's
-    # each distinct build (sensors with equal specs share one) is probed, checked
-    # and read once: channel -> (report or None without a pair, H0 laws, H1 laws)
-    checks = {}
-    for b in built:
-        if b.channel not in checks:
-            try:
-                members = b.members(0, args.members), b.members(1, args.members)
-                report = b.pair and joint_boundedness_check(b.pair, *members, _t_grid(b.pair))
-            except ValueError as exc:
-                raise ValueError(f"sensor {b.index}: {exc}") from None
-            checks[b.channel] = (report, *map(b.member_laws, (0, 1), members))
-        report = checks[b.channel][0]
-        if report is not None:
-            rows.append((sid, "boundedness", b.index, "", report.holds, report.worst_violation))
-            w = report.witness
-            if w is not None and not witness:
-                witness = (
-                    f" sensor={b.index} side={w.side} member={w.member!r} "
-                    f"t={_fmt(w.t)} gap={_fmt(w.gap)}"
-                )
-
-    laws0, laws1 = ([checks[b.channel][side] for b in built] for side in (1, 2))
-    saddle = fusion.saddle_verify(net, laws0, laws1)
+    cert = certify(*_build_network(scenario), args.members)
+    sid, saddle = scenario.scenario_id, cert.saddle
+    rows = [(sid, "boundedness", i, "", r.holds, r.worst_violation) for i, r in cert.boundedness]
     combo = ";".join(str(i) for i in saddle.worst_combo)
     rows.append((sid, "saddle", saddle.worst_side, combo, saddle.holds, saddle.worst_gap))
-    if not (saddle.holds or witness):
+    verdict, failed = "HOLDS", [(i, r.witness) for i, r in cert.boundedness if not r.holds]
+    if failed:  # the first failed boundedness check's witness, else the saddle gap
+        i, w = failed[0]
+        verdict = f"VIOLATED sensor={i} side={w.side} member={w.member!r} "
+        verdict += f"t={_fmt(w.t)} gap={_fmt(w.gap)}"
+    elif not saddle.holds:
         gap = _fmt(saddle.worst_gap)
-        witness = f" side={saddle.worst_side} combo={saddle.worst_combo} gap={gap}"
+        verdict = f"VIOLATED side={saddle.worst_side} combo={saddle.worst_combo} gap={gap}"
     _write_rows(args.out, ("scenario_id", "check", "subject", "combo", "holds", "worst_gap"), rows)
-    print("VIOLATED" + witness if witness else "HOLDS")
+    print(verdict)
     return EXIT_OK
 
 

@@ -47,8 +47,9 @@ _AGREEMENT_TOL = 1e-10
 # saddle_verify's slack: a gap or dominance excess within it still holds
 SADDLE_TOL = 1e-9
 # LLR sums within TIE_TOL above the log threshold are ties and decide H0.
-# It sits well above float summation noise (~1e-13) and below the 1e-9
-# atom merge width, so one tie band never holds two atoms of a convolved law.
+# It sits well above float summation noise (~1e-13), so the order of summation
+# cannot move an outcome, and above the atom merge width
+# (``ordering.ATOM_BIN_WIDTH``), so merging two sums moves each by less than it.
 TIE_TOL = 1e-10
 
 

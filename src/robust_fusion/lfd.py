@@ -24,13 +24,13 @@ band, contamination and equal-variance KL pairs (mean0 < mean1) carry an
 affine or clipped-affine :class:`ClippedAffineLlr`, and every other KL pair
 a :class:`QuadraticLlr`. No log-LR is cut on a grid.
 :func:`cut_log_lr` is the one inversion, into levels {t_(d-1) <= log_lr < t_d},
-and :func:`level_masses` the one way to read laws on them: a list of laws
-at once, as a (laws x levels) array, a large read of Gaussians in one batch
-and contaminated members through their nominal's one row. A small read sums
-scalar cdf differences (:func:`_cdf_masses`), as a sensor's channel reads
-its pair's two laws. A sensor rule
-cuts at its log LR thresholds, :func:`joint_boundedness_check` at its t
-grid, whose range :meth:`LfdPair.log_lr_range` gives in closed form.
+and :func:`level_masses` the one way to read a list of laws on them, as a
+(laws x levels) array: a read of Gaussians in one batch of erfc values,
+one with any other law by scalar cdf differences (:func:`_cdf_masses`, as a
+sensor's channel reads its pair's two laws), and contaminated members
+through their nominal's one row. A sensor rule cuts at its log LR thresholds,
+:func:`joint_boundedness_check` at its t grid, whose range
+:meth:`LfdPair.log_lr_range` gives in closed form.
 """
 
 from __future__ import annotations
@@ -56,11 +56,6 @@ _KL_SOLVE_TOL = 1e-9
 # by it, so a threshold that only exp/log rounding separates from the
 # stretch puts the stretch in the level above, as left-closed levels require.
 _LLR_SLACK = 1e-12
-# level_masses reads Gaussians in one batch from this many cdf values
-# (laws x cuts) on; below it the scalar cdf loop is faster. Member reads,
-# best of 5: 11 laws at 4 cuts take ~29 us looped and ~34 us batched, 16 at
-# 3 ~35 and ~31 us, 99 at 3 ~180 and ~120 us (Python 3.11, numpy 2.4, Xeon).
-_BATCH_MIN_VALUES = 48
 
 
 @dataclass(frozen=True)
@@ -364,10 +359,10 @@ def level_masses(
 
     Each distinct law (laws are told apart by ``==``, so they must be
     hashable) is read once, contaminated members through their shared
-    nominal. When every law read is a :class:`GaussianSpec` and the read
-    needs at least ``_BATCH_MIN_VALUES`` cdf values (laws x cuts) they are
-    read together (:func:`_gaussian_weights`); otherwise each law's ``cdf``
-    is called at each finite cut. Both give the same bits.
+    nominal. When every law read is a :class:`GaussianSpec` they are read
+    together (:func:`_gaussian_weights`), whatever their number; otherwise
+    each law's ``cdf`` is called at each finite cut (:func:`_cdf_masses`).
+    Both give the same bits.
     """
     reads: dict = {}  # distinct law read -> its row
     row_of = [
@@ -375,7 +370,7 @@ def level_masses(
         for law in laws
     ]
     cuts, n = np.asarray(cuts, dtype=float), len(reads)
-    if n * cuts.size >= _BATCH_MIN_VALUES and all(isinstance(law, GaussianSpec) for law in reads):
+    if all(isinstance(law, GaussianSpec) for law in reads):
         # one bincount over the law rows back to back sums each row's
         # segments in order, as a bincount per row would
         flat = (np.arange(0, n * num_levels, num_levels)[:, None] + segment_levels).ravel()

@@ -14,7 +14,12 @@ import numpy as np
 
 from .distributions import AtomPmf, _sort_merge_duplicates
 
-ATOM_BIN_WIDTH = 1e-9
+# Sums closer than this merge into one atom at their group's mean. It is half
+# the fusion tie band (``fusion.TIE_TOL``, 1e-10; fusion imports this module,
+# not the reverse), so a threshold at the mean of two merged sums decides both
+# as enumeration does. A group across the band's upper edge, or a chain of
+# close gaps, is still decided as one.
+ATOM_BIN_WIDTH = 5e-11
 
 
 def convolve(a: AtomPmf, b: AtomPmf) -> AtomPmf:

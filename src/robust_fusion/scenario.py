@@ -38,6 +38,7 @@ parse -> serialize -> parse is the identity.
 keeps its two uncertainty classes and one ``SensorRule`` (channel by
 ``sensor.channel_from_rule``); probes come from the classes' ``members``
 methods (one probe is the LFD law itself), and spec errors name the sensor.
+:func:`certify` checks the sensors' joint boundedness and the saddle point.
 """
 
 from __future__ import annotations
@@ -52,13 +53,16 @@ from typing import Any
 import numpy as np
 
 from .distributions import GaussianSpec, pmf_from_weights
+from .fusion import NetworkModel, SaddleReport, saddle_verify
 from .lfd import (
+    BoundednessReport,
     EpsContaminationClass,
     GaussianBandClass,
     KlBallClass,
     LfdPair,
     gaussian_band_lfd,
     huber_clipped_lfd,
+    joint_boundedness_check,
     kl_dabak_lfd,
 )
 from .sensor import (
@@ -256,6 +260,45 @@ class BuiltSensor:
         if self.rule is None:
             return np.array([(self.channel.pmf0 if side == 0 else self.channel.pmf1).probs])
         return member_laws(members, self.rule, self.channel.levels)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """A network's saddle certificate: one ``(sensor index, report)`` per
+    robust sensor in sensor order, and the saddle report over the probes."""
+
+    boundedness: tuple[tuple[int, BoundednessReport], ...]
+    saddle: SaddleReport
+
+
+def _t_grid(pair: LfdPair) -> np.ndarray:
+    """The t grid: 101 points over the log-LR range, deduplicated (a constant one spans one)."""
+    lo, hi = pair.log_lr_range()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(
+            f"log-LR range [{lo!r}, {hi!r}] is not finite; "
+            "the boundedness check needs a finite grid"
+        )
+    t_grid = np.linspace(lo, hi, 101)
+    return t_grid[np.append(True, np.diff(t_grid) > 0.0)]
+
+
+def certify(built: list[BuiltSensor], net: NetworkModel, n: int) -> Certificate:
+    """Joint boundedness of each robust sensor and the saddle point of ``net``
+    (``built``'s channels) over ``n`` probes per class. Each distinct build is
+    probed, checked and read once; an error while doing so names the sensor."""
+    checks = {}  # channel -> (report, or None without a pair; H0 laws; H1 laws)
+    for b in built:
+        if b.channel not in checks:
+            try:
+                members = b.members(0, n), b.members(1, n)
+                report = b.pair and joint_boundedness_check(b.pair, *members, _t_grid(b.pair))
+            except ValueError as exc:
+                raise ValueError(f"sensor {b.index}: {exc}") from None
+            checks[b.channel] = (report, *map(b.member_laws, (0, 1), members))
+    laws0, laws1 = ([checks[b.channel][side] for b in built] for side in (1, 2))
+    boundedness = tuple((b.index, checks[b.channel][0]) for b in built if b.pair is not None)
+    return Certificate(boundedness, saddle_verify(net, laws0, laws1))
 
 
 def build_sensor(spec: dict, index: int) -> BuiltSensor:

@@ -140,7 +140,68 @@ class TestFuse:
             assert fuse(net, list(combo)) == (1 if product > t else 0)
 
 
+# (pmf0, pmf1) of three binary sensors from a person-by-person design of
+# three copies of one contamination spec: at prior0 STRADDLING_PRIOR0 and
+# log threshold STRADDLING_TAU three LLR sums sit at tau - 2.74e-10,
+# tau - 1.37e-10 and tau + 2.05e-10, closer than a merge width of 1e-9
+STRADDLING_SENSORS = (
+    ((0.7573573659886131, 0.24264263401138686), (0.2043425934929321, 0.7956574065070678)),
+    ((0.7573573910068232, 0.2426426089931768), (0.20434261565000966, 0.7956573843499903)),
+    ((0.7573573038889415, 0.2426426961110585), (0.20434253849512327, 0.7956574615048767)),
+)
+STRADDLING_PRIOR0, STRADDLING_TAU = 0.4393241623908117, -1.4324956488079787
+
+
 class TestExactError:
+    def test_merged_sums_do_not_straddle_the_threshold(self):
+        """The three straddling sensors and 17 binary ones, the threshold
+        moved by 17 log 0.5: 2^20 joint levels, past the cross-check, and
+        the convolution equals an enumeration of every joint level (summed
+        by fsum) within 1e-12. A merge width of 1e-9 merged the three sums
+        and missed 2.36e-5 of P_F."""
+        pmfs = [*STRADDLING_SENSORS, *[((0.6, 0.4), (0.3, 0.7))] * 17]
+        channels = tuple(
+            channel_from_pmfs(pmf_from_weights([0, 1], p0), pmf_from_weights([0, 1], p1))
+            for p0, p1 in pmfs
+        )
+        net = NetworkModel(channels, STRADDLING_PRIOR0, STRADDLING_TAU + 17 * math.log(0.5))
+        report = exact_error(net)
+        for side, p_one in ((0, report.p_false_alarm), (1, 1.0 - report.p_miss)):
+            sums, probs, _, _ = joint_llr_sums(channels, [ch.pmf1 if side else ch.pmf0 for ch in channels])
+            assert len(sums) == 2**20
+            assert abs(p_one - math.fsum(probs[sums > net.log_threshold + TIE_TOL])) < 1e-12
+        assert abs(report.p_false_alarm - 0.9990459945511427) < 1e-12
+
+    def test_near_identical_sensors_agree_at_every_atom(self):
+        """K=2-6 sensors whose LLRs differ by 1e-8 to 1e-6 (log-uniform) put
+        sums closer than 1e-9 to each other; with the threshold at every
+        atom of their folded law, the convolution's P(decide 1) under each
+        hypothesis equals an enumeration's within the cross-check's 1e-10.
+        A merge width of 1e-9 broke this on 3 of these 300 networks."""
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(300):
+            levels, k = int(rng.integers(2, 4)), int(rng.integers(2, 7))
+            pmf0 = rng.dirichlet([2.0] * levels)
+            llr = np.sort(rng.uniform(-1.5, 1.5, levels))
+            channels = []
+            for _ in range(k):
+                shift = 10.0 ** rng.uniform(-8.0, -6.0, levels) * rng.choice([-1.0, 1.0], levels)
+                pmf1 = pmf0 * np.exp(llr + shift)
+                channels.append(channel_from_pmfs(
+                    pmf_from_weights(list(range(levels)), pmf0),
+                    pmf_from_weights(list(range(levels)), pmf1 / pmf1.sum()),
+                ))
+            laws = [c.pmf0 for c in channels], [c.pmf1 for c in channels]
+            law = fold_laws(channels, *laws)
+            taus = finite_sum(law).atoms
+            convolved = law.prob_decide_one(taus)
+            for side in (0, 1):
+                enumerated = decide_one_enumeration(channels, laws[side], taus)
+                assert np.abs(convolved[side] - enumerated).max() <= 1e-10
+            checked += len(taus)
+        assert checked > 30000
+
     def test_majority_three_sensors(self):
         """K=3 binary sensors with 0.2 symmetric error: P_E = 0.104."""
         net = NetworkModel((SYM02,) * 3, 0.5)
@@ -1218,6 +1279,39 @@ class TestBestFusionThreshold:
             ((candidates, p_e),) = fusion._scan_rows(finite_sum(law), law.forced_one[None], 0.3)
             assert candidates.tolist() == [0.0] and p_e.tolist() == [0.0]
             assert exact_error(NetworkModel(channels, 0.3, 0.0)).p_error == 0.0
+
+    def test_scan_steps_past_atoms_inside_the_tie_band(self):
+        """Atoms within TIE_TOL of a candidate are ties and decide 0, so the
+        scan's per-law search steps past them: a K=1 law with LLRs 5e-11
+        apart and a merged K=2 law, scanned alone and as one batch. Every
+        candidate's P_E equals ``prob_decide_one`` of its law."""
+        rng = np.random.default_rng(20261019)
+        single = AtomPmf(np.array([-0.7, 0.3, 0.3 + 5e-11, 1.2]), rng.random((2, 4)))
+        a = AtomPmf(np.array([0.0, 1.0]), rng.random((2, 2)))
+        b = AtomPmf(np.array([0.0, 1.0 + 3e-11, 2.0 + 1e-10]), rng.random((2, 3)))
+        merged = ordering.convolve(a, b)  # 1 and 1 + 3e-11 merge; 2 + 3e-11 and 2 + 1e-10 stay
+        assert len(merged.atoms) == 5
+        prior0 = 0.4
+        laws = (single, merged)
+        for law in laws:
+            assert np.diff(law.atoms).min() < TIE_TOL
+        forced = rng.uniform(0.0, 0.1, (len(laws), 2))
+        batch = AtomPmf._from_sorted(
+            np.concatenate([law.atoms for law in laws]),
+            np.concatenate([law.masses for law in laws], axis=1),
+            np.repeat(np.arange(len(laws)), [len(law.atoms) for law in laws]),
+        )
+        scans = [fusion._scan_rows(law, f[None], prior0)[0] for law, f in zip(laws, forced)]
+        for (candidates, p_e), (batched_candidates, batched_p_e) in zip(
+            scans, fusion._scan_rows(batch, forced, prior0)
+        ):
+            assert np.array_equal(candidates, batched_candidates)
+            assert np.array_equal(p_e, batched_p_e)
+        for law, f, (candidates, p_e) in zip(laws, forced, scans):
+            assert sorted(candidates) == [law.atoms[0] - 1.0, *law.atoms]
+            for tau, got in zip(candidates, p_e):
+                p_one = fusion.LlrSumLaw(fusion._POINT_ZERO, law, f).prob_decide_one(tau)
+                assert got == prior0 * p_one[0] + (1.0 - prior0) * (1.0 - p_one[1])
 
     def test_scan_matches_brute_force(self):
         rng = np.random.default_rng(21)

@@ -148,6 +148,13 @@ class TestConvolve:
         assert np.allclose(left.atoms, right.atoms, atol=1e-9)
         assert np.allclose(left.masses, right.masses, atol=1e-12)
 
+    def test_merge_width_is_inside_the_tie_band(self):
+        """Two sums merged into one atom are closer than the fusion tie band,
+        so a threshold at their mean decides both as enumeration does."""
+        from robust_fusion.fusion import TIE_TOL
+
+        assert ATOM_BIN_WIDTH < TIE_TOL
+
     def test_near_atoms_merge(self):
         a = AtomPmf(np.array([0.0, 1e-12]), np.array([0.5, 0.5]))
         out = convolve(a, AtomPmf(np.array([0.0]), np.array([1.0])))
@@ -158,14 +165,14 @@ class TestConvolve:
         """A batch of laws (``AtomPmf.rows``) convolved with a law, on either
         side, gives each law's own convolution bit for bit: exact ties and
         near ties (merged) inside a law, equal atoms in different laws, and
-        empty laws."""
+        empty laws. The near ties' jitter scales with the merge width."""
         rng = np.random.default_rng(20261205)
         merges = 0
         for _ in range(300):
             laws = []
             for _ in range(int(rng.integers(1, 5))):
                 n = int(rng.integers(0, 6))
-                jitter = np.where(rng.random(n) < 0.3, rng.uniform(-4e-10, 4e-10, n), 0.0)
+                jitter = np.where(rng.random(n) < 0.3, rng.uniform(-0.4, 0.4, n) * ATOM_BIN_WIDTH, 0.0)
                 laws.append(AtomPmf(rng.integers(-4, 5, size=n) * 0.5 + jitter, rng.random((2, n))))
             m = int(rng.integers(1, 5))
             other = AtomPmf(rng.integers(-3, 4, size=m) * 0.5, rng.random((2, m)))
@@ -187,13 +194,14 @@ class TestConvolve:
 
     def test_merged_law_trusted_form_equals_validated_form(self):
         """The merge returns its law through the unchecked constructor;
-        running the validating one on that output changes no bit."""
+        running the validating one on that output changes no bit. The
+        jitter scales with the merge width, so most draws merge."""
         rng = np.random.default_rng(20261023)
         merged = 0
         for _ in range(300):
             base = np.sort(rng.normal(0.0, 3.0, size=int(rng.integers(2, 40))))
             atoms = np.repeat(base, rng.integers(1, 4, size=base.size))
-            jitter = rng.uniform(-5e-10, 5e-10, size=atoms.size)
+            jitter = rng.uniform(-0.5, 0.5, size=atoms.size) * ATOM_BIN_WIDTH
             atoms = atoms + np.where(rng.random(atoms.size) < 0.7, jitter, 0.0)
             raw = AtomPmf(atoms, rng.random(atoms.size))
             out = _merge_close_atoms(raw, ATOM_BIN_WIDTH)

@@ -6,6 +6,7 @@ import math
 import re
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from robust_fusion.scenario import Scenario, build_sensor, build_sensors, load_s
 
 from _golden import GOLDEN, NUMBER, assert_matches_record, cases as golden_cases, run as run_golden
 from _oracles import save_scenario
+from test_fusion import STRADDLING_PRIOR0, STRADDLING_SENSORS, STRADDLING_TAU
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -146,6 +148,27 @@ class TestCliEvaluate:
         assert rows[1][1] == "3"
         assert rows[1][2] == "exact-convolution"
         assert abs(float(rows[1][5]) - 0.104) < 1e-12
+
+    def test_merged_sums_at_the_threshold_exit_0(self, tmp_path, capsys):
+        """Three binary sensors whose LLR sums lie within 5e-10 of the
+        threshold, on both sides of it: convolution and enumeration agree,
+        so evaluate exits 0 with the enumeration's P_F. A merge width of
+        1e-9 merged the sums and exited 2 (P_F 0.148054969663675)."""
+        doc = {
+            "scenario_id": "straddling",
+            "prior0": STRADDLING_PRIOR0,
+            "log_threshold": STRADDLING_TAU,
+            "sensors": [
+                {"kind": "explicit-pmf", "levels": [0, 1], "pmf0": list(p0), "pmf1": list(p1)}
+                for p0, p1 in STRADDLING_SENSORS
+            ],
+        }
+        path = tmp_path / "straddling.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "eval.csv"
+        assert main(["evaluate", "--scenario", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_csv(out)[1][3] == "0.28723244195487696"
 
     def test_cross_check_disagreement_exits_2(self, tmp_path, capsys, monkeypatch):
         """A convolution/enumeration disagreement is a domain error: exit 2
@@ -497,6 +520,63 @@ class TestCliSaddle:
             assert main(["saddle", "--scenario", str(path), "--out", str(out), "--members", "3"]) == 0
         rows = read_csv(out)
         assert rows[1][1:] == ["boundedness", "0", "", "True", "0.0"]
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+    def test_cli_prints_the_library_certificate(self, path, tmp_path, capsys):
+        """``saddle`` on each bundled scenario writes one row per report of
+        ``certify``: a boundedness row per robust sensor, in sensor order,
+        then the saddle row; its verdict is the first failed report's
+        witness, else the saddle gap, else HOLDS."""
+        scenario = load_scenario(path)
+        built = build_sensors(scenario)
+        net = fusion.NetworkModel(
+            tuple(b.channel for b in built), scenario.prior0, scenario.log_threshold
+        )
+        cert = scenario_module.certify(built, net, 11)
+        assert [i for i, _ in cert.boundedness] == [b.index for b in built if b.pair is not None]
+        out = tmp_path / "s.csv"
+        assert main(["saddle", "--scenario", str(path), "--out", str(out), "--members", "11"]) == 0
+        rows = [row[1:] for row in read_csv(out)[1:]]
+        saddle = cert.saddle
+        assert rows == [
+            *(["boundedness", str(i), "", str(r.holds), repr(r.worst_violation)]
+              for i, r in cert.boundedness),
+            ["saddle", saddle.worst_side, ";".join(map(str, saddle.worst_combo)),
+             str(saddle.holds), repr(saddle.worst_gap)],
+        ]
+        verdict = capsys.readouterr().out
+        failed = [(i, r.witness) for i, r in cert.boundedness if not r.holds]
+        if failed:
+            i, w = failed[0]
+            assert verdict == (
+                f"VIOLATED sensor={i} side={w.side} member={w.member!r} t={w.t!r} gap={w.gap!r}\n"
+            )
+        elif not saddle.holds:
+            assert verdict == (
+                f"VIOLATED side={saddle.worst_side} combo={saddle.worst_combo} "
+                f"gap={saddle.worst_gap!r}\n"
+            )
+        else:
+            assert verdict == "HOLDS\n"
+
+    def test_failed_saddle_alone_prints_its_gap(self, tmp_path, capsys, monkeypatch):
+        """With every sensor bounded, a failed saddle report is the verdict:
+        its side, worst combination and gap."""
+        verify = scenario_module.saddle_verify
+        failed = []
+
+        def failing(*args):
+            failed.append(replace(verify(*args), holds=False, worst_gap=0.25))
+            return failed[-1]
+
+        monkeypatch.setattr(scenario_module, "saddle_verify", failing)
+        out = tmp_path / "s.csv"
+        assert main(["saddle", "--scenario", str(make_band_scenario(tmp_path)), "--out", str(out)]) == 0
+        (report,) = failed
+        assert capsys.readouterr().out == (
+            f"VIOLATED side={report.worst_side} combo={report.worst_combo} gap=0.25\n"
+        )
+        assert [row[4] for row in read_csv(out)[1:]] == ["True", "True", "False"]
 
 
 class TestCliSweep:
@@ -924,8 +1004,6 @@ class TestEqualSpecsBuildOnce:
         checks its boundedness and reads its member laws once, and writes
         the CSV and verdict of six separate builds (specs told apart by an
         ignored key) byte for byte, one boundedness row per sensor."""
-        from robust_fusion import cli
-
         calls = {"check": 0, "members": 0, "member_laws": 0}
 
         def count(owner, name, key):
@@ -937,7 +1015,7 @@ class TestEqualSpecsBuildOnce:
 
             monkeypatch.setattr(owner, name, counting)
 
-        count(cli, "joint_boundedness_check", "check")
+        count(scenario_module, "joint_boundedness_check", "check")
         count(scenario_module.BuiltSensor, "members", "members")
         count(scenario_module.BuiltSensor, "member_laws", "member_laws")
         outputs = {}

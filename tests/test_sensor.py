@@ -11,7 +11,6 @@ import pytest
 from robust_fusion._roots import solve_newton
 from robust_fusion.distributions import AtomPmf, DiscretePmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import (
-    _BATCH_MIN_VALUES,
     ClippedAffineLlr,
     ContaminatedGaussian,
     EpsContaminationClass,
@@ -449,12 +448,11 @@ class TestBatchedLevelMasses:
         cuts = (-math.inf, -0.3, 0.4, math.inf)
         self._check(laws, cuts, np.arange(5), 5, "explicit infinite cuts")
 
-    def test_weight_paths_agree_across_the_size_selection(self, monkeypatch):
-        """A read of Gaussians that needs fewer than _BATCH_MIN_VALUES cdf
-        values (distinct laws x cuts) calls each cdf in a loop, a larger one
-        takes the batched erfc map; either gives the scalar reference's
-        bits, at the selection's edge and away from it, infinite cuts
-        included."""
+    def test_every_gaussian_read_takes_the_batch(self, monkeypatch):
+        """A read of Gaussians alone takes the batched erfc map at every size,
+        one law and one cut included, and gives the scalar reference's bits,
+        infinite cuts included; a read with any other law (a contamination
+        LFD) calls each cdf in a loop."""
         import robust_fusion.lfd as lfd
 
         batched = []
@@ -466,27 +464,27 @@ class TestBatchedLevelMasses:
 
         monkeypatch.setattr(lfd, "_gaussian_weights", counting)
         rng = np.random.default_rng(20261023)
-        seen = {True: 0, False: 0}
+        censored = huber_clipped_lfd(
+            EpsContaminationClass(GaussianSpec(0.0, 1.0), 0.05),
+            EpsContaminationClass(GaussianSpec(1.0, 1.0), 0.05),
+        ).q0
         for num_cuts in (1, 2, 3, 5, 8, 16, 31, 32, 33, 101):
             cuts = sorted(rng.uniform(-3.0, 3.0, size=num_cuts))
             if rng.random() < 0.3:
                 cuts[0] = -math.inf
             if rng.random() < 0.3:
                 cuts[-1] = math.inf
-            edge = -(-_BATCH_MIN_VALUES // num_cuts)  # fewest laws that batch
-            for n in sorted({1, max(1, edge - 1), edge, edge + 1, 2 * edge + 3}):
+            segment_levels = np.arange(num_cuts + 1)
+            for n in (1, 2, 3, 5, 11, 16, 49):
                 laws = [
                     GaussianSpec(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.3, 2.0)))
                     for _ in range(n)
                 ]
-                segment_levels = np.arange(num_cuts + 1)
-                batched.clear()
-                level_masses(laws, cuts, segment_levels, num_cuts + 1)
-                takes_batch = n * num_cuts >= _BATCH_MIN_VALUES
-                assert bool(batched) == takes_batch, (n, num_cuts)
-                seen[takes_batch] += 1
-                self._check(laws, cuts, segment_levels, num_cuts + 1, (n, num_cuts))
-        assert min(seen.values()) >= 10, seen
+                for read, takes_batch in ((laws, True), ([*laws, censored], False)):
+                    batched.clear()
+                    level_masses(read, cuts, segment_levels, num_cuts + 1)
+                    assert len(batched) == takes_batch, (n, num_cuts, takes_batch)
+                    self._check(read, cuts, segment_levels, num_cuts + 1, (n, num_cuts))
 
     def test_empty_member_list(self):
         rule = SensorRule(EXAMPLE_PAIR, Quantizer((0.5, 2.0)))
