@@ -37,7 +37,7 @@ import numpy as np
 
 from .distributions import MASS_TOL, AtomPmf
 from .lfd import WITNESS_TOL, LfdPair
-from .ordering import convolve, convolve_many
+from .ordering import TIE_TOL, convolve, convolve_many
 from .sensor import Quantizer, SensorChannel, _SensorPart, _sensor_part
 from .sensor import _rule_channel, default_quantizer
 from .sensor import channel_from_quantizer  # noqa: F401 (perfbench patches fusion's name)
@@ -46,11 +46,6 @@ Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 _AGREEMENT_TOL = 1e-10
 # saddle_verify's slack: a gap or dominance excess within it still holds
 SADDLE_TOL = 1e-9
-# LLR sums within TIE_TOL above the log threshold are ties and decide H0.
-# It sits well above float summation noise (~1e-13), so the order of summation
-# cannot move an outcome, and above the atom merge width
-# (``ordering.ATOM_BIN_WIDTH``), so merging two sums moves each by less than it.
-TIE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,9 +128,7 @@ class LlrSumLaw:
         """
         cut = (np.asarray(tau)[..., None] + TIE_TOL) - self.left.atoms
         at = self.right.atoms.searchsorted(cut, side="right")
-        rows = np.atleast_2d(self.right.masses)
-        tails = np.zeros((len(rows), rows.shape[1] + 1))  # mass at and above each atom
-        tails[:, :-1] = rows[:, ::-1].cumsum(axis=1)[:, ::-1]
+        tails = _tail_sums(np.atleast_2d(self.right.masses))
         lefts = np.atleast_2d(self.left.masses)  # one row serves all
         p_one = np.array([
             f + np.dot(t[at], lefts[i % len(lefts)])
@@ -144,6 +137,13 @@ class LlrSumLaw:
         if self.right.masses.ndim == 2:
             return p_one
         return float(p_one[0]) if np.ndim(tau) == 0 else p_one[0]
+
+
+def _tail_sums(rows: np.ndarray) -> np.ndarray:
+    """Each mass row's tail sums: the mass at and above each atom, then 0."""
+    tails = np.zeros((len(rows), rows.shape[1] + 1))
+    tails[:, :-1] = rows[:, ::-1].cumsum(axis=1)[:, ::-1]
+    return tails
 
 
 # the sum over no sensors: the left half of a one-sensor law
@@ -504,45 +504,26 @@ def _unique_rows(a: np.ndarray) -> np.ndarray:
 def _scan_rows(fold: AtomPmf, forced: np.ndarray, prior0: float) -> list:
     """The scan of each law of the batch ``fold`` (``AtomPmf.rows``; one law
     without rows), an H0 and an H1 mass row each, with forced-1 masses
-    ``forced[r]``, in one pass: its ``_REPLY_TAUS`` lowest-P_E (log fusion
-    threshold, P_E) pairs, in stable order.
+    ``forced[r]``: its ``_REPLY_TAUS`` lowest-P_E (log fusion threshold,
+    P_E) pairs, in stable order.
 
     Under the tie-to-null rule P_E changes only at atoms, so a law's
     candidate thresholds are its atoms and one below (0.0 alone without
     atoms), each read as :meth:`LlrSumLaw.prob_decide_one` reads a law
-    whose left half is the point 0. Law r's candidates fill row r of a
-    flat grid, NaN past them: a candidate's search starts at the atom
-    after it and stops at a larger atom or a NaN, and the tail sums are
-    those of the law's masses padded with zeros, bit for bit as alone.
+    whose left half is the point 0.
     """
-    atoms, count = fold.atoms, len(forced)
-    rows = np.zeros(len(atoms), int) if fold.rows is None else fold.rows
-    sizes = np.bincount(rows, minlength=count)
-    width = int(sizes.max()) + 2
-    n = count * width
-    pos = np.arange(1, len(atoms) + 1) + (rows * width - (sizes.cumsum() - sizes)[rows])
-    grid = np.empty(n + 1)
-    grid.fill(math.nan)
-    grid[pos] = atoms
-    first = np.arange(0, n, width)  # one below each law's atoms, 0.0 without atoms
-    below = grid[first + 1] - 1.0
-    below[sizes == 0] = 0.0
-    grid[first] = below
-    candidates, cut, at = grid[:-1], grid[:-1] + TIE_TOL, np.arange(1, n + 1)
-    while True:  # searchsorted(side="right") within each law
-        step = grid[at] <= cut
-        if not step.any():
-            break
-        at += step
-    tails = np.zeros((2, n))  # mass at and above each atom
-    tails[:, pos - 1] = fold.masses
-    tails = tails.reshape(2, count, width)[..., ::-1].cumsum(axis=-1)[..., ::-1].reshape(2, n)
-    p_one = forced.T.repeat(width, axis=1) + tails[:, at - 1]
-    p_e = prior0 * p_one[0] + (1.0 - prior0) * (1.0 - p_one[1])
-    p_e[np.isnan(candidates)] = math.inf
-    order = p_e.reshape(count, width).argsort(axis=1, kind="stable") + first[:, None]
-    picks = [order[r, : min(size + 1, _REPLY_TAUS)] for r, size in enumerate(sizes.tolist())]
-    return [(candidates[k], p_e[k]) for k in picks]
+    rows = np.zeros(len(fold.atoms), int) if fold.rows is None else fold.rows
+    ends = np.bincount(rows, minlength=len(forced)).cumsum().tolist()
+    scans = []
+    for f, start, end in zip(forced, [0, *ends], ends):
+        atoms = fold.atoms[start:end]
+        candidates = np.concatenate((atoms[:1] - 1.0, atoms)) if len(atoms) else np.zeros(1)
+        at = atoms.searchsorted(candidates + TIE_TOL, side="right")
+        p_one = f[:, None] + _tail_sums(fold.masses[:, start:end])[:, at]
+        p_e = prior0 * p_one[0] + (1.0 - prior0) * (1.0 - p_one[1])
+        order = p_e.argsort(kind="stable")[:_REPLY_TAUS]
+        scans.append((candidates[order], p_e[order]))
+    return scans
 
 
 class _ThresholdObjective:

@@ -14,11 +14,14 @@ import numpy as np
 
 from .distributions import AtomPmf, _sort_merge_duplicates
 
-# Sums closer than this merge into one atom at their group's mean. It is half
-# the fusion tie band (``fusion.TIE_TOL``, 1e-10; fusion imports this module,
-# not the reverse), so a threshold at the mean of two merged sums decides both
-# as enumeration does. A group across the band's upper edge, or a chain of
-# close gaps, is still decided as one.
+# LLR sums within TIE_TOL above the log threshold are ties and decide H0 (the
+# fusion rule); sums closer than ATOM_BIN_WIDTH merge into one atom at their
+# group's mean. The band sits well above float summation noise (~1e-13), so the
+# order of summation cannot move an outcome, and the merge width is half of it,
+# so a threshold at the mean of two merged sums decides both as enumeration
+# does. A group across the band's upper edge, or a chain of close gaps, is
+# still decided as one.
+TIE_TOL = 1e-10
 ATOM_BIN_WIDTH = 5e-11
 
 
