@@ -17,12 +17,12 @@ from .distributions import AtomPmf, _sort_merge_duplicates
 # LLR sums within TIE_TOL above the log threshold are ties and decide H0 (the
 # fusion rule); sums closer than ATOM_BIN_WIDTH merge into one atom at their
 # group's mean. The band sits well above float summation noise (~1e-13), so the
-# order of summation cannot move an outcome, and the merge width is half of it,
-# so a threshold at the mean of two merged sums decides both as enumeration
-# does. A group across the band's upper edge, or a chain of close gaps, is
-# still decided as one.
+# order of summation cannot move an outcome. The merge width, a hundredth of
+# the band, sits just above that noise: only sums that differ by rounding
+# merge, so a threshold decides each sum as enumeration does, up to a group
+# that straddles the band's edge, which is a tie at float precision.
 TIE_TOL = 1e-10
-ATOM_BIN_WIDTH = 5e-11
+ATOM_BIN_WIDTH = 1e-12
 
 
 def convolve(a: AtomPmf, b: AtomPmf) -> AtomPmf:

@@ -202,6 +202,40 @@ class TestExactError:
             checked += len(taus)
         assert checked > 30000
 
+    def test_sums_one_merge_width_apart_are_decided_apart(self):
+        """LLRs perturbed by 1e-11 to 1e-6 (log-uniform) put sums a few
+        1e-11 apart, inside the tie band; with the threshold at every atom
+        of the designer's fold (left to right in sensor order), the
+        convolution's P(decide 1) equals an enumeration's within the
+        cross-check's 1e-10. The draws are replayed from seeds 11 and 13
+        (200 draws each): on these four a merge width of 5e-11 merged a
+        pair across the band's upper edge and decided it as one."""
+        for seed, picked in ((11, (18, 100, 184)), (13, (148,))):
+            rng = np.random.default_rng(seed)
+            for draw in range(max(picked) + 1):
+                levels, k = int(rng.integers(2, 4)), int(rng.integers(2, 8))
+                pmf0 = rng.dirichlet([2.0] * levels)
+                llr = np.sort(rng.uniform(-1.5, 1.5, levels))
+                shifts = [
+                    10.0 ** rng.uniform(-11.0, -6.0, levels) * rng.choice([-1.0, 1.0], levels)
+                    for _ in range(k)
+                ]
+                if draw not in picked:
+                    continue
+                channels = []
+                for shift in shifts:
+                    pmf1 = pmf0 * np.exp(llr + shift)
+                    channels.append(channel_from_pmfs(
+                        pmf_from_weights(list(range(levels)), pmf0),
+                        pmf_from_weights(list(range(levels)), pmf1 / pmf1.sum()),
+                    ))
+                laws = [c.pmf0 for c in channels], [c.pmf1 for c in channels]
+                taus = convolve_many([c.part.finite for c in channels]).atoms
+                convolved = fold_laws(channels, *laws).prob_decide_one(taus)
+                for side in (0, 1):
+                    enumerated = decide_one_enumeration(channels, laws[side], taus)
+                    assert np.abs(convolved[side] - enumerated).max() <= 1e-10
+
     def test_majority_three_sensors(self):
         """K=3 binary sensors with 0.2 symmetric error: P_E = 0.104."""
         net = NetworkModel((SYM02,) * 3, 0.5)
@@ -591,7 +625,7 @@ _SURE = channel_from_pmfs(
 def _colliding_network(rng):
     """(net, members0, members1): K = 1-7 explicit sensors whose LLR sums
     collide. A sensor repeats one base channel (exactly duplicated sums),
-    moves the base's LLRs by less than 4e-10 (sums closer than
+    moves the base's LLRs by less than 4e-13 (sums closer than
     ATOM_BIN_WIDTH, which merge) or is a channel of its own; ±inf levels
     come with the explicit channels, and a few sensors have no finite level
     at all. Each sensor has its LFD and up to three members per hypothesis,
@@ -603,7 +637,7 @@ def _colliding_network(rng):
         if u < 0.4:
             ch, m0, m1 = base, b0, b1
         elif u < 0.7:
-            moved = base.pmf1.probs * np.exp(rng.uniform(1e-10, 4e-10, len(base.levels)))
+            moved = base.pmf1.probs * np.exp(rng.uniform(1e-13, 4e-13, len(base.levels)))
             ch, m0, m1 = channel_from_pmfs(base.pmf0, pmf_from_weights(base.levels, moved)), b0, b1
         elif u < 0.75:
             ch, m0, m1 = _SURE, [], []
@@ -1288,8 +1322,8 @@ class TestBestFusionThreshold:
         rng = np.random.default_rng(20261019)
         single = AtomPmf(np.array([-0.7, 0.3, 0.3 + 5e-11, 1.2]), rng.random((2, 4)))
         a = AtomPmf(np.array([0.0, 1.0]), rng.random((2, 2)))
-        b = AtomPmf(np.array([0.0, 1.0 + 3e-11, 2.0 + 1e-10]), rng.random((2, 3)))
-        merged = ordering.convolve(a, b)  # 1 and 1 + 3e-11 merge; 2 + 3e-11 and 2 + 1e-10 stay
+        b = AtomPmf(np.array([0.0, 1.0 + 5e-13, 2.0 + 1e-10]), rng.random((2, 3)))
+        merged = ordering.convolve(a, b)  # 1 and 1 + 5e-13 merge; 2 + 5e-13 and 2 + 1e-10 stay
         assert len(merged.atoms) == 5
         prior0 = 0.4
         laws = (single, merged)
@@ -1312,6 +1346,41 @@ class TestBestFusionThreshold:
             for tau, got in zip(candidates, p_e):
                 p_one = fusion.LlrSumLaw(fusion._POINT_ZERO, law, f).prob_decide_one(tau)
                 assert got == prior0 * p_one[0] + (1.0 - prior0) * (1.0 - p_one[1])
+
+    def test_scan_reads_each_law_as_llr_sum_law(self):
+        """The one read of the tie-to-null rule: on seeded batches of ragged
+        laws (no atom for a sensor with only ±inf levels, atoms within
+        TIE_TOL of each other), each law's scan, batched or alone, equals
+        ``LlrSumLaw(_POINT_ZERO, law, forced[r]).prob_decide_one`` at its
+        candidates (its atoms and one below, 0.0 without atoms), in the same
+        stable order, bit for bit."""
+        rng = np.random.default_rng(20261019)
+        for _ in range(200):
+            laws = []
+            for _ in range(int(rng.integers(1, 7))):
+                base = rng.integers(-12, 13, size=int(rng.integers(0, 20))) * 0.25
+                n = min(len(base), 3)
+                near = rng.choice(base, n) + rng.uniform(0.01, 1.5, n) * TIE_TOL
+                atoms = np.unique(np.concatenate([base, near]))
+                laws.append(AtomPmf(atoms, rng.random((2, len(atoms))) / max(len(atoms), 1)))
+            forced = rng.uniform(0.0, 0.2, (len(laws), 2))
+            prior0 = float(rng.uniform(0.2, 0.8))
+            batch = AtomPmf._from_sorted(
+                np.concatenate([law.atoms for law in laws]),
+                np.concatenate([law.masses for law in laws], axis=1),
+                np.repeat(np.arange(len(laws)), [len(law.atoms) for law in laws]),
+            )
+            scans = fusion._scan_rows(batch, forced, prior0)
+            assert len(scans) == len(laws)
+            for law, f, scan in zip(laws, forced, scans):
+                alone = fusion._scan_rows(law, f[None], prior0)[0]
+                candidates = np.r_[law.atoms[:1] - 1.0, law.atoms] if len(law.atoms) else np.zeros(1)
+                p_one = fusion.LlrSumLaw(fusion._POINT_ZERO, law, f).prob_decide_one(candidates)
+                p_e = prior0 * p_one[0] + (1.0 - prior0) * (1.0 - p_one[1])
+                order = p_e.argsort(kind="stable")[: fusion._REPLY_TAUS]
+                for got in (scan, alone):
+                    assert np.array_equal(got[0], candidates[order])
+                    assert np.array_equal(got[1], p_e[order])
 
     def test_scan_matches_brute_force(self):
         rng = np.random.default_rng(21)

@@ -156,7 +156,7 @@ class TestConvolve:
         assert ATOM_BIN_WIDTH < TIE_TOL
 
     def test_near_atoms_merge(self):
-        a = AtomPmf(np.array([0.0, 1e-12]), np.array([0.5, 0.5]))
+        a = AtomPmf(np.array([0.0, 5e-13]), np.array([0.5, 0.5]))
         out = convolve(a, AtomPmf(np.array([0.0]), np.array([1.0])))
         assert out.atoms.shape[0] == 1
         assert abs(out.total_mass - 1.0) < 1e-15
