@@ -28,6 +28,7 @@ the exact P_E. The design reports its sweeps and the steps it took.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .distributions import MASS_TOL, AtomPmf
-from .lfd import WITNESS_TOL, LfdPair
+from .lfd import CERTIFICATE_TOL, WITNESS_TOL, LfdPair
 from .ordering import TIE_TOL, convolve, convolve_many
 from .sensor import Quantizer, SensorChannel, _SensorPart, _sensor_part
 from .sensor import _rule_channel, default_quantizer
@@ -44,8 +45,6 @@ from .sensor import channel_from_quantizer  # noqa: F401 (perfbench patches fusi
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 _AGREEMENT_TOL = 1e-10
-# saddle_verify's slack: a gap or dominance excess within it still holds
-SADDLE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +89,14 @@ class ErrorReport:
     n: int | None = None
     seed: int | None = None
     ci_halfwidth: float | None = None
+
+
+def _report(p_one: Sequence[float], prior0: float, method: str) -> ErrorReport:
+    """The report of P(decide 1) under H0 and under H1 (``p_one``): P_F,
+    P_M = 1 - P(decide 1 | H1) and P_E = prior0 * P_F + (1 - prior0) * P_M.
+    Every report in this module is formed here."""
+    p_f, p_m = float(p_one[0]), 1.0 - float(p_one[1])
+    return ErrorReport(p_f, p_m, prior0 * p_f + (1.0 - prior0) * p_m, method)
 
 
 def _decide_one(sums, has_pos, has_neg, tau):
@@ -234,28 +241,26 @@ def exact_error(
         raise ValueError(f"unknown method {method!r}")
     joint_size = math.prod(len(ch.levels) for ch in net.channels)
 
-    def errors(how: str) -> tuple[float, float]:
-        """(P_F, P_M) by one path."""
+    def report(how: str) -> ErrorReport:
+        """The report of one reader."""
         if how == "enumeration":
             p_one = _enumerate_decide_one(net.channels, net.log_threshold)
-        else:
-            law = _fold([ch.part for ch in net.channels])
-            p_one = law.prob_decide_one(net.log_threshold).tolist()
-        return p_one[0], 1.0 - p_one[1]
+            return _report(p_one, net.prior0, "enumeration")
+        p_one = _fold([ch.part for ch in net.channels]).prob_decide_one(net.log_threshold)
+        return _report(p_one, net.prior0, "exact-convolution")
 
     if method == "enumeration" and joint_size > enumeration_limit:
         raise ValueError("joint level space too large for enumeration")
-    p_f, p_m = errors(method)
+    got = report(method)
     if cross_check and joint_size <= enumeration_limit:
-        p_f_other, p_m_other = errors("enumeration" if method == "convolution" else "convolution")
-        if abs(p_f - p_f_other) > _AGREEMENT_TOL or abs(p_m - p_m_other) > _AGREEMENT_TOL:
+        other = report("enumeration" if method == "convolution" else "convolution")
+        pairs = ((got.p_false_alarm, other.p_false_alarm), (got.p_miss, other.p_miss))
+        if any(abs(a - b) > _AGREEMENT_TOL for a, b in pairs):
             raise RuntimeError(
                 "convolution and enumeration disagree beyond 1e-10: "
-                f"P_F {p_f} vs {p_f_other}, P_M {p_m} vs {p_m_other}"
+                "P_F {} vs {}, P_M {} vs {}".format(*pairs[0], *pairs[1])
             )
-    p_e = net.prior0 * p_f + (1.0 - net.prior0) * p_m
-    tag = "exact-convolution" if method == "convolution" else "enumeration"
-    return ErrorReport(p_false_alarm=p_f, p_miss=p_m, p_error=p_e, method=tag)
+    return got
 
 
 @dataclass(frozen=True)
@@ -275,7 +280,7 @@ class SaddleReport:
     p_miss_lfd: float
     dominance_ok: bool
     n_checked: int
-    tol: float = SADDLE_TOL
+    tol: float = CERTIFICATE_TOL
 
 
 def saddle_verify(
@@ -292,11 +297,12 @@ def saddle_verify(
 
     The certificate is per sensor: in the order of the sensor's LLR
     values, every H0 member law must lie stochastically below ``pmf0`` and
-    every H1 member law above ``pmf1`` (within ``SADDLE_TOL``). That covers
-    every member combination at every fusion threshold: :func:`_decide_one` is
-    nondecreasing in each sensor's LLR, ±inf included, and the sensors are
-    independent, so swapping the LFDs for members one sensor at a time
-    never raises P_F (under H0) or P_M (under H1). Each sensor's members
+    every H1 member law above ``pmf1`` (within ``CERTIFICATE_TOL``). That
+    covers every member combination at every fusion threshold:
+    :func:`_decide_one` is nondecreasing in each sensor's LLR, ±inf
+    included, and the sensors are independent, so swapping the LFDs for
+    members one sensor at a time never raises P_F (under H0) or P_M (under
+    H1). Each sensor's members
     are checked at once, as cdf rows on the signed LLR ranks
     (:func:`_dominance_gaps`).
 
@@ -323,7 +329,7 @@ def saddle_verify(
     tau = net.log_threshold
     # row 0 holds the false-alarm side's current laws, row 1 the miss side's
     parts = [ch.part for ch in net.channels]
-    p_f_lfd, p_one = _fold(parts).prob_decide_one(tau).tolist()
+    lfd = _report(_fold(parts).prob_decide_one(tau), net.prior0, "exact-convolution")
     ranks = [np.unique(ch.llr, return_inverse=True)[1] for ch in net.channels]
 
     combos: tuple[list[int], list[int]] = ([], [])
@@ -341,18 +347,18 @@ def saddle_verify(
             chosen.append(probs[j])
             # the LFD must dominate each member on the signed LLR ranks
             worst = _dominance_gaps(sign * ranks[i], current, probs)
-            dominance_ok = dominance_ok and bool(np.all(worst <= SADDLE_TOL))
+            dominance_ok = dominance_ok and bool(np.all(worst <= CERTIFICATE_TOL))
         parts[i] = _sensor_part(ch.llr, np.array(chosen))
     # the miss side must be worse by more than rounding to replace the
     # false-alarm side, so mirror-image witnesses resolve to false-alarm
     h = int(carried[1] < carried[0] - WITNESS_TOL)
     return SaddleReport(
-        holds=carried[h] >= -SADDLE_TOL and dominance_ok,
+        holds=carried[h] >= -CERTIFICATE_TOL and dominance_ok,
         worst_side=("false-alarm", "miss")[h],
         worst_combo=tuple(combos[h]),
         worst_gap=carried[h],
-        p_false_alarm_lfd=p_f_lfd,
-        p_miss_lfd=1.0 - p_one,
+        p_false_alarm_lfd=lfd.p_false_alarm,
+        p_miss_lfd=lfd.p_miss,
         dominance_ok=dominance_ok,
         n_checked=math.prod(map(len, member_laws0)) + math.prod(map(len, member_laws1)),
     )
@@ -862,8 +868,8 @@ def k_sweep(
     are the halves :func:`_fold` makes of K copies of the template's part,
     so each report equals ``exact_error`` of the K-sensor network with
     ``cross_check=False``. Counts run in ascending order, so entries below
-    K // 2 are dropped, and the products of :func:`_forced_one` run on, a
-    factor per added sensor.
+    K // 2 are dropped. The products of :func:`_forced_one` over K sensors
+    are row K - 1 of one cumulative product of the template's factors.
     """
     if np.max(np.abs(template.pmf0.probs - template.pmf1.probs)) <= 1e-12:
         raise ValueError("uninformative sensor template: pmf0 equals pmf1")
@@ -873,21 +879,16 @@ def k_sweep(
     net = NetworkModel((template,), prior0, log_threshold)
     part = template.part
     fold = [_POINT_ZERO, part.finite]
-    factor = np.array([part.no_minus, part.finite_mass])
-    products, count = np.ones_like(factor), 0  # no_minus and finite_mass over `count` sensors
+    # entry K - 1: the no_minus and finite_mass rows over K sensors, in sensor order
+    products = np.cumprod([np.array([part.no_minus, part.finite_mass])] * max(ks), axis=0)
     reports = {}
     for k in sorted(set(ks)):
         half = k // 2
         while len(fold) <= k - half:
             fold.append(convolve(fold[-1], part.finite))
-        while count < k:
-            products, count = products * factor, count + 1
-        law = LlrSumLaw(fold[half], fold[k - half], products[0] - products[1])
-        p_f, p_one = law.prob_decide_one(net.log_threshold).tolist()
-        p_m = 1.0 - p_one
+        law = LlrSumLaw(fold[half], fold[k - half], products[k - 1, 0] - products[k - 1, 1])
+        reports[k] = _report(law.prob_decide_one(net.log_threshold), net.prior0, "exact-convolution")
         fold[:half] = [None] * half
-        p_e = net.prior0 * p_f + (1.0 - net.prior0) * p_m
-        reports[k] = ErrorReport(p_f, p_m, p_e, method="exact-convolution")
     return [(k, reports[k]) for k in ks]
 
 
@@ -915,17 +916,8 @@ def monte_carlo(net: NetworkModel, n: int, seed: int) -> ErrorReport:
             sums += np.where(np.isfinite(vals), vals, 0.0)
         return float(np.mean(_decide_one(sums, has_pos, has_neg, net.log_threshold)))
 
-    p_f = decide_rate(0, rng0)
-    p_m = 1.0 - decide_rate(1, rng1)
-    hw_f = Z_99 * math.sqrt(p_f * (1.0 - p_f) / n)
-    hw_m = Z_99 * math.sqrt(p_m * (1.0 - p_m) / n)
+    report = _report((decide_rate(0, rng0), decide_rate(1, rng1)), net.prior0, "monte-carlo")
+    hw_f = Z_99 * math.sqrt(report.p_false_alarm * (1.0 - report.p_false_alarm) / n)
+    hw_m = Z_99 * math.sqrt(report.p_miss * (1.0 - report.p_miss) / n)
     hw_e = math.hypot(net.prior0 * hw_f, (1.0 - net.prior0) * hw_m)
-    return ErrorReport(
-        p_false_alarm=p_f,
-        p_miss=p_m,
-        p_error=net.prior0 * p_f + (1.0 - net.prior0) * p_m,
-        method="monte-carlo",
-        n=n,
-        seed=seed,
-        ci_halfwidth=hw_e,
-    )
+    return dataclasses.replace(report, n=n, seed=seed, ci_halfwidth=hw_e)

@@ -45,11 +45,12 @@ import numpy as np
 from ._roots import solve_decreasing, solve_increasing
 from .distributions import _SQRT2, GaussianSpec
 
-BOUNDEDNESS_TOL = 1e-9
-# Both certificates (joint_boundedness_check and fusion.saddle_verify) take
-# as witness the first candidate, in their scan order, within this of the
-# worst one, so mirror-image witnesses of a symmetric class resolve to the
-# first one whatever the rounding.
+# Both certificates (joint_boundedness_check and fusion.saddle_verify)
+# forgive a gap or dominance excess within CERTIFICATE_TOL as rounding, and
+# take as witness the first candidate, in their scan order, within
+# WITNESS_TOL of the worst one, so mirror-image witnesses of a symmetric
+# class resolve to the first one whatever the rounding.
+CERTIFICATE_TOL = 1e-9
 WITNESS_TOL = 1e-12
 _KL_SOLVE_TOL = 1e-9
 # A log threshold within this of a flat (clipped) log-LR stretch is lowered
@@ -657,7 +658,7 @@ def joint_boundedness_check(
     positive gap (h0 before h1, then member and threshold order) within
     ``WITNESS_TOL`` of the largest gap, and ``worst_violation`` is its gap,
     or 0.0 when no gap is positive. A worst violation beyond
-    ``BOUNDEDNESS_TOL`` flips ``holds``, and only then is the witness
+    ``CERTIFICATE_TOL`` flips ``holds``, and only then is the witness
     reported. An empty member list adds nothing. Raises ValueError on a t
     grid that holds a NaN or is not strictly increasing.
     """
@@ -687,7 +688,7 @@ def joint_boundedness_check(
         worst = float(gaps[i])
         side, idx, member = sides[i // len(t)]
         witness = BoundednessWitness(side, idx, member, float(t[i % len(t)]), worst)
-    holds = worst <= BOUNDEDNESS_TOL
+    holds = worst <= CERTIFICATE_TOL
     return BoundednessReport(
-        holds=holds, worst_violation=worst, tol=BOUNDEDNESS_TOL, witness=None if holds else witness
+        holds=holds, worst_violation=worst, tol=CERTIFICATE_TOL, witness=None if holds else witness
     )
