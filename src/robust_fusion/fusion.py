@@ -94,8 +94,11 @@ class ErrorReport:
 def _report(p_one: Sequence[float], prior0: float, method: str) -> ErrorReport:
     """The report of P(decide 1) under H0 and under H1 (``p_one``): P_F,
     P_M = 1 - P(decide 1 | H1) and P_E = prior0 * P_F + (1 - prior0) * P_M.
-    Every report in this module is formed here."""
-    p_f, p_m = float(p_one[0]), 1.0 - float(p_one[1])
+    Every report in this module is formed here. Rounding can put P_F or
+    P_M just outside [0, 1] (tail sums above 1 at large K, the forced-1
+    mass's difference of products below 0), so both are clamped into it and
+    P_E is formed from the clamped values."""
+    p_f, p_m = (min(max(float(p), 0.0), 1.0) for p in (p_one[0], 1.0 - p_one[1]))
     return ErrorReport(p_f, p_m, prior0 * p_f + (1.0 - prior0) * p_m, method)
 
 

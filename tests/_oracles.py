@@ -190,12 +190,10 @@ def member_error(net, laws0, laws1):
     """``fusion.exact_error(net, cross_check=False)`` with the sensors'
     levels following ``laws0`` under H0 and ``laws1`` under H1 instead of
     the channels' own laws: one :func:`fold_laws` with an H0 and an H1 row."""
-    from robust_fusion.fusion import ErrorReport
+    from robust_fusion.fusion import _report
 
-    p_one = fold_laws(net.channels, laws0, laws1).prob_decide_one(net.log_threshold).tolist()
-    p_f, p_m = p_one[0], 1.0 - p_one[1]
-    p_e = net.prior0 * p_f + (1.0 - net.prior0) * p_m
-    return ErrorReport(p_false_alarm=p_f, p_miss=p_m, p_error=p_e, method="exact-convolution")
+    p_one = fold_laws(net.channels, laws0, laws1).prob_decide_one(net.log_threshold)
+    return _report(p_one, net.prior0, "exact-convolution")
 
 
 def grid_search_thresholds(pairs, num_levels, prior0, points=101):
@@ -1018,15 +1016,22 @@ def law_reference(channels, laws, stats, split: bool = True) -> LawReference:
     return fold_reference(parts, stats, split)
 
 
+def clamped(p: float) -> float:
+    """A probability that rounding put outside [0, 1], moved back to its nearest end."""
+    return min(max(p, 0.0), 1.0)
+
+
 def exact_error_reference(net, stats, laws0=None, laws1=None):
     """``fusion.exact_error(net, cross_check=False)``, or :func:`member_error`
-    under ``laws0``/``laws1``, with one fold per hypothesis."""
+    under ``laws0``/``laws1``, with one fold per hypothesis; P_F and P_M
+    are clamped into [0, 1] before P_E is formed from them."""
     from robust_fusion.fusion import ErrorReport
 
     laws0 = [ch.pmf0 for ch in net.channels] if laws0 is None else laws0
     laws1 = [ch.pmf1 for ch in net.channels] if laws1 is None else laws1
-    p_f = law_reference(net.channels, laws0, stats).prob_decide_one(net.log_threshold)
+    p_f = clamped(law_reference(net.channels, laws0, stats).prob_decide_one(net.log_threshold))
     p_m = 1.0 - law_reference(net.channels, laws1, stats).prob_decide_one(net.log_threshold)
+    p_m = clamped(p_m)
     p_e = net.prior0 * p_f + (1.0 - net.prior0) * p_m
     return ErrorReport(p_false_alarm=p_f, p_miss=p_m, p_error=p_e, method="exact-convolution")
 
@@ -1060,15 +1065,16 @@ def _fuse_one_given_level_reference(others, llr, tau, stats):
 
 def saddle_verify_reference(net, member_laws0, member_laws1, stats, tol: float = 1e-9):
     """``fusion.saddle_verify`` with each side walked on its own: one pass
-    per side, each sensor folding the others of that side alone."""
+    per side, each sensor folding the others of that side alone. The LFD
+    P_F and P_M are clamped into [0, 1]."""
     from robust_fusion.fusion import SaddleReport, _dominance_gaps
     from robust_fusion.lfd import WITNESS_TOL
 
     tau = net.log_threshold
     lfd_laws0 = [ch.pmf0 for ch in net.channels]
     lfd_laws1 = [ch.pmf1 for ch in net.channels]
-    p_f_lfd = law_reference(net.channels, lfd_laws0, stats).prob_decide_one(tau)
-    p_m_lfd = 1.0 - law_reference(net.channels, lfd_laws1, stats).prob_decide_one(tau)
+    p_f_lfd = clamped(law_reference(net.channels, lfd_laws0, stats).prob_decide_one(tau))
+    p_m_lfd = clamped(1.0 - law_reference(net.channels, lfd_laws1, stats).prob_decide_one(tau))
     ranks = [np.unique(ch.llr, return_inverse=True)[1] for ch in net.channels]
     worst_gap, worst_side, worst_combo = math.inf, "false-alarm", ()
     dominance_ok = True

@@ -43,6 +43,7 @@ from _oracles import (
     best_fusion_threshold,
     best_threshold,
     binomial_majority_error,
+    clamped,
     decide_one_enumeration,
     enumerate_error_probs,
     envelope_cuts_loop,
@@ -819,7 +820,7 @@ class TestEnumeration:
             net = NetworkModel(channels, 0.5, float(taus[-1]))
             report = exact_error(net, method="enumeration", cross_check=False)
             got = fusion._enumerate_decide_one(channels, float(taus[-1]))
-            assert (report.p_false_alarm, report.p_miss) == (got[0], 1.0 - got[1])
+            assert (report.p_false_alarm, report.p_miss) == (clamped(got[0]), clamped(1.0 - got[1]))
         assert min(seen["k1"], seen["one-level"], seen["infinite"]) >= 15, seen
         assert seen["mixed"] >= 60 and seen["tie moves"] >= 60, seen
 
@@ -1059,7 +1060,7 @@ class TestSaddleVerify:
                 for name in ("holds", "dominance_ok", "worst_side", "worst_combo", "n_checked"):
                     assert getattr(got, name) == getattr(want, name), name
                 for name in ("p_false_alarm_lfd", "p_miss_lfd"):
-                    assert getattr(got, name) == getattr(want, name)
+                    assert getattr(got, name) == clamped(getattr(want, name))
                 assert abs(got.worst_gap - want.worst_gap) <= 1e-14
                 llrs = np.concatenate([ch.llr for ch in net.channels])
                 seen["+inf"] += bool(np.any(llrs == math.inf))
@@ -2400,3 +2401,66 @@ class TestMonteCarlo:
         net = NetworkModel((SYM02,), 0.5)
         with pytest.raises(ValueError):
             monte_carlo(net, 100, 0)
+
+
+def _in_unit_interval(*probabilities) -> bool:
+    return all(0.0 <= p <= 1.0 for p in probabilities)
+
+
+class TestOneReport:
+    """``exact_error``, ``k_sweep``, ``monte_carlo`` and the LFD fields of
+    ``saddle_verify`` form P_F, P_M and P_E in one place: both errors in
+    [0, 1], and P_E their prior-weighted sum."""
+
+    def test_k_sweep_stays_in_unit_interval_at_large_k(self):
+        """The (0.8, 0.2) / (0.2, 0.8) template at prior0 0.5: from K = 130
+        on, P(decide 1 | H1) rounds above 1 (unclamped P_M -1.15e-14 at
+        K = 200), yet every P_F, P_M and P_E lies in [0, 1]."""
+        for k, report in k_sweep(SYM02, [150, 199, 200, 400], 0.5):
+            assert _in_unit_interval(report.p_false_alarm, report.p_miss, report.p_error), k
+            assert report.p_miss == 0.0 and report.p_error > 0.0, k
+
+    def test_colliding_networks_stay_in_unit_interval(self):
+        """On 60 networks with ±inf levels and colliding sums, where the
+        forced-1 mass, a difference of two products, can round below 0
+        (unclamped P_F -2.2e-16), every field of ``exact_error`` (both
+        readers), ``k_sweep`` of the first sensor and ``monte_carlo``, and
+        the LFD fields of ``saddle_verify``, lie in [0, 1]."""
+        rng = np.random.default_rng(20261108)
+        for _ in range(60):
+            net, members0, members1 = _colliding_network(rng)
+            reports = [
+                exact_error(net),
+                exact_error(net, method="enumeration"),
+                monte_carlo(net, 10**4, 1),
+                *(r for _, r in k_sweep(net.channels[0], [1, 2, 7], net.prior0)),
+            ]
+            for r in reports:
+                assert _in_unit_interval(r.p_false_alarm, r.p_miss, r.p_error), r
+            got = saddle_verify(net, members0, members1)
+            assert _in_unit_interval(got.p_false_alarm_lfd, got.p_miss_lfd), got
+
+    def test_error_is_the_prior_weighted_sum(self):
+        """On seeded networks with ±inf and tied LLRs, with ==: P_E is
+        prior0 * P_F + (1 - prior0) * P_M for ``exact_error`` (both
+        readers), ``k_sweep`` and ``monte_carlo``, and the LFD P_F and P_M
+        of ``saddle_verify`` are those of ``exact_error``."""
+        rng = np.random.default_rng(20261301)
+        seen = Counter()
+        for _ in range(40):
+            net, members0, members1 = _colliding_network(rng)
+            llrs = np.concatenate([ch.llr for ch in net.channels])
+            seen["infinite"] += bool(np.any(np.isinf(llrs)))
+            seen["tie"] += len(np.unique(llrs)) < len(llrs)
+            exact = exact_error(net, cross_check=False)
+            reports = [
+                exact,
+                exact_error(net, method="enumeration", cross_check=False),
+                monte_carlo(net, 10**4, int(rng.integers(1000))),
+                *(r for _, r in k_sweep(net.channels[0], [1, 3, 6], net.prior0, net.log_threshold)),
+            ]
+            for r in reports:
+                assert r.p_error == net.prior0 * r.p_false_alarm + (1.0 - net.prior0) * r.p_miss
+            got = saddle_verify(net, members0, members1)
+            assert (got.p_false_alarm_lfd, got.p_miss_lfd) == (exact.p_false_alarm, exact.p_miss)
+        assert min(seen.values()) >= 10, seen

@@ -600,6 +600,29 @@ class TestCliSweep:
         ]) == 0
         assert len(read_csv(out)) == 2
 
+    def test_long_sweep_prints_no_negative_probability(self, tmp_path, capsys):
+        """K = 199 and 200 copies of the explicit (0.8, 0.2) / (0.2, 0.8)
+        sensor, where P(decide 1 | H1) rounds above 1: every printed
+        number is nonnegative, and P_F, P_M and P_E lie in [0, 1]."""
+        doc = {
+            "scenario_id": "binary",
+            "prior0": 0.5,
+            "seed": 1,
+            "sensors": [{
+                "kind": "explicit-pmf", "levels": [0, 1],
+                "pmf0": [0.8, 0.2], "pmf1": [0.2, 0.8],
+            }],
+        }
+        path = tmp_path / "binary.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", "--scenario", str(path), "--k-list", "199,200"]) == 0
+        out = capsys.readouterr().out
+        assert min(float(v) for v in NUMBER.findall(out)) >= 0.0
+        rows = list(csv.reader(out.splitlines()))
+        assert [row[1] for row in rows[1:]] == ["199", "200"]
+        for row in rows[1:]:
+            assert all(0.0 <= float(v) <= 1.0 for v in row[3:6]), row
+
     def test_uninformative_template_exit_2(self, tmp_path, capsys):
         doc = {
             "scenario_id": "flat",
