@@ -28,10 +28,9 @@ the exact P_E. The design reports its sweeps and the steps it took.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -882,7 +881,6 @@ def k_sweep(
     net = NetworkModel((template,), prior0, log_threshold)
     part = template.part
     fold = [_POINT_ZERO, part.finite]
-    # entry K - 1: the no_minus and finite_mass rows over K sensors, in sensor order
     products = np.cumprod([np.array([part.no_minus, part.finite_mass])] * max(ks), axis=0)
     reports = {}
     for k in sorted(set(ks)):
@@ -923,4 +921,4 @@ def monte_carlo(net: NetworkModel, n: int, seed: int) -> ErrorReport:
     hw_f = Z_99 * math.sqrt(report.p_false_alarm * (1.0 - report.p_false_alarm) / n)
     hw_m = Z_99 * math.sqrt(report.p_miss * (1.0 - report.p_miss) / n)
     hw_e = math.hypot(net.prior0 * hw_f, (1.0 - net.prior0) * hw_m)
-    return dataclasses.replace(report, n=n, seed=seed, ci_halfwidth=hw_e)
+    return replace(report, n=n, seed=seed, ci_halfwidth=hw_e)
