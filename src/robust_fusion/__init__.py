@@ -10,7 +10,6 @@ saddle-point conditions that make the design minimax robust.
 from .distributions import AtomPmf, DiscretePmf, GaussianSpec, pmf_from_weights
 from .lfd import (
     BoundednessReport,
-    ContaminatedGaussian,
     EpsContaminationClass,
     GaussianBandClass,
     KlBallClass,
@@ -29,9 +28,7 @@ from .sensor import (
     channel_from_quantizer,
     channel_from_rule,
     default_quantizer,
-    llr_monotone_check,
     member_laws,
-    randomized_binary_admissible,
 )
 from .fusion import (
     DesignResult,

@@ -318,7 +318,9 @@ def saddle_verify(
     scores every member by one dot product; the gap kept at the previous
     sensor carries over, so an LFD member's gap stays exactly that gap. The
     two sides walk the sensors in lockstep, as the H0 and H1 mass rows of
-    one fold, so each sensor's fold of the others serves both.
+    one fold, so each sensor's fold of the others serves both. A sensor
+    whose one member per side is its channel's own law, bit for bit, adds
+    exactly 0 and folds nothing.
     When each sensor's members are totally ordered (2-level sensors, band
     and contamination classes) this is the grid's minimum within
     ``WITNESS_TOL``; otherwise it is the gap of a real combination, not
@@ -338,6 +340,11 @@ def saddle_verify(
     carried = [0.0, 0.0]  # the gap of each side's current combination
     dominance_ok = True
     for i, ch in enumerate(net.channels):
+        laws = member_laws0[i], member_laws1[i]
+        if all(np.array_equal(m, law.probs[None]) for m, law in zip(laws, (ch.pmf0, ch.pmf1))):
+            for combo in combos:  # its own laws alone: gap terms exactly 0
+                combo.append(0)
+            continue
         a = _fuse_one_given_level(parts[:i] + parts[i + 1 :], ch.llr, np.array([tau]))[:, 0]
         chosen = []
         for h, (probs, sign) in enumerate(((member_laws0[i], 1), (member_laws1[i], -1))):

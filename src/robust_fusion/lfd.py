@@ -27,10 +27,11 @@ a :class:`QuadraticLlr`. No log-LR is cut on a grid.
 and :func:`level_masses` the one way to read a list of laws on them, as a
 (laws x levels) array: a read of Gaussians in one batch of erfc values,
 one with any other law by scalar cdf differences (:func:`_cdf_masses`, as a
-sensor's channel reads its pair's two laws), and contaminated members
-through their nominal's one row. A sensor rule cuts at its log LR thresholds,
-:func:`joint_boundedness_check` at its t grid, whose range
-:meth:`LfdPair.log_lr_range` gives in closed form.
+sensor's channel reads its pair's two laws). A sensor rule cuts at its log
+LR thresholds, :func:`joint_boundedness_check` at its t grid, whose range
+:meth:`LfdPair.log_lr_range` gives in closed form. Band and contamination
+classes give their extreme P(log_lr < t) there in closed form
+(``boundedness_gaps``); KL balls are probed (:meth:`KlBallClass.members`).
 """
 
 from __future__ import annotations
@@ -75,13 +76,19 @@ class GaussianBandClass:
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
-    def members(self, n: int) -> list[GaussianSpec]:
-        """Gaussian members on an n-point mean grid (band endpoints included)."""
-        if n < 1:
-            raise ValueError("need at least one member")
-        if n == 1:
-            return [GaussianSpec(0.5 * (self.mu_lo + self.mu_hi), self.sigma)]
-        return [GaussianSpec(float(m), self.sigma) for m in np.linspace(self.mu_lo, self.mu_hi, n)]
+    def boundedness_gaps(self, side: int, pair: LfdPair, t: np.ndarray, below) -> np.ndarray:
+        """The gap of :func:`joint_boundedness_check` at each t between the
+        LFD and the band's extreme member (``below`` reads laws' P(log_lr < t)).
+        The log-LR rises in y, so P(log_lr < t) falls with the mean: the
+        extreme is the endpoint toward the other band, mu_hi under H0 (side
+        0) and mu_lo under H1, which is the band LFD's own law; then every
+        gap is 0.0 and nothing is read."""
+        endpoint = GaussianSpec((self.mu_hi, self.mu_lo)[side], self.sigma)
+        lfd = (pair.q0, pair.q1)[side]
+        if endpoint == lfd:
+            return np.zeros(len(t))
+        lfd_row, extreme = below([lfd, endpoint])
+        return lfd_row - extreme if side == 0 else extreme - lfd_row
 
 
 @dataclass(frozen=True)
@@ -161,18 +168,21 @@ class EpsContaminationClass:
         if not 0.0 <= self.eps < 1.0:
             raise ValueError(f"eps must be in [0, 1), got {self.eps}")
 
-    def members(self, atoms: Sequence[float]) -> list:
-        """Probes: the nominal, then one point-mass contamination per atom."""
-        return [self.nominal, *(ContaminatedGaussian(self.nominal, self.eps, float(z)) for z in atoms)]
-
-
-@dataclass(frozen=True)
-class ContaminatedGaussian:
-    """Contamination-class member (1 - eps) * nominal + eps * point mass."""
-
-    nominal: GaussianSpec
-    eps: float
-    atom: float
+    def boundedness_gaps(self, side: int, pair: LfdPair, t: np.ndarray, below) -> np.ndarray:
+        """The gap of :func:`joint_boundedness_check` at each t between the
+        Huber LFD and the class's extreme (``below`` reads laws' P(log_lr < t)).
+        Q(A) = (1 - eps) * P_nom(A) + eps * H(A) for A = {log_lr < t} is
+        least at (1 - eps) * P_nom(A) (side 0) and greatest at that plus eps
+        (side 1); where A is empty or the whole line every law reads 0 or 1
+        and the gap is 0.0. The nominal and the LFD are read once each; the
+        gaps are the residual of the clip constants."""
+        lfd, nominal = below([(pair.q0, pair.q1)[side], self.nominal])
+        if side == 0:
+            gaps = lfd - (1.0 - self.eps) * nominal
+        else:
+            gaps = (1.0 - self.eps) * nominal + self.eps - lfd
+        settled = [math.isinf(_flat_boundary(pair.log_lr, s)) for s in t.tolist()]
+        return np.where(settled, 0.0, gaps)
 
 
 @dataclass(frozen=True)
@@ -335,17 +345,23 @@ def cut_log_lr(pair: LfdPair, log_t) -> tuple[tuple[float, ...], np.ndarray]:
         cuts, inner = llr.split(log_t)
         return tuple(cuts), np.searchsorted(log_t, inner, side="right")
     lo, hi = pair.support
-    bottom, top = llr.offset + llr.lo, llr.offset + llr.hi  # the flat stretches
 
     def cut(s: float) -> float:
         if s == -math.inf:
             return -math.inf
-        if abs(s - bottom) <= _LLR_SLACK or abs(s - top) <= _LLR_SLACK:
-            s -= _LLR_SLACK
-        b = llr.boundary(s)
+        b = _flat_boundary(llr, s)
         return b if b == math.inf else min(max(b, lo), hi)
 
     return tuple([cut(float(s)) for s in log_t]), np.arange(len(log_t) + 1)
+
+
+def _flat_boundary(llr: ClippedAffineLlr, s: float) -> float:
+    """``llr.boundary(s)``, with an s within ``_LLR_SLACK`` of a flat
+    (clipped) stretch lowered by it: -inf where {log_lr < s} is empty, +inf
+    where it is the whole line."""
+    if abs(s - (llr.offset + llr.lo)) <= _LLR_SLACK or abs(s - (llr.offset + llr.hi)) <= _LLR_SLACK:
+        s -= _LLR_SLACK
+    return llr.boundary(s)
 
 
 def level_masses(
@@ -353,23 +369,16 @@ def level_masses(
 ) -> np.ndarray:
     """Each law's mass on each level of :func:`cut_log_lr`'s cuts, one
     C-ordered row per law of ``laws``: exact cdf differences between the
-    cuts, summed by segment level. A law has a ``cdf``, or is a
-    :class:`ContaminatedGaussian`: 1 - eps times its nominal's masses, plus
-    eps at the level of the segment that holds its atom (left-closed: an
-    atom on a cut joins the segment above).
+    cuts, summed by segment level.
 
     Each distinct law (laws are told apart by ``==``, so they must be
-    hashable) is read once, contaminated members through their shared
-    nominal. When every law read is a :class:`GaussianSpec` they are read
-    together (:func:`_gaussian_weights`), whatever their number; otherwise
-    each law's ``cdf`` is called at each finite cut (:func:`_cdf_masses`).
-    Both give the same bits.
+    hashable) is read once. When every law is a :class:`GaussianSpec` they
+    are read together (:func:`_gaussian_weights`), whatever their number;
+    otherwise each law's ``cdf`` is called at each finite cut
+    (:func:`_cdf_masses`). Both give the same bits.
     """
-    reads: dict = {}  # distinct law read -> its row
-    row_of = [
-        reads.setdefault(law.nominal if isinstance(law, ContaminatedGaussian) else law, len(reads))
-        for law in laws
-    ]
+    reads: dict = {}  # distinct law -> its row
+    row_of = [reads.setdefault(law, len(reads)) for law in laws]
     cuts, n = np.asarray(cuts, dtype=float), len(reads)
     if all(isinstance(law, GaussianSpec) for law in reads):
         # one bincount over the law rows back to back sums each row's
@@ -380,15 +389,7 @@ def level_masses(
     else:
         mass = np.array(_cdf_masses(reads, cuts.tolist(), segment_levels, num_levels))
         mass = mass.reshape(n, num_levels)
-    if n < len(laws):
-        mass = mass[row_of]
-    contaminated = [i for i, law in enumerate(laws) if isinstance(law, ContaminatedGaussian)]
-    if contaminated:
-        eps = np.array([laws[i].eps for i in contaminated])
-        atoms = np.array([laws[i].atom for i in contaminated])
-        mass[contaminated] *= (1.0 - eps)[:, None]
-        mass[contaminated, segment_levels[np.searchsorted(cuts, atoms, side="right")]] += eps
-    return mass
+    return mass[row_of] if n < len(laws) else mass
 
 
 def _cdf_masses(
@@ -642,8 +643,8 @@ class BoundednessReport:
 
 def joint_boundedness_check(
     pair: LfdPair,
-    class0_members: Sequence,
-    class1_members: Sequence,
+    class0_members,
+    class1_members,
     t_grid: Sequence[float],
 ) -> BoundednessReport:
     """Verify the two-sided cdf sandwich of the robust LR over class members.
@@ -654,7 +655,11 @@ def joint_boundedness_check(
     log-LR is cut once at the t grid (:func:`cut_log_lr`, as a sensor rule
     with those log thresholds); column k of a law's cumulative level
     masses is its P(log_lr < t_k), and each side's LFD and members are
-    read in one :func:`level_masses` call. The witness is the first
+    read in one :func:`level_masses` call. A side given as a class with a
+    closed-form extreme (``boundedness_gaps``: :class:`GaussianBandClass`,
+    :class:`EpsContaminationClass`, with the pair of their LFD
+    construction) is covered whole, as one member (index 0, the class)
+    whose gap at t is the class's extreme. The witness is the first
     positive gap (h0 before h1, then member and threshold order) within
     ``WITNESS_TOL`` of the largest gap, and ``worst_violation`` is its gap,
     or 0.0 when no gap is positive. A worst violation beyond
@@ -671,11 +676,14 @@ def joint_boundedness_check(
         return np.cumsum(level_masses(laws, cuts, segment_levels, len(t) + 1), axis=1)[:, :-1]
 
     sides, rows = [], []
-    for side, members, lfd, sign in (
+    for h, (side, members, lfd, sign) in enumerate((
         ("h0", class0_members, pair.q0, +1.0),
         ("h1", class1_members, pair.q1, -1.0),
-    ):
-        if len(members):
+    )):
+        if hasattr(members, "boundedness_gaps"):  # the whole class, in closed form
+            rows.append(members.boundedness_gaps(h, pair, t, below)[None])
+            sides.append((side, 0, members))
+        elif len(members):
             # h0 requires member >= LFD, h1 requires member <= LFD.
             read = below([lfd, *members])
             rows.append(sign * (read[0] - read[1:]))

@@ -36,9 +36,10 @@ parse -> serialize -> parse is the identity.
 
 :func:`build_sensor` parses a spec once into a :class:`BuiltSensor` that
 keeps its two uncertainty classes and one ``SensorRule`` (channel by
-``sensor.channel_from_rule``); probes come from the classes' ``members``
-methods (one probe is the LFD law itself), and spec errors name the sensor.
-:func:`certify` checks the sensors' joint boundedness and the saddle point.
+``sensor.channel_from_rule``); spec errors name the sensor. :func:`certify`
+checks the sensors' joint boundedness and the saddle point: band and
+contamination sensors in closed form, KL-ball sensors over the probes of
+``KlBallClass.members`` (one probe is the LFD law itself).
 """
 
 from __future__ import annotations
@@ -235,39 +236,39 @@ class BuiltSensor:
         return None if self.rule is None else self.rule.quantizer
 
     def members(self, side: int, n: int) -> list:
-        """Probes of the class for hypothesis ``side``; ``n == 1`` gives the LFD
-        itself (zero-gap case). Band classes probe an n-point mean grid, KL
-        balls the two-parameter tilt family, contamination classes the nominal
-        and max(2, n - 1) point masses across the pair's support."""
+        """Probes of a KL-ball class for hypothesis ``side``: its two-parameter
+        tilt family, or the LFD itself when ``n == 1`` (zero-gap case). A band
+        or contamination sensor is certified exactly and an explicit-pmf
+        sensor has no class, so neither has probes."""
         if n < 1:
             raise ValueError("need at least one member")
-        if self.rule is None:
+        if self.kind != "kl-ball":
             return []
         if n == 1:
             return [self.pair.q0 if side == 0 else self.pair.q1]
-        cls = self.classes[side]
-        if isinstance(cls, GaussianBandClass):
-            return cls.members(n)
-        if isinstance(cls, KlBallClass):
-            return cls.members(n, self.classes[1 - side].nominal)
-        return cls.members(np.linspace(*self.pair.support, max(2, n - 1)))
+        return self.classes[side].members(n, self.classes[1 - side].nominal)
 
     def member_laws(self, side: int, members: list) -> np.ndarray:
         """Channel laws of ``members`` (from :meth:`members`) through the
         sensor's rule, one C-ordered row per member on the channel's levels
-        (:func:`~robust_fusion.sensor.member_laws`); an explicit-pmf sensor
-        gives its one channel law."""
-        if self.rule is None:
+        (:func:`~robust_fusion.sensor.member_laws`); with no members, the
+        channel's own law for ``side`` as the one row."""
+        if not members:
             return np.array([(self.channel.pmf0 if side == 0 else self.channel.pmf1).probs])
         return member_laws(members, self.rule, self.channel.levels)
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """A network's saddle certificate: one ``(sensor index, report)`` per
-    robust sensor in sensor order, and the saddle report over the probes."""
+    """A network's saddle certificate: one ``(sensor index, report)`` and
+    one ``(sensor index, coverage)`` per robust sensor in sensor order, and
+    the saddle report. Coverage is ``"exact"`` for band and contamination
+    sensors, checked over their whole classes in closed form and entering
+    the saddle pass with their LFD laws, which are their worst members
+    (Veeravalli, Basar & Poor 1994); ``"probes"`` for KL-ball sensors."""
 
     boundedness: tuple[tuple[int, BoundednessReport], ...]
+    coverage: tuple[tuple[int, str], ...]
     saddle: SaddleReport
 
 
@@ -285,20 +286,24 @@ def _t_grid(pair: LfdPair) -> np.ndarray:
 
 def certify(built: list[BuiltSensor], net: NetworkModel, n: int) -> Certificate:
     """Joint boundedness of each robust sensor and the saddle point of ``net``
-    (``built``'s channels) over ``n`` probes per class. Each distinct build is
-    probed, checked and read once; an error while doing so names the sensor."""
+    (``built``'s channels): band and contamination sensors exactly, KL-ball
+    sensors over ``n`` probes per class. Each distinct build is checked and
+    read once; an error while doing so names the sensor."""
     checks = {}  # channel -> (report, or None without a pair; H0 laws; H1 laws)
     for b in built:
         if b.channel not in checks:
             try:
                 members = b.members(0, n), b.members(1, n)
-                report = b.pair and joint_boundedness_check(b.pair, *members, _t_grid(b.pair))
+                sides = members if b.kind == "kl-ball" else b.classes  # whole classes: exact
+                report = b.pair and joint_boundedness_check(b.pair, *sides, _t_grid(b.pair))
             except ValueError as exc:
                 raise ValueError(f"sensor {b.index}: {exc}") from None
             checks[b.channel] = (report, *map(b.member_laws, (0, 1), members))
     laws0, laws1 = ([checks[b.channel][side] for b in built] for side in (1, 2))
-    boundedness = tuple((b.index, checks[b.channel][0]) for b in built if b.pair is not None)
-    return Certificate(boundedness, saddle_verify(net, laws0, laws1))
+    robust = [b for b in built if b.pair is not None]
+    boundedness = tuple((b.index, checks[b.channel][0]) for b in robust)
+    coverage = tuple((b.index, "probes" if b.kind == "kl-ball" else "exact") for b in robust)
+    return Certificate(boundedness, coverage, saddle_verify(net, laws0, laws1))
 
 
 def build_sensor(spec: dict, index: int) -> BuiltSensor:

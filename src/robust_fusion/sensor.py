@@ -1,5 +1,5 @@
 """Sensor decision rules: robust-LR front end, multilevel quantization,
-per-level LLR weights, and randomized-binary admissibility.
+and per-level LLR weights.
 
 A sensor maps its observation through the robust likelihood ratio and
 quantizes that value with strictly increasing thresholds into levels
@@ -8,9 +8,9 @@ over the threshold intervals, hence automatically nondecreasing in the
 level; this module computes them exactly and enforces that property as a
 postcondition. A :class:`SensorRule` cuts the observation axis once per
 (pair, quantizer), with :func:`~robust_fusion.lfd.cut_log_lr` at the logs
-of the LR thresholds; the LFD channel, every class member's law and every
-point atom are read off those cuts as cdf differences summed by level, so
-all pass through one fixed rule. The pair's two laws are read through
+of the LR thresholds; the LFD channel and every class member's law are
+read off those cuts as cdf differences summed by level, so all pass
+through one fixed rule. The pair's two laws are read through
 their scalar cdf (:func:`channel_from_rule`), a class's members all at
 once by :func:`~robust_fusion.lfd.level_masses` (:func:`member_laws`, one
 row per member), with the same bits.
@@ -244,9 +244,7 @@ def member_laws(
 
     The members are read together by :func:`~robust_fusion.lfd.level_masses`
     at the rule's cuts, the same cuts and the same mass function as the
-    LFDs: a point-contaminated member's atom goes to the level of the
-    segment that holds it, an atom on a cut to the segment above. Each row
-    is clipped at 0 and normalized. When ``levels`` restricts to a
+    LFDs. Each row is clipped at 0 and normalized. When ``levels`` restricts to a
     channel's kept level set, mass on dropped levels must be negligible.
     """
     mass = level_masses(members, rule.cuts, rule.segment_levels, rule.quantizer.num_levels)
@@ -299,26 +297,3 @@ def default_quantizer(pair: LfdPair, num_thresholds: int) -> Quantizer:
             "supply explicit thresholds or reduce the level count"
         )
     return Quantizer(tuple(thresholds))
-
-
-def llr_monotone_check(ch: SensorChannel) -> bool:
-    """True when the per-level LLR weights are nondecreasing."""
-    return bool((ch.llr[1:] >= ch.llr[:-1]).all())
-
-
-def randomized_binary_admissible(pmf0: DiscretePmf, pmf1: DiscretePmf) -> bool:
-    """Admissibility of a randomized binary sensor from its induced laws.
-
-    True iff q1(U=0) + q0(U=1) < 1 (strict). When admissible the two-level
-    LLR is strictly increasing, which is re-asserted here.
-    """
-    if pmf0.levels != (0, 1) or pmf1.levels != (0, 1):
-        raise ValueError("randomized binary laws must live on levels {0, 1}")
-    q1_at_0 = float(pmf1.probs[0])
-    q0_at_1 = float(pmf0.probs[1])
-    admissible = q1_at_0 + q0_at_1 < 1.0
-    if admissible:
-        # cross-product form of llr(1) > llr(0), division-free
-        if not pmf1.probs[1] * pmf0.probs[0] > pmf1.probs[0] * pmf0.probs[1]:
-            raise RuntimeError("admissible laws must have strictly increasing LLR")
-    return admissible

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -618,7 +619,7 @@ def batch_channels_reference(rules):
 
     from robust_fusion.distributions import _SQRT2, MASS_TOL, AtomPmf, DiscretePmf, GaussianSpec
     from robust_fusion.distributions import _check_law, _unchecked
-    from robust_fusion.sensor import SensorChannel, _SensorPart, llr_monotone_check
+    from robust_fusion.sensor import SensorChannel, _SensorPart
 
     pair, num_levels = rules[0].pair, rules[0].quantizer.num_levels
     width = max(len(rule.cuts) for rule in rules)
@@ -679,7 +680,7 @@ def member_channel_reference(member, pair, q, levels=None):
     rounding where the grid sees every crossing.
     """
     from robust_fusion.distributions import pmf_from_weights
-    from robust_fusion.lfd import _LLR_SLACK, ClippedAffineLlr, ContaminatedGaussian
+    from robust_fusion.lfd import _LLR_SLACK, ClippedAffineLlr
 
     contaminated = isinstance(member, ContaminatedGaussian)
     cdf = member.nominal.cdf if contaminated else member.cdf
@@ -718,8 +719,6 @@ def member_channel_reference(member, pair, q, levels=None):
 def member_cdf(member):
     """A probe member's cdf P[Y <= x]; a point-contaminated member's atom
     counts at x >= atom (the step cdf, right-closed)."""
-    from robust_fusion.lfd import ContaminatedGaussian
-
     if not isinstance(member, ContaminatedGaussian):
         return member.cdf
     return lambda x: (1.0 - member.eps) * member.nominal.cdf(x) + member.eps * (x >= member.atom)
@@ -1120,3 +1119,156 @@ def save_scenario(scenario, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scenario.to_dict(), fh, indent=2)
         fh.write("\n")
+
+
+def llr_monotone_check(ch) -> bool:
+    """True when the channel's per-level LLR weights are nondecreasing."""
+    return bool((ch.llr[1:] >= ch.llr[:-1]).all())
+
+
+# -- probe families of the classes certified in closed form -----------------
+#
+# Band and contamination sensors are certified exactly: their boundedness
+# over the whole class (``boundedness_gaps``), their saddle row with their
+# channel's own laws alone. The probe families below are the brute force
+# that certified them before, kept as the check that no probe beats the
+# exact verdict.
+
+
+@dataclass(frozen=True)
+class ContaminatedGaussian:
+    """Contamination-class member (1 - eps) * nominal + eps * point mass."""
+
+    nominal: object
+    eps: float
+    atom: float
+
+
+def band_members(cls, n: int) -> list:
+    """Gaussian members of a mean band on an n-point mean grid (band
+    endpoints included); the band's midpoint when n == 1."""
+    from robust_fusion.distributions import GaussianSpec
+
+    if n < 1:
+        raise ValueError("need at least one member")
+    if n == 1:
+        return [GaussianSpec(0.5 * (cls.mu_lo + cls.mu_hi), cls.sigma)]
+    return [GaussianSpec(float(m), cls.sigma) for m in np.linspace(cls.mu_lo, cls.mu_hi, n)]
+
+
+def contamination_members(cls, atoms) -> list:
+    """Probes of a contamination class: the nominal, then one point-mass
+    contamination per atom."""
+    return [cls.nominal, *(ContaminatedGaussian(cls.nominal, cls.eps, float(z)) for z in atoms)]
+
+
+def probe_members(built, side: int, n: int) -> list:
+    """The probes of a built sensor's class for hypothesis ``side``: the LFD
+    itself when ``n == 1``; band classes an n-point mean grid, contamination
+    classes the nominal and max(2, n - 1) point masses across the pair's
+    support, KL balls ``built.members``; none for an explicit-pmf sensor."""
+    from robust_fusion.lfd import EpsContaminationClass, GaussianBandClass
+
+    if n < 1:
+        raise ValueError("need at least one member")
+    if built.rule is None:
+        return []
+    if n == 1:
+        return [built.pair.q0 if side == 0 else built.pair.q1]
+    cls = built.classes[side]
+    if isinstance(cls, GaussianBandClass):
+        return band_members(cls, n)
+    if isinstance(cls, EpsContaminationClass):
+        return contamination_members(cls, np.linspace(*built.pair.support, max(2, n - 1)))
+    return built.members(side, n)
+
+
+def probe_level_masses(laws, cuts, segment_levels, num_levels: int) -> np.ndarray:
+    """``lfd.level_masses`` of laws that may be :class:`ContaminatedGaussian`:
+    a contaminated member is 1 - eps times its nominal's masses (its
+    nominal read once with the other laws), plus eps at the level of the
+    segment that holds its atom (left-closed: an atom on a cut joins the
+    segment above)."""
+    from robust_fusion.lfd import level_masses
+
+    bases = [law.nominal if isinstance(law, ContaminatedGaussian) else law for law in laws]
+    mass = level_masses(bases, cuts, segment_levels, num_levels)
+    contaminated = [i for i, law in enumerate(laws) if isinstance(law, ContaminatedGaussian)]
+    if contaminated:
+        eps = np.array([laws[i].eps for i in contaminated])
+        atoms = np.array([laws[i].atom for i in contaminated])
+        mass[contaminated] *= (1.0 - eps)[:, None]
+        where = np.searchsorted(np.asarray(cuts, dtype=float), atoms, side="right")
+        mass[contaminated, np.asarray(segment_levels)[where]] += eps
+    return mass
+
+
+def probe_member_laws(members, rule, levels=None) -> np.ndarray:
+    """``sensor.member_laws`` of probes that may be point-contaminated: their
+    :func:`probe_level_masses` at the rule's cuts, each row clipped at 0,
+    restricted to ``levels`` (mass on dropped levels must be negligible)
+    and normalized."""
+    mass = probe_level_masses(members, rule.cuts, rule.segment_levels, rule.quantizer.num_levels)
+    mass = np.maximum(mass, 0.0)
+    levels = range(mass.shape[1]) if levels is None else levels
+    kept = np.ascontiguousarray(mass[:, list(levels)])
+    total = kept.sum(axis=1)
+    lost = mass.sum(axis=1) - total
+    if np.any(lost > 1e-12):
+        raise ValueError(f"member places mass {np.max(lost):.3e} on levels dropped from the channel")
+    return kept / total[:, None]
+
+
+def probe_laws(built, side: int, n: int) -> np.ndarray:
+    """The channel laws of :func:`probe_members` through the built sensor's
+    rule, one row per probe; an explicit-pmf sensor's one channel law."""
+    members = probe_members(built, side, n)
+    if not members:
+        return built.member_laws(side, [])
+    return probe_member_laws(members, built.rule, built.channel.levels)
+
+
+def probe_below(pair, laws, t_grid) -> np.ndarray:
+    """Each law's P(log_lr < t) at each t: cumulative
+    :func:`probe_level_masses` at the pair's log-LR cut at the t grid, as
+    ``lfd.joint_boundedness_check`` reads its members."""
+    from robust_fusion.lfd import cut_log_lr
+
+    t = np.asarray(t_grid, dtype=float)
+    cuts, segment_levels = cut_log_lr(pair, t)
+    return np.cumsum(probe_level_masses(laws, cuts, segment_levels, len(t) + 1), axis=1)[:, :-1]
+
+
+def probe_boundedness_check(pair, class0_members, class1_members, t_grid):
+    """``lfd.joint_boundedness_check`` over probes that may be
+    point-contaminated, each side's LFD and members read by
+    :func:`probe_below`: the same gaps, the first positive gap within
+    ``WITNESS_TOL`` of the largest as witness, and ``CERTIFICATE_TOL`` as
+    the verdict's slack."""
+    from robust_fusion.lfd import (
+        CERTIFICATE_TOL,
+        WITNESS_TOL,
+        BoundednessReport,
+        BoundednessWitness,
+    )
+
+    t = np.asarray(t_grid, dtype=float)
+    gaps, sides = [], []
+    for side, members, lfd, sign in (
+        ("h0", class0_members, pair.q0, +1.0),
+        ("h1", class1_members, pair.q1, -1.0),
+    ):
+        if len(members):
+            read = probe_below(pair, [lfd, *members], t)
+            gaps += [sign * (read[0] - row) for row in read[1:]]
+            sides += [(side, idx, m) for idx, m in enumerate(members)]
+    flat = np.concatenate(gaps) if gaps else np.zeros(0)
+    hits = np.flatnonzero((flat > 0.0) & (flat >= flat.max(initial=0.0) - WITNESS_TOL))
+    if not hits.size:
+        return BoundednessReport(True, 0.0, CERTIFICATE_TOL)
+    i = int(hits[0])
+    worst = float(flat[i])
+    side, idx, member = sides[i // len(t)]
+    holds = worst <= CERTIFICATE_TOL
+    witness = None if holds else BoundednessWitness(side, idx, member, float(t[i % len(t)]), worst)
+    return BoundednessReport(holds, worst, CERTIFICATE_TOL, witness)

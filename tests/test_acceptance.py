@@ -34,6 +34,7 @@ from robust_fusion.sensor import (
 from _oracles import (
     affinity_fit,
     atoms_stochastically_larger,
+    band_members,
     binomial_majority_error,
     gaussian_kl,
     ordered_pmf_pair,
@@ -59,7 +60,7 @@ def test_criterion_1_band_boundedness():
     start = time.perf_counter()
     pair = gaussian_band_lfd(BAND0, BAND1)
     report = joint_boundedness_check(
-        pair, BAND0.members(21), BAND1.members(21), np.linspace(-8.0, 8.0, 101)
+        pair, band_members(BAND0, 21), band_members(BAND1, 21), np.linspace(-8.0, 8.0, 101)
     )
     elapsed = time.perf_counter() - start
     assert report.holds
@@ -159,8 +160,8 @@ def test_criterion_6_saddle_inequalities():
     pair = gaussian_band_lfd(BAND0, BAND1)
     ch = channel_from_quantizer(q, pair)
     net = NetworkModel((ch, ch), 0.5)
-    laws0 = member_laws(BAND0.members(11), SensorRule(pair, q))
-    laws1 = member_laws(BAND1.members(11), SensorRule(pair, q))
+    laws0 = member_laws(band_members(BAND0, 11), SensorRule(pair, q))
+    laws1 = member_laws(band_members(BAND1, 11), SensorRule(pair, q))
     report = saddle_verify(net, [laws0, laws0], [laws1, laws1])
     assert report.holds
     assert report.worst_gap >= -1e-9
@@ -170,8 +171,8 @@ def test_criterion_6_saddle_inequalities():
     )
     wrong_ch = channel_from_quantizer(q, wrong_pair)
     wrong_net = NetworkModel((wrong_ch, wrong_ch), 0.5)
-    wrong0 = member_laws(BAND0.members(11), SensorRule(wrong_pair, q))
-    wrong1 = member_laws(BAND1.members(11), SensorRule(wrong_pair, q))
+    wrong0 = member_laws(band_members(BAND0, 11), SensorRule(wrong_pair, q))
+    wrong1 = member_laws(band_members(BAND1, 11), SensorRule(wrong_pair, q))
     wrong_report = saddle_verify(wrong_net, [wrong0, wrong0], [wrong1, wrong1])
     assert not wrong_report.holds
     _report(

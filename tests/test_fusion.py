@@ -34,12 +34,13 @@ from robust_fusion.sensor import (
     channel_from_pmfs,
     channel_from_quantizer,
     default_quantizer,
-    llr_monotone_check,
     member_laws,
 )
 
 from _oracles import (
+    ContaminatedGaussian,
     atoms_stochastically_larger,
+    band_members,
     best_fusion_threshold,
     best_threshold,
     binomial_majority_error,
@@ -55,8 +56,12 @@ from _oracles import (
     grid_search_thresholds,
     joint_llr_sums,
     law_reference,
+    llr_monotone_check,
     member_error,
     plain_person_by_person,
+    probe_laws,
+    probe_member_laws,
+    probe_members,
     saddle_grid_reference,
     saddle_verify_reference,
     saddle_verify_rebuild,
@@ -887,8 +892,8 @@ print("numpy.ma" in sys.modules)
 
 class TestSaddleVerify:
     def _member_laws(self, pair, q, n):
-        laws0 = member_laws(BAND0.members(n), SensorRule(pair, q))
-        laws1 = member_laws(BAND1.members(n), SensorRule(pair, q))
+        laws0 = member_laws(band_members(BAND0, n), SensorRule(pair, q))
+        laws1 = member_laws(band_members(BAND1, n), SensorRule(pair, q))
         return laws0, laws1
 
     def test_band_lfds_are_saddle_point(self):
@@ -910,6 +915,57 @@ class TestSaddleVerify:
         report = saddle_verify(net, [law0, law0], [law1, law1])
         assert report.holds
         assert report.worst_gap == 0.0
+
+    def test_own_law_sensors_fold_nothing(self, monkeypatch):
+        """A sensor whose only member on both sides is its channel's own law
+        (an exactly certified or explicit-pmf sensor) skips its fold of the
+        others, and the report still equals the per-hypothesis reference
+        with ``==``: on seeded colliding networks with about half of the
+        sensors reduced to their own law and some to one other member, the
+        others are folded once per sensor that is not its own law alone,
+        and a network of own-law sensors costs the LFD fold alone."""
+        folds = []
+        original = fusion._fuse_one_given_level
+        monkeypatch.setattr(
+            fusion, "_fuse_one_given_level", lambda *a: folds.append(1) or original(*a)
+        )
+        rng = np.random.default_rng(20261125)
+        stats = Counter()
+        skipped = lone = 0
+        for _ in range(60):
+            net, members0, members1 = _colliding_network(rng)
+            for i, ch in enumerate(net.channels):
+                u = rng.random()
+                if u < 0.5:
+                    members0[i], members1[i] = ch.pmf0.probs[None, :], ch.pmf1.probs[None, :]
+                elif u < 0.75 and len(members0[i]) > 1:  # one member, not the channel's law
+                    members0[i], members1[i] = members0[i][-1:], members1[i][-1:]
+            # a sensor with no finite level (_SURE) already has its own law alone
+            alone = [
+                len(m0) == len(m1) == 1
+                and np.array_equal(m0[0], ch.pmf0.probs)
+                and np.array_equal(m1[0], ch.pmf1.probs)
+                for ch, m0, m1 in zip(net.channels, members0, members1)
+            ]
+            folds.clear()
+            got = saddle_verify(net, members0, members1)
+            assert got == saddle_verify_reference(net, members0, members1, stats)
+            assert len(folds) == alone.count(False)
+            skipped += alone.count(True)
+            lone += sum(len(m) == 1 for m in members0) - alone.count(True)
+        assert skipped >= 60 and lone >= 20
+        ch = channel_from_quantizer(Quantizer((0.5, 2.0)), BAND_PAIR)
+        net = NetworkModel((ch, SYM02, ch), 0.5)
+        laws0 = [c.pmf0.probs[None, :] for c in net.channels]
+        laws1 = [c.pmf1.probs[None, :] for c in net.channels]
+        folds.clear()
+        fold_calls = []
+        fold = fusion._fold
+        monkeypatch.setattr(fusion, "_fold", lambda parts: fold_calls.append(1) or fold(parts))
+        report = saddle_verify(net, laws0, laws1)
+        assert (folds, len(fold_calls)) == ([], 1)
+        assert report.holds and report.worst_gap == 0.0 and report.worst_combo == (0, 0, 0)
+        assert report == saddle_verify_reference(net, laws0, laws1, stats)
 
     def test_witness_ignores_rounding_noise(self):
         """A member whose gap is below the least only by rounding noise does
@@ -934,8 +990,8 @@ class TestSaddleVerify:
         q = Quantizer((1.0,))
         ch = channel_from_quantizer(q, wrong_pair)
         net = NetworkModel((ch, ch), 0.5)
-        laws0 = member_laws(BAND0.members(11), SensorRule(wrong_pair, q))
-        laws1 = member_laws(BAND1.members(11), SensorRule(wrong_pair, q))
+        laws0 = member_laws(band_members(BAND0, 11), SensorRule(wrong_pair, q))
+        laws1 = member_laws(band_members(BAND1, 11), SensorRule(wrong_pair, q))
         report = saddle_verify(net, [laws0, laws0], [laws1, laws1])
         assert not report.holds
         assert report.worst_gap < -1e-3
@@ -969,8 +1025,8 @@ class TestSaddleVerify:
         scenario = load_scenario(root / "scenarios" / "kl_unequal_variance.json")
         built = build_sensors(scenario)
         net = NetworkModel(tuple(b.channel for b in built), scenario.prior0, scenario.log_threshold)
-        laws0 = [b.member_laws(0, b.members(0, 11)) for b in built]
-        laws1 = [b.member_laws(1, b.members(1, 11)) for b in built]
+        laws0 = [probe_laws(b, 0, 11) for b in built]
+        laws1 = [probe_laws(b, 1, 11) for b in built]
         assert all(rows.flags.c_contiguous for rows in laws0 + laws1)
         fortran0 = [np.asfortranarray(rows) for rows in laws0]
         fortran1 = [np.asfortranarray(rows) for rows in laws1]
@@ -1156,8 +1212,10 @@ def _explicit_saddle_sensor(rng, levels: int, n: int, comparable: bool):
 
 def member_law(member, rule, levels=None) -> DiscretePmf:
     """One member's output law through ``rule``: the one-row case of
-    ``member_laws``, on ``levels`` (default all of the rule's levels)."""
-    row = member_laws([member], rule, levels)[0]
+    ``member_laws`` (the probe oracle's, for a point-contaminated member),
+    on ``levels`` (default all of the rule's levels)."""
+    read = probe_member_laws if isinstance(member, ContaminatedGaussian) else member_laws
+    row = read([member], rule, levels)[0]
     return DiscretePmf(tuple(range(len(row))) if levels is None else tuple(levels), row)
 
 
@@ -1255,7 +1313,7 @@ def _random_saddle_network(rng, comparable: bool = True):
                 ch = built.channel
                 m0, m1 = [], []
                 for side, laws in enumerate((m0, m1)):
-                    members = built.members(side, n)
+                    members = probe_members(built, side, n)
                     # KL probes are an n x (n - 2) family; keep at most n
                     keep = rng.choice(len(members), size=min(n, len(members)), replace=False)
                     laws += [member_law(members[j], built.rule, ch.levels) for j in np.sort(keep)]

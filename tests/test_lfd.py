@@ -8,7 +8,6 @@ from scipy.integrate import trapezoid
 
 from robust_fusion.distributions import GaussianSpec
 from robust_fusion.lfd import (
-    ContaminatedGaussian,
     EpsContaminationClass,
     GaussianBandClass,
     KlBallClass,
@@ -23,12 +22,19 @@ from robust_fusion.lfd import (
 )
 
 from _oracles import (
+    ContaminatedGaussian,
     affinity_fit,
+    band_members,
+    contamination_members,
     density_integral,
     gaussian_kl,
     huber_clip_reference,
     joint_boundedness_reference,
     lfd_logpdfs,
+    probe_below,
+    probe_boundedness_check,
+    probe_level_masses,
+    probe_members,
 )
 
 BAND0 = GaussianBandClass(-1.0, 0.0, 1.0)
@@ -344,7 +350,7 @@ class TestJointBoundedness:
         pair = gaussian_band_lfd(BAND0, BAND1)
         t_grid = np.linspace(-8.0, 8.0, 101)
         report = joint_boundedness_check(
-            pair, BAND0.members(21), BAND1.members(21), t_grid
+            pair, band_members(BAND0, 21), band_members(BAND1, 21), t_grid
         )
         assert report.holds
         assert report.worst_violation <= 1e-9
@@ -386,10 +392,10 @@ class TestJointBoundedness:
         cls1 = EpsContaminationClass(SHIFTED, 0.05)
         pair = huber_clipped_lfd(cls0, cls1)
         atoms = np.linspace(-6.0, 7.0, 9)
-        report = joint_boundedness_check(
+        report = probe_boundedness_check(
             pair,
-            cls0.members(atoms),
-            cls1.members(atoms),
+            contamination_members(cls0, atoms),
+            contamination_members(cls1, atoms),
             np.linspace(-1.5, 1.5, 101),
         )
         assert report.holds
@@ -424,14 +430,16 @@ class TestJointBoundedness:
                 spec["nominal1"]["sigma"] *= float(rng.choice([rng.uniform(0.6, 0.9), rng.uniform(1.1, 1.6)]))
             built = build_sensor(spec, 0)
             n = (1, 5, 11)[index % 3]
-            members0, members1 = built.members(0, n), built.members(1, n)
+            members0, members1 = probe_members(built, 0, n), probe_members(built, 1, n)
+            # contaminated probes are read by the oracle's mirror of the check
+            check = probe_boundedness_check if kind == "eps-contamination" else joint_boundedness_check
             t_min, t_max = built.pair.log_lr_range()
             grids = (
                 np.unique(np.linspace(t_min, t_max, 101)),
                 np.linspace(t_min - 2.0, t_max + 2.0, 101),
             )
             for t_grid in grids:
-                report = joint_boundedness_check(built.pair, members0, members1, t_grid)
+                report = check(built.pair, members0, members1, t_grid)
                 holds, worst, witness = joint_boundedness_reference(
                     built.pair, members0, members1, t_grid
                 )
@@ -450,7 +458,7 @@ class TestJointBoundedness:
         """A NaN t used to be skipped silently; it now raises, as does a
         grid that repeats or decreases."""
         pair = gaussian_band_lfd(BAND0, BAND1)
-        members0, members1 = BAND0.members(3), BAND1.members(3)
+        members0, members1 = band_members(BAND0, 3), band_members(BAND1, 3)
         for t_grid in ([math.nan, 0.0], [math.nan], [0.0, math.nan]):
             with pytest.raises(ValueError, match="NaN"):
                 joint_boundedness_check(pair, members0, members1, t_grid)
@@ -475,6 +483,111 @@ class TestJointBoundedness:
                 assert (report.witness.side, report.witness.member_index) == (side, witness[1])
         report = joint_boundedness_check(pair, [], [], t_grid)
         assert report.holds and report.worst_violation == 0.0 and report.witness is None
+
+
+class TestExactBoundedness:
+    """``joint_boundedness_check`` given band and contamination classes:
+    each class whole, in closed form, against the probe families that
+    certified them before (``_oracles.probe_members``)."""
+
+    @staticmethod
+    def _gap_rows(built, t):
+        """Each side's closed-form gap row and its probes' gap rows (LFD
+        minus probe under H0, probe minus LFD under H1) at the t grid."""
+        below = lambda laws: probe_below(built.pair, laws, t)
+        rows = []
+        for side, sign in ((0, 1.0), (1, -1.0)):
+            exact = built.classes[side].boundedness_gaps(side, built.pair, t, below)
+            probes = probe_members(built, side, 11) + probe_members(built, side, 1)
+            read = probe_below(built.pair, [(built.pair.q0, built.pair.q1)[side], *probes], t)
+            rows.append((exact, sign * (read[0] - read[1:])))
+        return rows
+
+    def test_no_probe_beats_the_exact_verdict(self):
+        """On seeded band and contamination specs, on the CLI's t grid and on
+        one past the log-LR range at both ends: the closed-form gap is at
+        least every probe's (the class's extreme is at least as bad as any
+        probe), and within 1e-14 of 0 (the extreme is the LFD's), so the
+        check holds with a worst violation of at most 1e-14."""
+        from robust_fusion.scenario import _t_grid, build_sensor
+        from test_fusion import _random_spec
+
+        rng = np.random.default_rng(20261124)
+        largest = {"gaussian-band": 0.0, "eps-contamination": 0.0}
+        for index in range(80):
+            kind = ("gaussian-band", "eps-contamination")[index % 2]
+            built = build_sensor(_random_spec(rng, kind, int(rng.integers(2, 5))), 0)
+            t_min, t_max = built.pair.log_lr_range()
+            for t in (_t_grid(built.pair), np.linspace(t_min - 2.0, t_max + 2.0, 101)):
+                for exact, probes in self._gap_rows(built, t):
+                    assert np.all(exact >= probes - 1e-14), (kind, index)
+                    largest[kind] = max(largest[kind], float(np.max(np.abs(exact))))
+                report = joint_boundedness_check(built.pair, *built.classes, t)
+                assert report.holds and report.worst_violation <= 1e-14
+                assert report.witness is None
+        assert largest["gaussian-band"] == 0.0
+        assert 0.0 < largest["eps-contamination"] <= 1e-14
+
+    def test_band_reads_nothing(self, monkeypatch):
+        """The band's extreme member is its LFD law: no law is read."""
+        import robust_fusion.lfd as lfd
+
+        reads = []
+        original = lfd.level_masses
+        monkeypatch.setattr(lfd, "level_masses", lambda *a: reads.append(1) or original(*a))
+        pair = gaussian_band_lfd(BAND0, BAND1)
+        report = joint_boundedness_check(pair, BAND0, BAND1, np.linspace(-8.0, 8.0, 101))
+        assert report.holds and report.worst_violation == 0.0
+        assert reads == []
+        cls0, cls1 = EpsContaminationClass(STD, 0.05), EpsContaminationClass(SHIFTED, 0.05)
+        joint_boundedness_check(huber_clipped_lfd(cls0, cls1), cls0, cls1, np.linspace(-1.5, 1.5, 101))
+        assert len(reads) == 2  # the nominal and the LFD, once per side
+
+    def test_band_wider_than_its_pair_is_violated(self):
+        """A pair built from a narrower H0 band leaves the class's endpoint
+        worse than its q0: the check reads the endpoint, reports the largest
+        probe gap (the endpoint is the last probe) and names the class."""
+        narrow = GaussianBandClass(-1.0, -0.3, 1.0)
+        pair = gaussian_band_lfd(narrow, BAND1)
+        t_grid = np.linspace(*pair.log_lr_range(), 101)
+        report = joint_boundedness_check(pair, BAND0, BAND1, t_grid)
+        probes = probe_boundedness_check(pair, band_members(BAND0, 11), band_members(BAND1, 11), t_grid)
+        assert not report.holds and not probes.holds
+        assert report.worst_violation == probes.worst_violation
+        assert probes.witness.member_index == 10
+        w = report.witness
+        assert (w.side, w.member_index, w.member, w.t) == ("h0", 0, BAND0, probes.witness.t)
+
+    def test_empty_and_whole_events_read_zero_gaps(self):
+        """Past the clip levels {log_lr < t} is empty or the whole line, and
+        every law reads 0 or 1 there: the gaps are 0.0, although the cut
+        is clamped to the support end."""
+        cls0, cls1 = EpsContaminationClass(STD, 0.05), EpsContaminationClass(SHIFTED, 0.08)
+        pair = huber_clipped_lfd(cls0, cls1)
+        llr = pair.log_lr
+        bottom, top = llr.offset + llr.lo, llr.offset + llr.hi
+        t = np.array([bottom - 1.0, bottom, top + 1e-9, top + 1.0])
+        below = lambda laws: probe_below(pair, laws, t)
+        for side, cls in enumerate((cls0, cls1)):
+            assert np.array_equal(cls.boundedness_gaps(side, pair, t, below), np.zeros(4))
+
+    def test_t_grid_is_validated(self):
+        pair = gaussian_band_lfd(BAND0, BAND1)
+        with pytest.raises(ValueError, match="NaN"):
+            joint_boundedness_check(pair, BAND0, BAND1, [0.0, math.nan])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            joint_boundedness_check(pair, BAND0, BAND1, [1.0, 0.0])
+
+    def test_a_class_side_mixes_with_a_probe_side(self):
+        """H0 given whole and H1 by probes of a wider band than the pair's:
+        the class adds a zero row, so the probes' witness (index and all)
+        is the report of the probes alone."""
+        pair = gaussian_band_lfd(BAND0, BAND1)
+        probes = band_members(GaussianBandClass(0.5, 2.0, 1.0), 11)
+        t_grid = np.linspace(*pair.log_lr_range(), 101)
+        alone = joint_boundedness_check(pair, [], probes, t_grid)
+        assert not alone.holds and alone.witness.side == "h1"
+        assert joint_boundedness_check(pair, BAND0, probes, t_grid) == alone
 
 
 class TestNonMonotoneLogLr:
@@ -604,7 +717,7 @@ class TestAffinity:
 
 class TestMembers:
     def test_band_members_cover_endpoints(self):
-        members = BAND0.members(21)
+        members = band_members(BAND0, 21)
         assert len(members) == 21
         assert members[0].mean == -1.0
         assert members[-1].mean == 0.0
@@ -681,8 +794,8 @@ class TestMembers:
         the atom at 0.5 joins the segment above a cut through it."""
         member = ContaminatedGaussian(STD, 0.1, 0.5)
         levels = np.arange(2)
-        at_atom = level_masses([member], (0.5,), levels, 2)[0]
-        past_atom = level_masses([member], (0.5 + 1e-9,), levels, 2)[0]
+        at_atom = probe_level_masses([member], (0.5,), levels, 2)[0]
+        past_atom = probe_level_masses([member], (0.5 + 1e-9,), levels, 2)[0]
         assert abs(at_atom.sum() - 1.0) < 1e-12
         assert abs(at_atom[0] - 0.9 * STD.cdf(0.5)) < 1e-15
         assert abs(past_atom[0] - at_atom[0] - 0.1) < 1e-6

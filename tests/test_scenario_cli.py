@@ -347,6 +347,23 @@ class TestCliSaddle:
         assert checks == {"boundedness", "saddle"}
         assert all(row[4] == "True" for row in rows[1:])
 
+    @pytest.mark.parametrize(
+        ("stem", "same"), [("band_pair", True), ("composite", True), ("kl_ball", False)]
+    )
+    def test_members_size_only_kl_probes(self, tmp_path, capsys, stem, same):
+        """Band and contamination sensors are certified exactly, so
+        ``--members 3`` and ``--members 11`` write byte-identical CSV and
+        verdict; on the KL ball the probe family, and so the output, differ."""
+        outputs = []
+        for n in ("3", "11"):
+            out = tmp_path / f"{n}.csv"
+            argv = ["saddle", "--scenario", str(SCENARIOS / f"{stem}.json"), "--out", str(out)]
+            assert main([*argv, "--members", n]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert (outputs[0] == outputs[1]) == same
+        if not same:
+            assert outputs[0][0] != outputs[1][0] and outputs[0][1] != outputs[1][1]
+
     def test_kl_scenario_violated_with_witness(self, tmp_path, capsys):
         assert main([
             "saddle", "--scenario", str(SCENARIOS / "kl_ball.json"),

@@ -1,4 +1,4 @@
-"""Sensor rules: quantization, channel laws, LLR order, admissibility."""
+"""Sensor rules: quantization, channel laws, LLR order."""
 
 import math
 import warnings
@@ -12,7 +12,6 @@ from robust_fusion._roots import solve_newton
 from robust_fusion.distributions import AtomPmf, DiscretePmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import (
     ClippedAffineLlr,
-    ContaminatedGaussian,
     EpsContaminationClass,
     GaussianBandClass,
     LfdPair,
@@ -35,22 +34,26 @@ from robust_fusion.sensor import (
     channel_from_quantizer,
     channel_from_rule,
     default_quantizer,
-    llr_monotone_check,
     member_laws,
-    randomized_binary_admissible,
 )
 
 from _oracles import (
+    ContaminatedGaussian,
     atoms_stochastically_larger,
     batch_channels_reference,
+    contamination_members,
     density_integral,
     level_set_masses,
+    llr_monotone_check,
     log_density_crossing_cuts,
     lower_level_sets,
     lr_level,
     member_channel_reference,
     mixture_quantile_reference,
     normal_cdf_quadrature,
+    probe_level_masses,
+    probe_member_laws,
+    probe_members,
     quad_level_masses,
     randomized_binary_laws,
 )
@@ -64,8 +67,15 @@ PHI_HALF = 0.6914624612740131
 
 
 def rule_masses(rule: SensorRule, law) -> np.ndarray:
-    """A law's per-level mass under the rule: its one-row level_masses read."""
-    return level_masses([law], rule.cuts, rule.segment_levels, rule.quantizer.num_levels)[0]
+    """A law's per-level mass under the rule: its one-row level_masses read
+    (through the probe oracle's, for a point-contaminated member)."""
+    return probe_level_masses([law], rule.cuts, rule.segment_levels, rule.quantizer.num_levels)[0]
+
+
+def probe_reader(kind: str):
+    """The member-law reader of a sensor kind's probes: the oracle's for
+    point-contaminated ones, the library's otherwise."""
+    return probe_member_laws if kind == "eps-contamination" else member_laws
 
 
 def lr_level_of(q: Quantizer, lr: float) -> int:
@@ -306,8 +316,8 @@ class TestSensorRule:
                 built = build_sensor(spec, 0)
             ch, pair, q = built.channel, built.pair, built.quantizer
             for side in (0, 1):
-                members = built.members(side, n)
-                laws = built.member_laws(side, members)
+                members = probe_members(built, side, n)
+                laws = probe_reader(kind)(members, built.rule, ch.levels)
                 assert laws.shape == (len(members), len(ch.levels))
                 assert laws.flags.c_contiguous
                 for row, member in zip(laws, members):
@@ -344,7 +354,7 @@ class TestSensorRule:
         for n in (3, 7, 11):
             for side in (0, 1):
                 calls.clear()
-                laws = built.member_laws(side, built.members(side, n))
+                laws = probe_reader(kind)(probe_members(built, side, n), built.rule)
                 assert len(laws) >= n - 1
                 assert len(calls) == 0
 
@@ -369,11 +379,11 @@ class TestBatchedLevelMasses:
 
     @staticmethod
     def _check(laws, cuts, segment_levels, num_levels, case):
-        rows = level_masses(laws, cuts, segment_levels, num_levels)
+        rows = probe_level_masses(laws, cuts, segment_levels, num_levels)
         assert rows.shape == (len(laws), num_levels), case
         assert rows.flags.c_contiguous, case
         for row, law in zip(rows, laws):
-            one = level_masses([law], cuts, segment_levels, num_levels)
+            one = probe_level_masses([law], cuts, segment_levels, num_levels)
             assert one.shape == (1, num_levels)
             assert np.array_equal(row, one[0]), (case, law)
             reference = _one_law_reference(law, cuts, segment_levels, num_levels)
@@ -384,7 +394,7 @@ class TestBatchedLevelMasses:
         """The class probes of one side, the LFD law, and for a
         contamination class point atoms on each finite cut, between cuts
         and outside the support, in shuffled order."""
-        laws = built.members(side, int(rng.integers(2, 12))) + built.members(side, 1)
+        laws = probe_members(built, side, int(rng.integers(2, 12))) + probe_members(built, side, 1)
         cls = built.classes[side]
         if isinstance(cls, EpsContaminationClass):
             finite = [c for c in built.rule.cuts if math.isfinite(c)]
@@ -392,7 +402,7 @@ class TestBatchedLevelMasses:
             edges = [lo, *finite, hi]
             between = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
             atoms = finite + between + [lo - 1.0, hi + 1.0]
-            laws += cls.members(atoms)
+            laws += contamination_members(cls, atoms)
         return [laws[i] for i in rng.permutation(len(laws))]
 
     def test_rows_match_one_law_reads_on_seeded_sensors(self):
@@ -661,31 +671,10 @@ class TestLlrMonotoneCheck:
                 assert np.array_equal(ch.part.finite.masses, alone.part.finite.masses)
 
 
-class TestRandomizedBinaryAdmissible:
-    def test_admissible_case(self):
-        pmf0 = pmf_from_weights([0, 1], [0.7, 0.3])
-        pmf1 = pmf_from_weights([0, 1], [0.3, 0.7])
-        assert randomized_binary_admissible(pmf0, pmf1)
-
-    def test_inadmissible_case(self):
-        pmf0 = pmf_from_weights([0, 1], [0.5, 0.5])
-        pmf1 = pmf_from_weights([0, 1], [0.6, 0.4])
-        assert not randomized_binary_admissible(pmf0, pmf1)
-
-    def test_boundary_is_strict(self):
-        pmf0 = pmf_from_weights([0, 1], [0.5, 0.5])
-        pmf1 = pmf_from_weights([0, 1], [0.5, 0.5])
-        assert not randomized_binary_admissible(pmf0, pmf1)
-
-    def test_level_set_validation(self):
-        pmf = pmf_from_weights([0, 2], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            randomized_binary_admissible(pmf, pmf)
-
-
 class TestRandomizedBinaryRule:
-    """Admissibility of the laws a randomized binary rule induces under the
-    LFDs, integrated by the tests' quadrature oracle."""
+    """The laws a randomized binary rule induces under the LFDs, integrated
+    by the tests' quadrature oracle: informative (a strictly rising LLR,
+    q1(0) + q0(1) < 1) unless the rule ignores the observation."""
 
     def test_hard_threshold_matches_quantizer_channel(self):
         """A 0/1 accept probability reproduces the deterministic split."""
@@ -696,17 +685,22 @@ class TestRandomizedBinaryRule:
         assert np.max(np.abs(pmf0.probs - ch.pmf0.probs)) < 1e-10
         assert np.max(np.abs(pmf1.probs - ch.pmf1.probs)) < 1e-10
         assert abs(pmf1.probs[1] - PHI_HALF) < 1e-10
-        assert randomized_binary_admissible(pmf0, pmf1)
+        assert pmf1.probs[0] + pmf0.probs[1] < 1.0
+        assert np.all(np.diff(channel_from_pmfs(pmf0, pmf1).llr) > 0.0)
 
     def test_smooth_randomized_rule_admissible(self):
-        laws = randomized_binary_laws(
+        pmf0, pmf1 = randomized_binary_laws(
             lambda y: 1.0 / (1.0 + math.exp(-2.0 * (y - 0.5))), EXAMPLE_PAIR
         )
-        assert randomized_binary_admissible(*laws)
+        assert pmf1.probs[0] + pmf0.probs[1] < 1.0
+        assert np.all(np.diff(channel_from_pmfs(pmf0, pmf1).llr) > 0.0)
 
     def test_constant_half_rule_not_admissible(self):
-        """A coin flip induces q1(0) + q0(1) = 1 exactly: excluded."""
-        assert not randomized_binary_admissible(*randomized_binary_laws(lambda y: 0.5, EXAMPLE_PAIR))
+        """A coin flip induces q1(0) + q0(1) = 1 exactly: equal laws, an
+        uninformative channel whose LLR is 0 at both levels."""
+        pmf0, pmf1 = randomized_binary_laws(lambda y: 0.5, EXAMPLE_PAIR)
+        assert pmf1.probs[0] + pmf0.probs[1] == 1.0
+        assert np.array_equal(channel_from_pmfs(pmf0, pmf1).llr, [0.0, 0.0])
 
 
 class TestDefaultQuantizer:
