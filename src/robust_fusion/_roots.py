@@ -1,11 +1,14 @@
 """Bracketing root solvers: exactly reproducible bisections for one-shot
 parameter solves (tilts, clip constants, probe scales), and safeguarded
-Newton steps for the mixture quantiles of default thresholds."""
+Newton steps for the mixture quantiles of default thresholds and, all at
+once, for the Bernoulli KL roots of the KL ball's boundedness gaps."""
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
+
+import numpy as np
 
 
 def solve_increasing(
@@ -97,3 +100,35 @@ def solve_newton(
             value, slope = f(y), df(y)
         roots.append(y)
     return roots
+
+
+def bernoulli_kl_root(p, eps: float) -> np.ndarray:
+    """The root x >= p of kl(x || p) = x log(x/p) + (1-x) log((1-x)/(1-p)) = eps
+    for each p (clipped into [0, 1]): 1 where kl(1 || p) = -log p is within
+    eps, p where eps = 0 or p = 0. One vectorized Newton solve in d = x - p:
+    kl = (p + d) log1p(d/p) + (q - d) log1p(-d/q), q = 1 - p, keeps its
+    relative accuracy as d -> 0 and is convex and rising on [0, q], so from
+    the chi-square start sqrt(2 eps p q) (capped at q/2; within rounding of
+    p it is p) each step lands at or past the root and falls to it; a step
+    past q halves the distance to q instead. It ends once no step exceeds
+    1e-15.
+    """
+    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    q = 1.0 - p
+    with np.errstate(divide="ignore"):  # kl(1 || 0) is inf
+        reached = -np.log(p) <= eps
+    d = np.minimum(np.sqrt(2.0 * eps) * np.sqrt(p * q), 0.5 * q)
+    live = np.flatnonzero(~reached & (p + d != p))
+    pl, ql, dl = p[live], q[live], d[live]
+    log_p = np.log(pl)
+    for _ in range(100):
+        # log1p(d/p) as a log difference past d = p, where d/p can overflow
+        up = np.where(dl > pl, np.log(pl + dl) - log_p, np.log1p(np.minimum(dl, pl) / pl))
+        down = np.log1p(-dl / ql)
+        new = dl - ((pl + dl) * up + (ql - dl) * down - eps) / (up - down)
+        new = np.where(new < ql, new, 0.5 * (dl + ql))
+        step, dl = np.max(np.abs(new - dl), initial=0.0), new
+        if step <= 1e-15:
+            break
+    d[live] = dl
+    return np.where(reached, 1.0, p + d)

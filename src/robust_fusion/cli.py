@@ -189,8 +189,8 @@ def _parser() -> argparse.ArgumentParser:
         "--members",
         type=int,
         default=11,
-        help="probes per KL-ball class per sensor (band and contamination "
-        "sensors are certified exactly, with no probes)",
+        help="probes per KL-ball class per sensor in the saddle pass (boundedness "
+        "covers every class whole; band and contamination sensors have no probes)",
     )
     p_sweep = sub.add_parser("sweep", help="exact P_E versus sensor count")
     common(p_sweep)

@@ -11,7 +11,8 @@ Three classes of distributional uncertainty are supported:
   sits exactly on its ball boundary. This pair is a best response in the
   divergence sense but its likelihood ratio is an affine function of the
   nominal one, and the class as a whole is *not* jointly stochastically
-  bounded; :func:`joint_boundedness_check` can exhibit a violating member.
+  bounded; :func:`joint_boundedness_check` measures the violation over
+  the whole ball.
 * Epsilon-contamination: the classical censored-likelihood-ratio pair whose
   clip constants are solved from the two normalization equations.
 
@@ -29,9 +30,9 @@ and :func:`level_masses` the one way to read a list of laws on them, as a
 one with any other law by scalar cdf differences (:func:`_cdf_masses`, as a
 sensor's channel reads its pair's two laws). A sensor rule cuts at its log
 LR thresholds, :func:`joint_boundedness_check` at its t grid, whose range
-:meth:`LfdPair.log_lr_range` gives in closed form. Band and contamination
-classes give their extreme P(log_lr < t) there in closed form
-(``boundedness_gaps``); KL balls are probed (:meth:`KlBallClass.members`).
+:meth:`LfdPair.log_lr_range` gives in closed form. Every class gives its
+extreme P(log_lr < t) there in closed form (``boundedness_gaps``); the KL
+ball's probe family (:meth:`KlBallClass.members`) serves the saddle pass.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._roots import solve_decreasing, solve_increasing
+from ._roots import bernoulli_kl_root, solve_decreasing, solve_increasing
 from .distributions import _SQRT2, GaussianSpec
 
 # Both certificates (joint_boundedness_check and fusion.saddle_verify)
@@ -101,6 +102,19 @@ class KlBallClass:
     def __post_init__(self) -> None:
         if not self.radius >= 0.0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
+
+    def boundedness_gaps(self, side: int, pair: LfdPair, t: np.ndarray, below) -> np.ndarray:
+        """The gap of :func:`joint_boundedness_check` at each t between the
+        LFD and the ball's extreme. Over the ball, Q(E) of any event E takes
+        every x with kl(x || P(E)) <= radius and no other (data processing;
+        a tilt of the nominal on E attains it, Levy 2009), so the gap is the
+        Bernoulli KL root above the nominal's P(E) (:func:`bernoulli_kl_root`,
+        all t at once) less the LFD's, for E = {log_lr >= t} under H0 (side
+        0) and {log_lr < t} under H1. Both are read once, from tail-exact
+        masses (``below(laws, tails=True)``), so a tiny P(E) keeps its root."""
+        events = below([(pair.q0, pair.q1)[side], self.nominal], tails=True)
+        lfd, nominal = events[1 - side]
+        return bernoulli_kl_root(nominal, self.radius) - lfd
 
     def members(self, n: int, toward: GaussianSpec) -> list[GaussianSpec]:
         """Gaussian probe members of the ball: max(3, n - 2) scales x n means.
@@ -365,7 +379,7 @@ def _flat_boundary(llr: ClippedAffineLlr, s: float) -> float:
 
 
 def level_masses(
-    laws: Sequence, cuts: Sequence[float], segment_levels, num_levels: int
+    laws: Sequence, cuts: Sequence[float], segment_levels, num_levels: int, tails: bool = False
 ) -> np.ndarray:
     """Each law's mass on each level of :func:`cut_log_lr`'s cuts, one
     C-ordered row per law of ``laws``: exact cdf differences between the
@@ -375,7 +389,9 @@ def level_masses(
     hashable) is read once. When every law is a :class:`GaussianSpec` they
     are read together (:func:`_gaussian_weights`), whatever their number;
     otherwise each law's ``cdf`` is called at each finite cut
-    (:func:`_cdf_masses`). Both give the same bits.
+    (:func:`_cdf_masses`). Both give the same bits. With ``tails`` a read
+    of Gaussians takes each segment off a law's mean as a difference of
+    tails instead, exact to its relative precision however small.
     """
     reads: dict = {}  # distinct law -> its row
     row_of = [reads.setdefault(law, len(reads)) for law in laws]
@@ -384,7 +400,7 @@ def level_masses(
         # one bincount over the law rows back to back sums each row's
         # segments in order, as a bincount per row would
         flat = (np.arange(0, n * num_levels, num_levels)[:, None] + segment_levels).ravel()
-        weights = _gaussian_weights(list(reads), cuts).ravel()
+        weights = _gaussian_weights(list(reads), cuts, tails).ravel()
         mass = np.bincount(flat, weights, n * num_levels).reshape(n, num_levels)
     else:
         mass = np.array(_cdf_masses(reads, cuts.tolist(), segment_levels, num_levels))
@@ -410,17 +426,25 @@ def _cdf_masses(
     return rows
 
 
-def _gaussian_weights(specs: Sequence[GaussianSpec], cuts: np.ndarray) -> np.ndarray:
+def _gaussian_weights(
+    specs: Sequence[GaussianSpec], cuts: np.ndarray, tails: bool = False
+) -> np.ndarray:
     """Each Gaussian's mass between consecutive cuts, -inf and +inf
-    included, one row per law: one array of (mean - cut) / (sigma * sqrt 2)
-    at -inf, the cuts and +inf through one map of ``math.erfc``, the bits
-    of :meth:`GaussianSpec.cdf`."""
+    included, one row per law: one array of z = (mean - cut) / (sigma *
+    sqrt 2) at -inf, the cuts and +inf through one map of ``math.erfc``,
+    the bits of :meth:`GaussianSpec.cdf`. With ``tails`` it maps |z|, each
+    end's tail away from the mean, and a segment on one side of the mean is
+    the difference of its ends' tails."""
     ends = np.concatenate(([-math.inf], cuts, [math.inf]))
     means = np.array([g.mean for g in specs])[:, None]
     scales = np.array([g.sigma for g in specs])[:, None] * _SQRT2
     z = (means - ends) / scales
-    at = 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
-    return at[:, 1:] - at[:, :-1]
+    x = np.abs(z) if tails else z
+    at = 0.5 * np.fromiter(map(math.erfc, x.ravel().tolist()), float, z.size).reshape(z.shape)
+    lo, hi = at[:, :-1], at[:, 1:]
+    if not tails:
+        return hi - lo
+    return np.where(z[:, 1:] >= 0.0, hi - lo, np.where(z[:, :-1] <= 0.0, lo - hi, 1.0 - lo - hi))
 
 
 def gaussian_band_lfd(c0: GaussianBandClass, c1: GaussianBandClass) -> LfdPair:
@@ -652,11 +676,14 @@ def joint_boundedness_check(
     For every member Q0 and every threshold t the null-side inequality
     Q0[log_lr < t] >= Q0_hat[log_lr < t] must hold, and symmetrically
     Q1[log_lr < t] <= Q1_hat[log_lr < t] on the alternative side. The
-    log-LR is cut once at the t grid (:func:`cut_log_lr`, as a sensor rule
-    with those log thresholds); column k of a law's cumulative level
-    masses is its P(log_lr < t_k), and each side's LFD and members are
-    read in one :func:`level_masses` call. A side given as a class with a
-    closed-form extreme (``boundedness_gaps``: :class:`GaussianBandClass`,
+    log-LR is cut once at the t grid on the first read (:func:`cut_log_lr`,
+    as a sensor rule with those log thresholds); column k of a law's
+    cumulative level masses is its P(log_lr < t_k), and each side's LFD
+    and members are read in one :func:`level_masses` call (a class's read
+    with ``tails`` also gives P(log_lr >= t), summed from the top of
+    tail-exact masses). A side given as a class with a closed-form extreme
+    (``boundedness_gaps``:
+    :class:`GaussianBandClass`, :class:`KlBallClass`,
     :class:`EpsContaminationClass`, with the pair of their LFD
     construction) is covered whole, as one member (index 0, the class)
     whose gap at t is the class's extreme. The witness is the first
@@ -670,10 +697,14 @@ def joint_boundedness_check(
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or np.any(np.isnan(t)) or not np.all(t[1:] > t[:-1]):
         raise ValueError("t_grid must be strictly increasing and free of NaN")
-    cuts, segment_levels = cut_log_lr(pair, t)
+    cut = []  # the log-LR cut at the t grid, made on the first read
 
-    def below(laws) -> np.ndarray:
-        return np.cumsum(level_masses(laws, cuts, segment_levels, len(t) + 1), axis=1)[:, :-1]
+    def below(laws, tails: bool = False):
+        if not cut:
+            cut.extend(cut_log_lr(pair, t))
+        mass = level_masses(laws, *cut, len(t) + 1, tails)
+        lower = np.cumsum(mass, axis=1)[:, :-1]
+        return (lower, np.cumsum(mass[:, ::-1], axis=1)[:, -2::-1]) if tails else lower
 
     sides, rows = [], []
     for h, (side, members, lfd, sign) in enumerate((

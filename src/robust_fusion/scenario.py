@@ -37,9 +37,9 @@ parse -> serialize -> parse is the identity.
 :func:`build_sensor` parses a spec once into a :class:`BuiltSensor` that
 keeps its two uncertainty classes and one ``SensorRule`` (channel by
 ``sensor.channel_from_rule``); spec errors name the sensor. :func:`certify`
-checks the sensors' joint boundedness and the saddle point: band and
-contamination sensors in closed form, KL-ball sensors over the probes of
-``KlBallClass.members`` (one probe is the LFD law itself).
+checks each sensor's joint boundedness over its whole classes in closed
+form, and the saddle point: band and contamination sensors with their LFD
+laws, KL-ball sensors over the probes of ``KlBallClass.members``.
 """
 
 from __future__ import annotations
@@ -236,10 +236,12 @@ class BuiltSensor:
         return None if self.rule is None else self.rule.quantizer
 
     def members(self, side: int, n: int) -> list:
-        """Probes of a KL-ball class for hypothesis ``side``: its two-parameter
-        tilt family, or the LFD itself when ``n == 1`` (zero-gap case). A band
-        or contamination sensor is certified exactly and an explicit-pmf
-        sensor has no class, so neither has probes."""
+        """Probes of a KL-ball class for hypothesis ``side``, read only by the
+        saddle pass (boundedness is checked over the whole ball): its
+        two-parameter tilt family, or the LFD itself when ``n == 1``
+        (zero-gap case). A band or contamination sensor enters the saddle
+        pass with its LFD laws and an explicit-pmf sensor has no class, so
+        neither has probes."""
         if n < 1:
             raise ValueError("need at least one member")
         if self.kind != "kl-ball":
@@ -262,10 +264,12 @@ class BuiltSensor:
 class Certificate:
     """A network's saddle certificate: one ``(sensor index, report)`` and
     one ``(sensor index, coverage)`` per robust sensor in sensor order, and
-    the saddle report. Coverage is ``"exact"`` for band and contamination
-    sensors, checked over their whole classes in closed form and entering
-    the saddle pass with their LFD laws, which are their worst members
-    (Veeravalli, Basar & Poor 1994); ``"probes"`` for KL-ball sensors."""
+    the saddle report. Every boundedness report covers the sensor's whole
+    classes, in closed form (``boundedness_gaps``). Coverage is that of the
+    saddle pass: ``"exact"`` for band and contamination sensors, which
+    enter it with their LFD laws, their worst members (Veeravalli, Basar &
+    Poor 1994); ``"probes"`` for KL-ball sensors, which enter it with their
+    probe members."""
 
     boundedness: tuple[tuple[int, BoundednessReport], ...]
     coverage: tuple[tuple[int, str], ...]
@@ -285,17 +289,17 @@ def _t_grid(pair: LfdPair) -> np.ndarray:
 
 
 def certify(built: list[BuiltSensor], net: NetworkModel, n: int) -> Certificate:
-    """Joint boundedness of each robust sensor and the saddle point of ``net``
-    (``built``'s channels): band and contamination sensors exactly, KL-ball
-    sensors over ``n`` probes per class. Each distinct build is checked and
-    read once; an error while doing so names the sensor."""
+    """Joint boundedness of each robust sensor over its whole classes, and
+    the saddle point of ``net`` (``built``'s channels): band and
+    contamination sensors with their LFD laws, KL-ball sensors over ``n``
+    probes per class. Each distinct build is checked and read once; an
+    error while doing so names the sensor."""
     checks = {}  # channel -> (report, or None without a pair; H0 laws; H1 laws)
     for b in built:
         if b.channel not in checks:
             try:
                 members = b.members(0, n), b.members(1, n)
-                sides = members if b.kind == "kl-ball" else b.classes  # whole classes: exact
-                report = b.pair and joint_boundedness_check(b.pair, *sides, _t_grid(b.pair))
+                report = b.pair and joint_boundedness_check(b.pair, *b.classes, _t_grid(b.pair))
             except ValueError as exc:
                 raise ValueError(f"sensor {b.index}: {exc}") from None
             checks[b.channel] = (report, *map(b.member_laws, (0, 1), members))

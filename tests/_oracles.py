@@ -1183,7 +1183,7 @@ def probe_members(built, side: int, n: int) -> list:
     return built.members(side, n)
 
 
-def probe_level_masses(laws, cuts, segment_levels, num_levels: int) -> np.ndarray:
+def probe_level_masses(laws, cuts, segment_levels, num_levels: int, tails: bool = False) -> np.ndarray:
     """``lfd.level_masses`` of laws that may be :class:`ContaminatedGaussian`:
     a contaminated member is 1 - eps times its nominal's masses (its
     nominal read once with the other laws), plus eps at the level of the
@@ -1192,7 +1192,7 @@ def probe_level_masses(laws, cuts, segment_levels, num_levels: int) -> np.ndarra
     from robust_fusion.lfd import level_masses
 
     bases = [law.nominal if isinstance(law, ContaminatedGaussian) else law for law in laws]
-    mass = level_masses(bases, cuts, segment_levels, num_levels)
+    mass = level_masses(bases, cuts, segment_levels, num_levels, tails)
     contaminated = [i for i, law in enumerate(laws) if isinstance(law, ContaminatedGaussian)]
     if contaminated:
         eps = np.array([laws[i].eps for i in contaminated])
@@ -1228,15 +1228,19 @@ def probe_laws(built, side: int, n: int) -> np.ndarray:
     return probe_member_laws(members, built.rule, built.channel.levels)
 
 
-def probe_below(pair, laws, t_grid) -> np.ndarray:
+def probe_below(pair, laws, t_grid, tails: bool = False):
     """Each law's P(log_lr < t) at each t: cumulative
     :func:`probe_level_masses` at the pair's log-LR cut at the t grid, as
-    ``lfd.joint_boundedness_check`` reads its members."""
+    ``lfd.joint_boundedness_check`` reads its members; with ``tails``, from
+    tail-exact masses, and with each law's P(log_lr >= t) too, as the
+    pair (below, at or above), the latter summed from the top."""
     from robust_fusion.lfd import cut_log_lr
 
     t = np.asarray(t_grid, dtype=float)
     cuts, segment_levels = cut_log_lr(pair, t)
-    return np.cumsum(probe_level_masses(laws, cuts, segment_levels, len(t) + 1), axis=1)[:, :-1]
+    mass = probe_level_masses(laws, cuts, segment_levels, len(t) + 1, tails)
+    below = np.cumsum(mass, axis=1)[:, :-1]
+    return (below, np.cumsum(mass[:, ::-1], axis=1)[:, -2::-1]) if tails else below
 
 
 def probe_boundedness_check(pair, class0_members, class1_members, t_grid):
@@ -1272,3 +1276,28 @@ def probe_boundedness_check(pair, class0_members, class1_members, t_grid):
     holds = worst <= CERTIFICATE_TOL
     witness = None if holds else BoundednessWitness(side, idx, member, float(t[i % len(t)]), worst)
     return BoundednessReport(holds, worst, CERTIFICATE_TOL, witness)
+
+
+def bernoulli_kl_root_reference(p: float, eps: float) -> float:
+    """The root x >= p of kl(x || p) = eps, by ``scipy.optimize.brentq`` on
+    kl read in 80-digit decimal arithmetic, so nothing cancels as x -> p:
+    1 where kl(1 || p) is within eps, and p where eps = 0 or p is 0 or 1.
+    p is clipped into [0, 1]."""
+    from decimal import Decimal, localcontext
+
+    from scipy.optimize import brentq
+
+    def kl(x: float) -> Decimal:
+        with localcontext() as ctx:
+            ctx.prec = 80
+            xd, pd = Decimal(x), Decimal(p)
+            head = xd * (xd / pd).ln()
+            tail = (1 - xd) * ((1 - xd) / (1 - pd)).ln() if xd < 1 else Decimal(0)
+            return head + tail - Decimal(eps)
+
+    p = min(max(float(p), 0.0), 1.0)
+    if eps == 0.0 or p in (0.0, 1.0):
+        return p
+    if kl(1.0) <= 0:
+        return 1.0
+    return brentq(lambda x: float(kl(x)), p, 1.0, xtol=1e-15, maxiter=500)

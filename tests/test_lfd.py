@@ -1,11 +1,13 @@
 """LFD constructions: mean bands, KL balls, contamination, boundedness."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+from robust_fusion._roots import bernoulli_kl_root
 from robust_fusion.distributions import GaussianSpec
 from robust_fusion.lfd import (
     EpsContaminationClass,
@@ -25,6 +27,7 @@ from _oracles import (
     ContaminatedGaussian,
     affinity_fit,
     band_members,
+    bernoulli_kl_root_reference,
     contamination_members,
     density_integral,
     gaussian_kl,
@@ -41,6 +44,7 @@ BAND0 = GaussianBandClass(-1.0, 0.0, 1.0)
 BAND1 = GaussianBandClass(1.0, 2.0, 1.0)
 STD = GaussianSpec(0.0, 1.0)
 SHIFTED = GaussianSpec(1.0, 1.0)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def pair_identity_residual(pair, points=2001):
@@ -529,16 +533,18 @@ class TestExactBoundedness:
         assert 0.0 < largest["eps-contamination"] <= 1e-14
 
     def test_band_reads_nothing(self, monkeypatch):
-        """The band's extreme member is its LFD law: no law is read."""
+        """The band's extreme member is its LFD law: no law is read, and
+        the log-LR is not cut."""
         import robust_fusion.lfd as lfd
 
-        reads = []
-        original = lfd.level_masses
+        reads, cuts = [], []
+        original, cut = lfd.level_masses, lfd.cut_log_lr
         monkeypatch.setattr(lfd, "level_masses", lambda *a: reads.append(1) or original(*a))
+        monkeypatch.setattr(lfd, "cut_log_lr", lambda *a: cuts.append(1) or cut(*a))
         pair = gaussian_band_lfd(BAND0, BAND1)
         report = joint_boundedness_check(pair, BAND0, BAND1, np.linspace(-8.0, 8.0, 101))
         assert report.holds and report.worst_violation == 0.0
-        assert reads == []
+        assert reads == [] and cuts == []
         cls0, cls1 = EpsContaminationClass(STD, 0.05), EpsContaminationClass(SHIFTED, 0.05)
         joint_boundedness_check(huber_clipped_lfd(cls0, cls1), cls0, cls1, np.linspace(-1.5, 1.5, 101))
         assert len(reads) == 2  # the nominal and the LFD, once per side
@@ -588,6 +594,179 @@ class TestExactBoundedness:
         alone = joint_boundedness_check(pair, [], probes, t_grid)
         assert not alone.holds and alone.witness.side == "h1"
         assert joint_boundedness_check(pair, BAND0, probes, t_grid) == alone
+
+
+class TestKlBallBoundedness:
+    """``joint_boundedness_check`` given KL balls: each ball whole, its
+    extreme P(E) the Bernoulli KL root above the nominal's, against the
+    probe family that certified it before (``KlBallClass.members``) and a
+    decimal brentq reference."""
+
+    @staticmethod
+    def _kl_sensors(count: int = 12):
+        """Seeded KL sensors, alternately with equal and unequal nominal
+        variances, each side's radius tiny (1e-150 to 1e-8), moderate
+        (1e-3 to 0.3) or large (1 to 7); the nominal gap is drawn wide
+        enough for the radii, and widened until the LFD pair exists."""
+        from robust_fusion.scenario import build_sensor
+
+        rng = np.random.default_rng(20261020)
+        scales = ((-150.0, -8.0), (-3.0, math.log10(0.3)), (0.0, math.log10(7.0)))
+        sensors = []
+        while len(sensors) < count:
+            radii = [10.0 ** rng.uniform(*scales[int(k)]) for k in rng.integers(0, 3, size=2)]
+            sigma1 = 1.0 if len(sensors) % 2 == 0 else float(rng.uniform(0.6, 1.8))
+            gap = (math.sqrt(2.0 * radii[0]) + math.sqrt(2.0 * radii[1])) * max(1.0, sigma1)
+            gap = max(0.5, gap * float(rng.uniform(1.2, 2.0)))
+            for _ in range(8):
+                spec = {
+                    "kind": "kl-ball",
+                    "nominal0": {"mean": 0.0, "sigma": 1.0},
+                    "nominal1": {"mean": gap, "sigma": sigma1},
+                    "eps0": radii[0], "eps1": radii[1],
+                    "quantizer": {"num_thresholds": int(rng.integers(1, 4))},
+                }
+                try:
+                    sensors.append(build_sensor(spec, 0))
+                    break
+                except ValueError:
+                    gap *= 1.5
+        return sensors
+
+    @staticmethod
+    def _t_grids(pair):
+        """The CLI's t grid, and one reaching 2 past the log-LR range at both ends."""
+        from robust_fusion.scenario import _t_grid
+
+        t_min, t_max = pair.log_lr_range()
+        return _t_grid(pair), np.linspace(t_min - 2.0, t_max + 2.0, 101)
+
+    @staticmethod
+    def _gap_rows(built, t):
+        """Each side's whole-ball gap row, and its ``KlBallClass.members``
+        probes' rows read as the member-list path reads them (LFD minus
+        probe under H0, probe minus LFD under H1)."""
+        below = lambda laws, tails=False: probe_below(built.pair, laws, t, tails)
+        for side, sign in ((0, 1.0), (1, -1.0)):
+            exact = built.classes[side].boundedness_gaps(side, built.pair, t, below)
+            lfd = (built.pair.q0, built.pair.q1)[side]
+            read = probe_below(built.pair, [lfd, *built.members(side, 11)], t)
+            yield exact, sign * (read[0] - read[1:])
+
+    def test_no_probe_beats_the_whole_ball(self):
+        """On seeded KL specs and both t grids, the ball's gap row is at
+        least every ``KlBallClass.members`` probe's, and so is the check's
+        worst violation over the member lists."""
+        for index, built in enumerate(self._kl_sensors()):
+            for t in self._t_grids(built.pair):
+                for exact, probes in self._gap_rows(built, t):
+                    assert np.all(exact >= probes - 1e-14), index
+                whole = joint_boundedness_check(built.pair, *built.classes, t)
+                probed = joint_boundedness_check(
+                    built.pair, built.members(0, 11), built.members(1, 11), t
+                )
+                assert whole.worst_violation >= probed.worst_violation - 1e-14, index
+
+    def test_roots_match_the_decimal_reference(self):
+        """Each side's extreme is the Bernoulli KL root above the nominal's
+        P(E), within 1e-12 of ``bernoulli_kl_root_reference``, on the
+        seeded specs' wider grid; and at the ends: p for a radius of 0 or
+        p = 0, and 1 where the ball reaches it."""
+        for built in self._kl_sensors(6):
+            t = self._t_grids(built.pair)[1]
+            for side, cls in enumerate(built.classes):
+                p = probe_below(built.pair, [cls.nominal], t, tails=True)[1 - side][0]
+                want = [bernoulli_kl_root_reference(x, cls.radius) for x in p]
+                assert np.max(np.abs(bernoulli_kl_root(p, cls.radius) - want)) <= 1e-12
+        p = np.array([0.0, 1e-320, 1e-20, 0.3, 1.0 - 1e-16, 1.0])
+        assert np.array_equal(bernoulli_kl_root(p, 0.0), p)
+        for eps in (1e-150, 0.08, 7.0):
+            roots = bernoulli_kl_root(p, eps)
+            assert (roots[0], roots[-1]) == (0.0, 1.0)
+            assert np.max(np.abs(roots - [bernoulli_kl_root_reference(x, eps) for x in p])) <= 1e-12
+        assert bernoulli_kl_root([0.5], 7.0)[0] == 1.0  # -log 0.5 < 7
+
+    def test_kl_ball_value_matches_an_independent_scan(self):
+        """kl_ball.json on its t grid, read independently: the log-LR's
+        crossing of each t by brentq on scipy's log-densities, the laws by
+        scipy's normal cdf and the roots by the decimal reference. The
+        largest gap, 0.051273 (the probes found 0.02510), is the check's
+        within 1e-9, at the same t, and the witness is the ball."""
+        from scipy.optimize import brentq
+        from scipy.stats import norm
+
+        from robust_fusion.scenario import _t_grid, build_sensor, load_scenario
+
+        built = build_sensor(load_scenario(SCENARIOS / "kl_ball.json").sensors[0], 0)
+        pair, (c0, c1) = built.pair, built.classes
+        t = _t_grid(pair)
+        report = joint_boundedness_check(pair, c0, c1, t)
+        law = lambda g: norm(g.mean, g.sigma)
+        llr = lambda y: law(pair.q1).logpdf(y) - law(pair.q0).logpdf(y)
+        gaps = [[], []]
+        for s in t:
+            y = brentq(lambda v: llr(v) - s, -50.0, 50.0, xtol=1e-14)
+            high0 = bernoulli_kl_root_reference(law(c0.nominal).sf(y), c0.radius)
+            high1 = bernoulli_kl_root_reference(law(c1.nominal).cdf(y), c1.radius)
+            gaps[0].append(high0 - law(pair.q0).sf(y))
+            gaps[1].append(high1 - law(pair.q1).cdf(y))
+        worst = max(map(max, gaps))
+        assert abs(report.worst_violation - worst) <= 1e-9
+        assert round(worst, 5) == 0.05127
+        w = report.witness
+        assert (w.side, w.member_index, w.member) == ("h0", 0, c0)
+        assert w.t == t[int(np.argmax(gaps[0]))]
+
+    def test_tail_exact_masses(self):
+        """``level_masses`` with ``tails``: every Gaussian level mass, down
+        to 1e-300 in either tail, is scipy's cdf difference below the mean
+        and sf difference above it, to 1e-12 relative. Without ``tails``
+        the upper masses are cdf differences near 1, and the far ones read 0."""
+        from scipy.stats import norm
+
+        laws = [STD, GaussianSpec(1.5, 0.7)]
+        cuts = np.array([-37.0, -20.0, -8.0, -1.0, 0.3, 2.0, 9.0, 21.0, 37.0])
+        levels = np.arange(len(cuts) + 1)
+        ends = np.concatenate(([-np.inf], cuts, [np.inf]))
+        mass = level_masses(laws, cuts, levels, len(levels), tails=True)
+        for row, g in zip(mass, laws):
+            law = norm(g.mean, g.sigma)
+            below, above = law.cdf(ends[1:]) - law.cdf(ends[:-1]), law.sf(ends[:-1]) - law.sf(ends[1:])
+            want = np.where(ends[:-1] >= g.mean, above, below)
+            assert np.all(np.abs(row - want) <= 1e-12 * want), g
+        assert np.all(mass[0, -2:] > 0.0)
+        assert np.all(level_masses(laws, cuts, levels, len(levels))[0, -2:] == 0.0)
+
+    def test_check_reads_two_laws_per_side(self, monkeypatch):
+        """``certify`` on kl_ball.json: the boundedness check reads the LFD
+        and the nominal once per side, and ``KlBallClass.members`` is
+        called once per side, by the saddle pass alone."""
+        import robust_fusion.lfd as lfd
+        from robust_fusion import scenario as scenario_module
+        from robust_fusion.fusion import NetworkModel
+
+        built = scenario_module.build_sensors(scenario_module.load_scenario(SCENARIOS / "kl_ball.json"))
+        net = NetworkModel(tuple(b.channel for b in built), 0.5)
+        reads, probes, checking = [], [], []
+        read, probe = lfd.level_masses, lfd.KlBallClass.members
+        check = scenario_module.joint_boundedness_check
+        monkeypatch.setattr(lfd, "level_masses", lambda laws, *a: reads.append(len(laws)) or read(laws, *a))
+        monkeypatch.setattr(
+            lfd.KlBallClass, "members", lambda cls, *a: probes.append(bool(checking)) or probe(cls, *a)
+        )
+
+        def checked(*args):
+            checking.append(1)
+            try:
+                return check(*args)
+            finally:
+                checking.pop()
+
+        monkeypatch.setattr(scenario_module, "joint_boundedness_check", checked)
+        cert = scenario_module.certify(built, net, 11)
+        assert not cert.boundedness[0][1].holds
+        assert reads == [2, 2]
+        assert probes == [False, False]
 
 
 class TestNonMonotoneLogLr:

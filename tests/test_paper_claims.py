@@ -10,13 +10,14 @@ import re
 from pathlib import Path
 
 from robust_fusion.fusion import NetworkModel
+from robust_fusion.lfd import KlBallClass
 from robust_fusion.scenario import build_sensors, certify, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # claim row -> (scenarios, coverage, evidence constant)
 BOUNDED = (("band_pair.json", "composite.json"), "exact", 1e-14)  # largest boundedness gap
-KL_FAILS = (("kl_ball.json",), "probes", 0.02510)  # boundedness violation, 5 digits
+KL_FAILS = (("kl_ball.json",), "exact", 0.05127)  # whole-ball boundedness violation, 5 digits
 WITHOUT_EVIDENCE = {"minimax robust decentralized detection is still possible": 19,
                     "quantizers need not be monotone": 6}
 
@@ -43,15 +44,18 @@ def test_boundedness_holds_for_band_and_contamination():
 
 
 def test_boundedness_fails_for_the_kl_ball():
-    """It fails for the KL ball: a probe member inside the ball is worse
-    than the LFD at some threshold, by 0.02510."""
+    """It fails for the KL ball: over the whole ball (the witness is the
+    ball itself, so the coverage is exact), some member is worse than the
+    LFD at some threshold, by 0.05127. The saddle pass still probes it."""
     (name,), coverage, violation = KL_FAILS
     cert = _certificate(name)
-    assert cert.coverage == ((0, coverage),)
+    assert cert.coverage == ((0, "probes"),)
     (_, report), = cert.boundedness
     assert not report.holds
     assert round(report.worst_violation, 5) == violation
-    assert report.witness is not None and report.witness.gap == report.worst_violation
+    w = report.witness
+    assert w is not None and w.gap == report.worst_violation
+    assert isinstance(w.member, KlBallClass) == (coverage == "exact")
 
 
 def test_readme_table_states_the_same_evidence():

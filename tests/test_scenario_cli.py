@@ -351,18 +351,22 @@ class TestCliSaddle:
         ("stem", "same"), [("band_pair", True), ("composite", True), ("kl_ball", False)]
     )
     def test_members_size_only_kl_probes(self, tmp_path, capsys, stem, same):
-        """Band and contamination sensors are certified exactly, so
-        ``--members 3`` and ``--members 11`` write byte-identical CSV and
-        verdict; on the KL ball the probe family, and so the output, differ."""
+        """``--members`` sizes only the saddle pass's KL-ball probes: every
+        boundedness row covers its classes whole, so ``--members 3`` and
+        ``--members 11`` write the same boundedness rows and verdict. Band
+        and contamination networks have no probes, so their CSV is
+        byte-identical; on the KL ball the saddle row differs."""
         outputs = []
         for n in ("3", "11"):
             out = tmp_path / f"{n}.csv"
             argv = ["saddle", "--scenario", str(SCENARIOS / f"{stem}.json"), "--out", str(out)]
             assert main([*argv, "--members", n]) == 0
             outputs.append((out.read_bytes(), capsys.readouterr().out))
-        assert (outputs[0] == outputs[1]) == same
-        if not same:
-            assert outputs[0][0] != outputs[1][0] and outputs[0][1] != outputs[1][1]
+        (csv3, verdict3), (csv11, verdict11) = outputs
+        assert verdict3 == verdict11
+        rows3, rows11 = (text.decode().splitlines() for text in (csv3, csv11))
+        assert rows3[:-1] == rows11[:-1] and ",saddle," in rows3[-1]
+        assert (rows3[-1] == rows11[-1]) == same and (csv3 == csv11) == same
 
     def test_kl_scenario_violated_with_witness(self, tmp_path, capsys):
         assert main([
