@@ -607,7 +607,9 @@ class TestKlBallBoundedness:
         """Seeded KL sensors, alternately with equal and unequal nominal
         variances, each side's radius tiny (1e-150 to 1e-8), moderate
         (1e-3 to 0.3) or large (1 to 7); the nominal gap is drawn wide
-        enough for the radii, and widened until the LFD pair exists."""
+        enough for the radii, and widened until the LFD pair exists. Every
+        third H1 nominal lies below H0's, so the log-LR falls in y (with
+        an explicit LR threshold, as default quantizers may refuse it)."""
         from robust_fusion.scenario import build_sensor
 
         rng = np.random.default_rng(20261020)
@@ -618,13 +620,15 @@ class TestKlBallBoundedness:
             sigma1 = 1.0 if len(sensors) % 2 == 0 else float(rng.uniform(0.6, 1.8))
             gap = (math.sqrt(2.0 * radii[0]) + math.sqrt(2.0 * radii[1])) * max(1.0, sigma1)
             gap = max(0.5, gap * float(rng.uniform(1.2, 2.0)))
+            falling = len(sensors) % 3 == 2
+            quantizer = {"thresholds": [1.0]} if falling else {"num_thresholds": int(rng.integers(1, 4))}
             for _ in range(8):
                 spec = {
                     "kind": "kl-ball",
                     "nominal0": {"mean": 0.0, "sigma": 1.0},
-                    "nominal1": {"mean": gap, "sigma": sigma1},
+                    "nominal1": {"mean": -gap if falling else gap, "sigma": sigma1},
                     "eps0": radii[0], "eps1": radii[1],
-                    "quantizer": {"num_thresholds": int(rng.integers(1, 4))},
+                    "quantizer": quantizer,
                 }
                 try:
                     sensors.append(build_sensor(spec, 0))
