@@ -26,13 +26,14 @@ affine or clipped-affine :class:`ClippedAffineLlr`, and every other KL pair
 a :class:`QuadraticLlr`. No log-LR is cut on a grid.
 :func:`cut_log_lr` is the one inversion, into levels {t_(d-1) <= log_lr < t_d},
 and :func:`level_masses` the one way to read a list of laws on them, as a
-(laws x levels) array: a read of Gaussians in one batch of erfc values,
-one with any other law by scalar cdf differences (:func:`_cdf_masses`, as a
-sensor's channel reads its pair's two laws). A sensor rule cuts at its log
-LR thresholds, :func:`joint_boundedness_check` at its t grid, whose range
-:meth:`LfdPair.log_lr_range` gives in closed form. Every class gives its
-extreme P(log_lr < t) there in closed form (``boundedness_gaps``); the KL
-ball's probe family (:meth:`KlBallClass.members`) serves the saddle pass.
+(laws x levels) array with one row per law: a read of Gaussians in one
+batch of erfc values, one with any other law by scalar cdf differences
+(:func:`_cdf_masses`, as a sensor's channel reads its pair's two laws). A
+sensor rule cuts at its log LR thresholds, :func:`joint_boundedness_check`
+at its t grid, whose range :meth:`LfdPair.log_lr_range` gives in closed
+form. The check takes the two classes only: each gives its extreme
+P(log_lr < t) there in closed form (``boundedness_gaps``); the KL ball's
+probe family (:meth:`KlBallClass.members`) serves the saddle pass.
 """
 
 from __future__ import annotations
@@ -385,27 +386,23 @@ def level_masses(
     C-ordered row per law of ``laws``: exact cdf differences between the
     cuts, summed by segment level.
 
-    Each distinct law (laws are told apart by ``==``, so they must be
-    hashable) is read once. When every law is a :class:`GaussianSpec` they
-    are read together (:func:`_gaussian_weights`), whatever their number;
-    otherwise each law's ``cdf`` is called at each finite cut
-    (:func:`_cdf_masses`). Both give the same bits. With ``tails`` a read
+    When every law is a :class:`GaussianSpec` they are read together
+    (:func:`_gaussian_weights`), whatever their number; otherwise each
+    law's ``cdf`` is called at each finite cut (:func:`_cdf_masses`). Both
+    read each row on its own and give the same bits. With ``tails`` a read
     of Gaussians takes each segment off a law's mean as a difference of
-    tails instead, exact to its relative precision however small.
+    tails instead, exact to its relative precision however small; a read
+    with any other law ignores it.
     """
-    reads: dict = {}  # distinct law -> its row
-    row_of = [reads.setdefault(law, len(reads)) for law in laws]
-    cuts, n = np.asarray(cuts, dtype=float), len(reads)
-    if all(isinstance(law, GaussianSpec) for law in reads):
+    cuts, n = np.asarray(cuts, dtype=float), len(laws)
+    if all(isinstance(law, GaussianSpec) for law in laws):
         # one bincount over the law rows back to back sums each row's
         # segments in order, as a bincount per row would
         flat = (np.arange(0, n * num_levels, num_levels)[:, None] + segment_levels).ravel()
-        weights = _gaussian_weights(list(reads), cuts, tails).ravel()
-        mass = np.bincount(flat, weights, n * num_levels).reshape(n, num_levels)
-    else:
-        mass = np.array(_cdf_masses(reads, cuts.tolist(), segment_levels, num_levels))
-        mass = mass.reshape(n, num_levels)
-    return mass[row_of] if n < len(laws) else mass
+        weights = _gaussian_weights(laws, cuts, tails).ravel()
+        return np.bincount(flat, weights, n * num_levels).reshape(n, num_levels)
+    mass = np.array(_cdf_masses(laws, cuts.tolist(), segment_levels, num_levels))
+    return mass.reshape(n, num_levels)
 
 
 def _cdf_masses(
@@ -651,7 +648,6 @@ def huber_clipped_lfd(
 @dataclass(frozen=True)
 class BoundednessWitness:
     side: str
-    member_index: int
     member: object
     t: float
     gap: float
@@ -666,33 +662,27 @@ class BoundednessReport:
 
 
 def joint_boundedness_check(
-    pair: LfdPair,
-    class0_members,
-    class1_members,
-    t_grid: Sequence[float],
+    pair: LfdPair, class0, class1, t_grid: Sequence[float]
 ) -> BoundednessReport:
-    """Verify the two-sided cdf sandwich of the robust LR over class members.
+    """Verify the two-sided cdf sandwich of the robust LR over two classes.
 
-    For every member Q0 and every threshold t the null-side inequality
-    Q0[log_lr < t] >= Q0_hat[log_lr < t] must hold, and symmetrically
-    Q1[log_lr < t] <= Q1_hat[log_lr < t] on the alternative side. The
-    log-LR is cut once at the t grid on the first read (:func:`cut_log_lr`,
-    as a sensor rule with those log thresholds); column k of a law's
-    cumulative level masses is its P(log_lr < t_k), and each side's LFD
-    and members are read in one :func:`level_masses` call (a class's read
-    with ``tails`` also gives P(log_lr >= t), summed from the top of
-    tail-exact masses). A side given as a class with a closed-form extreme
-    (``boundedness_gaps``:
-    :class:`GaussianBandClass`, :class:`KlBallClass`,
+    For every member Q0 of ``class0`` and every threshold t the null-side
+    inequality Q0[log_lr < t] >= Q0_hat[log_lr < t] must hold, and
+    symmetrically Q1[log_lr < t] <= Q1_hat[log_lr < t] on the alternative
+    side. Each class (:class:`GaussianBandClass`, :class:`KlBallClass`,
     :class:`EpsContaminationClass`, with the pair of their LFD
-    construction) is covered whole, as one member (index 0, the class)
-    whose gap at t is the class's extreme. The witness is the first
-    positive gap (h0 before h1, then member and threshold order) within
-    ``WITNESS_TOL`` of the largest gap, and ``worst_violation`` is its gap,
-    or 0.0 when no gap is positive. A worst violation beyond
-    ``CERTIFICATE_TOL`` flips ``holds``, and only then is the witness
-    reported. An empty member list adds nothing. Raises ValueError on a t
-    grid that holds a NaN or is not strictly increasing.
+    construction) is covered whole: its ``boundedness_gaps`` give one row,
+    the gap at each t between the LFD and the class's extreme. The log-LR
+    is cut once at the t grid on the first read (:func:`cut_log_lr`, as a
+    sensor rule with those log thresholds); column k of a law's cumulative
+    level masses is its P(log_lr < t_k) (a read with ``tails`` also gives
+    P(log_lr >= t), summed from the top of tail-exact masses). The witness
+    is the first positive gap (h0 before h1, then threshold order) within
+    ``WITNESS_TOL`` of the largest gap, with the class as its member, and
+    ``worst_violation`` is its gap, or 0.0 when no gap is positive. A
+    worst violation beyond ``CERTIFICATE_TOL`` flips ``holds``, and only
+    then is the witness reported. Raises ValueError on a t grid that holds
+    a NaN or is not strictly increasing.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or np.any(np.isnan(t)) or not np.all(t[1:] > t[:-1]):
@@ -706,27 +696,14 @@ def joint_boundedness_check(
         lower = np.cumsum(mass, axis=1)[:, :-1]
         return (lower, np.cumsum(mass[:, ::-1], axis=1)[:, -2::-1]) if tails else lower
 
-    sides, rows = [], []
-    for h, (side, members, lfd, sign) in enumerate((
-        ("h0", class0_members, pair.q0, +1.0),
-        ("h1", class1_members, pair.q1, -1.0),
-    )):
-        if hasattr(members, "boundedness_gaps"):  # the whole class, in closed form
-            rows.append(members.boundedness_gaps(h, pair, t, below)[None])
-            sides.append((side, 0, members))
-        elif len(members):
-            # h0 requires member >= LFD, h1 requires member <= LFD.
-            read = below([lfd, *members])
-            rows.append(sign * (read[0] - read[1:]))
-            sides += [(side, idx, m) for idx, m in enumerate(members)]
-    gaps = np.concatenate(rows).ravel() if rows else np.zeros(0)
+    classes = (class0, class1)
+    gaps = np.concatenate([c.boundedness_gaps(h, pair, t, below) for h, c in enumerate(classes)])
     worst, witness = 0.0, None
     first = np.flatnonzero((gaps > 0.0) & (gaps >= gaps.max(initial=0.0) - WITNESS_TOL))
     if first.size:
-        i = int(first[0])
-        worst = float(gaps[i])
-        side, idx, member = sides[i // len(t)]
-        witness = BoundednessWitness(side, idx, member, float(t[i % len(t)]), worst)
+        worst = float(gaps[first[0]])
+        h, k = divmod(int(first[0]), len(t))
+        witness = BoundednessWitness(("h0", "h1")[h], classes[h], float(t[k]), worst)
     holds = worst <= CERTIFICATE_TOL
     return BoundednessReport(
         holds=holds, worst_violation=worst, tol=CERTIFICATE_TOL, witness=None if holds else witness

@@ -1186,9 +1186,9 @@ def probe_members(built, side: int, n: int) -> list:
 def probe_level_masses(laws, cuts, segment_levels, num_levels: int, tails: bool = False) -> np.ndarray:
     """``lfd.level_masses`` of laws that may be :class:`ContaminatedGaussian`:
     a contaminated member is 1 - eps times its nominal's masses (its
-    nominal read once with the other laws), plus eps at the level of the
-    segment that holds its atom (left-closed: an atom on a cut joins the
-    segment above)."""
+    nominal read in the same call as the other laws, one row per member),
+    plus eps at the level of the segment that holds its atom (left-closed:
+    an atom on a cut joins the segment above)."""
     from robust_fusion.lfd import level_masses
 
     bases = [law.nominal if isinstance(law, ContaminatedGaussian) else law for law in laws]
@@ -1231,7 +1231,7 @@ def probe_laws(built, side: int, n: int) -> np.ndarray:
 def probe_below(pair, laws, t_grid, tails: bool = False):
     """Each law's P(log_lr < t) at each t: cumulative
     :func:`probe_level_masses` at the pair's log-LR cut at the t grid, as
-    ``lfd.joint_boundedness_check`` reads its members; with ``tails``, from
+    ``lfd.joint_boundedness_check`` reads a class's laws; with ``tails``, from
     tail-exact masses, and with each law's P(log_lr >= t) too, as the
     pair (below, at or above), the latter summed from the top."""
     from robust_fusion.lfd import cut_log_lr
@@ -1243,18 +1243,26 @@ def probe_below(pair, laws, t_grid, tails: bool = False):
     return (below, np.cumsum(mass[:, ::-1], axis=1)[:, -2::-1]) if tails else below
 
 
+class ProbeWitness(NamedTuple):
+    """The witness of :func:`probe_boundedness_check`: the side, the probe's
+    index in its side's list, the probe, the threshold and the gap."""
+
+    side: str
+    member_index: int
+    member: object
+    t: float
+    gap: float
+
+
 def probe_boundedness_check(pair, class0_members, class1_members, t_grid):
-    """``lfd.joint_boundedness_check`` over probes that may be
-    point-contaminated, each side's LFD and members read by
-    :func:`probe_below`: the same gaps, the first positive gap within
-    ``WITNESS_TOL`` of the largest as witness, and ``CERTIFICATE_TOL`` as
-    the verdict's slack."""
-    from robust_fusion.lfd import (
-        CERTIFICATE_TOL,
-        WITNESS_TOL,
-        BoundednessReport,
-        BoundednessWitness,
-    )
+    """The member-list check that ``lfd.joint_boundedness_check`` no longer
+    has: the sandwich over probe lists that may be point-contaminated, each
+    side's LFD and members read by :func:`probe_below` in one call, an
+    empty list adding nothing. It lists the gaps in h0-before-h1, member
+    and threshold order, takes the first positive gap within
+    ``WITNESS_TOL`` of the largest as witness (a :class:`ProbeWitness`),
+    and forgives ``CERTIFICATE_TOL`` in the verdict, as the library does."""
+    from robust_fusion.lfd import CERTIFICATE_TOL, WITNESS_TOL, BoundednessReport
 
     t = np.asarray(t_grid, dtype=float)
     gaps, sides = [], []
@@ -1263,6 +1271,7 @@ def probe_boundedness_check(pair, class0_members, class1_members, t_grid):
         ("h1", class1_members, pair.q1, -1.0),
     ):
         if len(members):
+            # h0 requires member >= LFD, h1 requires member <= LFD.
             read = probe_below(pair, [lfd, *members], t)
             gaps += [sign * (read[0] - row) for row in read[1:]]
             sides += [(side, idx, m) for idx, m in enumerate(members)]
@@ -1274,7 +1283,7 @@ def probe_boundedness_check(pair, class0_members, class1_members, t_grid):
     worst = float(flat[i])
     side, idx, member = sides[i // len(t)]
     holds = worst <= CERTIFICATE_TOL
-    witness = None if holds else BoundednessWitness(side, idx, member, float(t[i % len(t)]), worst)
+    witness = None if holds else ProbeWitness(side, idx, member, float(t[i % len(t)]), worst)
     return BoundednessReport(holds, worst, CERTIFICATE_TOL, witness)
 
 

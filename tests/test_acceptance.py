@@ -38,6 +38,7 @@ from _oracles import (
     binomial_majority_error,
     gaussian_kl,
     ordered_pmf_pair,
+    probe_boundedness_check,
     pushforward,
     random_nondecreasing_map,
 )
@@ -56,21 +57,24 @@ def _report(n, name, detail):
 
 
 def test_criterion_1_band_boundedness():
-    """Mean-band classes: LFD pair bounded over 21 members, 101 thresholds."""
+    """Mean-band classes: LFD pair bounded over 21 members and over the
+    whole bands, 101 thresholds."""
     start = time.perf_counter()
     pair = gaussian_band_lfd(BAND0, BAND1)
-    report = joint_boundedness_check(
-        pair, band_members(BAND0, 21), band_members(BAND1, 21), np.linspace(-8.0, 8.0, 101)
-    )
+    t_grid = np.linspace(-8.0, 8.0, 101)
+    report = probe_boundedness_check(pair, band_members(BAND0, 21), band_members(BAND1, 21), t_grid)
+    whole = joint_boundedness_check(pair, BAND0, BAND1, t_grid)
     elapsed = time.perf_counter() - start
     assert report.holds
     assert report.worst_violation <= 1e-9
+    assert whole.holds and whole.worst_violation == 0.0
     assert elapsed < 5.0
     _report(1, "band boundedness", f"worst={report.worst_violation:.2e} {elapsed:.2f}s")
 
 
 def test_criterion_2_kl_ball_falsification():
-    """Geometric-mixture pair: exact tilts, affine LR, boundedness fails."""
+    """Geometric-mixture pair: exact tilts, affine LR, boundedness fails on
+    probes and, at least as badly, over the whole balls."""
     start = time.perf_counter()
     pair = kl_dabak_lfd(STD, SHIFTED, 0.08, 0.08)
     # analytic oracle: u = sigma * sqrt(2 eps) / delta-mean = 0.4
@@ -79,15 +83,15 @@ def test_criterion_2_kl_ball_falsification():
     slope, residual = affinity_fit(pair, STD, SHIFTED)
     assert residual < 1e-8
     assert abs(slope - 0.2) < 1e-6
-    report = joint_boundedness_check(
-        pair,
-        KlBallClass(STD, 0.08).members(11, SHIFTED),
-        KlBallClass(SHIFTED, 0.08).members(11, STD),
-        np.linspace(-2.5, 2.5, 101),
-    )
+    ball0, ball1 = KlBallClass(STD, 0.08), KlBallClass(SHIFTED, 0.08)
+    t_grid = np.linspace(-2.5, 2.5, 101)
+    report = probe_boundedness_check(pair, ball0.members(11, SHIFTED), ball1.members(11, STD), t_grid)
+    whole = joint_boundedness_check(pair, ball0, ball1, t_grid)
     elapsed = time.perf_counter() - start
     assert not report.holds
     assert report.witness is not None
+    assert not whole.holds
+    assert whole.worst_violation >= report.worst_violation
     assert elapsed < 10.0
     _report(
         2,

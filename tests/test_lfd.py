@@ -353,7 +353,7 @@ class TestJointBoundedness:
         """The mean-band pair dominates every member on both sides."""
         pair = gaussian_band_lfd(BAND0, BAND1)
         t_grid = np.linspace(-8.0, 8.0, 101)
-        report = joint_boundedness_check(
+        report = probe_boundedness_check(
             pair, band_members(BAND0, 21), band_members(BAND1, 21), t_grid
         )
         assert report.holds
@@ -361,7 +361,7 @@ class TestJointBoundedness:
 
     def test_lfd_member_gap_is_zero(self):
         pair = gaussian_band_lfd(BAND0, BAND1)
-        report = joint_boundedness_check(
+        report = probe_boundedness_check(
             pair, [pair.q0], [pair.q1], np.linspace(-8.0, 8.0, 101)
         )
         assert report.holds
@@ -372,7 +372,7 @@ class TestJointBoundedness:
         pair = kl_dabak_lfd(STD, SHIFTED, 0.08, 0.08)
         members0 = KlBallClass(STD, 0.08).members(11, SHIFTED)
         members1 = KlBallClass(SHIFTED, 0.08).members(11, STD)
-        report = joint_boundedness_check(
+        report = probe_boundedness_check(
             pair, members0, members1, np.linspace(-2.5, 2.5, 101)
         )
         assert not report.holds
@@ -385,7 +385,7 @@ class TestJointBoundedness:
         pair = kl_dabak_lfd(STD, SHIFTED, 0.08, 0.08)
         mean_members0 = [GaussianSpec(m, 1.0) for m in np.linspace(-0.4, 0.4, 15)]
         mean_members1 = [GaussianSpec(m, 1.0) for m in np.linspace(0.6, 1.4, 15)]
-        report = joint_boundedness_check(
+        report = probe_boundedness_check(
             pair, mean_members0, mean_members1, np.linspace(-2.5, 2.5, 101)
         )
         assert report.holds
@@ -417,8 +417,9 @@ class TestJointBoundedness:
             previous = vals
 
     def test_matches_per_threshold_reference(self):
-        """One cut at the t grid and one mass function give the per-threshold
-        route's verdict, witness and worst violation, on seeded band,
+        """The probe-list check (one cut at the t grid, one mass function)
+        gives the per-threshold route's verdict, witness and worst
+        violation, on seeded band,
         contamination and equal- and unequal-variance KL sensors, on the
         CLI's t grid and on one past the log-LR range at both ends."""
         from robust_fusion.scenario import build_sensor
@@ -435,15 +436,13 @@ class TestJointBoundedness:
             built = build_sensor(spec, 0)
             n = (1, 5, 11)[index % 3]
             members0, members1 = probe_members(built, 0, n), probe_members(built, 1, n)
-            # contaminated probes are read by the oracle's mirror of the check
-            check = probe_boundedness_check if kind == "eps-contamination" else joint_boundedness_check
             t_min, t_max = built.pair.log_lr_range()
             grids = (
                 np.unique(np.linspace(t_min, t_max, 101)),
                 np.linspace(t_min - 2.0, t_max + 2.0, 101),
             )
             for t_grid in grids:
-                report = check(built.pair, members0, members1, t_grid)
+                report = probe_boundedness_check(built.pair, members0, members1, t_grid)
                 holds, worst, witness = joint_boundedness_reference(
                     built.pair, members0, members1, t_grid
                 )
@@ -457,36 +456,6 @@ class TestJointBoundedness:
                     assert (w.side, w.member_index, w.t) == witness[:3], case
                 seen["holds" if holds else "violated"] += 1
         assert min(seen.values()) >= 50, seen
-
-    def test_t_grid_must_be_strictly_increasing_without_nan(self):
-        """A NaN t used to be skipped silently; it now raises, as does a
-        grid that repeats or decreases."""
-        pair = gaussian_band_lfd(BAND0, BAND1)
-        members0, members1 = band_members(BAND0, 3), band_members(BAND1, 3)
-        for t_grid in ([math.nan, 0.0], [math.nan], [0.0, math.nan]):
-            with pytest.raises(ValueError, match="NaN"):
-                joint_boundedness_check(pair, members0, members1, t_grid)
-        for t_grid in ([0.0, 0.0], [1.0, 0.0], [0.0, math.inf, math.inf]):
-            with pytest.raises(ValueError, match="strictly increasing"):
-                joint_boundedness_check(pair, members0, members1, t_grid)
-
-    def test_empty_member_lists_add_nothing(self):
-        """An empty side adds no gap; with both empty the sandwich holds."""
-        pair = kl_dabak_lfd(STD, SHIFTED, 0.08, 0.08)
-        members0 = KlBallClass(STD, 0.08).members(11, SHIFTED)
-        members1 = KlBallClass(SHIFTED, 0.08).members(11, STD)
-        t_grid = np.linspace(-2.5, 2.5, 101)
-        both = joint_boundedness_check(pair, members0, members1, t_grid)
-        for side, only0, only1 in (("h0", members0, []), ("h1", [], members1)):
-            report = joint_boundedness_check(pair, only0, only1, t_grid)
-            holds, worst, witness = joint_boundedness_reference(pair, only0, only1, t_grid)
-            assert report.holds == holds
-            assert abs(report.worst_violation - worst) < 1e-13
-            assert report.worst_violation <= both.worst_violation
-            if witness is not None:
-                assert (report.witness.side, report.witness.member_index) == (side, witness[1])
-        report = joint_boundedness_check(pair, [], [], t_grid)
-        assert report.holds and report.worst_violation == 0.0 and report.witness is None
 
 
 class TestExactBoundedness:
@@ -562,7 +531,22 @@ class TestExactBoundedness:
         assert report.worst_violation == probes.worst_violation
         assert probes.witness.member_index == 10
         w = report.witness
-        assert (w.side, w.member_index, w.member, w.t) == ("h0", 0, BAND0, probes.witness.t)
+        assert (w.side, w.member, w.t) == ("h0", BAND0, probes.witness.t)
+
+    def test_h1_band_wider_than_its_pair_is_violated(self):
+        """The H1 mirror: a pair built from a narrower H1 band leaves the
+        class's lower endpoint worse than its q1, so the witness is on side
+        h1 and names the H1 class, at the probes' worst gap and t."""
+        pair = gaussian_band_lfd(BAND0, GaussianBandClass(1.3, 2.0, 1.0))
+        t_grid = np.linspace(*pair.log_lr_range(), 101)
+        report = joint_boundedness_check(pair, BAND0, BAND1, t_grid)
+        probes = probe_boundedness_check(pair, band_members(BAND0, 11), band_members(BAND1, 11), t_grid)
+        assert not report.holds and not probes.holds
+        assert report.worst_violation == probes.worst_violation
+        assert probes.witness.side == "h1" and probes.witness.member_index == 0
+        w = report.witness
+        assert (w.side, w.member, w.t) == ("h1", BAND1, probes.witness.t)
+        assert w.gap == report.worst_violation
 
     def test_empty_and_whole_events_read_zero_gaps(self):
         """Past the clip levels {log_lr < t} is empty or the whole line, and
@@ -578,22 +562,15 @@ class TestExactBoundedness:
             assert np.array_equal(cls.boundedness_gaps(side, pair, t, below), np.zeros(4))
 
     def test_t_grid_is_validated(self):
+        """A NaN t used to be skipped silently; it now raises, as does a
+        grid that repeats or decreases."""
         pair = gaussian_band_lfd(BAND0, BAND1)
-        with pytest.raises(ValueError, match="NaN"):
-            joint_boundedness_check(pair, BAND0, BAND1, [0.0, math.nan])
-        with pytest.raises(ValueError, match="strictly increasing"):
-            joint_boundedness_check(pair, BAND0, BAND1, [1.0, 0.0])
-
-    def test_a_class_side_mixes_with_a_probe_side(self):
-        """H0 given whole and H1 by probes of a wider band than the pair's:
-        the class adds a zero row, so the probes' witness (index and all)
-        is the report of the probes alone."""
-        pair = gaussian_band_lfd(BAND0, BAND1)
-        probes = band_members(GaussianBandClass(0.5, 2.0, 1.0), 11)
-        t_grid = np.linspace(*pair.log_lr_range(), 101)
-        alone = joint_boundedness_check(pair, [], probes, t_grid)
-        assert not alone.holds and alone.witness.side == "h1"
-        assert joint_boundedness_check(pair, BAND0, probes, t_grid) == alone
+        for t_grid in ([math.nan, 0.0], [math.nan], [0.0, math.nan]):
+            with pytest.raises(ValueError, match="NaN"):
+                joint_boundedness_check(pair, BAND0, BAND1, t_grid)
+        for t_grid in ([0.0, 0.0], [1.0, 0.0], [0.0, math.inf, math.inf]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                joint_boundedness_check(pair, BAND0, BAND1, t_grid)
 
 
 class TestKlBallBoundedness:
@@ -648,8 +625,8 @@ class TestKlBallBoundedness:
     @staticmethod
     def _gap_rows(built, t):
         """Each side's whole-ball gap row, and its ``KlBallClass.members``
-        probes' rows read as the member-list path reads them (LFD minus
-        probe under H0, probe minus LFD under H1)."""
+        probes' rows read as ``probe_boundedness_check`` reads them (LFD
+        minus probe under H0, probe minus LFD under H1)."""
         below = lambda laws, tails=False: probe_below(built.pair, laws, t, tails)
         for side, sign in ((0, 1.0), (1, -1.0)):
             exact = built.classes[side].boundedness_gaps(side, built.pair, t, below)
@@ -659,14 +636,14 @@ class TestKlBallBoundedness:
 
     def test_no_probe_beats_the_whole_ball(self):
         """On seeded KL specs and both t grids, the ball's gap row is at
-        least every ``KlBallClass.members`` probe's, and so is the check's
-        worst violation over the member lists."""
+        least every ``KlBallClass.members`` probe's, and the check's worst
+        violation over the balls is at least the probe check's."""
         for index, built in enumerate(self._kl_sensors()):
             for t in self._t_grids(built.pair):
                 for exact, probes in self._gap_rows(built, t):
                     assert np.all(exact >= probes - 1e-14), index
                 whole = joint_boundedness_check(built.pair, *built.classes, t)
-                probed = joint_boundedness_check(
+                probed = probe_boundedness_check(
                     built.pair, built.members(0, 11), built.members(1, 11), t
                 )
                 assert whole.worst_violation >= probed.worst_violation - 1e-14, index
@@ -718,7 +695,7 @@ class TestKlBallBoundedness:
         assert abs(report.worst_violation - worst) <= 1e-9
         assert round(worst, 5) == 0.05127
         w = report.witness
-        assert (w.side, w.member_index, w.member) == ("h0", 0, c0)
+        assert (w.side, w.member) == ("h0", c0)
         assert w.t == t[int(np.argmax(gaps[0]))]
 
     def test_tail_exact_masses(self):
@@ -819,7 +796,7 @@ class TestNonMonotoneLogLr:
 
     def test_lfds_bound_themselves(self):
         pair = self.PAIR
-        report = joint_boundedness_check(
+        report = probe_boundedness_check(
             pair, [pair.q0], [pair.q1], np.linspace(*pair.log_lr_range(), 101)
         )
         assert report.holds
