@@ -404,6 +404,21 @@ class TestJointBoundedness:
         )
         assert report.holds
 
+    def test_t_grid_must_be_strictly_increasing_without_nan(self):
+        """A NaN t used to be skipped silently; it now raises, as does a
+        grid that repeats or decreases, before a KL ball or a contamination
+        class reads any law."""
+        kl0, kl1 = KlBallClass(STD, 0.08), KlBallClass(SHIFTED, 0.08)
+        eps0, eps1 = EpsContaminationClass(STD, 0.05), EpsContaminationClass(SHIFTED, 0.05)
+        cases = ((kl_dabak_lfd(STD, SHIFTED, 0.08, 0.08), kl0, kl1), (huber_clipped_lfd(eps0, eps1), eps0, eps1))
+        for pair, cls0, cls1 in cases:
+            for t_grid in ([math.nan, 0.0], [math.nan], [0.0, math.nan]):
+                with pytest.raises(ValueError, match="NaN"):
+                    joint_boundedness_check(pair, cls0, cls1, t_grid)
+            for t_grid in ([0.0, 0.0], [1.0, 0.0], [0.0, math.inf, math.inf]):
+                with pytest.raises(ValueError, match="strictly increasing"):
+                    joint_boundedness_check(pair, cls0, cls1, t_grid)
+
     def test_example_tail_probability_monotone_in_mean(self):
         """P[log LR < t] under a band member falls as the mean rises."""
         pair = gaussian_band_lfd(BAND0, BAND1)
@@ -562,15 +577,11 @@ class TestExactBoundedness:
             assert np.array_equal(cls.boundedness_gaps(side, pair, t, below), np.zeros(4))
 
     def test_t_grid_is_validated(self):
-        """A NaN t used to be skipped silently; it now raises, as does a
-        grid that repeats or decreases."""
         pair = gaussian_band_lfd(BAND0, BAND1)
-        for t_grid in ([math.nan, 0.0], [math.nan], [0.0, math.nan]):
-            with pytest.raises(ValueError, match="NaN"):
-                joint_boundedness_check(pair, BAND0, BAND1, t_grid)
-        for t_grid in ([0.0, 0.0], [1.0, 0.0], [0.0, math.inf, math.inf]):
-            with pytest.raises(ValueError, match="strictly increasing"):
-                joint_boundedness_check(pair, BAND0, BAND1, t_grid)
+        with pytest.raises(ValueError, match="NaN"):
+            joint_boundedness_check(pair, BAND0, BAND1, [0.0, math.nan])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            joint_boundedness_check(pair, BAND0, BAND1, [1.0, 0.0])
 
 
 class TestKlBallBoundedness:
