@@ -295,7 +295,8 @@ def saddle_verify(
     ``member_laws0``/``member_laws1`` hold one (members x levels) array per
     sensor, row r the law of member r on the channel's levels (as
     ``BuiltSensor.member_laws`` gives them); each is checked and read in C
-    order by :func:`_member_rows`.
+    order by :func:`_member_rows`. A single row equal to the channel's own
+    law is taken as that law and not validated again.
 
     The certificate is per sensor: in the order of the sensor's LLR
     values, every H0 member law must lie stochastically below ``pmf0`` and
@@ -328,24 +329,25 @@ def saddle_verify(
     """
     if len(member_laws0) != net.num_sensors or len(member_laws1) != net.num_sensors:
         raise ValueError("need one member-law array per sensor and hypothesis")
-    member_laws0 = [_member_rows(ch, rows) for ch, rows in zip(net.channels, member_laws0)]
-    member_laws1 = [_member_rows(ch, rows) for ch, rows in zip(net.channels, member_laws1)]
+    channels = net.channels
+    member_laws0 = [_member_rows(rows, ch.pmf0.probs) for ch, rows in zip(channels, member_laws0)]
+    member_laws1 = [_member_rows(rows, ch.pmf1.probs) for ch, rows in zip(channels, member_laws1)]
     tau = net.log_threshold
     # row 0 holds the false-alarm side's current laws, row 1 the miss side's
-    parts = [ch.part for ch in net.channels]
+    parts = [ch.part for ch in channels]
     lfd = _report(_fold(parts).prob_decide_one(tau), net.prior0, "exact-convolution")
-    ranks = [np.unique(ch.llr, return_inverse=True)[1] for ch in net.channels]
 
     combos: tuple[list[int], list[int]] = ([], [])
     carried = [0.0, 0.0]  # the gap of each side's current combination
     dominance_ok = True
-    for i, ch in enumerate(net.channels):
+    for i, ch in enumerate(channels):
         laws = member_laws0[i], member_laws1[i]
         if all(np.array_equal(m, law.probs[None]) for m, law in zip(laws, (ch.pmf0, ch.pmf1))):
             for combo in combos:  # its own laws alone: gap terms exactly 0
                 combo.append(0)
             continue
         a = _fuse_one_given_level(parts[:i] + parts[i + 1 :], ch.llr, np.array([tau]))[:, 0]
+        rank = np.unique(ch.llr, return_inverse=True)[1]
         chosen = []
         for h, (probs, sign) in enumerate(((member_laws0[i], 1), (member_laws1[i], -1))):
             current = (ch.pmf0, ch.pmf1)[h].probs
@@ -355,7 +357,7 @@ def saddle_verify(
             carried[h] = float(gaps[j])
             chosen.append(probs[j])
             # the LFD must dominate each member on the signed LLR ranks
-            worst = _dominance_gaps(sign * ranks[i], current, probs)
+            worst = _dominance_gaps(sign * rank, current, probs)
             dominance_ok = dominance_ok and bool(np.all(worst <= CERTIFICATE_TOL))
         parts[i] = _sensor_part(ch.llr, np.array(chosen))
     # the miss side must be worse by more than rounding to replace the
@@ -373,22 +375,24 @@ def saddle_verify(
     )
 
 
-def _member_rows(ch: SensorChannel, rows) -> np.ndarray:
-    """One sensor's member laws as a C-ordered (members x levels) float
-    array, so no report depends on the caller's memory layout; raises
-    ValueError unless there is at least one row, each row has the channel's
-    level count, and each is a law: finite, nonnegative, summing to 1
-    within ``MASS_TOL``."""
+def _member_rows(rows, own: np.ndarray) -> np.ndarray:
+    """One sensor's member laws on one side as a C-ordered (members x
+    levels) float array, so no report depends on the caller's memory
+    layout. One row equal to the channel's ``own`` law there, bit for bit,
+    is taken as that law, which passed ``_check_law`` when the channel was
+    built. Other rows raise ValueError unless there is at least one, each
+    has the channel's level count, and each is a law: finite, nonnegative,
+    summing to 1 within ``MASS_TOL``."""
     probs = np.ascontiguousarray(rows, dtype=float)
+    if probs.shape == (1, own.size) and np.array_equal(probs[0], own):
+        return probs
     if probs.ndim != 2 or probs.shape[0] == 0:
         raise ValueError(
             "every sensor needs at least one member law per hypothesis, "
             "as a (members x levels) array"
         )
-    if probs.shape[1] != len(ch.levels):
-        raise ValueError(
-            f"member laws have {probs.shape[1]} levels, the channel {len(ch.levels)}"
-        )
+    if probs.shape[1] != own.size:
+        raise ValueError(f"member laws have {probs.shape[1]} levels, the channel {own.size}")
     if not np.all(np.isfinite(probs) & (probs >= 0.0)):
         raise ValueError("member laws must be finite and nonnegative")
     if not np.all(np.abs(probs.sum(axis=1) - 1.0) <= MASS_TOL):

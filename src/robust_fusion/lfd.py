@@ -26,14 +26,15 @@ affine or clipped-affine :class:`ClippedAffineLlr`, and every other KL pair
 a :class:`QuadraticLlr`. No log-LR is cut on a grid.
 :func:`cut_log_lr` is the one inversion, into levels {t_(d-1) <= log_lr < t_d},
 and :func:`level_masses` the one way to read a list of laws on them, as a
-(laws x levels) array with one row per law: a read of Gaussians in one
-batch of erfc values, one with any other law by scalar cdf differences
-(:func:`_cdf_masses`, as a sensor's channel reads its pair's two laws). A
-sensor rule cuts at its log LR thresholds, :func:`joint_boundedness_check`
-at its t grid, whose range :meth:`LfdPair.log_lr_range` gives in closed
-form. The check takes the two classes only: each gives its extreme
-P(log_lr < t) there in closed form (``boundedness_gaps``); the KL ball's
-probe family (:meth:`KlBallClass.members`) serves the saddle pass.
+(laws x levels) array with one row per law: Gaussians and censored laws
+alike in one batch of erfc values, with the bits of scalar cdf
+differences (:func:`_cdf_masses`, a sensor channel's read of its pair's
+two laws). A sensor rule cuts at its log LR thresholds,
+:func:`joint_boundedness_check` at its t grid, whose range
+:meth:`LfdPair.log_lr_range` gives in closed form. The check takes the
+two classes only: each gives its extreme P(log_lr < t) there in closed
+form (``boundedness_gaps``); the KL ball's probe family
+(:meth:`KlBallClass.members`) serves the saddle pass.
 """
 
 from __future__ import annotations
@@ -160,12 +161,13 @@ class KlBallClass:
             tau_lo = math.exp(log_lo + 1e-12)
         members: list[GaussianSpec] = []
         direction = 1.0 if toward.mean >= nominal.mean else -1.0
+        fracs = np.linspace(-1.0, 1.0, n)
         for tau in np.linspace(tau_lo, tau_hi, max(3, n - 2)):
             budget = 2.0 * eps - scale_gap(float(tau))
             if budget < 0.0:
                 continue
             radius = sigma * math.sqrt(budget)
-            for frac in np.linspace(-1.0, 1.0, n):
+            for frac in fracs:
                 members.append(
                     GaussianSpec(nominal.mean + direction * float(frac) * radius, float(tau) * sigma)
                 )
@@ -196,8 +198,13 @@ class EpsContaminationClass:
             gaps = lfd - (1.0 - self.eps) * nominal
         else:
             gaps = (1.0 - self.eps) * nominal + self.eps - lfd
-        settled = [math.isinf(_flat_boundary(pair.log_lr, s)) for s in t.tolist()]
-        return np.where(settled, 0.0, gaps)
+        # A is empty or the whole line where t, lowered as cut_log_lr lowers
+        # it, is at most the lower clip level or above the upper one, and
+        # at t = +inf whatever the clip
+        llr = pair.log_lr
+        low, high = llr.offset + llr.lo, llr.offset + llr.hi
+        s = np.where(_near(t, low) | _near(t, high), t - _LLR_SLACK, t)
+        return np.where((s <= low) | (s > high) | (t == math.inf), 0.0, gaps)
 
 
 @dataclass(frozen=True)
@@ -359,24 +366,20 @@ def cut_log_lr(pair: LfdPair, log_t) -> tuple[tuple[float, ...], np.ndarray]:
     if isinstance(llr, QuadraticLlr):
         cuts, inner = llr.split(log_t)
         return tuple(cuts), np.searchsorted(log_t, inner, side="right")
-    lo, hi = pair.support
+    (lo, hi), cuts = pair.support, []
+    low, high = llr.offset + llr.lo, llr.offset + llr.hi
+    for s in np.asarray(log_t, dtype=float).tolist():
+        if abs(s - low) <= _LLR_SLACK or abs(s - high) <= _LLR_SLACK:
+            s -= _LLR_SLACK
+        b = llr.boundary(s)
+        cuts.append(b if b == math.inf or s == -math.inf else min(max(b, lo), hi))
+    return tuple(cuts), np.arange(len(log_t) + 1)
 
-    def cut(s: float) -> float:
-        if s == -math.inf:
-            return -math.inf
-        b = _flat_boundary(llr, s)
-        return b if b == math.inf else min(max(b, lo), hi)
 
-    return tuple([cut(float(s)) for s in log_t]), np.arange(len(log_t) + 1)
-
-
-def _flat_boundary(llr: ClippedAffineLlr, s: float) -> float:
-    """``llr.boundary(s)``, with an s within ``_LLR_SLACK`` of a flat
-    (clipped) stretch lowered by it: -inf where {log_lr < s} is empty, +inf
-    where it is the whole line."""
-    if abs(s - (llr.offset + llr.lo)) <= _LLR_SLACK or abs(s - (llr.offset + llr.hi)) <= _LLR_SLACK:
-        s -= _LLR_SLACK
-    return llr.boundary(s)
+def _near(t: np.ndarray, level: float):
+    """Where t lies within ``_LLR_SLACK`` of a clip level; nowhere for an
+    infinite level, so that no inf - inf is formed."""
+    return np.abs(t - level) <= _LLR_SLACK if math.isfinite(level) else False
 
 
 def level_masses(
@@ -386,23 +389,20 @@ def level_masses(
     C-ordered row per law of ``laws``: exact cdf differences between the
     cuts, summed by segment level.
 
-    When every law is a :class:`GaussianSpec` they are read together
-    (:func:`_gaussian_weights`), whatever their number; otherwise each
-    law's ``cdf`` is called at each finite cut (:func:`_cdf_masses`). Both
-    read each row on its own and give the same bits. With ``tails`` a read
-    of Gaussians takes each segment off a law's mean as a difference of
-    tails instead, exact to its relative precision however small; a read
-    with any other law ignores it.
+    The laws, :class:`GaussianSpec` and :class:`CensoredGaussian` in any
+    mix and number, are read together in one batch of erfc values
+    (:func:`_erfc_weights`). Each row is read on its own and has the bits
+    of the law's scalar ``cdf`` read (:func:`_cdf_masses`, the channel
+    builder's). With ``tails`` a Gaussian row takes each segment off the
+    law's mean as a difference of tails instead, exact to its relative
+    precision however small; a censored row ignores it.
     """
     cuts, n = np.asarray(cuts, dtype=float), len(laws)
-    if all(isinstance(law, GaussianSpec) for law in laws):
-        # one bincount over the law rows back to back sums each row's
-        # segments in order, as a bincount per row would
-        flat = (np.arange(0, n * num_levels, num_levels)[:, None] + segment_levels).ravel()
-        weights = _gaussian_weights(laws, cuts, tails).ravel()
-        return np.bincount(flat, weights, n * num_levels).reshape(n, num_levels)
-    mass = np.array(_cdf_masses(laws, cuts.tolist(), segment_levels, num_levels))
-    return mass.reshape(n, num_levels)
+    # one bincount over the law rows back to back sums each row's
+    # segments in order, as a bincount per row would
+    flat = (np.arange(0, n * num_levels, num_levels)[:, None] + segment_levels).ravel()
+    weights = _erfc_weights(laws, cuts, tails).ravel()
+    return np.bincount(flat, weights, n * num_levels).reshape(n, num_levels)
 
 
 def _cdf_masses(
@@ -423,25 +423,51 @@ def _cdf_masses(
     return rows
 
 
-def _gaussian_weights(
-    specs: Sequence[GaussianSpec], cuts: np.ndarray, tails: bool = False
-) -> np.ndarray:
-    """Each Gaussian's mass between consecutive cuts, -inf and +inf
-    included, one row per law: one array of z = (mean - cut) / (sigma *
-    sqrt 2) at -inf, the cuts and +inf through one map of ``math.erfc``,
-    the bits of :meth:`GaussianSpec.cdf`. With ``tails`` it maps |z|, each
-    end's tail away from the mean, and a segment on one side of the mean is
-    the difference of its ends' tails."""
+def _erfc_weights(laws: Sequence, cuts: np.ndarray, tails: bool = False) -> np.ndarray:
+    """Each law's mass between consecutive ends (-inf, the cuts, +inf), one
+    row per law, from one map of ``math.erfc`` over the z = (mean - x) /
+    (sigma * sqrt 2) of every Gaussian read, the bits of
+    :meth:`GaussianSpec.cdf`. A Gaussian is read at the ends. A
+    :class:`CensoredGaussian` is put together as its ``cdf`` does, from p0
+    at min(end, split), p1 at an end past split and p1 at split (each end
+    read once), and reads exactly 0.0 at a -inf end and 1.0 at a +inf one.
+    With ``tails`` a Gaussian row maps |z|, each end's tail away from the
+    mean, and a segment on one side of the mean is the difference of its
+    ends' tails."""
     ends = np.concatenate(([-math.inf], cuts, [math.inf]))
-    means = np.array([g.mean for g in specs])[:, None]
-    scales = np.array([g.sigma for g in specs])[:, None] * _SQRT2
-    z = (means - ends) / scales
+    censored = [law for law in laws if isinstance(law, CensoredGaussian)]
+    gaussians = [law for law in laws if not isinstance(law, CensoredGaussian)] if censored else laws
+    means = np.array([g.mean for g in gaussians])[:, None]
+    z = (means - ends) / (np.array([g.sigma for g in gaussians])[:, None] * _SQRT2)
     x = np.abs(z) if tails else z
-    at = 0.5 * np.fromiter(map(math.erfc, x.ravel().tolist()), float, z.size).reshape(z.shape)
-    lo, hi = at[:, :-1], at[:, 1:]
-    if not tails:
-        return hi - lo
-    return np.where(z[:, 1:] >= 0.0, hi - lo, np.where(z[:, :-1] <= 0.0, lo - hi, 1.0 - lo - hi))
+    if censored:  # a z row per censored law: p0 up to split, p1 past it, each at split
+        scale, div, keep, split, m0, s0, m1, s1 = np.array([
+            (c.lo_weight, c.hi_div, 1.0 - c.eps, c.split, c.p0.mean, c.p0.sigma, c.p1.mean, c.p1.sigma)
+            for c in censored
+        ]).T[:, :, None]
+        s0, s1, above = s0 * _SQRT2, s1 * _SQRT2, ends > split
+        at_ends = np.where(above, (m1 - ends) / s1, (m0 - ends) / s0)
+        zc = np.hstack((at_ends, (m0 - split) / s0, (m1 - split) / s1))
+        x = np.concatenate((x.ravel(), zc.ravel()))
+    flat = x.ravel().tolist()
+    at = 0.5 * np.fromiter(map(math.erfc, flat), float, len(flat))
+    read = at[: z.size].reshape(z.shape)
+    lo, hi = read[:, :-1], read[:, 1:]
+    rows = hi - lo
+    if tails:
+        rows = np.where(z[:, 1:] >= 0.0, rows, np.where(z[:, :-1] <= 0.0, lo - hi, 1.0 - lo - hi))
+    if not censored:
+        return rows
+    at = at[z.size :].reshape(len(censored), ends.size + 2)
+    read, p0_split, p1_split = at[:, :-2], at[:, -2:-1], at[:, -1:]
+    low = scale * np.where(above, p0_split, read)
+    cdf = keep * np.where(above, low + (read - p1_split) / div, low)
+    cdf[:, ends == -math.inf] = 0.0
+    cdf[:, ends == math.inf] = 1.0
+    is_censored = np.array([isinstance(law, CensoredGaussian) for law in laws])
+    weights = np.empty((len(laws), ends.size - 1))
+    weights[~is_censored], weights[is_censored] = rows, cdf[:, 1:] - cdf[:, :-1]
+    return weights
 
 
 def gaussian_band_lfd(c0: GaussianBandClass, c1: GaussianBandClass) -> LfdPair:

@@ -1310,3 +1310,39 @@ def bernoulli_kl_root_reference(p: float, eps: float) -> float:
     if kl(1.0) <= 0:
         return 1.0
     return brentq(lambda x: float(kl(x)), p, 1.0, xtol=1e-15, maxiter=500)
+
+
+def flat_boundary_reference(llr, s: float) -> float:
+    """``llr.boundary(s)`` of a clipped-affine log-LR, with an s within
+    ``_LLR_SLACK`` of a clip level lowered by it, one scalar threshold at a
+    time: -inf where {log_lr < s} is empty, +inf where it is the whole
+    line."""
+    from robust_fusion.lfd import _LLR_SLACK
+
+    if abs(s - (llr.offset + llr.lo)) <= _LLR_SLACK or abs(s - (llr.offset + llr.hi)) <= _LLR_SLACK:
+        s -= _LLR_SLACK
+    return llr.boundary(s)
+
+
+def contamination_gaps_reference(cls, side: int, pair, t_grid) -> np.ndarray:
+    """``EpsContaminationClass.boundedness_gaps`` by scalar reads: the LFD
+    law's and the nominal's P(log_lr < t) from one ``cdf`` call per cut
+    (exactly 0 at -inf and 1 at +inf), the class's gap formula, and each t
+    settled at 0.0 where :func:`flat_boundary_reference` is infinite, a
+    Python test per t."""
+    from robust_fusion.lfd import cut_log_lr
+
+    t = np.asarray(t_grid, dtype=float)
+    cuts, segment_levels = cut_log_lr(pair, t)
+    below = []
+    for law in ((pair.q0, pair.q1)[side], cls.nominal):
+        at = [1.0 if c == math.inf else 0.0 if c == -math.inf else law.cdf(c) for c in cuts]
+        mass = np.bincount(segment_levels, np.diff([0.0, *at, 1.0]), len(t) + 1)
+        below.append(np.cumsum(mass)[:-1])
+    lfd, nominal = below
+    if side == 0:
+        gaps = lfd - (1.0 - cls.eps) * nominal
+    else:
+        gaps = (1.0 - cls.eps) * nominal + cls.eps - lfd
+    settled = [math.isinf(flat_boundary_reference(pair.log_lr, s)) for s in t.tolist()]
+    return np.where(settled, 0.0, gaps)

@@ -28,8 +28,10 @@ from _oracles import (
     affinity_fit,
     band_members,
     bernoulli_kl_root_reference,
+    contamination_gaps_reference,
     contamination_members,
     density_integral,
+    flat_boundary_reference,
     gaussian_kl,
     huber_clip_reference,
     joint_boundedness_reference,
@@ -575,6 +577,79 @@ class TestExactBoundedness:
         below = lambda laws: probe_below(pair, laws, t)
         for side, cls in enumerate((cls0, cls1)):
             assert np.array_equal(cls.boundedness_gaps(side, pair, t, below), np.zeros(4))
+
+    def test_contamination_gap_rows_match_the_scalar_reference(self):
+        """On seeded contamination pairs, eps = 0 classes (an infinite clip
+        level) included, each side's gap row equals the scalar reference's
+        (one cdf call per cut, a Python slack test per t) bit for bit: on
+        the CLI's t grid, on grids at and within _LLR_SLACK of both clip
+        levels, and on grids with -inf and +inf ends."""
+        from robust_fusion.lfd import _LLR_SLACK
+        from robust_fusion.scenario import _t_grid
+
+        rng = np.random.default_rng(20261209)
+        slack_decides, infinite_levels = 0, 0
+        for index in range(60):
+            mean0, sigma = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 2.0))
+            nominal1 = GaussianSpec(mean0 + float(rng.uniform(0.3, 2.5)) * sigma, sigma)
+            eps0, eps1 = (0.0 if index % 5 == k else float(rng.uniform(1e-4, 0.1)) for k in (1, 2))
+            cls0 = EpsContaminationClass(GaussianSpec(mean0, sigma), eps0)
+            cls1 = EpsContaminationClass(nominal1, eps1)
+            pair = huber_clipped_lfd(cls0, cls1)
+            llr = pair.log_lr
+            low, high = llr.offset + llr.lo, llr.offset + llr.hi
+            levels = [v for v in (low, high) if math.isfinite(v)]
+            infinite_levels += len(levels) < 2
+            near = [v + k * _LLR_SLACK for v in levels for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
+            t_min, t_max = pair.log_lr_range()
+            spread = np.linspace(t_min - 1.0, t_max + 1.0, 9)
+            grids = [
+                _t_grid(pair),
+                np.unique([*near, *spread]),
+                np.array([-math.inf, *spread, math.inf]),
+            ]
+            for t in grids:
+                below = lambda laws: probe_below(pair, laws, t)
+                for side, cls in enumerate((cls0, cls1)):
+                    want = contamination_gaps_reference(cls, side, pair, t)
+                    assert np.array_equal(cls.boundedness_gaps(side, pair, t, below), want), index
+            # t within the slack of a clip level, settled or not only by the slack
+            slacked = [math.isinf(flat_boundary_reference(llr, s)) for s in near]
+            slack_decides += sum(a != (s <= low or s > high) for a, s in zip(slacked, near))
+        assert infinite_levels == 24 and slack_decides >= 100
+
+    def test_certify_calls_no_censored_cdf_in_the_check(self, monkeypatch):
+        """``certify`` on composite.json: the contamination sensor's check
+        reads its censored LFD law in the erfc batch, so no
+        ``CensoredGaussian.cdf`` call happens inside
+        ``joint_boundedness_check`` (the channel build still makes some)."""
+        from robust_fusion import scenario as scenario_module
+        from robust_fusion.fusion import NetworkModel
+        from robust_fusion.lfd import CensoredGaussian
+
+        built = scenario_module.build_sensors(scenario_module.load_scenario(SCENARIOS / "composite.json"))
+        net = NetworkModel(tuple(b.channel for b in built), 0.5)
+        calls, checks, checking = [], [], []
+        cdf, check = CensoredGaussian.cdf, scenario_module.joint_boundedness_check
+        monkeypatch.setattr(CensoredGaussian, "cdf", lambda law, x: calls.append(bool(checking)) or cdf(law, x))
+
+        def checked(pair, *args):
+            checks.append(type(pair.q0).__name__)
+            checking.append(1)
+            try:
+                return check(pair, *args)
+            finally:
+                checking.pop()
+
+        monkeypatch.setattr(scenario_module, "joint_boundedness_check", checked)
+        cert = scenario_module.certify(built, net, 11)
+        assert all(report.holds for _, report in cert.boundedness)
+        assert checks == ["GaussianSpec", "CensoredGaussian"]
+        assert calls.count(True) == 0
+        # a channel built outside the check still reads the censored cdf
+        build_calls = len(calls)
+        scenario_module.build_sensors(scenario_module.load_scenario(SCENARIOS / "composite.json"))
+        assert len(calls) > build_calls and True not in calls
 
     def test_t_grid_is_validated(self):
         pair = gaussian_band_lfd(BAND0, BAND1)

@@ -11,6 +11,7 @@ import pytest
 from robust_fusion._roots import solve_newton
 from robust_fusion.distributions import AtomPmf, DiscretePmf, GaussianSpec, pmf_from_weights
 from robust_fusion.lfd import (
+    CensoredGaussian,
     ClippedAffineLlr,
     EpsContaminationClass,
     GaussianBandClass,
@@ -459,20 +460,16 @@ class TestBatchedLevelMasses:
         self._check(laws, cuts, np.arange(5), 5, "explicit infinite cuts")
 
     def test_every_gaussian_read_takes_the_batch(self, monkeypatch):
-        """A read of Gaussians alone takes the batched erfc map at every size,
-        one law and one cut included, and gives the scalar reference's bits,
-        infinite cuts included; a read with any other law (a contamination
-        LFD) calls each cdf in a loop."""
+        """A read of Gaussians takes the batched erfc map at every size, one
+        law and one cut included, and gives the scalar reference's bits,
+        infinite cuts included; a read with a contamination LFD (a censored
+        law) takes the same one batch and calls no cdf."""
         import robust_fusion.lfd as lfd
 
-        batched = []
-        original = lfd._gaussian_weights
-
-        def counting(*args):
-            batched.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(lfd, "_gaussian_weights", counting)
+        batched, cdf_calls = [], []
+        original, cdf = lfd._erfc_weights, CensoredGaussian.cdf
+        monkeypatch.setattr(lfd, "_erfc_weights", lambda *a: batched.append(1) or original(*a))
+        monkeypatch.setattr(CensoredGaussian, "cdf", lambda law, x: cdf_calls.append(x) or cdf(law, x))
         rng = np.random.default_rng(20261023)
         censored = huber_clipped_lfd(
             EpsContaminationClass(GaussianSpec(0.0, 1.0), 0.05),
@@ -490,11 +487,47 @@ class TestBatchedLevelMasses:
                     GaussianSpec(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.3, 2.0)))
                     for _ in range(n)
                 ]
-                for read, takes_batch in ((laws, True), ([*laws, censored], False)):
+                for read in (laws, [*laws, censored]):
                     batched.clear()
+                    cdf_calls.clear()
                     level_masses(read, cuts, segment_levels, num_cuts + 1)
-                    assert len(batched) == takes_batch, (n, num_cuts, takes_batch)
+                    assert (len(batched), cdf_calls) == (1, []), (n, num_cuts)
                     self._check(read, cuts, segment_levels, num_cuts + 1, (n, num_cuts))
+
+    def test_censored_rows_match_scalar_reads(self):
+        """Censored laws with no upper clip (eps0 = 0: split +inf, hi_div
+        inf) or no lower one (eps1 = 0: split -inf, lo_weight 0), cut
+        exactly at a split and at interior -inf and +inf cuts (empty
+        levels included), alone and mixed with Gaussians: each row is the
+        scalar cdf read's, bit for bit."""
+        rng = np.random.default_rng(20261208)
+        nominal0, nominal1 = GaussianSpec(-0.3, 1.2), GaussianSpec(0.9, 1.2)
+        pairs = [
+            huber_clipped_lfd(EpsContaminationClass(nominal0, e0), EpsContaminationClass(nominal1, e1))
+            for e0, e1 in ((0.0, 0.07), (0.04, 0.0), (0.0, 0.0), (0.03, 0.1))
+        ]
+        assert pairs[0].q0.split == math.inf and pairs[0].q0.hi_div == math.inf
+        assert pairs[1].q1.split == -math.inf and pairs[1].q1.lo_weight == 0.0
+        censored = [law for pair in pairs for law in (pair.q0, pair.q1)]
+        splits = sorted({law.split for law in censored if math.isfinite(law.split)})
+        inf = math.inf
+        for case in range(40):
+            inner = sorted([*rng.choice(splits, 2), *rng.uniform(-4.0, 4.0, size=3)])
+            cuts = [-inf] * int(rng.integers(3)) + inner + [inf] * int(rng.integers(3))
+            if case % 2:  # a quadratic-like cut: levels out of segment order
+                num_levels = 4
+                segment_levels = rng.integers(num_levels, size=len(cuts) + 1)
+            else:
+                num_levels = len(cuts) + 1
+                segment_levels = np.arange(num_levels)
+            laws = [censored[i] for i in rng.permutation(len(censored))]
+            if case % 3:
+                laws += [nominal0, GaussianSpec(float(rng.uniform(-2.0, 2.0)), 0.7), nominal1]
+                laws = [laws[i] for i in rng.permutation(len(laws))]
+            self._check(laws, cuts, segment_levels, num_levels, (case, cuts))
+            rows = level_masses(laws, cuts, segment_levels, num_levels)
+            if cuts[-1] == inf and segment_levels[-1] not in segment_levels[:-1]:
+                assert np.all(rows[:, segment_levels[-1]] == 0.0)  # the empty top level
 
     def test_empty_member_list(self):
         rule = SensorRule(EXAMPLE_PAIR, Quantizer((0.5, 2.0)))
